@@ -276,6 +276,8 @@ def cmd_reliable(cfg: RunConfig) -> int:
     )
     if cfg.format == "json":
         payload = report.summary()
+        if p["trials"] is not None:
+            payload["mc_stream"] = reliability.MC_STREAM
         payload["rows"] = [
             {
                 "input": "".join(str(b) for b in row.x),

@@ -7,13 +7,19 @@ to push the bundle error back toward its fixed point. Error propagation is
 tracked two ways: analytically under a within-bundle independence
 assumption, and by seeded wire-level Monte Carlo with the circuit's fixed
 wiring, which quantifies how much that assumption leaks.
+
+The Monte Carlo sampler is bit-sliced: 64 trials ride in one uint64 word,
+and trials run in blocks of ``BLOCK`` = 1024. Block b draws all its gate
+flips from one counter-based Philox stream keyed by (seed, input, b), so a
+trial's outcome depends only on (seed, input, block) and a shorter run is a
+prefix of a longer one. ``MC_STREAM`` names this stream contract.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 from scipy.stats import binom
@@ -22,7 +28,6 @@ from .boolfn import make_named
 from .gates import NoisyGate, beta, maj_error_recursion
 
 EQUAL_ERROR_SLACK = 0.05
-MC_CHUNK = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -90,12 +95,13 @@ def parse_formula(text: str) -> FormulaDag:
     if not tokens:
         raise ValueError("line 1: empty formula")
 
-    inputs: list[str] = []
+    inputs: dict[str, int] = {}
     nodes: list[tuple[int, int]] = []
+    # open groups, innermost last: (line of the '(', operands parsed so far);
+    # an explicit stack, so nesting depth is bounded by memory, not recursion
+    open_groups: list[tuple[int, list[int]]] = []
     pos = 0
-
-    def parse_expr() -> int:
-        nonlocal pos
+    while True:
         if pos >= len(tokens):
             raise ValueError(f"line {tokens[-1][1]}: unexpected end of formula")
         tok, line_no = tokens[pos]
@@ -104,25 +110,31 @@ def parse_formula(text: str) -> FormulaDag:
             if pos >= len(tokens) or tokens[pos][0].lower() != "nand":
                 raise ValueError(f"line {line_no}: expected 'nand' after '('")
             pos += 1
-            a = parse_expr()
-            b = parse_expr()
-            if pos >= len(tokens) or tokens[pos][0] != ")":
-                raise ValueError(f"line {line_no}: expected ')'")
-            pos += 1
-            nodes.append((a, b))
-            return -len(nodes)  # provisional node handle
+            open_groups.append((line_no, []))
+            continue
         if tok == ")":
             raise ValueError(f"line {line_no}: unexpected ')'")
         if not tok.replace("_", "").isalnum() or tok[0].isdigit():
             raise ValueError(f"line {line_no}: bad input name {tok!r}")
-        if tok not in inputs:
-            inputs.append(tok)
-        return inputs.index(tok)
+        ref = inputs.setdefault(tok, len(inputs))
+        # close every group this operand completes
+        while open_groups:
+            open_line, operands = open_groups[-1]
+            operands.append(ref)
+            if len(operands) < 2:
+                break
+            if pos >= len(tokens) or tokens[pos][0] != ")":
+                raise ValueError(f"line {open_line}: expected ')'")
+            pos += 1
+            open_groups.pop()
+            nodes.append((operands[0], operands[1]))
+            ref = -len(nodes)  # provisional node handle
+        if not open_groups:
+            break
 
-    root = parse_expr()
     if pos != len(tokens):
         raise ValueError(f"line {tokens[pos][1]}: trailing tokens after formula")
-    if root >= 0:
+    if ref >= 0:
         raise ValueError("line 1: formula must contain at least one nand")
     n = len(inputs)
     fixed = tuple(
@@ -132,13 +144,19 @@ def parse_formula(text: str) -> FormulaDag:
 
 
 def formula_to_text(formula: FormulaDag) -> str:
-    def render(ref: int) -> str:
-        if ref < formula.n_inputs:
-            return formula.inputs[ref]
-        a, b = formula.nodes[ref - formula.n_inputs]
-        return f"(nand {render(a)} {render(b)})"
-
-    return render(formula.output_ref)
+    """Render as nested s-expressions; iterative, so any depth renders."""
+    parts: list[str] = []
+    pending: list[int | str] = [formula.output_ref]  # refs to render, literal text
+    while pending:
+        item = pending.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif item < formula.n_inputs:
+            parts.append(formula.inputs[item])
+        else:
+            a, b = formula.nodes[item - formula.n_inputs]
+            pending.extend((")", b, " ", a, "(nand "))
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +451,15 @@ def simulate_analytic(circuit: ReliableCircuit, x: Sequence[int]) -> AnalyticRes
 # ---------------------------------------------------------------------------
 # Monte Carlo
 
+#: trials per random stream; 64 trials share a uint64 word, so a bundle in
+#: flight is a (W, BLOCK // 64) word array
+BLOCK = 1024
+#: stream version reported with sampled results
+MC_STREAM = "bitsliced-philox-v1"
+_WORDS = BLOCK // 64
+_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+
+
 @dataclass(frozen=True)
 class MonteCarloResult:
     x: tuple[int, ...]
@@ -442,67 +469,180 @@ class MonteCarloResult:
     ci_halfwidth: float
 
 
+def _flip_words(bitgen: np.random.BitGenerator, p: float, n: int) -> np.ndarray:
+    """``n`` words whose bits are independently 1 with probability exactly p.
+
+    A lane flips iff its uniform U = 0.u1u2... is below p = 0.p1p2..., i.e.
+    iff u_i = 0 and p_i = 1 at the first bit where they differ. Rounds walk
+    p's finite binary expansion, most significant bit first, drawing one
+    random word per word that still has an undecided lane; lanes left
+    undecided when the expansion ends have U >= p.
+    """
+    num, den = float(p).as_integer_ratio()
+    out = np.zeros(n, dtype=np.uint64)
+    live = np.arange(n)
+    undecided = np.full(n, _ONES)
+    for shift in reversed(range(den.bit_length() - 1)):
+        if not live.size:
+            break
+        r = bitgen.random_raw(live.size)
+        if (num >> shift) & 1:
+            out[live] |= undecided & ~r
+            undecided &= r
+        else:
+            undecided &= ~r
+        keep = undecided != 0
+        if not keep.all():
+            live, undecided = live[keep], undecided[keep]
+    return out
+
+
+def _mux(keys: tuple[int, ...], xs: Sequence[np.ndarray], leaf, memo: dict):
+    """Shannon mux tree of the table ``keys`` over bit-sliced operands ``xs``.
+
+    Entry i of ``keys`` is the value at input index i, whose bit j is operand
+    j. Keys 0 and 1 are the constant words and fold away; any other key is
+    looked up with ``leaf``. Returns a word array, or the int 0 or 1 when
+    the result is constant. Equal sub-tables are evaluated once.
+    """
+    if len(keys) == 1:
+        return keys[0] if keys[0] in (0, 1) else leaf(keys[0])
+    if keys in memo:
+        return memo[keys]
+    half = len(keys) // 2
+    lo, hi = keys[:half], keys[half:]
+    f0 = _mux(lo, xs, leaf, memo)
+    if lo == hi:
+        return f0
+    f1 = _mux(hi, xs, leaf, memo)
+    x = xs[half.bit_length() - 1]
+    if isinstance(f0, int) and isinstance(f1, int):
+        out = x if f1 else ~x
+    elif isinstance(f0, int):
+        out = (x & f1) if f0 == 0 else (f1 | ~x)
+    elif isinstance(f1, int):
+        out = (f0 & ~x) if f1 == 0 else (f0 | x)
+    else:
+        out = f0 ^ (x & (f0 ^ f1))  # = (x & f1) | (~x & f0)
+    memo[keys] = out
+    return out
+
+
+def _gate_keys(gate: NoisyGate) -> tuple[tuple[int, ...], tuple[int, ...], tuple[float, ...]]:
+    """Mux keys of a gate's value table and flip table, and the error values
+    that need a drawn mask: key 2 + j selects the mask of ``values[j]``."""
+    values = tuple(sorted({e for e in gate.errors if 0.0 < e < 1.0}))
+    flips = tuple(
+        0 if e == 0.0 else 1 if e == 1.0 else 2 + values.index(e) for e in gate.errors
+    )
+    return tuple(int(b) for b in gate.target.table), flips, values
+
+
+def _wrong_trials(
+    circuit: ReliableCircuit, x: tuple[int, ...], seed: int, n_blocks: int
+) -> Iterator[np.ndarray]:
+    """For blocks 0 .. n_blocks-1, a (BLOCK,) bool array of the trials whose
+    majority readout is wrong (ties count as wrong).
+
+    Block b draws every flip from one Philox stream keyed by
+    (seed, input, b): per gate, one Bernoulli mask per distinct error value
+    strictly between 0 and 1, for all of the gate's stages at once, restore
+    gate first, values ascending.
+    """
+    x_key = sum(b << i for i, b in enumerate(x))
+    w = circuit.width
+    true_value = circuit.formula.evaluate(x)
+    gate_keys = {
+        RestoreStage: _gate_keys(circuit.kmaj),
+        ComputeStage: _gate_keys(circuit.xnand),
+    }
+
+    operands: list[list[tuple[int, np.ndarray | None]]] = []  # (bundle, wire gather)
+    ordinal: list[int] = []  # index of the stage among stages of its kind
+    kind_count = {RestoreStage: 0, ComputeStage: 0}
+    last_use: dict[int, int] = {}
+    for s, st in enumerate(circuit.stages):
+        if isinstance(st, RestoreStage):
+            ops = [(st.source, np.asarray(row, dtype=np.intp)) for row in st.wiring]
+        else:
+            ops = [
+                (st.a_source, None),
+                (st.b_source, np.asarray(st.sigma1, dtype=np.intp)),
+                (st.b_source, np.asarray(st.sigma2, dtype=np.intp)),
+            ]
+        operands.append(ops)
+        ordinal.append(kind_count[type(st)])
+        kind_count[type(st)] += 1
+        for b, _ in ops:
+            last_use[b] = s
+    last_use.pop(circuit.output_bundle, None)
+    free_after: dict[int, list[int]] = {}
+    for b, s in last_use.items():
+        free_after.setdefault(s, []).append(b)
+    inputs = {
+        b: np.full((w, _WORDS), _ONES if x[i] else 0, dtype=np.uint64)
+        for i, b in enumerate(circuit.input_bundles)
+    }
+
+    def run_block(block: int) -> np.ndarray:
+        bitgen = np.random.Philox(np.random.SeedSequence([seed, x_key, block]))
+        masks = {
+            kind: [
+                _flip_words(bitgen, p, kind_count[kind] * w * _WORDS).reshape(
+                    kind_count[kind], w, _WORDS
+                )
+                for p in gate_keys[kind][2]
+            ]
+            for kind in (RestoreStage, ComputeStage)
+        }
+        bundles = dict(inputs)
+        for s, st in enumerate(circuit.stages):
+            xs = [bundles[b] if idx is None else bundles[b][idx] for b, idx in operands[s]]
+            table, flips, _ = gate_keys[type(st)]
+            kind_masks, i = masks[type(st)], ordinal[s]
+            value = _mux(table, xs, None, {})
+            flip = _mux(flips, xs, lambda key: kind_masks[key - 2][i], {})
+            if isinstance(value, int):
+                value = np.full((w, _WORDS), _ONES if value else 0, dtype=np.uint64)
+            if isinstance(flip, int):
+                bundles[st.target] = ~value if flip else value
+            else:
+                bundles[st.target] = value ^ flip
+            for b in free_after.get(s, ()):
+                del bundles[b]
+        out = bundles[circuit.output_bundle]
+        wrong_wires = ~out if true_value else out
+        lanes = np.unpackbits(
+            wrong_wires.astype("<u8", copy=False).view(np.uint8), axis=1, bitorder="little"
+        )
+        return 2 * lanes.sum(axis=0) >= w
+
+    # each block's arrays die with its call, so nothing outlives a block
+    for block in range(n_blocks):
+        yield run_block(block)
+
+
 def simulate_monte_carlo(
     circuit: ReliableCircuit, x: Sequence[int], trials: int, seed: int
 ) -> MonteCarloResult:
     """Sample every wire with the circuit's fixed wiring; exact given the seed.
 
-    Trial t draws from its own stream keyed by (seed, input, t), one block
-    per stage in declaration order, so results are independent of batching
-    and of the total trial count.
+    The sampler is bit-sliced: 64 trials share a uint64 word and each gate's
+    truth table is evaluated as a mux tree of word operations. Trials run in
+    blocks of ``BLOCK`` = 1024, and block b draws from its own counter-based
+    Philox stream keyed by (seed, input, b). A partial last block still
+    draws the whole block, so a trial's outcome depends only on
+    (seed, input, block) and the first n trials of a longer run are the run
+    with ``trials=n``. Memory is set by the block size, not the trial count.
+    The stream is versioned as ``MC_STREAM``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     x = tuple(int(b) & 1 for b in x)
-    x_key = sum(b << i for i, b in enumerate(x))
-    w = circuit.width
-    n_stages = len(circuit.stages)
-    true_value = circuit.formula.evaluate(x)
-
-    kmaj_errs = np.asarray(circuit.kmaj.errors, dtype=np.float64)
-    kmaj_table = np.asarray(circuit.kmaj.target.table, dtype=np.uint8)
-    xn_errs = np.asarray(circuit.xnand.errors, dtype=np.float64)
-    xn_table = np.asarray(circuit.xnand.target.table, dtype=np.uint8)
-
-    restore_wiring = {
-        i: np.asarray(st.wiring, dtype=np.intp)
-        for i, st in enumerate(circuit.stages)
-        if isinstance(st, RestoreStage)
-    }
     wrong = 0
-    for start in range(0, trials, MC_CHUNK):
-        count = min(MC_CHUNK, trials - start)
-        draws = np.stack(
-            [
-                np.random.default_rng([seed, x_key, t]).random((n_stages, w))
-                for t in range(start, start + count)
-            ]
-        )
-        bundles: dict[int, np.ndarray] = {}
-        for i, b in enumerate(circuit.input_bundles):
-            bundles[b] = np.full((count, w), x[i], dtype=np.uint8)
-        for s_idx, stage in enumerate(circuit.stages):
-            u = draws[:, s_idx, :]
-            if isinstance(stage, RestoreStage):
-                votes = bundles[stage.source][:, restore_wiring[s_idx]]  # (count, k, w)
-                idx = np.zeros((count, w), dtype=np.intp)
-                for j in range(circuit.k):
-                    idx |= votes[:, j, :].astype(np.intp) << j
-                out = kmaj_table[idx] ^ (u < kmaj_errs[idx])
-            else:
-                a = bundles[stage.a_source]
-                b_src = bundles[stage.b_source]
-                b1 = b_src[:, np.asarray(stage.sigma1, dtype=np.intp)]
-                b2 = b_src[:, np.asarray(stage.sigma2, dtype=np.intp)]
-                idx = (
-                    a.astype(np.intp)
-                    | (b1.astype(np.intp) << 1)
-                    | (b2.astype(np.intp) << 2)
-                )
-                out = xn_table[idx] ^ (u < xn_errs[idx])
-            bundles[stage.target] = out.astype(np.uint8)
-        wrong_wires = (bundles[circuit.output_bundle] != true_value).sum(axis=1)
-        wrong += int(np.count_nonzero(2 * wrong_wires >= w))
+    n_blocks = -(-trials // BLOCK)
+    for block, wrong_mask in enumerate(_wrong_trials(circuit, x, seed, n_blocks)):
+        wrong += int(np.count_nonzero(wrong_mask[: trials - block * BLOCK]))
     p_hat = wrong / trials
     ci = 1.96 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
     return MonteCarloResult(
@@ -548,12 +688,16 @@ def certify(report: SimulationReport, margin: float) -> bool:
     Uses the analytic delta; rows carrying Monte Carlo results must also
     keep their upper confidence bound below the line.
     """
+    return _certified(report.delta, report.rows, margin)
+
+
+def _certified(delta: float, rows: Iterable[InputRow], margin: float) -> bool:
     if not 0.0 < margin < 0.5:
         raise ValueError(f"margin {margin} outside (0, 1/2)")
     line = 0.5 - margin
-    if report.delta > line:
+    if delta > line:
         return False
-    for row in report.rows:
+    for row in rows:
         if row.empirical_error is not None:
             if row.empirical_error + (row.ci_halfwidth or 0.0) > line:
                 return False
@@ -606,19 +750,11 @@ def build_report(
         for x in sorted(analytic)
     )
     delta = analytic[worst_x].logical_error
-    report = SimulationReport(
-        rows=rows,
-        delta=delta,
-        worst_input=worst_x,
-        margin=margin,
-        reliable=False,
-        warnings=tuple(sorted(warnings)),
-    )
     return SimulationReport(
         rows=rows,
         delta=delta,
         worst_input=worst_x,
         margin=margin,
-        reliable=certify(report, margin),
+        reliable=_certified(delta, rows, margin),
         warnings=tuple(sorted(warnings)),
     )

@@ -138,6 +138,20 @@ def test_reliable_degraded_run_exits_1(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["reliable"] is False
     assert any("beta_3" in w for w in payload["warnings"])
+    assert "mc_stream" not in payload
+
+
+def test_reliable_json_names_the_mc_stream_with_trials(nand_formula, capsys):
+    code = run(
+        [
+            "reliable", "--formula", nand_formula, "--width", "9",
+            "--rounds", "1", "--seed", "5", "--trials", "200", "--format", "json",
+        ]
+    )
+    assert code in (0, 1)
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["mc_stream"] == "bitsliced-philox-v1"
+    assert any(row["empirical_error"] is not None for row in payload["rows"])
 
 
 def test_reliable_output_is_byte_deterministic(nand_formula, tmp_path):

@@ -1,6 +1,8 @@
 import itertools
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from l2mbqc import gates, reliability
@@ -48,6 +50,19 @@ def test_parse_roundtrip():
     assert f.inputs == tuple("abcdefgh")
     assert f.n_nodes == 7
     assert parse_formula(formula_to_text(f)) == f
+
+
+def test_deep_formula_roundtrips_without_recursion():
+    depth = 5000
+    text = "a"
+    for i in range(depth):
+        text = f"(nand {text} x{i % 7})"
+    f = parse_formula(text)
+    assert f.n_nodes == depth
+    assert f.inputs == ("a",) + tuple(f"x{i}" for i in range(7))
+    rendered = formula_to_text(f)
+    assert rendered == text
+    assert parse_formula(rendered) == f
 
 
 def test_parse_evaluates_nand_semantics():
@@ -294,6 +309,44 @@ def test_monte_carlo_matches_exact_enumeration():
         assert abs(exact - mc.empirical_error) < 2.5 * mc.ci_halfwidth
 
 
+@pytest.mark.parametrize(
+    "width, k, restore_errors",
+    [
+        (3, 3, (0.0, 0.05, 0.1, 0.2, 0.05, 1.0, 0.3, 0.02)),
+        (2, 1, (0.25, 0.0)),  # even width: a tied readout counts as wrong
+    ],
+)
+def test_monte_carlo_matches_exact_enumeration_with_input_dependent_errors(
+    width, k, restore_errors
+):
+    # errors vary with the gate input and include 0 (no draw) and 1 (always
+    # flips); 0.05 is shared by two entries of a table, so it gets one mask
+    # that the mux tree selects by input
+    kmaj = gates.NoisyGate(make_named("maj", k), restore_errors)
+    xnand = gates.NoisyGate(
+        make_named("xnand"), (0.1, 0.0, 0.3, 1.0, 0.05, 0.2, 0.0, 0.05)
+    )
+    circ = build(parse_formula("(nand a b)"), width, k, 1, xnand=xnand, kmaj=kmaj, seed=3)
+    for x in itertools.product((0, 1), repeat=2):
+        exact = exact_logical_error(circ, x)
+        assert 0.0 < exact < 1.0
+        mc = simulate_monte_carlo(circ, x, trials=200000, seed=9)
+        assert abs(exact - mc.empirical_error) < 2.5 * mc.ci_halfwidth
+
+
+def test_flip_words_hit_the_exact_probability():
+    # p = 1/2 is decided by the first bit: a lane flips iff its first random bit is 0
+    n = 2048
+    first = np.random.Philox(np.random.SeedSequence([1, 2, 3])).random_raw(n)
+    half = reliability._flip_words(np.random.Philox(np.random.SeedSequence([1, 2, 3])), 0.5, n)
+    assert np.array_equal(half, ~first)
+    lanes = 64 * n
+    for key, p in enumerate((1 / 3, 0.14644660940672627, 0.75, 1 - 2**-9, 2**-12)):
+        words = reliability._flip_words(np.random.Philox(np.random.SeedSequence([key])), p, n)
+        hits = int(np.unpackbits(words.view(np.uint8)).sum())
+        assert abs(hits / lanes - p) < 5 * math.sqrt(p * (1 - p) / lanes)
+
+
 def test_degenerate_single_wire_gate():
     # width-1 circuit: the logical error is exactly the compute gate's error
     _, xnand = chsh_gates()
@@ -317,8 +370,9 @@ def test_seed_determinism_bit_for_bit():
 
 
 def test_trial_streams_are_keyed_per_trial():
-    # each trial draws from its own (seed, input, trial) stream, so repeated
-    # runs are identical and longer runs stay statistically consistent
+    # each block of BLOCK trials draws from its own (seed, input, block)
+    # stream, so repeated runs are identical and longer runs stay
+    # statistically consistent
     kmaj, xnand = chsh_gates()
     circ = build(parse_formula("(nand a b)"), 9, 3, 1, xnand=xnand, kmaj=kmaj, seed=6)
     short = simulate_monte_carlo(circ, (1, 1), trials=500, seed=11)
@@ -326,6 +380,34 @@ def test_trial_streams_are_keyed_per_trial():
     assert short == again
     longer = simulate_monte_carlo(circ, (1, 1), trials=4000, seed=11)
     assert abs(longer.empirical_error - short.empirical_error) < 0.06
+
+
+def test_shorter_runs_are_prefixes_of_longer_ones():
+    kmaj, xnand = chsh_gates()
+    circ = build(parse_formula("(nand a b)"), 9, 3, 1, xnand=xnand, kmaj=kmaj, seed=6)
+    x = (1, 1)
+    blocks = list(reliability._wrong_trials(circ, x, 11, 3))
+    assert all(b.shape == (reliability.BLOCK,) for b in blocks)
+    wrong = np.concatenate(blocks)
+    for n in (1, 700, reliability.BLOCK, 1500, 3 * reliability.BLOCK):
+        mc = simulate_monte_carlo(circ, x, trials=n, seed=11)
+        assert round(mc.empirical_error * n) == int(wrong[:n].sum())
+
+
+def test_monte_carlo_memory_does_not_grow_with_trials():
+    kmaj, xnand = chsh_gates()
+    circ = build(parse_formula(TREE3), 81, 3, 2, xnand=xnand, kmaj=kmaj, seed=7)
+    x = (1, 1, 1, 1, 1, 0, 1, 0)
+    simulate_monte_carlo(circ, x, trials=64, seed=1)  # warm numpy's lazy set-up
+    peaks = {}
+    for trials in (1024, 32768):
+        tracemalloc.start()
+        try:
+            simulate_monte_carlo(circ, x, trials=trials, seed=1)
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[32768] <= 1.1 * peaks[1024]
 
 
 # ---------------------------------------------------------------------------
