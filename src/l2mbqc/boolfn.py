@@ -19,10 +19,6 @@ import numpy as np
 BRUTE_FORCE_ARITY_CAP = 16
 
 
-def _parity(v: int) -> int:
-    return bin(v).count("1") & 1
-
-
 @dataclass(frozen=True)
 class BooleanFunction:
     """Truth table of an n-bit Boolean function."""
@@ -67,9 +63,6 @@ class BooleanFunction:
     def weight(self) -> int:
         return sum(self.table)
 
-    def is_affine(self) -> bool:
-        return nonlinearity(self) == 0
-
 
 def evaluate(f: BooleanFunction, x: Iterable[int]) -> int:
     """Look up f at an explicit input bit sequence."""
@@ -91,7 +84,7 @@ class AffineForm:
             raise ValueError("constant must be a bit")
 
     def evaluate_index(self, i: int) -> int:
-        return _parity(self.mask & i) ^ self.constant
+        return ((self.mask & i).bit_count() & 1) ^ self.constant
 
     def truth_table(self) -> BooleanFunction:
         return BooleanFunction(
@@ -148,7 +141,7 @@ def make_named(name: str, k: int | None = None) -> BooleanFunction:
         if k < 1 or k % 2 == 0:
             raise ValueError(f"majority needs odd k >= 1, got {k}")
         table = tuple(
-            1 if bin(i).count("1") * 2 > k else 0 for i in range(1 << k)
+            1 if i.bit_count() * 2 > k else 0 for i in range(1 << k)
         )
         return BooleanFunction(k, table)
     if key == "xnand":
@@ -169,12 +162,17 @@ def affine_distance(f: BooleanFunction, l: AffineForm) -> int:
     )
 
 
-def _walsh_spectrum(f: BooleanFunction) -> np.ndarray:
-    """Signed spectrum W(a) = sum_x (-1)^(f(x) xor a.x), via the fast transform."""
-    w = 1 - 2 * np.asarray(f.table, dtype=np.int64)
+def walsh(values) -> np.ndarray:
+    """Fast Walsh-Hadamard transform: out[a] = sum_x values[x] (-1)^(a.x).
+
+    The length must be a power of two. The dtype is kept, so an int64 table
+    stays int64 and an object array of Python ints stays exact at any size.
+    """
+    w = np.asarray(values)
+    if w.ndim != 1 or w.size & (w.size - 1):
+        raise ValueError(f"transform length {w.size} is not a power of two")
     h = 1
-    n = w.size
-    while h < n:
+    while h < w.size:
         w = w.reshape(-1, 2, h)
         top = w[:, 0, :] + w[:, 1, :]
         bot = w[:, 0, :] - w[:, 1, :]
@@ -193,7 +191,8 @@ def nonlinearity(f: BooleanFunction, *, affine: bool = True) -> int:
         raise ValueError(
             f"arity {f.arity} above brute-force cap {BRUTE_FORCE_ARITY_CAP}"
         )
-    spectrum = _walsh_spectrum(f)
+    # signed spectrum W(a) = sum_x (-1)^(f(x) xor a.x)
+    spectrum = walsh(1 - 2 * np.asarray(f.table, dtype=np.int64))
     n_points = 1 << f.arity
     if affine:
         best = int(np.max(np.abs(spectrum)))
@@ -225,7 +224,7 @@ class ParityExpansion:
     def evaluate_index(self, i: int) -> Fraction:
         total = Fraction(0)
         for mask, coeff in self.coefficients.items():
-            sign = -1 if _parity(mask & i) else 1
+            sign = -1 if (mask & i).bit_count() & 1 else 1
             total += coeff * sign
         return total
 
@@ -239,16 +238,8 @@ def parity_expansion(f: BooleanFunction) -> ParityExpansion:
         raise ValueError(
             f"arity {f.arity} above brute-force cap {BRUTE_FORCE_ARITY_CAP}"
         )
-    # The same butterfly as the Walsh transform, applied to the raw 0/1 table,
-    # yields the integer numerators over the fixed denominator 2^n.
-    w = np.asarray(f.table, dtype=np.int64)
-    h = 1
-    while h < w.size:
-        w = w.reshape(-1, 2, h)
-        top = w[:, 0, :] + w[:, 1, :]
-        bot = w[:, 0, :] - w[:, 1, :]
-        w = np.stack((top, bot), axis=1).reshape(-1)
-        h *= 2
+    # the transform of the raw 0/1 table gives the numerators over 2^n
+    w = walsh(np.asarray(f.table, dtype=np.int64))
     denom = 1 << f.arity
     coeffs = {mask: Fraction(int(w[mask]), denom) for mask in range(denom)}
     return ParityExpansion(f.arity, coeffs)

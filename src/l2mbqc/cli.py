@@ -91,10 +91,7 @@ def _build_gate(name: str, resource: str, k: int, epsilon: float) -> gates.Noisy
     elif resource == "noncontextual-quarter":
         base = gates.noncontextual_and_gate()
     elif resource == "ghz":
-        target = boolfn.make_named(name, k)
-        program = ghzc.compile_function(target)
-        report = mbqc.run_exact(ghzc.run_as_l2program(program, epsilon), target)
-        return gates.gate_from_report(target, report)
+        return gates.gate_from_noisy_ghz(boolfn.make_named(name, k), epsilon)
     else:
         raise ValueError(f"unknown resource {resource!r}")
     if name == "and":

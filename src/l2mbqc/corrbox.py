@@ -21,35 +21,6 @@ PROBABILITY_TOL = 1e-12
 GHZ_ENUMERATION_CAP = 20
 STATEVECTOR_QUBIT_CAP = 16
 
-TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class Angle:
-    """Measurement direction, tagged with the plane it lives in.
-
-    ``xz`` angles are measured from the Z axis (Bell-state protocol);
-    ``xy`` angles from the X axis on the equator (GHZ protocol).
-    """
-
-    value: float
-    plane: str
-
-    def __post_init__(self):
-        if self.plane not in ("xz", "xy"):
-            raise ValueError(f"unknown plane {self.plane!r}")
-
-    @classmethod
-    def from_pi_fraction(cls, frac: Fraction, plane: str) -> "Angle":
-        return cls(float(frac) * math.pi, plane)
-
-    @property
-    def normalized(self) -> float:
-        return self.value % TWO_PI
-
-    def __float__(self) -> float:
-        return float(self.value)
-
 
 def _as_angle_pair(pair) -> tuple[float, float]:
     a, b = pair
@@ -247,7 +218,7 @@ def ghz_full_distribution(box: GhzBox, inputs: Sequence[int]) -> OutcomeDistribu
     probs = {}
     for idx in range(1 << n):
         outcome = tuple((idx >> j) & 1 for j in range(n))
-        sign = 1.0 if (bin(idx).count("1") & 1) == 0 else -1.0
+        sign = -1.0 if idx.bit_count() & 1 else 1.0
         probs[outcome] = base * (1.0 + sign * lam)
     return OutcomeDistribution(probs)
 

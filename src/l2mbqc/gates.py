@@ -117,12 +117,16 @@ def xnand_from_and(and_gate: NoisyGate) -> NoisyGate:
     return NoisyGate(target, tuple(errors))
 
 
-def kmaj_from_noisy_ghz(k: int, epsilon: float) -> NoisyGate:
-    """Majority gate from the compiled GHZ program on a noise-mixed state."""
-    target = make_named("maj", k)
+def gate_from_noisy_ghz(target: BooleanFunction, epsilon: float) -> NoisyGate:
+    """Gate for any target from its compiled GHZ program on a noise-mixed state."""
     program = ghzc.compile_function(target)
     report = mbqc.run_exact(ghzc.run_as_l2program(program, epsilon), target)
     return gate_from_report(target, report)
+
+
+def kmaj_from_noisy_ghz(k: int, epsilon: float) -> NoisyGate:
+    """Majority gate from the compiled GHZ program on a noise-mixed state."""
+    return gate_from_noisy_ghz(make_named("maj", k), epsilon)
 
 
 # ---------------------------------------------------------------------------

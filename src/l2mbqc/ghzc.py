@@ -13,17 +13,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boolfn import BooleanFunction, parity_expansion
-from .corrbox import GhzBox, ghz_parity_probability, statevector_oracle
+import numpy as np
+
+from .boolfn import BooleanFunction, parity_expansion, walsh
+from .corrbox import STATEVECTOR_QUBIT_CAP, GhzBox, statevector_oracle
 from .mbqc import AffineBitMap, L2Program, constant_program
 
 COMPILE_ARITY_CAP = 10
-STATEVECTOR_QUBIT_CAP = 16
 SUCCESS_TOL = 1e-10
-
-
-def _parity(v: int) -> int:
-    return bin(v).count("1") & 1
 
 
 @dataclass(frozen=True)
@@ -60,14 +57,11 @@ class GhzProgram:
     def n_qubits(self) -> int:
         return len(self.qubits)
 
-    def active_masks(self, x_idx: int) -> list[int]:
-        return [i for i, q in enumerate(self.qubits) if _parity(q.mask & x_idx)]
-
     def phase_sum(self, x_idx: int) -> Fraction:
         """Sum of active increments for input x, in units of pi."""
         total = Fraction(0)
         for q in self.qubits:
-            if _parity(q.mask & x_idx):
+            if (q.mask & x_idx).bit_count() & 1:
                 total += q.delta
         return total
 
@@ -120,22 +114,32 @@ def verify(
 ) -> GhzVerification:
     """Check the phase congruence exactly and the simulated success per input.
 
-    The congruence sum(active deltas) = f(x) xor constant (mod 2, units of
-    pi) is evaluated in rational arithmetic; success probabilities come from
-    the closed-form parity and, when the program is small enough, from the
-    state-vector oracle as an independent path.
+    With D the common denominator of the increments and a_T the sum of the
+    numerators delta * D over the qubits on subset T, one exact integer Walsh
+    transform W gives the phase sum S(x) of every input at once (units of
+    pi): 2 D S(x) = sum_T a_T - W(x). The congruence S(x) = f(x) xor
+    constant (mod 2) and the closed-form success (1 + cos(pi (S(x) - want)))/2
+    both follow from S(x) mod 2. When the program is small enough, the
+    state-vector oracle computes the success again as an independent path.
     """
     if program.n != f.arity:
         raise ValueError("program arity does not match the function")
     if use_statevector is None:
         use_statevector = 0 < program.n_qubits <= STATEVECTOR_QUBIT_CAP
 
+    # Python ints: a program file may carry any denominator
+    denom = math.lcm(*(q.delta.denominator for q in program.qubits))
+    numerators = np.zeros(1 << program.n, dtype=object)
+    for q in program.qubits:
+        numerators[q.mask] += q.delta.numerator * (denom // q.delta.denominator)
+    twice_phase = numerators.sum() - walsh(numerators)  # 2 D S(x)
+
     congruence: dict[tuple[int, ...], bool] = {}
     success: dict[tuple[int, ...], float] = {}
     sv_success: dict[tuple[int, ...], float] | None = {} if use_statevector else None
 
     box = None
-    if program.n_qubits > 0:
+    if use_statevector and program.n_qubits > 0:
         box = GhzBox(
             angles=tuple(
                 (0.0, float(q.delta) * math.pi) for q in program.qubits
@@ -145,22 +149,20 @@ def verify(
     for x_idx in range(1 << program.n):
         x = _bits(x_idx, program.n)
         want = f.table[x_idx] ^ program.constant
-        residue = (program.phase_sum(x_idx) - want) % 2
+        # 2 D ((S(x) - want) mod 2)
+        residue = (twice_phase[x_idx] - 2 * denom * want) % (4 * denom)
         congruence[x] = residue == 0
+        success[x] = (1.0 + math.cos(math.pi * (residue / (2 * denom)))) / 2.0
+        if sv_success is None:
+            continue
         if box is None:
-            success[x] = 1.0 if want == 0 else 0.0
-            if sv_success is not None:
-                sv_success[x] = success[x]
+            sv_success[x] = success[x]
             continue
         box_inputs = tuple(
-            _parity(q.mask & x_idx) for q in program.qubits
+            (q.mask & x_idx).bit_count() & 1 for q in program.qubits
         )
-        p1 = ghz_parity_probability(box, box_inputs)
-        success[x] = p1 if want == 1 else 1.0 - p1
-        if sv_success is not None:
-            dist = statevector_oracle(box, box_inputs)
-            p1_sv = dist.parity_probability(1)
-            sv_success[x] = p1_sv if want == 1 else 1.0 - p1_sv
+        p1_sv = statevector_oracle(box, box_inputs).parity_probability(1)
+        sv_success[x] = p1_sv if want == 1 else 1.0 - p1_sv
 
     deterministic = all(congruence.values()) and all(
         p >= 1.0 - SUCCESS_TOL for p in success.values()
@@ -208,6 +210,7 @@ def program_to_config(program: GhzProgram) -> dict:
 
 
 def program_from_config(config: dict) -> GhzProgram:
+    """Parse a program config; any malformed body raises ValueError."""
     try:
         qubits = tuple(
             QubitSpec(mask=int(q["mask"]), delta=Fraction(int(q["num"]), int(q["den"])))
@@ -218,3 +221,5 @@ def program_from_config(config: dict) -> GhzProgram:
         )
     except KeyError as exc:
         raise ValueError(f"program config missing key {exc}") from None
+    except (TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed program config: {exc}") from None

@@ -29,10 +29,6 @@ PATH_CAP = 1 << 22
 NONCONTEXTUAL_SEARCH_ARITY_CAP = 4
 
 
-def _parity(v: int) -> int:
-    return bin(v).count("1") & 1
-
-
 @dataclass(frozen=True)
 class AffineBitMap:
     """bit = (x_mask . x) xor (out_mask . outputs) xor const, all over GF(2)."""
@@ -79,34 +75,9 @@ class L2Program:
         if m.out_mask >> available_outputs:
             raise ValueError("map references outputs of later boxes")
 
-    @property
-    def total_outputs(self) -> int:
-        return sum(box.n_parties for box in self.boxes)
-
     def box_output_range(self, i: int) -> tuple[int, int]:
         start = sum(box.n_parties for box in self.boxes[:i])
         return start, start + self.boxes[i].n_parties
-
-
-def linear_audit(program: L2Program) -> dict:
-    """Confirm every computed classical bit is an affine function of (x, outputs).
-
-    The program representation cannot express anything else, so the audit
-    re-validates structure and returns the symbolic affine forms.
-    """
-    program.__post_init__()  # re-run structural validation
-    return {
-        "affine": True,
-        "box_inputs": [
-            [(m.x_mask, m.out_mask, m.const) for m in maps]
-            for maps in program.input_maps
-        ],
-        "output": (
-            program.output_map.x_mask,
-            program.output_map.out_mask,
-            program.output_map.const,
-        ),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +134,7 @@ def _eval_map(
     program: L2Program,
     collapsed: tuple[bool, ...],
 ) -> int:
-    bit = _parity(m.x_mask & x_idx) ^ m.const
+    bit = ((m.x_mask & x_idx).bit_count() & 1) ^ m.const
     for i, outcome in enumerate(history):
         start, end = program.box_output_range(i)
         width = end - start
@@ -174,7 +145,7 @@ def _eval_map(
             # collapse guarantees seg covers the whole box
             bit ^= outcome
         else:
-            bit ^= _parity(seg & outcome)
+            bit ^= (seg & outcome).bit_count() & 1
     return bit
 
 
@@ -295,9 +266,9 @@ def _deterministic_strategy_tables(n: int) -> tuple[int, ...]:
                             for post_const in (0, 1):
                                 t = 0
                                 for x in range(size):
-                                    wire = _parity(in_mask & x) ^ in_const
+                                    wire = ((in_mask & x).bit_count() & 1) ^ in_const
                                     o = (slope & wire) ^ intercept
-                                    z = (use_out & o) ^ _parity(post_mask & x) ^ post_const
+                                    z = (use_out & o) ^ ((post_mask & x).bit_count() & 1) ^ post_const
                                     t |= z << x
                                 tables.add(t)
     return tuple(sorted(tables))
@@ -316,7 +287,7 @@ def best_noncontextual_error(target: BooleanFunction) -> Fraction:
         )
     f_int = sum(b << i for i, b in enumerate(target.table))
     best = min(
-        bin(f_int ^ t).count("1") for t in _deterministic_strategy_tables(n)
+        (f_int ^ t).bit_count() for t in _deterministic_strategy_tables(n)
     )
     return Fraction(best, 1 << n)
 

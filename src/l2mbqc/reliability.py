@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
-from scipy.stats import binom
 
 from .boolfn import make_named
 from .gates import NoisyGate, beta, maj_error_recursion
@@ -342,7 +341,7 @@ def _restore_error(gate: NoisyGate, k: int, value: int, p: float) -> float:
         return maj_error_recursion(k, gate.epsilon, p)
     total = 0.0
     for flips in range(1 << k):
-        n_flipped = bin(flips).count("1")
+        n_flipped = flips.bit_count()
         prob = p**n_flipped * (1.0 - p) ** (k - n_flipped)
         idx = flips if value == 0 else flips ^ ((1 << k) - 1)
         maj_out = gate.target.table[idx]
@@ -383,8 +382,42 @@ def _compute_error(
 
 
 def _majority_readout_error(width: int, p: float) -> float:
-    """P(majority vote over the bundle is wrong); ties count as wrong."""
-    return float(binom.sf(math.ceil(width / 2) - 1, width, p))
+    """P(majority vote over the bundle is wrong); ties count as wrong.
+
+    This is P(X >= ceil(W/2)) for X ~ Bin(W, p). Above p = 1/2 it is one
+    minus the mirrored tail of Bin(W, 1 - p), so the summed tail always has
+    odds at most one and its terms fall from the first.
+    """
+    if p == 0.0:
+        return 0.0
+    if p == 1.0:
+        return 1.0
+    half = (width + 1) // 2
+    if p > 0.5:
+        return 1.0 - _binomial_upper_tail(width, 1.0 - p, width - half + 1)
+    return _binomial_upper_tail(width, p, half)
+
+
+def _binomial_upper_tail(n: int, p: float, m: int) -> float:
+    """P(X >= m) for X ~ Bin(n, p), with 0 < p <= 1/2 and m >= n/2.
+
+    The first term comes from log space, since C(n, m) overflows a float
+    from n ~ 1030; the rest follow by the pmf ratio until they fall below
+    1e-17 of the first.
+    """
+    first = math.exp(
+        math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
+        + m * math.log(p) + (n - m) * math.log1p(-p)
+    )
+    odds = p / (1.0 - p)
+    terms = [first]
+    term = first
+    for j in range(m, n):
+        term *= (n - j) / (j + 1) * odds
+        if term <= 1e-17 * first:
+            break
+        terms.append(term)
+    return math.fsum(terms)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 import itertools
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from l2mbqc import boolfn
@@ -13,6 +15,7 @@ from l2mbqc.boolfn import (
     make_named,
     nonlinearity,
     parity_expansion,
+    walsh,
 )
 
 
@@ -241,3 +244,30 @@ def test_table_validation():
         BooleanFunction(2, (0, 1, 0))
     with pytest.raises(ValueError):
         BooleanFunction(1, (0, 2))
+
+
+# ---------------------------------------------------------------------------
+# the Walsh kernel
+
+def brute_walsh(values):
+    n = len(values)
+    return [
+        sum(v * (-1 if (a & x).bit_count() & 1 else 1) for x, v in enumerate(values))
+        for a in range(n)
+    ]
+
+
+def test_walsh_matches_direct_sum_in_int64_and_exact_ints():
+    rng = random.Random(5)
+    for size in (1, 2, 8, 64):
+        values = [rng.randrange(-50, 50) for _ in range(size)]
+        out = walsh(np.asarray(values, dtype=np.int64))
+        assert out.dtype == np.int64 and out.tolist() == brute_walsh(values)
+        big = [v * (2**80 + 1) for v in values]
+        exact = walsh(np.asarray(big, dtype=object))
+        assert exact.dtype == object and list(exact) == brute_walsh(big)
+
+
+def test_walsh_rejects_non_power_of_two():
+    with pytest.raises(ValueError):
+        walsh(np.zeros(6, dtype=np.int64))

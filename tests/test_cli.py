@@ -199,3 +199,22 @@ def test_thresholds_byte_determinism(capsys):
     first = capsys.readouterr().out
     run(["thresholds", "--kmax", "11"])
     assert capsys.readouterr().out == first
+
+
+MALFORMED_PROGRAMS = [
+    [],
+    {"n": 2, "constant": 0, "qubits": 5},
+    {"n": 2, "constant": 0, "qubits": [{"mask": None, "num": 1, "den": 2}]},
+    {"n": 2, "constant": 0, "qubits": [{"mask": 1, "num": 1, "den": 0}]},
+]
+
+
+@pytest.mark.parametrize("subcommand", ["verify", "inequality"])
+@pytest.mark.parametrize("body", MALFORMED_PROGRAMS, ids=["list", "qubits-int", "mask-null", "den-zero"])
+def test_malformed_program_file_exits_2(tmp_path, and_tt, capsys, subcommand, body):
+    path = tmp_path / "bad.ghz"
+    path.write_text(json.dumps(body))
+    assert run([subcommand, "--program", str(path), "--fn", and_tt]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

@@ -258,10 +258,3 @@ def test_distribution_validation():
     with pytest.raises(ValueError):
         OutcomeDistribution({(0,): 1.5, (1,): -0.5})
 
-
-def test_angle_helper():
-    a = corrbox.Angle.from_pi_fraction(Fraction(-1, 2), "xy")
-    assert float(a) == pytest.approx(-math.pi / 2)
-    assert a.normalized == pytest.approx(3 * math.pi / 2)
-    with pytest.raises(ValueError):
-        corrbox.Angle(0.0, "yz")

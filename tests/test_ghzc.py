@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from l2mbqc import mbqc
 from l2mbqc.boolfn import BooleanFunction, make_named
 from l2mbqc.ghzc import (
+    STATEVECTOR_QUBIT_CAP,
     GhzProgram,
     QubitSpec,
     compile_function,
@@ -155,3 +157,96 @@ def test_config_roundtrip():
     assert program_from_config(config) == program
     with pytest.raises(ValueError):
         program_from_config({"n": 2})
+
+
+# ---------------------------------------------------------------------------
+# transform-based verify against the per-input Fraction oracle
+
+def _program(n, qubits, constant=0):
+    return GhzProgram(
+        n, tuple(QubitSpec(m, Fraction(d)) for m, d in qubits), constant
+    )
+
+
+def _tampered(n, seed):
+    rng = random.Random(seed)
+    qubits = []
+    while not qubits:
+        f = random_function(rng, n)
+        qubits = list(compile_function(f).qubits)
+    i = rng.randrange(len(qubits))
+    shift = Fraction(rng.choice([1, 3]), 1 << rng.randrange(n))
+    qubits[i] = QubitSpec(qubits[i].mask, qubits[i].delta + shift)
+    return GhzProgram(n, tuple(qubits), f.table[0]), f
+
+
+def _target_from_phases(program, rng):
+    """f(x) = S(x) xor constant where S(x) is an integer; a random bit elsewhere."""
+    table = []
+    for x in range(1 << program.n):
+        s = program.phase_sum(x)
+        bit = int(s) % 2 if s.denominator == 1 else rng.randrange(2)
+        table.append(bit ^ program.constant)
+    return BooleanFunction(program.n, tuple(table))
+
+
+ORACLE_CASES = {
+    # the same mask several times, some increments cancelling
+    "repeated-masks": _program(
+        3, [(1, "1/2"), (1, "1/2"), (3, "-1/4"), (3, "1/4"), (5, "1"), (5, "1/2"), (7, "3/2")]
+    ),
+    "non-dyadic": _program(
+        4, [(1, "1/3"), (2, "-5/7"), (3, "2/3"), (12, "5/7"), (15, "-1/3"), (1, "1/3")], 1
+    ),
+    "beyond-int64": _program(
+        2, [(1, Fraction(1, 2**70 + 1)), (2, Fraction(2**70, 2**70 + 1)), (3, "1/2")]
+    ),
+    "one-qubit": _program(1, [(1, "1")]),
+    "no-qubits": _program(3, [], 1),
+}
+
+
+def _check_against_oracle(program, f):
+    result = verify(program, f)
+    for x_idx in range(1 << program.n):
+        x = tuple((x_idx >> j) & 1 for j in range(program.n))
+        residue = (program.phase_sum(x_idx) - (f.table[x_idx] ^ program.constant)) % 2
+        assert result.congruence_ok[x] == (residue == 0)
+        assert result.success[x] == pytest.approx(
+            (1 + math.cos(math.pi * residue)) / 2, abs=1e-12
+        )
+    if 0 < program.n_qubits <= STATEVECTOR_QUBIT_CAP:
+        for x, p in result.success.items():
+            assert abs(p - result.statevector_success[x]) <= 1e-10
+    else:
+        assert result.statevector_success is None
+    return result
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_transform_verify_matches_fraction_oracle(name):
+    program = ORACLE_CASES[name]
+    rng = random.Random(name)
+    for _ in range(4):
+        _check_against_oracle(program, _target_from_phases(program, rng))
+
+
+# n=4 programs reach 15 qubits, where the state-vector oracle is the slow part
+@pytest.mark.parametrize("n, seed", [(2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (5, 0), (6, 0), (6, 1)])
+def test_transform_verify_matches_oracle_on_tampered_programs(n, seed):
+    program, f = _tampered(n, 100 * n + seed)
+    result = _check_against_oracle(program, f)
+    assert not result.deterministic
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 6])
+def test_flipped_constant_fails_congruence_everywhere(n):
+    f = random_function(random.Random(n), n)
+    program = compile_function(f)
+    flipped = GhzProgram(program.n, program.qubits, 1 - program.constant)
+    assert verify(program, f).deterministic
+    result = _check_against_oracle(flipped, f)
+    assert not result.deterministic
+    assert not any(result.congruence_ok.values())
+    assert all(p == pytest.approx(0.0, abs=1e-12) for p in result.success.values())
+

@@ -14,7 +14,6 @@ from l2mbqc.mbqc import (
     chsh_and_program,
     constant_program,
     contextuality_certificate,
-    linear_audit,
     noncontextual_and_program,
     run_exact,
 )
@@ -71,13 +70,6 @@ def test_input_map_cannot_reference_later_outputs():
             input_maps=((AffineBitMap(x_mask=0b1),),),
             output_map=AffineBitMap(out_mask=0b10),  # beyond available outputs
         )
-
-
-def test_linear_audit_reports_affine_forms():
-    audit = linear_audit(chsh_and_program())
-    assert audit["affine"] is True
-    assert audit["box_inputs"] == [[(1, 0, 0), (2, 0, 0)]]
-    assert audit["output"] == (0, 3, 0)
 
 
 def test_adaptive_program_uses_earlier_outputs():

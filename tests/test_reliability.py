@@ -1,6 +1,8 @@
 import itertools
 import math
+import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -499,3 +501,38 @@ def test_report_summary_fields():
     summary = report.summary()
     assert set(summary) == {"delta", "worst_input", "margin", "reliable", "warnings"}
     assert summary["worst_input"] in {"00", "01", "10", "11"}
+
+
+# ---------------------------------------------------------------------------
+# majority readout tail
+
+def exact_readout_error(width, p):
+    """P(X >= ceil(W/2)) for X ~ Bin(W, p), in exact rational arithmetic.
+
+    At even W the tie X = W/2 is included, so W=2 and W=4 check the tie rule.
+    """
+    q = Fraction(p)
+    return sum(
+        math.comb(width, j) * q**j * (1 - q) ** (width - j)
+        for j in range((width + 1) // 2, width + 1)
+    )
+
+
+READOUT_PROBABILITIES = (0.0, 1e-9, 0.3, 0.5 - 1e-6, 0.6, 1.0)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 80, 81, 243])
+def test_readout_tail_matches_exact_tail(width):
+    for p in READOUT_PROBABILITIES:
+        want = float(exact_readout_error(width, p))
+        got = reliability._majority_readout_error(width, p)
+        # below the normal float range only an absolute comparison is meaningful
+        assert got == pytest.approx(want, rel=1e-12, abs=sys.float_info.min)
+
+
+@pytest.mark.parametrize("width", [2187, 10001])
+def test_readout_tail_is_stable_at_large_width(width):
+    # C(2187, 1093) alone overflows a float
+    values = [reliability._majority_readout_error(width, p) for p in READOUT_PROBABILITIES]
+    assert all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in values)
+    assert values == sorted(values)
