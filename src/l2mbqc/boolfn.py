@@ -276,6 +276,11 @@ def from_text(text: str) -> BooleanFunction:
         raise ValueError(f"line {hdr_no}: bad arity {header[2:]!r}") from None
     if arity < 0:
         raise ValueError(f"line {hdr_no}: arity must be nonnegative")
+    if arity > BRUTE_FORCE_ARITY_CAP:
+        # checked before the 2^arity-bit table bound below is built
+        raise ValueError(
+            f"line {hdr_no}: arity {arity} above cap {BRUTE_FORCE_ARITY_CAP}"
+        )
     try:
         value = int(hexpart, 16)
     except ValueError:

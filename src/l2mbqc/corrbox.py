@@ -10,21 +10,17 @@ oracle that never uses the closed forms.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 PROBABILITY_TOL = 1e-12
 GHZ_ENUMERATION_CAP = 20
 STATEVECTOR_QUBIT_CAP = 16
-
-
-def _as_angle_pair(pair) -> tuple[float, float]:
-    a, b = pair
-    return (float(a), float(b))
 
 
 @dataclass(frozen=True)
@@ -44,10 +40,6 @@ class OutcomeDistribution:
 
     def __getitem__(self, outcome: tuple[int, ...]) -> float:
         return self.probs.get(outcome, 0.0)
-
-    @property
-    def n_parties(self) -> int:
-        return len(next(iter(self.probs)))
 
     def parity_probability(self, value: int = 1) -> float:
         """Probability that the xor of all output bits equals ``value``."""
@@ -83,10 +75,6 @@ class BipartiteBox:
     def n_parties(self) -> int:
         return 2
 
-    def chosen_angles(self, inputs: Sequence[int]) -> tuple[float, float]:
-        b0, b1 = inputs
-        return (_as_angle_pair(self.alice)[b0], _as_angle_pair(self.bob)[b1])
-
 
 @dataclass(frozen=True)
 class GhzBox:
@@ -108,13 +96,6 @@ class GhzBox:
     @property
     def n_parties(self) -> int:
         return len(self.angles)
-
-    def chosen_angles(self, inputs: Sequence[int]) -> tuple[float, ...]:
-        if len(inputs) != self.n_parties:
-            raise ValueError("one input bit per party required")
-        return tuple(
-            _as_angle_pair(pair)[b] for pair, b in zip(self.angles, inputs)
-        )
 
 
 Weight = Union[float, Fraction]
@@ -188,23 +169,50 @@ def noncontextual_and_box() -> NoncontextualBox:
 # ---------------------------------------------------------------------------
 # closed-form distributions
 
+def _parity_one(box: BipartiteBox | GhzBox, inputs: Iterable) -> float | np.ndarray:
+    """P(xor of all outputs = 1) = (1 - 2 eps)(1 - cos phi)/2 + eps.
+
+    ``inputs`` yields one bit per party (a ValueError otherwise), either all
+    ints or all equal-length bit arrays, and the result broadcasts the same
+    way; it is read once, one party at a time. phi sums the chosen angles; a
+    Bell box is a two-party GHZ box with the second party's angles negated and
+    eps = 0. The sum is compensated (two-sum), so phi is the correctly rounded
+    sum that math.fsum gives, up to a double-double residual, whatever the
+    party order.
+    """
+    if isinstance(box, BipartiteBox):
+        angles, epsilon = (box.alice, (-box.bob[0], -box.bob[1])), 0.0
+    else:
+        angles, epsilon = box.angles, box.epsilon
+    phi = err = 0.0
+    for (a0, a1), b in zip(angles, inputs, strict=True):
+        a = np.where(b, a1, a0)
+        total = phi + a
+        back = total - phi
+        err = err + ((phi - (total - back)) + (a - back))
+        phi = total
+    visibility = 1.0 - 2.0 * epsilon
+    return visibility * (1.0 - np.cos(phi + err)) / 2.0 + epsilon
+
+
+def _parity_classes(n_parties: int, p1: float) -> OutcomeDistribution:
+    """Outcomes uniform within each parity class, odd parity with mass p1."""
+    share, p1 = 1 << (n_parties - 1), float(p1)
+    mass = ((1.0 - p1) / share, p1 / share)
+    return OutcomeDistribution({
+        outcome: mass[sum(outcome) & 1]
+        for outcome in itertools.product((0, 1), repeat=n_parties)
+    })
+
+
 def bipartite_distribution(box: BipartiteBox, inputs: Sequence[int]) -> OutcomeDistribution:
     """Joint outcome distribution P(o1, o2) = (1 + (-1)^(o1^o2) cos(a-b))/4."""
-    alpha, beta = box.chosen_angles(inputs)
-    c = math.cos(alpha - beta)
-    probs = {}
-    for o1 in (0, 1):
-        for o2 in (0, 1):
-            sign = 1.0 if (o1 ^ o2) == 0 else -1.0
-            probs[(o1, o2)] = (1.0 + sign * c) / 4.0
-    return OutcomeDistribution(probs)
+    return _parity_classes(2, _parity_one(box, inputs))
 
 
 def ghz_parity_probability(box: GhzBox, inputs: Sequence[int]) -> float:
     """Probability that the xor of all outputs is 1, for the chosen angles."""
-    phi = math.fsum(box.chosen_angles(inputs))
-    visibility = 1.0 - 2.0 * box.epsilon
-    return visibility * (1.0 - math.cos(phi)) / 2.0 + box.epsilon
+    return _parity_one(box, inputs)
 
 
 def ghz_full_distribution(box: GhzBox, inputs: Sequence[int]) -> OutcomeDistribution:
@@ -212,15 +220,7 @@ def ghz_full_distribution(box: GhzBox, inputs: Sequence[int]) -> OutcomeDistribu
     n = box.n_parties
     if n > GHZ_ENUMERATION_CAP:
         raise ValueError(f"{n} parties above enumeration cap {GHZ_ENUMERATION_CAP}")
-    phi = math.fsum(box.chosen_angles(inputs))
-    lam = (1.0 - 2.0 * box.epsilon) * math.cos(phi)
-    base = 1.0 / (1 << n)
-    probs = {}
-    for idx in range(1 << n):
-        outcome = tuple((idx >> j) & 1 for j in range(n))
-        sign = -1.0 if idx.bit_count() & 1 else 1.0
-        probs[outcome] = base * (1.0 + sign * lam)
-    return OutcomeDistribution(probs)
+    return _parity_classes(n, _parity_one(box, inputs))
 
 
 def noncontextual_distribution(box: NoncontextualBox, inputs: Sequence[int]) -> OutcomeDistribution:
@@ -246,13 +246,14 @@ def distribution(box: CorrelationBox, inputs: Sequence[int]) -> OutcomeDistribut
     raise TypeError(f"not a correlation box: {box!r}")
 
 
-def parity_probability(box: CorrelationBox, inputs: Sequence[int]) -> float:
-    """P(xor of all outputs = 1) without enumerating outcome strings."""
-    if isinstance(box, BipartiteBox):
-        alpha, beta = box.chosen_angles(inputs)
-        return (1.0 - math.cos(alpha - beta)) / 2.0
-    if isinstance(box, GhzBox):
-        return ghz_parity_probability(box, inputs)
+def parity_probability(box: CorrelationBox, inputs: Iterable) -> float | np.ndarray:
+    """P(xor of all outputs = 1) without enumerating outcome strings.
+
+    Bell and GHZ boxes also take one bit array per party, read one party at a
+    time, and return one probability per array position.
+    """
+    if isinstance(box, (BipartiteBox, GhzBox)):
+        return _parity_one(box, inputs)
     if isinstance(box, NoncontextualBox):
         return noncontextual_distribution(box, inputs).parity_probability(1)
     raise TypeError(f"not a correlation box: {box!r}")
@@ -284,10 +285,10 @@ def _project_all(state: np.ndarray, bases: list[np.ndarray]) -> OutcomeDistribut
     for axis, basis in enumerate(bases):
         amps = np.moveaxis(np.tensordot(basis, amps, axes=([1], [axis])), 0, axis)
     probs = np.abs(amps) ** 2
-    out = {}
-    for idx in np.ndindex(*((2,) * n)):
-        out[tuple(int(b) for b in idx)] = float(probs[idx])
-    return OutcomeDistribution(out)
+    # product() walks the outcomes in the same C order as ravel()
+    return OutcomeDistribution(
+        dict(zip(itertools.product((0, 1), repeat=n), probs.ravel().tolist()))
+    )
 
 
 def statevector_oracle(box: CorrelationBox, inputs: Sequence[int]) -> OutcomeDistribution:
@@ -299,8 +300,8 @@ def statevector_oracle(box: CorrelationBox, inputs: Sequence[int]) -> OutcomeDis
     if isinstance(box, BipartiteBox):
         state = np.zeros((2, 2), dtype=complex)
         state[0, 0] = state[1, 1] = 1.0 / math.sqrt(2.0)
-        alpha, beta = box.chosen_angles(inputs)
-        return _project_all(state, [_xz_basis(alpha), _xz_basis(beta)])
+        b0, b1 = inputs
+        return _project_all(state, [_xz_basis(box.alice[b0]), _xz_basis(box.bob[b1])])
     if isinstance(box, GhzBox):
         if box.epsilon != 0.0:
             raise ValueError("state-vector oracle covers only epsilon = 0")
@@ -309,6 +310,8 @@ def statevector_oracle(box: CorrelationBox, inputs: Sequence[int]) -> OutcomeDis
             raise ValueError(f"{n} qubits above oracle cap {STATEVECTOR_QUBIT_CAP}")
         state = np.zeros((2,) * n, dtype=complex)
         state[(0,) * n] = state[(1,) * n] = 1.0 / math.sqrt(2.0)
-        bases = [_xy_basis(phi) for phi in box.chosen_angles(inputs)]
+        bases = [
+            _xy_basis(pair[b]) for pair, b in zip(box.angles, inputs, strict=True)
+        ]
         return _project_all(state, bases)
     raise TypeError("oracle supports BipartiteBox and noiseless GhzBox only")

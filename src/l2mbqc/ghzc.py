@@ -17,7 +17,7 @@ import numpy as np
 
 from .boolfn import BooleanFunction, parity_expansion, walsh
 from .corrbox import STATEVECTOR_QUBIT_CAP, GhzBox, statevector_oracle
-from .mbqc import AffineBitMap, L2Program, constant_program
+from .mbqc import AffineBitMap, L2Program, _bits, constant_program
 
 COMPILE_ARITY_CAP = 10
 SUCCESS_TOL = 1e-10
@@ -100,10 +100,6 @@ class GhzVerification:
     @property
     def failing_inputs(self) -> list[tuple[int, ...]]:
         return sorted(x for x, ok in self.congruence_ok.items() if not ok)
-
-
-def _bits(x_idx: int, n: int) -> tuple[int, ...]:
-    return tuple((x_idx >> j) & 1 for j in range(n))
 
 
 def verify(

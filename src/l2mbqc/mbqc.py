@@ -9,10 +9,14 @@ certificates that witness contextuality of the employed correlations.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable
+
+import numpy as np
 
 from . import corrbox
 from .boolfn import BooleanFunction, nonlinearity
@@ -75,10 +79,6 @@ class L2Program:
         if m.out_mask >> available_outputs:
             raise ValueError("map references outputs of later boxes")
 
-    def box_output_range(self, i: int) -> tuple[int, int]:
-        start = sum(box.n_parties for box in self.boxes[:i])
-        return start, start + self.boxes[i].n_parties
-
 
 # ---------------------------------------------------------------------------
 # exact evaluation
@@ -108,61 +108,37 @@ class StrategyReport:
         }
 
 
-def _collapsible(program: L2Program, i: int) -> bool:
-    """True when downstream maps use box i only through its full parity."""
-    if not isinstance(program.boxes[i], (BipartiteBox, GhzBox)):
+def _collapsible(program: L2Program, i: int, start: int) -> bool:
+    """True when later maps use box i, outputs from ``start``, only as a parity."""
+    box = program.boxes[i]
+    if not isinstance(box, (BipartiteBox, GhzBox)):
         return False
-    start, end = program.box_output_range(i)
-    segment = ((1 << (end - start)) - 1) << start
-    later = [
-        m
-        for j in range(i + 1, len(program.boxes))
-        for m in program.input_maps[j]
-    ]
+    segment = ((1 << box.n_parties) - 1) << start
+    later = [m for maps in program.input_maps[i + 1:] for m in maps]
     later.append(program.output_map)
-    for m in later:
-        part = m.out_mask & segment
-        if part not in (0, segment):
-            return False
-    return True
+    return all((m.out_mask & segment) in (0, segment) for m in later)
 
 
-def _eval_map(
-    m: AffineBitMap,
-    x_idx: int,
-    history: tuple[int, ...],
-    program: L2Program,
-    collapsed: tuple[bool, ...],
-) -> int:
-    bit = ((m.x_mask & x_idx).bit_count() & 1) ^ m.const
-    for i, outcome in enumerate(history):
-        start, end = program.box_output_range(i)
-        width = end - start
-        seg = (m.out_mask >> start) & ((1 << width) - 1)
-        if seg == 0:
-            continue
-        if collapsed[i]:
-            # collapse guarantees seg covers the whole box
-            bit ^= outcome
-        else:
-            bit ^= (seg & outcome).bit_count() & 1
-    return bit
+def _bits(value: int, width: int) -> tuple[int, ...]:
+    """The low ``width`` bits of value, least-significant first (table order)."""
+    return tuple((value >> j) & 1 for j in range(width))
 
 
-def _box_support(
-    box: CorrelationBox, inputs: tuple[int, ...], collapsed: bool
-) -> list[tuple[int, float]]:
-    if collapsed:
-        p1 = corrbox.parity_probability(box, inputs)
-        return [(0, 1.0 - p1), (1, p1)]
-    dist = corrbox.distribution(box, inputs)
-    out = []
-    for outcome, p in dist.probs.items():
-        if p == 0.0:
-            continue
-        packed = sum(b << j for j, b in enumerate(outcome))
-        out.append((packed, p))
-    return out
+def _outcome_table(
+    box: CorrelationBox, inputs: Iterable[np.ndarray], n_inputs: int
+) -> np.ndarray:
+    """P(outcome o | x) for every input x (rows) and packed outcome o (columns).
+
+    One ``corrbox.distribution`` call per distinct column of box inputs.
+    """
+    k = box.n_parties
+    code = np.zeros(n_inputs, dtype=np.int64)
+    for j, b in enumerate(inputs):
+        code |= b.astype(np.int64) << j
+    columns, column_of_x = np.unique(code, return_inverse=True)
+    dists = [corrbox.distribution(box, _bits(c, k)) for c in columns.tolist()]
+    table = np.array([[d[_bits(o, k)] for o in range(1 << k)] for d in dists])
+    return table[column_of_x.reshape(-1)]
 
 
 def run_exact(
@@ -170,44 +146,59 @@ def run_exact(
 ) -> StrategyReport:
     """Enumerate all outcome paths exactly and score z against the target.
 
-    Boxes whose outputs are consumed only through their full parity are
-    replaced by a single parity bit with its closed-form distribution,
-    which keeps compiled many-qubit programs tractable.
+    Every input is evaluated at once: each path is the packed outputs of the
+    boxes run so far (bit j is global output j) with its probability for
+    every input x. Boxes whose outputs are consumed only through their full
+    parity are replaced by a single parity bit, stored at the box's first
+    output position, with its closed-form distribution; this keeps compiled
+    many-qubit programs tractable. ``path_cap`` bounds paths x inputs, the
+    number of probabilities held at once.
     """
     if program.n != target.arity:
         raise ValueError("program arity does not match the target function")
-    collapsed = tuple(_collapsible(program, i) for i in range(len(program.boxes)))
-    support_bound = 1
-    for box, c in zip(program.boxes, collapsed):
-        support_bound *= 2 if c else (1 << box.n_parties)
-        if support_bound > path_cap:
-            raise ValueError(f"enumeration needs more than {path_cap} paths")
+    n_inputs = 1 << program.n
+    sizes = [box.n_parties for box in program.boxes]
+    starts = list(itertools.accumulate(sizes, initial=0))
+    collapsed = [_collapsible(program, i, starts[i]) for i in range(len(sizes))]
+    cells = n_inputs
+    for size, parity_only in zip(sizes, collapsed):
+        cells *= 2 if parity_only else 1 << size
+        if cells > path_cap:
+            raise ValueError(
+                f"exact evaluation needs more than {path_cap} paths x inputs"
+            )
 
-    success: dict[tuple[int, ...], float] = {}
-    for x_idx in range(1 << program.n):
-        paths: dict[tuple[int, ...], float] = {(): 1.0}
-        for i, box in enumerate(program.boxes):
-            new_paths: dict[tuple[int, ...], float] = {}
-            for history, prob in paths.items():
-                inputs = tuple(
-                    _eval_map(m, x_idx, history, program, collapsed)
-                    for m in program.input_maps[i]
-                )
-                for outcome, p in _box_support(box, inputs, collapsed[i]):
-                    if p == 0.0:
-                        continue
-                    key = history + (outcome,)
-                    new_paths[key] = new_paths.get(key, 0.0) + prob * p
-            paths = new_paths
-        want = target.table[x_idx]
-        good = 0.0
-        for history, prob in paths.items():
-            z = _eval_map(program.output_map, x_idx, history, program, collapsed)
-            if z == want:
-                good += prob
-        x_bits = tuple((x_idx >> j) & 1 for j in range(program.n))
-        success[x_bits] = good
+    x = np.arange(n_inputs)
+    x_parity = np.zeros(n_inputs, dtype=np.uint8)
+    for j in range(program.n):
+        x_parity ^= ((x >> j) & 1).astype(np.uint8)
 
+    def bit(m: AffineBitMap, outs: int) -> np.ndarray:
+        """The map's bit for every input, on the path with packed outputs outs."""
+        flip = ((m.out_mask & outs).bit_count() + m.const) & 1
+        return x_parity[m.x_mask & x] ^ flip
+
+    paths = [(0, np.ones(n_inputs))]
+    steps = zip(program.boxes, program.input_maps, starts, collapsed)
+    for box, maps, start, parity_only in steps:
+        new_paths = []
+        for outs, prob in paths:
+            inputs = (bit(m, outs) for m in maps)  # one party's bits at a time
+            if parity_only:
+                p1 = corrbox.parity_probability(box, inputs)
+                new_paths += [(outs, prob * (1.0 - p1)), (outs | 1 << start, prob * p1)]
+            else:
+                table = _outcome_table(box, inputs, n_inputs)
+                for o in range(table.shape[1]):
+                    new_paths.append((outs | o << start, prob * table[:, o]))
+        paths = new_paths
+
+    want = np.asarray(target.table, dtype=np.uint8)
+    good = np.zeros(n_inputs)
+    for outs, prob in paths:
+        good += prob * (bit(program.output_map, outs) == want)
+    keys = (_bits(x_idx, program.n) for x_idx in range(n_inputs))
+    success = dict(zip(keys, good.tolist()))
     errors = [1.0 - p for p in success.values()]
     return StrategyReport(
         n=program.n,

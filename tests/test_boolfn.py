@@ -239,6 +239,13 @@ def test_text_errors_carry_line_numbers():
         boolfn.from_text("n=1\nff\n")  # more bits than 2^1
 
 
+@pytest.mark.parametrize("arity", [17, 64])
+def test_text_arity_above_cap_rejected_before_allocating(arity):
+    # n=64 would otherwise build a 2^64-bit bound before any check
+    with pytest.raises(ValueError, match=f"line 1: arity {arity} above cap 16"):
+        boolfn.from_text(f"n={arity}\n0\n")
+
+
 def test_table_validation():
     with pytest.raises(ValueError):
         BooleanFunction(2, (0, 1, 0))

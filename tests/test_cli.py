@@ -218,3 +218,18 @@ def test_malformed_program_file_exits_2(tmp_path, and_tt, capsys, subcommand, bo
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("subcommand", ["compile", "verify"])
+def test_oversized_truth_table_header_exits_2(tmp_path, capsys, subcommand):
+    fn = tmp_path / "huge.tt"
+    fn.write_text("n=64\n0\n")
+    program = tmp_path / "empty.ghz"
+    program.write_text(json.dumps({"n": 2, "constant": 0, "qubits": []}))
+    args = [subcommand, "--fn", str(fn)]
+    if subcommand == "verify":
+        args += ["--program", str(program)]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "above cap 16" in err
+    assert "Traceback" not in err

@@ -123,6 +123,36 @@ def test_noise_interpolates_affinely():
     )
 
 
+def test_parity_probability_broadcasts_over_bit_arrays():
+    rng = np.random.default_rng(23)
+    boxes = [random_bipartite(rng), chsh_and_box()]
+    boxes += [random_ghz(rng, n, eps) for n in (1, 3, 6) for eps in (0.0, 0.1)]
+    for box in boxes:
+        bits = [rng.integers(0, 2, 32).astype(np.uint8) for _ in range(box.n_parties)]
+        together = corrbox.parity_probability(box, bits)
+        assert together.shape == (32,)
+        for col in range(32):
+            alone = corrbox.parity_probability(box, tuple(int(b[col]) for b in bits))
+            assert together[col] == alone
+        with pytest.raises(ValueError):
+            corrbox.parity_probability(box, bits[:-1])
+        with pytest.raises(ValueError):
+            corrbox.parity_probability(box, bits + bits[:1])
+
+
+def test_ghz_phase_is_the_correctly_rounded_angle_sum():
+    # the compensated sum agrees with math.fsum bit for bit, so the result
+    # does not depend on the party order
+    rng = np.random.default_rng(31)
+    for eps in (0.0, 0.1):
+        box = random_ghz(rng, 300, eps)
+        for _ in range(20):
+            inputs = tuple(int(b) for b in rng.integers(0, 2, 300))
+            phi = math.fsum(pair[b] for pair, b in zip(box.angles, inputs))
+            expected = (1.0 - 2.0 * eps) * (1.0 - math.cos(phi)) / 2.0 + eps
+            assert ghz_parity_probability(box, inputs) == expected
+
+
 def test_epsilon_validation():
     with pytest.raises(ValueError):
         GhzBox(angles=((0.0, 0.0),), epsilon=0.6)

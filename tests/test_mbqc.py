@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from l2mbqc import ghzc
+from l2mbqc import corrbox, ghzc
 from l2mbqc.boolfn import BooleanFunction, make_named, nonlinearity
-from l2mbqc.corrbox import GhzBox
+from l2mbqc.corrbox import BipartiteBox, GhzBox, NoncontextualBox
 from l2mbqc.mbqc import (
     AffineBitMap,
     L2Program,
@@ -49,6 +50,14 @@ def test_noncontextual_quarter_and():
 def test_arity_mismatch_rejected():
     with pytest.raises(ValueError):
         run_exact(chsh_and_program(), make_named("xnand"))
+
+
+def test_path_cap_bounds_paths_times_inputs():
+    # the collapsed Bell box leaves 2 paths, each holding 4 inputs
+    with pytest.raises(ValueError, match="more than 7 paths x inputs"):
+        run_exact(chsh_and_program(), make_named("and"), path_cap=7)
+    report = run_exact(chsh_and_program(), make_named("and"), path_cap=8)
+    assert report.average_error == pytest.approx(SIN2_PI8, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -102,15 +111,127 @@ def test_proper_subset_of_box_outputs_is_uniform():
     assert all(p == pytest.approx(0.5, abs=1e-12) for p in report.success.values())
 
 
+def test_collapsed_box_streams_its_parties():
+    # 1023 qubits at n = 10: the party bits are consumed one party at a time;
+    # a parties x inputs uint8 array alone would take about 1 MiB
+    rng = np.random.default_rng(10)
+    f = BooleanFunction(10, tuple(int(b) for b in rng.integers(0, 2, 1024)))
+    program = ghzc.run_as_l2program(ghzc.compile_function(f, pad=True), 0.05)
+    assert program.boxes[0].n_parties == 1023
+    tracemalloc.start()
+    try:
+        report = run_exact(program, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
+    assert report.average_error == pytest.approx(0.05, abs=1e-12)
+
+
+def _affine_bit(m, x_idx, flat_outputs):
+    bit = (m.x_mask & x_idx).bit_count() + m.const
+    bit += sum(b for j, b in enumerate(flat_outputs) if (m.out_mask >> j) & 1)
+    return bit & 1
+
+
+def reference_success(program, target):
+    """Per input, walk tuple histories through full box distributions (no collapse)."""
+    success = {}
+    for x_idx in range(1 << program.n):
+        paths = {(): 1.0}
+        for box, maps in zip(program.boxes, program.input_maps):
+            new_paths = {}
+            for history, prob in paths.items():
+                inputs = tuple(_affine_bit(m, x_idx, history) for m in maps)
+                for outcome, p in corrbox.distribution(box, inputs).probs.items():
+                    new_paths[history + outcome] = prob * p
+            paths = new_paths
+        want = target.table[x_idx]
+        success[x_idx] = sum(
+            prob for history, prob in paths.items()
+            if _affine_bit(program.output_map, x_idx, history) == want
+        )
+    return success
+
+
+def assert_matches_reference(program, target):
+    report = run_exact(program, target)
+    for x_idx, p in reference_success(program, target).items():
+        x = tuple((x_idx >> j) & 1 for j in range(program.n))
+        assert abs(report.success[x] - p) <= 1e-12
+
+
 def test_parity_collapse_matches_full_enumeration():
-    # same program scored with and without the parity shortcut
+    # the collapsed single-box program against its closed form and against
+    # enumeration of every outcome string
     f = make_named("maj", 3)
     program = ghzc.run_as_l2program(ghzc.compile_function(f), 0.3)
     collapsed = run_exact(program, f)
-    # force full enumeration by scoring through a proper-subset-using twin
-    # with an extra unused reference pattern: compare against closed form
     for x, p in collapsed.success.items():
         assert p == pytest.approx(0.7, abs=1e-12)
+    assert_matches_reference(program, f)
+
+
+def _random_box(rng):
+    kind = rng.integers(3)
+    if kind == 0:
+        return BipartiteBox(
+            alice=tuple(rng.uniform(0, 2 * math.pi, 2)),
+            bob=tuple(rng.uniform(0, 2 * math.pi, 2)),
+        )
+    if kind == 1:
+        k = int(rng.integers(1, 5))
+        return GhzBox(
+            angles=tuple(tuple(rng.uniform(0, 2 * math.pi, 2)) for _ in range(k)),
+            epsilon=float(rng.uniform(0, 0.5)),
+        )
+    k = int(rng.integers(0, 4))  # zero parties: a box with one empty outcome
+    weights = [Fraction(int(w)) for w in rng.integers(1, 5, int(rng.integers(1, 4)))]
+    mixture = []
+    for w in weights:
+        responses = tuple(tuple(int(b) for b in rng.integers(0, 2, 2)) for _ in range(k))
+        mixture.append((w / sum(weights), responses))
+    return NoncontextualBox(mixture=tuple(mixture))
+
+
+def _random_out_mask(rng, boxes, whole_boxes):
+    """Each earlier box is read not at all, whole, or (unless whole_boxes) in part."""
+    mask, start = 0, 0
+    for box in boxes:
+        segment = (1 << box.n_parties) - 1
+        choice = int(rng.integers(2 if whole_boxes else 3))
+        part = (0, segment, int(rng.integers(1 << box.n_parties)))[choice]
+        mask |= part << start
+        start += box.n_parties
+    return mask
+
+
+def _random_map(rng, n, boxes, whole_boxes):
+    return AffineBitMap(
+        x_mask=int(rng.integers(1 << n)),
+        out_mask=_random_out_mask(rng, boxes, whole_boxes),
+        const=int(rng.integers(2)),
+    )
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_adaptive_programs_match_full_enumeration(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    whole_boxes = seed % 2 == 0  # even seeds keep every Bell/GHZ box collapsible
+    boxes = [_random_box(rng) for _ in range(int(rng.integers(1, 4)))]
+    input_maps = tuple(
+        tuple(_random_map(rng, n, boxes[:i], whole_boxes) for _ in range(box.n_parties))
+        for i, box in enumerate(boxes)
+    )
+    program = L2Program(
+        n=n,
+        boxes=tuple(boxes),
+        input_maps=input_maps,
+        output_map=_random_map(rng, n, boxes, whole_boxes),
+    )
+    target = BooleanFunction(n, tuple(int(b) for b in rng.integers(0, 2, 1 << n)))
+    assert_matches_reference(program, target)
 
 
 # ---------------------------------------------------------------------------
