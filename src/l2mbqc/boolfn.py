@@ -15,7 +15,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-#: largest arity accepted by the exhaustive nonlinearity search
+#: largest arity of a truth table read from a file or built by name for
+#: maj/const, and of the exhaustive nonlinearity search
 BRUTE_FORCE_ARITY_CAP = 16
 
 
@@ -123,6 +124,9 @@ def make_named(name: str, k: int | None = None) -> BooleanFunction:
     names have fixed arity.
     """
     key = name.strip().lower().replace("-", "").replace("_", "")
+    if key in ("const0", "const1", "maj", "kmaj") and k is not None and k > BRUTE_FORCE_ARITY_CAP:
+        # checked before the 2^k-entry table is built
+        raise ValueError(f"{name} arity {k} above cap {BRUTE_FORCE_ARITY_CAP}")
     if key == "and":
         return BooleanFunction.from_callable(2, lambda a, b: a & b)
     if key == "nand":

@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import boolfn, gates, ghzc, mbqc, reliability
@@ -59,16 +58,6 @@ def _csv(lines: list[list[str]], comments: list[str] | None = None) -> str:
     return "\n".join(out) + "\n"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: subcommand plus its parameters and output sink."""
-
-    subcommand: str
-    params: dict
-    output: str | None
-    format: str
-
-
 def _read_function(path: str) -> boolfn.BooleanFunction:
     with open(path, "r", encoding="utf-8") as fh:
         return boolfn.from_text(fh.read())
@@ -103,17 +92,16 @@ def _build_gate(name: str, resource: str, k: int, epsilon: float) -> gates.Noisy
     raise ValueError(f"gate {name!r} cannot be built from resource {resource!r}")
 
 
-def cmd_gate(cfg: RunConfig) -> int:
-    p = cfg.params
-    gate = _build_gate(p["name"], p["resource"], p["k"], p["epsilon"])
+def cmd_gate(args: argparse.Namespace) -> int:
+    gate = _build_gate(args.name, args.resource, args.k, args.epsilon)
     eps = gate.epsilon
     classification = (
         f"epsilon-noisy (epsilon={_fmt(eps)})" if eps is not None else "not epsilon-noisy"
     )
-    if cfg.format == "json":
+    if args.format == "json":
         payload = {
-            "gate": p["name"],
-            "resource": p["resource"],
+            "gate": args.name,
+            "resource": args.resource,
             "classification": classification,
             "epsilon": eps,
             "rows": [
@@ -125,18 +113,18 @@ def cmd_gate(cfg: RunConfig) -> int:
                 for i, e in enumerate(gate.errors)
             ],
         }
-        _write(cfg.output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write(args.output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         lines = [["input", "success", "error"]]
         for i, e in enumerate(gate.errors):
             bits = "".join(str((i >> j) & 1) for j in range(gate.k))
             lines.append([bits, _fmt(1.0 - e), _fmt(e)])
-        _write(cfg.output, _csv(lines, comments=[f"classification: {classification}"]))
+        _write(args.output, _csv(lines, comments=[f"classification: {classification}"]))
     return 0
 
 
-def cmd_thresholds(cfg: RunConfig) -> int:
-    kmax = cfg.params["kmax"]
+def cmd_thresholds(args: argparse.Namespace) -> int:
+    kmax = args.kmax
     if kmax % 2 == 0:
         raise ValueError(f"kmax must be odd, got {kmax}")
     rows = gates.threshold_sweep(kmax)
@@ -144,7 +132,7 @@ def cmd_thresholds(cfg: RunConfig) -> int:
     gaps = [r["gap"] for r in rows]
     beta_increasing = all(b1 < b2 for b1, b2 in zip(betas, betas[1:]))
     gap_decreasing = all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
-    if cfg.format == "json":
+    if args.format == "json":
         payload = {
             "beta_strictly_increasing": beta_increasing,
             "gap_strictly_decreasing": gap_decreasing,
@@ -161,7 +149,7 @@ def cmd_thresholds(cfg: RunConfig) -> int:
                 for r in rows
             ],
         }
-        _write(cfg.output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write(args.output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         lines = [
             ["k", "beta", "beta_float", "nu_over_2k", "nu_over_2k_float", "gap", "gap_float"]
@@ -182,23 +170,23 @@ def cmd_thresholds(cfg: RunConfig) -> int:
             f"beta_strictly_increasing: {str(beta_increasing).lower()}",
             f"gap_strictly_decreasing: {str(gap_decreasing).lower()}",
         ]
-        _write(cfg.output, _csv(lines, comments=comments))
+        _write(args.output, _csv(lines, comments=comments))
     return 0
 
 
-def cmd_compile(cfg: RunConfig) -> int:
-    f = _read_function(cfg.params["fn"])
-    program = ghzc.compile_function(f, pad=cfg.params["pad"])
+def cmd_compile(args: argparse.Namespace) -> int:
+    f = _read_function(args.fn)
+    program = ghzc.compile_function(f, pad=args.pad)
     _write(
-        cfg.output,
+        args.output,
         json.dumps(ghzc.program_to_config(program), indent=2, sort_keys=True) + "\n",
     )
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    f = _read_function(cfg.params["fn"])
-    program = _read_program(cfg.params["program"])
+def cmd_verify(args: argparse.Namespace) -> int:
+    f = _read_function(args.fn)
+    program = _read_program(args.program)
     result = ghzc.verify(program, f)
     payload = {
         "deterministic": result.deterministic,
@@ -208,19 +196,19 @@ def cmd_verify(cfg: RunConfig) -> int:
         ],
         "min_success": min(result.success.values()),
     }
-    _write(cfg.output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(args.output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0 if result.deterministic else 1
 
 
-def cmd_inequality(cfg: RunConfig) -> int:
-    f = _read_function(cfg.params["fn"])
-    name = cfg.params["program"]
+def cmd_inequality(args: argparse.Namespace) -> int:
+    f = _read_function(args.fn)
+    name = args.program
     if name == "chsh-and":
         program = mbqc.chsh_and_program()
     elif name == "noncontextual-and":
         program = mbqc.noncontextual_and_program()
     else:
-        program = ghzc.run_as_l2program(_read_program(name), cfg.params["epsilon"])
+        program = ghzc.run_as_l2program(_read_program(name), args.epsilon)
     report = mbqc.run_exact(program, f)
     cert = mbqc.contextuality_certificate(report, f)
     verdict = "contextual" if cert.contextual else "inconclusive"
@@ -231,49 +219,48 @@ def cmd_inequality(cfg: RunConfig) -> int:
         "delta": cert.delta,
         "verdict": verdict,
     }
-    _write(cfg.output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(args.output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 
-def cmd_reliable(cfg: RunConfig) -> int:
-    p = cfg.params
-    with open(p["formula"], "r", encoding="utf-8") as fh:
+def cmd_reliable(args: argparse.Namespace) -> int:
+    with open(args.formula, "r", encoding="utf-8") as fh:
         formula = reliability.parse_formula(fh.read())
 
     chsh = gates.chsh_and_gate()
-    k = p["k"]
-    if p["restore_epsilon"] is not None:
-        kmaj = gates.uniform_noisy_gate(boolfn.make_named("maj", k), p["restore_epsilon"])
+    k = args.k
+    if args.restore_epsilon is not None:
+        kmaj = gates.uniform_noisy_gate(boolfn.make_named("maj", k), args.restore_epsilon)
     elif k == 3:
         kmaj = gates.maj3_from_and(chsh)
     else:
         raise ValueError("k != 3 requires --restore-epsilon (gate from a noisy GHZ majority)")
-    if p["xnand"] == "chsh":
+    if args.xnand == "chsh":
         xnand = gates.xnand_from_and(chsh)
-    elif p["xnand"] == "noncontextual-quarter":
+    elif args.xnand == "noncontextual-quarter":
         xnand = gates.xnand_from_and(gates.noncontextual_and_gate())
     else:
-        raise ValueError(f"unknown xnand resource {p['xnand']!r}")
+        raise ValueError(f"unknown xnand resource {args.xnand!r}")
 
     circuit = reliability.build(
         formula,
-        p["width"],
+        args.width,
         k,
-        p["rounds"],
+        args.rounds,
         xnand=xnand,
         kmaj=kmaj,
-        seed=p["seed"],
+        seed=args.seed,
     )
     report = reliability.build_report(
         circuit,
-        margin=p["margin"],
-        trials=p["trials"],
-        seed=p["seed"] if p["trials"] is not None else None,
-        mc_inputs=p["mc_inputs"],
+        margin=args.margin,
+        trials=args.trials,
+        seed=args.seed if args.trials is not None else None,
+        mc_inputs=args.mc_inputs,
     )
-    if cfg.format == "json":
+    if args.format == "json":
         payload = report.summary()
-        if p["trials"] is not None:
+        if args.trials is not None:
             payload["mc_stream"] = reliability.MC_STREAM
         payload["rows"] = [
             {
@@ -284,7 +271,7 @@ def cmd_reliable(cfg: RunConfig) -> int:
             }
             for row in report.rows
         ]
-        _write(cfg.output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write(args.output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         lines = [["input", "analytic_error", "empirical_error", "ci_halfwidth"]]
         for row in report.rows:
@@ -302,7 +289,7 @@ def cmd_reliable(cfg: RunConfig) -> int:
             f"reliable: {str(report.reliable).lower()} (margin {_fmt(report.margin)})",
         ]
         comments.extend(f"warning: {w}" for w in report.warnings)
-        _write(cfg.output, _csv(lines, comments=comments))
+        _write(args.output, _csv(lines, comments=comments))
     return 0 if report.reliable else 1
 
 
@@ -316,30 +303,31 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(sp):
+    def add_common(sp, handler):
         sp.add_argument("--output", default=None, help="output path (default stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        sp.set_defaults(handler=handler)
 
     g = sub.add_parser("gate", help="per-input success table of a noisy gate")
     g.add_argument("name", choices=_NAMED_TARGETS)
     g.add_argument("--resource", required=True, choices=("chsh", "noncontextual-quarter", "ghz"))
     g.add_argument("--k", type=int, default=3, help="majority arity (odd)")
     g.add_argument("--epsilon", type=float, default=0.0, help="GHZ noise weight")
-    add_common(g)
+    add_common(g, cmd_gate)
 
     t = sub.add_parser("thresholds", help="beta_k / nu / gap sweep")
     t.add_argument("--kmax", type=int, required=True)
-    add_common(t)
+    add_common(t, cmd_thresholds)
 
     c = sub.add_parser("compile", help="Boolean function -> GHZ program")
     c.add_argument("--fn", required=True, help="truth-table file")
     c.add_argument("--pad", action="store_true", help="keep zero-increment qubits")
-    add_common(c)
+    add_common(c, cmd_compile)
 
     v = sub.add_parser("verify", help="check a GHZ program against a function")
     v.add_argument("--program", required=True, help="program file")
     v.add_argument("--fn", required=True, help="truth-table file")
-    add_common(v)
+    add_common(v, cmd_verify)
 
     i = sub.add_parser("inequality", help="contextuality certificate for a run")
     i.add_argument("--fn", required=True, help="truth-table file")
@@ -349,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="chsh-and, noncontextual-and, or a compiled program file",
     )
     i.add_argument("--epsilon", type=float, default=0.0, help="GHZ noise weight")
-    add_common(i)
+    add_common(i, cmd_inequality)
 
     r = sub.add_parser("reliable", help="multiplexed-circuit reliability experiment")
     r.add_argument("--formula", required=True, help="NAND formula file")
@@ -362,37 +350,17 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--restore-epsilon", type=float, default=None)
     r.add_argument("--xnand", choices=("chsh", "noncontextual-quarter"), default="chsh")
     r.add_argument("--mc-inputs", choices=("worst", "all"), default="worst")
-    add_common(r)
+    add_common(r, cmd_reliable)
 
     return parser
-
-
-_DISPATCH = {
-    "gate": cmd_gate,
-    "thresholds": cmd_thresholds,
-    "compile": cmd_compile,
-    "verify": cmd_verify,
-    "inequality": cmd_inequality,
-    "reliable": cmd_reliable,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    params = {
-        k.replace("-", "_"): v
-        for k, v in vars(args).items()
-        if k not in ("subcommand", "output", "format")
-    }
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        params=params,
-        output=_resolve_output(args.output),
-        format=args.format,
-    )
+    args.output = _resolve_output(args.output)
     try:
-        return _DISPATCH[args.subcommand](cfg)
+        return args.handler(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

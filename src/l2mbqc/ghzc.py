@@ -206,8 +206,16 @@ def program_to_config(program: GhzProgram) -> dict:
 
 
 def program_from_config(config: dict) -> GhzProgram:
-    """Parse a program config; any malformed body raises ValueError."""
+    """Parse a program config; any malformed body raises ValueError.
+
+    A program may have at most ``(1 << COMPILE_ARITY_CAP) - 1`` qubits, the
+    most that ``compile_function`` emits.
+    """
+    cap = (1 << COMPILE_ARITY_CAP) - 1
     try:
+        n_qubits = len(config["qubits"])
+        if n_qubits > cap:  # checked before any qubit is parsed
+            raise ValueError(f"program has {n_qubits} qubits, above cap {cap}")
         qubits = tuple(
             QubitSpec(mask=int(q["mask"]), delta=Fraction(int(q["num"]), int(q["den"])))
             for q in config["qubits"]

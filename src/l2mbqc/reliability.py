@@ -3,7 +3,9 @@
 Every logical bit is carried by a bundle of W wires. Compute stages apply a
 noisy three-input XNAND wire-wise to one copy of the first operand and two
 copies of the second; restore stages vote with noisy k-input majority gates
-to push the bundle error back toward its fixed point. Error propagation is
+to push the bundle error back toward its fixed point. Both kinds are one
+``Stage`` shape: a target bundle and one read per gate input, each a source
+bundle with the wire permutation that feeds that input. Error propagation is
 tracked two ways: analytically under a within-bundle independence
 assumption, and by seeded wire-level Monte Carlo with the circuit's fixed
 wiring, which quantifies how much that assumption leaks.
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -162,22 +164,19 @@ def formula_to_text(formula: FormulaDag) -> str:
 # circuit construction
 
 @dataclass(frozen=True)
-class RestoreStage:
-    source: int
+class Stage:
+    """One gate applied wire-wise: output wire j of bundle ``target`` is the
+    gate of ``kind`` ("restore" or "compute") on, for each gate input i with
+    ``reads[i] = (source, perm)``, wire ``perm[j]`` of bundle ``source``, or
+    wire j itself when ``perm`` is None.
+
+    A restore stage reads its source through k permutations of range(W); a
+    compute stage reads ``(a, None), (b, sigma1), (b, sigma2)``.
+    """
+
+    kind: str
     target: int
-    wiring: tuple[tuple[int, ...], ...]  # k rows, each a permutation of range(W)
-
-
-@dataclass(frozen=True)
-class ComputeStage:
-    a_source: int
-    b_source: int
-    target: int
-    sigma1: tuple[int, ...]
-    sigma2: tuple[int, ...]
-
-
-Stage = Union[RestoreStage, ComputeStage]
+    reads: tuple[tuple[int, tuple[int, ...] | None], ...]
 
 
 @dataclass(frozen=True)
@@ -196,17 +195,6 @@ class ReliableCircuit:
     warnings: tuple[str, ...]
 
 
-def _restore_wiring(rng, width: int, k: int, policy: str) -> tuple[tuple[int, ...], ...]:
-    if policy == "independent":
-        return tuple(tuple(int(v) for v in rng.permutation(width)) for _ in range(k))
-    if policy == "staggered":
-        base = [int(v) for v in rng.permutation(width)]
-        return tuple(
-            tuple(base[(j + i) % width] for j in range(width)) for i in range(k)
-        )
-    raise ValueError(f"unknown restore wiring policy {policy!r}")
-
-
 def build(
     formula: FormulaDag,
     width: int,
@@ -216,7 +204,6 @@ def build(
     xnand: NoisyGate,
     kmaj: NoisyGate,
     seed: int,
-    restore_wiring: str = "independent",
 ) -> ReliableCircuit:
     """Lay out restore and compute stages for the formula.
 
@@ -226,10 +213,9 @@ def build(
     never share wires. Threshold violations warn but do not fail: exploring
     the unreliable regime is part of the point.
 
-    The default wiring samples k independent permutations per restore stage
-    (classic multiplexing), which admits occasional duplicate votes on an
-    output wire; ``restore_wiring="staggered"`` derives all k rows from one
-    permutation so the votes are always distinct wires.
+    Each restore stage samples k independent permutations (classic
+    multiplexing), which admits occasional duplicate votes on an output
+    wire.
     """
     if width < k:
         raise ValueError(f"bundle width {width} smaller than k = {k}")
@@ -269,13 +255,10 @@ def build(
         cur = src
         for _ in range(rounds):
             tgt = new_bundle()
-            stages.append(
-                RestoreStage(
-                    source=cur,
-                    target=tgt,
-                    wiring=_restore_wiring(rng, width, k, restore_wiring),
-                )
+            reads = tuple(
+                (cur, tuple(int(v) for v in rng.permutation(width))) for _ in range(k)
             )
+            stages.append(Stage("restore", tgt, reads))
             cur = tgt
         return cur
 
@@ -302,18 +285,11 @@ def build(
         a_bundle = operand_bundle(a_ref)
         b_bundle = operand_bundle(b_ref)
         tgt = new_bundle()
-        sigma1 = [int(v) for v in rng.permutation(width)]
+        sigma1 = tuple(int(v) for v in rng.permutation(width))
         shift = width // 2
-        sigma2 = [sigma1[(i + shift) % width] for i in range(width)]
-        stages.append(
-            ComputeStage(
-                a_source=a_bundle,
-                b_source=b_bundle,
-                target=tgt,
-                sigma1=tuple(sigma1),
-                sigma2=tuple(sigma2),
-            )
-        )
+        sigma2 = tuple(sigma1[(i + shift) % width] for i in range(width))
+        reads = ((a_bundle, None), (b_bundle, sigma1), (b_bundle, sigma2))
+        stages.append(Stage("compute", tgt, reads))
         prepared[formula.n_inputs + j] = add_restores(tgt, restore_rounds)
 
     return ReliableCircuit(
@@ -335,50 +311,42 @@ def build(
 # ---------------------------------------------------------------------------
 # analytic error propagation
 
-def _restore_error(gate: NoisyGate, k: int, value: int, p: float) -> float:
-    """Bundle error after one noisy-majority vote over k independent copies."""
-    if gate.epsilon is not None:
-        return maj_error_recursion(k, gate.epsilon, p)
-    total = 0.0
-    for flips in range(1 << k):
-        n_flipped = flips.bit_count()
-        prob = p**n_flipped * (1.0 - p) ** (k - n_flipped)
-        idx = flips if value == 0 else flips ^ ((1 << k) - 1)
-        maj_out = gate.target.table[idx]
-        e = gate.errors[idx]
-        total += prob * ((1.0 - e) if maj_out != value else e)
-    return total
+def _gate_error(gate: NoisyGate, x: int, wires: Sequence[tuple[int, float]]) -> float:
+    """Output-wire error of a noisy gate whose true input index is ``x``.
 
-
-def _compute_error(
-    gate: NoisyGate, v_a: int, v_b: int, p_a: float, p_b: float, shared_b: bool
-) -> float:
-    """Output-wire error of XNAND(a, b1, b2) against NAND(v_a, v_b).
-
-    The two b copies are independent draws from the same bundle; with a
-    width-1 bundle they are the same wire (``shared_b``).
+    Each wire ``(mask, p)`` is wrong independently with probability p, and
+    a wrong wire flips every gate input in ``mask``. The sum runs over all
+    flip patterns in a fixed order, so it is reproducible bit for bit: wire
+    0 is the most significant bit of the pattern, and each pattern's
+    probability is multiplied from the last wire to the first.
     """
-    want = 1 - (v_a & v_b)
+    table = gate.target.table
+    want = table[x]
     total = 0.0
-    for e_a in (0, 1):
-        pa = p_a if e_a else 1.0 - p_a
-        if shared_b:
-            patterns = [((e_b, e_b), p_b if e_b else 1.0 - p_b) for e_b in (0, 1)]
-        else:
-            patterns = [
-                (
-                    (e1, e2),
-                    (p_b if e1 else 1.0 - p_b) * (p_b if e2 else 1.0 - p_b),
-                )
-                for e1 in (0, 1)
-                for e2 in (0, 1)
-            ]
-        for (e1, e2), pb in patterns:
-            bits = (v_a ^ e_a) | ((v_b ^ e1) << 1) | ((v_b ^ e2) << 2)
-            out = gate.target.table[bits]
-            e = gate.errors[bits]
-            total += pa * pb * ((1.0 - e) if out != want else e)
+    for flips in range(1 << len(wires)):
+        prob, idx = 1.0, x
+        for j, (mask, p) in enumerate(reversed(wires)):
+            if flips >> j & 1:
+                prob *= p
+                idx ^= mask
+            else:
+                prob *= 1.0 - p
+        e = gate.errors[idx]
+        total += prob * ((1.0 - e) if table[idx] != want else e)
     return total
+
+
+def _wires(sources: Sequence[int], error: dict[int, float], width: int) -> list[tuple[int, float]]:
+    """The independent wires behind a stage's reads, as (input mask, error).
+
+    Reads are independent draws from their bundles, except that a width-1
+    bundle is a single wire, so all its reads are that wire.
+    """
+    masks: dict[tuple[int, int], int] = {}  # (bundle, draw) -> gate inputs fed
+    for i, src in enumerate(sources):
+        key = (src, 0 if width == 1 else i)
+        masks[key] = masks.get(key, 0) | 1 << i
+    return [(mask, error[src]) for (src, _), mask in masks.items()]
 
 
 def _majority_readout_error(width: int, p: float) -> float:
@@ -426,7 +394,6 @@ class AnalyticResult:
 
     x: tuple[int, ...]
     value: int
-    wire_error: float
     logical_error: float
     trajectory: tuple[tuple[int, str, int, float], ...]  # (stage, kind, bundle, error)
     warnings: tuple[str, ...]
@@ -437,7 +404,8 @@ def simulate_analytic(circuit: ReliableCircuit, x: Sequence[int]) -> AnalyticRes
 
     Within-bundle wires are treated as independent and identically
     distributed; compute stages flag operand bundles whose errors drifted
-    apart beyond the equal-error slack of the voting analysis.
+    apart beyond the equal-error slack of the voting analysis. A restore
+    gate with one error on every input uses the closed majority recursion.
     """
     x = tuple(int(b) & 1 for b in x)
     vals = circuit.formula.evaluate_all(x)
@@ -446,36 +414,33 @@ def simulate_analytic(circuit: ReliableCircuit, x: Sequence[int]) -> AnalyticRes
     for i, b in enumerate(circuit.input_bundles):
         value[b] = vals[i]
         error[b] = 0.0
+    gate_of = {"restore": circuit.kmaj, "compute": circuit.xnand}
+    restore_eps = circuit.kmaj.epsilon
     warnings: list[str] = []
     trajectory: list[tuple[int, str, int, float]] = []
     for s_idx, stage in enumerate(circuit.stages):
-        if isinstance(stage, RestoreStage):
-            v = value[stage.source]
-            p = _restore_error(circuit.kmaj, circuit.k, v, error[stage.source])
-            value[stage.target] = v
-            error[stage.target] = p
-            trajectory.append((s_idx, "restore", stage.target, p))
-        else:
-            v_a, v_b = value[stage.a_source], value[stage.b_source]
-            p_a, p_b = error[stage.a_source], error[stage.b_source]
+        gate = gate_of[stage.kind]
+        sources = [src for src, _ in stage.reads]
+        idx = sum(value[src] << i for i, src in enumerate(sources))
+        if stage.kind == "compute":
+            p_a, p_b = error[sources[0]], error[sources[1]]
             if abs(p_a - p_b) > EQUAL_ERROR_SLACK:
                 warnings.append(
                     f"stage {s_idx}: operand errors {p_a:.4f} and {p_b:.4f} differ "
                     f"beyond the equal-error slack {EQUAL_ERROR_SLACK}"
                 )
-            p = _compute_error(
-                circuit.xnand, v_a, v_b, p_a, p_b, shared_b=circuit.width == 1
-            )
-            value[stage.target] = 1 - (v_a & v_b)
-            error[stage.target] = p
-            trajectory.append((s_idx, "compute", stage.target, p))
+        if stage.kind == "restore" and restore_eps is not None:
+            p = maj_error_recursion(circuit.k, restore_eps, error[sources[0]])
+        else:
+            p = _gate_error(gate, idx, _wires(sources, error, circuit.width))
+        value[stage.target] = gate.target.table[idx]
+        error[stage.target] = p
+        trajectory.append((s_idx, stage.kind, stage.target, p))
     out = circuit.output_bundle
-    wire_p = error[out]
     return AnalyticResult(
         x=x,
         value=value[out],
-        wire_error=wire_p,
-        logical_error=_majority_readout_error(circuit.width, wire_p),
+        logical_error=_majority_readout_error(circuit.width, error[out]),
         trajectory=tuple(trajectory),
         warnings=tuple(warnings),
     )
@@ -585,28 +550,24 @@ def _wrong_trials(
     x_key = sum(b << i for i, b in enumerate(x))
     w = circuit.width
     true_value = circuit.formula.evaluate(x)
+    # restore gate first: the order in which each block draws its masks
     gate_keys = {
-        RestoreStage: _gate_keys(circuit.kmaj),
-        ComputeStage: _gate_keys(circuit.xnand),
+        "restore": _gate_keys(circuit.kmaj),
+        "compute": _gate_keys(circuit.xnand),
     }
 
     operands: list[list[tuple[int, np.ndarray | None]]] = []  # (bundle, wire gather)
     ordinal: list[int] = []  # index of the stage among stages of its kind
-    kind_count = {RestoreStage: 0, ComputeStage: 0}
+    kind_count = dict.fromkeys(gate_keys, 0)
     last_use: dict[int, int] = {}
     for s, st in enumerate(circuit.stages):
-        if isinstance(st, RestoreStage):
-            ops = [(st.source, np.asarray(row, dtype=np.intp)) for row in st.wiring]
-        else:
-            ops = [
-                (st.a_source, None),
-                (st.b_source, np.asarray(st.sigma1, dtype=np.intp)),
-                (st.b_source, np.asarray(st.sigma2, dtype=np.intp)),
-            ]
-        operands.append(ops)
-        ordinal.append(kind_count[type(st)])
-        kind_count[type(st)] += 1
-        for b, _ in ops:
+        operands.append([
+            (b, None if perm is None else np.asarray(perm, dtype=np.intp))
+            for b, perm in st.reads
+        ])
+        ordinal.append(kind_count[st.kind])
+        kind_count[st.kind] += 1
+        for b, _ in st.reads:
             last_use[b] = s
     last_use.pop(circuit.output_bundle, None)
     free_after: dict[int, list[int]] = {}
@@ -626,13 +587,13 @@ def _wrong_trials(
                 )
                 for p in gate_keys[kind][2]
             ]
-            for kind in (RestoreStage, ComputeStage)
+            for kind in gate_keys
         }
         bundles = dict(inputs)
         for s, st in enumerate(circuit.stages):
             xs = [bundles[b] if idx is None else bundles[b][idx] for b, idx in operands[s]]
-            table, flips, _ = gate_keys[type(st)]
-            kind_masks, i = masks[type(st)], ordinal[s]
+            table, flips, _ = gate_keys[st.kind]
+            kind_masks, i = masks[st.kind], ordinal[s]
             value = _mux(table, xs, None, {})
             flip = _mux(flips, xs, lambda key: kind_masks[key - 2][i], {})
             if isinstance(value, int):

@@ -75,6 +75,13 @@ def test_const_and_errors():
         make_named("frobnicate")
 
 
+def test_make_named_rejects_arity_above_cap_before_building():
+    for name, k in (("maj", 17), ("const1", 17)):
+        with pytest.raises(ValueError, match="above cap 16"):
+            make_named(name, k)
+    assert len(make_named("maj", 15).table) == 1 << 15
+
+
 def test_evaluate_arity_mismatch():
     with pytest.raises(ValueError):
         boolfn.evaluate(make_named("and"), (1, 0, 1))

@@ -206,11 +206,12 @@ MALFORMED_PROGRAMS = [
     {"n": 2, "constant": 0, "qubits": 5},
     {"n": 2, "constant": 0, "qubits": [{"mask": None, "num": 1, "den": 2}]},
     {"n": 2, "constant": 0, "qubits": [{"mask": 1, "num": 1, "den": 0}]},
+    {"n": 2, "constant": 0, "qubits": [{"mask": 1, "num": 1, "den": 2}] * 1024},
 ]
 
 
 @pytest.mark.parametrize("subcommand", ["verify", "inequality"])
-@pytest.mark.parametrize("body", MALFORMED_PROGRAMS, ids=["list", "qubits-int", "mask-null", "den-zero"])
+@pytest.mark.parametrize("body", MALFORMED_PROGRAMS, ids=["list", "qubits-int", "mask-null", "den-zero", "1024-qubits"])
 def test_malformed_program_file_exits_2(tmp_path, and_tt, capsys, subcommand, body):
     path = tmp_path / "bad.ghz"
     path.write_text(json.dumps(body))
@@ -229,6 +230,21 @@ def test_oversized_truth_table_header_exits_2(tmp_path, capsys, subcommand):
     args = [subcommand, "--fn", str(fn)]
     if subcommand == "verify":
         args += ["--program", str(program)]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "above cap 16" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("subcommand", ["gate", "reliable"])
+def test_majority_arity_above_cap_exits_2(nand_formula, capsys, subcommand):
+    if subcommand == "gate":
+        args = ["gate", "maj", "--resource", "ghz", "--k", "17"]
+    else:
+        args = [
+            "reliable", "--formula", nand_formula, "--width", "81", "--rounds", "1",
+            "--seed", "1", "--k", "17", "--restore-epsilon", "0.1",
+        ]
     assert run(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "above cap 16" in err

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l2mbqc import gates, reliability
 from l2mbqc.boolfn import make_named
@@ -18,8 +20,6 @@ from l2mbqc.gates import (
     xnand_from_and,
 )
 from l2mbqc.reliability import (
-    ComputeStage,
-    RestoreStage,
     build,
     build_report,
     certify,
@@ -126,36 +126,26 @@ def test_threshold_warning_present_only_when_violated():
 def test_restore_wiring_rows_are_permutations():
     f = parse_formula("(nand a b)")
     kmaj, xnand = chsh_gates()
-    for policy in ("independent", "staggered"):
-        circ = build(f, 27, 3, 2, xnand=xnand, kmaj=kmaj, seed=5, restore_wiring=policy)
-        for stage in circ.stages:
-            if isinstance(stage, RestoreStage):
-                for row in stage.wiring:
-                    assert sorted(row) == list(range(27))
-            else:
-                assert sorted(stage.sigma1) == list(range(27))
-                assert all(a != b for a, b in zip(stage.sigma1, stage.sigma2))
-
-
-def test_staggered_wiring_never_repeats_a_vote():
-    f = parse_formula("(nand a b)")
-    kmaj, xnand = chsh_gates()
-    circ = build(f, 27, 3, 1, xnand=xnand, kmaj=kmaj, seed=5, restore_wiring="staggered")
+    circ = build(f, 27, 3, 2, xnand=xnand, kmaj=kmaj, seed=5)
     for stage in circ.stages:
-        if isinstance(stage, RestoreStage):
-            for j in range(27):
-                votes = {stage.wiring[i][j] for i in range(3)}
-                assert len(votes) == 3
+        if stage.kind == "restore":
+            for _, row in stage.reads:
+                assert sorted(row) == list(range(27))
+        else:
+            (_, identity), (_, sigma1), (_, sigma2) = stage.reads
+            assert identity is None
+            assert sorted(sigma1) == list(range(27))
+            assert all(a != b for a, b in zip(sigma1, sigma2))
 
 
 def test_fanout_gets_private_restored_copies():
     f = parse_formula("(nand a (nand a b))")
     kmaj, xnand = chsh_gates()
     circ = build(f, 9, 3, 1, xnand=xnand, kmaj=kmaj, seed=2)
-    computes = [s for s in circ.stages if isinstance(s, ComputeStage)]
+    computes = [s for s in circ.stages if s.kind == "compute"]
     # input a feeds both gates through distinct duplicated bundles
-    assert computes[0].a_source != computes[1].a_source
-    restores = sum(isinstance(s, RestoreStage) for s in circ.stages)
+    assert computes[0].reads[0][0] != computes[1].reads[0][0]
+    restores = sum(s.kind == "restore" for s in circ.stages)
     # two inputs and two node outputs at r=1, plus one duplication per use of a
     assert restores == 4 + 2
 
@@ -187,22 +177,24 @@ def test_perfect_gates_deep_tree_all_zero_errors():
 def test_restore_stage_matches_recursion_example():
     # one restore applied to a bundle at error 0.4 under the Bell-derived gate
     kmaj, _ = chsh_gates()
-    out = reliability._restore_error(kmaj, 3, 0, 0.4)
+    votes = [(1 << i, 0.4) for i in range(3)]
+    out = reliability._gate_error(kmaj, 0, votes)
     assert out == pytest.approx(0.395348196, abs=1e-9)
     assert out < 0.4
-    # a barely input-dependent gate takes the enumeration path; it agrees
+    # a barely input-dependent gate, which the analytic sweep enumerates; it agrees
     perturbed = gates.NoisyGate(
         make_named("maj", 3), (SIN2_PI8,) * 7 + (SIN2_PI8 + 2e-12,)
     )
     assert perturbed.epsilon is None
-    brute = reliability._restore_error(perturbed, 3, 0, 0.4)
+    brute = reliability._gate_error(perturbed, 0, votes)
     assert brute == pytest.approx(out, abs=1e-10)
 
 
 def test_compute_stage_with_clean_inputs_is_gate_error():
     _, xnand = chsh_gates()
     for v_a, v_b in itertools.product((0, 1), repeat=2):
-        out = reliability._compute_error(xnand, v_a, v_b, 0.0, 0.0, shared_b=False)
+        x = v_a | v_b << 1 | v_b << 2
+        out = reliability._gate_error(xnand, x, [(1, 0.0), (2, 0.0), (4, 0.0)])
         assert out == pytest.approx(SIN2_PI8, abs=1e-12)
 
 
@@ -223,7 +215,8 @@ def test_compute_stage_enumeration_against_direct_sum():
             wrong = xnand.target.table[bits] != want
             e = xnand.errors[bits]
             total += prob * ((1 - e) if wrong else e)
-        got = reliability._compute_error(xnand, v_a, v_b, p_a, p_b, shared_b=False)
+        x = v_a | v_b << 1 | v_b << 2
+        got = reliability._gate_error(xnand, x, [(1, p_a), (2, p_b), (4, p_b)])
         assert got == pytest.approx(total, abs=1e-15)
 
 
@@ -232,11 +225,11 @@ def test_monotone_restoration_scan():
     eta = gates.analyze_recursion(3, SIN2_PI8).eta
     p = eta + 1e-6
     while p < 0.5 - 1e-6:
-        assert reliability._restore_error(kmaj, 3, 1, p) < p
+        assert reliability._gate_error(kmaj, 0b111, [(1, p), (2, p), (4, p)]) < p
         p += 1e-3
     degraded = uniform_noisy_gate(make_named("maj", 3), 0.2)
     assert any(
-        reliability._restore_error(degraded, 3, 0, p) >= p
+        reliability._gate_error(degraded, 0, [(1, p), (2, p), (4, p)]) >= p
         for p in [i * 1e-3 for i in range(1, 500)]
     )
 
@@ -256,8 +249,7 @@ def exact_logical_error(circ, x):
     """Joint enumeration over every wire-flip pattern; feasible for tiny W."""
     w = circ.width
     vals = circ.formula.evaluate_all(x)
-    kerr, ktab = circ.kmaj.errors, circ.kmaj.target.table
-    xerr, xtab = circ.xnand.errors, circ.xnand.target.table
+    gate_of = {"restore": circ.kmaj, "compute": circ.xnand}
     init = {b: (vals[i],) * w for i, b in enumerate(circ.input_bundles)}
     states = {tuple(sorted(init.items())): 1.0}
     for stage in circ.stages:
@@ -265,21 +257,14 @@ def exact_logical_error(circ, x):
         for key, prob in states.items():
             bundles = dict(key)
             outs, errs = [], []
-            if isinstance(stage, RestoreStage):
-                src = bundles[stage.source]
-                for j in range(w):
-                    bits = [src[stage.wiring[i][j]] for i in range(circ.k)]
-                    idx = sum(b << i for i, b in enumerate(bits))
-                    outs.append(ktab[idx])
-                    errs.append(kerr[idx])
-                target = stage.target
-            else:
-                a, b = bundles[stage.a_source], bundles[stage.b_source]
-                for j in range(w):
-                    idx = a[j] | (b[stage.sigma1[j]] << 1) | (b[stage.sigma2[j]] << 2)
-                    outs.append(xtab[idx])
-                    errs.append(xerr[idx])
-                target = stage.target
+            gate = gate_of[stage.kind]
+            for j in range(w):
+                idx = 0
+                for i, (src, perm) in enumerate(stage.reads):
+                    idx |= bundles[src][j if perm is None else perm[j]] << i
+                outs.append(gate.target.table[idx])
+                errs.append(gate.errors[idx])
+            target = stage.target
             for flips in itertools.product((0, 1), repeat=w):
                 p = prob
                 for fl, e in zip(flips, errs):
@@ -299,6 +284,43 @@ def exact_logical_error(circ, x):
         if 2 * wrong >= w:
             total += prob
     return total
+
+
+@st.composite
+def nand_trees(draw, max_leaves=3):
+    """A random NAND tree over distinct inputs, so no input fans out."""
+    names = iter("abcdefgh")
+
+    def tree(leaves):
+        if leaves == 1:
+            return next(names)
+        left = draw(st.integers(1, leaves - 1))
+        return f"(nand {tree(left)} {tree(leaves - left)})"
+
+    return tree(draw(st.integers(2, max_leaves)))
+
+
+ERROR_VALUES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    text=nand_trees(),
+    rounds=st.integers(0, 1),
+    restore_errors=st.tuples(ERROR_VALUES, ERROR_VALUES),
+    compute_errors=st.tuples(*[ERROR_VALUES] * 8),
+)
+def test_single_wire_analytic_is_exact_on_trees(text, rounds, restore_errors, compute_errors):
+    # at W=1 without fan-out every operand pair is independent, so the
+    # independence model is exact; the two b reads of a compute stage are
+    # the same wire
+    kmaj = gates.NoisyGate(make_named("maj", 1), restore_errors)
+    xnand = gates.NoisyGate(make_named("xnand"), compute_errors)
+    f = parse_formula(text)
+    circ = build(f, 1, 1, rounds, xnand=xnand, kmaj=kmaj, seed=1)
+    for x in itertools.product((0, 1), repeat=f.n_inputs):
+        got = simulate_analytic(circ, x).logical_error
+        assert got == pytest.approx(exact_logical_error(circ, x), abs=1e-12)
 
 
 def test_monte_carlo_matches_exact_enumeration():
