@@ -4,9 +4,11 @@ Subcommands: ``gate`` (per-input success tables for gates built from
 correlation resources), ``thresholds`` (beta_k / nonlinearity / gap sweeps),
 ``compile`` / ``verify`` (GHZ measurement programs), ``inequality``
 (contextuality certificates), and ``reliable`` (multiplexed-circuit
-experiments). Exit codes: 0 success, 1 verification or certification
-failure, 2 usage or file-format error. Identical invocations produce
-byte-identical output; every stochastic run requires an explicit seed.
+experiments). ``gate``, ``thresholds`` and ``reliable`` write a table as
+CSV or, with ``--format json``, as JSON; the others always write JSON.
+Exit codes: 0 success, 1 verification or certification failure, 2 usage
+or file-format error. Identical invocations produce byte-identical output;
+every stochastic run requires an explicit seed.
 
 Relative ``--output`` paths are resolved against ``L2MBQC_OUTPUT_DIR``
 when that variable is set.
@@ -25,8 +27,13 @@ from . import boolfn, gates, ghzc, mbqc, reliability
 OUTPUT_DIR_ENV = "L2MBQC_OUTPUT_DIR"
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.9g}"
+def _fmt(value) -> str:
+    """One CSV cell: empty for None, 9 significant digits for a float."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.9g}"
+    return str(value)
 
 
 def _frac(x: Fraction) -> str:
@@ -34,10 +41,8 @@ def _frac(x: Fraction) -> str:
 
 
 def _resolve_output(path: str | None) -> str | None:
-    if path is None:
-        return None
     base = os.environ.get(OUTPUT_DIR_ENV)
-    if base and not os.path.isabs(path):
+    if path is not None and base and not os.path.isabs(path):
         return os.path.join(base, path)
     return path
 
@@ -50,12 +55,20 @@ def _write(path: str | None, text: str):
             fh.write(text)
 
 
-def _csv(lines: list[list[str]], comments: list[str] | None = None) -> str:
-    out = []
-    for c in comments or []:
-        out.append(f"# {c}")
-    out.extend(",".join(cells) for cells in lines)
-    return "\n".join(out) + "\n"
+def _json(args: argparse.Namespace, payload: dict):
+    _write(args.output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _table(args: argparse.Namespace, payload: dict, rows: list[dict], comments: list[str]):
+    """Write rows as JSON (the payload plus ``rows``) or as CSV: ``#`` comment
+    lines, a header from the first row's keys, then one line per row."""
+    if args.format == "json":
+        _json(args, {**payload, "rows": rows})
+        return
+    lines = [f"# {c}" for c in comments]
+    lines.append(",".join(rows[0]))
+    lines.extend(",".join(_fmt(v) for v in row.values()) for row in rows)
+    _write(args.output, "\n".join(lines) + "\n")
 
 
 def _read_function(path: str) -> boolfn.BooleanFunction:
@@ -98,89 +111,45 @@ def cmd_gate(args: argparse.Namespace) -> int:
     classification = (
         f"epsilon-noisy (epsilon={_fmt(eps)})" if eps is not None else "not epsilon-noisy"
     )
-    if args.format == "json":
-        payload = {
-            "gate": args.name,
-            "resource": args.resource,
-            "classification": classification,
-            "epsilon": eps,
-            "rows": [
-                {
-                    "input": format(i, f"0{gate.k}b")[::-1],
-                    "success": 1.0 - e,
-                    "error": e,
-                }
-                for i, e in enumerate(gate.errors)
-            ],
-        }
-        _write(args.output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        lines = [["input", "success", "error"]]
-        for i, e in enumerate(gate.errors):
-            bits = "".join(str((i >> j) & 1) for j in range(gate.k))
-            lines.append([bits, _fmt(1.0 - e), _fmt(e)])
-        _write(args.output, _csv(lines, comments=[f"classification: {classification}"]))
+    payload = {
+        "gate": args.name,
+        "resource": args.resource,
+        "classification": classification,
+        "epsilon": eps,
+    }
+    rows = [
+        {"input": format(i, f"0{gate.k}b")[::-1], "success": 1.0 - e, "error": e}
+        for i, e in enumerate(gate.errors)
+    ]
+    _table(args, payload, rows, [f"classification: {classification}"])
     return 0
 
 
 def cmd_thresholds(args: argparse.Namespace) -> int:
-    kmax = args.kmax
-    if kmax % 2 == 0:
-        raise ValueError(f"kmax must be odd, got {kmax}")
-    rows = gates.threshold_sweep(kmax)
-    betas = [r["beta"] for r in rows]
-    gaps = [r["gap"] for r in rows]
-    beta_increasing = all(b1 < b2 for b1, b2 in zip(betas, betas[1:]))
-    gap_decreasing = all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
-    if args.format == "json":
-        payload = {
-            "beta_strictly_increasing": beta_increasing,
-            "gap_strictly_decreasing": gap_decreasing,
-            "rows": [
-                {
-                    "k": r["k"],
-                    "beta": _frac(r["beta"]),
-                    "beta_float": float(r["beta"]),
-                    "nu_over_2k": _frac(r["nu_over_2k"]),
-                    "nu_over_2k_float": float(r["nu_over_2k"]),
-                    "gap": _frac(r["gap"]),
-                    "gap_float": float(r["gap"]),
-                }
-                for r in rows
-            ],
-        }
-        _write(args.output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        lines = [
-            ["k", "beta", "beta_float", "nu_over_2k", "nu_over_2k_float", "gap", "gap_float"]
-        ]
-        for r in rows:
-            lines.append(
-                [
-                    str(r["k"]),
-                    _frac(r["beta"]),
-                    _fmt(float(r["beta"])),
-                    _frac(r["nu_over_2k"]),
-                    _fmt(float(r["nu_over_2k"])),
-                    _frac(r["gap"]),
-                    _fmt(float(r["gap"])),
-                ]
-            )
-        comments = [
-            f"beta_strictly_increasing: {str(beta_increasing).lower()}",
-            f"gap_strictly_decreasing: {str(gap_decreasing).lower()}",
-        ]
-        _write(args.output, _csv(lines, comments=comments))
+    if args.kmax % 2 == 0:
+        raise ValueError(f"kmax must be odd, got {args.kmax}")
+    sweep = gates.threshold_sweep(args.kmax)
+    betas = [r["beta"] for r in sweep]
+    gaps = [r["gap"] for r in sweep]
+    payload = {
+        "beta_strictly_increasing": all(b1 < b2 for b1, b2 in zip(betas, betas[1:])),
+        "gap_strictly_decreasing": all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:])),
+    }
+    rows = []
+    for r in sweep:
+        row = {"k": r["k"]}
+        for key in ("beta", "nu_over_2k", "gap"):
+            row[key] = _frac(r[key])
+            row[f"{key}_float"] = float(r[key])
+        rows.append(row)
+    _table(args, payload, rows, [f"{key}: {str(value).lower()}" for key, value in payload.items()])
     return 0
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
     f = _read_function(args.fn)
     program = ghzc.compile_function(f, pad=args.pad)
-    _write(
-        args.output,
-        json.dumps(ghzc.program_to_config(program), indent=2, sort_keys=True) + "\n",
-    )
+    _json(args, ghzc.program_to_config(program))
     return 0
 
 
@@ -191,12 +160,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     payload = {
         "deterministic": result.deterministic,
         "qubits": program.n_qubits,
-        "failing_inputs": [
-            "".join(str(b) for b in x) for x in result.failing_inputs
-        ],
+        "failing_inputs": ["".join(str(b) for b in x) for x in result.failing_inputs],
         "min_success": min(result.success.values()),
     }
-    _write(args.output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _json(args, payload)
     return 0 if result.deterministic else 1
 
 
@@ -211,15 +178,14 @@ def cmd_inequality(args: argparse.Namespace) -> int:
         program = ghzc.run_as_l2program(_read_program(name), args.epsilon)
     report = mbqc.run_exact(program, f)
     cert = mbqc.contextuality_certificate(report, f)
-    verdict = "contextual" if cert.contextual else "inconclusive"
     payload = {
         "nu": cert.nu,
         "bound": _frac(cert.bound),
         "average_error": cert.average_error,
         "delta": cert.delta,
-        "verdict": verdict,
+        "verdict": "contextual" if cert.contextual else "inconclusive",
     }
-    _write(args.output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _json(args, payload)
     return 0
 
 
@@ -227,69 +193,41 @@ def cmd_reliable(args: argparse.Namespace) -> int:
     with open(args.formula, "r", encoding="utf-8") as fh:
         formula = reliability.parse_formula(fh.read())
 
-    chsh = gates.chsh_and_gate()
     k = args.k
     if args.restore_epsilon is not None:
         kmaj = gates.uniform_noisy_gate(boolfn.make_named("maj", k), args.restore_epsilon)
     elif k == 3:
-        kmaj = gates.maj3_from_and(chsh)
+        kmaj = _build_gate("maj", "chsh", k, 0.0)
     else:
         raise ValueError("k != 3 requires --restore-epsilon (gate from a noisy GHZ majority)")
-    if args.xnand == "chsh":
-        xnand = gates.xnand_from_and(chsh)
-    elif args.xnand == "noncontextual-quarter":
-        xnand = gates.xnand_from_and(gates.noncontextual_and_gate())
-    else:
-        raise ValueError(f"unknown xnand resource {args.xnand!r}")
+    xnand = _build_gate("xnand", args.xnand, 3, 0.0)
 
     circuit = reliability.build(
-        formula,
-        args.width,
-        k,
-        args.rounds,
-        xnand=xnand,
-        kmaj=kmaj,
-        seed=args.seed,
+        formula, args.width, k, args.rounds, xnand=xnand, kmaj=kmaj, seed=args.seed
     )
+    mc_seed = args.seed if args.trials is not None else None
     report = reliability.build_report(
-        circuit,
-        margin=args.margin,
-        trials=args.trials,
-        seed=args.seed if args.trials is not None else None,
-        mc_inputs=args.mc_inputs,
+        circuit, margin=args.margin, trials=args.trials, seed=mc_seed, mc_inputs=args.mc_inputs
     )
-    if args.format == "json":
-        payload = report.summary()
-        if args.trials is not None:
-            payload["mc_stream"] = reliability.MC_STREAM
-        payload["rows"] = [
-            {
-                "input": "".join(str(b) for b in row.x),
-                "analytic_error": row.analytic_error,
-                "empirical_error": row.empirical_error,
-                "ci_halfwidth": row.ci_halfwidth,
-            }
-            for row in report.rows
-        ]
-        _write(args.output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        lines = [["input", "analytic_error", "empirical_error", "ci_halfwidth"]]
-        for row in report.rows:
-            lines.append(
-                [
-                    "".join(str(b) for b in row.x),
-                    _fmt(row.analytic_error),
-                    _fmt(row.empirical_error) if row.empirical_error is not None else "",
-                    _fmt(row.ci_halfwidth) if row.ci_halfwidth is not None else "",
-                ]
-            )
-        comments = [
-            f"delta: {_fmt(report.delta)}",
-            f"worst_input: {''.join(str(b) for b in report.worst_input)}",
-            f"reliable: {str(report.reliable).lower()} (margin {_fmt(report.margin)})",
-        ]
-        comments.extend(f"warning: {w}" for w in report.warnings)
-        _write(args.output, _csv(lines, comments=comments))
+    payload = report.summary()
+    if args.trials is not None:
+        payload["mc_stream"] = reliability.MC_STREAM
+    rows = [
+        {
+            "input": "".join(str(b) for b in row.x),
+            "analytic_error": row.analytic_error,
+            "empirical_error": row.empirical_error,
+            "ci_halfwidth": row.ci_halfwidth,
+        }
+        for row in report.rows
+    ]
+    comments = [
+        f"delta: {_fmt(report.delta)}",
+        f"worst_input: {payload['worst_input']}",
+        f"reliable: {str(report.reliable).lower()} (margin {_fmt(report.margin)})",
+    ]
+    comments.extend(f"warning: {w}" for w in report.warnings)
+    _table(args, payload, rows, comments)
     return 0 if report.reliable else 1
 
 
@@ -303,9 +241,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(sp, handler):
+    def add_common(sp, handler, table=False):
         sp.add_argument("--output", default=None, help="output path (default stdout)")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        if table:
+            sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.set_defaults(handler=handler)
 
     g = sub.add_parser("gate", help="per-input success table of a noisy gate")
@@ -313,11 +252,11 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--resource", required=True, choices=("chsh", "noncontextual-quarter", "ghz"))
     g.add_argument("--k", type=int, default=3, help="majority arity (odd)")
     g.add_argument("--epsilon", type=float, default=0.0, help="GHZ noise weight")
-    add_common(g, cmd_gate)
+    add_common(g, cmd_gate, table=True)
 
     t = sub.add_parser("thresholds", help="beta_k / nu / gap sweep")
     t.add_argument("--kmax", type=int, required=True)
-    add_common(t, cmd_thresholds)
+    add_common(t, cmd_thresholds, table=True)
 
     c = sub.add_parser("compile", help="Boolean function -> GHZ program")
     c.add_argument("--fn", required=True, help="truth-table file")
@@ -350,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--restore-epsilon", type=float, default=None)
     r.add_argument("--xnand", choices=("chsh", "noncontextual-quarter"), default="chsh")
     r.add_argument("--mc-inputs", choices=("worst", "all"), default="worst")
-    add_common(r, cmd_reliable)
+    add_common(r, cmd_reliable, table=True)
 
     return parser
 

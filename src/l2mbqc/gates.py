@@ -21,6 +21,12 @@ EPSILON_CLASSIFICATION_TOL = 1e-12
 
 RationalLike = Union[Fraction, int, str, float]
 
+# largest odd k that min_k_for_violation scans and threshold_sweep tabulates
+K_CAP = 10001
+
+# grid points on [0, 1/2] that analyze_recursion scans for sign changes
+_FIXED_POINT_GRID = 4096
+
 
 @dataclass(frozen=True)
 class NoisyGate:
@@ -165,7 +171,7 @@ class ViolationWitness:
     trivial: bool
 
 
-def min_k_for_violation(delta: RationalLike, *, k_cap: int = 10001) -> ViolationWitness:
+def min_k_for_violation(delta: RationalLike) -> ViolationWitness:
     """Smallest odd k with gap(k) < delta, plus the witness gate error.
 
     The witness epsilon = nu(k-MAJ)/2^k - delta realizes an average error
@@ -179,8 +185,8 @@ def min_k_for_violation(delta: RationalLike, *, k_cap: int = 10001) -> Violation
     k = 3
     while gap(k) >= d:
         k += 2
-        if k > k_cap:
-            raise ValueError(f"no k below cap {k_cap} with gap under {d}")
+        if k > K_CAP:
+            raise ValueError(f"no k below cap {K_CAP} with gap under {d}")
     g = gap(k)
     eps = Fraction(kmaj_nonlinearity(k), 1 << k) - d
     trivial = eps <= 0
@@ -195,6 +201,8 @@ def threshold_sweep(kmax: int) -> list[dict]:
     """Rows (k, beta_k, nu/2^k, gap) in exact and float form for odd k <= kmax."""
     if kmax < 3:
         raise ValueError("kmax must be at least 3")
+    if kmax > K_CAP:
+        raise ValueError(f"kmax {kmax} above cap {K_CAP}")
     rows = []
     for k in range(3, kmax + 1, 2):
         b = beta(k).beta
@@ -268,9 +276,7 @@ def _bisect_fixed_point(k: int, epsilon: float, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def analyze_recursion(
-    k: int, epsilon: float, *, grid: int = 4096
-) -> RecursionAnalysis:
+def analyze_recursion(k: int, epsilon: float) -> RecursionAnalysis:
     """Locate fixed points on [0, 1/2] by sign-change bisection.
 
     p = 1/2 is always fixed; the smallest attracting fixed point below it is
@@ -281,8 +287,8 @@ def analyze_recursion(
     prev_h = maj_error_recursion(k, epsilon, 0.0) - 0.0
     if prev_h == 0.0:
         points.append(0.0)
-    for i in range(1, grid + 1):
-        p = 0.5 * i / grid
+    for i in range(1, _FIXED_POINT_GRID + 1):
+        p = 0.5 * i / _FIXED_POINT_GRID
         h = maj_error_recursion(k, epsilon, p) - p
         if h == 0.0:
             points.append(p)
@@ -310,19 +316,14 @@ def analyze_recursion(
     )
 
 
-def eta_by_iteration(
-    k: int,
-    epsilon: float,
-    *,
-    start: float = 0.25,
-    tol: float = 1e-14,
-    max_iter: int = 100000,
-) -> float:
-    """Fixed-point iteration of the recursion, as an independent route to eta."""
-    p = start
-    for _ in range(max_iter):
+def eta_by_iteration(k: int, epsilon: float) -> float:
+    """Fixed-point iteration of the recursion from p = 1/4, as an independent
+    route to eta: at most 100000 steps, stopping once a step moves p by less
+    than 1e-14."""
+    p = 0.25
+    for _ in range(100000):
         nxt = maj_error_recursion(k, epsilon, p)
-        if abs(nxt - p) < tol:
+        if abs(nxt - p) < 1e-14:
             return nxt
         p = nxt
     raise RuntimeError("fixed-point iteration did not converge")

@@ -92,21 +92,6 @@ class StrategyReport:
     average_error: float
     worst_error: float
 
-    def as_csv_rows(self) -> list[tuple[str, float]]:
-        return [
-            ("".join(str(b) for b in x), p) for x, p in sorted(self.success.items())
-        ]
-
-    def summary(self) -> dict:
-        return {
-            "inputs": 1 << self.n,
-            "average_error": self.average_error,
-            "worst_error": self.worst_error,
-            "per_input_success": {
-                "".join(str(b) for b in x): p for x, p in sorted(self.success.items())
-            },
-        }
-
 
 def _collapsible(program: L2Program, i: int, start: int) -> bool:
     """True when later maps use box i, outputs from ``start``, only as a parity."""

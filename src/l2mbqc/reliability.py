@@ -682,12 +682,16 @@ def certify(report: SimulationReport, margin: float) -> bool:
     Uses the analytic delta; rows carrying Monte Carlo results must also
     keep their upper confidence bound below the line.
     """
+    _check_margin(margin)
     return _certified(report.delta, report.rows, margin)
 
 
-def _certified(delta: float, rows: Iterable[InputRow], margin: float) -> bool:
+def _check_margin(margin: float):
     if not 0.0 < margin < 0.5:
         raise ValueError(f"margin {margin} outside (0, 1/2)")
+
+
+def _certified(delta: float, rows: Iterable[InputRow], margin: float) -> bool:
     line = 0.5 - margin
     if delta > line:
         return False
@@ -704,13 +708,21 @@ def build_report(
     margin: float = 0.05,
     trials: int | None = None,
     seed: int | None = None,
-    mc_inputs: str | Iterable[Sequence[int]] = "worst",
+    mc_inputs: str = "worst",
 ) -> SimulationReport:
     """Analytic sweep over all inputs, optionally backed by Monte Carlo.
 
     ``mc_inputs`` selects which assignments get sampled when ``trials`` is
-    set: "worst" (the analytic worst case), "all", or an explicit list.
+    set: "worst" (the analytic worst case) or "all". Every argument is
+    checked before the sweep starts.
     """
+    _check_margin(margin)
+    if mc_inputs not in ("worst", "all"):
+        raise ValueError(f"mc_inputs must be 'worst' or 'all', got {mc_inputs!r}")
+    if trials is not None and seed is None:
+        raise ValueError("a seed is mandatory for Monte Carlo runs")
+    if trials is not None and trials < 1:
+        raise ValueError("need at least one trial")
     n = circuit.formula.n_inputs
     analytic: dict[tuple[int, ...], AnalyticResult] = {}
     warnings: set[str] = set(circuit.warnings)
@@ -723,14 +735,7 @@ def build_report(
     worst_x = max(analytic, key=lambda x: analytic[x].logical_error)
     mc: dict[tuple[int, ...], MonteCarloResult] = {}
     if trials is not None:
-        if seed is None:
-            raise ValueError("a seed is mandatory for Monte Carlo runs")
-        if mc_inputs == "worst":
-            selected = [worst_x]
-        elif mc_inputs == "all":
-            selected = sorted(analytic)
-        else:
-            selected = [tuple(int(b) & 1 for b in x) for x in mc_inputs]
+        selected = [worst_x] if mc_inputs == "worst" else sorted(analytic)
         for x in selected:
             mc[x] = simulate_monte_carlo(circuit, x, trials, seed)
 

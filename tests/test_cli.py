@@ -249,3 +249,54 @@ def test_majority_arity_above_cap_exits_2(nand_formula, capsys, subcommand):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "above cap 16" in err
     assert "Traceback" not in err
+
+
+RELIABLE = ["reliable", "--formula", "tree.nand", "--rounds", "1", "--seed", "1"]
+
+MALFORMED_INPUTS = {
+    "gate-unknown-combination": (["gate", "xor", "--resource", "chsh"], "cannot be built"),
+    "gate-k17": (["gate", "maj", "--resource", "ghz", "--k", "17"], "above cap 16"),
+    "thresholds-even-kmax": (["thresholds", "--kmax", "8"], "kmax must be odd"),
+    "thresholds-small-kmax": (["thresholds", "--kmax", "1"], "at least 3"),
+    "thresholds-kmax-above-cap": (["thresholds", "--kmax", "10003"], "above cap 10001"),
+    "compile-missing-file": (["compile", "--fn", "missing.tt"], "missing.tt"),
+    "compile-bad-hex": (["compile", "--fn", "badhex.tt"], "line 2"),
+    "compile-format": (["compile", "--fn", "and.tt", "--format", "json"], "unrecognized"),
+    "verify-format-csv": (
+        ["verify", "--program", "and.ghz", "--fn", "and.tt", "--format", "csv"],
+        "unrecognized",
+    ),
+    "inequality-format": (
+        ["inequality", "--fn", "and.tt", "--program", "chsh-and", "--format", "json"],
+        "unrecognized",
+    ),
+    "verify-malformed-program": (["verify", "--program", "bad.ghz", "--fn", "and.tt"], "error: "),
+    "reliable-bad-formula": (
+        ["reliable", "--formula", "bad.nand", "--width", "9", "--rounds", "0", "--seed", "1"],
+        "line 2",
+    ),
+    "reliable-margin": (RELIABLE + ["--width", "9", "--margin", "0.7"], "margin 0.7 outside"),
+    "reliable-width-2": (RELIABLE + ["--width", "2"], "bundle width 2 smaller than k = 3"),
+    "reliable-zero-trials": (RELIABLE + ["--width", "9", "--trials", "0"], "at least one trial"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys, name):
+    args, message = MALFORMED_INPUTS[name]
+    (tmp_path / "and.tt").write_text(boolfn.to_text(boolfn.make_named("and")))
+    (tmp_path / "badhex.tt").write_text("n=2\nzz\n")
+    (tmp_path / "and.ghz").write_text(json.dumps({"n": 2, "constant": 0, "qubits": []}))
+    (tmp_path / "bad.ghz").write_text("[]")
+    (tmp_path / "tree.nand").write_text("(nand (nand a b) (nand c d))\n")
+    (tmp_path / "bad.nand").write_text("(nand a\n(xor b c))\n")
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = run(args)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "error: " in err and message in err
+    assert "Traceback" not in err

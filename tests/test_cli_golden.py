@@ -2,7 +2,8 @@
 
 The expected stdout of each case is ``tests/golden/<name>.out`` and its exit
 code is in ``tests/golden/exit_codes.json``; the input files (``and.tt``,
-``and.ghz`` and ``tree.nand``, the 3-level NAND tree) sit beside them. Every
+``and.ghz``, ``tree.nand``, the 3-level NAND tree, and ``tree4.nand``, the
+2-level tree on four inputs) sit beside them. Every
 case runs in-process through ``cli.main`` from inside that directory. After
 a change that declares new output, re-capture with
 ``PYTHONPATH=src python tests/test_cli_golden.py``.
@@ -27,7 +28,9 @@ CASES = {
     "gate_xnand_ghz_json": [
         "gate", "xnand", "--resource", "ghz", "--epsilon", "0.1", "--format", "json",
     ],
+    "gate_and_chsh_json": ["gate", "and", "--resource", "chsh", "--format", "json"],
     "thresholds_41": ["thresholds", "--kmax", "41"],
+    "thresholds_41_json": ["thresholds", "--kmax", "41", "--format", "json"],
     "compile_and": ["compile", "--fn", "and.tt"],
     "verify_and": ["verify", "--program", "and.ghz", "--fn", "and.tt"],
     "inequality_chsh": ["inequality", "--fn", "and.tt", "--program", "chsh-and"],
@@ -37,6 +40,14 @@ CASES = {
     "reliable_tree3": [
         "reliable", "--formula", "tree.nand", "--width", "81", "--rounds", "8",
         "--seed", "7",
+    ],
+    "reliable_tree4_mc": [
+        "reliable", "--formula", "tree4.nand", "--width", "9", "--rounds", "1",
+        "--seed", "5", "--trials", "2000",
+    ],
+    "reliable_tree4_mc_json": [
+        "reliable", "--formula", "tree4.nand", "--width", "9", "--rounds", "1",
+        "--seed", "5", "--trials", "2000", "--format", "json",
     ],
 }
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from l2mbqc import gates
 from l2mbqc.boolfn import kmaj_nonlinearity, make_named
 from l2mbqc.gates import (
     NoisyGate,
@@ -191,6 +192,22 @@ def test_threshold_sweep_rows():
     assert [r["k"] for r in rows] == [3, 5, 7]
     assert rows[0]["beta"] == Fraction(1, 6)
     assert rows[1]["nu_over_2k"] == Fraction(5, 16)
+
+
+def test_threshold_sweep_rejects_kmax_above_cap_before_any_work(monkeypatch):
+    def no_work(k):
+        raise AssertionError("beta computed before the cap check")
+
+    monkeypatch.setattr(gates, "beta", no_work)
+    with pytest.raises(ValueError, match=f"kmax {gates.K_CAP + 2} above cap 10001"):
+        threshold_sweep(gates.K_CAP + 2)
+
+
+def test_min_k_stops_at_the_cap(monkeypatch):
+    assert min_k_for_violation(Fraction(1, 100)).k > 7
+    monkeypatch.setattr(gates, "K_CAP", 7)
+    with pytest.raises(ValueError, match="no k below cap 7"):
+        min_k_for_violation(Fraction(1, 100))
 
 
 # ---------------------------------------------------------------------------

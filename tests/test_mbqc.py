@@ -314,12 +314,3 @@ def test_mixture_error_is_convex_combination():
         mixed = float(np.dot(w, errors))
         assert mixed >= min(errors) - 1e-12
         assert mixed <= max(errors) + 1e-12
-
-
-def test_report_export_shapes():
-    report = run_exact(chsh_and_program(), make_named("and"))
-    rows = report.as_csv_rows()
-    assert [r[0] for r in rows] == ["00", "01", "10", "11"]
-    summary = report.summary()
-    assert summary["inputs"] == 4
-    assert set(summary["per_input_success"]) == {"00", "01", "10", "11"}

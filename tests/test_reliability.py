@@ -516,6 +516,28 @@ def test_build_report_requires_seed_for_trials():
         build_report(circ, trials=10)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"margin": 0.7}, r"margin 0.7 outside \(0, 1/2\)"),
+        ({"mc_inputs": ["00"]}, "mc_inputs must be 'worst' or 'all'"),
+        ({"trials": 0, "seed": 1}, "need at least one trial"),
+        ({"trials": 10}, "a seed is mandatory"),
+    ],
+    ids=["margin", "mc-inputs", "zero-trials", "no-seed"],
+)
+def test_build_report_checks_arguments_before_the_sweep(monkeypatch, kwargs, message):
+    kmaj, xnand = perfect_gates()
+    circ = build(parse_formula("(nand a b)"), 9, 3, 0, xnand=xnand, kmaj=kmaj, seed=1)
+
+    def no_sweep(circuit, x):
+        raise AssertionError("analytic sweep ran before the argument check")
+
+    monkeypatch.setattr(reliability, "simulate_analytic", no_sweep)
+    with pytest.raises(ValueError, match=message):
+        build_report(circ, **kwargs)
+
+
 def test_report_summary_fields():
     kmaj, xnand = chsh_gates()
     circ = build(parse_formula("(nand a b)"), 9, 3, 1, xnand=xnand, kmaj=kmaj, seed=1)
