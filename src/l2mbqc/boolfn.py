@@ -57,13 +57,6 @@ class BooleanFunction:
             x = tuple(x[0])
         return self.table[self.index_of(x)]
 
-    def evaluate_index(self, i: int) -> int:
-        return self.table[i]
-
-    @property
-    def weight(self) -> int:
-        return sum(self.table)
-
 
 def evaluate(f: BooleanFunction, x: Iterable[int]) -> int:
     """Look up f at an explicit input bit sequence."""

@@ -148,7 +148,7 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
 
 def cmd_compile(args: argparse.Namespace) -> int:
     f = _read_function(args.fn)
-    program = ghzc.compile_function(f, pad=args.pad)
+    program = ghzc.compile_function(f)
     _json(args, ghzc.program_to_config(program))
     return 0
 
@@ -260,7 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("compile", help="Boolean function -> GHZ program")
     c.add_argument("--fn", required=True, help="truth-table file")
-    c.add_argument("--pad", action="store_true", help="keep zero-increment qubits")
     add_common(c, cmd_compile)
 
     v = sub.add_parser("verify", help="check a GHZ program against a function")

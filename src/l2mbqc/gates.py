@@ -259,7 +259,6 @@ class RecursionAnalysis:
     epsilon: float
     fixed_points: tuple[float, ...]
     eta: float | None
-    derivative_at_half: float
 
 
 def _bisect_fixed_point(k: int, epsilon: float, lo: float, hi: float) -> float:
@@ -312,7 +311,6 @@ def analyze_recursion(k: int, epsilon: float) -> RecursionAnalysis:
         epsilon=epsilon,
         fixed_points=tuple(unique),
         eta=eta,
-        derivative_at_half=recursion_derivative(k, epsilon, 0.5),
     )
 
 

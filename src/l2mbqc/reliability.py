@@ -5,10 +5,15 @@ noisy three-input XNAND wire-wise to one copy of the first operand and two
 copies of the second; restore stages vote with noisy k-input majority gates
 to push the bundle error back toward its fixed point. Both kinds are one
 ``Stage`` shape: a target bundle and one read per gate input, each a source
-bundle with the wire permutation that feeds that input. Error propagation is
-tracked two ways: analytically under a within-bundle independence
-assumption, and by seeded wire-level Monte Carlo with the circuit's fixed
-wiring, which quantifies how much that assumption leaks.
+bundle with the wire permutation that feeds that input.
+
+Every error model runs on one stage walk, ``_walk``, which tracks the true
+logical values and hands each stage's gate and true input index to the
+model's step; the step maps how wrong the read bundles are to how wrong the
+target is. The independence model's state is one wire's error probability,
+with the wires of a bundle assumed independent. The seeded wire-level Monte
+Carlo's state is the set of wrong wires under the circuit's fixed wiring,
+which quantifies how much that assumption leaks.
 
 The Monte Carlo sampler is bit-sliced: 64 trials ride in one uint64 word,
 and trials run in blocks of ``BLOCK`` = 1024. Block b draws all its gate
@@ -19,13 +24,14 @@ prefix of a longer one. ``MC_STREAM`` names this stream contract.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .boolfn import make_named
+from .boolfn import BRUTE_FORCE_ARITY_CAP, make_named
 from .gates import NoisyGate, beta, maj_error_recursion
 
 EQUAL_ERROR_SLACK = 0.05
@@ -163,12 +169,13 @@ def formula_to_text(formula: FormulaDag) -> str:
 # ---------------------------------------------------------------------------
 # circuit construction
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Stage:
     """One gate applied wire-wise: output wire j of bundle ``target`` is the
     gate of ``kind`` ("restore" or "compute") on, for each gate input i with
     ``reads[i] = (source, perm)``, wire ``perm[j]`` of bundle ``source``, or
-    wire j itself when ``perm`` is None.
+    wire j itself when ``perm`` is None. A ``perm`` is an index array, so the
+    sampler gathers wires with it directly.
 
     A restore stage reads its source through k permutations of range(W); a
     compute stage reads ``(a, None), (b, sigma1), (b, sigma2)``.
@@ -176,7 +183,7 @@ class Stage:
 
     kind: str
     target: int
-    reads: tuple[tuple[int, tuple[int, ...] | None], ...]
+    reads: tuple[tuple[int, np.ndarray | None], ...]
 
 
 @dataclass(frozen=True)
@@ -191,7 +198,8 @@ class ReliableCircuit:
     stages: tuple[Stage, ...]
     input_bundles: tuple[int, ...]
     output_bundle: int
-    n_bundles: int
+    #: dead_after[s]: the bundles that stage s reads for the last time
+    dead_after: tuple[tuple[int, ...], ...]
     warnings: tuple[str, ...]
 
 
@@ -244,53 +252,41 @@ def build(
 
     rng = np.random.default_rng([seed, 0])
     stages: list[Stage] = []
-    n_bundles = 0
-
-    def new_bundle() -> int:
-        nonlocal n_bundles
-        n_bundles += 1
-        return n_bundles - 1
+    new_bundle = itertools.count().__next__
 
     def add_restores(src: int, rounds: int) -> int:
-        cur = src
         for _ in range(rounds):
-            tgt = new_bundle()
-            reads = tuple(
-                (cur, tuple(int(v) for v in rng.permutation(width))) for _ in range(k)
-            )
-            stages.append(Stage("restore", tgt, reads))
-            cur = tgt
-        return cur
+            reads = tuple((src, rng.permutation(width)) for _ in range(k))
+            src = new_bundle()
+            stages.append(Stage("restore", src, reads))
+        return src
 
     consumers = formula.consumer_counts()
     raw_inputs = tuple(new_bundle() for _ in formula.inputs)
-    prepared: dict[int, int] = {}
-    for i in range(formula.n_inputs):
-        prepared[i] = add_restores(raw_inputs[i], restore_rounds)
-
-    fanout_refs = sorted(r for r, c in consumers.items() if c >= 2)
-    if fanout_refs:
+    prepared = {i: add_restores(b, restore_rounds) for i, b in enumerate(raw_inputs)}
+    if any(c >= 2 for c in consumers.values()):
         warnings.append(
             "references consumed more than once are duplicated through an extra restore each; "
             "analytic independence across those copies is approximate"
         )
 
     def operand_bundle(ref: int) -> int:
-        base = prepared[ref]
-        if consumers.get(ref, 0) >= 2:
-            return add_restores(base, 1)
-        return base
+        return add_restores(prepared[ref], 1 if consumers[ref] >= 2 else 0)
 
     for j, (a_ref, b_ref) in enumerate(formula.nodes):
         a_bundle = operand_bundle(a_ref)
         b_bundle = operand_bundle(b_ref)
         tgt = new_bundle()
-        sigma1 = tuple(int(v) for v in rng.permutation(width))
-        shift = width // 2
-        sigma2 = tuple(sigma1[(i + shift) % width] for i in range(width))
+        sigma1 = rng.permutation(width)
+        sigma2 = np.roll(sigma1, -(width // 2))  # sigma2[i] = sigma1[(i + W//2) % W]
         reads = ((a_bundle, None), (b_bundle, sigma1), (b_bundle, sigma2))
         stages.append(Stage("compute", tgt, reads))
         prepared[formula.n_inputs + j] = add_restores(tgt, restore_rounds)
+
+    last_read = {src: s for s, stage in enumerate(stages) for src, _ in stage.reads}
+    dead_after: list[list[int]] = [[] for _ in stages]
+    for src, s in last_read.items():
+        dead_after[s].append(src)
 
     return ReliableCircuit(
         formula=formula,
@@ -303,9 +299,40 @@ def build(
         stages=tuple(stages),
         input_bundles=raw_inputs,
         output_bundle=prepared[formula.output_ref],
-        n_bundles=n_bundles,
+        dead_after=tuple(map(tuple, dead_after)),
         warnings=tuple(warnings),
     )
+
+
+# ---------------------------------------------------------------------------
+# the stage walk
+
+def _walk(circuit: ReliableCircuit, x: tuple[int, ...], clean, step):
+    """Run every stage on input bits ``x``; return the output bundle's true
+    value and state.
+
+    A bundle's state is an error model's account of how wrong it is; input
+    bundles start ``clean``. Stage s applies ``gate`` at true input index
+    ``idx``, and ``step(s, stage, gate, idx, reads)`` maps the states of its
+    reads, in gate-input order, to the target's state. A bundle is dropped
+    after its last read.
+    """
+    if len(x) != circuit.formula.n_inputs:
+        raise ValueError("one bit per formula input required")
+    value = dict(zip(circuit.input_bundles, x))
+    state = dict.fromkeys(circuit.input_bundles, clean)
+    gate_of = {"restore": circuit.kmaj, "compute": circuit.xnand}
+    for s, stage in enumerate(circuit.stages):
+        gate = gate_of[stage.kind]
+        idx, reads = 0, []
+        for i, (src, _) in enumerate(stage.reads):
+            idx |= value[src] << i
+            reads.append(state[src])
+        value[stage.target] = gate.target.table[idx]
+        state[stage.target] = step(s, stage, gate, idx, reads)
+        for src in circuit.dead_after[s]:
+            del value[src], state[src]
+    return value[circuit.output_bundle], state[circuit.output_bundle]
 
 
 # ---------------------------------------------------------------------------
@@ -336,17 +363,17 @@ def _gate_error(gate: NoisyGate, x: int, wires: Sequence[tuple[int, float]]) -> 
     return total
 
 
-def _wires(sources: Sequence[int], error: dict[int, float], width: int) -> list[tuple[int, float]]:
-    """The independent wires behind a stage's reads, as (input mask, error).
-
-    Reads are independent draws from their bundles, except that a width-1
-    bundle is a single wire, so all its reads are that wire.
+def _wires(stage: Stage, errors: Sequence[float], width: int) -> list[tuple[int, float]]:
+    """The independent wires behind a stage's reads, given each read's error,
+    as (input mask, error). Reads are independent draws from their bundles,
+    except that all reads of a width-1 bundle are its one wire.
     """
-    masks: dict[tuple[int, int], int] = {}  # (bundle, draw) -> gate inputs fed
-    for i, src in enumerate(sources):
+    wires: dict[tuple[int, int], tuple[int, float]] = {}  # (bundle, draw) -> wire
+    for i, ((src, _), p) in enumerate(zip(stage.reads, errors)):
         key = (src, 0 if width == 1 else i)
-        masks[key] = masks.get(key, 0) | 1 << i
-    return [(mask, error[src]) for (src, _), mask in masks.items()]
+        mask, _ = wires.get(key, (0, p))
+        wires[key] = (mask | 1 << i, p)
+    return list(wires.values())
 
 
 def _majority_readout_error(width: int, p: float) -> float:
@@ -402,45 +429,33 @@ class AnalyticResult:
 def simulate_analytic(circuit: ReliableCircuit, x: Sequence[int]) -> AnalyticResult:
     """Propagate per-bundle error probabilities stage by stage for one input.
 
+    A bundle's state is the probability that one of its wires is wrong.
     Within-bundle wires are treated as independent and identically
     distributed; compute stages flag operand bundles whose errors drifted
     apart beyond the equal-error slack of the voting analysis. A restore
     gate with one error on every input uses the closed majority recursion.
     """
     x = tuple(int(b) & 1 for b in x)
-    vals = circuit.formula.evaluate_all(x)
-    value: dict[int, int] = {}
-    error: dict[int, float] = {}
-    for i, b in enumerate(circuit.input_bundles):
-        value[b] = vals[i]
-        error[b] = 0.0
-    gate_of = {"restore": circuit.kmaj, "compute": circuit.xnand}
     restore_eps = circuit.kmaj.epsilon
     warnings: list[str] = []
     trajectory: list[tuple[int, str, int, float]] = []
-    for s_idx, stage in enumerate(circuit.stages):
-        gate = gate_of[stage.kind]
-        sources = [src for src, _ in stage.reads]
-        idx = sum(value[src] << i for i, src in enumerate(sources))
-        if stage.kind == "compute":
-            p_a, p_b = error[sources[0]], error[sources[1]]
-            if abs(p_a - p_b) > EQUAL_ERROR_SLACK:
-                warnings.append(
-                    f"stage {s_idx}: operand errors {p_a:.4f} and {p_b:.4f} differ "
-                    f"beyond the equal-error slack {EQUAL_ERROR_SLACK}"
-                )
+
+    def step(s: int, stage: Stage, gate: NoisyGate, idx: int, reads: list[float]) -> float:
+        if stage.kind == "compute" and abs(reads[0] - reads[1]) > EQUAL_ERROR_SLACK:
+            warnings.append(f"stage {s}: operand errors differ beyond the equal-error "
+                            f"slack {EQUAL_ERROR_SLACK}")
         if stage.kind == "restore" and restore_eps is not None:
-            p = maj_error_recursion(circuit.k, restore_eps, error[sources[0]])
+            p = maj_error_recursion(circuit.k, restore_eps, reads[0])
         else:
-            p = _gate_error(gate, idx, _wires(sources, error, circuit.width))
-        value[stage.target] = gate.target.table[idx]
-        error[stage.target] = p
-        trajectory.append((s_idx, stage.kind, stage.target, p))
-    out = circuit.output_bundle
+            p = _gate_error(gate, idx, _wires(stage, reads, circuit.width))
+        trajectory.append((s, stage.kind, stage.target, p))
+        return p
+
+    value, p = _walk(circuit, x, 0.0, step)
     return AnalyticResult(
         x=x,
-        value=value[out],
-        logical_error=_majority_readout_error(circuit.width, error[out]),
+        value=value,
+        logical_error=_majority_readout_error(circuit.width, p),
         trajectory=tuple(trajectory),
         warnings=tuple(warnings),
     )
@@ -542,6 +557,10 @@ def _wrong_trials(
     """For blocks 0 .. n_blocks-1, a (BLOCK,) bool array of the trials whose
     majority readout is wrong (ties count as wrong).
 
+    A bundle's state has a set bit per wrong wire. Value and flip tables are
+    re-indexed by the true input index, entry e being the gate at ``idx ^ e``,
+    so each lane meets the entry and the drawn mask of its actual inputs.
+
     Block b draws every flip from one Philox stream keyed by
     (seed, input, b): per gate, one Bernoulli mask per distinct error value
     strictly between 0 and 1, for all of the gate's stages at once, restore
@@ -549,63 +568,45 @@ def _wrong_trials(
     """
     x_key = sum(b << i for i, b in enumerate(x))
     w = circuit.width
-    true_value = circuit.formula.evaluate(x)
+    clean = np.zeros((w, _WORDS), dtype=np.uint64)
     # restore gate first: the order in which each block draws its masks
-    gate_keys = {
-        "restore": _gate_keys(circuit.kmaj),
-        "compute": _gate_keys(circuit.xnand),
-    }
-
-    operands: list[list[tuple[int, np.ndarray | None]]] = []  # (bundle, wire gather)
-    ordinal: list[int] = []  # index of the stage among stages of its kind
+    gate_keys = {"restore": _gate_keys(circuit.kmaj), "compute": _gate_keys(circuit.xnand)}
     kind_count = dict.fromkeys(gate_keys, 0)
-    last_use: dict[int, int] = {}
-    for s, st in enumerate(circuit.stages):
-        operands.append([
-            (b, None if perm is None else np.asarray(perm, dtype=np.intp))
-            for b, perm in st.reads
-        ])
-        ordinal.append(kind_count[st.kind])
-        kind_count[st.kind] += 1
-        for b, _ in st.reads:
-            last_use[b] = s
-    last_use.pop(circuit.output_bundle, None)
-    free_after: dict[int, list[int]] = {}
-    for b, s in last_use.items():
-        free_after.setdefault(s, []).append(b)
-    inputs = {
-        b: np.full((w, _WORDS), _ONES if x[i] else 0, dtype=np.uint64)
-        for i, b in enumerate(circuit.input_bundles)
-    }
+    # per stage, fixed by x: its index among its kind, its wrongness and flip keys
+    plan: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
+
+    def prepare(s: int, stage: Stage, gate: NoisyGate, idx: int, reads: list) -> None:
+        table, flips, _ = gate_keys[stage.kind]
+        plan.append((
+            kind_count[stage.kind],
+            tuple(table[idx ^ e] ^ table[idx] for e in range(len(table))),
+            tuple(flips[idx ^ e] for e in range(len(flips))),
+        ))
+        kind_count[stage.kind] += 1
+
+    _walk(circuit, x, None, prepare)
 
     def run_block(block: int) -> np.ndarray:
         bitgen = np.random.Philox(np.random.SeedSequence([seed, x_key, block]))
         masks = {
-            kind: [
-                _flip_words(bitgen, p, kind_count[kind] * w * _WORDS).reshape(
-                    kind_count[kind], w, _WORDS
-                )
-                for p in gate_keys[kind][2]
-            ]
-            for kind in gate_keys
+            kind: [_flip_words(bitgen, p, n * w * _WORDS).reshape(n, w, _WORDS)
+                   for p in gate_keys[kind][2]]
+            for kind, n in kind_count.items()
         }
-        bundles = dict(inputs)
-        for s, st in enumerate(circuit.stages):
-            xs = [bundles[b] if idx is None else bundles[b][idx] for b, idx in operands[s]]
-            table, flips, _ = gate_keys[st.kind]
-            kind_masks, i = masks[st.kind], ordinal[s]
-            value = _mux(table, xs, None, {})
-            flip = _mux(flips, xs, lambda key: kind_masks[key - 2][i], {})
-            if isinstance(value, int):
-                value = np.full((w, _WORDS), _ONES if value else 0, dtype=np.uint64)
+
+        def step(s: int, stage: Stage, gate: NoisyGate, idx: int, reads: list[np.ndarray]):
+            i, wrong_keys, flip_keys = plan[s]
+            kind_masks = masks[stage.kind]
+            es = [r if perm is None else r[perm] for r, (_, perm) in zip(reads, stage.reads)]
+            wrong = _mux(wrong_keys, es, None, {})
+            flip = _mux(flip_keys, es, lambda key: kind_masks[key - 2][i], {})
+            if isinstance(wrong, int):
+                wrong = ~clean if wrong else clean
             if isinstance(flip, int):
-                bundles[st.target] = ~value if flip else value
-            else:
-                bundles[st.target] = value ^ flip
-            for b in free_after.get(s, ()):
-                del bundles[b]
-        out = bundles[circuit.output_bundle]
-        wrong_wires = ~out if true_value else out
+                return ~wrong if flip else wrong
+            return wrong ^ flip
+
+        _, wrong_wires = _walk(circuit, x, clean, step)
         lanes = np.unpackbits(
             wrong_wires.astype("<u8", copy=False).view(np.uint8), axis=1, bitorder="little"
         )
@@ -724,36 +725,42 @@ def build_report(
     if trials is not None and trials < 1:
         raise ValueError("need at least one trial")
     n = circuit.formula.n_inputs
-    analytic: dict[tuple[int, ...], AnalyticResult] = {}
-    warnings: set[str] = set(circuit.warnings)
+    if n > BRUTE_FORCE_ARITY_CAP:
+        raise ValueError(f"formula has {n} inputs, above cap {BRUTE_FORCE_ARITY_CAP}")
+    errors: dict[tuple[int, ...], float] = {}
+    tripped: dict[str, int] = {}  # per-stage warning -> inputs that raised it
     for idx in range(1 << n):
         x = tuple((idx >> j) & 1 for j in range(n))
         res = simulate_analytic(circuit, x)
-        analytic[x] = res
-        warnings.update(res.warnings)
+        errors[x] = res.logical_error
+        for w in res.warnings:
+            tripped[w] = tripped.get(w, 0) + 1
 
-    worst_x = max(analytic, key=lambda x: analytic[x].logical_error)
+    worst_x = max(errors, key=errors.get)
     mc: dict[tuple[int, ...], MonteCarloResult] = {}
     if trials is not None:
-        selected = [worst_x] if mc_inputs == "worst" else sorted(analytic)
+        selected = [worst_x] if mc_inputs == "worst" else list(errors)
         for x in selected:
             mc[x] = simulate_monte_carlo(circuit, x, trials, seed)
 
     rows = tuple(
         InputRow(
             x=x,
-            analytic_error=analytic[x].logical_error,
+            analytic_error=err,
             empirical_error=mc[x].empirical_error if x in mc else None,
             ci_halfwidth=mc[x].ci_halfwidth if x in mc else None,
         )
-        for x in sorted(analytic)
+        for x, err in sorted(errors.items())
     )
-    delta = analytic[worst_x].logical_error
+    # every per-stage warning reads "stage <s>: ..."; list them in stage order
+    stage_lines = sorted(tripped, key=lambda w: int(w[len("stage "):w.index(":")]))
+    delta = errors[worst_x]
     return SimulationReport(
         rows=rows,
         delta=delta,
         worst_input=worst_x,
         margin=margin,
         reliable=_certified(delta, rows, margin),
-        warnings=tuple(sorted(warnings)),
+        warnings=tuple(sorted(circuit.warnings))
+        + tuple(f"{w} on {tripped[w]} of {1 << n} inputs" for w in stage_lines),
     )

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import pytest
@@ -252,6 +253,8 @@ def test_majority_arity_above_cap_exits_2(nand_formula, capsys, subcommand):
 
 
 RELIABLE = ["reliable", "--formula", "tree.nand", "--rounds", "1", "--seed", "1"]
+#: a NAND chain over 17 inputs, one more than the analytic sweep allows
+WIDE_FORMULA = functools.reduce(lambda acc, name: f"(nand {acc} {name})", "bcdefghijklmnopq", "a")
 
 MALFORMED_INPUTS = {
     "gate-unknown-combination": (["gate", "xor", "--resource", "chsh"], "cannot be built"),
@@ -262,6 +265,7 @@ MALFORMED_INPUTS = {
     "compile-missing-file": (["compile", "--fn", "missing.tt"], "missing.tt"),
     "compile-bad-hex": (["compile", "--fn", "badhex.tt"], "line 2"),
     "compile-format": (["compile", "--fn", "and.tt", "--format", "json"], "unrecognized"),
+    "compile-pad": (["compile", "--fn", "and.tt", "--pad"], "unrecognized"),
     "verify-format-csv": (
         ["verify", "--program", "and.ghz", "--fn", "and.tt", "--format", "csv"],
         "unrecognized",
@@ -278,6 +282,10 @@ MALFORMED_INPUTS = {
     "reliable-margin": (RELIABLE + ["--width", "9", "--margin", "0.7"], "margin 0.7 outside"),
     "reliable-width-2": (RELIABLE + ["--width", "2"], "bundle width 2 smaller than k = 3"),
     "reliable-zero-trials": (RELIABLE + ["--width", "9", "--trials", "0"], "at least one trial"),
+    "reliable-17-inputs": (
+        ["reliable", "--formula", "wide.nand", "--width", "3", "--rounds", "0", "--seed", "1"],
+        "above cap 16",
+    ),
 }
 
 
@@ -290,6 +298,7 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys
     (tmp_path / "bad.ghz").write_text("[]")
     (tmp_path / "tree.nand").write_text("(nand (nand a b) (nand c d))\n")
     (tmp_path / "bad.nand").write_text("(nand a\n(xor b c))\n")
+    (tmp_path / "wide.nand").write_text(WIDE_FORMULA)
     monkeypatch.chdir(tmp_path)
     try:
         code = run(args)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import sys
@@ -358,6 +359,35 @@ def test_monte_carlo_matches_exact_enumeration_with_input_dependent_errors(
         assert abs(exact - mc.empirical_error) < 2.5 * mc.ci_halfwidth
 
 
+# wrong trials per block of (nand a b), blocks 0-2 at seed 9, inputs 00 01 10 11
+PINNED_WRONG_TRIALS = {
+    (3, 3): ((120, 77, 115), (15, 15, 11), (4, 2, 3), (30, 35, 26)),
+    (2, 1): ((277, 259, 283), (355, 341, 348), (283, 287, 277), (497, 515, 496)),
+}
+
+
+@pytest.mark.parametrize(
+    "width, k, restore_errors",
+    [
+        (3, 3, (0.0, 0.05, 0.1, 0.2, 0.05, 1.0, 0.3, 0.02)),
+        (2, 1, (0.25, 0.0)),
+    ],
+)
+def test_sampled_bits_are_pinned_with_input_dependent_errors(width, k, restore_errors):
+    # the flip tables select different masks on different inputs, so a lane
+    # that picked the wrong mask would move these counts
+    kmaj = gates.NoisyGate(make_named("maj", k), restore_errors)
+    xnand = gates.NoisyGate(
+        make_named("xnand"), (0.1, 0.0, 0.3, 1.0, 0.05, 0.2, 0.0, 0.05)
+    )
+    circ = build(parse_formula("(nand a b)"), width, k, 1, xnand=xnand, kmaj=kmaj, seed=3)
+    got = tuple(
+        tuple(int(np.count_nonzero(m)) for m in reliability._wrong_trials(circ, x, 9, 3))
+        for x in itertools.product((0, 1), repeat=2)
+    )
+    assert got == PINNED_WRONG_TRIALS[width, k]
+
+
 def test_flip_words_hit_the_exact_probability():
     # p = 1/2 is decided by the first bit: a lane flips iff its first random bit is 0
     n = 2048
@@ -516,19 +546,24 @@ def test_build_report_requires_seed_for_trials():
         build_report(circ, trials=10)
 
 
+#: a NAND chain over 17 inputs, one more than the analytic sweep allows
+WIDE_FORMULA = functools.reduce(lambda acc, name: f"(nand {acc} {name})", "bcdefghijklmnopq", "a")
+
+
 @pytest.mark.parametrize(
-    "kwargs, message",
+    "text, kwargs, message",
     [
-        ({"margin": 0.7}, r"margin 0.7 outside \(0, 1/2\)"),
-        ({"mc_inputs": ["00"]}, "mc_inputs must be 'worst' or 'all'"),
-        ({"trials": 0, "seed": 1}, "need at least one trial"),
-        ({"trials": 10}, "a seed is mandatory"),
+        ("(nand a b)", {"margin": 0.7}, r"margin 0.7 outside \(0, 1/2\)"),
+        ("(nand a b)", {"mc_inputs": ["00"]}, "mc_inputs must be 'worst' or 'all'"),
+        ("(nand a b)", {"trials": 0, "seed": 1}, "need at least one trial"),
+        ("(nand a b)", {"trials": 10}, "a seed is mandatory"),
+        (WIDE_FORMULA, {}, "formula has 17 inputs, above cap 16"),
     ],
-    ids=["margin", "mc-inputs", "zero-trials", "no-seed"],
+    ids=["margin", "mc-inputs", "zero-trials", "no-seed", "inputs-above-cap"],
 )
-def test_build_report_checks_arguments_before_the_sweep(monkeypatch, kwargs, message):
+def test_build_report_checks_arguments_before_the_sweep(monkeypatch, text, kwargs, message):
     kmaj, xnand = perfect_gates()
-    circ = build(parse_formula("(nand a b)"), 9, 3, 0, xnand=xnand, kmaj=kmaj, seed=1)
+    circ = build(parse_formula(text), 9, 3, 0, xnand=xnand, kmaj=kmaj, seed=1)
 
     def no_sweep(circuit, x):
         raise AssertionError("analytic sweep ran before the argument check")
@@ -536,6 +571,18 @@ def test_build_report_checks_arguments_before_the_sweep(monkeypatch, kwargs, mes
     monkeypatch.setattr(reliability, "simulate_analytic", no_sweep)
     with pytest.raises(ValueError, match=message):
         build_report(circ, **kwargs)
+
+
+def test_report_warns_once_per_stage_in_stage_order():
+    kmaj, xnand = chsh_gates()
+    circ = build(parse_formula(TREE3), 81, 3, 2, xnand=xnand, kmaj=kmaj, seed=7)
+    report = build_report(circ, margin=0.05)
+    slack = "operand errors differ beyond the equal-error slack 0.05"
+    assert report.warnings == (
+        f"stage 22: {slack} on 128 of 256 inputs",
+        f"stage 31: {slack} on 128 of 256 inputs",
+        f"stage 34: {slack} on 64 of 256 inputs",
+    )
 
 
 def test_report_summary_fields():
