@@ -12,9 +12,9 @@ import itertools
 import math
 
 from l2mbqc import (
-    bipartite_distribution,
     chsh_and_box,
     chsh_and_gate,
+    distribution,
     statevector_oracle,
 )
 
@@ -26,7 +26,7 @@ print()
 
 print("per-input outcome distributions and AND success:")
 for b0, b1 in itertools.product((0, 1), repeat=2):
-    dist = bipartite_distribution(box, (b0, b1))
+    dist = distribution(box, (b0, b1))
     success = dist.parity_probability(b0 & b1)
     oracle = statevector_oracle(box, (b0, b1)).parity_probability(b0 & b1)
     cells = "  ".join(

@@ -178,6 +178,14 @@ def walsh(values) -> np.ndarray:
     return w
 
 
+def index_parity(n: int) -> np.ndarray:
+    """The parity of every index 0 .. 2^n - 1 (uint8): out[i] = popcount(i) & 1."""
+    parity = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        parity = np.concatenate((parity, parity ^ 1))
+    return parity
+
+
 def nonlinearity(f: BooleanFunction, *, affine: bool = True) -> int:
     """Minimum distance from f to any affine form (or strictly linear one).
 

@@ -10,7 +10,6 @@ oracle that never uses the closed forms.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,43 +17,57 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
+from .boolfn import index_parity
+
 PROBABILITY_TOL = 1e-12
 GHZ_ENUMERATION_CAP = 20
 STATEVECTOR_QUBIT_CAP = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
-    """Probabilities over output bit-strings, validated to sum to one."""
+    """Probabilities over output bit-strings, validated to sum to one.
 
-    probs: dict[tuple[int, ...], float]
+    ``probs[o]`` is the probability of the packed outcome o, whose bit j is
+    party j's output (the package's table order), so ``probs`` has length
+    2^n for n parties.
+    """
+
+    probs: np.ndarray
 
     def __post_init__(self):
-        total = 0.0
-        for outcome, p in self.probs.items():
-            if p < -PROBABILITY_TOL:
-                raise ValueError(f"negative probability {p} at {outcome}")
-            total += p
-        if abs(total - 1.0) > PROBABILITY_TOL:
+        probs = np.asarray(self.probs, dtype=np.float64)
+        if probs.ndim != 1 or probs.size & (probs.size - 1) or not probs.size:
+            raise ValueError(f"{probs.size} probabilities are not 2^n outcomes")
+        low = int(probs.argmin())
+        if probs[low] < -PROBABILITY_TOL:
+            raise ValueError(f"negative probability {probs[low]} at outcome {low}")
+        total = float(probs.sum())
+        if not abs(total - 1.0) <= PROBABILITY_TOL:  # NaN fails too
             raise ValueError(f"probabilities sum to {total}, not 1")
+        object.__setattr__(self, "probs", probs)
+
+    @property
+    def n_parties(self) -> int:
+        return self.probs.size.bit_length() - 1
 
     def __getitem__(self, outcome: tuple[int, ...]) -> float:
-        return self.probs.get(outcome, 0.0)
+        if len(outcome) != self.n_parties:
+            raise ValueError(f"outcome {outcome} is not one bit per party")
+        return float(self.probs[sum(b << j for j, b in enumerate(outcome))])
 
     def parity_probability(self, value: int = 1) -> float:
         """Probability that the xor of all output bits equals ``value``."""
-        total = sum(
-            p for outcome, p in self.probs.items()
-            if (sum(outcome) & 1) == value
-        )
-        return total
+        return float(self.probs[index_parity(self.n_parties) == value].sum())
 
     def marginal(self, parties: Sequence[int]) -> "OutcomeDistribution":
-        out: dict[tuple[int, ...], float] = {}
-        for outcome, p in self.probs.items():
-            key = tuple(outcome[i] for i in parties)
-            out[key] = out.get(key, 0.0) + p
-        return OutcomeDistribution(out)
+        """The distribution of the listed parties' outputs, in that order."""
+        n = self.n_parties
+        # in the C-order cube party j is axis n - 1 - j; keep parties[0] last
+        keep = [n - 1 - j for j in reversed(parties)]
+        rest = [axis for axis in range(n) if axis not in keep]
+        cube = self.probs.reshape((2,) * n).transpose(keep + rest)
+        return OutcomeDistribution(cube.reshape(1 << len(keep), -1).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -195,55 +208,38 @@ def _parity_one(box: BipartiteBox | GhzBox, inputs: Iterable) -> float | np.ndar
     return visibility * (1.0 - np.cos(phi + err)) / 2.0 + epsilon
 
 
-def _parity_classes(n_parties: int, p1: float) -> OutcomeDistribution:
-    """Outcomes uniform within each parity class, odd parity with mass p1."""
-    share, p1 = 1 << (n_parties - 1), float(p1)
-    mass = ((1.0 - p1) / share, p1 / share)
-    return OutcomeDistribution({
-        outcome: mass[sum(outcome) & 1]
-        for outcome in itertools.product((0, 1), repeat=n_parties)
-    })
-
-
-def bipartite_distribution(box: BipartiteBox, inputs: Sequence[int]) -> OutcomeDistribution:
-    """Joint outcome distribution P(o1, o2) = (1 + (-1)^(o1^o2) cos(a-b))/4."""
-    return _parity_classes(2, _parity_one(box, inputs))
-
-
 def ghz_parity_probability(box: GhzBox, inputs: Sequence[int]) -> float:
     """Probability that the xor of all outputs is 1, for the chosen angles."""
     return _parity_one(box, inputs)
 
 
-def ghz_full_distribution(box: GhzBox, inputs: Sequence[int]) -> OutcomeDistribution:
-    """Full joint distribution 2^-N (1 + (1-2e)(-1)^(xor o) cos(sum phi))."""
+def distribution(box: CorrelationBox, inputs: Sequence[int]) -> OutcomeDistribution:
+    """The joint outcome distribution for one input bit per party.
+
+    Bell and GHZ outcomes are uniform within each parity class, so
+    P(o) = 2^-N (1 + (1-2e)(-1)^(xor o) cos(sum phi)); a non-contextual box
+    puts each mixture weight on the outcome of its deterministic responses.
+    """
+    if isinstance(box, NoncontextualBox):
+        if len(inputs) != box.n_parties:
+            raise ValueError("one input bit per party required")
+        probs = np.zeros(1 << box.n_parties)
+        for weight, responses in box.mixture:
+            outcome = sum(
+                ((slope * b) ^ intercept) << j
+                for j, ((slope, intercept), b) in enumerate(zip(responses, inputs))
+            )
+            probs[outcome] += float(weight)
+        return OutcomeDistribution(probs)
+    if not isinstance(box, (BipartiteBox, GhzBox)):
+        raise TypeError(f"not a correlation box: {box!r}")
     n = box.n_parties
     if n > GHZ_ENUMERATION_CAP:
         raise ValueError(f"{n} parties above enumeration cap {GHZ_ENUMERATION_CAP}")
-    return _parity_classes(n, _parity_one(box, inputs))
-
-
-def noncontextual_distribution(box: NoncontextualBox, inputs: Sequence[int]) -> OutcomeDistribution:
-    if len(inputs) != box.n_parties:
-        raise ValueError("one input bit per party required")
-    probs: dict[tuple[int, ...], float] = {}
-    for weight, responses in box.mixture:
-        outcome = tuple(
-            (slope * b) ^ intercept
-            for (slope, intercept), b in zip(responses, inputs)
-        )
-        probs[outcome] = probs.get(outcome, 0.0) + float(weight)
-    return OutcomeDistribution(probs)
-
-
-def distribution(box: CorrelationBox, inputs: Sequence[int]) -> OutcomeDistribution:
-    if isinstance(box, BipartiteBox):
-        return bipartite_distribution(box, inputs)
-    if isinstance(box, GhzBox):
-        return ghz_full_distribution(box, inputs)
-    if isinstance(box, NoncontextualBox):
-        return noncontextual_distribution(box, inputs)
-    raise TypeError(f"not a correlation box: {box!r}")
+    p1, share = float(_parity_one(box, inputs)), 1 << (n - 1)
+    return OutcomeDistribution(
+        np.where(index_parity(n), p1 / share, (1.0 - p1) / share)
+    )
 
 
 def parity_probability(box: CorrelationBox, inputs: Iterable) -> float | np.ndarray:
@@ -255,7 +251,7 @@ def parity_probability(box: CorrelationBox, inputs: Iterable) -> float | np.ndar
     if isinstance(box, (BipartiteBox, GhzBox)):
         return _parity_one(box, inputs)
     if isinstance(box, NoncontextualBox):
-        return noncontextual_distribution(box, inputs).parity_probability(1)
+        return distribution(box, inputs).parity_probability(1)
     raise TypeError(f"not a correlation box: {box!r}")
 
 
@@ -281,14 +277,10 @@ def _xy_basis(phi: float) -> np.ndarray:
 
 def _project_all(state: np.ndarray, bases: list[np.ndarray]) -> OutcomeDistribution:
     amps = state
-    n = len(bases)
     for axis, basis in enumerate(bases):
         amps = np.moveaxis(np.tensordot(basis, amps, axes=([1], [axis])), 0, axis)
-    probs = np.abs(amps) ** 2
-    # product() walks the outcomes in the same C order as ravel()
-    return OutcomeDistribution(
-        dict(zip(itertools.product((0, 1), repeat=n), probs.ravel().tolist()))
-    )
+    # axis j is party j; reversed axes put party 0 in the least-significant bit
+    return OutcomeDistribution((np.abs(amps) ** 2).transpose().ravel())
 
 
 def statevector_oracle(box: CorrelationBox, inputs: Sequence[int]) -> OutcomeDistribution:

@@ -45,9 +45,6 @@ class NoisyGate:
     def k(self) -> int:
         return self.target.arity
 
-    def error(self, x_idx: int) -> float:
-        return self.errors[x_idx]
-
     @property
     def epsilon(self) -> float | None:
         """Common error value when input-independent, else None."""
@@ -108,7 +105,7 @@ def maj3_from_and(and_gate: NoisyGate) -> NoisyGate:
     errors = []
     for i in range(8):
         a, b, c = i & 1, (i >> 1) & 1, (i >> 2) & 1
-        errors.append(and_gate.error((a ^ b) | ((a ^ c) << 1)))
+        errors.append(and_gate.errors[(a ^ b) | ((a ^ c) << 1)])
     return NoisyGate(target, tuple(errors))
 
 
@@ -119,7 +116,7 @@ def xnand_from_and(and_gate: NoisyGate) -> NoisyGate:
     errors = []
     for i in range(8):
         a, b1, b2 = i & 1, (i >> 1) & 1, (i >> 2) & 1
-        errors.append(and_gate.error((a ^ b1) | ((a ^ b1 ^ b2) << 1)))
+        errors.append(and_gate.errors[(a ^ b1) | ((a ^ b1 ^ b2) << 1)])
     return NoisyGate(target, tuple(errors))
 
 

@@ -136,12 +136,7 @@ def verify(
 
     box = None
     if use_statevector and program.n_qubits > 0:
-        box = GhzBox(
-            angles=tuple(
-                (0.0, float(q.delta) * math.pi) for q in program.qubits
-            ),
-            epsilon=0.0,
-        )
+        box = run_as_l2program(program).boxes[0]
     for x_idx in range(1 << program.n):
         x = _bits(x_idx, program.n)
         want = f.table[x_idx] ^ program.constant

@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from . import corrbox
-from .boolfn import BooleanFunction, nonlinearity
+from .boolfn import BooleanFunction, index_parity, nonlinearity
 from .corrbox import (
     BipartiteBox,
     CorrelationBox,
@@ -121,8 +121,9 @@ def _outcome_table(
     for j, b in enumerate(inputs):
         code |= b.astype(np.int64) << j
     columns, column_of_x = np.unique(code, return_inverse=True)
-    dists = [corrbox.distribution(box, _bits(c, k)) for c in columns.tolist()]
-    table = np.array([[d[_bits(o, k)] for o in range(1 << k)] for d in dists])
+    table = np.stack([
+        corrbox.distribution(box, _bits(c, k)).probs for c in columns.tolist()
+    ])
     return table[column_of_x.reshape(-1)]
 
 
@@ -154,9 +155,7 @@ def run_exact(
             )
 
     x = np.arange(n_inputs)
-    x_parity = np.zeros(n_inputs, dtype=np.uint8)
-    for j in range(program.n):
-        x_parity ^= ((x >> j) & 1).astype(np.uint8)
+    x_parity = index_parity(program.n)
 
     def bit(m: AffineBitMap, outs: int) -> np.ndarray:
         """The map's bit for every input, on the path with packed outputs outs."""

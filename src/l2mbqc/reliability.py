@@ -191,10 +191,8 @@ class ReliableCircuit:
     formula: FormulaDag
     width: int
     k: int
-    restore_rounds: int
     kmaj: NoisyGate
     xnand: NoisyGate
-    seed: int
     stages: tuple[Stage, ...]
     input_bundles: tuple[int, ...]
     output_bundle: int
@@ -292,10 +290,8 @@ def build(
         formula=formula,
         width=width,
         k=k,
-        restore_rounds=restore_rounds,
         kmaj=kmaj,
         xnand=xnand,
-        seed=seed,
         stages=tuple(stages),
         input_bundles=raw_inputs,
         output_bundle=prepared[formula.output_ref],

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from l2mbqc import boolfn, gates, ghzc, mbqc, reliability
 from l2mbqc.boolfn import BooleanFunction, all_affine_forms, affine_distance, make_named
-from l2mbqc.corrbox import bipartite_distribution, chsh_and_box, statevector_oracle
+from l2mbqc.corrbox import chsh_and_box, distribution, statevector_oracle
 
 COS2_PI8 = math.cos(math.pi / 8) ** 2
 SIN2_PI8 = math.sin(math.pi / 8) ** 2
@@ -35,7 +35,7 @@ def test_criterion_1_chsh_and_success():
     ok = True
     for (b0, b1), p in strategy.success.items():
         ok &= abs(p - COS2_PI8) < 1e-10
-        closed = bipartite_distribution(box, (b0, b1)).parity_probability(b0 & b1)
+        closed = distribution(box, (b0, b1)).parity_probability(b0 & b1)
         oracle = statevector_oracle(box, (b0, b1)).parity_probability(b0 & b1)
         ok &= abs(p - closed) < 1e-10
         ok &= abs(p - oracle) < 1e-10

@@ -11,12 +11,10 @@ from l2mbqc.corrbox import (
     GhzBox,
     NoncontextualBox,
     OutcomeDistribution,
-    bipartite_distribution,
     chsh_and_box,
-    ghz_full_distribution,
+    distribution,
     ghz_parity_probability,
     noncontextual_and_box,
-    noncontextual_distribution,
     statevector_oracle,
 )
 
@@ -42,20 +40,20 @@ def random_ghz(rng, n, epsilon=0.0):
 
 def test_equal_angles_perfectly_correlated():
     box = BipartiteBox(alice=(0.7, 0.0), bob=(0.7, 0.0))
-    dist = bipartite_distribution(box, (0, 0))
+    dist = distribution(box, (0, 0))
     assert dist.parity_probability(0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_chsh_and_success_on_every_input():
     box = chsh_and_box()
     for b0, b1 in itertools.product((0, 1), repeat=2):
-        dist = bipartite_distribution(box, (b0, b1))
+        dist = distribution(box, (b0, b1))
         assert dist.parity_probability(b0 & b1) == pytest.approx(COS2_PI8, abs=1e-12)
 
 
 def test_orthogonal_angles_uniform():
     box = BipartiteBox(alice=(math.pi / 2, 0.0), bob=(0.0, 0.0))
-    dist = bipartite_distribution(box, (0, 0))
+    dist = distribution(box, (0, 0))
     for outcome in itertools.product((0, 1), repeat=2):
         assert dist[outcome] == pytest.approx(0.25, abs=1e-12)
 
@@ -65,7 +63,7 @@ def test_bipartite_marginals_uniform():
     for _ in range(20):
         box = random_bipartite(rng)
         for inputs in itertools.product((0, 1), repeat=2):
-            dist = bipartite_distribution(box, inputs)
+            dist = distribution(box, inputs)
             for party in (0, 1):
                 marg = dist.marginal([party])
                 assert marg[(0,)] == pytest.approx(0.5, abs=1e-12)
@@ -83,12 +81,12 @@ def test_ghz_parity_examples():
     assert ghz_parity_probability(box, (1, 0, 0)) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_ghz_full_distribution_consistency():
+def test_ghz_distribution_consistency():
     rng = np.random.default_rng(11)
     for n in (1, 2, 3, 4):
         box = random_ghz(rng, n, epsilon=float(rng.uniform(0, 0.5)))
         inputs = tuple(int(b) for b in rng.integers(0, 2, n))
-        dist = ghz_full_distribution(box, inputs)
+        dist = distribution(box, inputs)
         assert dist.parity_probability(1) == pytest.approx(
             ghz_parity_probability(box, inputs), abs=1e-12
         )
@@ -96,14 +94,14 @@ def test_ghz_full_distribution_consistency():
         for size in range(1, n):
             for parties in itertools.combinations(range(n), size):
                 marg = dist.marginal(parties)
-                for outcome, p in marg.probs.items():
-                    assert p == pytest.approx(1.0 / (1 << size), abs=1e-12)
+                for outcome in itertools.product((0, 1), repeat=size):
+                    assert marg[outcome] == pytest.approx(1.0 / (1 << size), abs=1e-12)
 
 
 def test_ghz_three_party_uniform_case():
     # summed angles 3*pi/2 have zero cosine, so all strings are equally likely
     box = GhzBox(angles=((0.0, math.pi / 2),) * 3, epsilon=0.0)
-    dist = ghz_full_distribution(box, (1, 1, 1))
+    dist = distribution(box, (1, 1, 1))
     for outcome in itertools.product((0, 1), repeat=3):
         assert dist[outcome] == pytest.approx(0.125, abs=1e-12)
     oracle = statevector_oracle(box, (1, 1, 1))
@@ -170,14 +168,14 @@ def test_oracle_matches_closed_forms_randomly():
         if rng.random() < 0.4:
             box = random_bipartite(rng)
             inputs = tuple(int(b) for b in rng.integers(0, 2, 2))
-            closed = bipartite_distribution(box, inputs)
+            closed = distribution(box, inputs)
         else:
             box = random_ghz(rng, int(rng.integers(1, 5)))
             inputs = tuple(int(b) for b in rng.integers(0, 2, box.n_parties))
-            closed = ghz_full_distribution(box, inputs)
+            closed = distribution(box, inputs)
         oracle = statevector_oracle(box, inputs)
-        for outcome, p in closed.probs.items():
-            assert abs(p - oracle[outcome]) < 1e-10
+        for outcome in itertools.product((0, 1), repeat=box.n_parties):
+            assert abs(closed[outcome] - oracle[outcome]) < 1e-10
         checked += 1
 
 
@@ -247,14 +245,37 @@ def test_and_success_never_beats_tsirelson_on_grid():
 def test_quarter_noisy_and_mixture():
     box = noncontextual_and_box()
     for a, b in itertools.product((0, 1), repeat=2):
-        dist = noncontextual_distribution(box, (a, b))
+        dist = distribution(box, (a, b))
         assert dist.parity_probability(a & b) == pytest.approx(0.75, abs=0)
 
 
 def test_single_response_is_point_mass():
     box = NoncontextualBox(mixture=((Fraction(1), ((1, 0), (0, 1))),))
-    dist = noncontextual_distribution(box, (1, 0))
+    dist = distribution(box, (1, 0))
     assert dist[(1, 1)] == 1.0
+    # outcomes are packed with party j's output in bit j
+    box = NoncontextualBox(mixture=((Fraction(1), ((1, 0), (0, 0))),))
+    dist = distribution(box, (1, 0))
+    assert dist[(1, 0)] == 1.0
+    assert dist.probs[0b01] == 1.0
+    assert dist[(0, 1)] == 0.0
+
+
+def test_marginal_keeps_the_listed_party_order():
+    box = NoncontextualBox(
+        mixture=(
+            (Fraction(1, 2), ((0, 1), (0, 0), (0, 1))),
+            (Fraction(1, 3), ((0, 0), (0, 1), (0, 1))),
+            (Fraction(1, 6), ((0, 0), (0, 0), (0, 0))),
+        )
+    )
+    dist = distribution(box, (0, 0, 0))
+    assert dist[(1, 0, 1)] == 0.5
+    forward, swapped = dist.marginal([0, 1]), dist.marginal([1, 0])
+    assert forward[(1, 0)] == pytest.approx(0.5, abs=1e-15)
+    assert forward[(0, 1)] == pytest.approx(1 / 3, abs=1e-15)
+    for a, b in itertools.product((0, 1), repeat=2):
+        assert swapped[(b, a)] == forward[(a, b)]
 
 
 def test_mixture_with_global_negation_has_uniform_parity():
@@ -266,7 +287,7 @@ def test_mixture_with_global_negation_has_uniform_parity():
         )
     )
     for inputs in itertools.product((0, 1), repeat=3):
-        dist = noncontextual_distribution(box, inputs)
+        dist = distribution(box, inputs)
         assert dist.parity_probability(1) == pytest.approx(0.5, abs=0)
 
 
@@ -284,7 +305,7 @@ def test_mixture_validation():
 
 def test_distribution_validation():
     with pytest.raises(ValueError):
-        OutcomeDistribution({(0,): 0.5, (1,): 0.4})
+        OutcomeDistribution(np.array([0.5, 0.4]))
     with pytest.raises(ValueError):
-        OutcomeDistribution({(0,): 1.5, (1,): -0.5})
+        OutcomeDistribution(np.array([1.5, -0.5]))
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -143,8 +144,9 @@ def reference_success(program, target):
             new_paths = {}
             for history, prob in paths.items():
                 inputs = tuple(_affine_bit(m, x_idx, history) for m in maps)
-                for outcome, p in corrbox.distribution(box, inputs).probs.items():
-                    new_paths[history + outcome] = prob * p
+                dist = corrbox.distribution(box, inputs)
+                for outcome in itertools.product((0, 1), repeat=box.n_parties):
+                    new_paths[history + outcome] = prob * dist[outcome]
             paths = new_paths
         want = target.table[x_idx]
         success[x_idx] = sum(
