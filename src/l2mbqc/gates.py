@@ -24,9 +24,6 @@ RationalLike = Union[Fraction, int, str, float]
 # largest odd k that min_k_for_violation scans and threshold_sweep tabulates
 K_CAP = 10001
 
-# grid points on [0, 1/2] that analyze_recursion scans for sign changes
-_FIXED_POINT_GRID = 4096
-
 
 @dataclass(frozen=True)
 class NoisyGate:
@@ -218,14 +215,51 @@ def threshold_sweep(kmax: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 # majority error recursion
 
+def majority_error(n: int, p: float) -> float:
+    """P(majority vote over n independent p-flipped copies is wrong); ties
+    count as wrong.
+
+    This is P(X >= ceil(n/2)) for X ~ Bin(n, p). Above p = 1/2 it is one
+    minus the mirrored tail of Bin(n, 1 - p), so the summed tail always has
+    odds at most one and its terms fall from the first.
+    """
+    if p == 0.0:
+        return 0.0
+    if p == 1.0:
+        return 1.0
+    half = (n + 1) // 2
+    if p > 0.5:
+        return 1.0 - _binomial_upper_tail(n, 1.0 - p, n - half + 1)
+    return _binomial_upper_tail(n, p, half)
+
+
+def _binomial_upper_tail(n: int, p: float, m: int) -> float:
+    """P(X >= m) for X ~ Bin(n, p), with 0 < p <= 1/2 and m >= n/2.
+
+    The first term comes from log space, since C(n, m) overflows a float
+    from n ~ 1030; the rest follow by the pmf ratio until they fall below
+    1e-17 of the first.
+    """
+    first = math.exp(
+        math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
+        + m * math.log(p) + (n - m) * math.log1p(-p)
+    )
+    odds = p / (1.0 - p)
+    terms = [first]
+    term = first
+    for j in range(m, n):
+        term *= (n - j) / (j + 1) * odds
+        if term <= 1e-17 * first:
+            break
+        terms.append(term)
+    return math.fsum(terms)
+
+
 def majority_flip_probability(k: int, p: float) -> float:
     """Probability that the majority of k independent p-flipped copies is wrong."""
     if k < 1 or k % 2 == 0:
         raise ValueError(f"majority needs odd k, got {k}")
-    return math.fsum(
-        math.comb(k, j) * p**j * (1.0 - p) ** (k - j)
-        for j in range(k // 2 + 1, k + 1)
-    )
+    return majority_error(k, p)
 
 
 def maj_error_recursion(k: int, epsilon: float, p: float) -> float:
@@ -238,13 +272,17 @@ def maj_error_recursion(k: int, epsilon: float, p: float) -> float:
 
 
 def recursion_derivative(k: int, epsilon: float, p: float) -> float:
-    """d p'/d p = (1 - 2 eps) k C(k-1,(k-1)/2) (p(1-p))^((k-1)/2)."""
+    """d p'/d p = (1 - 2 eps) k C(k-1,h) (p(1-p))^h with h = (k-1)/2.
+
+    Written as C(k-1,h)/4^h times (4p(1-p))^h: the first factor is an exact
+    integer ratio and neither exceeds 1, so nothing overflows.
+    """
     half = (k - 1) // 2
     return (
         (1.0 - 2.0 * epsilon)
         * k
-        * math.comb(k - 1, half)
-        * (p * (1.0 - p)) ** half
+        * (math.comb(k - 1, half) / 4**half)
+        * (4.0 * p * (1.0 - p)) ** half
     )
 
 
@@ -258,55 +296,36 @@ class RecursionAnalysis:
     eta: float | None
 
 
-def _bisect_fixed_point(k: int, epsilon: float, lo: float, hi: float) -> float:
-    f_lo = maj_error_recursion(k, epsilon, lo) - lo
-    for _ in range(200):
+def _bisect(fn, lo: float, hi: float) -> float:
+    """Boundary, to 1e-15, between fn >= 0 at lo and fn < 0 at hi."""
+    while hi - lo > 1e-15:
         mid = 0.5 * (lo + hi)
-        f_mid = maj_error_recursion(k, epsilon, mid) - mid
-        if f_mid == 0.0 or hi - lo < 1e-15:
-            return mid
-        if (f_lo < 0) == (f_mid < 0):
-            lo, f_lo = mid, f_mid
+        if fn(mid) >= 0.0:
+            lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return lo
 
 
 def analyze_recursion(k: int, epsilon: float) -> RecursionAnalysis:
-    """Locate fixed points on [0, 1/2] by sign-change bisection.
+    """Fixed points of the restoring recursion on [0, 1/2], from its shape.
 
-    p = 1/2 is always fixed; the smallest attracting fixed point below it is
-    reported as eta when the recursion is restoring (epsilon < beta_k).
+    The slope of p' grows on [0, 1/2], so p' - p is convex there; it is
+    epsilon >= 0 at p = 0 and zero at p = 1/2. When the slope at 1/2 exceeds
+    1 (epsilon < beta_k) there is exactly one fixed point below 1/2, eta,
+    and it lies left of the point where the slope equals 1: one bisection
+    finds that point and a second finds eta. Otherwise 1/2 is the only
+    fixed point on [0, 1/2].
     """
-    points = []
-    prev_p = 0.0
-    prev_h = maj_error_recursion(k, epsilon, 0.0) - 0.0
-    if prev_h == 0.0:
-        points.append(0.0)
-    for i in range(1, _FIXED_POINT_GRID + 1):
-        p = 0.5 * i / _FIXED_POINT_GRID
-        h = maj_error_recursion(k, epsilon, p) - p
-        if h == 0.0:
-            points.append(p)
-        elif (prev_h < 0) != (h < 0):
-            points.append(_bisect_fixed_point(k, epsilon, prev_p, p))
-        prev_p, prev_h = p, h
-    if not points or abs(points[-1] - 0.5) > 1e-9:
-        points.append(0.5)
-    # dedupe near-identical roots
-    unique: list[float] = []
-    for p in points:
-        if not unique or p - unique[-1] > 1e-9:
-            unique.append(p)
+    maj_error_recursion(k, epsilon, 0.0)  # validates k and epsilon
     eta = None
-    for p in unique:
-        if p < 0.5 - 1e-9 and abs(recursion_derivative(k, epsilon, p)) < 1.0:
-            eta = p
-            break
+    if recursion_derivative(k, epsilon, 0.5) > 1.0:
+        knee = _bisect(lambda p: 1.0 - recursion_derivative(k, epsilon, p), 0.0, 0.5)
+        eta = _bisect(lambda p: maj_error_recursion(k, epsilon, p) - p, 0.0, knee)
     return RecursionAnalysis(
         k=k,
         epsilon=epsilon,
-        fixed_points=tuple(unique),
+        fixed_points=(0.5,) if eta is None else (eta, 0.5),
         eta=eta,
     )
 

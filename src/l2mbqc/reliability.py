@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .boolfn import BRUTE_FORCE_ARITY_CAP, make_named
-from .gates import NoisyGate, beta, maj_error_recursion
+from .gates import NoisyGate, beta, maj_error_recursion, majority_error
 
 EQUAL_ERROR_SLACK = 0.05
 
@@ -190,7 +190,6 @@ class Stage:
 class ReliableCircuit:
     formula: FormulaDag
     width: int
-    k: int
     kmaj: NoisyGate
     xnand: NoisyGate
     stages: tuple[Stage, ...]
@@ -289,7 +288,6 @@ def build(
     return ReliableCircuit(
         formula=formula,
         width=width,
-        k=k,
         kmaj=kmaj,
         xnand=xnand,
         stages=tuple(stages),
@@ -372,45 +370,6 @@ def _wires(stage: Stage, errors: Sequence[float], width: int) -> list[tuple[int,
     return list(wires.values())
 
 
-def _majority_readout_error(width: int, p: float) -> float:
-    """P(majority vote over the bundle is wrong); ties count as wrong.
-
-    This is P(X >= ceil(W/2)) for X ~ Bin(W, p). Above p = 1/2 it is one
-    minus the mirrored tail of Bin(W, 1 - p), so the summed tail always has
-    odds at most one and its terms fall from the first.
-    """
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    half = (width + 1) // 2
-    if p > 0.5:
-        return 1.0 - _binomial_upper_tail(width, 1.0 - p, width - half + 1)
-    return _binomial_upper_tail(width, p, half)
-
-
-def _binomial_upper_tail(n: int, p: float, m: int) -> float:
-    """P(X >= m) for X ~ Bin(n, p), with 0 < p <= 1/2 and m >= n/2.
-
-    The first term comes from log space, since C(n, m) overflows a float
-    from n ~ 1030; the rest follow by the pmf ratio until they fall below
-    1e-17 of the first.
-    """
-    first = math.exp(
-        math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
-        + m * math.log(p) + (n - m) * math.log1p(-p)
-    )
-    odds = p / (1.0 - p)
-    terms = [first]
-    term = first
-    for j in range(m, n):
-        term *= (n - j) / (j + 1) * odds
-        if term <= 1e-17 * first:
-            break
-        terms.append(term)
-    return math.fsum(terms)
-
-
 @dataclass(frozen=True)
 class AnalyticResult:
     """One input's exact error propagation under the independence assumption."""
@@ -441,7 +400,7 @@ def simulate_analytic(circuit: ReliableCircuit, x: Sequence[int]) -> AnalyticRes
             warnings.append(f"stage {s}: operand errors differ beyond the equal-error "
                             f"slack {EQUAL_ERROR_SLACK}")
         if stage.kind == "restore" and restore_eps is not None:
-            p = maj_error_recursion(circuit.k, restore_eps, reads[0])
+            p = maj_error_recursion(circuit.kmaj.k, restore_eps, reads[0])
         else:
             p = _gate_error(gate, idx, _wires(stage, reads, circuit.width))
         trajectory.append((s, stage.kind, stage.target, p))
@@ -451,7 +410,7 @@ def simulate_analytic(circuit: ReliableCircuit, x: Sequence[int]) -> AnalyticRes
     return AnalyticResult(
         x=x,
         value=value,
-        logical_error=_majority_readout_error(circuit.width, p),
+        logical_error=majority_error(circuit.width, p),
         trajectory=tuple(trajectory),
         warnings=tuple(warnings),
     )

@@ -191,6 +191,15 @@ def test_oracle_trivial_cases():
     assert dist.parity_probability(0) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_oracle_packs_party_zero_in_the_low_bit():
+    # |01>: party 0 in |0>, party 1 in |1>, both read in the Z basis
+    state = np.zeros((2, 2), dtype=complex)
+    state[0, 1] = 1.0
+    dist = corrbox._project_all(state, [corrbox._xz_basis(0.0)] * 2)
+    assert dist.probs[0b10] == 1.0
+    assert dist[(0, 1)] == 1.0
+
+
 def test_oracle_rejects_noise_and_oversize():
     with pytest.raises(ValueError):
         statevector_oracle(GhzBox(angles=((0.0, 0.0),), epsilon=0.1), (0,))

@@ -278,6 +278,170 @@ def test_above_threshold_has_no_interior_fixed_point():
         p += 1e-3
 
 
+# analyze_recursion's (k, epsilon, fixed_points, eta) as computed by the
+# earlier 4096-point grid scan with sign-change bisection, frozen as an
+# independent reference: epsilon runs over 0..1/2 in steps of 0.05 plus
+# beta_k times 0.5, 0.9, 0.99 and 1.01
+FROZEN_FIXED_POINTS = [
+    (3, 0.0, (0.0, 0.5), 0.0),
+    (3, 0.05, (0.05904144815590184, 0.5), 0.05904144815590184),
+    (3, 0.08333333333333333, (0.1127016653792583, 0.5), 0.1127016653792583),
+    (3, 0.1, (0.1464466094067265, 0.5), 0.1464466094067265),
+    (3, 0.15, (0.3110177634953857, 0.5), 0.3110177634953857),
+    (3, 0.16499999999999998, (0.43891527782184525, 0.5), 0.43891527782184525),
+    (3, 0.16833333333333333, (0.5,), None),
+    (3, 0.2, (0.5,), None),
+    (3, 0.25, (0.5,), None),
+    (3, 0.3, (0.5,), None),
+    (3, 0.35, (0.5,), None),
+    (3, 0.4, (0.5,), None),
+    (3, 0.45, (0.5,), None),
+    (3, 0.5, (0.5,), None),
+    (5, 0.0, (0.0, 0.5), 0.0),
+    (5, 0.05, (0.05111145569228581, 0.5), 0.05111145569228581),
+    (5, 0.1, (0.10866443003567694, 0.5), 0.10866443003567694),
+    (5, 0.11666666666666667, (0.13056280424668998, 0.5), 0.13056280424668998),
+    (5, 0.15, (0.18110146991196308, 0.5), 0.18110146991196308),
+    (5, 0.2, (0.29026523793919656, 0.5), 0.29026523793919656),
+    (5, 0.21000000000000002, (0.32293518894618467, 0.5), 0.32293518894618467),
+    (5, 0.231, (0.4428547030961205, 0.5), 0.4428547030961205),
+    (5, 0.23566666666666666, (0.5,), None),
+    (5, 0.25, (0.5,), None),
+    (5, 0.3, (0.5,), None),
+    (5, 0.35, (0.5,), None),
+    (5, 0.4, (0.5,), None),
+    (5, 0.45, (0.5,), None),
+    (5, 0.5, (0.5,), None),
+    (7, 0.0, (0.0, 0.5), 0.0),
+    (7, 0.05, (0.050176617288567815, 0.5), 0.050176617288567815),
+    (7, 0.1, (0.10238324568201085, 0.5), 0.10238324568201085),
+    (7, 0.1357142857142857, (0.1431676207817847, 0.5), 0.1431676207817847),
+    (7, 0.15, (0.16088785779898673, 0.5), 0.16088785779898673),
+    (7, 0.2, (0.23407165008219444, 0.5), 0.23407165008219444),
+    (7, 0.24428571428571427, (0.3314097717435427, 0.5), 0.3314097717435427),
+    (7, 0.25, (0.34956297360177, 0.5), 0.34956297360177),
+    (7, 0.2687142857142857, (0.4456418824145878, 0.5), 0.4456418824145878),
+    (7, 0.27414285714285713, (0.5,), None),
+    (7, 0.3, (0.5,), None),
+    (7, 0.35, (0.5,), None),
+    (7, 0.4, (0.5,), None),
+    (7, 0.45, (0.5,), None),
+    (7, 0.5, (0.5,), None),
+    (9, 0.0, (0.0, 0.5), 0.0),
+    (9, 0.05, (0.050029986638364665, 0.5), 0.050029986638364665),
+    (9, 0.1, (0.10073744294785092, 0.5), 0.10073744294785092),
+    (9, 0.1484126984126984, (0.1526956678787168, 0.5), 0.1526956678787168),
+    (9, 0.15, (0.15448960933027367, 0.5), 0.15448960933027367),
+    (9, 0.2, (0.2163019297317037, 0.5), 0.2163019297317037),
+    (9, 0.25, (0.29847631138769026, 0.5), 0.29847631138769026),
+    (9, 0.2671428571428571, (0.3379442780412245, 0.5), 0.3379442780412245),
+    (9, 0.2938571428571429, (0.44778470556797245, 0.5), 0.44778470556797245),
+    (9, 0.2997936507936508, (0.5,), None),
+    (9, 0.3, (0.5,), None),
+    (9, 0.35, (0.5,), None),
+    (9, 0.4, (0.5,), None),
+    (9, 0.45, (0.5,), None),
+    (9, 0.5, (0.5,), None),
+    (11, 0.0, (0.0, 0.5), 0.0),
+    (11, 0.05, (0.050005224362976275, 0.5), 0.050005224362976275),
+    (11, 0.1, (0.10023972070264042, 0.5), 0.10023972070264042),
+    (11, 0.15, (0.15199376892957117, 0.5), 0.15199376892957117),
+    (11, 0.15764790764790765, (0.16021829173517377, 0.5), 0.16021829173517377),
+    (11, 0.2, (0.2086217784870219, 0.5), 0.2086217784870219),
+    (11, 0.25, (0.27788180787606764, 0.5), 0.27788180787606764),
+    (11, 0.2837662337662338, (0.3432364420203107, 0.5), 0.3432364420203107),
+    (11, 0.3, (0.38974076579800165, 0.5), 0.38974076579800165),
+    (11, 0.31214285714285717, (0.44951712328256477, 0.5), 0.44951712328256477),
+    (11, 0.3184487734487734, (0.5,), None),
+    (11, 0.35, (0.5,), None),
+    (11, 0.4, (0.5,), None),
+    (11, 0.45, (0.5,), None),
+    (11, 0.5, (0.5,), None),
+    (21, 0.0, (0.0, 0.5), 0.0),
+    (21, 0.05, (0.050000000970288117, 0.5), 0.050000000970288117),
+    (21, 0.1, (0.10000108256914553, 0.5), 0.10000108256914553),
+    (21, 0.15, (0.1500492185555422, 0.5), 0.1500492185555422),
+    (21, 0.18243495410678073, (0.1827100746458341, 0.5), 0.1827100746458341),
+    (21, 0.2, (0.20059727792468296, 0.5), 0.20059727792468296),
+    (21, 0.25, (0.25360548497901325, 0.5), 0.25360548497901325),
+    (21, 0.3, (0.3150412796036792, 0.5), 0.3150412796036792),
+    (21, 0.3283829173922053, (0.36034587013973507, 0.5), 0.36034587013973507),
+    (21, 0.35, (0.40998888941578615, 0.5), 0.40998888941578615),
+    (21, 0.36122120913142586, (0.45511072327748714, 0.5), 0.45511072327748714),
+    (21, 0.3685186072956971, (0.5,), None),
+    (21, 0.4, (0.5,), None),
+    (21, 0.45, (0.5,), None),
+    (21, 0.5, (0.5,), None),
+    (41, 0.0, (0.0, 0.5), 0.0),
+    (41, 0.05, (0.050000000000000266, 0.5), 0.050000000000000266),
+    (41, 0.1, (0.10000000002908438, 0.5), 0.10000000002908438),
+    (41, 0.15, (0.15000004324398963, 0.5), 0.15000004324398963),
+    (41, 0.2, (0.20000501817452632, 0.5), 0.20000501817452632),
+    (41, 0.20136374306159988, (0.20136932478121095, 0.5), 0.20136932478121095),
+    (41, 0.25, (0.2501382551589262, 0.5), 0.2501382551589262),
+    (41, 0.3, (0.30152683098955624, 0.5), 0.30152683098955624),
+    (41, 0.35, (0.3597804409405412, 0.5), 0.3597804409405412),
+    (41, 0.3624547375108798, (0.377400596239307, 0.5), 0.377400596239307),
+    (41, 0.39870021126196775, (0.4607090442559638, 0.5), 0.4607090442559638),
+    (41, 0.4, (0.4676368128922892, 0.5), 0.4676368128922892),
+    (41, 0.40675476098443175, (0.5,), None),
+    (41, 0.45, (0.5,), None),
+    (41, 0.5, (0.5,), None),
+]
+
+
+@pytest.mark.parametrize("k,eps,points,eta", FROZEN_FIXED_POINTS)
+def test_fixed_points_match_frozen_grid_scan(k, eps, points, eta):
+    analysis = analyze_recursion(k, eps)
+    assert len(analysis.fixed_points) == len(points)
+    assert analysis.fixed_points == pytest.approx(points, abs=1e-12)
+    assert (analysis.eta is None) == (eta is None)
+    if eta is not None:
+        assert analysis.eta == pytest.approx(eta, abs=1e-12)
+
+
+def exact_majority_tail(k, p):
+    """P(majority of k independent p-flipped copies is wrong), exactly."""
+    q = Fraction(p)
+    a, b = q.numerator, q.denominator - q.numerator
+    # Horner in a over j = k, k-1, ..., k//2 + 1, carrying the power of b
+    total, b_power = 0, 1
+    for j in range(k, k // 2, -1):
+        total = total * a + math.comb(k, j) * b_power
+        b_power *= b
+    return Fraction(total * a ** (k // 2 + 1), q.denominator**k)
+
+
+@pytest.mark.parametrize("k", [1031, 2073])
+def test_recursion_matches_exact_tail_at_large_k(k):
+    # C(1031, 516) alone overflows a float; dyadic p keeps the exact sums small
+    for eps in (0.0, 0.1):
+        for p in (0.4375, 0.490234375, 0.499755859375, 0.5, 0.5625):
+            want = Fraction(eps) + (1 - 2 * Fraction(eps)) * exact_majority_tail(k, p)
+            assert maj_error_recursion(k, eps, p) == pytest.approx(float(want), rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [1031, 2073, 10001])
+def test_derivative_matches_exact_formula_at_large_k(k):
+    half = (k - 1) // 2
+    for eps in (0.0, 0.1):
+        for p in (0.49, 0.4997, 0.5):
+            q = Fraction(p)
+            want = (1 - 2 * Fraction(eps)) * k * math.comb(k - 1, half) * (q * (1 - q)) ** half
+            assert recursion_derivative(k, eps, p) == pytest.approx(float(want), rel=1e-12)
+
+
+def test_small_violation_witness_restores():
+    witness = min_k_for_violation("0.005")
+    eps = float(witness.epsilon)
+    analysis = analyze_recursion(witness.k, eps)
+    eta = analysis.eta
+    assert eta is not None and eta < 0.5
+    assert analysis.fixed_points == (eta, 0.5)
+    assert abs(maj_error_recursion(witness.k, eps, eta) - eta) <= 1e-12
+    assert recursion_derivative(witness.k, eps, eta) < 1.0
+
+
 def test_recursion_validation():
     with pytest.raises(ValueError):
         maj_error_recursion(3, 0.6, 0.1)

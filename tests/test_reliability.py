@@ -616,7 +616,7 @@ READOUT_PROBABILITIES = (0.0, 1e-9, 0.3, 0.5 - 1e-6, 0.6, 1.0)
 def test_readout_tail_matches_exact_tail(width):
     for p in READOUT_PROBABILITIES:
         want = float(exact_readout_error(width, p))
-        got = reliability._majority_readout_error(width, p)
+        got = gates.majority_error(width, p)
         # below the normal float range only an absolute comparison is meaningful
         assert got == pytest.approx(want, rel=1e-12, abs=sys.float_info.min)
 
@@ -624,6 +624,6 @@ def test_readout_tail_matches_exact_tail(width):
 @pytest.mark.parametrize("width", [2187, 10001])
 def test_readout_tail_is_stable_at_large_width(width):
     # C(2187, 1093) alone overflows a float
-    values = [reliability._majority_readout_error(width, p) for p in READOUT_PROBABILITIES]
+    values = [gates.majority_error(width, p) for p in READOUT_PROBABILITIES]
     assert all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in values)
     assert values == sorted(values)
