@@ -277,6 +277,7 @@ def recursion_derivative(k: int, epsilon: float, p: float) -> float:
     Written as C(k-1,h)/4^h times (4p(1-p))^h: the first factor is an exact
     integer ratio and neither exceeds 1, so nothing overflows.
     """
+    maj_error_recursion(k, epsilon, 0.0)  # validates k and epsilon
     half = (k - 1) // 2
     return (
         (1.0 - 2.0 * epsilon)

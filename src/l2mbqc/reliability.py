@@ -10,10 +10,13 @@ bundle with the wire permutation that feeds that input.
 Every error model runs on one stage walk, ``_walk``, which tracks the true
 logical values and hands each stage's gate and true input index to the
 model's step; the step maps how wrong the read bundles are to how wrong the
-target is. The independence model's state is one wire's error probability,
-with the wires of a bundle assumed independent. The seeded wire-level Monte
-Carlo's state is the set of wrong wires under the circuit's fixed wiring,
-which quantifies how much that assumption leaks.
+target is. The walk takes a batch of inputs at once and groups them by each
+bundle's (true value, state), so a step runs once per distinct (stage, true
+index, read states): the sweep over all 2^n inputs is one walk. The
+independence model's state is one wire's error probability, with the wires
+of a bundle assumed independent. The seeded wire-level Monte Carlo's state
+is the set of wrong wires under the circuit's fixed wiring, walked one
+input at a time; it quantifies how much that assumption leaks.
 
 The Monte Carlo sampler is bit-sliced: 64 trials ride in one uint64 word,
 and trials run in blocks of ``BLOCK`` = 1024. Block b draws all its gate
@@ -301,32 +304,59 @@ def build(
 # ---------------------------------------------------------------------------
 # the stage walk
 
-def _walk(circuit: ReliableCircuit, x: tuple[int, ...], clean, step):
-    """Run every stage on input bits ``x``; return the output bundle's true
-    value and state.
+def _walk(circuit: ReliableCircuit, xs: Sequence[tuple[int, ...]], clean, step):
+    """Run every stage on the batch of input bit tuples ``xs`` at once; return
+    the output bundle's ``(classes, outcomes)``.
 
     A bundle's state is an error model's account of how wrong it is; input
-    bundles start ``clean``. Stage s applies ``gate`` at true input index
-    ``idx``, and ``step(s, stage, gate, idx, reads)`` maps the states of its
-    reads, in gate-input order, to the target's state. A bundle is dropped
-    after its last read.
+    bundles start ``clean``. A live bundle splits the batch into classes:
+    ``outcomes`` holds one (true value, state) per class and ``classes`` each
+    input's class id, or None when one class holds the whole batch. Stage s
+    calls ``step(s, stage, gate, idx, reads, count)`` once per combination of
+    its sources' classes, which ``count`` inputs share; the step maps the
+    read states, in gate-input order, at true input index ``idx`` to the
+    target's state. Equal (value, state) merge into one class, so a step runs
+    once per distinct (stage, true index, read states), and a batch of one
+    never compares states. A bundle is dropped after its last read.
     """
-    if len(x) != circuit.formula.n_inputs:
+    if any(len(x) != circuit.formula.n_inputs for x in xs):
         raise ValueError("one bit per formula input required")
-    value = dict(zip(circuit.input_bundles, x))
-    state = dict.fromkeys(circuit.input_bundles, clean)
+    live = {}  # bundle -> (classes, outcomes)
+    for b, bits in zip(circuit.input_bundles, zip(*xs)):
+        split = len(set(bits)) > 1
+        live[b] = (np.array(bits), [(0, clean), (1, clean)]) if split else (None, [(bits[0], clean)])
     gate_of = {"restore": circuit.kmaj, "compute": circuit.xnand}
     for s, stage in enumerate(circuit.stages):
         gate = gate_of[stage.kind]
-        idx, reads = 0, []
-        for i, (src, _) in enumerate(stage.reads):
-            idx |= value[src] << i
-            reads.append(state[src])
-        value[stage.target] = gate.target.table[idx]
-        state[stage.target] = step(s, stage, gate, idx, reads)
+        # the distinct sources whose inputs fall into more than one class (none for one input)
+        split = list({src: 0 for src, _ in stage.reads if live[src][0] is not None}) if len(xs) > 1 else []
+        codes, inverse, counts = [0], None, [len(xs)]
+        if split:  # a mixed-radix code per input, first split source least significant
+            code = 0
+            for src in reversed(split):
+                code = code * len(live[src][1]) + live[src][0]
+            codes, inverse, counts = np.unique(code, return_inverse=True, return_counts=True)
+            codes, counts = codes.tolist(), counts.tolist()
+        outs = []
+        for combo, count in zip(codes, counts):
+            pick = {}
+            for src in split:
+                combo, pick[src] = divmod(combo, len(live[src][1]))
+            idx, reads = 0, []
+            for i, (src, _) in enumerate(stage.reads):
+                v, state = live[src][1][pick.get(src, 0)]
+                idx |= v << i
+                reads.append(state)
+            outs.append((gate.target.table[idx], step(s, stage, gate, idx, reads, count)))
+        if len(outs) > 1:
+            index: dict = {}
+            remap = [index.setdefault(out, len(index)) for out in outs]
+            outs = list(index)
+            inverse = np.array(remap)[inverse] if len(outs) > 1 else None
+        live[stage.target] = (inverse, outs)
         for src in circuit.dead_after[s]:
-            del value[src], state[src]
-    return value[circuit.output_bundle], state[circuit.output_bundle]
+            del live[src]
+    return live[circuit.output_bundle]
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +411,28 @@ class AnalyticResult:
     warnings: tuple[str, ...]
 
 
+def _independence_walk(circuit: ReliableCircuit, xs: Sequence[tuple[int, ...]]):
+    """``_walk`` under the independence model (see ``simulate_analytic``), plus
+    each per-stage warning with the number of inputs that raised it, in stage
+    order, and the trajectory of every step run."""
+    restore_eps = circuit.kmaj.epsilon
+    tripped: dict[str, int] = {}
+    trajectory: list[tuple[int, str, int, float]] = []
+
+    def step(s: int, stage: Stage, gate: NoisyGate, idx: int, reads: list[float], count: int):
+        if stage.kind == "compute" and abs(reads[0] - reads[1]) > EQUAL_ERROR_SLACK:
+            w = f"stage {s}: operand errors differ beyond the equal-error slack {EQUAL_ERROR_SLACK}"
+            tripped[w] = tripped.get(w, 0) + count
+        if stage.kind == "restore" and restore_eps is not None:
+            p = maj_error_recursion(circuit.kmaj.k, restore_eps, reads[0])
+        else:
+            p = _gate_error(gate, idx, _wires(stage, reads, circuit.width))
+        trajectory.append((s, stage.kind, stage.target, p))
+        return p
+
+    return _walk(circuit, xs, 0.0, step), tripped, trajectory
+
+
 def simulate_analytic(circuit: ReliableCircuit, x: Sequence[int]) -> AnalyticResult:
     """Propagate per-bundle error probabilities stage by stage for one input.
 
@@ -391,28 +443,13 @@ def simulate_analytic(circuit: ReliableCircuit, x: Sequence[int]) -> AnalyticRes
     gate with one error on every input uses the closed majority recursion.
     """
     x = tuple(int(b) & 1 for b in x)
-    restore_eps = circuit.kmaj.epsilon
-    warnings: list[str] = []
-    trajectory: list[tuple[int, str, int, float]] = []
-
-    def step(s: int, stage: Stage, gate: NoisyGate, idx: int, reads: list[float]) -> float:
-        if stage.kind == "compute" and abs(reads[0] - reads[1]) > EQUAL_ERROR_SLACK:
-            warnings.append(f"stage {s}: operand errors differ beyond the equal-error "
-                            f"slack {EQUAL_ERROR_SLACK}")
-        if stage.kind == "restore" and restore_eps is not None:
-            p = maj_error_recursion(circuit.kmaj.k, restore_eps, reads[0])
-        else:
-            p = _gate_error(gate, idx, _wires(stage, reads, circuit.width))
-        trajectory.append((s, stage.kind, stage.target, p))
-        return p
-
-    value, p = _walk(circuit, x, 0.0, step)
+    (_, [(value, p)]), tripped, trajectory = _independence_walk(circuit, [x])
     return AnalyticResult(
         x=x,
         value=value,
         logical_error=majority_error(circuit.width, p),
         trajectory=tuple(trajectory),
-        warnings=tuple(warnings),
+        warnings=tuple(tripped),
     )
 
 
@@ -530,7 +567,7 @@ def _wrong_trials(
     # per stage, fixed by x: its index among its kind, its wrongness and flip keys
     plan: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
 
-    def prepare(s: int, stage: Stage, gate: NoisyGate, idx: int, reads: list) -> None:
+    def prepare(s: int, stage: Stage, gate: NoisyGate, idx: int, reads: list, count: int) -> None:
         table, flips, _ = gate_keys[stage.kind]
         plan.append((
             kind_count[stage.kind],
@@ -539,7 +576,7 @@ def _wrong_trials(
         ))
         kind_count[stage.kind] += 1
 
-    _walk(circuit, x, None, prepare)
+    _walk(circuit, [x], None, prepare)
 
     def run_block(block: int) -> np.ndarray:
         bitgen = np.random.Philox(np.random.SeedSequence([seed, x_key, block]))
@@ -549,7 +586,7 @@ def _wrong_trials(
             for kind, n in kind_count.items()
         }
 
-        def step(s: int, stage: Stage, gate: NoisyGate, idx: int, reads: list[np.ndarray]):
+        def step(s: int, stage: Stage, gate: NoisyGate, idx: int, reads: list[np.ndarray], count: int):
             i, wrong_keys, flip_keys = plan[s]
             kind_masks = masks[stage.kind]
             es = [r if perm is None else r[perm] for r, (_, perm) in zip(reads, stage.reads)]
@@ -561,7 +598,7 @@ def _wrong_trials(
                 return ~wrong if flip else wrong
             return wrong ^ flip
 
-        _, wrong_wires = _walk(circuit, x, clean, step)
+        _, [(_, wrong_wires)] = _walk(circuit, [x], clean, step)
         lanes = np.unpackbits(
             wrong_wires.astype("<u8", copy=False).view(np.uint8), axis=1, bitorder="little"
         )
@@ -682,33 +719,25 @@ def build_report(
     n = circuit.formula.n_inputs
     if n > BRUTE_FORCE_ARITY_CAP:
         raise ValueError(f"formula has {n} inputs, above cap {BRUTE_FORCE_ARITY_CAP}")
-    errors: dict[tuple[int, ...], float] = {}
-    tripped: dict[str, int] = {}  # per-stage warning -> inputs that raised it
-    for idx in range(1 << n):
-        x = tuple((idx >> j) & 1 for j in range(n))
-        res = simulate_analytic(circuit, x)
-        errors[x] = res.logical_error
-        for w in res.warnings:
-            tripped[w] = tripped.get(w, 0) + 1
+    xs = [x[::-1] for x in itertools.product((0, 1), repeat=n)]  # bit j of index i is x[j]
+    (classes, outcomes), tripped, _ = _independence_walk(circuit, xs)
+    class_errors = [majority_error(circuit.width, p) for _, p in outcomes]
+    per_input = [0] * len(xs) if classes is None else classes.tolist()
+    errors = {x: class_errors[c] for x, c in zip(xs, per_input)}
 
     worst_x = max(errors, key=errors.get)
-    mc: dict[tuple[int, ...], MonteCarloResult] = {}
-    if trials is not None:
-        selected = [worst_x] if mc_inputs == "worst" else list(errors)
-        for x in selected:
-            mc[x] = simulate_monte_carlo(circuit, x, trials, seed)
+    sampled = [] if trials is None else [worst_x] if mc_inputs == "worst" else list(errors)
+    mc = {x: simulate_monte_carlo(circuit, x, trials, seed) for x in sampled}
 
     rows = tuple(
         InputRow(
             x=x,
-            analytic_error=err,
+            analytic_error=errors[x],
             empirical_error=mc[x].empirical_error if x in mc else None,
             ci_halfwidth=mc[x].ci_halfwidth if x in mc else None,
         )
-        for x, err in sorted(errors.items())
+        for x in itertools.product((0, 1), repeat=n)  # sorted order
     )
-    # every per-stage warning reads "stage <s>: ..."; list them in stage order
-    stage_lines = sorted(tripped, key=lambda w: int(w[len("stage "):w.index(":")]))
     delta = errors[worst_x]
     return SimulationReport(
         rows=rows,
@@ -717,5 +746,5 @@ def build_report(
         margin=margin,
         reliable=_certified(delta, rows, margin),
         warnings=tuple(sorted(circuit.warnings))
-        + tuple(f"{w} on {tripped[w]} of {1 << n} inputs" for w in stage_lines),
+        + tuple(f"{w} on {count} of {1 << n} inputs" for w, count in tripped.items()),
     )

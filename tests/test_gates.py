@@ -449,3 +449,15 @@ def test_recursion_validation():
         maj_error_recursion(3, 0.1, 1.2)
     with pytest.raises(ValueError):
         majority_flip_probability(4, 0.1)
+
+
+@pytest.mark.parametrize(
+    "k, eps, p", [(4, 0.1, 0.3), (0, 0.1, 0.3), (-1, 0.1, 0.3), (3, 0.7, 0.3), (3, -0.1, 0.3)]
+)
+def test_derivative_rejects_what_the_recursion_rejects(k, eps, p):
+    # an even k has no majority recursion, and an epsilon above 1/2 gives a
+    # negative slope; both used to return a number
+    with pytest.raises(ValueError):
+        maj_error_recursion(k, eps, p)
+    with pytest.raises(ValueError):
+        recursion_derivative(k, eps, p)

@@ -448,6 +448,16 @@ def test_shorter_runs_are_prefixes_of_longer_ones():
         assert round(mc.empirical_error * n) == int(wrong[:n].sum())
 
 
+def test_sampled_value_is_pinned_on_the_three_level_tree():
+    # frozen under MC_STREAM = "bitsliced-philox-v1": a change to the stage
+    # walk or the draws would move it
+    assert reliability.MC_STREAM == "bitsliced-philox-v1"
+    kmaj, xnand = chsh_gates()
+    circ = build(parse_formula(TREE3), 81, 3, 2, xnand=xnand, kmaj=kmaj, seed=7)
+    mc = simulate_monte_carlo(circ, (1, 1, 1, 1, 1, 0, 1, 0), trials=1024, seed=5)
+    assert mc.empirical_error == 542 / 1024
+
+
 def test_monte_carlo_memory_does_not_grow_with_trials():
     kmaj, xnand = chsh_gates()
     circ = build(parse_formula(TREE3), 81, 3, 2, xnand=xnand, kmaj=kmaj, seed=7)
@@ -565,10 +575,10 @@ def test_build_report_checks_arguments_before_the_sweep(monkeypatch, text, kwarg
     kmaj, xnand = perfect_gates()
     circ = build(parse_formula(text), 9, 3, 0, xnand=xnand, kmaj=kmaj, seed=1)
 
-    def no_sweep(circuit, x):
+    def no_sweep(*args):
         raise AssertionError("analytic sweep ran before the argument check")
 
-    monkeypatch.setattr(reliability, "simulate_analytic", no_sweep)
+    monkeypatch.setattr(reliability, "_walk", no_sweep)
     with pytest.raises(ValueError, match=message):
         build_report(circ, **kwargs)
 
@@ -592,6 +602,116 @@ def test_report_summary_fields():
     summary = report.summary()
     assert set(summary) == {"delta", "worst_input", "margin", "reliable", "warnings"}
     assert summary["worst_input"] in {"00", "01", "10", "11"}
+
+
+# ---------------------------------------------------------------------------
+# the batch sweep against per-input walks
+
+def per_input_report(circ):
+    """What ``build_report`` must give, from one ``simulate_analytic`` per
+    input: rows, delta, worst input and warning lines."""
+    n = circ.formula.n_inputs
+    errors, tripped = {}, {}
+    for i in range(1 << n):
+        x = tuple((i >> j) & 1 for j in range(n))
+        res = simulate_analytic(circ, x)
+        errors[x] = res.logical_error
+        for w in res.warnings:
+            tripped[w] = tripped.get(w, 0) + 1
+    worst = max(errors, key=errors.get)
+    lines = sorted(tripped, key=lambda w: int(w[len("stage "):w.index(":")]))
+    warnings = tuple(sorted(circ.warnings)) + tuple(
+        f"{w} on {tripped[w]} of {1 << n} inputs" for w in lines
+    )
+    return sorted(errors.items()), errors[worst], worst, warnings
+
+
+def assert_report_matches_per_input(circ):
+    report = build_report(circ, margin=0.05)
+    rows, delta, worst, warnings = per_input_report(circ)
+    assert [(r.x, r.analytic_error) for r in report.rows] == rows
+    assert report.delta == delta
+    assert report.worst_input == worst
+    assert report.warnings == warnings
+
+
+@st.composite
+def fanout_formulas(draw, max_inputs=6):
+    """A random NAND formula over at most ``max_inputs`` inputs in which
+    inputs may fan out, with at least one ``(nand v v)``."""
+    names = "abcdef"[: draw(st.integers(1, max_inputs))]
+    leaves = [draw(st.sampled_from(names)) for _ in range(draw(st.integers(1, 6)))]
+    twin = draw(st.integers(0, len(leaves) - 1))
+    leaves[twin] = f"(nand {leaves[twin]} {leaves[twin]})"
+    while len(leaves) > 1:
+        i = draw(st.integers(0, len(leaves) - 2))
+        leaves[i:i + 2] = [f"(nand {leaves[i]} {leaves[i + 1]})"]
+    return leaves[0]
+
+
+@functools.lru_cache(maxsize=None)
+def ghz_majority(k, eps):
+    return gates.kmaj_from_noisy_ghz(k, eps)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    text=fanout_formulas(),
+    width=st.sampled_from([1, 3, 9]),
+    rounds=st.integers(0, 2),
+    restore=st.sampled_from(["ghz", "chsh", "drawn"]),
+    eps=st.sampled_from([0.0, 0.05, 0.12]),
+    restore_errors=st.tuples(*[st.sampled_from([0.0, 0.02, 0.1, 0.3])] * 8),
+    seed=st.integers(0, 3),
+)
+def test_batch_sweep_equals_per_input_walks(
+    text, width, rounds, restore, eps, restore_errors, seed
+):
+    # the sweep walks every input at once and merges equal bundle states;
+    # the per-input walks must agree with it exactly, warnings included.
+    # "chsh" is uniform (sin^2(pi/8) on every input); "drawn" is not, so its
+    # restores run the gate-error enumeration
+    k = 1 if width == 1 else 3
+    if restore == "ghz":
+        kmaj = ghz_majority(k, eps)
+    elif restore == "chsh" and k == 3:
+        kmaj = maj3_from_and(chsh_and_gate())
+    else:
+        kmaj = gates.NoisyGate(make_named("maj", k), restore_errors[: 1 << k])
+    xnand = xnand_from_and(chsh_and_gate())
+    circ = build(parse_formula(text), width, k, rounds, xnand=xnand, kmaj=kmaj, seed=seed)
+    assert_report_matches_per_input(circ)
+
+
+def test_readme_report_equals_per_input_walks():
+    kmaj, xnand = chsh_gates()
+    circ = build(parse_formula(TREE3), 81, 3, 8, xnand=xnand, kmaj=kmaj, seed=7)
+    assert_report_matches_per_input(circ)
+
+
+def test_sweep_runs_each_step_once_per_distinct_state(monkeypatch):
+    # TREE3 at W=81, r=2 has 256 inputs and 37 stages, but only 312
+    # distinct (stage, true index, read states); each stage's steps share
+    # out all 256 inputs between them
+    kmaj, xnand = chsh_gates()
+    circ = build(parse_formula(TREE3), 81, 3, 2, xnand=xnand, kmaj=kmaj, seed=7)
+    calls = []
+    walk = reliability._walk
+
+    def counting_walk(circuit, xs, clean, step):
+        def counted(s, stage, gate, idx, reads, count):
+            calls.append((s, count))
+            return step(s, stage, gate, idx, reads, count)
+
+        return walk(circuit, xs, clean, counted)
+
+    monkeypatch.setattr(reliability, "_walk", counting_walk)
+    build_report(circ, margin=0.05)
+    assert len(calls) == 312
+    inputs_per_stage = [0] * len(circ.stages)
+    for s, count in calls:
+        inputs_per_stage[s] += count
+    assert inputs_per_stage == [256] * len(circ.stages)
 
 
 # ---------------------------------------------------------------------------
