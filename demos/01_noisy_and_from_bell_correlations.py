@@ -42,5 +42,5 @@ gate = chsh_and_gate()
 print()
 print("as a noisy gate:")
 print(f"  error table: {[round(e, 9) for e in gate.errors]}")
-print(f"  input-independent: {gate.is_epsilon_noisy} (epsilon = {gate.epsilon:.9f})")
+print(f"  input-independent: {gate.epsilon is not None} (epsilon = {gate.epsilon:.9f})")
 print(f"  epsilon = sin^2(pi/8) = {math.sin(math.pi / 8) ** 2:.9f}")

@@ -4,97 +4,32 @@ Simulate correlation boxes exactly, run them under parity-only classical
 processing, compile Boolean functions to deterministic GHZ measurement
 programs, certify contextuality through average-error inequalities, and
 assemble reliable circuits from noisy majority and XNAND gates.
+
+The package root re-exports what the demos use; the full API lives in the
+modules ``boolfn``, ``corrbox``, ``mbqc``, ``ghzc``, ``gates`` and
+``reliability``.
 """
 
-from .boolfn import (
-    AffineForm,
-    BooleanFunction,
-    ParityExpansion,
-    affine_distance,
-    kmaj_nonlinearity,
-    make_named,
-    nonlinearity,
-    parity_expansion,
-)
-from .corrbox import (
-    BipartiteBox,
-    GhzBox,
-    NoncontextualBox,
-    OutcomeDistribution,
-    chsh_and_box,
-    distribution,
-    ghz_parity_probability,
-    noncontextual_and_box,
-    statevector_oracle,
-)
-from .gates import (
-    NoisyGate,
-    RecursionAnalysis,
-    Threshold,
-    analyze_recursion,
-    beta,
-    chsh_and_gate,
-    eta_by_iteration,
-    gap,
-    kmaj_from_noisy_ghz,
-    maj3_from_and,
-    maj_error_recursion,
-    min_k_for_violation,
-    noncontextual_and_gate,
-    xnand_from_and,
-)
-from .ghzc import GhzProgram, compile_function, run_as_l2program, verify
+from .boolfn import make_named
+from .corrbox import chsh_and_box, distribution, statevector_oracle
+from .gates import analyze_recursion, chsh_and_gate, eta_by_iteration, min_k_for_violation
+from .ghzc import compile_function, run_as_l2program, verify
 from .mbqc import (
-    AffineBitMap,
-    Certificate,
-    L2Program,
-    StrategyReport,
     best_noncontextual_error,
     chsh_and_program,
     contextuality_certificate,
     noncontextual_and_program,
     run_exact,
 )
-from .reliability import (
-    FormulaDag,
-    ReliableCircuit,
-    SimulationReport,
-    build,
-    build_report,
-    certify,
-    parse_formula,
-    simulate_analytic,
-    simulate_monte_carlo,
-)
+from .reliability import build, build_report, parse_formula, simulate_monte_carlo
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineBitMap",
-    "AffineForm",
-    "BipartiteBox",
-    "BooleanFunction",
-    "Certificate",
-    "FormulaDag",
-    "GhzBox",
-    "GhzProgram",
-    "L2Program",
-    "NoisyGate",
-    "NoncontextualBox",
-    "OutcomeDistribution",
-    "ParityExpansion",
-    "RecursionAnalysis",
-    "ReliableCircuit",
-    "SimulationReport",
-    "StrategyReport",
-    "Threshold",
-    "affine_distance",
     "analyze_recursion",
     "best_noncontextual_error",
-    "beta",
     "build",
     "build_report",
-    "certify",
     "chsh_and_box",
     "chsh_and_gate",
     "chsh_and_program",
@@ -102,23 +37,12 @@ __all__ = [
     "contextuality_certificate",
     "distribution",
     "eta_by_iteration",
-    "gap",
-    "ghz_parity_probability",
-    "kmaj_from_noisy_ghz",
-    "kmaj_nonlinearity",
-    "maj3_from_and",
-    "maj_error_recursion",
     "make_named",
     "min_k_for_violation",
-    "noncontextual_and_box",
-    "noncontextual_and_gate",
     "noncontextual_and_program",
-    "nonlinearity",
-    "parity_expansion",
     "parse_formula",
     "run_as_l2program",
     "run_exact",
-    "simulate_analytic",
     "simulate_monte_carlo",
     "statevector_oracle",
     "verify",

@@ -20,6 +20,12 @@ import numpy as np
 BRUTE_FORCE_ARITY_CAP = 16
 
 
+def index_bits(value: int, width: int) -> tuple[int, ...]:
+    """The low ``width`` bits of value, least-significant first: the input
+    whose table index is value."""
+    return tuple((value >> j) & 1 for j in range(width))
+
+
 @dataclass(frozen=True)
 class BooleanFunction:
     """Truth table of an n-bit Boolean function."""
@@ -40,10 +46,7 @@ class BooleanFunction:
     @classmethod
     def from_callable(cls, arity: int, fn: Callable[..., int]) -> "BooleanFunction":
         """Tabulate ``fn(x1, ..., xn)`` over all inputs."""
-        table = tuple(
-            int(fn(*((i >> j) & 1 for j in range(arity)))) & 1
-            for i in range(1 << arity)
-        )
+        table = tuple(int(fn(*index_bits(i, arity))) & 1 for i in range(1 << arity))
         return cls(arity, table)
 
     def index_of(self, x: Iterable[int]) -> int:
@@ -56,11 +59,6 @@ class BooleanFunction:
         if len(x) == 1 and not isinstance(x[0], int):
             x = tuple(x[0])
         return self.table[self.index_of(x)]
-
-
-def evaluate(f: BooleanFunction, x: Iterable[int]) -> int:
-    """Look up f at an explicit input bit sequence."""
-    return f.table[f.index_of(x)]
 
 
 @dataclass(frozen=True)
@@ -186,11 +184,11 @@ def index_parity(n: int) -> np.ndarray:
     return parity
 
 
-def nonlinearity(f: BooleanFunction, *, affine: bool = True) -> int:
-    """Minimum distance from f to any affine form (or strictly linear one).
+def nonlinearity(f: BooleanFunction) -> int:
+    """Minimum distance from f to any affine form.
 
-    With ``affine=True`` (default) the constant-1 offset is allowed, matching
-    what a parity-limited control computer can add for free.
+    The constant-1 offset is allowed, matching what a parity-limited control
+    computer can add for free.
     """
     if f.arity > BRUTE_FORCE_ARITY_CAP:
         raise ValueError(
@@ -198,12 +196,7 @@ def nonlinearity(f: BooleanFunction, *, affine: bool = True) -> int:
         )
     # signed spectrum W(a) = sum_x (-1)^(f(x) xor a.x)
     spectrum = walsh(1 - 2 * np.asarray(f.table, dtype=np.int64))
-    n_points = 1 << f.arity
-    if affine:
-        best = int(np.max(np.abs(spectrum)))
-    else:
-        best = int(np.max(spectrum))
-    return (n_points - best) // 2
+    return ((1 << f.arity) - int(np.max(np.abs(spectrum)))) // 2
 
 
 def kmaj_nonlinearity(k: int) -> int:
@@ -232,9 +225,6 @@ class ParityExpansion:
             sign = -1 if (mask & i).bit_count() & 1 else 1
             total += coeff * sign
         return total
-
-    def nonzero(self) -> dict[int, Fraction]:
-        return {m: c for m, c in self.coefficients.items() if c != 0}
 
 
 def parity_expansion(f: BooleanFunction) -> ParityExpansion:
@@ -293,5 +283,4 @@ def from_text(text: str) -> BooleanFunction:
     size = 1 << arity
     if value >= (1 << size):
         raise ValueError(f"line {tab_no}: table has more than 2^{arity} bits")
-    table = tuple((value >> i) & 1 for i in range(size))
-    return BooleanFunction(arity, table)
+    return BooleanFunction(arity, index_bits(value, size))

@@ -49,10 +49,6 @@ class NoisyGate:
             return self.errors[0]
         return None
 
-    @property
-    def is_epsilon_noisy(self) -> bool:
-        return self.epsilon is not None
-
 
 def uniform_noisy_gate(target: BooleanFunction, epsilon: float) -> NoisyGate:
     return NoisyGate(target, (float(epsilon),) * (1 << target.arity))
@@ -65,7 +61,7 @@ def perfect_gate(target: BooleanFunction) -> NoisyGate:
 def gate_from_report(target: BooleanFunction, report: mbqc.StrategyReport) -> NoisyGate:
     errors = [0.0] * (1 << target.arity)
     for x, p in report.success.items():
-        errors[sum(b << j for j, b in enumerate(x))] = 1.0 - p
+        errors[target.index_of(x)] = 1.0 - p
     return NoisyGate(target, tuple(errors))
 
 
@@ -255,20 +251,15 @@ def _binomial_upper_tail(n: int, p: float, m: int) -> float:
     return math.fsum(terms)
 
 
-def majority_flip_probability(k: int, p: float) -> float:
-    """Probability that the majority of k independent p-flipped copies is wrong."""
-    if k < 1 or k % 2 == 0:
-        raise ValueError(f"majority needs odd k, got {k}")
-    return majority_error(k, p)
-
-
 def maj_error_recursion(k: int, epsilon: float, p: float) -> float:
     """One restoring step: p' = eps + (1 - 2 eps) P[majority of k wrong]."""
+    if k < 1 or k % 2 == 0:
+        raise ValueError(f"majority needs odd k, got {k}")
     if not 0.0 <= epsilon <= 0.5:
         raise ValueError(f"epsilon {epsilon} outside [0, 1/2]")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p {p} outside [0, 1]")
-    return epsilon + (1.0 - 2.0 * epsilon) * majority_flip_probability(k, p)
+    return epsilon + (1.0 - 2.0 * epsilon) * majority_error(k, p)
 
 
 def recursion_derivative(k: int, epsilon: float, p: float) -> float:

@@ -15,9 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import BooleanFunction, parity_expansion, walsh
+from .boolfn import BooleanFunction, index_bits, parity_expansion, walsh
 from .corrbox import STATEVECTOR_QUBIT_CAP, GhzBox, statevector_oracle
-from .mbqc import AffineBitMap, L2Program, _bits, constant_program
+from .mbqc import AffineBitMap, L2Program, constant_program
 
 COMPILE_ARITY_CAP = 10
 SUCCESS_TOL = 1e-10
@@ -66,23 +66,21 @@ class GhzProgram:
         return total
 
 
-def compile_function(f: BooleanFunction, *, pad: bool = False) -> GhzProgram:
+def compile_function(f: BooleanFunction) -> GhzProgram:
     """Derive increments from the parity expansion: delta_T = -2 c_T.
 
     Subsets with zero coefficient are dropped (the qubit bound is "at
-    most"); ``pad`` keeps them with zero increments for conformance
-    experiments at exactly 2^n - 1 qubits.
+    most").
     """
     if f.arity > COMPILE_ARITY_CAP:
         raise ValueError(f"arity {f.arity} above compile cap {COMPILE_ARITY_CAP}")
-    expansion = parity_expansion(f)
-    qubits = []
-    for mask in range(1, 1 << f.arity):
-        coeff = expansion.coefficients[mask]
-        if coeff == 0 and not pad:
-            continue
-        qubits.append(QubitSpec(mask=mask, delta=-2 * coeff))
-    return GhzProgram(n=f.arity, qubits=tuple(qubits), constant=f.table[0])
+    coefficients = parity_expansion(f).coefficients
+    qubits = tuple(
+        QubitSpec(mask=mask, delta=-2 * coefficients[mask])
+        for mask in range(1, 1 << f.arity)
+        if coefficients[mask] != 0
+    )
+    return GhzProgram(n=f.arity, qubits=qubits, constant=f.table[0])
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +136,7 @@ def verify(
     if use_statevector and program.n_qubits > 0:
         box = run_as_l2program(program).boxes[0]
     for x_idx in range(1 << program.n):
-        x = _bits(x_idx, program.n)
+        x = index_bits(x_idx, program.n)
         want = f.table[x_idx] ^ program.constant
         # 2 D ((S(x) - want) mod 2)
         residue = (twice_phase[x_idx] - 2 * denom * want) % (4 * denom)

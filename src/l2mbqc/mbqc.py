@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from . import corrbox
-from .boolfn import BooleanFunction, index_parity, nonlinearity
+from .boolfn import BooleanFunction, index_bits, index_parity, nonlinearity
 from .corrbox import (
     BipartiteBox,
     CorrelationBox,
@@ -104,11 +104,6 @@ def _collapsible(program: L2Program, i: int, start: int) -> bool:
     return all((m.out_mask & segment) in (0, segment) for m in later)
 
 
-def _bits(value: int, width: int) -> tuple[int, ...]:
-    """The low ``width`` bits of value, least-significant first (table order)."""
-    return tuple((value >> j) & 1 for j in range(width))
-
-
 def _outcome_table(
     box: CorrelationBox, inputs: Iterable[np.ndarray], n_inputs: int
 ) -> np.ndarray:
@@ -122,14 +117,12 @@ def _outcome_table(
         code |= b.astype(np.int64) << j
     columns, column_of_x = np.unique(code, return_inverse=True)
     table = np.stack([
-        corrbox.distribution(box, _bits(c, k)).probs for c in columns.tolist()
+        corrbox.distribution(box, index_bits(c, k)).probs for c in columns.tolist()
     ])
     return table[column_of_x.reshape(-1)]
 
 
-def run_exact(
-    program: L2Program, target: BooleanFunction, *, path_cap: int = PATH_CAP
-) -> StrategyReport:
+def run_exact(program: L2Program, target: BooleanFunction) -> StrategyReport:
     """Enumerate all outcome paths exactly and score z against the target.
 
     Every input is evaluated at once: each path is the packed outputs of the
@@ -137,7 +130,7 @@ def run_exact(
     every input x. Boxes whose outputs are consumed only through their full
     parity are replaced by a single parity bit, stored at the box's first
     output position, with its closed-form distribution; this keeps compiled
-    many-qubit programs tractable. ``path_cap`` bounds paths x inputs, the
+    many-qubit programs tractable. ``PATH_CAP`` bounds paths x inputs, the
     number of probabilities held at once.
     """
     if program.n != target.arity:
@@ -149,9 +142,9 @@ def run_exact(
     cells = n_inputs
     for size, parity_only in zip(sizes, collapsed):
         cells *= 2 if parity_only else 1 << size
-        if cells > path_cap:
+        if cells > PATH_CAP:
             raise ValueError(
-                f"exact evaluation needs more than {path_cap} paths x inputs"
+                f"exact evaluation needs more than {PATH_CAP} paths x inputs"
             )
 
     x = np.arange(n_inputs)
@@ -181,7 +174,7 @@ def run_exact(
     good = np.zeros(n_inputs)
     for outs, prob in paths:
         good += prob * (bit(program.output_map, outs) == want)
-    keys = (_bits(x_idx, program.n) for x_idx in range(n_inputs))
+    keys = (index_bits(x_idx, program.n) for x_idx in range(n_inputs))
     success = dict(zip(keys, good.tolist()))
     errors = [1.0 - p for p in success.values()]
     return StrategyReport(

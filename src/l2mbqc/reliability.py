@@ -38,6 +38,12 @@ from .boolfn import BRUTE_FORCE_ARITY_CAP, make_named
 from .gates import NoisyGate, beta, maj_error_recursion, majority_error
 
 EQUAL_ERROR_SLACK = 0.05
+#: largest stages x width of a circuit, checked before any wiring is drawn:
+#: build keeps k length-W permutations per restore stage, and the sampler
+#: draws BLOCK / 8 bytes of flips per wire, stage and error value
+CIRCUIT_SIZE_CAP = 1 << 21
+#: most Monte Carlo trials per sampled input
+TRIALS_CAP = 1 << 24
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +229,8 @@ def build(
 
     Each restore stage samples k independent permutations (classic
     multiplexing), which admits occasional duplicate votes on an output
-    wire.
+    wire. Stages x width may be at most ``CIRCUIT_SIZE_CAP``; the stage count
+    follows from the formula before any permutation is drawn.
     """
     if width < k:
         raise ValueError(f"bundle width {width} smaller than k = {k}")
@@ -233,6 +240,16 @@ def build(
         raise ValueError(f"restore gate must target {k}-input majority")
     if xnand.target != make_named("xnand"):
         raise ValueError("compute gate must target the 3-input XNAND")
+    consumers = formula.consumer_counts()
+    n_stages = (
+        (formula.n_inputs + formula.n_nodes) * restore_rounds
+        + formula.n_nodes
+        + sum(c for c in consumers.values() if c >= 2)
+    )
+    if n_stages * width > CIRCUIT_SIZE_CAP:
+        raise ValueError(
+            f"circuit has {n_stages} stages x width {width}, above cap {CIRCUIT_SIZE_CAP}"
+        )
 
     warnings: list[str] = []
     if k >= 3:
@@ -261,7 +278,6 @@ def build(
             stages.append(Stage("restore", src, reads))
         return src
 
-    consumers = formula.consumer_counts()
     raw_inputs = tuple(new_bundle() for _ in formula.inputs)
     prepared = {i: add_restores(b, restore_rounds) for i, b in enumerate(raw_inputs)}
     if any(c >= 2 for c in consumers.values()):
@@ -563,20 +579,9 @@ def _wrong_trials(
     clean = np.zeros((w, _WORDS), dtype=np.uint64)
     # restore gate first: the order in which each block draws its masks
     gate_keys = {"restore": _gate_keys(circuit.kmaj), "compute": _gate_keys(circuit.xnand)}
-    kind_count = dict.fromkeys(gate_keys, 0)
-    # per stage, fixed by x: its index among its kind, its wrongness and flip keys
-    plan: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
-
-    def prepare(s: int, stage: Stage, gate: NoisyGate, idx: int, reads: list, count: int) -> None:
-        table, flips, _ = gate_keys[stage.kind]
-        plan.append((
-            kind_count[stage.kind],
-            tuple(table[idx ^ e] ^ table[idx] for e in range(len(table))),
-            tuple(flips[idx ^ e] for e in range(len(flips))),
-        ))
-        kind_count[stage.kind] += 1
-
-    _walk(circuit, [x], None, prepare)
+    kind_count = {kind: sum(stage.kind == kind for stage in circuit.stages) for kind in gate_keys}
+    # (kind, true index) -> the re-indexed wrongness and flip keys, filled on first use
+    reindexed: dict[tuple[str, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     def run_block(block: int) -> np.ndarray:
         bitgen = np.random.Philox(np.random.SeedSequence([seed, x_key, block]))
@@ -585,9 +590,18 @@ def _wrong_trials(
                    for p in gate_keys[kind][2]]
             for kind, n in kind_count.items()
         }
+        seen = dict.fromkeys(gate_keys, 0)  # stages of each kind walked so far
 
         def step(s: int, stage: Stage, gate: NoisyGate, idx: int, reads: list[np.ndarray], count: int):
-            i, wrong_keys, flip_keys = plan[s]
+            i = seen[stage.kind]
+            seen[stage.kind] += 1
+            if (stage.kind, idx) not in reindexed:
+                table, flips, _ = gate_keys[stage.kind]
+                reindexed[stage.kind, idx] = (
+                    tuple(table[idx ^ e] ^ table[idx] for e in range(len(table))),
+                    tuple(flips[idx ^ e] for e in range(len(flips))),
+                )
+            wrong_keys, flip_keys = reindexed[stage.kind, idx]
             kind_masks = masks[stage.kind]
             es = [r if perm is None else r[perm] for r, (_, perm) in zip(reads, stage.reads)]
             wrong = _mux(wrong_keys, es, None, {})
@@ -609,6 +623,13 @@ def _wrong_trials(
         yield run_block(block)
 
 
+def _check_trials(trials: int):
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if trials > TRIALS_CAP:
+        raise ValueError(f"{trials} trials above cap {TRIALS_CAP}")
+
+
 def simulate_monte_carlo(
     circuit: ReliableCircuit, x: Sequence[int], trials: int, seed: int
 ) -> MonteCarloResult:
@@ -620,11 +641,11 @@ def simulate_monte_carlo(
     Philox stream keyed by (seed, input, b). A partial last block still
     draws the whole block, so a trial's outcome depends only on
     (seed, input, block) and the first n trials of a longer run are the run
-    with ``trials=n``. Memory is set by the block size, not the trial count.
-    The stream is versioned as ``MC_STREAM``.
+    with ``trials=n``. Memory is set by the block size, not the trial count,
+    which may be at most ``TRIALS_CAP``. The stream is versioned as
+    ``MC_STREAM``.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _check_trials(trials)
     x = tuple(int(b) & 1 for b in x)
     wrong = 0
     n_blocks = -(-trials // BLOCK)
@@ -714,8 +735,8 @@ def build_report(
         raise ValueError(f"mc_inputs must be 'worst' or 'all', got {mc_inputs!r}")
     if trials is not None and seed is None:
         raise ValueError("a seed is mandatory for Monte Carlo runs")
-    if trials is not None and trials < 1:
-        raise ValueError("need at least one trial")
+    if trials is not None:
+        _check_trials(trials)
     n = circuit.formula.n_inputs
     if n > BRUTE_FORCE_ARITY_CAP:
         raise ValueError(f"formula has {n} inputs, above cap {BRUTE_FORCE_ARITY_CAP}")

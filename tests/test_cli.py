@@ -282,6 +282,11 @@ MALFORMED_INPUTS = {
     "reliable-margin": (RELIABLE + ["--width", "9", "--margin", "0.7"], "margin 0.7 outside"),
     "reliable-width-2": (RELIABLE + ["--width", "2"], "bundle width 2 smaller than k = 3"),
     "reliable-zero-trials": (RELIABLE + ["--width", "9", "--trials", "0"], "at least one trial"),
+    "reliable-size-above-cap": (RELIABLE + ["--width", "1000000000000"], "above cap 2097152"),
+    "reliable-trials-above-cap": (
+        RELIABLE + ["--width", "9", "--trials", str(10**23)],
+        "above cap 16777216",
+    ),
     "reliable-17-inputs": (
         ["reliable", "--formula", "wide.nand", "--width", "3", "--rounds", "0", "--seed", "1"],
         "above cap 16",

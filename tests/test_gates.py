@@ -15,7 +15,6 @@ from l2mbqc.gates import (
     kmaj_from_noisy_ghz,
     maj3_from_and,
     maj_error_recursion,
-    majority_flip_probability,
     min_k_for_violation,
     noncontextual_and_gate,
     perfect_gate,
@@ -56,7 +55,7 @@ def test_beta_strictly_increasing_below_half():
 
 def test_chsh_and_gate_classification():
     gate = chsh_and_gate()
-    assert gate.is_epsilon_noisy
+    assert gate.epsilon is not None
     assert gate.epsilon == pytest.approx(SIN2_PI8, abs=1e-12)
     assert gate.epsilon < float(beta(3).beta)
 
@@ -125,7 +124,6 @@ def test_noisy_gate_validation():
 def test_classification_tolerance():
     gate = NoisyGate(make_named("and"), (0.1, 0.1, 0.1, 0.2))
     assert gate.epsilon is None
-    assert not gate.is_epsilon_noisy
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +225,9 @@ def test_recursion_matches_cubic_form():
     assert maj_error_recursion(3, SIN2_PI8, 0.4) == pytest.approx(0.395348196, abs=1e-9)
 
 
-def test_majority_flip_probability_is_binomial_tail():
-    assert majority_flip_probability(5, 0.5) == pytest.approx(0.5, abs=1e-15)
-    assert majority_flip_probability(3, 0.2) == pytest.approx(
+def test_majority_error_is_binomial_tail():
+    assert gates.majority_error(5, 0.5) == pytest.approx(0.5, abs=1e-15)
+    assert gates.majority_error(3, 0.2) == pytest.approx(
         3 * 0.04 * 0.8 + 0.008, abs=1e-15
     )
 
@@ -448,7 +446,7 @@ def test_recursion_validation():
     with pytest.raises(ValueError):
         maj_error_recursion(3, 0.1, 1.2)
     with pytest.raises(ValueError):
-        majority_flip_probability(4, 0.1)
+        maj_error_recursion(4, 0.0, 0.1)
 
 
 @pytest.mark.parametrize(

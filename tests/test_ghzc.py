@@ -1,8 +1,12 @@
+import json
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l2mbqc import mbqc
 from l2mbqc.boolfn import BooleanFunction, make_named
@@ -126,13 +130,6 @@ def test_tampered_increment_fails_exactly_where_active():
         assert result.success[x] == pytest.approx(expected, abs=1e-10)
 
 
-def test_padded_mode_uses_full_qubit_budget():
-    f = make_named("xor")
-    program = compile_function(f, pad=True)
-    assert program.n_qubits == 3
-    assert verify(program, f).deterministic
-
-
 @pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.25, 0.4, 0.5])
 def test_noise_passes_through_linearly(epsilon):
     f = make_named("maj", 3)
@@ -149,6 +146,46 @@ def test_run_as_l2program_validates_epsilon():
 def test_verify_arity_mismatch():
     with pytest.raises(ValueError):
         verify(compile_function(make_named("and")), make_named("xnand"))
+
+
+@st.composite
+def programs(draw, max_arity=8):
+    """A random GHZ program: any subsets, any exact increments."""
+    n = draw(st.integers(1, max_arity))
+    qubits = draw(st.lists(
+        st.builds(
+            QubitSpec,
+            mask=st.integers(1, (1 << n) - 1),
+            delta=st.builds(Fraction, st.integers(-(1 << 40), 1 << 40), st.integers(1, 1 << 20)),
+        ),
+        max_size=16,
+    ))
+    return GhzProgram(n, tuple(qubits), draw(st.integers(0, 1)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(program=programs())
+def test_config_roundtrip_property(program):
+    config = json.loads(json.dumps(program_to_config(program)))
+    assert program_from_config(config) == program
+
+
+def sylvester_hadamard(n):
+    """H[a, x] = (-1)^(a.x), built by Kronecker products."""
+    h = np.ones((1, 1), dtype=np.int64)
+    for _ in range(n):
+        h = np.kron(np.array([[1, 1], [1, -1]]), h)
+    return h
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+def test_compile_emits_exactly_the_nonzero_masks(n, seed):
+    f = random_function(random.Random(seed), n)
+    sums = sylvester_hadamard(n) @ np.array(f.table)  # 2^n c_T
+    program = compile_function(f)
+    assert [q.mask for q in program.qubits] == [m for m in range(1, 1 << n) if sums[m]]
+    assert verify(program, f).deterministic
 
 
 def test_config_roundtrip():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from l2mbqc import corrbox, ghzc
+from l2mbqc import corrbox, ghzc, mbqc
 from l2mbqc.boolfn import BooleanFunction, make_named, nonlinearity
 from l2mbqc.corrbox import BipartiteBox, GhzBox, NoncontextualBox
 from l2mbqc.mbqc import (
@@ -53,11 +53,13 @@ def test_arity_mismatch_rejected():
         run_exact(chsh_and_program(), make_named("xnand"))
 
 
-def test_path_cap_bounds_paths_times_inputs():
+def test_path_cap_bounds_paths_times_inputs(monkeypatch):
     # the collapsed Bell box leaves 2 paths, each holding 4 inputs
+    monkeypatch.setattr(mbqc, "PATH_CAP", 7)
     with pytest.raises(ValueError, match="more than 7 paths x inputs"):
-        run_exact(chsh_and_program(), make_named("and"), path_cap=7)
-    report = run_exact(chsh_and_program(), make_named("and"), path_cap=8)
+        run_exact(chsh_and_program(), make_named("and"))
+    monkeypatch.setattr(mbqc, "PATH_CAP", 8)
+    report = run_exact(chsh_and_program(), make_named("and"))
     assert report.average_error == pytest.approx(SIN2_PI8, abs=1e-12)
 
 
@@ -113,11 +115,11 @@ def test_proper_subset_of_box_outputs_is_uniform():
 
 
 def test_collapsed_box_streams_its_parties():
-    # 1023 qubits at n = 10: the party bits are consumed one party at a time;
-    # a parties x inputs uint8 array alone would take about 1 MiB
-    rng = np.random.default_rng(10)
-    f = BooleanFunction(10, tuple(int(b) for b in rng.integers(0, 2, 1024)))
-    program = ghzc.run_as_l2program(ghzc.compile_function(f, pad=True), 0.05)
+    # 1023 qubits at n = 10 (every parity coefficient of the 10-input AND is
+    # nonzero): the party bits are consumed one party at a time; a
+    # parties x inputs uint8 array alone would take about 1 MiB
+    f = BooleanFunction(10, (0,) * 1023 + (1,))
+    program = ghzc.run_as_l2program(ghzc.compile_function(f), 0.05)
     assert program.boxes[0].n_parties == 1023
     tracemalloc.start()
     try:

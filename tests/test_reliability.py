@@ -560,6 +560,25 @@ def test_build_report_requires_seed_for_trials():
 WIDE_FORMULA = functools.reduce(lambda acc, name: f"(nand {acc} {name})", "bcdefghijklmnopq", "a")
 
 
+@pytest.mark.parametrize("text", [TREE3, "(nand a (nand a b))", "(nand (nand v v) v)"])
+def test_size_cap_counts_every_stage(monkeypatch, text):
+    kmaj, xnand = perfect_gates()
+    formula = parse_formula(text)
+    size = 9 * len(build(formula, 9, 3, 2, xnand=xnand, kmaj=kmaj, seed=1).stages)
+    monkeypatch.setattr(reliability, "CIRCUIT_SIZE_CAP", size)
+    build(formula, 9, 3, 2, xnand=xnand, kmaj=kmaj, seed=1)
+    monkeypatch.setattr(reliability, "CIRCUIT_SIZE_CAP", size - 1)
+    with pytest.raises(ValueError, match=f"stages x width 9, above cap {size - 1}"):
+        build(formula, 9, 3, 2, xnand=xnand, kmaj=kmaj, seed=1)
+
+
+def test_sampler_rejects_trials_above_cap():
+    kmaj, xnand = perfect_gates()
+    circ = build(parse_formula("(nand a b)"), 9, 3, 0, xnand=xnand, kmaj=kmaj, seed=1)
+    with pytest.raises(ValueError, match="above cap 16777216"):
+        simulate_monte_carlo(circ, (0, 0), reliability.TRIALS_CAP + 1, seed=1)
+
+
 @pytest.mark.parametrize(
     "text, kwargs, message",
     [
@@ -568,8 +587,9 @@ WIDE_FORMULA = functools.reduce(lambda acc, name: f"(nand {acc} {name})", "bcdef
         ("(nand a b)", {"trials": 0, "seed": 1}, "need at least one trial"),
         ("(nand a b)", {"trials": 10}, "a seed is mandatory"),
         (WIDE_FORMULA, {}, "formula has 17 inputs, above cap 16"),
+        ("(nand a b)", {"trials": (1 << 24) + 1, "seed": 1}, "trials above cap 16777216"),
     ],
-    ids=["margin", "mc-inputs", "zero-trials", "no-seed", "inputs-above-cap"],
+    ids=["margin", "mc-inputs", "zero-trials", "no-seed", "inputs-above-cap", "trials-above-cap"],
 )
 def test_build_report_checks_arguments_before_the_sweep(monkeypatch, text, kwargs, message):
     kmaj, xnand = perfect_gates()
@@ -647,6 +667,14 @@ def fanout_formulas(draw, max_inputs=6):
         i = draw(st.integers(0, len(leaves) - 2))
         leaves[i:i + 2] = [f"(nand {leaves[i]} {leaves[i + 1]})"]
     return leaves[0]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(text=fanout_formulas())
+def test_formula_text_roundtrip_property(text):
+    f = parse_formula(text)
+    assert formula_to_text(f) == text
+    assert parse_formula(formula_to_text(f)) == f
 
 
 @functools.lru_cache(maxsize=None)
