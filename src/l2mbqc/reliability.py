@@ -20,9 +20,10 @@ input at a time; it quantifies how much that assumption leaks.
 
 The Monte Carlo sampler is bit-sliced: 64 trials ride in one uint64 word,
 and trials run in blocks of ``BLOCK`` = 1024. Block b draws all its gate
-flips from one counter-based Philox stream keyed by (seed, input, b), so a
-trial's outcome depends only on (seed, input, block) and a shorter run is a
-prefix of a longer one. ``MC_STREAM`` names this stream contract.
+flips from one SFC64 stream seeded with (seed, input, b), so a trial's
+outcome depends only on (seed, input, block) and a shorter run is a prefix
+of a longer one. ``MC_STREAM`` names this stream contract,
+"bitsliced-sfc64-v2".
 """
 
 from __future__ import annotations
@@ -476,7 +477,9 @@ def simulate_analytic(circuit: ReliableCircuit, x: Sequence[int]) -> AnalyticRes
 #: flight is a (W, BLOCK // 64) word array
 BLOCK = 1024
 #: stream version reported with sampled results
-MC_STREAM = "bitsliced-philox-v1"
+MC_STREAM = "bitsliced-sfc64-v2"
+#: rounds of a flip mask's expansion drawn densely before settled words drop out
+ROUNDS_PER_PASS = 10
 _WORDS = BLOCK // 64
 _ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
@@ -495,26 +498,34 @@ def _flip_words(bitgen: np.random.BitGenerator, p: float, n: int) -> np.ndarray:
 
     A lane flips iff its uniform U = 0.u1u2... is below p = 0.p1p2..., i.e.
     iff u_i = 0 and p_i = 1 at the first bit where they differ. Rounds walk
-    p's finite binary expansion, most significant bit first, drawing one
-    random word per word that still has an undecided lane; lanes left
-    undecided when the expansion ends have U >= p.
+    p's finite binary expansion, most significant bit first, in passes of
+    ``ROUNDS_PER_PASS``: each round of a pass draws one random word per word
+    that had an undecided lane when the pass began, and the words whose
+    lanes are all decided drop out between passes. Lanes left undecided
+    when the expansion ends have U >= p.
     """
     num, den = float(p).as_integer_ratio()
+    bits = [(num >> shift) & 1 for shift in reversed(range(den.bit_length() - 1))]
     out = np.zeros(n, dtype=np.uint64)
-    live = np.arange(n)
+    live = None  # indices of the words still in play, once some dropped out
     undecided = np.full(n, _ONES)
-    for shift in reversed(range(den.bit_length() - 1)):
-        if not live.size:
-            break
-        r = bitgen.random_raw(live.size)
-        if (num >> shift) & 1:
-            out[live] |= undecided & ~r
-            undecided &= r
-        else:
-            undecided &= ~r
-        keep = undecided != 0
-        if not keep.all():
-            live, undecided = live[keep], undecided[keep]
+    for start in range(0, len(bits), ROUNDS_PER_PASS):
+        if start:
+            keep = np.flatnonzero(undecided)
+            if not keep.size:
+                break
+            live = keep if live is None else live[keep]
+            undecided = undecided[keep]
+        flips = out if live is None else np.zeros(live.size, dtype=np.uint64)
+        for bit in bits[start : start + ROUNDS_PER_PASS]:
+            r = bitgen.random_raw(undecided.size)
+            r &= undecided  # undecided lanes with u_i = 1
+            undecided ^= r  # undecided lanes with u_i = 0
+            if bit:  # the u_i = 0 lanes fall below p, the others stay undecided
+                flips |= undecided
+                undecided = r
+        if live is not None:
+            out[live] |= flips
     return out
 
 
@@ -569,7 +580,7 @@ def _wrong_trials(
     re-indexed by the true input index, entry e being the gate at ``idx ^ e``,
     so each lane meets the entry and the drawn mask of its actual inputs.
 
-    Block b draws every flip from one Philox stream keyed by
+    Block b draws every flip from one SFC64 stream seeded with
     (seed, input, b): per gate, one Bernoulli mask per distinct error value
     strictly between 0 and 1, for all of the gate's stages at once, restore
     gate first, values ascending.
@@ -584,7 +595,7 @@ def _wrong_trials(
     reindexed: dict[tuple[str, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     def run_block(block: int) -> np.ndarray:
-        bitgen = np.random.Philox(np.random.SeedSequence([seed, x_key, block]))
+        bitgen = np.random.SFC64(np.random.SeedSequence([seed, x_key, block]))
         masks = {
             kind: [_flip_words(bitgen, p, n * w * _WORDS).reshape(n, w, _WORDS)
                    for p in gate_keys[kind][2]]
@@ -637,8 +648,8 @@ def simulate_monte_carlo(
 
     The sampler is bit-sliced: 64 trials share a uint64 word and each gate's
     truth table is evaluated as a mux tree of word operations. Trials run in
-    blocks of ``BLOCK`` = 1024, and block b draws from its own counter-based
-    Philox stream keyed by (seed, input, b). A partial last block still
+    blocks of ``BLOCK`` = 1024, and block b draws from its own SFC64 stream
+    seeded with (seed, input, b). A partial last block still
     draws the whole block, so a trial's outcome depends only on
     (seed, input, block) and the first n trials of a longer run are the run
     with ``trials=n``. Memory is set by the block size, not the trial count,

@@ -361,8 +361,8 @@ def test_monte_carlo_matches_exact_enumeration_with_input_dependent_errors(
 
 # wrong trials per block of (nand a b), blocks 0-2 at seed 9, inputs 00 01 10 11
 PINNED_WRONG_TRIALS = {
-    (3, 3): ((120, 77, 115), (15, 15, 11), (4, 2, 3), (30, 35, 26)),
-    (2, 1): ((277, 259, 283), (355, 341, 348), (283, 287, 277), (497, 515, 496)),
+    (3, 3): ((99, 115, 101), (22, 24, 20), (5, 2, 2), (22, 26, 31)),
+    (2, 1): ((286, 286, 253), (313, 342, 324), (321, 280, 284), (514, 500, 493)),
 }
 
 
@@ -391,14 +391,74 @@ def test_sampled_bits_are_pinned_with_input_dependent_errors(width, k, restore_e
 def test_flip_words_hit_the_exact_probability():
     # p = 1/2 is decided by the first bit: a lane flips iff its first random bit is 0
     n = 2048
-    first = np.random.Philox(np.random.SeedSequence([1, 2, 3])).random_raw(n)
-    half = reliability._flip_words(np.random.Philox(np.random.SeedSequence([1, 2, 3])), 0.5, n)
+    first = np.random.SFC64(np.random.SeedSequence([1, 2, 3])).random_raw(n)
+    half = reliability._flip_words(np.random.SFC64(np.random.SeedSequence([1, 2, 3])), 0.5, n)
     assert np.array_equal(half, ~first)
     lanes = 64 * n
     for key, p in enumerate((1 / 3, 0.14644660940672627, 0.75, 1 - 2**-9, 2**-12)):
-        words = reliability._flip_words(np.random.Philox(np.random.SeedSequence([key])), p, n)
+        words = reliability._flip_words(np.random.SFC64(np.random.SeedSequence([key])), p, n)
         hits = int(np.unpackbits(words.view(np.uint8)).sum())
         assert abs(hits / lanes - p) < 5 * math.sqrt(p * (1 - p) / lanes)
+
+
+def reference_flip_words(bitgen, p, n):
+    """Scalar replay of ``_flip_words``: each pass draws its rounds for the
+    words still in play, round after round, and every lane is decided by
+    comparing its random bits with p's binary expansion. Returns the words
+    and the number of words that entered each pass."""
+    q = Fraction(p)
+    length = q.denominator.bit_length() - 1
+    expansion = [q.numerator >> (length - 1 - i) & 1 for i in range(length)]
+    flips = [0] * n
+    undecided = [set(range(64)) for _ in range(n)]
+    live, entered = list(range(n)), []
+    for start in range(0, length, reliability.ROUNDS_PER_PASS):
+        if not live:
+            break
+        entered.append(len(live))
+        rounds = expansion[start : start + reliability.ROUNDS_PER_PASS]
+        draws = [int(u) for u in bitgen.random_raw(len(rounds) * len(live))]
+        for j, word in enumerate(live):
+            for lane in sorted(undecided[word]):
+                for i, p_bit in enumerate(rounds):
+                    u_bit = draws[i * len(live) + j] >> lane & 1
+                    if u_bit != p_bit:  # decided: U < p iff u = 0 < p here
+                        undecided[word].discard(lane)
+                        flips[word] |= p_bit << lane
+                        break
+        live = [word for word in live if undecided[word]]
+    return np.array(flips, dtype=np.uint64), entered
+
+
+@pytest.mark.parametrize(
+    "p", [0.5, 5 / 16, 1 / 3, 0.14644660940672627, 2**-12, 1 - 2**-9]
+)
+def test_flip_words_equal_the_scalar_reference(p):
+    # at n = 64 some words still have an undecided lane after the first pass
+    # of ROUNDS_PER_PASS rounds, so every expansion longer than that runs a
+    # second pass over fewer words
+    length = Fraction(p).denominator.bit_length() - 1
+    for n in (1, 64):
+        key = np.random.SeedSequence([n, length])
+        want, entered = reference_flip_words(np.random.SFC64(key), p, n)
+        got = reliability._flip_words(np.random.SFC64(key), p, n)
+        assert np.array_equal(got, want)
+        if n == 64 and length > reliability.ROUNDS_PER_PASS:
+            assert len(entered) >= 2 and entered[1] < n
+
+
+def test_flip_words_peak_memory():
+    # one mask as large as a TREE3 block's at W=729 r=2 (37 stages x 729
+    # wires x 16 words); the result itself is 8n bytes of the peak
+    n = 37 * 729 * 16
+    reliability._flip_words(np.random.SFC64(0), SIN2_PI8, 64)  # warm numpy's lazy set-up
+    tracemalloc.start()
+    try:
+        reliability._flip_words(np.random.SFC64(np.random.SeedSequence([1])), SIN2_PI8, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * 8 * n
 
 
 def test_degenerate_single_wire_gate():
@@ -449,13 +509,13 @@ def test_shorter_runs_are_prefixes_of_longer_ones():
 
 
 def test_sampled_value_is_pinned_on_the_three_level_tree():
-    # frozen under MC_STREAM = "bitsliced-philox-v1": a change to the stage
+    # frozen under MC_STREAM = "bitsliced-sfc64-v2": a change to the stage
     # walk or the draws would move it
-    assert reliability.MC_STREAM == "bitsliced-philox-v1"
+    assert reliability.MC_STREAM == "bitsliced-sfc64-v2"
     kmaj, xnand = chsh_gates()
     circ = build(parse_formula(TREE3), 81, 3, 2, xnand=xnand, kmaj=kmaj, seed=7)
     mc = simulate_monte_carlo(circ, (1, 1, 1, 1, 1, 0, 1, 0), trials=1024, seed=5)
-    assert mc.empirical_error == 542 / 1024
+    assert mc.empirical_error == 483 / 1024
 
 
 def test_monte_carlo_memory_does_not_grow_with_trials():
@@ -675,6 +735,27 @@ def test_formula_text_roundtrip_property(text):
     f = parse_formula(text)
     assert formula_to_text(f) == text
     assert parse_formula(formula_to_text(f)) == f
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    text=fanout_formulas(max_inputs=4),
+    width=st.sampled_from([1, 3, 9]),
+    x_index=st.integers(0, 15),
+    trials=st.integers(1, 3 * reliability.BLOCK),
+    seed=st.integers(0, 2**64),
+)
+def test_monte_carlo_runs_are_prefixes_property(text, width, x_index, trials, seed):
+    # a run of n trials counts the first n lanes of the three-block run
+    k = 1 if width == 1 else 3
+    kmaj, xnand = chsh_gates()
+    if k == 1:
+        kmaj = uniform_noisy_gate(make_named("maj", 1), 0.1)
+    circ = build(parse_formula(text), width, k, 1, xnand=xnand, kmaj=kmaj, seed=0)
+    x = tuple(x_index >> i & 1 for i in range(circ.formula.n_inputs))
+    wrong = np.concatenate(list(reliability._wrong_trials(circ, x, seed, 3)))
+    mc = simulate_monte_carlo(circ, x, trials, seed)
+    assert round(mc.empirical_error * trials) == int(np.count_nonzero(wrong[:trials]))
 
 
 @functools.lru_cache(maxsize=None)
