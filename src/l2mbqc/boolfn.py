@@ -2,15 +2,15 @@
 
 Tables are indexed with the first input bit in the least-significant
 position: input x = (x1, ..., xn) lives at index x1 + 2*x2 + ... + 2^(n-1)*xn.
-Distances to affine functions, the parity-basis expansion with exact dyadic
-coefficients, and the closed-form majority nonlinearity all live here.
+Distances to affine functions, the Walsh transform, and the closed-form
+majority nonlinearity all live here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
@@ -24,6 +24,12 @@ def index_bits(value: int, width: int) -> tuple[int, ...]:
     """The low ``width`` bits of value, least-significant first: the input
     whose table index is value."""
     return tuple((value >> j) & 1 for j in range(width))
+
+
+@lru_cache(maxsize=None)
+def input_keys(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every n-bit input as a bit tuple, in table order."""
+    return tuple(index_bits(i, n) for i in range(1 << n))
 
 
 @dataclass(frozen=True)
@@ -204,40 +210,6 @@ def kmaj_nonlinearity(k: int) -> int:
     if k < 1 or k % 2 == 0:
         raise ValueError(f"majority nonlinearity needs odd k >= 1, got {k}")
     return (1 << (k - 1)) - math.comb(k - 1, (k - 1) // 2)
-
-
-# ---------------------------------------------------------------------------
-# parity-basis expansion
-
-@dataclass(frozen=True)
-class ParityExpansion:
-    """f(x) = sum_T c_T * (-1)^(xor of x over T), with exact dyadic c_T.
-
-    Keys are subset masks in the same bit convention as the truth table.
-    """
-
-    arity: int
-    coefficients: dict[int, Fraction]
-
-    def evaluate_index(self, i: int) -> Fraction:
-        total = Fraction(0)
-        for mask, coeff in self.coefficients.items():
-            sign = -1 if (mask & i).bit_count() & 1 else 1
-            total += coeff * sign
-        return total
-
-
-def parity_expansion(f: BooleanFunction) -> ParityExpansion:
-    """Exact parity-basis coefficients c_T = 2^-n * sum_x f(x) (-1)^(T.x)."""
-    if f.arity > BRUTE_FORCE_ARITY_CAP:
-        raise ValueError(
-            f"arity {f.arity} above brute-force cap {BRUTE_FORCE_ARITY_CAP}"
-        )
-    # the transform of the raw 0/1 table gives the numerators over 2^n
-    w = walsh(np.asarray(f.table, dtype=np.int64))
-    denom = 1 << f.arity
-    coeffs = {mask: Fraction(int(w[mask]), denom) for mask in range(denom)}
-    return ParityExpansion(f.arity, coeffs)
 
 
 # ---------------------------------------------------------------------------

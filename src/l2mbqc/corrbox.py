@@ -17,7 +17,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .boolfn import index_parity
+from .boolfn import index_parity, walsh
 
 PROBABILITY_TOL = 1e-12
 GHZ_ENUMERATION_CAP = 20
@@ -73,6 +73,14 @@ class OutcomeDistribution:
 # ---------------------------------------------------------------------------
 # box families
 
+def _check_finite(pairs: Iterable[tuple[float, float]]):
+    # the exact phase sum scales every angle to an integer
+    for pair in pairs:
+        for angle in pair:
+            if not math.isfinite(angle):
+                raise ValueError(f"angle {angle} is not finite")
+
+
 @dataclass(frozen=True)
 class BipartiteBox:
     """Two parties sharing (|00> + |11>)/sqrt(2), measured in the XZ plane.
@@ -83,6 +91,9 @@ class BipartiteBox:
 
     alice: tuple[float, float]
     bob: tuple[float, float]
+
+    def __post_init__(self):
+        _check_finite((self.alice, self.bob))
 
     @property
     def n_parties(self) -> int:
@@ -105,6 +116,7 @@ class GhzBox:
             raise ValueError("GhzBox needs at least one party")
         if not 0.0 <= self.epsilon <= 0.5:
             raise ValueError(f"epsilon {self.epsilon} outside [0, 1/2]")
+        _check_finite(self.angles)
 
     @property
     def n_parties(self) -> int:
@@ -182,35 +194,56 @@ def noncontextual_and_box() -> NoncontextualBox:
 # ---------------------------------------------------------------------------
 # closed-form distributions
 
-def _parity_one(box: BipartiteBox | GhzBox, inputs: Iterable) -> float | np.ndarray:
-    """P(xor of all outputs = 1) = (1 - 2 eps)(1 - cos phi)/2 + eps.
+def _parity_one(box: BipartiteBox | GhzBox, forms: Iterable[int], n: int) -> np.ndarray:
+    """P(xor of all outputs = 1) = (1 - 2 eps)(1 - cos phi)/2 + eps, for all x.
 
-    ``inputs`` yields one bit per party (a ValueError otherwise), either all
-    ints or all equal-length bit arrays, and the result broadcasts the same
-    way; it is read once, one party at a time. phi sums the chosen angles; a
-    Bell box is a two-party GHZ box with the second party's angles negated and
-    eps = 0. The sum is compensated (two-sum), so phi is the correctly rounded
-    sum that math.fsum gives, up to a double-double residual, whatever the
-    party order.
+    Party j's input bit at the n-bit input x is the affine form
+    parity(T_j & x) xor c_j, passed packed as the int 2 T_j + c_j; one form
+    per party (a ValueError otherwise), and the result has one probability
+    per x. At n = 0 the forms are the plain input bits. phi(x) sums the
+    chosen angles; a Bell box is a two-party GHZ box with the second
+    party's angles negated and eps = 0.
+
+    The sum is exact: every angle a is an integer A = a D over one
+    power-of-two denominator D, so 2 D phi(x) = sum_j (A0_j + A1_j) - W(g)(x),
+    with W the Walsh transform of the Python ints
+    g[T] = sum over parties j with T_j = T of (-1)^c_j (A1_j - A0_j), and one
+    integer division per x rounds it. So phi(x) is the correctly rounded sum
+    that math.fsum gives, bit for bit, whatever the party order. Angles must
+    be finite, which the boxes check when they are built.
     """
     if isinstance(box, BipartiteBox):
         angles, epsilon = (box.alice, (-box.bob[0], -box.bob[1])), 0.0
     else:
         angles, epsilon = box.angles, box.epsilon
-    phi = err = 0.0
-    for (a0, a1), b in zip(angles, inputs, strict=True):
-        a = np.where(b, a1, a0)
-        total = phi + a
-        back = total - phi
-        err = err + ((phi - (total - back)) + (a - back))
-        phi = total
+    forms = np.asarray(list(forms))
+    if forms.shape != (len(angles),):
+        raise ValueError(f"{forms.size} input forms for {len(angles)} parties")
+    if forms.dtype.kind not in "biu":
+        raise ValueError(f"input forms {forms.tolist()} are not integers")
+    forms = forms.astype(np.int64)
+    bad = (forms < 0) | (forms >> (n + 1) != 0)
+    if bad.any():
+        raise ValueError(f"input form {forms[bad.argmax()]} is not an affine form on {n} bits")
+    # an angle is m 2^(e - 53) with m an integer, |m| < 2^53, so with
+    # low <= every e and low <= 53 each A = a D, D = 2^(53 - low), is an integer
+    mantissa, exponent = np.frexp(np.asarray(angles, dtype=np.float64))
+    low = min(int(exponent.min()), 53)
+    denom = 1 << (53 - low)
+    whole = np.ldexp(mantissa, 53).astype(np.int64).astype(object)
+    scaled = whole << (exponent - low).astype(object)  # A, one row per party
+    total = scaled.sum()
+    diff = scaled[:, 1] - scaled[:, 0]
+    spread = np.zeros(1 << n, dtype=object)
+    np.add.at(spread, forms >> 1, np.where(forms & 1, -diff, diff))
+    phi = ((total - walsh(spread)) / (2 * denom)).astype(np.float64)
     visibility = 1.0 - 2.0 * epsilon
-    return visibility * (1.0 - np.cos(phi + err)) / 2.0 + epsilon
+    return visibility * (1.0 - np.cos(phi)) / 2.0 + epsilon
 
 
 def ghz_parity_probability(box: GhzBox, inputs: Sequence[int]) -> float:
     """Probability that the xor of all outputs is 1, for the chosen angles."""
-    return _parity_one(box, inputs)
+    return float(_parity_one(box, inputs, 0)[0])
 
 
 def distribution(box: CorrelationBox, inputs: Sequence[int]) -> OutcomeDistribution:
@@ -236,23 +269,24 @@ def distribution(box: CorrelationBox, inputs: Sequence[int]) -> OutcomeDistribut
     n = box.n_parties
     if n > GHZ_ENUMERATION_CAP:
         raise ValueError(f"{n} parties above enumeration cap {GHZ_ENUMERATION_CAP}")
-    p1, share = float(_parity_one(box, inputs)), 1 << (n - 1)
+    p1, share = float(_parity_one(box, inputs, 0)[0]), 1 << (n - 1)
     return OutcomeDistribution(
         np.where(index_parity(n), p1 / share, (1.0 - p1) / share)
     )
 
 
-def parity_probability(box: CorrelationBox, inputs: Iterable) -> float | np.ndarray:
-    """P(xor of all outputs = 1) without enumerating outcome strings.
+def parity_probability(box: BipartiteBox | GhzBox, forms: Iterable[int], n: int) -> np.ndarray:
+    """P(xor of all outputs = 1) at every n-bit input x, without outcome strings.
 
-    Bell and GHZ boxes also take one bit array per party, read one party at a
-    time, and return one probability per array position.
+    Party j reads the affine form parity(T_j & x) xor c_j, passed as the int
+    2 T_j + c_j; a form whose mask T_j has bits at or above n raises
+    ValueError (at n = 0, an input that is not a bit). The phase of every x
+    comes from one exact Walsh transform, see ``_parity_one``. A
+    non-contextual box has no closed form here: use ``distribution``.
     """
     if isinstance(box, (BipartiteBox, GhzBox)):
-        return _parity_one(box, inputs)
-    if isinstance(box, NoncontextualBox):
-        return distribution(box, inputs).parity_probability(1)
-    raise TypeError(f"not a correlation box: {box!r}")
+        return _parity_one(box, forms, n)
+    raise TypeError(f"not a Bell or GHZ box: {box!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import BooleanFunction, index_bits, parity_expansion, walsh
+from .boolfn import BooleanFunction, input_keys, walsh
 from .corrbox import STATEVECTOR_QUBIT_CAP, GhzBox, statevector_oracle
 from .mbqc import AffineBitMap, L2Program, constant_program
 
@@ -69,16 +69,17 @@ class GhzProgram:
 def compile_function(f: BooleanFunction) -> GhzProgram:
     """Derive increments from the parity expansion: delta_T = -2 c_T.
 
-    Subsets with zero coefficient are dropped (the qubit bound is "at
-    most").
+    The exact coefficients are c_T = w_T / 2^n with w the integer Walsh
+    transform of the 0/1 table, so delta_T = -w_T / 2^(n-1). Subsets with
+    zero coefficient are dropped (the qubit bound is "at most").
     """
     if f.arity > COMPILE_ARITY_CAP:
         raise ValueError(f"arity {f.arity} above compile cap {COMPILE_ARITY_CAP}")
-    coefficients = parity_expansion(f).coefficients
+    w = walsh(np.asarray(f.table, dtype=np.int64)).tolist()
     qubits = tuple(
-        QubitSpec(mask=mask, delta=-2 * coefficients[mask])
+        QubitSpec(mask=mask, delta=Fraction(-w[mask], 1 << (f.arity - 1)))
         for mask in range(1, 1 << f.arity)
-        if coefficients[mask] != 0
+        if w[mask]
     )
     return GhzProgram(n=f.arity, qubits=qubits, constant=f.table[0])
 
@@ -135,8 +136,7 @@ def verify(
     box = None
     if use_statevector and program.n_qubits > 0:
         box = run_as_l2program(program).boxes[0]
-    for x_idx in range(1 << program.n):
-        x = index_bits(x_idx, program.n)
+    for x_idx, x in enumerate(input_keys(program.n)):
         want = f.table[x_idx] ^ program.constant
         # 2 D ((S(x) - want) mod 2)
         residue = (twice_phase[x_idx] - 2 * denom * want) % (4 * denom)
@@ -213,6 +213,14 @@ def program_from_config(config: dict) -> GhzProgram:
             QubitSpec(mask=int(q["mask"]), delta=Fraction(int(q["num"]), int(q["den"])))
             for q in config["qubits"]
         )
+        for i, q in enumerate(qubits):
+            # run_as_l2program measures at the float angle delta * pi
+            try:
+                finite = math.isfinite(float(q.delta) * math.pi)
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ValueError(f"qubit {i} (mask {q.mask}): increment overflows a float")
         return GhzProgram(
             n=int(config["n"]), qubits=qubits, constant=int(config["constant"])
         )

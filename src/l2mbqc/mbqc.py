@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from . import corrbox
-from .boolfn import BooleanFunction, index_bits, index_parity, nonlinearity
+from .boolfn import BooleanFunction, index_bits, index_parity, input_keys, nonlinearity
 from .corrbox import (
     BipartiteBox,
     CorrelationBox,
@@ -129,9 +129,11 @@ def run_exact(program: L2Program, target: BooleanFunction) -> StrategyReport:
     boxes run so far (bit j is global output j) with its probability for
     every input x. Boxes whose outputs are consumed only through their full
     parity are replaced by a single parity bit, stored at the box's first
-    output position, with its closed-form distribution; this keeps compiled
-    many-qubit programs tractable. ``PATH_CAP`` bounds paths x inputs, the
-    number of probabilities held at once.
+    output position, with its closed-form distribution: each party's input is
+    an affine form of x, and one exact Walsh transform gives the box's phase
+    at every input, which keeps compiled many-qubit programs tractable.
+    ``PATH_CAP`` bounds paths x inputs, the number of probabilities held at
+    once.
     """
     if program.n != target.arity:
         raise ValueError("program arity does not match the target function")
@@ -150,22 +152,25 @@ def run_exact(program: L2Program, target: BooleanFunction) -> StrategyReport:
     x = np.arange(n_inputs)
     x_parity = index_parity(program.n)
 
+    def flip(m: AffineBitMap, outs: int) -> int:
+        """The map's constant on the path with packed outputs outs."""
+        return ((m.out_mask & outs).bit_count() + m.const) & 1
+
     def bit(m: AffineBitMap, outs: int) -> np.ndarray:
         """The map's bit for every input, on the path with packed outputs outs."""
-        flip = ((m.out_mask & outs).bit_count() + m.const) & 1
-        return x_parity[m.x_mask & x] ^ flip
+        return x_parity[m.x_mask & x] ^ flip(m, outs)
 
     paths = [(0, np.ones(n_inputs))]
     steps = zip(program.boxes, program.input_maps, starts, collapsed)
     for box, maps, start, parity_only in steps:
         new_paths = []
         for outs, prob in paths:
-            inputs = (bit(m, outs) for m in maps)  # one party's bits at a time
             if parity_only:
-                p1 = corrbox.parity_probability(box, inputs)
+                forms = [m.x_mask << 1 | flip(m, outs) for m in maps]
+                p1 = corrbox.parity_probability(box, forms, program.n)
                 new_paths += [(outs, prob * (1.0 - p1)), (outs | 1 << start, prob * p1)]
             else:
-                table = _outcome_table(box, inputs, n_inputs)
+                table = _outcome_table(box, (bit(m, outs) for m in maps), n_inputs)
                 for o in range(table.shape[1]):
                     new_paths.append((outs | o << start, prob * table[:, o]))
         paths = new_paths
@@ -174,8 +179,7 @@ def run_exact(program: L2Program, target: BooleanFunction) -> StrategyReport:
     good = np.zeros(n_inputs)
     for outs, prob in paths:
         good += prob * (bit(program.output_map, outs) == want)
-    keys = (index_bits(x_idx, program.n) for x_idx in range(n_inputs))
-    success = dict(zip(keys, good.tolist()))
+    success = dict(zip(input_keys(program.n), good.tolist()))
     errors = [1.0 - p for p in success.values()]
     return StrategyReport(
         n=program.n,

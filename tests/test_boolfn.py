@@ -1,6 +1,5 @@
 import itertools
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from l2mbqc.boolfn import (
     index_bits,
     make_named,
     nonlinearity,
-    parity_expansion,
     walsh,
 )
 
@@ -169,55 +167,6 @@ def test_kmaj_nonlinearity_rejects_even_or_negative_k():
 def test_nonlinearity_arity_cap():
     with pytest.raises(ValueError):
         nonlinearity(BooleanFunction(17, (0,) * (1 << 17)))
-
-
-# ---------------------------------------------------------------------------
-# parity expansion
-
-def summation_coefficients(f):
-    """Direct-summation oracle for the parity expansion."""
-    n = f.arity
-    out = {}
-    for mask in range(1 << n):
-        total = 0
-        for x in range(1 << n):
-            sign = -1 if bin(mask & x).count("1") & 1 else 1
-            total += f.table[x] * sign
-        out[mask] = Fraction(total, 1 << n)
-    return out
-
-
-def test_parity_expansion_and():
-    expansion = parity_expansion(make_named("and"))
-    q = Fraction(1, 4)
-    assert expansion.coefficients == {0b00: q, 0b01: -q, 0b10: -q, 0b11: q}
-    assert expansion.coefficients == summation_coefficients(make_named("and"))
-
-
-def test_parity_expansion_const0_and_xor():
-    zero = parity_expansion(make_named("const0", 2))
-    assert all(c == 0 for c in zero.coefficients.values())
-    xor = parity_expansion(make_named("xor"))
-    nonzero = {m: c for m, c in xor.coefficients.items() if c != 0}
-    assert nonzero == {0b00: Fraction(1, 2), 0b11: Fraction(-1, 2)}
-    assert xor.coefficients == summation_coefficients(make_named("xor"))
-
-
-def test_parity_expansion_reconstructs_exactly():
-    import random
-
-    rng = random.Random(99)
-    samples = list(all_functions(2))
-    samples += [
-        BooleanFunction(4, tuple(rng.randrange(2) for _ in range(16)))
-        for _ in range(40)
-    ]
-    for f in samples:
-        expansion = parity_expansion(f)
-        for x in range(1 << f.arity):
-            assert expansion.evaluate_index(x) == f.table[x]
-        # sum of all coefficients gives the value at the all-zeros input
-        assert sum(expansion.coefficients.values()) == f.table[0]
 
 
 # ---------------------------------------------------------------------------

@@ -275,6 +275,14 @@ MALFORMED_INPUTS = {
         "unrecognized",
     ),
     "verify-malformed-program": (["verify", "--program", "bad.ghz", "--fn", "and.tt"], "error: "),
+    "verify-increment-overflow": (
+        ["verify", "--program", "huge.ghz", "--fn", "and.tt"],
+        "qubit 0 (mask 1): increment overflows a float",
+    ),
+    "inequality-increment-overflow": (
+        ["inequality", "--fn", "and.tt", "--program", "huge.ghz"],
+        "qubit 0 (mask 1): increment overflows a float",
+    ),
     "reliable-bad-formula": (
         ["reliable", "--formula", "bad.nand", "--width", "9", "--rounds", "0", "--seed", "1"],
         "line 2",
@@ -301,6 +309,8 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys
     (tmp_path / "badhex.tt").write_text("n=2\nzz\n")
     (tmp_path / "and.ghz").write_text(json.dumps({"n": 2, "constant": 0, "qubits": []}))
     (tmp_path / "bad.ghz").write_text("[]")
+    huge = {"mask": 1, "num": 10**400, "den": 1}
+    (tmp_path / "huge.ghz").write_text(json.dumps({"n": 2, "constant": 0, "qubits": [huge]}))
     (tmp_path / "tree.nand").write_text("(nand (nand a b) (nand c d))\n")
     (tmp_path / "bad.nand").write_text("(nand a\n(xor b c))\n")
     (tmp_path / "wide.nand").write_text(WIDE_FORMULA)

@@ -121,25 +121,77 @@ def test_noise_interpolates_affinely():
     )
 
 
-def test_parity_probability_broadcasts_over_bit_arrays():
+def form_bits(forms, x):
+    """Each packed affine form 2 T + c evaluated at the input x."""
+    return tuple(((form >> 1 & x).bit_count() & 1) ^ (form & 1) for form in forms)
+
+
+def test_parity_probability_of_forms_matches_scalar_calls():
     rng = np.random.default_rng(23)
     boxes = [random_bipartite(rng), chsh_and_box()]
     boxes += [random_ghz(rng, n, eps) for n in (1, 3, 6) for eps in (0.0, 0.1)]
     for box in boxes:
-        bits = [rng.integers(0, 2, 32).astype(np.uint8) for _ in range(box.n_parties)]
-        together = corrbox.parity_probability(box, bits)
-        assert together.shape == (32,)
-        for col in range(32):
-            alone = corrbox.parity_probability(box, tuple(int(b[col]) for b in bits))
-            assert together[col] == alone
+        for n in (0, 1, 5):
+            forms = [int(f) for f in rng.integers(0, 2 << n, box.n_parties)]
+            together = corrbox.parity_probability(box, forms, n)
+            assert together.shape == (1 << n,)
+            for x in range(1 << n):
+                alone = corrbox.parity_probability(box, form_bits(forms, x), 0)
+                assert together[x] == alone[0]
+            with pytest.raises(ValueError):
+                corrbox.parity_probability(box, forms[:-1], n)
+            with pytest.raises(ValueError):
+                corrbox.parity_probability(box, forms + forms[:1], n)
+            with pytest.raises(ValueError):  # mask bit n is beyond the input
+                corrbox.parity_probability(box, [2 << n] + forms[1:], n)
+        with pytest.raises(ValueError):  # a plain input that is not a bit
+            corrbox.parity_probability(box, (2,) + (0,) * (box.n_parties - 1), 0)
         with pytest.raises(ValueError):
-            corrbox.parity_probability(box, bits[:-1])
+            corrbox.parity_probability(box, (-1,) + (0,) * (box.n_parties - 1), 0)
+
+
+def test_ghz_phase_of_forms_is_the_correctly_rounded_angle_sum():
+    # negative angles from 1e-300 to 1e3 in one box: every x must match the
+    # closed form of math.fsum over that x's chosen angles, bit for bit
+    rng = np.random.default_rng(37)
+    for n in range(11):
+        for _ in range(3):
+            parties = int(rng.integers(1, 40))
+            signs = rng.choice((-1.0, 1.0), (parties, 2))
+            angles = signs * 10.0 ** rng.uniform(-300, 3, (parties, 2))
+            eps = float(rng.choice((0.0, rng.uniform(0, 0.5))))
+            box = GhzBox(tuple((float(a0), float(a1)) for a0, a1 in angles), eps)
+            forms = [int(f) for f in rng.integers(0, 2 << n, parties)]
+            got = corrbox.parity_probability(box, forms, n)
+            for x in range(1 << n):
+                bits = form_bits(forms, x)
+                phi = math.fsum(pair[b] for pair, b in zip(box.angles, bits))
+                expected = (1.0 - 2.0 * eps) * (1.0 - math.cos(phi)) / 2.0 + eps
+                assert got[x] == expected
+
+
+def test_ghz_phase_of_large_angles_is_the_correctly_rounded_angle_sum():
+    # every angle at or above 2^53: no fractional bits to keep
+    angles = ((1e20, -3e300), (2.0**60, 7e22), (-1e300, 2e300))
+    box = GhzBox(angles, 0.0)
+    for x in range(8):
+        bits = tuple((x >> j) & 1 for j in range(3))
+        phi = math.fsum(pair[b] for pair, b in zip(angles, bits))
+        assert ghz_parity_probability(box, bits) == (1.0 - math.cos(phi)) / 2.0
+
+
+def test_boxes_reject_non_finite_angles():
+    for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
-            corrbox.parity_probability(box, bits + bits[:1])
+            GhzBox(angles=((0.0, 0.0), (bad, 0.0)))
+        with pytest.raises(ValueError):
+            BipartiteBox(alice=(0.0, bad), bob=(0.0, 0.0))
+        with pytest.raises(ValueError):
+            BipartiteBox(alice=(0.0, 0.0), bob=(bad, 0.0))
 
 
 def test_ghz_phase_is_the_correctly_rounded_angle_sum():
-    # the compensated sum agrees with math.fsum bit for bit, so the result
+    # the exact sum agrees with math.fsum bit for bit, so the result
     # does not depend on the party order
     rng = np.random.default_rng(31)
     for eps in (0.0, 0.1):

@@ -188,6 +188,61 @@ def test_compile_emits_exactly_the_nonzero_masks(n, seed):
     assert verify(program, f).deterministic
 
 
+# ---------------------------------------------------------------------------
+# increments against the parity expansion by direct summation
+
+def summation_coefficients(f):
+    """Direct-summation oracle for the parity expansion c_T."""
+    n = f.arity
+    out = {}
+    for mask in range(1 << n):
+        total = 0
+        for x in range(1 << n):
+            sign = -1 if bin(mask & x).count("1") & 1 else 1
+            total += f.table[x] * sign
+        out[mask] = Fraction(total, 1 << n)
+    return out
+
+
+def increments(f):
+    """The compiled delta_T of every nonempty subset T, 0 where none is emitted."""
+    deltas = dict.fromkeys(range(1, 1 << f.arity), Fraction(0))
+    deltas.update((q.mask, q.delta) for q in compile_function(f).qubits)
+    return deltas
+
+
+def test_compile_increments_and():
+    q = Fraction(1, 4)
+    assert increments(make_named("and")) == {0b01: 2 * q, 0b10: 2 * q, 0b11: -2 * q}
+    coefficients = summation_coefficients(make_named("and"))
+    assert increments(make_named("and")) == {m: -2 * coefficients[m] for m in range(1, 4)}
+
+
+def test_compile_increments_const0_and_xor():
+    assert compile_function(make_named("const0", 2)).qubits == ()
+    xor = compile_function(make_named("xor"))
+    assert {q.mask: q.delta for q in xor.qubits} == {0b11: Fraction(1)}
+    coefficients = summation_coefficients(make_named("xor"))
+    assert increments(make_named("xor")) == {m: -2 * coefficients[m] for m in range(1, 4)}
+
+
+def test_compile_increments_reconstruct_exactly():
+    rng = random.Random(99)
+    samples = [BooleanFunction(2, tuple((bits >> i) & 1 for i in range(4))) for bits in range(16)]
+    samples += [random_function(rng, 4) for _ in range(40)]
+    for f in samples:
+        coefficients = summation_coefficients(f)
+        deltas = increments(f)
+        assert deltas == {m: -2 * coefficients[m] for m in deltas}
+        # f(x) = c_0 + sum_T c_T (-1)^(T.x), with c_T = -delta_T / 2
+        for x in range(1 << f.arity):
+            value = coefficients[0] - sum(
+                d / 2 * (-1) ** ((m & x).bit_count() & 1) for m, d in deltas.items()
+            )
+            assert value == f.table[x]
+        assert coefficients[0] - sum(deltas.values()) / 2 == f.table[0]
+
+
 def test_config_roundtrip():
     program = compile_function(make_named("maj", 3))
     config = program_to_config(program)
