@@ -8,6 +8,7 @@ majority nonlinearity all live here.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -18,6 +19,9 @@ import numpy as np
 #: largest arity of a truth table read from a file or built by name for
 #: maj/const, and of the exhaustive nonlinearity search
 BRUTE_FORCE_ARITY_CAP = 16
+#: largest arity ``ghzc.compile_function`` accepts; ``input_keys`` caches the
+#: tables up to it (about 0.25 MB in all)
+COMPILE_ARITY_CAP = 10
 
 
 def index_bits(value: int, width: int) -> tuple[int, ...]:
@@ -26,10 +30,18 @@ def index_bits(value: int, width: int) -> tuple[int, ...]:
     return tuple((value >> j) & 1 for j in range(width))
 
 
-@lru_cache(maxsize=None)
 def input_keys(n: int) -> tuple[tuple[int, ...], ...]:
-    """Every n-bit input as a bit tuple, in table order."""
-    return tuple(index_bits(i, n) for i in range(1 << n))
+    """Every n-bit input as a bit tuple, in table order: bit j of index i is
+    entry j. Cached up to ``COMPILE_ARITY_CAP`` inputs; a larger table is
+    built afresh, so nothing holds its 2^n tuples after the caller drops it."""
+    return (_cached_input_keys if n <= COMPILE_ARITY_CAP else _input_keys)(n)
+
+
+def _input_keys(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(x[::-1] for x in itertools.product((0, 1), repeat=n))
+
+
+_cached_input_keys = lru_cache(maxsize=None)(_input_keys)
 
 
 @dataclass(frozen=True)
@@ -52,7 +64,7 @@ class BooleanFunction:
     @classmethod
     def from_callable(cls, arity: int, fn: Callable[..., int]) -> "BooleanFunction":
         """Tabulate ``fn(x1, ..., xn)`` over all inputs."""
-        table = tuple(int(fn(*index_bits(i, arity))) & 1 for i in range(1 << arity))
+        table = tuple(int(fn(*x)) & 1 for x in input_keys(arity))
         return cls(arity, table)
 
     def index_of(self, x: Iterable[int]) -> int:

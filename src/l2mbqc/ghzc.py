@@ -15,11 +15,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import BooleanFunction, input_keys, walsh
+from .boolfn import COMPILE_ARITY_CAP, BooleanFunction, input_keys, walsh
 from .corrbox import STATEVECTOR_QUBIT_CAP, GhzBox, statevector_oracle
 from .mbqc import AffineBitMap, L2Program, constant_program
 
-COMPILE_ARITY_CAP = 10
 SUCCESS_TOL = 1e-10
 
 

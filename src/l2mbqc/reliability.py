@@ -4,8 +4,10 @@ Every logical bit is carried by a bundle of W wires. Compute stages apply a
 noisy three-input XNAND wire-wise to one copy of the first operand and two
 copies of the second; restore stages vote with noisy k-input majority gates
 to push the bundle error back toward its fixed point. Both kinds are one
-``Stage`` shape: a target bundle and one read per gate input, each a source
-bundle with the wire permutation that feeds that input.
+``Stage`` shape: a target bundle and one source bundle per gate input.
+``build`` lays out the stages and draws nothing; the wire permutation that
+feeds each gate input is the circuit's ``wiring``, drawn from (seed, stage
+order) the first time the sampler runs on the circuit.
 
 Every error model runs on one stage walk, ``_walk``, which tracks the true
 logical values and hands each stage's gate and true input index to the
@@ -28,6 +30,7 @@ of a longer one. ``MC_STREAM`` names this stream contract,
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,13 +38,13 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .boolfn import BRUTE_FORCE_ARITY_CAP, make_named
+from .boolfn import BRUTE_FORCE_ARITY_CAP, input_keys, make_named
 from .gates import NoisyGate, beta, maj_error_recursion, majority_error
 
 EQUAL_ERROR_SLACK = 0.05
-#: largest stages x width of a circuit, checked before any wiring is drawn:
-#: build keeps k length-W permutations per restore stage, and the sampler
-#: draws BLOCK / 8 bytes of flips per wire, stage and error value
+#: largest stages x width of a circuit, checked before any stage is laid
+#: out: the wiring holds k length-W permutations per restore stage, and the
+#: sampler draws BLOCK / 8 bytes of flips per wire, stage and error value
 CIRCUIT_SIZE_CAP = 1 << 21
 #: most Monte Carlo trials per sampled input
 TRIALS_CAP = 1 << 24
@@ -179,25 +182,28 @@ def formula_to_text(formula: FormulaDag) -> str:
 # ---------------------------------------------------------------------------
 # circuit construction
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Stage:
     """One gate applied wire-wise: output wire j of bundle ``target`` is the
-    gate of ``kind`` ("restore" or "compute") on, for each gate input i with
-    ``reads[i] = (source, perm)``, wire ``perm[j]`` of bundle ``source``, or
-    wire j itself when ``perm`` is None. A ``perm`` is an index array, so the
-    sampler gathers wires with it directly.
+    gate of ``kind`` ("restore" or "compute") on, for each gate input i, wire
+    ``perm[j]`` of bundle ``sources[i]``, where ``perm`` is entry i of the
+    stage's row of the circuit's ``wiring``, or wire j itself when that entry
+    is None.
 
-    A restore stage reads its source through k permutations of range(W); a
-    compute stage reads ``(a, None), (b, sigma1), (b, sigma2)``.
+    A restore stage reads its one source k times; a compute stage reads
+    ``(a, b, b)``.
     """
 
     kind: str
     target: int
-    reads: tuple[tuple[int, np.ndarray | None], ...]
+    sources: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class ReliableCircuit:
+    """A laid-out circuit. The stages name only bundles; the wire
+    permutations are ``wiring``, drawn from ``seed`` on first use."""
+
     formula: FormulaDag
     width: int
     kmaj: NoisyGate
@@ -208,6 +214,29 @@ class ReliableCircuit:
     #: dead_after[s]: the bundles that stage s reads for the last time
     dead_after: tuple[tuple[int, ...], ...]
     warnings: tuple[str, ...]
+    seed: int
+
+    @functools.cached_property
+    def wiring(self) -> tuple[tuple[np.ndarray | None, ...], ...]:
+        """Per stage, the index array that feeds each gate input, so the
+        sampler gathers wires with it directly; None feeds wire j itself.
+
+        Drawn once per circuit from ``default_rng([seed, 0])``, stage by
+        stage: a restore draws k independent permutations of range(W)
+        (classic multiplexing, which admits occasional duplicate votes on an
+        output wire); a compute reads ``a`` as is and ``b`` through sigma1
+        and its rotation sigma2[i] = sigma1[(i + W//2) % W].
+        """
+        rng = np.random.default_rng([self.seed, 0])
+        w = self.width
+        rows = []
+        for stage in self.stages:
+            if stage.kind == "restore":
+                rows.append(tuple(rng.permutation(w) for _ in stage.sources))
+            else:
+                sigma1 = rng.permutation(w)
+                rows.append((None, sigma1, np.roll(sigma1, -(w // 2))))
+        return tuple(rows)
 
 
 def build(
@@ -228,10 +257,10 @@ def build(
     never share wires. Threshold violations warn but do not fail: exploring
     the unreliable regime is part of the point.
 
-    Each restore stage samples k independent permutations (classic
-    multiplexing), which admits occasional duplicate votes on an output
-    wire. Stages x width may be at most ``CIRCUIT_SIZE_CAP``; the stage count
-    follows from the formula before any permutation is drawn.
+    ``build`` draws nothing: the circuit's ``wiring`` is drawn from ``seed``
+    the first time the sampler runs on it. Stages x width may be at most
+    ``CIRCUIT_SIZE_CAP``; the stage count follows from the formula before
+    any stage is laid out.
     """
     if width < k:
         raise ValueError(f"bundle width {width} smaller than k = {k}")
@@ -268,15 +297,14 @@ def build(
     if mu >= 0.5:
         warnings.append(f"compute gate error {mu:.6f} is not below 1/2")
 
-    rng = np.random.default_rng([seed, 0])
     stages: list[Stage] = []
     new_bundle = itertools.count().__next__
 
     def add_restores(src: int, rounds: int) -> int:
         for _ in range(rounds):
-            reads = tuple((src, rng.permutation(width)) for _ in range(k))
-            src = new_bundle()
-            stages.append(Stage("restore", src, reads))
+            target = new_bundle()
+            stages.append(Stage("restore", target, (src,) * k))
+            src = target
         return src
 
     raw_inputs = tuple(new_bundle() for _ in formula.inputs)
@@ -294,13 +322,10 @@ def build(
         a_bundle = operand_bundle(a_ref)
         b_bundle = operand_bundle(b_ref)
         tgt = new_bundle()
-        sigma1 = rng.permutation(width)
-        sigma2 = np.roll(sigma1, -(width // 2))  # sigma2[i] = sigma1[(i + W//2) % W]
-        reads = ((a_bundle, None), (b_bundle, sigma1), (b_bundle, sigma2))
-        stages.append(Stage("compute", tgt, reads))
+        stages.append(Stage("compute", tgt, (a_bundle, b_bundle, b_bundle)))
         prepared[formula.n_inputs + j] = add_restores(tgt, restore_rounds)
 
-    last_read = {src: s for s, stage in enumerate(stages) for src, _ in stage.reads}
+    last_read = {src: s for s, stage in enumerate(stages) for src in stage.sources}
     dead_after: list[list[int]] = [[] for _ in stages]
     for src, s in last_read.items():
         dead_after[s].append(src)
@@ -315,6 +340,7 @@ def build(
         output_bundle=prepared[formula.output_ref],
         dead_after=tuple(map(tuple, dead_after)),
         warnings=tuple(warnings),
+        seed=seed,
     )
 
 
@@ -327,28 +353,36 @@ def _walk(circuit: ReliableCircuit, xs: Sequence[tuple[int, ...]], clean, step):
 
     A bundle's state is an error model's account of how wrong it is; input
     bundles start ``clean``. A live bundle splits the batch into classes:
-    ``outcomes`` holds one (true value, state) per class and ``classes`` each
-    input's class id, or None when one class holds the whole batch. Stage s
-    calls ``step(s, stage, gate, idx, reads, count)`` once per combination of
-    its sources' classes, which ``count`` inputs share; the step maps the
-    read states, in gate-input order, at true input index ``idx`` to the
-    target's state. Equal (value, state) merge into one class, so a step runs
-    once per distinct (stage, true index, read states), and a batch of one
-    never compares states. A bundle is dropped after its last read.
+    ``outcomes`` holds one (true value, state) per class, ``classes`` each
+    input's class id, or None when one class holds the whole batch, and
+    ``counts`` the inputs in each class. Stage s calls
+    ``step(s, stage, gate, idx, reads, count)`` once per combination of its
+    sources' classes, which ``count`` inputs share; the step maps the read
+    states, in gate-input order, at true input index ``idx`` to the target's
+    state. A stage with one split source takes its combinations and counts
+    from that source's classes as they are. Equal (value, state) merge into
+    one class, so a step runs once per distinct (stage, true index, read
+    states), and a batch of one never compares states. A bundle is dropped
+    after its last read. Every input must have one bit per formula input.
     """
-    if any(len(x) != circuit.formula.n_inputs for x in xs):
-        raise ValueError("one bit per formula input required")
-    live = {}  # bundle -> (classes, outcomes)
+    live = {}  # bundle -> (classes, outcomes, counts)
     for b, bits in zip(circuit.input_bundles, zip(*xs)):
-        split = len(set(bits)) > 1
-        live[b] = (np.array(bits), [(0, clean), (1, clean)]) if split else (None, [(bits[0], clean)])
+        ones = bits.count(1)
+        if 0 < ones < len(xs):
+            live[b] = (np.array(bits), [(0, clean), (1, clean)], [len(xs) - ones, ones])
+        else:
+            live[b] = (None, [(bits[0], clean)], [len(xs)])
     gate_of = {"restore": circuit.kmaj, "compute": circuit.xnand}
     for s, stage in enumerate(circuit.stages):
         gate = gate_of[stage.kind]
         # the distinct sources whose inputs fall into more than one class (none for one input)
-        split = list({src: 0 for src, _ in stage.reads if live[src][0] is not None}) if len(xs) > 1 else []
-        codes, inverse, counts = [0], None, [len(xs)]
-        if split:  # a mixed-radix code per input, first split source least significant
+        split = list(dict.fromkeys(src for src in stage.sources if live[src][0] is not None)) if len(xs) > 1 else []
+        if not split:
+            codes, inverse, counts = [0], None, [len(xs)]
+        elif len(split) == 1:  # the combinations are the source's classes
+            inverse, _, counts = live[split[0]]
+            codes = range(len(counts))
+        else:  # a mixed-radix code per input, first split source least significant
             code = 0
             for src in reversed(split):
                 code = code * len(live[src][1]) + live[src][0]
@@ -360,7 +394,7 @@ def _walk(circuit: ReliableCircuit, xs: Sequence[tuple[int, ...]], clean, step):
             for src in split:
                 combo, pick[src] = divmod(combo, len(live[src][1]))
             idx, reads = 0, []
-            for i, (src, _) in enumerate(stage.reads):
+            for i, src in enumerate(stage.sources):
                 v, state = live[src][1][pick.get(src, 0)]
                 idx |= v << i
                 reads.append(state)
@@ -368,12 +402,17 @@ def _walk(circuit: ReliableCircuit, xs: Sequence[tuple[int, ...]], clean, step):
         if len(outs) > 1:
             index: dict = {}
             remap = [index.setdefault(out, len(index)) for out in outs]
-            outs = list(index)
-            inverse = np.array(remap)[inverse] if len(outs) > 1 else None
-        live[stage.target] = (inverse, outs)
+            if len(index) < len(outs):  # equal outcomes merge
+                merged = [0] * len(index)
+                for r, count in zip(remap, counts):
+                    merged[r] += count
+                outs, counts = list(index), merged
+                inverse = np.array(remap)[inverse] if len(outs) > 1 else None
+        live[stage.target] = (inverse, outs, counts)
         for src in circuit.dead_after[s]:
             del live[src]
-    return live[circuit.output_bundle]
+    classes, outcomes, _ = live[circuit.output_bundle]
+    return classes, outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +449,7 @@ def _wires(stage: Stage, errors: Sequence[float], width: int) -> list[tuple[int,
     except that all reads of a width-1 bundle are its one wire.
     """
     wires: dict[tuple[int, int], tuple[int, float]] = {}  # (bundle, draw) -> wire
-    for i, ((src, _), p) in enumerate(zip(stage.reads, errors)):
+    for i, (src, p) in enumerate(zip(stage.sources, errors)):
         key = (src, 0 if width == 1 else i)
         mask, _ = wires.get(key, (0, p))
         wires[key] = (mask | 1 << i, p)
@@ -450,6 +489,13 @@ def _independence_walk(circuit: ReliableCircuit, xs: Sequence[tuple[int, ...]]):
     return _walk(circuit, xs, 0.0, step), tripped, trajectory
 
 
+def _input_bits(circuit: ReliableCircuit, x: Sequence[int]) -> tuple[int, ...]:
+    x = tuple(int(b) & 1 for b in x)
+    if len(x) != circuit.formula.n_inputs:
+        raise ValueError("one bit per formula input required")
+    return x
+
+
 def simulate_analytic(circuit: ReliableCircuit, x: Sequence[int]) -> AnalyticResult:
     """Propagate per-bundle error probabilities stage by stage for one input.
 
@@ -459,7 +505,7 @@ def simulate_analytic(circuit: ReliableCircuit, x: Sequence[int]) -> AnalyticRes
     apart beyond the equal-error slack of the voting analysis. A restore
     gate with one error on every input uses the closed majority recursion.
     """
-    x = tuple(int(b) & 1 for b in x)
+    x = _input_bits(circuit, x)
     (_, [(value, p)]), tripped, trajectory = _independence_walk(circuit, [x])
     return AnalyticResult(
         x=x,
@@ -591,6 +637,7 @@ def _wrong_trials(
     # restore gate first: the order in which each block draws its masks
     gate_keys = {"restore": _gate_keys(circuit.kmaj), "compute": _gate_keys(circuit.xnand)}
     kind_count = {kind: sum(stage.kind == kind for stage in circuit.stages) for kind in gate_keys}
+    wiring = circuit.wiring
     # (kind, true index) -> the re-indexed wrongness and flip keys, filled on first use
     reindexed: dict[tuple[str, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
@@ -614,7 +661,7 @@ def _wrong_trials(
                 )
             wrong_keys, flip_keys = reindexed[stage.kind, idx]
             kind_masks = masks[stage.kind]
-            es = [r if perm is None else r[perm] for r, (_, perm) in zip(reads, stage.reads)]
+            es = [r if perm is None else r[perm] for r, perm in zip(reads, wiring[s])]
             wrong = _mux(wrong_keys, es, None, {})
             flip = _mux(flip_keys, es, lambda key: kind_masks[key - 2][i], {})
             if isinstance(wrong, int):
@@ -657,7 +704,7 @@ def simulate_monte_carlo(
     ``MC_STREAM``.
     """
     _check_trials(trials)
-    x = tuple(int(b) & 1 for b in x)
+    x = _input_bits(circuit, x)
     wrong = 0
     n_blocks = -(-trials // BLOCK)
     for block, wrong_mask in enumerate(_wrong_trials(circuit, x, seed, n_blocks)):
@@ -751,7 +798,7 @@ def build_report(
     n = circuit.formula.n_inputs
     if n > BRUTE_FORCE_ARITY_CAP:
         raise ValueError(f"formula has {n} inputs, above cap {BRUTE_FORCE_ARITY_CAP}")
-    xs = [x[::-1] for x in itertools.product((0, 1), repeat=n)]  # bit j of index i is x[j]
+    xs = input_keys(n)
     (classes, outcomes), tripped, _ = _independence_walk(circuit, xs)
     class_errors = [majority_error(circuit.width, p) for _, p in outcomes]
     per_input = [0] * len(xs) if classes is None else classes.tolist()

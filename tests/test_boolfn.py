@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from l2mbqc.boolfn import (
     all_affine_forms,
     kmaj_nonlinearity,
     index_bits,
+    input_keys,
     make_named,
     nonlinearity,
     walsh,
@@ -83,6 +85,25 @@ def test_make_named_rejects_arity_above_cap_before_building():
         with pytest.raises(ValueError, match="above cap 16"):
             make_named(name, k)
     assert len(make_named("maj", 15).table) == 1 << 15
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, boolfn.COMPILE_ARITY_CAP + 1])
+def test_input_keys_are_in_table_order(n):
+    assert input_keys(n) == tuple(index_bits(i, n) for i in range(1 << n))
+
+
+def test_input_keys_above_the_cache_bound_are_not_kept():
+    # 2^14 tuples take about 2 MiB; none may outlive the caller's reference
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        keys = input_keys(14)
+        assert len(keys) == 1 << 14
+        del keys
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20
 
 
 def test_evaluate_arity_mismatch():

@@ -1,9 +1,11 @@
+import collections
 import functools
 import itertools
 import math
 import sys
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l2mbqc import gates, reliability
-from l2mbqc.boolfn import make_named
+from l2mbqc.boolfn import input_keys, make_named
 from l2mbqc.gates import (
     chsh_and_gate,
     maj3_from_and,
@@ -128,12 +130,12 @@ def test_restore_wiring_rows_are_permutations():
     f = parse_formula("(nand a b)")
     kmaj, xnand = chsh_gates()
     circ = build(f, 27, 3, 2, xnand=xnand, kmaj=kmaj, seed=5)
-    for stage in circ.stages:
+    for stage, perms in zip(circ.stages, circ.wiring, strict=True):
         if stage.kind == "restore":
-            for _, row in stage.reads:
+            for row in perms:
                 assert sorted(row) == list(range(27))
         else:
-            (_, identity), (_, sigma1), (_, sigma2) = stage.reads
+            identity, sigma1, sigma2 = perms
             assert identity is None
             assert sorted(sigma1) == list(range(27))
             assert all(a != b for a, b in zip(sigma1, sigma2))
@@ -145,10 +147,43 @@ def test_fanout_gets_private_restored_copies():
     circ = build(f, 9, 3, 1, xnand=xnand, kmaj=kmaj, seed=2)
     computes = [s for s in circ.stages if s.kind == "compute"]
     # input a feeds both gates through distinct duplicated bundles
-    assert computes[0].reads[0][0] != computes[1].reads[0][0]
+    assert computes[0].sources[0] != computes[1].sources[0]
     restores = sum(s.kind == "restore" for s in circ.stages)
     # two inputs and two node outputs at r=1, plus one duplication per use of a
     assert restores == 4 + 2
+
+
+def test_wiring_replays_the_seeded_draws_in_stage_order():
+    # one default_rng([seed, 0]) walks the stages in order: k permutations per
+    # restore, sigma1 per compute with sigma2 its rotation by W // 2
+    f = parse_formula("(nand a (nand a b))")
+    kmaj, xnand = chsh_gates()
+    circ = build(f, 9, 3, 1, xnand=xnand, kmaj=kmaj, seed=11)
+    rng = np.random.default_rng([11, 0])
+    for stage, perms in zip(circ.stages, circ.wiring, strict=True):
+        if stage.kind == "restore":
+            assert len(perms) == 3
+            for row in perms:
+                assert row.tolist() == rng.permutation(9).tolist()
+        else:
+            identity, sigma1, sigma2 = perms
+            want = rng.permutation(9).tolist()
+            assert identity is None
+            assert sigma1.tolist() == want
+            assert sigma2.tolist() == [want[(i + 4) % 9] for i in range(9)]
+    assert circ.wiring is circ.wiring  # drawn once per circuit
+
+
+def test_analytic_report_draws_no_wiring(monkeypatch):
+    kmaj, xnand = chsh_gates()
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a wire permutation was drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    circ = build(parse_formula(TREE3), 81, 3, 2, xnand=xnand, kmaj=kmaj, seed=7)
+    build_report(circ, margin=0.05)
+    assert "wiring" not in vars(circ)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +288,7 @@ def exact_logical_error(circ, x):
     gate_of = {"restore": circ.kmaj, "compute": circ.xnand}
     init = {b: (vals[i],) * w for i, b in enumerate(circ.input_bundles)}
     states = {tuple(sorted(init.items())): 1.0}
-    for stage in circ.stages:
+    for stage, perms in zip(circ.stages, circ.wiring, strict=True):
         new = {}
         for key, prob in states.items():
             bundles = dict(key)
@@ -261,7 +296,7 @@ def exact_logical_error(circ, x):
             gate = gate_of[stage.kind]
             for j in range(w):
                 idx = 0
-                for i, (src, perm) in enumerate(stage.reads):
+                for i, (src, perm) in enumerate(zip(stage.sources, perms)):
                     idx |= bundles[src][j if perm is None else perm[j]] << i
                 outs.append(gate.target.table[idx])
                 errs.append(gate.errors[idx])
@@ -632,6 +667,16 @@ def test_size_cap_counts_every_stage(monkeypatch, text):
         build(formula, 9, 3, 2, xnand=xnand, kmaj=kmaj, seed=1)
 
 
+@pytest.mark.parametrize("x", [(1,), (0, 1, 1)])
+def test_entry_points_reject_a_wrong_length_input(x):
+    kmaj, xnand = chsh_gates()
+    circ = build(parse_formula("(nand a b)"), 9, 3, 1, xnand=xnand, kmaj=kmaj, seed=1)
+    with pytest.raises(ValueError, match="one bit per formula input required"):
+        simulate_analytic(circ, x)
+    with pytest.raises(ValueError, match="one bit per formula input required"):
+        simulate_monte_carlo(circ, x, 10, seed=1)
+
+
 def test_sampler_rejects_trials_above_cap():
     kmaj, xnand = perfect_gates()
     circ = build(parse_formula("(nand a b)"), 9, 3, 0, xnand=xnand, kmaj=kmaj, seed=1)
@@ -821,6 +866,56 @@ def test_sweep_runs_each_step_once_per_distinct_state(monkeypatch):
     for s, count in calls:
         inputs_per_stage[s] += count
     assert inputs_per_stage == [256] * len(circ.stages)
+
+
+def step_counts(circ, xs):
+    """(stage, true index, read states) -> the count passed with it, summed
+    over the independence walk of the batch ``xs``."""
+    seen = collections.Counter()
+    walk = reliability._walk
+
+    def counting_walk(circuit, xs, clean, step):
+        def counted(s, stage, gate, idx, reads, count):
+            seen[s, idx, tuple(reads)] += count
+            return step(s, stage, gate, idx, reads, count)
+
+        return walk(circuit, xs, clean, counted)
+
+    with mock.patch.object(reliability, "_walk", counting_walk):
+        reliability._independence_walk(circ, xs)
+    return seen
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    text=fanout_formulas(max_inputs=4),
+    width=st.sampled_from([1, 3, 9]),
+    rounds=st.integers(0, 2),
+    restore_errors=st.tuples(*[st.sampled_from([0.0, 0.1, 0.3])] * 8),
+    compute_errors=st.tuples(*[st.sampled_from([0.0, 0.1])] * 8),
+    data=st.data(),
+)
+def test_every_step_counts_the_inputs_that_reach_it(
+    text, width, rounds, restore_errors, compute_errors, data
+):
+    # whether a stage takes its combinations from np.unique or from its one
+    # split source, and however equal states merge (zero errors make them
+    # likely), each step's count is the number of the batch's inputs whose
+    # own walk makes that step, so every stage's counts add up to the batch
+    k = 1 if width == 1 else 3
+    kmaj = gates.NoisyGate(make_named("maj", k), restore_errors[: 1 << k])
+    xnand = gates.NoisyGate(make_named("xnand"), compute_errors)
+    circ = build(parse_formula(text), width, k, rounds, xnand=xnand, kmaj=kmaj, seed=0)
+    keys = input_keys(circ.formula.n_inputs)
+    xs = data.draw(st.one_of(
+        st.just(keys), st.lists(st.sampled_from(keys), min_size=1, unique=True)
+    ))
+    batch = step_counts(circ, xs)
+    assert batch == sum((step_counts(circ, [x]) for x in xs), collections.Counter())
+    inputs_per_stage = [0] * len(circ.stages)
+    for (s, _, _), count in batch.items():
+        inputs_per_stage[s] += count
+    assert inputs_per_stage == [len(xs)] * len(circ.stages)
 
 
 # ---------------------------------------------------------------------------
