@@ -9,7 +9,6 @@ oracle that never uses the closed forms.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,7 +51,7 @@ class OutcomeDistribution:
         return self.probs.size.bit_length() - 1
 
     def __getitem__(self, outcome: tuple[int, ...]) -> float:
-        if len(outcome) != self.n_parties:
+        if len(outcome) != self.n_parties or any(b not in (0, 1) for b in outcome):
             raise ValueError(f"outcome {outcome} is not one bit per party")
         return float(self.probs[sum(b << j for j, b in enumerate(outcome))])
 
@@ -292,52 +291,113 @@ def parity_probability(box: BipartiteBox | GhzBox, forms: Iterable[int], n: int)
 # ---------------------------------------------------------------------------
 # state-vector oracle
 
-def _xz_basis(theta: float) -> np.ndarray:
-    # rows are <v_o| for outcomes 0 (+1 eigenvalue) and 1 (-1 eigenvalue)
-    return np.array(
-        [
-            [math.cos(theta / 2), math.sin(theta / 2)],
-            [-math.sin(theta / 2), math.cos(theta / 2)],
-        ],
-        dtype=complex,
-    )
+def _xz_basis(theta) -> np.ndarray:
+    # rows are <v_o| for outcomes 0 (+1 eigenvalue) and 1 (-1 eigenvalue);
+    # one 2x2 matrix per angle, so an array of angles gives a stack
+    c, s = np.cos(np.divide(theta, 2.0)), np.sin(np.divide(theta, 2.0))
+    return np.stack([c, s, -s, c], axis=-1).reshape(np.shape(theta) + (2, 2)).astype(complex)
 
 
-def _xy_basis(phi: float) -> np.ndarray:
-    s = 1.0 / math.sqrt(2.0)
-    e = cmath.exp(-1j * phi)
-    return np.array([[s, s * e], [s, -s * e]], dtype=complex)
+def _xy_basis(phi) -> np.ndarray:
+    s = np.full(np.shape(phi), 1.0 / math.sqrt(2.0))
+    e = s * np.exp(-1j * np.asarray(phi, dtype=np.float64))
+    return np.stack([s, e, s, -e], axis=-1).reshape(np.shape(phi) + (2, 2))
+
+
+def _measure(amps: np.ndarray, bases: Sequence[np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """Outcome probabilities of B states measured party by party, as (B, 2^N).
+
+    Row b of ``amps`` holds 2^N amplitudes, bit j of the index being party
+    j's qubit; party j of row b is measured in ``bases[j][rows[b, j]]`` (a
+    stack of 2x2 matrices whose rows are <v_o|). Each step applies the top
+    qubit's basis with elementwise ufuncs and writes the result with that
+    qubit moved to bit 0, so after N steps bit j is party j's outcome again.
+    Two (B, 2^N) buffers and one half-size temporary are held.
+    """
+    b = len(rows)
+    out = np.empty_like(amps)
+    for j in reversed(range(len(bases))):
+        m = bases[j][rows[:, j]][..., None]  # (B, 2, 2, 1)
+        top = amps.reshape(b, 2, -1)  # party j is the top qubit
+        low = out.reshape(b, -1, 2)  # party j is written as bit 0
+        for o in (0, 1):
+            np.multiply(m[:, o, 0], top[:, 0], out=low[:, :, o])
+            low[:, :, o] += m[:, o, 1] * top[:, 1]
+        amps, out = out, amps
+    probs = np.abs(amps)
+    probs *= probs
+    return probs
 
 
 def _project_all(state: np.ndarray, bases: list[np.ndarray]) -> OutcomeDistribution:
-    amps = state
-    for axis, basis in enumerate(bases):
-        amps = np.moveaxis(np.tensordot(basis, amps, axes=([1], [axis])), 0, axis)
     # axis j is party j; reversed axes put party 0 in the least-significant bit
-    return OutcomeDistribution((np.abs(amps) ** 2).transpose().ravel())
+    amps = np.asarray(state, dtype=complex).transpose().reshape(1, -1)
+    rows = np.zeros((1, state.ndim), dtype=np.intp)
+    return OutcomeDistribution(_measure(amps, [basis[None] for basis in bases], rows)[0])
+
+
+def _ghz_state(batch: int, n: int) -> np.ndarray:
+    """(|0...0> + |1...1>)/sqrt(2) on n qubits, once per row."""
+    amps = np.zeros((batch, 1 << n), dtype=complex)
+    amps[:, 0] = amps[:, -1] = 1.0 / math.sqrt(2.0)
+    return amps
+
+
+def _basis_pairs(box: CorrelationBox, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Each party's bases for input 0 and 1, (N, 2, 2, 2), and the checked (B, N) rows.
+
+    The Bell box shares the two-qubit GHZ state, measured in the XZ plane.
+    """
+    if isinstance(box, BipartiteBox):
+        pairs = _xz_basis(np.array((box.alice, box.bob)))
+    elif isinstance(box, GhzBox):
+        if box.epsilon != 0.0:
+            raise ValueError("state-vector oracle covers only epsilon = 0")
+        if box.n_parties > STATEVECTOR_QUBIT_CAP:
+            raise ValueError(f"{box.n_parties} qubits above oracle cap {STATEVECTOR_QUBIT_CAP}")
+        pairs = _xy_basis(np.array(box.angles))
+    else:
+        raise TypeError("oracle supports BipartiteBox and noiseless GhzBox only")
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] != len(pairs):
+        raise ValueError(f"input rows of shape {rows.shape} are not one bit per party")
+    if rows.dtype.kind not in "biu":
+        raise ValueError(f"input rows of dtype {rows.dtype} are not bits")
+    bad = ((rows != 0) & (rows != 1)).any(axis=1)
+    if bad.any():
+        raise ValueError(f"input row {rows[bad.argmax()].tolist()} is not bits")
+    return pairs, rows.astype(np.intp)
+
+
+def statevector_parity(box: BipartiteBox | GhzBox, rows) -> np.ndarray:
+    """P(xor of all outputs = 1) for each row of input bits, one bit per party.
+
+    Independent of the closed forms: every row's measured state is simulated
+    in one batched dense pass (see ``statevector_oracle``), in chunks of
+    2^(STATEVECTOR_QUBIT_CAP - N) rows, so no chunk holds more than 2^16
+    amplitudes. Rows that are not one bit per party raise ValueError.
+    """
+    pairs, rows = _basis_pairs(box, rows)
+    n = len(pairs)
+    odd = index_parity(n).astype(np.float64)
+    step = 1 << (STATEVECTOR_QUBIT_CAP - n)
+    out = np.empty(len(rows))
+    for start in range(0, len(rows), step):
+        chunk = rows[start:start + step]
+        out[start:start + step] = _measure(_ghz_state(len(chunk), n), pairs, chunk) @ odd
+    return out
 
 
 def statevector_oracle(box: CorrelationBox, inputs: Sequence[int]) -> OutcomeDistribution:
     """Independent verification path: dense simulation of the measured state.
 
     Supports the Bell-state box and noiseless GHZ boxes; no closed forms
-    are used anywhere on this path.
+    are used anywhere on this path. It is the batch of one of the dense pass
+    that ``statevector_parity`` runs over many inputs, so it holds at most
+    2^16 amplitudes; inputs that are not one bit per party raise ValueError.
     """
-    if isinstance(box, BipartiteBox):
-        state = np.zeros((2, 2), dtype=complex)
-        state[0, 0] = state[1, 1] = 1.0 / math.sqrt(2.0)
-        b0, b1 = inputs
-        return _project_all(state, [_xz_basis(box.alice[b0]), _xz_basis(box.bob[b1])])
-    if isinstance(box, GhzBox):
-        if box.epsilon != 0.0:
-            raise ValueError("state-vector oracle covers only epsilon = 0")
-        n = box.n_parties
-        if n > STATEVECTOR_QUBIT_CAP:
-            raise ValueError(f"{n} qubits above oracle cap {STATEVECTOR_QUBIT_CAP}")
-        state = np.zeros((2,) * n, dtype=complex)
-        state[(0,) * n] = state[(1,) * n] = 1.0 / math.sqrt(2.0)
-        bases = [
-            _xy_basis(pair[b]) for pair, b in zip(box.angles, inputs, strict=True)
-        ]
-        return _project_all(state, bases)
-    raise TypeError("oracle supports BipartiteBox and noiseless GhzBox only")
+    pairs, (row,) = _basis_pairs(box, [inputs])
+    n = len(pairs)
+    # the GHZ state is symmetric under reversing its axes
+    state = _ghz_state(1, n).reshape((2,) * n)
+    return _project_all(state, [pair[b] for pair, b in zip(pairs, row)])

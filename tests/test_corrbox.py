@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l2mbqc import corrbox
 from l2mbqc.corrbox import (
@@ -16,6 +18,7 @@ from l2mbqc.corrbox import (
     ghz_parity_probability,
     noncontextual_and_box,
     statevector_oracle,
+    statevector_parity,
 )
 
 COS2_PI8 = math.cos(math.pi / 8) ** 2
@@ -260,6 +263,52 @@ def test_oracle_rejects_noise_and_oversize():
         statevector_oracle(big, (0,) * 17)
 
 
+@pytest.mark.parametrize("box, inputs", [
+    (GhzBox(((0.0, 1.0),) * 3), (0, 2, 1)),
+    (GhzBox(((0.0, 1.0),) * 3), (0, -1, 1)),
+    (GhzBox(((0.0, 1.0),) * 3), (0, 1)),
+    (GhzBox(((0.0, 1.0),) * 3), (0, 0.5, 1)),
+    (chsh_and_box(), (0, 2)),
+    (chsh_and_box(), (0, 1, 1)),
+])
+def test_oracle_rejects_inputs_that_are_not_one_bit_per_party(box, inputs):
+    with pytest.raises(ValueError):
+        statevector_oracle(box, inputs)
+    with pytest.raises(ValueError):
+        statevector_parity(box, [(0,) * box.n_parties, inputs])
+
+
+_angle = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_statevector_parity_matches_the_oracle_row_by_row(data):
+    n = data.draw(st.integers(1, 8))
+    angles = data.draw(st.lists(st.tuples(_angle, _angle), min_size=n, max_size=n))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    rows = data.draw(st.lists(bits, min_size=1, max_size=12))
+    box = GhzBox(tuple(angles))
+    got = statevector_parity(box, rows)
+    assert got.shape == (len(rows),)
+    for row, p in zip(rows, got):
+        assert abs(p - statevector_oracle(box, row).parity_probability(1)) <= 1e-12
+
+
+def test_statevector_parity_chunks_rows():
+    # 15 qubits: chunks of two rows, the last one short
+    rng = np.random.default_rng(11)
+    box = random_ghz(rng, 15)
+    rows = rng.integers(0, 2, (5, 15))
+    got = statevector_parity(box, rows)
+    for row, p in zip(rows, got):
+        assert abs(p - statevector_oracle(box, row).parity_probability(1)) <= 1e-12
+    bell = chsh_and_box()
+    rows = list(itertools.product((0, 1), repeat=2))
+    expected = [statevector_oracle(bell, row).parity_probability(1) for row in rows]
+    assert statevector_parity(bell, rows) == pytest.approx(expected, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # no-signalling
 
@@ -370,3 +419,9 @@ def test_distribution_validation():
     with pytest.raises(ValueError):
         OutcomeDistribution(np.array([1.5, -0.5]))
 
+
+@pytest.mark.parametrize("outcome", [(2, 0), (-1, 0), (0, 3), (0,), (0, 0, 0)])
+def test_outcome_entries_must_be_bits(outcome):
+    dist = distribution(chsh_and_box(), (0, 0))
+    with pytest.raises(ValueError):
+        dist[outcome]

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from l2mbqc import mbqc
 from l2mbqc.boolfn import BooleanFunction, make_named
+from l2mbqc.corrbox import statevector_oracle
 from l2mbqc.ghzc import (
     STATEVECTOR_QUBIT_CAP,
     GhzProgram,
@@ -298,6 +300,18 @@ ORACLE_CASES = {
 }
 
 
+def _per_input_statevector_success(program, f):
+    """The cross-check as one state-vector oracle call per input (oracle copy)."""
+    box = run_as_l2program(program).boxes[0]
+    out = {}
+    for x_idx in range(1 << program.n):
+        x = tuple((x_idx >> j) & 1 for j in range(program.n))
+        box_inputs = tuple((q.mask & x_idx).bit_count() & 1 for q in program.qubits)
+        p1 = statevector_oracle(box, box_inputs).parity_probability(1)
+        out[x] = p1 if f.table[x_idx] ^ program.constant else 1.0 - p1
+    return out
+
+
 def _check_against_oracle(program, f):
     result = verify(program, f)
     for x_idx in range(1 << program.n):
@@ -310,6 +324,11 @@ def _check_against_oracle(program, f):
     if 0 < program.n_qubits <= STATEVECTOR_QUBIT_CAP:
         for x, p in result.success.items():
             assert abs(p - result.statevector_success[x]) <= 1e-10
+        if program.n <= 5:
+            per_input = _per_input_statevector_success(program, f)
+            assert result.statevector_success.keys() == per_input.keys()
+            for x, p in per_input.items():
+                assert abs(p - result.statevector_success[x]) <= 1e-12
     else:
         assert result.statevector_success is None
     return result
@@ -342,3 +361,33 @@ def test_flipped_constant_fails_congruence_everywhere(n):
     assert not any(result.congruence_ok.values())
     assert all(p == pytest.approx(0.0, abs=1e-12) for p in result.success.values())
 
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cross_check_holds_one_chunk_at_a_time():
+    # 16 qubits at n = 5: 32 inputs, one row of 2^16 amplitudes per chunk
+    program = _program(5, [(m, Fraction(m, 16)) for m in range(1, 17)])
+    f = _target_from_phases(program, random.Random(16))
+    _check_against_oracle(program, f)
+    box = run_as_l2program(program).boxes[0]
+    one_call = _traced_peak(lambda: statevector_oracle(box, (1,) * 16))
+    assert _traced_peak(lambda: verify(program, f, use_statevector=True)) <= 2 * one_call
+
+
+def test_cross_check_above_the_cap_raises_before_allocating():
+    program = _program(5, [(m, "1/2") for m in range(1, 18)])
+    f = _target_from_phases(program, random.Random(17))
+    one_row = 16 << 17  # complex amplitudes of one 17-qubit state
+
+    def cross_check():
+        with pytest.raises(ValueError, match="cap"):
+            verify(program, f, use_statevector=True)
+
+    assert _traced_peak(cross_check) < one_row
