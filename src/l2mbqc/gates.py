@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+import numpy as np
+
 from . import ghzc, mbqc
 from .boolfn import BooleanFunction, kmaj_nonlinearity, make_named
 
@@ -249,6 +251,60 @@ def _binomial_upper_tail(n: int, p: float, m: int) -> float:
             break
         terms.append(term)
     return math.fsum(terms)
+
+
+def restore_polynomial(gate: NoisyGate) -> np.ndarray:
+    """Coefficients ``G[v, j]`` of one restore step of a k-input gate whose
+    inputs read independent wires of one bundle of true value v.
+
+    With each read wrong with probability p, the output wire is wrong with
+    probability p' = sum_j G[v, j] p^j (1 - p)^(k - j): ``G[v, j]`` adds up,
+    over the C(k, j) patterns that flip j of the inputs, the probability that
+    the gate's output on the flipped input differs from its value on the
+    true one. The 2^k patterns are enumerated once per v, for uniform and
+    input-dependent errors alike, and each coefficient is one exact sum
+    rounded once.
+    """
+    n = 1 << gate.k
+    table = np.array(gate.target.table)
+    errors = np.array(gate.errors)
+    patterns = np.arange(n)
+    weights = np.array([e.bit_count() for e in range(n)])
+    coefficients = np.empty((2, gate.k + 1))
+    for v in (0, 1):
+        idx = patterns ^ (n - 1) * v
+        wrong = table[idx] != table[(n - 1) * v]
+        # a wrong output contributes 1 - e, a right one e
+        signed = np.where(wrong, -errors[idx], errors[idx])
+        for j in range(gate.k + 1):
+            at = weights == j
+            coefficients[v, j] = math.fsum([int(np.count_nonzero(wrong[at])), *signed[at].tolist()])
+    return coefficients
+
+
+#: |p - _ZERO_ONE| is (p, 1 - p)
+_ZERO_ONE = np.array([0.0, 1.0])
+
+
+def restore_error(coefficients: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """p'_r = sum_j c_rj p_r^j (1 - p_r)^(k - j) for each coefficient row
+    c_r of ``coefficients`` (shape (m, k + 1)) and read error p_r of ``p``
+    (shape (m,)).
+
+    Only IEEE multiplications and subtractions and exact sums are used, so
+    the value is the same on every platform. The powers are running
+    products and every term is nonnegative, so the terms' relative accuracy
+    carries over to p' on all of [0, 1]. Each row's terms are added exactly
+    and rounded once (``math.fsum``): a row's value depends on nothing but
+    its own terms.
+    """
+    m, k = len(p), coefficients.shape[1] - 1
+    powers = np.empty((m, 2, k + 1))  # each row's powers of p, then of 1 - p
+    powers[:, :, 0] = 1.0
+    powers[:, :, 1:] = np.abs(p[:, None] - _ZERO_ONE)[:, :, None]
+    np.multiply.accumulate(powers, axis=-1, out=powers)
+    terms = coefficients * powers[:, 0] * powers[:, 1, ::-1]
+    return np.fromiter(map(math.fsum, terms.tolist()), float, m)
 
 
 def maj_error_recursion(k: int, epsilon: float, p: float) -> float:

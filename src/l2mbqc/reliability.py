@@ -10,13 +10,16 @@ feeds each gate input is the circuit's ``wiring``, drawn from (seed, stage
 order) the first time the sampler runs on the circuit.
 
 Every error model runs on one stage walk, ``_walk``, which tracks the true
-logical values and hands each stage's gate and true input index to the
+logical values and hands each stage's gate and true input indices to the
 model's step; the step maps how wrong the read bundles are to how wrong the
 target is. The walk takes a batch of inputs at once and groups them by each
-bundle's (true value, state), so a step runs once per distinct (stage, true
-index, read states): the sweep over all 2^n inputs is one walk. The
-independence model's state is one wire's error probability, with the wires
-of a bundle assumed independent. The seeded wire-level Monte Carlo's state
+bundle's (true value, state), and calls each stage's step once, on numpy
+arrays with one row per distinct (true index, read states): the sweep over
+all 2^n inputs is one walk. The independence model's state is one wire's
+error probability, with the wires of a bundle assumed independent: a compute
+stage enumerates the flip patterns of its independent input wires, and a
+restore stage is one polynomial in the read error
+(``gates.restore_polynomial``). The seeded wire-level Monte Carlo's state
 is the set of wrong wires under the circuit's fixed wiring, walked one
 input at a time; it quantifies how much that assumption leaks.
 
@@ -39,7 +42,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .boolfn import BRUTE_FORCE_ARITY_CAP, input_keys, make_named
-from .gates import NoisyGate, beta, maj_error_recursion, majority_error
+from .gates import NoisyGate, beta, majority_error, restore_error, restore_polynomial
 
 EQUAL_ERROR_SLACK = 0.05
 #: largest stages x width of a circuit, checked before any stage is laid
@@ -258,10 +261,12 @@ def build(
     the unreliable regime is part of the point.
 
     ``build`` draws nothing: the circuit's ``wiring`` is drawn from ``seed``
-    the first time the sampler runs on it. Stages x width may be at most
+    the first time the sampler runs on it, so a negative seed is rejected
+    here, before any work. Stages x width may be at most
     ``CIRCUIT_SIZE_CAP``; the stage count follows from the formula before
     any stage is laid out.
     """
+    _check_seed(seed)
     if width < k:
         raise ValueError(f"bundle width {width} smaller than k = {k}")
     if restore_rounds < 0:
@@ -347,100 +352,141 @@ def build(
 # ---------------------------------------------------------------------------
 # the stage walk
 
+def _combinations(stage: Stage, live: dict, n: int):
+    """The rows of a stage whose gate inputs read more than one bundle of the
+    walk's ``live`` ones, for a batch of ``n`` inputs: one row per combination
+    of the sources' classes that occurs, as ``(inverse, counts, idx, reads)``
+    (see ``_walk``). A stage with one split source takes its rows from that
+    source's classes as they are."""
+    # each distinct source with the gate inputs it feeds, as an index mask
+    masks: dict[int, int] = {}
+    for i, src in enumerate(stage.sources):
+        masks[src] = masks.get(src, 0) | 1 << i
+    # the sources whose inputs fall into more than one class (none for one input)
+    split = [src for src in masks if live[src][0] is not None] if n > 1 else []
+    pick = {}  # source -> the class of each row, where not taken as is
+    if len(split) <= 1:
+        inverse, _, _, counts = live[split[0] if split else stage.sources[0]]
+    else:  # a mixed-radix code per input, first split source least significant
+        code, size = 0, 1
+        for src in reversed(split):
+            code = code * len(live[src][1]) + live[src][0]
+            size *= len(live[src][1])
+        if size <= n:  # count every code; a code's row is the number of smaller codes that occur
+            counts = np.bincount(code, minlength=size)
+            codes = np.flatnonzero(counts)
+            inverse, counts = (np.cumsum(counts > 0) - 1)[code], counts[codes]
+        else:
+            codes, inverse, counts = np.unique(code, return_inverse=True, return_counts=True)
+        for src in split:
+            codes, pick[src] = np.divmod(codes, len(live[src][1]))
+    if split:  # unsplit sources repeat their one class on every row
+        for src in masks:
+            if src not in split:
+                pick[src] = np.zeros(len(counts), dtype=int)
+    parts, read = [], {}  # each distinct source's part of idx, and its states, per row
+    for src, mask in masks.items():
+        _, values, states, _ = live[src]
+        if src in pick:
+            values, states = values[pick[src]], states[pick[src]]
+        parts.append(values * mask)
+        read[src] = states
+    return inverse, counts, sum(parts[1:], parts[0]), [read[src] for src in stage.sources]
+
+
 def _walk(circuit: ReliableCircuit, xs: Sequence[tuple[int, ...]], clean, step):
     """Run every stage on the batch of input bit tuples ``xs`` at once; return
-    the output bundle's ``(classes, outcomes)``.
+    the output bundle's ``(classes, values, states)``.
 
     A bundle's state is an error model's account of how wrong it is; input
     bundles start ``clean``. A live bundle splits the batch into classes:
-    ``outcomes`` holds one (true value, state) per class, ``classes`` each
-    input's class id, or None when one class holds the whole batch, and
-    ``counts`` the inputs in each class. Stage s calls
-    ``step(s, stage, gate, idx, reads, count)`` once per combination of its
-    sources' classes, which ``count`` inputs share; the step maps the read
-    states, in gate-input order, at true input index ``idx`` to the target's
-    state. A stage with one split source takes its combinations and counts
-    from that source's classes as they are. Equal (value, state) merge into
-    one class, so a step runs once per distinct (stage, true index, read
-    states), and a batch of one never compares states. A bundle is dropped
-    after its last read. Every input must have one bit per formula input.
+    ``values`` holds each class's true value, ``states`` each class's state
+    along a leading class axis, ``counts`` the inputs in each class and
+    ``classes`` each input's class id, or None when one class holds the
+    whole batch. Stage s calls ``step(s, stage, gate, idx, reads, counts)``
+    once, with one row per combination of its sources' classes that occurs:
+    ``idx`` holds the rows' true input indices, ``reads`` the read states in
+    gate-input order and ``counts`` the inputs that share each row; the step
+    returns the target's state per row. A stage whose gate inputs all read
+    one bundle, as a restore's do, takes its rows from that bundle's classes
+    as they are, and so does a stage with one split source. Rows with equal
+    (value, state) merge into one class, so a stage has one row per distinct
+    (true index, read states), and a batch of one never compares states. A
+    bundle is dropped after its last read. Every input must have one bit per
+    formula input.
     """
-    live = {}  # bundle -> (classes, outcomes, counts)
+    n = len(xs)
+    clean = np.asarray(clean)[None]
+    live = {}  # bundle -> (classes, values, states, counts)
     for b, bits in zip(circuit.input_bundles, zip(*xs)):
         ones = bits.count(1)
-        if 0 < ones < len(xs):
-            live[b] = (np.array(bits), [(0, clean), (1, clean)], [len(xs) - ones, ones])
+        if 0 < ones < n:
+            live[b] = (np.array(bits), np.array([0, 1]), np.concatenate([clean, clean]),
+                       np.array([n - ones, ones]))
         else:
-            live[b] = (None, [(bits[0], clean)], [len(xs)])
+            live[b] = (None, np.array(bits[:1]), clean, np.array([n]))
     gate_of = {"restore": circuit.kmaj, "compute": circuit.xnand}
+    table_of = {kind: np.array(gate.target.table) for kind, gate in gate_of.items()}
     for s, stage in enumerate(circuit.stages):
-        gate = gate_of[stage.kind]
-        # the distinct sources whose inputs fall into more than one class (none for one input)
-        split = list(dict.fromkeys(src for src in stage.sources if live[src][0] is not None)) if len(xs) > 1 else []
-        if not split:
-            codes, inverse, counts = [0], None, [len(xs)]
-        elif len(split) == 1:  # the combinations are the source's classes
-            inverse, _, counts = live[split[0]]
-            codes = range(len(counts))
-        else:  # a mixed-radix code per input, first split source least significant
-            code = 0
-            for src in reversed(split):
-                code = code * len(live[src][1]) + live[src][0]
-            codes, inverse, counts = np.unique(code, return_inverse=True, return_counts=True)
-            codes, counts = codes.tolist(), counts.tolist()
-        outs = []
-        for combo, count in zip(codes, counts):
-            pick = {}
-            for src in split:
-                combo, pick[src] = divmod(combo, len(live[src][1]))
-            idx, reads = 0, []
-            for i, src in enumerate(stage.sources):
-                v, state = live[src][1][pick.get(src, 0)]
-                idx |= v << i
-                reads.append(state)
-            outs.append((gate.target.table[idx], step(s, stage, gate, idx, reads, count)))
-        if len(outs) > 1:
-            index: dict = {}
-            remap = [index.setdefault(out, len(index)) for out in outs]
-            if len(index) < len(outs):  # equal outcomes merge
-                merged = [0] * len(index)
-                for r, count in zip(remap, counts):
-                    merged[r] += count
-                outs, counts = list(index), merged
-                inverse = np.array(remap)[inverse] if len(outs) > 1 else None
-        live[stage.target] = (inverse, outs, counts)
+        if len(set(stage.sources)) == 1:  # every gate input reads one bundle, whose classes are the rows
+            inverse, values, states, counts = live[stage.sources[0]]
+            idx = values * ((1 << len(stage.sources)) - 1)
+            reads = [states] * len(stage.sources)
+        else:
+            inverse, counts, idx, reads = _combinations(stage, live, n)
+        states = step(s, stage, gate_of[stage.kind], idx, reads, counts)
+        values = table_of[stage.kind][idx]
+        if len(values) > 1:
+            rows = states.tolist() if states.ndim == 1 else map(tuple, states.reshape(len(values), -1).tolist())
+            keys = list(zip(values.tolist(), rows))
+            if len(set(keys)) < len(keys):  # equal rows merge, in order of first appearance
+                ids: dict = {}  # key -> its class
+                first = []  # each class's first row
+                for r, key in enumerate(keys):
+                    if key not in ids:
+                        ids[key] = len(first)
+                        first.append(r)
+                remap = np.array([ids[key] for key in keys])
+                values, states = values[first], states[first]
+                counts = np.bincount(remap, weights=counts).astype(int)
+                inverse = remap[inverse] if len(first) > 1 else None
+        live[stage.target] = (inverse, values, states, counts)
         for src in circuit.dead_after[s]:
             del live[src]
-    classes, outcomes, _ = live[circuit.output_bundle]
-    return classes, outcomes
+    classes, values, states, _ = live[circuit.output_bundle]
+    return classes, values, states
 
 
 # ---------------------------------------------------------------------------
 # analytic error propagation
 
-def _gate_error(gate: NoisyGate, x: int, wires: Sequence[tuple[int, float]]) -> float:
+#: |p - _ONE_ZERO| is (1 - p, p)
+_ONE_ZERO = np.array([1.0, 0.0])
+
+
+def _gate_error(gate: NoisyGate, x, wires: Sequence[tuple[int, float]]):
     """Output-wire error of a noisy gate whose true input index is ``x``.
 
     Each wire ``(mask, p)`` is wrong independently with probability p, and
-    a wrong wire flips every gate input in ``mask``. The sum runs over all
+    a wrong wire flips every gate input in ``mask``. ``x`` and every p may
+    be arrays of one shape, which the result then has. The sum runs over all
     flip patterns in a fixed order, so it is reproducible bit for bit: wire
-    0 is the most significant bit of the pattern, and each pattern's
-    probability is multiplied from the last wire to the first.
+    0 is the most significant bit of the pattern, each pattern's probability
+    is multiplied from the last wire to the first, and the patterns are
+    added in order.
     """
-    table = gate.target.table
-    want = table[x]
-    total = 0.0
-    for flips in range(1 << len(wires)):
-        prob, idx = 1.0, x
-        for j, (mask, p) in enumerate(reversed(wires)):
-            if flips >> j & 1:
-                prob *= p
-                idx ^= mask
-            else:
-                prob *= 1.0 - p
-        e = gate.errors[idx]
-        total += prob * ((1.0 - e) if table[idx] != want else e)
-    return total
+    table = np.array(gate.target.table)
+    errors = np.array(gate.errors)
+    x = np.asarray(x)[..., None]
+    prob, flips = np.ones(x.shape), [0]
+    for mask, p in reversed(wires):  # each wire is the next more significant bit
+        right_wrong = np.abs(np.asarray(p)[..., None] - _ONE_ZERO)
+        prob = (right_wrong[..., :, None] * prob[..., None, :]).reshape(x.shape[:-1] + (-1,))
+        flips += [f ^ mask for f in flips]
+    idx = x ^ flips
+    e = errors[idx]
+    terms = prob * np.where(table[idx] != table[x], 1.0 - e, e)
+    return np.add.accumulate(terms, axis=-1)[..., -1]
 
 
 def _wires(stage: Stage, errors: Sequence[float], width: int) -> list[tuple[int, float]]:
@@ -470,19 +516,27 @@ class AnalyticResult:
 def _independence_walk(circuit: ReliableCircuit, xs: Sequence[tuple[int, ...]]):
     """``_walk`` under the independence model (see ``simulate_analytic``), plus
     each per-stage warning with the number of inputs that raised it, in stage
-    order, and the trajectory of every step run."""
-    restore_eps = circuit.kmaj.epsilon
+    order, and the trajectory of every stage's errors, one per row."""
+    restore = restore_polynomial(circuit.kmaj)
+    # (true values, read errors) of every restore evaluated so far -> its result;
+    # the restore chains of different inputs repeat the same rows
+    restored: dict[bytes, np.ndarray] = {}
     tripped: dict[str, int] = {}
-    trajectory: list[tuple[int, str, int, float]] = []
+    trajectory: list[tuple[int, str, int, np.ndarray]] = []
 
-    def step(s: int, stage: Stage, gate: NoisyGate, idx: int, reads: list[float], count: int):
-        if stage.kind == "compute" and abs(reads[0] - reads[1]) > EQUAL_ERROR_SLACK:
-            w = f"stage {s}: operand errors differ beyond the equal-error slack {EQUAL_ERROR_SLACK}"
-            tripped[w] = tripped.get(w, 0) + count
-        if stage.kind == "restore" and restore_eps is not None:
-            p = maj_error_recursion(circuit.kmaj.k, restore_eps, reads[0])
-        else:
+    def step(s: int, stage: Stage, gate: NoisyGate, idx: np.ndarray, reads: list, counts: np.ndarray):
+        if stage.kind == "compute":
+            drift = np.abs(reads[0] - reads[1]) > EQUAL_ERROR_SLACK
+            if drift.any():
+                w = f"stage {s}: operand errors differ beyond the equal-error slack {EQUAL_ERROR_SLACK}"
+                tripped[w] = tripped.get(w, 0) + int(counts[drift].sum())
             p = _gate_error(gate, idx, _wires(stage, reads, circuit.width))
+        else:  # every read is the source bundle, so idx & 1 is its true value
+            v = idx & 1
+            key = v.tobytes() + reads[0].tobytes()
+            p = restored.get(key)
+            if p is None:
+                p = restored[key] = restore_error(restore[v], reads[0])
         trajectory.append((s, stage.kind, stage.target, p))
         return p
 
@@ -503,15 +557,16 @@ def simulate_analytic(circuit: ReliableCircuit, x: Sequence[int]) -> AnalyticRes
     Within-bundle wires are treated as independent and identically
     distributed; compute stages flag operand bundles whose errors drifted
     apart beyond the equal-error slack of the voting analysis. A restore
-    gate with one error on every input uses the closed majority recursion.
+    stage is one polynomial in the read error (``gates.restore_polynomial``),
+    whether its gate errs uniformly or not.
     """
     x = _input_bits(circuit, x)
-    (_, [(value, p)]), tripped, trajectory = _independence_walk(circuit, [x])
+    (_, [value], [p]), tripped, trajectory = _independence_walk(circuit, [x])
     return AnalyticResult(
         x=x,
-        value=value,
-        logical_error=majority_error(circuit.width, p),
-        trajectory=tuple(trajectory),
+        value=int(value),
+        logical_error=majority_error(circuit.width, float(p)),
+        trajectory=tuple((s, kind, b, float(err)) for s, kind, b, [err] in trajectory),
         warnings=tuple(tripped),
     )
 
@@ -650,7 +705,8 @@ def _wrong_trials(
         }
         seen = dict.fromkeys(gate_keys, 0)  # stages of each kind walked so far
 
-        def step(s: int, stage: Stage, gate: NoisyGate, idx: int, reads: list[np.ndarray], count: int):
+        def step(s: int, stage: Stage, gate: NoisyGate, idx: np.ndarray, reads: list[np.ndarray], counts):
+            (idx,) = idx.tolist()  # one input, so one row
             i = seen[stage.kind]
             seen[stage.kind] += 1
             if (stage.kind, idx) not in reindexed:
@@ -661,16 +717,16 @@ def _wrong_trials(
                 )
             wrong_keys, flip_keys = reindexed[stage.kind, idx]
             kind_masks = masks[stage.kind]
-            es = [r if perm is None else r[perm] for r, perm in zip(reads, wiring[s])]
+            es = [r[0] if perm is None else r[0, perm] for r, perm in zip(reads, wiring[s])]
             wrong = _mux(wrong_keys, es, None, {})
             flip = _mux(flip_keys, es, lambda key: kind_masks[key - 2][i], {})
             if isinstance(wrong, int):
                 wrong = ~clean if wrong else clean
             if isinstance(flip, int):
-                return ~wrong if flip else wrong
-            return wrong ^ flip
+                return (~wrong if flip else wrong)[None]
+            return (wrong ^ flip)[None]
 
-        _, [(_, wrong_wires)] = _walk(circuit, [x], clean, step)
+        _, _, [wrong_wires] = _walk(circuit, [x], clean, step)
         lanes = np.unpackbits(
             wrong_wires.astype("<u8", copy=False).view(np.uint8), axis=1, bitorder="little"
         )
@@ -679,6 +735,11 @@ def _wrong_trials(
     # each block's arrays die with its call, so nothing outlives a block
     for block in range(n_blocks):
         yield run_block(block)
+
+
+def _check_seed(seed: int):
+    if seed < 0:
+        raise ValueError(f"seed {seed} is negative; seeds are nonnegative integers")
 
 
 def _check_trials(trials: int):
@@ -704,6 +765,7 @@ def simulate_monte_carlo(
     ``MC_STREAM``.
     """
     _check_trials(trials)
+    _check_seed(seed)
     x = _input_bits(circuit, x)
     wrong = 0
     n_blocks = -(-trials // BLOCK)
@@ -795,29 +857,29 @@ def build_report(
         raise ValueError("a seed is mandatory for Monte Carlo runs")
     if trials is not None:
         _check_trials(trials)
+        _check_seed(seed)
     n = circuit.formula.n_inputs
     if n > BRUTE_FORCE_ARITY_CAP:
         raise ValueError(f"formula has {n} inputs, above cap {BRUTE_FORCE_ARITY_CAP}")
     xs = input_keys(n)
-    (classes, outcomes), tripped, _ = _independence_walk(circuit, xs)
-    class_errors = [majority_error(circuit.width, p) for _, p in outcomes]
-    per_input = [0] * len(xs) if classes is None else classes.tolist()
-    errors = {x: class_errors[c] for x, c in zip(xs, per_input)}
-
-    worst_x = max(errors, key=errors.get)
-    sampled = [] if trials is None else [worst_x] if mc_inputs == "worst" else list(errors)
+    (classes, _, states), tripped, _ = _independence_walk(circuit, xs)
+    class_errors = [majority_error(circuit.width, p) for p in states.tolist()]
+    if classes is None:  # one class holds every input
+        classes = np.zeros(len(xs), dtype=int)
+    errors = np.take(class_errors, classes)
+    worst = int(np.argmax(errors))  # the first input in table order with the largest error
+    worst_x, delta = xs[worst], errors[worst].item()
+    sampled = [] if trials is None else [worst_x] if mc_inputs == "worst" else xs
     mc = {x: simulate_monte_carlo(circuit, x, trials, seed) for x in sampled}
 
-    rows = tuple(
-        InputRow(
-            x=x,
-            analytic_error=errors[x],
-            empirical_error=mc[x].empirical_error if x in mc else None,
-            ci_halfwidth=mc[x].ci_halfwidth if x in mc else None,
-        )
-        for x in itertools.product((0, 1), repeat=n)  # sorted order
-    )
-    delta = errors[worst_x]
+    # rows in itertools.product order, where x[0] is the most significant bit
+    # of the row index; in the table order of xs it is the least significant
+    row_errors = errors.reshape((2,) * n).T.ravel().tolist()
+    rows = list(map(InputRow, itertools.product((0, 1), repeat=n), row_errors))
+    for x, res in mc.items():
+        r = int("".join(map(str, x)), 2)
+        rows[r] = InputRow(x, rows[r].analytic_error, res.empirical_error, res.ci_halfwidth)
+    rows = tuple(rows)
     return SimulationReport(
         rows=rows,
         delta=delta,

@@ -290,6 +290,10 @@ MALFORMED_INPUTS = {
     "reliable-margin": (RELIABLE + ["--width", "9", "--margin", "0.7"], "margin 0.7 outside"),
     "reliable-width-2": (RELIABLE + ["--width", "2"], "bundle width 2 smaller than k = 3"),
     "reliable-zero-trials": (RELIABLE + ["--width", "9", "--trials", "0"], "at least one trial"),
+    "reliable-negative-seed": (
+        ["reliable", "--formula", "tree.nand", "--width", "81", "--rounds", "1", "--seed", "-5"],
+        "seed -5 is negative",
+    ),
     "reliable-size-above-cap": (RELIABLE + ["--width", "1000000000000"], "above cap 2097152"),
     "reliable-trials-above-cap": (
         RELIABLE + ["--width", "9", "--trials", str(10**23)],

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from l2mbqc import gates
@@ -417,6 +418,51 @@ def test_recursion_matches_exact_tail_at_large_k(k):
         for p in (0.4375, 0.490234375, 0.499755859375, 0.5, 0.5625):
             want = Fraction(eps) + (1 - 2 * Fraction(eps)) * exact_majority_tail(k, p)
             assert maj_error_recursion(k, eps, p) == pytest.approx(float(want), rel=1e-12)
+
+
+#: read errors at which the restore polynomial meets its exact value
+RESTORE_PROBABILITIES = (0.0, 1e-9, 1e-3, 0.1, 0.25, 0.4, 0.49, 0.5, 0.6, 0.9, 1.0)
+
+
+def assert_restore_within_bound(coefficients, k, exact):
+    # every term is nonnegative and each row is one exact sum of its terms, so
+    # p' stays within (k + 2) units of 2^-52 of the exact value, relatively
+    ps = np.array(RESTORE_PROBABILITIES)
+    got = gates.restore_error(np.broadcast_to(coefficients, ps.shape + coefficients.shape), ps)
+    for p, value in zip(RESTORE_PROBABILITIES, got.tolist()):
+        want = exact(p)
+        assert abs(Fraction(value) - want) <= (k + 2) * Fraction(1, 2**52) * want, (k, p)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 7, 15])
+@pytest.mark.parametrize("eps", [0.0, 0.1, SIN2_PI8])
+def test_restore_polynomial_matches_exact_tail(k, eps):
+    # a uniform gate restores both true values alike: eps + (1 - 2 eps) tail
+    e = Fraction(eps)
+    restore = gates.restore_polynomial(uniform_noisy_gate(make_named("maj", k), eps))
+    for coefficients in restore:
+        assert_restore_within_bound(
+            coefficients, k, lambda p: e + (1 - 2 * e) * exact_majority_tail(k, p)
+        )
+
+
+def test_restore_polynomial_matches_pattern_enumeration_with_input_dependent_errors():
+    k = 5
+    errors = tuple((i * 37 % 101) / 250 for i in range(1 << k))
+    gate = NoisyGate(make_named("maj", k), errors)
+    table = gate.target.table
+    for v, coefficients in enumerate(gates.restore_polynomial(gate)):
+        x = v * ((1 << k) - 1)
+
+        def exact(p):
+            q, total = Fraction(p), Fraction(0)
+            for flips in range(1 << k):
+                j, e = flips.bit_count(), Fraction(errors[x ^ flips])
+                wrong = table[x ^ flips] != table[x]
+                total += q**j * (1 - q) ** (k - j) * ((1 - e) if wrong else e)
+            return total
+
+        assert_restore_within_bound(coefficients, k, exact)
 
 
 @pytest.mark.parametrize("k", [1031, 2073, 10001])

@@ -677,6 +677,17 @@ def test_entry_points_reject_a_wrong_length_input(x):
         simulate_monte_carlo(circ, x, 10, seed=1)
 
 
+def test_entry_points_reject_a_negative_seed():
+    # numpy would reject it only when the wiring or a trial stream is drawn
+    kmaj, xnand = perfect_gates()
+    f = parse_formula("(nand a b)")
+    with pytest.raises(ValueError, match="seed -1 is negative"):
+        build(f, 9, 3, 0, xnand=xnand, kmaj=kmaj, seed=-1)
+    circ = build(f, 9, 3, 0, xnand=xnand, kmaj=kmaj, seed=1)
+    with pytest.raises(ValueError, match="seed -2 is negative"):
+        simulate_monte_carlo(circ, (0, 0), 10, seed=-2)
+
+
 def test_sampler_rejects_trials_above_cap():
     kmaj, xnand = perfect_gates()
     circ = build(parse_formula("(nand a b)"), 9, 3, 0, xnand=xnand, kmaj=kmaj, seed=1)
@@ -693,8 +704,12 @@ def test_sampler_rejects_trials_above_cap():
         ("(nand a b)", {"trials": 10}, "a seed is mandatory"),
         (WIDE_FORMULA, {}, "formula has 17 inputs, above cap 16"),
         ("(nand a b)", {"trials": (1 << 24) + 1, "seed": 1}, "trials above cap 16777216"),
+        ("(nand a b)", {"trials": 10, "seed": -5}, "seed -5 is negative"),
     ],
-    ids=["margin", "mc-inputs", "zero-trials", "no-seed", "inputs-above-cap", "trials-above-cap"],
+    ids=[
+        "margin", "mc-inputs", "zero-trials", "no-seed", "inputs-above-cap", "trials-above-cap",
+        "negative-seed",
+    ],
 )
 def test_build_report_checks_arguments_before_the_sweep(monkeypatch, text, kwargs, message):
     kmaj, xnand = perfect_gates()
@@ -845,39 +860,42 @@ def test_readme_report_equals_per_input_walks():
 
 def test_sweep_runs_each_step_once_per_distinct_state(monkeypatch):
     # TREE3 at W=81, r=2 has 256 inputs and 37 stages, but only 312
-    # distinct (stage, true index, read states); each stage's steps share
-    # out all 256 inputs between them
+    # distinct (stage, true index, read states); each stage's step is one
+    # call whose rows share out all 256 inputs between them
     kmaj, xnand = chsh_gates()
     circ = build(parse_formula(TREE3), 81, 3, 2, xnand=xnand, kmaj=kmaj, seed=7)
-    calls = []
+    rows = []
     walk = reliability._walk
 
     def counting_walk(circuit, xs, clean, step):
-        def counted(s, stage, gate, idx, reads, count):
-            calls.append((s, count))
-            return step(s, stage, gate, idx, reads, count)
+        def counted(s, stage, gate, idx, reads, counts):
+            assert len(idx) == len(counts) and all(len(r) == len(counts) for r in reads)
+            rows.extend((s, count) for count in counts.tolist())
+            return step(s, stage, gate, idx, reads, counts)
 
         return walk(circuit, xs, clean, counted)
 
     monkeypatch.setattr(reliability, "_walk", counting_walk)
     build_report(circ, margin=0.05)
-    assert len(calls) == 312
+    assert len(rows) == 312
+    assert len({s for s, _ in rows}) == len(circ.stages)
     inputs_per_stage = [0] * len(circ.stages)
-    for s, count in calls:
+    for s, count in rows:
         inputs_per_stage[s] += count
     assert inputs_per_stage == [256] * len(circ.stages)
 
 
 def step_counts(circ, xs):
-    """(stage, true index, read states) -> the count passed with it, summed
+    """(stage, true index, read states) -> the count of its step row, summed
     over the independence walk of the batch ``xs``."""
     seen = collections.Counter()
     walk = reliability._walk
 
     def counting_walk(circuit, xs, clean, step):
-        def counted(s, stage, gate, idx, reads, count):
-            seen[s, idx, tuple(reads)] += count
-            return step(s, stage, gate, idx, reads, count)
+        def counted(s, stage, gate, idx, reads, counts):
+            for i, count in enumerate(counts.tolist()):
+                seen[s, int(idx[i]), tuple(float(r[i]) for r in reads)] += count
+            return step(s, stage, gate, idx, reads, counts)
 
         return walk(circuit, xs, clean, counted)
 
