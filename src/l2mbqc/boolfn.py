@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
@@ -249,21 +250,18 @@ def from_text(text: str) -> BooleanFunction:
     (hdr_no, header), (tab_no, hexpart) = lines[0], lines[1]
     if not header.startswith("n="):
         raise ValueError(f"line {hdr_no}: header must look like 'n=<arity>'")
-    try:
-        arity = int(header[2:])
-    except ValueError:
-        raise ValueError(f"line {hdr_no}: bad arity {header[2:]!r}") from None
-    if arity < 0:
-        raise ValueError(f"line {hdr_no}: arity must be nonnegative")
+    # int() alone would also take signs, underscores and non-ASCII digits
+    if not re.fullmatch(r"[0-9]+", header[2:]):
+        raise ValueError(f"line {hdr_no}: bad arity {header[2:]!r}")
+    arity = int(header[2:])
     if arity > BRUTE_FORCE_ARITY_CAP:
         # checked before the 2^arity-bit table bound below is built
         raise ValueError(
             f"line {hdr_no}: arity {arity} above cap {BRUTE_FORCE_ARITY_CAP}"
         )
-    try:
-        value = int(hexpart, 16)
-    except ValueError:
-        raise ValueError(f"line {tab_no}: invalid hex table {hexpart!r}") from None
+    if not re.fullmatch(r"[0-9a-fA-F]+", hexpart):  # no sign, 0x prefix or underscore
+        raise ValueError(f"line {tab_no}: invalid hex table {hexpart!r}")
+    value = int(hexpart, 16)
     size = 1 << arity
     if value >= (1 << size):
         raise ValueError(f"line {tab_no}: table has more than 2^{arity} bits")

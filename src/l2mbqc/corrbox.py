@@ -3,8 +3,11 @@
 Three box families: two-qubit Bell-state boxes measured in the XZ plane,
 N-party GHZ boxes measured on the equator (optionally mixed with white
 noise), and non-contextual mixtures of deterministic local responses.
-Closed-form distributions are cross-checkable against a dense state-vector
-oracle that never uses the closed forms.
+Every box function takes the same input: party j reads an affine GF(2)
+form of an n-bit input x, packed as 2 T_j + c_j, and the answer covers all
+2^n inputs; at n = 0 the forms are plain input bits. Closed-form
+distributions are cross-checkable against a dense state-vector oracle that
+never uses the closed forms.
 """
 
 from __future__ import annotations
@@ -193,15 +196,40 @@ def noncontextual_and_box() -> NoncontextualBox:
 # ---------------------------------------------------------------------------
 # closed-form distributions
 
-def _parity_one(box: BipartiteBox | GhzBox, forms: Iterable[int], n: int) -> np.ndarray:
-    """P(xor of all outputs = 1) = (1 - 2 eps)(1 - cos phi)/2 + eps, for all x.
+def _check_forms(forms: Iterable[int], parties: int, n: int) -> np.ndarray:
+    """The input forms as int64, one per party, checked.
 
-    Party j's input bit at the n-bit input x is the affine form
-    parity(T_j & x) xor c_j, passed packed as the int 2 T_j + c_j; one form
-    per party (a ValueError otherwise), and the result has one probability
-    per x. At n = 0 the forms are the plain input bits. phi(x) sums the
-    chosen angles; a Bell box is a two-party GHZ box with the second
-    party's angles negated and eps = 0.
+    Party j reads the affine form parity(T_j & x) xor c_j at the n-bit input
+    x, passed packed as the int 2 T_j + c_j; at n = 0 the forms are plain
+    input bits. A count other than one per party, a form that is not an
+    integer, or a mask T_j with bits at or above n raises ValueError.
+    """
+    forms = np.asarray(list(forms))
+    if forms.shape != (parties,):
+        raise ValueError(f"{forms.size} input forms for {parties} parties")
+    if forms.size and forms.dtype.kind not in "biu":
+        raise ValueError(f"input forms {forms.tolist()} are not integers")
+    forms = forms.astype(np.int64)
+    bad = (forms < 0) | (forms >> (n + 1) != 0)
+    if bad.any():
+        raise ValueError(f"input form {forms[bad.argmax()]} is not an affine form on {n} bits")
+    return forms
+
+
+def _form_bits(forms: np.ndarray, n: int) -> np.ndarray:
+    """Party j's input bit at every n-bit input x, as a (2^n, parties) array."""
+    x = np.arange(1 << n)[:, None]
+    return index_parity(n)[x & (forms >> 1)] ^ (forms & 1)
+
+
+def parity_probability(box: BipartiteBox | GhzBox, forms: Iterable[int], n: int) -> np.ndarray:
+    """P(xor of all outputs = 1) = (1 - 2 eps)(1 - cos phi)/2 + eps at every n-bit input x.
+
+    Party j reads the form 2 T_j + c_j (see ``_check_forms``), and the
+    result has one probability per x. phi(x) sums the chosen angles; a Bell
+    box is a two-party GHZ box with the second party's angles negated and
+    eps = 0. A non-contextual box has no closed form here: use
+    ``outcome_table``.
 
     The sum is exact: every angle a is an integer A = a D over one
     power-of-two denominator D, so 2 D phi(x) = sum_j (A0_j + A1_j) - W(g)(x),
@@ -213,17 +241,11 @@ def _parity_one(box: BipartiteBox | GhzBox, forms: Iterable[int], n: int) -> np.
     """
     if isinstance(box, BipartiteBox):
         angles, epsilon = (box.alice, (-box.bob[0], -box.bob[1])), 0.0
-    else:
+    elif isinstance(box, GhzBox):
         angles, epsilon = box.angles, box.epsilon
-    forms = np.asarray(list(forms))
-    if forms.shape != (len(angles),):
-        raise ValueError(f"{forms.size} input forms for {len(angles)} parties")
-    if forms.dtype.kind not in "biu":
-        raise ValueError(f"input forms {forms.tolist()} are not integers")
-    forms = forms.astype(np.int64)
-    bad = (forms < 0) | (forms >> (n + 1) != 0)
-    if bad.any():
-        raise ValueError(f"input form {forms[bad.argmax()]} is not an affine form on {n} bits")
+    else:
+        raise TypeError(f"not a Bell or GHZ box: {box!r}")
+    forms = _check_forms(forms, len(angles), n)
     # an angle is m 2^(e - 53) with m an integer, |m| < 2^53, so with
     # low <= every e and low <= 53 each A = a D, D = 2^(53 - low), is an integer
     mantissa, exponent = np.frexp(np.asarray(angles, dtype=np.float64))
@@ -241,51 +263,46 @@ def _parity_one(box: BipartiteBox | GhzBox, forms: Iterable[int], n: int) -> np.
 
 
 def ghz_parity_probability(box: GhzBox, inputs: Sequence[int]) -> float:
-    """Probability that the xor of all outputs is 1, for the chosen angles."""
-    return float(_parity_one(box, inputs, 0)[0])
+    """Probability that the xor of all outputs is 1, for one input bit per party."""
+    return float(parity_probability(box, inputs, 0)[0])
+
+
+def outcome_table(box: CorrelationBox, forms: Iterable[int], n: int) -> np.ndarray:
+    """P(outcome o | x) for every n-bit input x (rows) and packed outcome o (columns).
+
+    Party j reads the form 2 T_j + c_j (see ``_check_forms``). Bell and GHZ
+    outcomes are uniform within each parity class, so
+    P(o | x) = 2^-N (1 + (1-2e)(-1)^(xor o) cos phi(x)); a non-contextual box
+    puts each mixture weight on the outcome of its deterministic responses,
+    added in mixture order. Every family has at most GHZ_ENUMERATION_CAP
+    parties, checked before the 2^N columns are allocated.
+    """
+    if not isinstance(box, (BipartiteBox, GhzBox, NoncontextualBox)):
+        raise TypeError(f"not a correlation box: {box!r}")
+    k = box.n_parties
+    if k > GHZ_ENUMERATION_CAP:
+        raise ValueError(f"{k} parties above enumeration cap {GHZ_ENUMERATION_CAP}")
+    if isinstance(box, NoncontextualBox):
+        bits = _form_bits(_check_forms(forms, k, n), n)[:, None]  # (2^n, 1, k)
+        entries = len(box.mixture)
+        responses = np.array([r for _, r in box.mixture], dtype=np.int64).reshape(entries, k, 2)
+        # bit j of the outcome of (x, entry) is slope_j & b_j(x) xor intercept_j
+        outcomes = ((responses[..., 0] & bits) ^ responses[..., 1]) @ (1 << np.arange(k))
+        table = np.zeros((1 << n, 1 << k))
+        # np.add.at adds in index order: each cell sums its weights in mixture order
+        weights = [float(w) for w, _ in box.mixture]
+        np.add.at(table, (np.arange(1 << n)[:, None], outcomes), weights)
+        return table
+    p1, share = parity_probability(box, forms, n)[:, None], 1 << (k - 1)
+    return np.where(index_parity(k), p1 / share, (1.0 - p1) / share)
 
 
 def distribution(box: CorrelationBox, inputs: Sequence[int]) -> OutcomeDistribution:
     """The joint outcome distribution for one input bit per party.
 
-    Bell and GHZ outcomes are uniform within each parity class, so
-    P(o) = 2^-N (1 + (1-2e)(-1)^(xor o) cos(sum phi)); a non-contextual box
-    puts each mixture weight on the outcome of its deterministic responses.
+    It is the n = 0 row of ``outcome_table``: the inputs are the plain bits.
     """
-    if isinstance(box, NoncontextualBox):
-        if len(inputs) != box.n_parties:
-            raise ValueError("one input bit per party required")
-        probs = np.zeros(1 << box.n_parties)
-        for weight, responses in box.mixture:
-            outcome = sum(
-                ((slope * b) ^ intercept) << j
-                for j, ((slope, intercept), b) in enumerate(zip(responses, inputs))
-            )
-            probs[outcome] += float(weight)
-        return OutcomeDistribution(probs)
-    if not isinstance(box, (BipartiteBox, GhzBox)):
-        raise TypeError(f"not a correlation box: {box!r}")
-    n = box.n_parties
-    if n > GHZ_ENUMERATION_CAP:
-        raise ValueError(f"{n} parties above enumeration cap {GHZ_ENUMERATION_CAP}")
-    p1, share = float(_parity_one(box, inputs, 0)[0]), 1 << (n - 1)
-    return OutcomeDistribution(
-        np.where(index_parity(n), p1 / share, (1.0 - p1) / share)
-    )
-
-
-def parity_probability(box: BipartiteBox | GhzBox, forms: Iterable[int], n: int) -> np.ndarray:
-    """P(xor of all outputs = 1) at every n-bit input x, without outcome strings.
-
-    Party j reads the affine form parity(T_j & x) xor c_j, passed as the int
-    2 T_j + c_j; a form whose mask T_j has bits at or above n raises
-    ValueError (at n = 0, an input that is not a bit). The phase of every x
-    comes from one exact Walsh transform, see ``_parity_one``. A
-    non-contextual box has no closed form here: use ``distribution``.
-    """
-    if isinstance(box, (BipartiteBox, GhzBox)):
-        return _parity_one(box, forms, n)
-    raise TypeError(f"not a Bell or GHZ box: {box!r}")
+    return OutcomeDistribution(outcome_table(box, inputs, 0)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +329,8 @@ def _measure(amps: np.ndarray, bases: Sequence[np.ndarray], rows: np.ndarray) ->
     stack of 2x2 matrices whose rows are <v_o|). Each step applies the top
     qubit's basis with elementwise ufuncs and writes the result with that
     qubit moved to bit 0, so after N steps bit j is party j's outcome again.
-    Two (B, 2^N) buffers and one half-size temporary are held.
+    Two (B, 2^N) buffers and one half-size temporary are held; ``amps`` is
+    overwritten.
     """
     b = len(rows)
     out = np.empty_like(amps)
@@ -329,13 +347,6 @@ def _measure(amps: np.ndarray, bases: Sequence[np.ndarray], rows: np.ndarray) ->
     return probs
 
 
-def _project_all(state: np.ndarray, bases: list[np.ndarray]) -> OutcomeDistribution:
-    # axis j is party j; reversed axes put party 0 in the least-significant bit
-    amps = np.asarray(state, dtype=complex).transpose().reshape(1, -1)
-    rows = np.zeros((1, state.ndim), dtype=np.intp)
-    return OutcomeDistribution(_measure(amps, [basis[None] for basis in bases], rows)[0])
-
-
 def _ghz_state(batch: int, n: int) -> np.ndarray:
     """(|0...0> + |1...1>)/sqrt(2) on n qubits, once per row."""
     amps = np.zeros((batch, 1 << n), dtype=complex)
@@ -343,48 +354,39 @@ def _ghz_state(batch: int, n: int) -> np.ndarray:
     return amps
 
 
-def _basis_pairs(box: CorrelationBox, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Each party's bases for input 0 and 1, (N, 2, 2, 2), and the checked (B, N) rows.
+def _basis_pairs(box: CorrelationBox) -> np.ndarray:
+    """Each party's bases for input 0 and 1, as (N, 2, 2, 2).
 
     The Bell box shares the two-qubit GHZ state, measured in the XZ plane.
     """
     if isinstance(box, BipartiteBox):
-        pairs = _xz_basis(np.array((box.alice, box.bob)))
-    elif isinstance(box, GhzBox):
-        if box.epsilon != 0.0:
-            raise ValueError("state-vector oracle covers only epsilon = 0")
-        if box.n_parties > STATEVECTOR_QUBIT_CAP:
-            raise ValueError(f"{box.n_parties} qubits above oracle cap {STATEVECTOR_QUBIT_CAP}")
-        pairs = _xy_basis(np.array(box.angles))
-    else:
+        return _xz_basis(np.array((box.alice, box.bob)))
+    if not isinstance(box, GhzBox):
         raise TypeError("oracle supports BipartiteBox and noiseless GhzBox only")
-    rows = np.asarray(rows)
-    if rows.ndim != 2 or rows.shape[1] != len(pairs):
-        raise ValueError(f"input rows of shape {rows.shape} are not one bit per party")
-    if rows.dtype.kind not in "biu":
-        raise ValueError(f"input rows of dtype {rows.dtype} are not bits")
-    bad = ((rows != 0) & (rows != 1)).any(axis=1)
-    if bad.any():
-        raise ValueError(f"input row {rows[bad.argmax()].tolist()} is not bits")
-    return pairs, rows.astype(np.intp)
+    if box.epsilon != 0.0:
+        raise ValueError("state-vector oracle covers only epsilon = 0")
+    if box.n_parties > STATEVECTOR_QUBIT_CAP:
+        raise ValueError(f"{box.n_parties} qubits above oracle cap {STATEVECTOR_QUBIT_CAP}")
+    return _xy_basis(np.array(box.angles))
 
 
-def statevector_parity(box: BipartiteBox | GhzBox, rows) -> np.ndarray:
-    """P(xor of all outputs = 1) for each row of input bits, one bit per party.
+def statevector_parity(box: BipartiteBox | GhzBox, forms: Iterable[int], n: int) -> np.ndarray:
+    """P(xor of all outputs = 1) at every n-bit input x, party j reading form 2 T_j + c_j.
 
-    Independent of the closed forms: every row's measured state is simulated
-    in one batched dense pass (see ``statevector_oracle``), in chunks of
-    2^(STATEVECTOR_QUBIT_CAP - N) rows, so no chunk holds more than 2^16
-    amplitudes. Rows that are not one bit per party raise ValueError.
+    Independent of the closed forms: every input's measured state is
+    simulated in one batched dense pass (see ``statevector_oracle``), in
+    chunks of 2^(STATEVECTOR_QUBIT_CAP - N) inputs, so no chunk holds more
+    than 2^16 amplitudes. The forms are checked as in ``parity_probability``.
     """
-    pairs, rows = _basis_pairs(box, rows)
-    n = len(pairs)
-    odd = index_parity(n).astype(np.float64)
-    step = 1 << (STATEVECTOR_QUBIT_CAP - n)
+    pairs = _basis_pairs(box)
+    k = len(pairs)
+    rows = _form_bits(_check_forms(forms, k, n), n)
+    odd = index_parity(k).astype(np.float64)
+    step = 1 << (STATEVECTOR_QUBIT_CAP - k)
     out = np.empty(len(rows))
     for start in range(0, len(rows), step):
         chunk = rows[start:start + step]
-        out[start:start + step] = _measure(_ghz_state(len(chunk), n), pairs, chunk) @ odd
+        out[start:start + step] = _measure(_ghz_state(len(chunk), k), pairs, chunk) @ odd
     return out
 
 
@@ -392,12 +394,10 @@ def statevector_oracle(box: CorrelationBox, inputs: Sequence[int]) -> OutcomeDis
     """Independent verification path: dense simulation of the measured state.
 
     Supports the Bell-state box and noiseless GHZ boxes; no closed forms
-    are used anywhere on this path. It is the batch of one of the dense pass
-    that ``statevector_parity`` runs over many inputs, so it holds at most
-    2^16 amplitudes; inputs that are not one bit per party raise ValueError.
+    are used anywhere on this path. It runs the dense pass of
+    ``statevector_parity`` on a batch of one, so it holds at most 2^16
+    amplitudes; inputs that are not one bit per party raise ValueError.
     """
-    pairs, (row,) = _basis_pairs(box, [inputs])
-    n = len(pairs)
-    # the GHZ state is symmetric under reversing its axes
-    state = _ghz_state(1, n).reshape((2,) * n)
-    return _project_all(state, [pair[b] for pair, b in zip(pairs, row)])
+    pairs = _basis_pairs(box)
+    row = _check_forms(inputs, len(pairs), 0)
+    return OutcomeDistribution(_measure(_ghz_state(1, len(pairs)), pairs, row[None])[0])

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import COMPILE_ARITY_CAP, BooleanFunction, index_parity, input_keys, walsh
+from .boolfn import COMPILE_ARITY_CAP, BooleanFunction, input_keys, walsh
 from .corrbox import STATEVECTOR_QUBIT_CAP, GhzBox, statevector_parity
 from .mbqc import AffineBitMap, L2Program, constant_program
 
@@ -148,10 +148,9 @@ def verify(
         sv_success = dict(success)
     elif use_statevector:
         box = run_as_l2program(program).boxes[0]
-        # qubit q of input x reads parity(mask_q & x)
-        masks = np.array([q.mask for q in program.qubits])
-        rows = index_parity(program.n)[np.arange(1 << program.n)[:, None] & masks]
-        p1 = statevector_parity(box, rows).tolist()
+        # qubit q of input x reads parity(mask_q & x): the form 2 mask_q + 0
+        forms = [q.mask << 1 for q in program.qubits]
+        p1 = statevector_parity(box, forms, program.n).tolist()
         sv_success = {
             x: p if f.table[x_idx] ^ program.constant else 1.0 - p
             for x_idx, (x, p) in enumerate(zip(keys, p1))
@@ -202,11 +201,21 @@ def program_to_config(program: GhzProgram) -> dict:
     }
 
 
+def _json_int(obj: dict, key: str) -> int:
+    """obj[key], which must be a JSON integer: no float, bool or string."""
+    value = obj[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} {value!r} is not an integer")
+    return value
+
+
 def program_from_config(config: dict) -> GhzProgram:
     """Parse a program config; any malformed body raises ValueError.
 
-    A program may have at most ``(1 << COMPILE_ARITY_CAP) - 1`` qubits, the
-    most that ``compile_function`` emits.
+    ``n``, ``constant`` and every qubit's ``mask``, ``num`` and ``den`` must
+    be JSON integers, so nothing is truncated. A program may have at most
+    ``(1 << COMPILE_ARITY_CAP) - 1`` qubits, the most that
+    ``compile_function`` emits.
     """
     cap = (1 << COMPILE_ARITY_CAP) - 1
     try:
@@ -214,7 +223,10 @@ def program_from_config(config: dict) -> GhzProgram:
         if n_qubits > cap:  # checked before any qubit is parsed
             raise ValueError(f"program has {n_qubits} qubits, above cap {cap}")
         qubits = tuple(
-            QubitSpec(mask=int(q["mask"]), delta=Fraction(int(q["num"]), int(q["den"])))
+            QubitSpec(
+                mask=_json_int(q, "mask"),
+                delta=Fraction(_json_int(q, "num"), _json_int(q, "den")),
+            )
             for q in config["qubits"]
         )
         for i, q in enumerate(qubits):
@@ -226,7 +238,7 @@ def program_from_config(config: dict) -> GhzProgram:
             if not finite:
                 raise ValueError(f"qubit {i} (mask {q.mask}): increment overflows a float")
         return GhzProgram(
-            n=int(config["n"]), qubits=qubits, constant=int(config["constant"])
+            n=_json_int(config, "n"), qubits=qubits, constant=_json_int(config, "constant")
         )
     except KeyError as exc:
         raise ValueError(f"program config missing key {exc}") from None

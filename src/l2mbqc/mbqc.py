@@ -2,9 +2,12 @@
 
 A program wires correlation boxes to the input bits and to earlier box
 outputs through affine GF(2) maps only; the representation admits no other
-classical processing. Running a program against a target function yields
-per-input success probabilities, the average error, and inequality
-certificates that witness contextuality of the employed correlations.
+classical processing. On each outcome path of earlier boxes, every box
+party therefore reads an affine form of the input, the one convention that
+every ``corrbox`` function takes. Running a program against a target
+function yields per-input success probabilities, the average error, and
+inequality certificates that witness contextuality of the employed
+correlations.
 """
 
 from __future__ import annotations
@@ -14,12 +17,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
-
 import numpy as np
 
 from . import corrbox
-from .boolfn import BooleanFunction, index_bits, index_parity, input_keys, nonlinearity
+from .boolfn import BooleanFunction, index_parity, input_keys, nonlinearity
 from .corrbox import (
     BipartiteBox,
     CorrelationBox,
@@ -104,34 +105,18 @@ def _collapsible(program: L2Program, i: int, start: int) -> bool:
     return all((m.out_mask & segment) in (0, segment) for m in later)
 
 
-def _outcome_table(
-    box: CorrelationBox, inputs: Iterable[np.ndarray], n_inputs: int
-) -> np.ndarray:
-    """P(outcome o | x) for every input x (rows) and packed outcome o (columns).
-
-    One ``corrbox.distribution`` call per distinct column of box inputs.
-    """
-    k = box.n_parties
-    code = np.zeros(n_inputs, dtype=np.int64)
-    for j, b in enumerate(inputs):
-        code |= b.astype(np.int64) << j
-    columns, column_of_x = np.unique(code, return_inverse=True)
-    table = np.stack([
-        corrbox.distribution(box, index_bits(c, k)).probs for c in columns.tolist()
-    ])
-    return table[column_of_x.reshape(-1)]
-
-
 def run_exact(program: L2Program, target: BooleanFunction) -> StrategyReport:
     """Enumerate all outcome paths exactly and score z against the target.
 
     Every input is evaluated at once: each path is the packed outputs of the
     boxes run so far (bit j is global output j) with its probability for
-    every input x. Boxes whose outputs are consumed only through their full
-    parity are replaced by a single parity bit, stored at the box's first
-    output position, with its closed-form distribution: each party's input is
-    an affine form of x, and one exact Walsh transform gives the box's phase
-    at every input, which keeps compiled many-qubit programs tractable.
+    every input x. On each path every box party reads an affine form of x
+    (its map's out_mask part is a constant there), and the box answers for
+    all inputs at once: ``corrbox.outcome_table`` gives P(o | x). Boxes whose
+    outputs are consumed only through their full parity are replaced by a
+    single parity bit, stored at the box's first output position, from
+    ``corrbox.parity_probability``: one exact Walsh transform gives the box's
+    phase at every input, which keeps compiled many-qubit programs tractable.
     ``PATH_CAP`` bounds paths x inputs, the number of probabilities held at
     once.
     """
@@ -149,36 +134,32 @@ def run_exact(program: L2Program, target: BooleanFunction) -> StrategyReport:
                 f"exact evaluation needs more than {PATH_CAP} paths x inputs"
             )
 
-    x = np.arange(n_inputs)
-    x_parity = index_parity(program.n)
-
     def flip(m: AffineBitMap, outs: int) -> int:
         """The map's constant on the path with packed outputs outs."""
         return ((m.out_mask & outs).bit_count() + m.const) & 1
-
-    def bit(m: AffineBitMap, outs: int) -> np.ndarray:
-        """The map's bit for every input, on the path with packed outputs outs."""
-        return x_parity[m.x_mask & x] ^ flip(m, outs)
 
     paths = [(0, np.ones(n_inputs))]
     steps = zip(program.boxes, program.input_maps, starts, collapsed)
     for box, maps, start, parity_only in steps:
         new_paths = []
         for outs, prob in paths:
+            forms = [m.x_mask << 1 | flip(m, outs) for m in maps]
             if parity_only:
-                forms = [m.x_mask << 1 | flip(m, outs) for m in maps]
                 p1 = corrbox.parity_probability(box, forms, program.n)
                 new_paths += [(outs, prob * (1.0 - p1)), (outs | 1 << start, prob * p1)]
             else:
-                table = _outcome_table(box, (bit(m, outs) for m in maps), n_inputs)
+                table = corrbox.outcome_table(box, forms, program.n)
                 for o in range(table.shape[1]):
                     new_paths.append((outs | o << start, prob * table[:, o]))
         paths = new_paths
 
-    want = np.asarray(target.table, dtype=np.uint8)
+    # z = parity(x_mask & x) xor flip is right where flip = f(x) xor parity(x_mask & x)
+    out_map = program.output_map
+    x_part = index_parity(program.n)[out_map.x_mask & np.arange(n_inputs)]
+    right = np.asarray(target.table, dtype=np.uint8) ^ x_part
     good = np.zeros(n_inputs)
     for outs, prob in paths:
-        good += prob * (bit(program.output_map, outs) == want)
+        good += prob * (right == flip(out_map, outs))
     success = dict(zip(input_keys(program.n), good.tolist()))
     errors = [1.0 - p for p in success.values()]
     return StrategyReport(

@@ -220,6 +220,16 @@ def test_text_errors_carry_line_numbers():
         boolfn.from_text("n=2\nzz\n")
     with pytest.raises(ValueError, match="line 2"):
         boolfn.from_text("n=1\nff\n")  # more bits than 2^1
+    # int(s, 16) and int(s) also take signs, 0x prefixes, underscores and
+    # non-ASCII digits
+    for table in ("-1", "+8", "0x8", "1_0", "\u06608"):
+        with pytest.raises(ValueError, match="line 2: invalid hex table"):
+            boolfn.from_text(f"n=3\n{table}\n")
+    for arity in ("+2", "1_0", "-1", "\u0662"):
+        with pytest.raises(ValueError, match="line 1: bad arity"):
+            boolfn.from_text(f"n={arity}\n8\n")
+    with pytest.raises(ValueError, match="line 4: invalid hex table"):
+        boolfn.from_text("# header\nn=2\n\n-1\n")
 
 
 @pytest.mark.parametrize("arity", [17, 64])

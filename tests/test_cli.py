@@ -1,5 +1,6 @@
 import functools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -67,7 +68,7 @@ def test_thresholds_rejects_even_kmax(capsys):
 def test_compile_verify_roundtrip(tmp_path, and_tt, capsys):
     program_path = str(tmp_path / "and.ghz")
     assert run(["compile", "--fn", and_tt, "--output", program_path]) == 0
-    config = json.loads(open(program_path).read())
+    config = json.loads(Path(program_path).read_text())
     assert len(config["qubits"]) == 3
     assert run(["verify", "--program", program_path, "--fn", and_tt]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -77,10 +78,10 @@ def test_compile_verify_roundtrip(tmp_path, and_tt, capsys):
 def test_verify_tampered_program_exits_1(tmp_path, and_tt, capsys):
     program_path = str(tmp_path / "and.ghz")
     run(["compile", "--fn", and_tt, "--output", program_path])
-    config = json.loads(open(program_path).read())
+    config = json.loads(Path(program_path).read_text())
     config["qubits"][0]["num"] += 2  # shift one increment by a full pi
     bad_path = str(tmp_path / "tampered.ghz")
-    open(bad_path, "w").write(json.dumps(config))
+    Path(bad_path).write_text(json.dumps(config))
     assert run(["verify", "--program", bad_path, "--fn", and_tt]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["failing_inputs"] == ["10", "11"]
@@ -118,7 +119,7 @@ def test_reliable_certified_run(nand_formula, tmp_path):
         ]
     )
     assert code == 0
-    text = open(out_path).read()
+    text = Path(out_path).read_text()
     assert "# reliable: true" in text
     assert text.endswith("\n") and "\r" not in text
 
@@ -165,7 +166,7 @@ def test_reliable_output_is_byte_deterministic(nand_formula, tmp_path):
                 "--output", p,
             ]
         ) in (0, 1)
-    assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+    assert Path(paths[0]).read_bytes() == Path(paths[1]).read_bytes()
 
 
 def test_bad_truth_table_reports_line(tmp_path, capsys):
@@ -264,6 +265,7 @@ MALFORMED_INPUTS = {
     "thresholds-kmax-above-cap": (["thresholds", "--kmax", "10003"], "above cap 10001"),
     "compile-missing-file": (["compile", "--fn", "missing.tt"], "missing.tt"),
     "compile-bad-hex": (["compile", "--fn", "badhex.tt"], "line 2"),
+    "compile-signed-hex": (["compile", "--fn", "signedhex.tt"], "line 2: invalid hex table '-1'"),
     "compile-format": (["compile", "--fn", "and.tt", "--format", "json"], "unrecognized"),
     "compile-pad": (["compile", "--fn", "and.tt", "--pad"], "unrecognized"),
     "verify-format-csv": (
@@ -275,6 +277,10 @@ MALFORMED_INPUTS = {
         "unrecognized",
     ),
     "verify-malformed-program": (["verify", "--program", "bad.ghz", "--fn", "and.tt"], "error: "),
+    "verify-float-mask": (
+        ["verify", "--program", "float.ghz", "--fn", "and.tt"],
+        "mask 1.9 is not an integer",
+    ),
     "verify-increment-overflow": (
         ["verify", "--program", "huge.ghz", "--fn", "and.tt"],
         "qubit 0 (mask 1): increment overflows a float",
@@ -311,8 +317,11 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys
     args, message = MALFORMED_INPUTS[name]
     (tmp_path / "and.tt").write_text(boolfn.to_text(boolfn.make_named("and")))
     (tmp_path / "badhex.tt").write_text("n=2\nzz\n")
+    (tmp_path / "signedhex.tt").write_text("n=2\n-1\n")
     (tmp_path / "and.ghz").write_text(json.dumps({"n": 2, "constant": 0, "qubits": []}))
     (tmp_path / "bad.ghz").write_text("[]")
+    floats = {"n": 2, "constant": 0, "qubits": [{"mask": 1.9, "num": 1.5, "den": 2}]}
+    (tmp_path / "float.ghz").write_text(json.dumps(floats))
     huge = {"mask": 1, "num": 10**400, "den": 1}
     (tmp_path / "huge.ghz").write_text(json.dumps({"n": 2, "constant": 0, "qubits": [huge]}))
     (tmp_path / "tree.nand").write_text("(nand (nand a b) (nand c d))\n")

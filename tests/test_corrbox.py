@@ -247,10 +247,13 @@ def test_oracle_trivial_cases():
 
 
 def test_oracle_packs_party_zero_in_the_low_bit():
-    # |01>: party 0 in |0>, party 1 in |1>, both read in the Z basis
-    state = np.zeros((2, 2), dtype=complex)
-    state[0, 1] = 1.0
-    dist = corrbox._project_all(state, [corrbox._xz_basis(0.0)] * 2)
+    # |01>: party 0 in |0>, party 1 in |1> (bit j of the index is party j's
+    # qubit), both read in the Z basis
+    amps = np.zeros((1, 4), dtype=complex)
+    amps[0, 0b10] = 1.0
+    z_basis = corrbox._xz_basis(np.zeros(1))
+    probs = corrbox._measure(amps, [z_basis] * 2, np.zeros((1, 2), dtype=np.intp))
+    dist = OutcomeDistribution(probs[0])
     assert dist.probs[0b10] == 1.0
     assert dist[(0, 1)] == 1.0
 
@@ -270,43 +273,118 @@ def test_oracle_rejects_noise_and_oversize():
     (GhzBox(((0.0, 1.0),) * 3), (0, 0.5, 1)),
     (chsh_and_box(), (0, 2)),
     (chsh_and_box(), (0, 1, 1)),
+    (noncontextual_and_box(), (2, 0)),
+    (noncontextual_and_box(), (0, 2)),
+    (noncontextual_and_box(), (-1, 0)),
+    (noncontextual_and_box(), (0, 1, 1)),
 ])
 def test_oracle_rejects_inputs_that_are_not_one_bit_per_party(box, inputs):
+    # every family: the closed forms check the bits; the oracle covers Bell and GHZ
+    with pytest.raises(ValueError):
+        distribution(box, inputs)
+    with pytest.raises(ValueError):
+        corrbox.outcome_table(box, inputs, 0)
+    if isinstance(box, NoncontextualBox):
+        return
     with pytest.raises(ValueError):
         statevector_oracle(box, inputs)
     with pytest.raises(ValueError):
-        statevector_parity(box, [(0,) * box.n_parties, inputs])
+        statevector_parity(box, inputs, 0)
 
 
 _angle = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+_angle_pairs = st.tuples(_angle, _angle)
+
+
+def _ghz_boxes(max_parties, noisy):
+    epsilons = st.floats(0.0, 0.5) if noisy else st.just(0.0)
+    angles = st.lists(_angle_pairs, min_size=1, max_size=max_parties).map(tuple)
+    return st.builds(GhzBox, angles, epsilons)
+
+
+@st.composite
+def _noncontextual_boxes(draw):
+    k = draw(st.integers(0, 4))  # zero parties: one empty outcome
+    bit = st.integers(0, 1)
+    responses = st.lists(st.tuples(bit, bit), min_size=k, max_size=k).map(tuple)
+    entries = draw(st.lists(st.tuples(st.integers(1, 4), responses), min_size=1, max_size=4))
+    total = sum(w for w, _ in entries)
+    return NoncontextualBox(tuple((Fraction(w, total), r) for w, r in entries))
+
+
+_bell_boxes = st.builds(BipartiteBox, _angle_pairs, _angle_pairs)
+
+
+@st.composite
+def _forms_for(draw, box):
+    """An input arity n and one packed affine form 2 T + c per party."""
+    n, k = draw(st.integers(0, 4)), box.n_parties
+    return n, draw(st.lists(st.integers(0, (2 << n) - 1), min_size=k, max_size=k))
+
+
+def _mixture_reference(box, bits):
+    """Each mixture weight added, in mixture order, at its responses' outcome."""
+    probs = [0.0] * (1 << box.n_parties)
+    for weight, responses in box.mixture:
+        outcome = sum(
+            ((slope & b) ^ intercept) << j
+            for j, ((slope, intercept), b) in enumerate(zip(responses, bits))
+        )
+        probs[outcome] += float(weight)
+    return probs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_outcome_table_rows_are_the_distributions_of_the_form_bits(data):
+    box = data.draw(st.one_of(_bell_boxes, _ghz_boxes(6, True), _noncontextual_boxes()))
+    n, forms = data.draw(_forms_for(box))
+    table = corrbox.outcome_table(box, forms, n)
+    assert table.shape == (1 << n, 1 << box.n_parties)
+    for x in range(1 << n):
+        bits = form_bits(forms, x)
+        assert (table[x] == distribution(box, bits).probs).all()
+        if isinstance(box, NoncontextualBox):
+            assert table[x].tolist() == _mixture_reference(box, bits)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_statevector_parity_matches_the_closed_form(data):
+    box = data.draw(st.one_of(_bell_boxes, _ghz_boxes(8, False)))
+    n, forms = data.draw(_forms_for(box))
+    got = statevector_parity(box, forms, n)
+    assert np.abs(got - corrbox.parity_probability(box, forms, n)).max() <= 1e-12
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_statevector_parity_matches_the_oracle_row_by_row(data):
-    n = data.draw(st.integers(1, 8))
-    angles = data.draw(st.lists(st.tuples(_angle, _angle), min_size=n, max_size=n))
-    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
-    rows = data.draw(st.lists(bits, min_size=1, max_size=12))
-    box = GhzBox(tuple(angles))
-    got = statevector_parity(box, rows)
-    assert got.shape == (len(rows),)
-    for row, p in zip(rows, got):
-        assert abs(p - statevector_oracle(box, row).parity_probability(1)) <= 1e-12
+    box = data.draw(_ghz_boxes(8, False))
+    n, forms = data.draw(_forms_for(box))
+    got = statevector_parity(box, forms, n)
+    assert got.shape == (1 << n,)
+    for x, p in enumerate(got):
+        oracle = statevector_oracle(box, form_bits(forms, x))
+        assert abs(p - oracle.parity_probability(1)) <= 1e-12
 
 
 def test_statevector_parity_chunks_rows():
-    # 15 qubits: chunks of two rows, the last one short
+    # 15 qubits: chunks of two inputs; at n = 0 the one chunk is short
     rng = np.random.default_rng(11)
     box = random_ghz(rng, 15)
-    rows = rng.integers(0, 2, (5, 15))
-    got = statevector_parity(box, rows)
-    for row, p in zip(rows, got):
-        assert abs(p - statevector_oracle(box, row).parity_probability(1)) <= 1e-12
+    for n in (0, 3):
+        forms = [int(f) for f in rng.integers(0, 2 << n, 15)]
+        got = statevector_parity(box, forms, n)
+        for x, p in enumerate(got):
+            oracle = statevector_oracle(box, form_bits(forms, x))
+            assert abs(p - oracle.parity_probability(1)) <= 1e-12
     bell = chsh_and_box()
-    rows = list(itertools.product((0, 1), repeat=2))
-    expected = [statevector_oracle(bell, row).parity_probability(1) for row in rows]
-    assert statevector_parity(bell, rows) == pytest.approx(expected, abs=1e-12)
+    forms = (0b10, 0b100)  # party j reads input bit j
+    expected = [
+        statevector_oracle(bell, form_bits(forms, x)).parity_probability(1) for x in range(4)
+    ]
+    assert statevector_parity(bell, forms, 2) == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +477,20 @@ def test_mixture_with_global_negation_has_uniform_parity():
     for inputs in itertools.product((0, 1), repeat=3):
         dist = distribution(box, inputs)
         assert dist.parity_probability(1) == pytest.approx(0.5, abs=0)
+
+
+def test_every_family_has_the_enumeration_cap():
+    # 2^21 outcome columns per input are refused before they are allocated
+    parties = corrbox.GHZ_ENUMERATION_CAP + 1
+    boxes = [
+        GhzBox(((0.0, 1.0),) * parties),
+        NoncontextualBox(((1, ((0, 1),) * parties),)),
+    ]
+    for box in boxes:
+        with pytest.raises(ValueError, match="above enumeration cap"):
+            distribution(box, (0,) * parties)
+        with pytest.raises(ValueError, match="above enumeration cap"):
+            corrbox.outcome_table(box, (0,) * parties, 0)
 
 
 def test_mixture_validation():

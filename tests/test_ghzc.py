@@ -253,6 +253,19 @@ def test_config_roundtrip():
         program_from_config({"n": 2})
 
 
+@pytest.mark.parametrize("key", ["n", "constant", "mask", "num", "den"])
+@pytest.mark.parametrize("value", [1.9, 1.0, True, "1"])
+def test_config_fields_must_be_json_integers(key, value):
+    # int() would truncate 1.9 to 1 and take True as 1: a different program
+    config = {"n": 2, "constant": 0, "qubits": [{"mask": 1, "num": 1, "den": 2}]}
+    if key in ("n", "constant"):
+        config[key] = value
+    else:
+        config["qubits"][0][key] = value
+    with pytest.raises(ValueError, match=f"{key} {value!r} is not an integer"):
+        program_from_config(config)
+
+
 # ---------------------------------------------------------------------------
 # transform-based verify against the per-input Fraction oracle
 
