@@ -31,6 +31,16 @@ def index_bits(value: int, width: int) -> tuple[int, ...]:
     return tuple((value >> j) & 1 for j in range(width))
 
 
+def as_bits(x: Iterable[int]) -> tuple[int, ...]:
+    """The entries of x as ints; any entry other than 0 or 1 raises
+    ValueError, where bools and numpy integers equal to 0 or 1 pass."""
+    bits = tuple(x)
+    for b in bits:
+        if not isinstance(b, (int, np.integer)) or b not in (0, 1):
+            raise ValueError(f"input entry {b!r} is not a bit")
+    return tuple(map(int, bits))
+
+
 def input_keys(n: int) -> tuple[tuple[int, ...], ...]:
     """Every n-bit input as a bit tuple, in table order: bit j of index i is
     entry j. Cached up to ``COMPILE_ARITY_CAP`` inputs; a larger table is
@@ -69,10 +79,10 @@ class BooleanFunction:
         return cls(arity, table)
 
     def index_of(self, x: Iterable[int]) -> int:
-        bits = tuple(x)
+        bits = as_bits(x)
         if len(bits) != self.arity:
             raise ValueError(f"expected {self.arity} input bits, got {len(bits)}")
-        return sum((int(b) & 1) << j for j, b in enumerate(bits))
+        return sum(b << j for j, b in enumerate(bits))
 
     def __call__(self, *x: int) -> int:
         if len(x) == 1 and not isinstance(x[0], int):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -220,6 +220,11 @@ def majority_error(n: int, p: float) -> float:
     This is P(X >= ceil(n/2)) for X ~ Bin(n, p). Above p = 1/2 it is one
     minus the mirrored tail of Bin(n, 1 - p), so the summed tail always has
     odds at most one and its terms fall from the first.
+
+    The first term comes through lgamma, whose absolute error grows with n,
+    so the relative error grows with n too: against the exact tail at
+    p = 0.4375 and 0.490234375 it is 4.4e-13 and 5.2e-13 at n = 1031, and
+    1.4e-12 and 1.6e-12 at n = 4097.
     """
     if p == 0.0:
         return 0.0
@@ -253,58 +258,65 @@ def _binomial_upper_tail(n: int, p: float, m: int) -> float:
     return math.fsum(terms)
 
 
-def restore_polynomial(gate: NoisyGate) -> np.ndarray:
-    """Coefficients ``G[v, j]`` of one restore step of a k-input gate whose
-    inputs read independent wires of one bundle of true value v.
+def error_polynomial(gate: NoisyGate, sources: Sequence[Sequence[int]], x) -> np.ndarray:
+    """Coefficients ``G[j_1, ..., j_m]`` of the output-wire error of a gate
+    at true input index ``x`` (or each of an array of them, in front).
 
-    With each read wrong with probability p, the output wire is wrong with
-    probability p' = sum_j G[v, j] p^j (1 - p)^(k - j): ``G[v, j]`` adds up,
-    over the C(k, j) patterns that flip j of the inputs, the probability that
-    the gate's output on the flipped input differs from its value on the
-    true one. The 2^k patterns are enumerated once per v, for uniform and
-    input-dependent errors alike, and each coefficient is one exact sum
-    rounded once.
+    ``sources`` lists the m distinct source bundles, each as one gate-input
+    mask per wire; a wrong wire flips every gate input in its mask. With
+    each of source i's c_i wires wrong independently with probability p_i,
+    the output is wrong with probability sum_j G[j] prod_i p_i^j_i
+    (1 - p_i)^(c_i - j_i) (``polynomial_error``): ``G[j]`` adds up, over the
+    wire patterns with j_i wrong wires in each source i, the probability
+    that the output on the flipped input differs from the one at x, as one
+    exact sum rounded once. A k-input restore's ``sources`` are
+    ``((1, 2, ..., 2^(k-1)),)``: k wires of one bundle.
     """
-    n = 1 << gate.k
-    table = np.array(gate.target.table)
-    errors = np.array(gate.errors)
-    patterns = np.arange(n)
-    weights = np.array([e.bit_count() for e in range(n)])
-    coefficients = np.empty((2, gate.k + 1))
-    for v in (0, 1):
-        idx = patterns ^ (n - 1) * v
-        wrong = table[idx] != table[(n - 1) * v]
-        # a wrong output contributes 1 - e, a right one e
-        signed = np.where(wrong, -errors[idx], errors[idx])
-        for j in range(gate.k + 1):
-            at = weights == j
-            coefficients[v, j] = math.fsum([int(np.count_nonzero(wrong[at])), *signed[at].tolist()])
-    return coefficients
+    dims = tuple(len(masks) + 1 for masks in sources)
+    patterns = np.arange(1 << sum(dims) - len(dims))  # bit w set: wire w is wrong
+    flips = cells = w = 0
+    for masks, dim in zip(sources, dims):
+        count = 0  # the source's wrong wires in each pattern
+        for mask in masks:
+            on = patterns >> w & 1
+            flips, count, w = flips ^ on * mask, count + on, w + 1
+        cells = cells * dim + count  # each pattern's coefficient, in C order
+    order = np.argsort(cells, kind="stable")  # each coefficient's patterns, one slice
+    ends = np.cumsum(np.bincount(cells, minlength=math.prod(dims))).tolist()
+    cuts = list(zip([0, *ends[:-1]], ends))
+    table, errors, x = np.array(gate.target.table), np.array(gate.errors), np.asarray(x)
+    idx = (x[..., None] ^ flips[order]).reshape(-1, len(order))
+    wrong = table[idx] != table[x].reshape(-1, 1)
+    # a wrong output contributes 1 - e, a right one e
+    signed = np.where(wrong, -errors[idx], errors[idx]).tolist()
+    sums = [[math.fsum([sum(bad[a:b]), *e[a:b]]) for a, b in cuts] for bad, e in zip(wrong.tolist(), signed)]
+    return np.reshape(sums, x.shape + dims)
 
 
 #: |p - _ZERO_ONE| is (p, 1 - p)
 _ZERO_ONE = np.array([0.0, 1.0])
 
 
-def restore_error(coefficients: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """p'_r = sum_j c_rj p_r^j (1 - p_r)^(k - j) for each coefficient row
-    c_r of ``coefficients`` (shape (m, k + 1)) and read error p_r of ``p``
-    (shape (m,)).
+def polynomial_error(coefficients: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """Each row r's error polynomial (``error_polynomial``) with coefficients
+    ``coefficients[r]`` at the read errors ``ps[r]``, one per source.
 
     Only IEEE multiplications and subtractions and exact sums are used, so
     the value is the same on every platform. The powers are running
-    products and every term is nonnegative, so the terms' relative accuracy
-    carries over to p' on all of [0, 1]. Each row's terms are added exactly
-    and rounded once (``math.fsum``): a row's value depends on nothing but
-    its own terms.
+    products, one row per source, and every term is nonnegative, so the
+    terms' relative accuracy carries over to p' on all of [0, 1]. Each row's
+    terms are added exactly and rounded once (``math.fsum``).
     """
-    m, k = len(p), coefficients.shape[1] - 1
-    powers = np.empty((m, 2, k + 1))  # each row's powers of p, then of 1 - p
-    powers[:, :, 0] = 1.0
-    powers[:, :, 1:] = np.abs(p[:, None] - _ZERO_ONE)[:, :, None]
-    np.multiply.accumulate(powers, axis=-1, out=powers)
-    terms = coefficients * powers[:, 0] * powers[:, 1, ::-1]
-    return np.fromiter(map(math.fsum, terms.tolist()), float, m)
+    rows, m = ps.shape
+    terms = coefficients
+    for i, c in enumerate(coefficients.shape[1:]):
+        powers = np.empty((rows, 2, c))  # each row's powers of p_i, then of 1 - p_i
+        powers[:, :, 0] = 1.0
+        powers[:, :, 1:] = np.abs(ps[:, i, None] - _ZERO_ONE)[:, :, None]
+        np.multiply.accumulate(powers, axis=-1, out=powers)
+        shape = (rows,) + (1,) * i + (c,) + (1,) * (m - 1 - i)
+        terms = terms * powers[:, 0].reshape(shape) * powers[:, 1, ::-1].reshape(shape)
+    return np.fromiter(map(math.fsum, terms.reshape(rows, -1).tolist()), float, rows)
 
 
 def maj_error_recursion(k: int, epsilon: float, p: float) -> float:

@@ -15,13 +15,13 @@ model's step; the step maps how wrong the read bundles are to how wrong the
 target is. The walk takes a batch of inputs at once and groups them by each
 bundle's (true value, state), and calls each stage's step once, on numpy
 arrays with one row per distinct (true index, read states): the sweep over
-all 2^n inputs is one walk. The independence model's state is one wire's
-error probability, with the wires of a bundle assumed independent: a compute
-stage enumerates the flip patterns of its independent input wires, and a
-restore stage is one polynomial in the read error
-(``gates.restore_polynomial``). The seeded wire-level Monte Carlo's state
-is the set of wrong wires under the circuit's fixed wiring, walked one
-input at a time; it quantifies how much that assumption leaks.
+all 2^n table indices is one walk. The independence model's state is one
+wire's error probability, with the wires of a bundle assumed independent:
+every stage, compute or restore, is one polynomial in its sources' read
+errors (``gates.error_polynomial``), built once per gate and wires and
+gathered by true index. The seeded wire-level Monte Carlo's state is the
+set of wrong wires under the circuit's fixed wiring, walked one input at a
+time; it quantifies how much that assumption leaks.
 
 The Monte Carlo sampler is bit-sliced: 64 trials ride in one uint64 word,
 and trials run in blocks of ``BLOCK`` = 1024. Block b draws all its gate
@@ -41,8 +41,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .boolfn import BRUTE_FORCE_ARITY_CAP, input_keys, make_named
-from .gates import NoisyGate, beta, majority_error, restore_error, restore_polynomial
+from .boolfn import BRUTE_FORCE_ARITY_CAP, as_bits, index_bits, input_keys, make_named
+from .gates import NoisyGate, beta, error_polynomial, majority_error, polynomial_error
 
 EQUAL_ERROR_SLACK = 0.05
 #: largest stages x width of a circuit, checked before any stage is laid
@@ -86,9 +86,7 @@ class FormulaDag:
 
     def evaluate_all(self, x: Sequence[int]) -> list[int]:
         """Values of every reference (inputs then nodes) for one assignment."""
-        if len(x) != self.n_inputs:
-            raise ValueError("one bit per formula input required")
-        vals = [int(b) & 1 for b in x]
+        vals = list(_input_bits(self, x))
         for a, b in self.nodes:
             vals.append(1 - (vals[a] & vals[b]))
         return vals
@@ -394,9 +392,10 @@ def _combinations(stage: Stage, live: dict, n: int):
     return inverse, counts, sum(parts[1:], parts[0]), [read[src] for src in stage.sources]
 
 
-def _walk(circuit: ReliableCircuit, xs: Sequence[tuple[int, ...]], clean, step):
-    """Run every stage on the batch of input bit tuples ``xs`` at once; return
-    the output bundle's ``(classes, values, states)``.
+def _walk(circuit: ReliableCircuit, xs: np.ndarray, clean, step):
+    """Run every stage on the batch of input table indices ``xs`` (an int
+    array; bit j of an index is formula input j) at once; return the output
+    bundle's ``(classes, values, states)``.
 
     A bundle's state is an error model's account of how wrong it is; input
     bundles start ``clean``. A live bundle splits the batch into classes:
@@ -412,19 +411,18 @@ def _walk(circuit: ReliableCircuit, xs: Sequence[tuple[int, ...]], clean, step):
     as they are, and so does a stage with one split source. Rows with equal
     (value, state) merge into one class, so a stage has one row per distinct
     (true index, read states), and a batch of one never compares states. A
-    bundle is dropped after its last read. Every input must have one bit per
-    formula input.
+    bundle is dropped after its last read.
     """
     n = len(xs)
     clean = np.asarray(clean)[None]
     live = {}  # bundle -> (classes, values, states, counts)
-    for b, bits in zip(circuit.input_bundles, zip(*xs)):
-        ones = bits.count(1)
+    bits = xs >> np.arange(len(circuit.input_bundles))[:, None] & 1  # row j: input j
+    for b, row, ones in zip(circuit.input_bundles, bits, bits.sum(axis=1).tolist()):
         if 0 < ones < n:
-            live[b] = (np.array(bits), np.array([0, 1]), np.concatenate([clean, clean]),
+            live[b] = (row, np.array([0, 1]), np.concatenate([clean, clean]),
                        np.array([n - ones, ones]))
         else:
-            live[b] = (None, np.array(bits[:1]), clean, np.array([n]))
+            live[b] = (None, row[:1], clean, np.array([n]))
     gate_of = {"restore": circuit.kmaj, "compute": circuit.xnand}
     table_of = {kind: np.array(gate.target.table) for kind, gate in gate_of.items()}
     for s, stage in enumerate(circuit.stages):
@@ -460,46 +458,23 @@ def _walk(circuit: ReliableCircuit, xs: Sequence[tuple[int, ...]], clean, step):
 # ---------------------------------------------------------------------------
 # analytic error propagation
 
-#: |p - _ONE_ZERO| is (1 - p, p)
-_ONE_ZERO = np.array([1.0, 0.0])
-
-
-def _gate_error(gate: NoisyGate, x, wires: Sequence[tuple[int, float]]):
-    """Output-wire error of a noisy gate whose true input index is ``x``.
-
-    Each wire ``(mask, p)`` is wrong independently with probability p, and
-    a wrong wire flips every gate input in ``mask``. ``x`` and every p may
-    be arrays of one shape, which the result then has. The sum runs over all
-    flip patterns in a fixed order, so it is reproducible bit for bit: wire
-    0 is the most significant bit of the pattern, each pattern's probability
-    is multiplied from the last wire to the first, and the patterns are
-    added in order.
+@functools.lru_cache(maxsize=16)
+def _error_table(gate: NoisyGate, pattern: tuple[int, ...], one_wire: bool):
+    """The wires of a stage whose gate input i reads the bundle that input
+    ``pattern[i]`` reads first: one per read, or one per bundle if
+    ``one_wire`` (width 1). Returns each bundle's first read, the sorted true
+    indices the wires can carry (all reads of a bundle carry its value) and
+    their ``gates.error_polynomial`` coefficients; kept for recent tables.
     """
-    table = np.array(gate.target.table)
-    errors = np.array(gate.errors)
-    x = np.asarray(x)[..., None]
-    prob, flips = np.ones(x.shape), [0]
-    for mask, p in reversed(wires):  # each wire is the next more significant bit
-        right_wrong = np.abs(np.asarray(p)[..., None] - _ONE_ZERO)
-        prob = (right_wrong[..., :, None] * prob[..., None, :]).reshape(x.shape[:-1] + (-1,))
-        flips += [f ^ mask for f in flips]
-    idx = x ^ flips
-    e = errors[idx]
-    terms = prob * np.where(table[idx] != table[x], 1.0 - e, e)
-    return np.add.accumulate(terms, axis=-1)[..., -1]
-
-
-def _wires(stage: Stage, errors: Sequence[float], width: int) -> list[tuple[int, float]]:
-    """The independent wires behind a stage's reads, given each read's error,
-    as (input mask, error). Reads are independent draws from their bundles,
-    except that all reads of a width-1 bundle are its one wire.
-    """
-    wires: dict[tuple[int, int], tuple[int, float]] = {}  # (bundle, draw) -> wire
-    for i, (src, p) in enumerate(zip(stage.sources, errors)):
-        key = (src, 0 if width == 1 else i)
-        mask, _ = wires.get(key, (0, p))
-        wires[key] = (mask | 1 << i, p)
-    return list(wires.values())
+    masks: dict[int, tuple[int, ...]] = {}  # first read -> the gate inputs of its bundle's wires
+    for i, first in enumerate(pattern):
+        masks[first] = masks.get(first, ()) + (1 << i,)
+    keys = [0]
+    for m in masks.values():
+        keys += [x | sum(m) for x in keys]
+    sources = tuple((sum(m),) if one_wire else m for m in masks.values())
+    keys = np.array(sorted(keys))
+    return tuple(masks), keys, error_polynomial(gate, sources, keys)
 
 
 @dataclass(frozen=True)
@@ -513,14 +488,13 @@ class AnalyticResult:
     warnings: tuple[str, ...]
 
 
-def _independence_walk(circuit: ReliableCircuit, xs: Sequence[tuple[int, ...]]):
+def _independence_walk(circuit: ReliableCircuit, xs: np.ndarray):
     """``_walk`` under the independence model (see ``simulate_analytic``), plus
     each per-stage warning with the number of inputs that raised it, in stage
     order, and the trajectory of every stage's errors, one per row."""
-    restore = restore_polynomial(circuit.kmaj)
-    # (true values, read errors) of every restore evaluated so far -> its result;
-    # the restore chains of different inputs repeat the same rows
-    restored: dict[bytes, np.ndarray] = {}
+    tables: dict[tuple, tuple] = {}  # (kind, read pattern) -> ``_error_table``
+    # (kind and pattern, true indices, read errors) -> result, for rows that repeat
+    results: dict[tuple, np.ndarray] = {}
     tripped: dict[str, int] = {}
     trajectory: list[tuple[int, str, int, np.ndarray]] = []
 
@@ -530,22 +504,25 @@ def _independence_walk(circuit: ReliableCircuit, xs: Sequence[tuple[int, ...]]):
             if drift.any():
                 w = f"stage {s}: operand errors differ beyond the equal-error slack {EQUAL_ERROR_SLACK}"
                 tripped[w] = tripped.get(w, 0) + int(counts[drift].sum())
-            p = _gate_error(gate, idx, _wires(stage, reads, circuit.width))
-        else:  # every read is the source bundle, so idx & 1 is its true value
-            v = idx & 1
-            key = v.tobytes() + reads[0].tobytes()
-            p = restored.get(key)
-            if p is None:
-                p = restored[key] = restore_error(restore[v], reads[0])
+        layout = (stage.kind, tuple(map(stage.sources.index, stage.sources)))
+        table = tables.get(layout)
+        if table is None:  # looked up once per walk, since hashing a gate takes 2^k steps
+            table = tables[layout] = _error_table(gate, layout[1], circuit.width == 1)
+        firsts, keys, coefficients = table
+        key = (layout, idx.tobytes(), *[reads[i].tobytes() for i in firsts])
+        p = results.get(key)
+        if p is None:
+            ps = np.array([reads[i] for i in firsts]).T  # one read error per source
+            p = results[key] = polynomial_error(coefficients.take(keys.searchsorted(idx), axis=0), ps)
         trajectory.append((s, stage.kind, stage.target, p))
         return p
 
     return _walk(circuit, xs, 0.0, step), tripped, trajectory
 
 
-def _input_bits(circuit: ReliableCircuit, x: Sequence[int]) -> tuple[int, ...]:
-    x = tuple(int(b) & 1 for b in x)
-    if len(x) != circuit.formula.n_inputs:
+def _input_bits(formula: FormulaDag, x: Sequence[int]) -> tuple[int, ...]:
+    x = as_bits(x)
+    if len(x) != formula.n_inputs:
         raise ValueError("one bit per formula input required")
     return x
 
@@ -556,12 +533,13 @@ def simulate_analytic(circuit: ReliableCircuit, x: Sequence[int]) -> AnalyticRes
     A bundle's state is the probability that one of its wires is wrong.
     Within-bundle wires are treated as independent and identically
     distributed; compute stages flag operand bundles whose errors drifted
-    apart beyond the equal-error slack of the voting analysis. A restore
-    stage is one polynomial in the read error (``gates.restore_polynomial``),
-    whether its gate errs uniformly or not.
+    apart beyond the equal-error slack of the voting analysis. Every stage
+    is one polynomial in its sources' read errors
+    (``gates.error_polynomial``), whether its gate errs uniformly or not.
     """
-    x = _input_bits(circuit, x)
-    (_, [value], [p]), tripped, trajectory = _independence_walk(circuit, [x])
+    x = _input_bits(circuit.formula, x)
+    walk = _independence_walk(circuit, np.array([sum(b << j for j, b in enumerate(x))]))
+    (_, [value], [p]), tripped, trajectory = walk
     return AnalyticResult(
         x=x,
         value=int(value),
@@ -726,7 +704,7 @@ def _wrong_trials(
                 return (~wrong if flip else wrong)[None]
             return (wrong ^ flip)[None]
 
-        _, _, [wrong_wires] = _walk(circuit, [x], clean, step)
+        _, _, [wrong_wires] = _walk(circuit, np.array([x_key]), clean, step)
         lanes = np.unpackbits(
             wrong_wires.astype("<u8", copy=False).view(np.uint8), axis=1, bitorder="little"
         )
@@ -766,7 +744,7 @@ def simulate_monte_carlo(
     """
     _check_trials(trials)
     _check_seed(seed)
-    x = _input_bits(circuit, x)
+    x = _input_bits(circuit.formula, x)
     wrong = 0
     n_blocks = -(-trials // BLOCK)
     for block, wrong_mask in enumerate(_wrong_trials(circuit, x, seed, n_blocks)):
@@ -861,15 +839,14 @@ def build_report(
     n = circuit.formula.n_inputs
     if n > BRUTE_FORCE_ARITY_CAP:
         raise ValueError(f"formula has {n} inputs, above cap {BRUTE_FORCE_ARITY_CAP}")
-    xs = input_keys(n)
-    (classes, _, states), tripped, _ = _independence_walk(circuit, xs)
+    (classes, _, states), tripped, _ = _independence_walk(circuit, np.arange(1 << n))
     class_errors = [majority_error(circuit.width, p) for p in states.tolist()]
     if classes is None:  # one class holds every input
-        classes = np.zeros(len(xs), dtype=int)
+        classes = np.zeros(1 << n, dtype=int)
     errors = np.take(class_errors, classes)
     worst = int(np.argmax(errors))  # the first input in table order with the largest error
-    worst_x, delta = xs[worst], errors[worst].item()
-    sampled = [] if trials is None else [worst_x] if mc_inputs == "worst" else xs
+    worst_x, delta = index_bits(worst, n), errors[worst].item()
+    sampled = [] if trials is None else [worst_x] if mc_inputs == "worst" else input_keys(n)
     mc = {x: simulate_monte_carlo(circuit, x, trials, seed) for x in sampled}
 
     # rows in itertools.product order, where x[0] is the most significant bit

@@ -111,6 +111,23 @@ def test_evaluate_arity_mismatch():
         make_named("and")((1, 0, 1))
 
 
+@pytest.mark.parametrize("x", [(2, 3), (1, -1), (0, 3), (1.0, 0), (0, "1"), (np.int64(2), 0)])
+def test_index_of_rejects_entries_that_are_not_bits(x):
+    # each entry used to be reduced mod 2, so (2, 3) read as (0, 1)
+    f = make_named("and")
+    with pytest.raises(ValueError, match="is not a bit"):
+        f.index_of(x)
+    with pytest.raises(ValueError, match="is not a bit"):
+        f(*x)
+
+
+def test_index_of_takes_bools_and_numpy_bits():
+    f = make_named("and")
+    assert f.index_of((True, np.int64(1))) == 3
+    assert f(np.array([1, 0], dtype=np.uint8)) == 0
+    assert f(True, True) == 1
+
+
 def test_decomposition_identities():
     # 3-MAJ and XNAND from a single AND plus parities
     maj, xnand = make_named("maj", 3), make_named("xnand")

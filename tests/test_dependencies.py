@@ -1,5 +1,7 @@
+import ast
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import l2mbqc
@@ -12,3 +14,19 @@ def test_import_does_not_load_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "False"
+
+
+def test_public_api_is_what_the_demos_import_and_the_version_is_the_package_version():
+    # the package root re-exports exactly the names the demos take from it,
+    # and reports the version that pyproject.toml builds
+    root = Path(__file__).resolve().parents[1]
+    imported = {
+        alias.name
+        for demo in sorted((root / "demos").glob("*.py"))
+        for node in ast.walk(ast.parse(demo.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "l2mbqc" and node.level == 0
+        for alias in node.names
+    }
+    assert sorted(l2mbqc.__all__) == sorted(imported)
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    assert l2mbqc.__version__ == project["version"]

@@ -420,6 +420,13 @@ def test_recursion_matches_exact_tail_at_large_k(k):
             assert maj_error_recursion(k, eps, p) == pytest.approx(float(want), rel=1e-12)
 
 
+def restore_polynomial(gate):
+    """The error polynomial of a k-input restore, whose inputs read k wires of
+    one bundle, at true value 0 and 1."""
+    k = gate.k
+    return gates.error_polynomial(gate, (tuple(1 << i for i in range(k)),), [0, (1 << k) - 1])
+
+
 #: read errors at which the restore polynomial meets its exact value
 RESTORE_PROBABILITIES = (0.0, 1e-9, 1e-3, 0.1, 0.25, 0.4, 0.49, 0.5, 0.6, 0.9, 1.0)
 
@@ -428,7 +435,7 @@ def assert_restore_within_bound(coefficients, k, exact):
     # every term is nonnegative and each row is one exact sum of its terms, so
     # p' stays within (k + 2) units of 2^-52 of the exact value, relatively
     ps = np.array(RESTORE_PROBABILITIES)
-    got = gates.restore_error(np.broadcast_to(coefficients, ps.shape + coefficients.shape), ps)
+    got = gates.polynomial_error(np.broadcast_to(coefficients, ps.shape + coefficients.shape), ps[:, None])
     for p, value in zip(RESTORE_PROBABILITIES, got.tolist()):
         want = exact(p)
         assert abs(Fraction(value) - want) <= (k + 2) * Fraction(1, 2**52) * want, (k, p)
@@ -439,7 +446,7 @@ def assert_restore_within_bound(coefficients, k, exact):
 def test_restore_polynomial_matches_exact_tail(k, eps):
     # a uniform gate restores both true values alike: eps + (1 - 2 eps) tail
     e = Fraction(eps)
-    restore = gates.restore_polynomial(uniform_noisy_gate(make_named("maj", k), eps))
+    restore = restore_polynomial(uniform_noisy_gate(make_named("maj", k), eps))
     for coefficients in restore:
         assert_restore_within_bound(
             coefficients, k, lambda p: e + (1 - 2 * e) * exact_majority_tail(k, p)
@@ -451,7 +458,7 @@ def test_restore_polynomial_matches_pattern_enumeration_with_input_dependent_err
     errors = tuple((i * 37 % 101) / 250 for i in range(1 << k))
     gate = NoisyGate(make_named("maj", k), errors)
     table = gate.target.table
-    for v, coefficients in enumerate(gates.restore_polynomial(gate)):
+    for v, coefficients in enumerate(restore_polynomial(gate)):
         x = v * ((1 << k) - 1)
 
         def exact(p):
@@ -463,6 +470,34 @@ def test_restore_polynomial_matches_pattern_enumeration_with_input_dependent_err
             return total
 
         assert_restore_within_bound(coefficients, k, exact)
+
+
+@pytest.mark.parametrize(
+    "sources", [((1,), (2, 4)), ((1,), (6,)), ((1, 2), (4,)), ((1,), (2,), (4,)), ((7,),)]
+)
+def test_error_polynomial_matches_wire_pattern_enumeration(sources):
+    # a compute stage at W > 1 and at W = 1, other groupings of three gate
+    # inputs into independent wires, and one wire feeding all three, against
+    # the exact sum over every pattern of wrong wires
+    gate = NoisyGate(make_named("xnand"), tuple((i * 37 % 101) / 250 for i in range(8)))
+    table = gate.target.table
+    wires = [(i, mask) for i, masks in enumerate(sources) for mask in masks]
+    for x in range(8):
+        coefficients = gates.error_polynomial(gate, sources, [x])
+        for ps in [(0.13, 0.27, 0.4), (0.5, 1e-3, 0.9), (0.0, 1.0, 0.5), (1e-9, 0.6, 0.1)]:
+            ps = ps[: len(sources)]
+            want = Fraction(0)
+            for pattern in range(1 << len(wires)):
+                prob, flip = Fraction(1), 0
+                for w, (i, mask) in enumerate(wires):
+                    wrong = pattern >> w & 1
+                    prob *= Fraction(ps[i]) if wrong else 1 - Fraction(ps[i])
+                    flip ^= mask * wrong
+                e = Fraction(gate.errors[x ^ flip])
+                want += prob * ((1 - e) if table[x ^ flip] != table[x] else e)
+            [got] = gates.polynomial_error(coefficients, np.array([ps])).tolist()
+            # as for a restore: within (wires + 2) units of 2^-52, relatively
+            assert abs(Fraction(got) - want) <= (len(wires) + 2) * Fraction(1, 2**52) * want, (x, ps)
 
 
 @pytest.mark.parametrize("k", [1031, 2073, 10001])

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l2mbqc import gates, reliability
-from l2mbqc.boolfn import input_keys, make_named
+from l2mbqc.boolfn import make_named
 from l2mbqc.gates import (
     chsh_and_gate,
     maj3_from_and,
@@ -210,11 +210,24 @@ def test_perfect_gates_deep_tree_all_zero_errors():
     assert all(err == 0.0 for _, _, _, err in res.trajectory)
 
 
+def stage_error(gate, x, sources, ps):
+    """A stage's output-wire error at true input index ``x``: ``sources`` are
+    its wires as ``gates.error_polynomial`` takes them, ``ps`` one read error
+    per source."""
+    coefficients = gates.error_polynomial(gate, sources, [x])
+    return gates.polynomial_error(coefficients, np.array([ps], dtype=float)).item()
+
+
+#: the wires of a 3-input restore: three reads of one bundle
+VOTES = ((1, 2, 4),)
+#: the wires of a compute stage at W > 1: one read of a, two of b
+OPERANDS = ((1,), (2, 4))
+
+
 def test_restore_stage_matches_recursion_example():
     # one restore applied to a bundle at error 0.4 under the Bell-derived gate
     kmaj, _ = chsh_gates()
-    votes = [(1 << i, 0.4) for i in range(3)]
-    out = reliability._gate_error(kmaj, 0, votes)
+    out = stage_error(kmaj, 0, VOTES, [0.4])
     assert out == pytest.approx(0.395348196, abs=1e-9)
     assert out < 0.4
     # a barely input-dependent gate, which the analytic sweep enumerates; it agrees
@@ -222,7 +235,7 @@ def test_restore_stage_matches_recursion_example():
         make_named("maj", 3), (SIN2_PI8,) * 7 + (SIN2_PI8 + 2e-12,)
     )
     assert perturbed.epsilon is None
-    brute = reliability._gate_error(perturbed, 0, votes)
+    brute = stage_error(perturbed, 0, VOTES, [0.4])
     assert brute == pytest.approx(out, abs=1e-10)
 
 
@@ -230,7 +243,7 @@ def test_compute_stage_with_clean_inputs_is_gate_error():
     _, xnand = chsh_gates()
     for v_a, v_b in itertools.product((0, 1), repeat=2):
         x = v_a | v_b << 1 | v_b << 2
-        out = reliability._gate_error(xnand, x, [(1, 0.0), (2, 0.0), (4, 0.0)])
+        out = stage_error(xnand, x, OPERANDS, [0.0, 0.0])
         assert out == pytest.approx(SIN2_PI8, abs=1e-12)
 
 
@@ -252,7 +265,7 @@ def test_compute_stage_enumeration_against_direct_sum():
             e = xnand.errors[bits]
             total += prob * ((1 - e) if wrong else e)
         x = v_a | v_b << 1 | v_b << 2
-        got = reliability._gate_error(xnand, x, [(1, p_a), (2, p_b), (4, p_b)])
+        got = stage_error(xnand, x, OPERANDS, [p_a, p_b])
         assert got == pytest.approx(total, abs=1e-15)
 
 
@@ -261,11 +274,11 @@ def test_monotone_restoration_scan():
     eta = gates.analyze_recursion(3, SIN2_PI8).eta
     p = eta + 1e-6
     while p < 0.5 - 1e-6:
-        assert reliability._gate_error(kmaj, 0b111, [(1, p), (2, p), (4, p)]) < p
+        assert stage_error(kmaj, 0b111, VOTES, [p]) < p
         p += 1e-3
     degraded = uniform_noisy_gate(make_named("maj", 3), 0.2)
     assert any(
-        reliability._gate_error(degraded, 0, [(1, p), (2, p), (4, p)]) >= p
+        stage_error(degraded, 0, VOTES, [p]) >= p
         for p in [i * 1e-3 for i in range(1, 500)]
     )
 
@@ -677,6 +690,34 @@ def test_entry_points_reject_a_wrong_length_input(x):
         simulate_monte_carlo(circ, x, 10, seed=1)
 
 
+@pytest.mark.parametrize("x", [(2, 3), (3, 3), (1, -1), (1.0, 0), (np.int64(2), 0)])
+def test_simulations_reject_entries_that_are_not_bits(x):
+    # each entry used to be reduced mod 2: (2, 3) was analysed as (0, 1) and
+    # (3, 3) sampled as (1, 1)
+    kmaj, xnand = chsh_gates()
+    circ = build(parse_formula("(nand a b)"), 9, 3, 1, xnand=xnand, kmaj=kmaj, seed=1)
+    with pytest.raises(ValueError, match="is not a bit"):
+        simulate_analytic(circ, x)
+    with pytest.raises(ValueError, match="is not a bit"):
+        simulate_monte_carlo(circ, x, 64, seed=1)
+
+
+@pytest.mark.parametrize("x", [(2, 0), (0, -1), (0.0, 1), (np.int64(3), 1)])
+def test_formula_evaluation_rejects_entries_that_are_not_bits(x):
+    f = parse_formula("(nand a b)")
+    with pytest.raises(ValueError, match="is not a bit"):
+        f.evaluate_all(x)
+
+
+def test_bools_and_numpy_bits_are_inputs():
+    kmaj, xnand = chsh_gates()
+    circ = build(parse_formula("(nand a b)"), 9, 3, 1, xnand=xnand, kmaj=kmaj, seed=1)
+    x = (True, np.int64(0))
+    assert circ.formula.evaluate(x) == 1
+    assert simulate_analytic(circ, x) == simulate_analytic(circ, (1, 0))
+    assert simulate_monte_carlo(circ, x, 64, seed=1) == simulate_monte_carlo(circ, (1, 0), 64, seed=1)
+
+
 def test_entry_points_reject_a_negative_seed():
     # numpy would reject it only when the wiring or a trial stream is drawn
     kmaj, xnand = perfect_gates()
@@ -859,9 +900,10 @@ def test_readme_report_equals_per_input_walks():
 
 
 def test_sweep_runs_each_step_once_per_distinct_state(monkeypatch):
-    # TREE3 at W=81, r=2 has 256 inputs and 37 stages, but only 312
-    # distinct (stage, true index, read states); each stage's step is one
-    # call whose rows share out all 256 inputs between them
+    # TREE3 at W=81, r=2 has 256 inputs and 37 stages; the sweep makes one
+    # row per distinct (stage, true index, read states) that the 256
+    # per-input walks meet, and each stage's step is one call whose rows
+    # share out all 256 inputs between them
     kmaj, xnand = chsh_gates()
     circ = build(parse_formula(TREE3), 81, 3, 2, xnand=xnand, kmaj=kmaj, seed=7)
     rows = []
@@ -877,7 +919,9 @@ def test_sweep_runs_each_step_once_per_distinct_state(monkeypatch):
 
     monkeypatch.setattr(reliability, "_walk", counting_walk)
     build_report(circ, margin=0.05)
-    assert len(rows) == 312
+    monkeypatch.undo()
+    per_input = set().union(*(step_counts(circ, np.array([i])) for i in range(256)))
+    assert len(rows) == len(per_input)
     assert len({s for s, _ in rows}) == len(circ.stages)
     inputs_per_stage = [0] * len(circ.stages)
     for s, count in rows:
@@ -887,7 +931,7 @@ def test_sweep_runs_each_step_once_per_distinct_state(monkeypatch):
 
 def step_counts(circ, xs):
     """(stage, true index, read states) -> the count of its step row, summed
-    over the independence walk of the batch ``xs``."""
+    over the independence walk of the batch ``xs`` of input table indices."""
     seen = collections.Counter()
     walk = reliability._walk
 
@@ -924,12 +968,12 @@ def test_every_step_counts_the_inputs_that_reach_it(
     kmaj = gates.NoisyGate(make_named("maj", k), restore_errors[: 1 << k])
     xnand = gates.NoisyGate(make_named("xnand"), compute_errors)
     circ = build(parse_formula(text), width, k, rounds, xnand=xnand, kmaj=kmaj, seed=0)
-    keys = input_keys(circ.formula.n_inputs)
-    xs = data.draw(st.one_of(
-        st.just(keys), st.lists(st.sampled_from(keys), min_size=1, unique=True)
-    ))
+    n = 1 << circ.formula.n_inputs
+    xs = np.array(data.draw(st.one_of(
+        st.just(list(range(n))), st.lists(st.integers(0, n - 1), min_size=1, unique=True)
+    )))
     batch = step_counts(circ, xs)
-    assert batch == sum((step_counts(circ, [x]) for x in xs), collections.Counter())
+    assert batch == sum((step_counts(circ, xs[i:i + 1]) for i in range(len(xs))), collections.Counter())
     inputs_per_stage = [0] * len(circ.stages)
     for (s, _, _), count in batch.items():
         inputs_per_stage[s] += count
