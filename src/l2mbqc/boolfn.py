@@ -31,12 +31,17 @@ def index_bits(value: int, width: int) -> tuple[int, ...]:
     return tuple((value >> j) & 1 for j in range(width))
 
 
+#: the scalar types that may stand for one input bit
+_BIT_TYPES = (int, np.integer, np.bool_)
+
+
 def as_bits(x: Iterable[int]) -> tuple[int, ...]:
     """The entries of x as ints; any entry other than 0 or 1 raises
-    ValueError, where bools and numpy integers equal to 0 or 1 pass."""
+    ValueError, where bools, numpy integers and numpy bools equal to 0 or 1
+    pass."""
     bits = tuple(x)
     for b in bits:
-        if not isinstance(b, (int, np.integer)) or b not in (0, 1):
+        if not isinstance(b, _BIT_TYPES) or b not in (0, 1):
             raise ValueError(f"input entry {b!r} is not a bit")
     return tuple(map(int, bits))
 
@@ -85,7 +90,8 @@ class BooleanFunction:
         return sum(b << j for j, b in enumerate(bits))
 
     def __call__(self, *x: int) -> int:
-        if len(x) == 1 and not isinstance(x[0], int):
+        """f(x1, ..., xn), or f(bits) with one sequence of bits."""
+        if len(x) == 1 and not isinstance(x[0], _BIT_TYPES):
             x = tuple(x[0])
         return self.table[self.index_of(x)]
 
@@ -191,16 +197,19 @@ def walsh(values) -> np.ndarray:
 
     The length must be a power of two. The dtype is kept, so an int64 table
     stays int64 and an object array of Python ints stays exact at any size.
+    Each level is one butterfly, two ufunc calls from one buffer into the
+    other; the input is never written.
     """
-    w = np.asarray(values)
+    w = np.array(values)
     if w.ndim != 1 or w.size & (w.size - 1):
         raise ValueError(f"transform length {w.size} is not a power of two")
+    spare = np.empty_like(w)
     h = 1
     while h < w.size:
-        w = w.reshape(-1, 2, h)
-        top = w[:, 0, :] + w[:, 1, :]
-        bot = w[:, 0, :] - w[:, 1, :]
-        w = np.stack((top, bot), axis=1).reshape(-1)
+        pairs, out = w.reshape(-1, 2, h), spare.reshape(-1, 2, h)
+        np.add(pairs[:, 0], pairs[:, 1], out=out[:, 0])
+        np.subtract(pairs[:, 0], pairs[:, 1], out=out[:, 1])
+        w, spare = spare, w
         h *= 2
     return w
 

@@ -12,6 +12,7 @@ never uses the closed forms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +25,12 @@ from .boolfn import index_parity, walsh
 PROBABILITY_TOL = 1e-12
 GHZ_ENUMERATION_CAP = 20
 STATEVECTOR_QUBIT_CAP = 16
+#: the widest exponent span of a box's nonzero angles that the int64 phase
+#: sum takes; each exact angle integer splits at bit LIMB_BITS into two limbs
+LIMB_BITS = 32
+#: each limb's magnitudes must sum below this for the int64 phase sum: then
+#: every partial sum is exact in int64 and both limb results in a float
+LIMB_SUM_CAP = 2.0**51
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,11 +240,17 @@ def parity_probability(box: BipartiteBox | GhzBox, forms: Iterable[int], n: int)
 
     The sum is exact: every angle a is an integer A = a D over one
     power-of-two denominator D, so 2 D phi(x) = sum_j (A0_j + A1_j) - W(g)(x),
-    with W the Walsh transform of the Python ints
-    g[T] = sum over parties j with T_j = T of (-1)^c_j (A1_j - A0_j), and one
-    integer division per x rounds it. So phi(x) is the correctly rounded sum
-    that math.fsum gives, bit for bit, whatever the party order. Angles must
-    be finite, which the boxes check when they are built.
+    with W the Walsh transform of g[T] = sum over parties j with T_j = T of
+    (-1)^c_j (A1_j - A0_j), and phi(x) is that integer rounded once. So phi(x)
+    is the correctly rounded sum that math.fsum gives, bit for bit, whatever
+    the party order. When the nonzero angles' exponents span at most
+    LIMB_BITS, each A splits into two int64 limbs A = hi 2^32 + lo, one
+    transform runs per limb, and the integer is rounded by one float addition
+    of the two exact limb results; this needs each limb's sum of magnitudes
+    below LIMB_SUM_CAP, which keeps every partial sum exact in int64 and
+    every limb result exact in a float. Otherwise the transform runs on
+    Python ints and one integer division per x rounds it. Angles must be
+    finite, which the boxes check when they are built.
     """
     if isinstance(box, BipartiteBox):
         angles, epsilon = (box.alice, (-box.bob[0], -box.bob[1])), 0.0
@@ -247,19 +260,40 @@ def parity_probability(box: BipartiteBox | GhzBox, forms: Iterable[int], n: int)
         raise TypeError(f"not a Bell or GHZ box: {box!r}")
     forms = _check_forms(forms, len(angles), n)
     # an angle is m 2^(e - 53) with m an integer, |m| < 2^53, so with
-    # low <= every e and low <= 53 each A = a D, D = 2^(53 - low), is an integer
-    mantissa, exponent = np.frexp(np.asarray(angles, dtype=np.float64))
-    low = min(int(exponent.min()), 53)
-    denom = 1 << (53 - low)
-    whole = np.ldexp(mantissa, 53).astype(np.int64).astype(object)
-    scaled = whole << (exponent - low).astype(object)  # A, one row per party
-    total = scaled.sum()
-    diff = scaled[:, 1] - scaled[:, 0]
-    spread = np.zeros(1 << n, dtype=object)
-    np.add.at(spread, forms >> 1, np.where(forms & 1, -diff, diff))
-    phi = ((total - walsh(spread)) / (2 * denom)).astype(np.float64)
+    # low <= every nonzero angle's e and low <= 53 each A = a D, D = 2^(53 - low),
+    # is the integer m 2^shift; a zero has m = 0 and needs no shift
+    # fromiter over the flat pairs: about half the time of asarray on the tuples
+    flat = np.fromiter(itertools.chain.from_iterable(angles), np.float64, 2 * len(angles))
+    mantissa, exponent = np.frexp(flat.reshape(-1, 2))
+    whole = np.ldexp(mantissa, 53).astype(np.int64)
+    nonzero = whole != 0
+    low = int(exponent.min(initial=53, where=nonzero))
+    shift = np.where(nonzero, exponent - low, 0).astype(np.int64)
+    phi = None
+    if shift.max(initial=0) <= LIMB_BITS:
+        cut = LIMB_BITS - shift
+        hi = whole >> cut
+        lo = (whole & ((1 << cut) - 1)) << shift
+        # float sums: an int64 sum of up to 2^53 per angle could wrap
+        if max(np.abs(hi).sum(dtype=np.float64), lo.sum(dtype=np.float64)) < LIMB_SUM_CAP:
+            twice_hi, twice_lo = (_twice_phase(limb, forms, n) for limb in (hi, lo))
+            # exact limb results, one rounding in the addition, an exact scale
+            twice = np.ldexp(twice_hi.astype(np.float64), LIMB_BITS) + twice_lo
+            phi = np.ldexp(twice, low - 54)
+    if phi is None:
+        scaled = whole.astype(object) << shift.astype(object)
+        phi = (_twice_phase(scaled, forms, n) / (1 << (54 - low))).astype(np.float64)
     visibility = 1.0 - 2.0 * epsilon
     return visibility * (1.0 - np.cos(phi)) / 2.0 + epsilon
+
+
+def _twice_phase(scaled: np.ndarray, forms: np.ndarray, n: int) -> np.ndarray:
+    """2 D phi(x) at every x from the integer angles A (one row per party),
+    in their dtype: sum_j (A0_j + A1_j) - W(g)(x)."""
+    diff = scaled[:, 1] - scaled[:, 0]
+    spread = np.zeros(1 << n, dtype=scaled.dtype)
+    np.add.at(spread, forms >> 1, np.where(forms & 1, -diff, diff))
+    return scaled.sum() - walsh(spread)
 
 
 def ghz_parity_probability(box: GhzBox, inputs: Sequence[int]) -> float:

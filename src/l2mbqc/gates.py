@@ -17,7 +17,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import ghzc, mbqc
-from .boolfn import BooleanFunction, kmaj_nonlinearity, make_named
+from .boolfn import BooleanFunction, input_keys, kmaj_nonlinearity, make_named
 
 EPSILON_CLASSIFICATION_TOL = 1e-12
 
@@ -61,10 +61,12 @@ def perfect_gate(target: BooleanFunction) -> NoisyGate:
 
 
 def gate_from_report(target: BooleanFunction, report: mbqc.StrategyReport) -> NoisyGate:
-    errors = [0.0] * (1 << target.arity)
-    for x, p in report.success.items():
-        errors[target.index_of(x)] = 1.0 - p
-    return NoisyGate(target, tuple(errors))
+    """The gate whose error at each input is the report's failure there, in
+    table order."""
+    if report.n != target.arity:
+        raise ValueError(f"report on {report.n} bits for a {target.arity}-bit target")
+    success = report.success
+    return NoisyGate(target, tuple(1.0 - success[x] for x in input_keys(target.arity)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -126,22 +127,31 @@ def verify(
     if use_statevector is None:
         use_statevector = 0 < program.n_qubits <= STATEVECTOR_QUBIT_CAP
 
-    # Python ints: a program file may carry any denominator
-    denom = math.lcm(*(q.delta.denominator for q in program.qubits))
-    numerators = np.zeros(1 << program.n, dtype=object)
-    for q in program.qubits:
-        numerators[q.mask] += q.delta.numerator * (denom // q.delta.denominator)
+    # one method call per qubit: each Fraction property read is a Python call
+    ratios = [q.delta.as_integer_ratio() for q in program.qubits]
+    denom = math.lcm(*(b for _, b in ratios))
+    scaled = [a * (denom // b) for a, b in ratios]
+    # every partial sum below is at most 2 (sum |delta D| + D) in magnitude, so
+    # int64 is exact under this bound; past it, Python ints: a program file may
+    # carry any denominator
+    exact = np.int64 if (sum(map(abs, scaled)) + 2 * denom) * 4 < 1 << 62 else object
+    masks = np.array([q.mask for q in program.qubits], dtype=np.int64)
+    numerators = np.zeros(1 << program.n, dtype=exact)
+    np.add.at(numerators, masks, np.array(scaled, dtype=exact))
     twice_phase = numerators.sum() - walsh(numerators)  # 2 D S(x)
-
-    congruence: dict[tuple[int, ...], bool] = {}
-    success: dict[tuple[int, ...], float] = {}
+    want = np.array(f.table, dtype=exact) ^ program.constant
+    # 2 D ((S(x) - want) mod 2)
+    residue = (twice_phase - 2 * denom * want) % (4 * denom)
+    # the success of each distinct residue, from the exact int / int quotient
+    values, which = np.unique(residue, return_inverse=True)
+    cosines = [math.cos(math.pi * (r / (2 * denom))) for r in values.tolist()]
+    succeeds = ((1.0 + np.array(cosines)) / 2.0)[which]
     keys = input_keys(program.n)
-    for x_idx, x in enumerate(keys):
-        want = f.table[x_idx] ^ program.constant
-        # 2 D ((S(x) - want) mod 2)
-        residue = (twice_phase[x_idx] - 2 * denom * want) % (4 * denom)
-        congruence[x] = residue == 0
-        success[x] = (1.0 + math.cos(math.pi * (residue / (2 * denom)))) / 2.0
+    success = dict(zip(keys, succeeds.tolist()))
+    # fromkeys reuses the hashes success stored; only failing inputs rehash
+    congruence = dict.fromkeys(success, True)
+    for x_idx in np.flatnonzero(residue).tolist():
+        congruence[keys[x_idx]] = False
 
     sv_success: dict[tuple[int, ...], float] | None = None
     if use_statevector and program.n_qubits == 0:
@@ -150,15 +160,10 @@ def verify(
         box = run_as_l2program(program).boxes[0]
         # qubit q of input x reads parity(mask_q & x): the form 2 mask_q + 0
         forms = [q.mask << 1 for q in program.qubits]
-        p1 = statevector_parity(box, forms, program.n).tolist()
-        sv_success = {
-            x: p if f.table[x_idx] ^ program.constant else 1.0 - p
-            for x_idx, (x, p) in enumerate(zip(keys, p1))
-        }
+        p1 = statevector_parity(box, forms, program.n)
+        sv_success = dict(zip(keys, np.where(want != 0, p1, 1.0 - p1).tolist()))
 
-    deterministic = all(congruence.values()) and all(
-        p >= 1.0 - SUCCESS_TOL for p in success.values()
-    )
+    deterministic = not residue.any() and bool((succeeds >= 1.0 - SUCCESS_TOL).all())
     return GhzVerification(
         deterministic=deterministic,
         congruence_ok=congruence,
@@ -167,17 +172,23 @@ def verify(
     )
 
 
+@lru_cache(maxsize=1 << COMPILE_ARITY_CAP)
+def _subset_map(mask: int) -> AffineBitMap:
+    """The input map of a qubit on subset mask, shared: a map is immutable,
+    and building one per qubit cost more than the rest of the wrapping."""
+    return AffineBitMap(x_mask=mask)
+
+
 def run_as_l2program(program: GhzProgram, epsilon: float = 0.0) -> L2Program:
     """Wrap the measurement program as a box program over one noisy GHZ box."""
     if not 0.0 <= epsilon <= 0.5:
         raise ValueError(f"epsilon {epsilon} outside [0, 1/2]")
     if program.n_qubits == 0:
         return constant_program(program.n, program.constant)
-    box = GhzBox(
-        angles=tuple((0.0, float(q.delta) * math.pi) for q in program.qubits),
-        epsilon=epsilon,
-    )
-    maps = tuple(AffineBitMap(x_mask=q.mask) for q in program.qubits)
+    # a / b is float(delta), without its two property reads
+    ratios = [q.delta.as_integer_ratio() for q in program.qubits]
+    box = GhzBox(angles=tuple([(0.0, a / b * math.pi) for a, b in ratios]), epsilon=epsilon)
+    maps = tuple([_subset_map(q.mask) for q in program.qubits])
     all_outputs = (1 << program.n_qubits) - 1
     return L2Program(
         n=program.n,

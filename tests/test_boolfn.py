@@ -128,6 +128,18 @@ def test_index_of_takes_bools_and_numpy_bits():
     assert f(True, True) == 1
 
 
+def test_one_numpy_scalar_is_one_bit():
+    # a lone non-int argument used to be read as a sequence of bits
+    ident = make_named("maj", 1)
+    for one in (np.int64(1), np.uint8(1), np.bool_(True)):
+        assert ident(one) == 1
+    for zero in (np.int32(0), np.bool_(False)):
+        assert ident(zero) == 0
+    assert make_named("and")(np.bool_(True), np.int64(1)) == 1
+    with pytest.raises(ValueError, match="is not a bit"):
+        ident(np.int64(2))
+
+
 def test_decomposition_identities():
     # 3-MAJ and XNAND from a single AND plus parities
     maj, xnand = make_named("maj", 3), make_named("xnand")
@@ -283,6 +295,15 @@ def test_walsh_matches_direct_sum_in_int64_and_exact_ints():
         big = [v * (2**80 + 1) for v in values]
         exact = walsh(np.asarray(big, dtype=object))
         assert exact.dtype == object and list(exact) == brute_walsh(big)
+
+
+def test_walsh_leaves_its_input_alone():
+    for values in ([7], [1, 2, 3, 4], list(range(-8, 8))):
+        for dtype in (np.int64, object):
+            given_values = np.asarray(values, dtype=dtype)
+            out = walsh(given_values)
+            assert given_values.tolist() == values and out is not given_values
+            assert out.tolist() == brute_walsh(values)
 
 
 def test_walsh_rejects_non_power_of_two():

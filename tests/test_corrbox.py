@@ -153,24 +153,74 @@ def test_parity_probability_of_forms_matches_scalar_calls():
             corrbox.parity_probability(box, (-1,) + (0,) * (box.n_parties - 1), 0)
 
 
-def test_ghz_phase_of_forms_is_the_correctly_rounded_angle_sum():
-    # negative angles from 1e-300 to 1e3 in one box: every x must match the
-    # closed form of math.fsum over that x's chosen angles, bit for bit
+def fsum_parity(box, forms, n):
+    """The closed form at every x, from math.fsum over that x's chosen angles."""
+    if isinstance(box, BipartiteBox):
+        pairs, eps = (box.alice, (-box.bob[0], -box.bob[1])), 0.0
+    else:
+        pairs, eps = box.angles, box.epsilon
+    out = []
+    for x in range(1 << n):
+        phi = math.fsum(pair[b] for pair, b in zip(pairs, form_bits(forms, x)))
+        out.append((1.0 - 2.0 * eps) * (1.0 - math.cos(phi)) / 2.0 + eps)
+    return out
+
+
+def test_ghz_phase_of_forms_is_the_correctly_rounded_angle_sum(monkeypatch):
+    # every x must match math.fsum over that x's chosen angles, bit for bit,
+    # on the two-limb int64 path ("ii": one transform per limb) and on the
+    # Python-int path ("O")
+    paths = []
+    twice_phase = corrbox._twice_phase
+
+    def recording(scaled, forms, n):
+        paths.append(scaled.dtype.kind)
+        return twice_phase(scaled, forms, n)
+
+    monkeypatch.setattr(corrbox, "_twice_phase", recording)
+
+    def check(box, forms, n, path=None):
+        paths.clear()
+        assert corrbox.parity_probability(box, forms, n).tolist() == fsum_parity(box, forms, n)
+        assert path is None or "".join(paths) == path
+
     rng = np.random.default_rng(37)
-    for n in range(11):
-        for _ in range(3):
-            parties = int(rng.integers(1, 40))
-            signs = rng.choice((-1.0, 1.0), (parties, 2))
-            angles = signs * 10.0 ** rng.uniform(-300, 3, (parties, 2))
-            eps = float(rng.choice((0.0, rng.uniform(0, 0.5))))
-            box = GhzBox(tuple((float(a0), float(a1)) for a0, a1 in angles), eps)
-            forms = [int(f) for f in rng.integers(0, 2 << n, parties)]
-            got = corrbox.parity_probability(box, forms, n)
-            for x in range(1 << n):
-                bits = form_bits(forms, x)
-                phi = math.fsum(pair[b] for pair, b in zip(box.angles, bits))
-                expected = (1.0 - 2.0 * eps) * (1.0 - math.cos(phi)) / 2.0 + eps
-                assert got[x] == expected
+    # negative angles from 1e-300 to 1e3, or from 2^-12 to 2^12, in one box
+    for base, low, high in ((10.0, -300, 3), (2.0, -12, 12)):
+        for n in range(11):
+            for _ in range(3):
+                parties = int(rng.integers(1, 40))
+                signs = rng.choice((-1.0, 1.0), (parties, 2))
+                angles = signs * base ** rng.uniform(low, high, (parties, 2))
+                eps = float(rng.choice((0.0, rng.uniform(0, 0.5))))
+                box = GhzBox(tuple((float(a0), float(a1)) for a0, a1 in angles), eps)
+                check(box, [int(f) for f in rng.integers(0, 2 << n, parties)], n)
+    # Bell boxes, and plain input bits (n = 0)
+    for box in (chsh_and_box(), random_bipartite(rng), BipartiteBox((1e-300, 1.0), (2.0, 3.0))):
+        path = "O" if box.alice[0] == 1e-300 else "ii"
+        for n in (0, 3):
+            check(box, [int(f) for f in rng.integers(0, 2 << n, 2)], n, path)
+    # exponent gaps: 1.5 has exponent 1, so 1.5 2^-g is g below it; a gap of
+    # 32 passes the span check, but the top angle's high limb alone is 3 2^51
+    for gap, path in ((30, "ii"), (31, "O"), (32, "O"), (33, "O")):
+        small = math.ldexp(1.5, -gap)
+        box = GhzBox(((1.5, 0.0), (small, -small), (0.0, 3 * small)), 0.1)
+        for n in (0, 2):
+            check(box, [int(f) for f in rng.integers(0, 2 << n, 3)], n, path)
+    # the high limbs' magnitudes summing to 2^51 - 1 and 2^51: 2^-29 sets the
+    # low exponent, so an angle w 2^-52 (exponent 1) has high limb w >> 3,
+    # and 2^-29 itself has high limb 2^20
+    for total, path in ((2**51 - 1, "ii"), (2**51, "O")):
+        rest = total - 2**20 - (2**50 - 1)
+        angles = ((math.ldexp(2**53 - 8, -52), 0.0), (math.ldexp(8 * rest + 5, -52), 2.0**-29))
+        for n in (0, 1):
+            check(GhzBox(angles), [int(f) for f in rng.integers(0, 2 << n, 2)], n, path)
+    # the low limbs' magnitudes summing just under and just over 2^51: equal
+    # exponents, each angle's low limb 2^32 - 1, on 2^18 parties and one more
+    angle = math.ldexp(2**52 + 2**32 - 1, -52)
+    for parties, path in ((1 << 18, "ii"), ((1 << 18) + 1, "O")):
+        box = GhzBox(((angle, angle),) * parties)
+        check(box, [0] * parties, 0, path)
 
 
 def test_ghz_phase_of_large_angles_is_the_correctly_rounded_angle_sum():

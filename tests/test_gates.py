@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from l2mbqc import gates
+from l2mbqc import gates, ghzc, mbqc
 from l2mbqc.boolfn import kmaj_nonlinearity, make_named
 from l2mbqc.gates import (
     NoisyGate,
@@ -113,6 +113,28 @@ def test_kmaj_from_noisy_ghz_exact_error(k, eps):
     for e in gate.errors:
         assert e == pytest.approx(eps, abs=1e-12)
     assert max(gate.errors) - min(gate.errors) <= 1e-12
+
+
+def test_gate_from_report_reads_each_input_success():
+    # xor's program scored against and: right only at 00, so the error varies
+    target = make_named("and")
+    program = ghzc.compile_function(make_named("xor"))
+    report = mbqc.run_exact(ghzc.run_as_l2program(program, 0.1), target)
+    gate = gates.gate_from_report(target, report)
+    assert gate.target == target
+    for x, p in report.success.items():
+        assert gate.errors[target.index_of(x)] == 1.0 - p
+    assert len(set(gate.errors)) == 2
+    # the report's key order plays no part
+    backwards = mbqc.StrategyReport(
+        n=2,
+        success=dict(reversed(report.success.items())),
+        average_error=report.average_error,
+        worst_error=report.worst_error,
+    )
+    assert gates.gate_from_report(target, backwards) == gate
+    with pytest.raises(ValueError):
+        gates.gate_from_report(make_named("maj", 3), report)
 
 
 def test_noisy_gate_validation():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l2mbqc import mbqc
+from l2mbqc import ghzc, mbqc
 from l2mbqc.boolfn import BooleanFunction, make_named
 from l2mbqc.corrbox import statevector_oracle
 from l2mbqc.ghzc import (
@@ -310,7 +310,26 @@ ORACLE_CASES = {
     ),
     "one-qubit": _program(1, [(1, "1")]),
     "no-qubits": _program(3, [], 1),
+    # D = 2^57 and sum |delta D| + 2 D = 2^60 - 1: the last int64 value of the bound
+    "int64-edge": _program(
+        3,
+        [
+            (1, Fraction(2**58 + 1, 2**57)),
+            (2, Fraction(-(2**58 - 1), 2**57)),
+            (7, Fraction(2**58 - 1, 2**57)),
+        ],
+    ),
 }
+
+# one more unit of numerator: sum |delta D| + 2 D = 2^60, past int64's bound
+OBJECT_EDGE = _program(
+    3,
+    [
+        (1, Fraction(2**58 + 1, 2**57)),
+        (2, Fraction(-(2**58 - 1), 2**57)),
+        (7, Fraction(2**58, 2**57)),
+    ],
+)
 
 
 def _per_input_statevector_success(program, f):
@@ -331,9 +350,8 @@ def _check_against_oracle(program, f):
         x = tuple((x_idx >> j) & 1 for j in range(program.n))
         residue = (program.phase_sum(x_idx) - (f.table[x_idx] ^ program.constant)) % 2
         assert result.congruence_ok[x] == (residue == 0)
-        assert result.success[x] == pytest.approx(
-            (1 + math.cos(math.pi * residue)) / 2, abs=1e-12
-        )
+        # the exact residue rounded once, so equal to the last bit
+        assert result.success[x] == (1 + math.cos(math.pi * float(residue))) / 2
     if 0 < program.n_qubits <= STATEVECTOR_QUBIT_CAP:
         for x, p in result.success.items():
             assert abs(p - result.statevector_success[x]) <= 1e-10
@@ -353,6 +371,23 @@ def test_transform_verify_matches_fraction_oracle(name):
     rng = random.Random(name)
     for _ in range(4):
         _check_against_oracle(program, _target_from_phases(program, rng))
+
+
+def test_verify_takes_int64_up_to_its_bound(monkeypatch):
+    dtypes = []
+    transform = ghzc.walsh
+
+    def recording(values):
+        dtypes.append(values.dtype)
+        return transform(values)
+
+    monkeypatch.setattr(ghzc, "walsh", recording)
+    rng = random.Random("edge")
+    for program, dtype in ((ORACLE_CASES["int64-edge"], np.int64), (OBJECT_EDGE, object)):
+        for _ in range(4):
+            dtypes.clear()
+            _check_against_oracle(program, _target_from_phases(program, rng))
+            assert dtypes == [np.dtype(dtype)]
 
 
 # n=4 programs reach 15 qubits, where the state-vector oracle is the slow part
