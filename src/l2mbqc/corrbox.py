@@ -259,11 +259,11 @@ def parity_probability(box: BipartiteBox | GhzBox, forms: Iterable[int], n: int)
     else:
         raise TypeError(f"not a Bell or GHZ box: {box!r}")
     forms = _check_forms(forms, len(angles), n)
+    # fromiter over the flat pairs: about half the time of asarray on the tuples
+    flat = np.fromiter(itertools.chain.from_iterable(angles), np.float64, 2 * len(angles))
     # an angle is m 2^(e - 53) with m an integer, |m| < 2^53, so with
     # low <= every nonzero angle's e and low <= 53 each A = a D, D = 2^(53 - low),
     # is the integer m 2^shift; a zero has m = 0 and needs no shift
-    # fromiter over the flat pairs: about half the time of asarray on the tuples
-    flat = np.fromiter(itertools.chain.from_iterable(angles), np.float64, 2 * len(angles))
     mantissa, exponent = np.frexp(flat.reshape(-1, 2))
     whole = np.ldexp(mantissa, 53).astype(np.int64)
     nonzero = whole != 0
