@@ -25,10 +25,11 @@ time; it quantifies how much that assumption leaks.
 
 The Monte Carlo sampler is bit-sliced: 64 trials ride in one uint64 word,
 and trials run in blocks of ``BLOCK`` = 1024. Block b draws all its gate
-flips from one SFC64 stream seeded with (seed, input, b), so a trial's
-outcome depends only on (seed, input, block) and a shorter run is a prefix
-of a longer one. ``MC_STREAM`` names this stream contract,
-"bitsliced-sfc64-v2".
+flips from one SFC64 stream seeded with (seed, b), a group of stages at a
+time as the walk reaches them, so every input meets the same flips, a
+trial's outcome depends only on (seed, input, block) and a shorter run is a
+prefix of a longer one. ``MC_STREAM`` names this stream contract,
+"bitsliced-sfc64-v3".
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from .gates import NoisyGate, beta, error_polynomial, majority_error, polynomial
 
 EQUAL_ERROR_SLACK = 0.05
 #: largest stages x width of a circuit, checked before any stage is laid
-#: out: the wiring holds k length-W permutations per restore stage, and the
-#: sampler draws BLOCK / 8 bytes of flips per wire, stage and error value
+#: out: the wiring holds k length-W permutations per restore stage; the
+#: sampler holds one group of stages' flips and a few live bundles at a time
 CIRCUIT_SIZE_CAP = 1 << 21
 #: most Monte Carlo trials per sampled input
 TRIALS_CAP = 1 << 24
@@ -556,9 +557,12 @@ def simulate_analytic(circuit: ReliableCircuit, x: Sequence[int]) -> AnalyticRes
 #: flight is a (W, BLOCK // 64) word array
 BLOCK = 1024
 #: stream version reported with sampled results
-MC_STREAM = "bitsliced-sfc64-v2"
+MC_STREAM = "bitsliced-sfc64-v3"
 #: rounds of a flip mask's expansion drawn densely before settled words drop out
 ROUNDS_PER_PASS = 10
+#: most words per flip mask drawn at once: a block draws the masks of a gate
+#: kind's stages a group at a time, as many stages as fit and at least one
+GROUP_WORDS = 1 << 16
 _WORDS = BLOCK // 64
 _ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
@@ -576,12 +580,12 @@ def _flip_words(bitgen: np.random.BitGenerator, p: float, n: int) -> np.ndarray:
     """``n`` words whose bits are independently 1 with probability exactly p.
 
     A lane flips iff its uniform U = 0.u1u2... is below p = 0.p1p2..., i.e.
-    iff u_i = 0 and p_i = 1 at the first bit where they differ. Rounds walk
-    p's finite binary expansion, most significant bit first, in passes of
-    ``ROUNDS_PER_PASS``: each round of a pass draws one random word per word
-    that had an undecided lane when the pass began, and the words whose
-    lanes are all decided drop out between passes. Lanes left undecided
-    when the expansion ends have U >= p.
+    iff u_i = 0 and p_i = 1 at the first bit where they differ; a set random
+    bit stands for u_i = 0. Rounds walk p's finite binary expansion, most
+    significant bit first, in passes of ``ROUNDS_PER_PASS``: each round of a
+    pass draws one random word per word that had an undecided lane when the
+    pass began, and the words whose lanes are all decided drop out between
+    passes. Lanes left undecided when the expansion ends have U >= p.
     """
     num, den = float(p).as_integer_ratio()
     bits = [(num >> shift) & 1 for shift in reversed(range(den.bit_length() - 1))]
@@ -597,12 +601,13 @@ def _flip_words(bitgen: np.random.BitGenerator, p: float, n: int) -> np.ndarray:
             undecided = undecided[keep]
         flips = out if live is None else np.zeros(live.size, dtype=np.uint64)
         for bit in bits[start : start + ROUNDS_PER_PASS]:
-            r = bitgen.random_raw(undecided.size)
-            r &= undecided  # undecided lanes with u_i = 1
-            undecided ^= r  # undecided lanes with u_i = 0
-            if bit:  # the u_i = 0 lanes fall below p, the others stay undecided
-                flips |= undecided
-                undecided = r
+            r = bitgen.random_raw(undecided.size)  # the lanes with u_i = 0
+            if bit:  # undecided u_i = 0 lanes fall below p, the others stay undecided
+                r &= undecided
+                flips |= r
+                undecided ^= r
+            else:  # undecided u_i = 1 lanes rise above p, the others stay undecided
+                undecided &= r
         if live is not None:
             out[live] |= flips
     return out
@@ -659,33 +664,35 @@ def _wrong_trials(
     re-indexed by the true input index, entry e being the gate at ``idx ^ e``,
     so each lane meets the entry and the drawn mask of its actual inputs.
 
-    Block b draws every flip from one SFC64 stream seeded with
-    (seed, input, b): per gate, one Bernoulli mask per distinct error value
-    strictly between 0 and 1, for all of the gate's stages at once, restore
-    gate first, values ascending.
+    Block b draws every flip from one SFC64 stream seeded with (seed, b), so
+    every input meets the same masks. Per gate, the stages of its kind are
+    drawn in groups of consecutive ones, as many as fit in ``GROUP_WORDS``
+    words per mask and at least one: when the walk reaches a group's first
+    stage, it draws one Bernoulli mask for the whole group per distinct
+    error value strictly between 0 and 1, values ascending.
     """
     x_key = sum(b << i for i, b in enumerate(x))
     w = circuit.width
     clean = np.zeros((w, _WORDS), dtype=np.uint64)
-    # restore gate first: the order in which each block draws its masks
     gate_keys = {"restore": _gate_keys(circuit.kmaj), "compute": _gate_keys(circuit.xnand)}
     kind_count = {kind: sum(stage.kind == kind for stage in circuit.stages) for kind in gate_keys}
+    group = max(1, GROUP_WORDS // (w * _WORDS))  # stages per group
     wiring = circuit.wiring
     # (kind, true index) -> the re-indexed wrongness and flip keys, filled on first use
     reindexed: dict[tuple[str, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     def run_block(block: int) -> np.ndarray:
-        bitgen = np.random.SFC64(np.random.SeedSequence([seed, x_key, block]))
-        masks = {
-            kind: [_flip_words(bitgen, p, n * w * _WORDS).reshape(n, w, _WORDS)
-                   for p in gate_keys[kind][2]]
-            for kind, n in kind_count.items()
-        }
+        bitgen = np.random.SFC64(np.random.SeedSequence([seed, block]))
+        masks = {}  # kind -> its current group's masks, one per error value
         seen = dict.fromkeys(gate_keys, 0)  # stages of each kind walked so far
 
         def step(s: int, stage: Stage, gate: NoisyGate, idx: np.ndarray, reads: list[np.ndarray], counts):
             (idx,) = idx.tolist()  # one input, so one row
-            i = seen[stage.kind]
+            i = seen[stage.kind] % group  # the stage's place in its group
+            if not i:
+                n = min(group, kind_count[stage.kind] - seen[stage.kind])
+                masks[stage.kind] = [_flip_words(bitgen, p, n * w * _WORDS).reshape(n, w, _WORDS)
+                                     for p in gate_keys[stage.kind][2]]
             seen[stage.kind] += 1
             if (stage.kind, idx) not in reindexed:
                 table, flips, _ = gate_keys[stage.kind]
@@ -735,11 +742,14 @@ def simulate_monte_carlo(
     The sampler is bit-sliced: 64 trials share a uint64 word and each gate's
     truth table is evaluated as a mux tree of word operations. Trials run in
     blocks of ``BLOCK`` = 1024, and block b draws from its own SFC64 stream
-    seeded with (seed, input, b). A partial last block still
-    draws the whole block, so a trial's outcome depends only on
-    (seed, input, block) and the first n trials of a longer run are the run
-    with ``trials=n``. Memory is set by the block size, not the trial count,
-    which may be at most ``TRIALS_CAP``. The stream is versioned as
+    seeded with (seed, b), so every input meets the same flips. A partial
+    last block still draws the whole block, so a trial's outcome depends
+    only on (seed, input, block) and the first n trials of a longer run are
+    the run with ``trials=n``. The flips are drawn a group of stages at a
+    time, at most ``GROUP_WORDS`` words per mask unless one stage needs
+    more, when the walk reaches the group. So memory is set by the block
+    size, the width and the few live bundles, not by the trial or stage
+    count; trials may be at most ``TRIALS_CAP``. The stream is versioned as
     ``MC_STREAM``.
     """
     _check_trials(trials)

@@ -152,7 +152,7 @@ def test_reliable_json_names_the_mc_stream_with_trials(nand_formula, capsys):
     )
     assert code in (0, 1)
     payload = json.loads(capsys.readouterr().out)
-    assert payload["mc_stream"] == "bitsliced-sfc64-v2"
+    assert payload["mc_stream"] == "bitsliced-sfc64-v3"
     assert any(row["empirical_error"] is not None for row in payload["rows"])
 
 

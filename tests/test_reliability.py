@@ -382,13 +382,13 @@ def test_monte_carlo_matches_exact_enumeration():
         assert abs(exact - mc.empirical_error) < 2.5 * mc.ci_halfwidth
 
 
-@pytest.mark.parametrize(
-    "width, k, restore_errors",
-    [
-        (3, 3, (0.0, 0.05, 0.1, 0.2, 0.05, 1.0, 0.3, 0.02)),
-        (2, 1, (0.25, 0.0)),  # even width: a tied readout counts as wrong
-    ],
-)
+INPUT_DEPENDENT_CASES = [
+    (3, 3, (0.0, 0.05, 0.1, 0.2, 0.05, 1.0, 0.3, 0.02)),
+    (2, 1, (0.25, 0.0)),  # even width: a tied readout counts as wrong
+]
+
+
+@pytest.mark.parametrize("width, k, restore_errors", INPUT_DEPENDENT_CASES)
 def test_monte_carlo_matches_exact_enumeration_with_input_dependent_errors(
     width, k, restore_errors
 ):
@@ -407,10 +407,21 @@ def test_monte_carlo_matches_exact_enumeration_with_input_dependent_errors(
         assert abs(exact - mc.empirical_error) < 2.5 * mc.ci_halfwidth
 
 
+@pytest.mark.parametrize("stages_per_group", [1, 2])
+def test_monte_carlo_matches_exact_enumeration_across_mask_groups(monkeypatch, stages_per_group):
+    # the enumeration circuits are so narrow that one group holds every
+    # stage of a kind; here each W=3 stage draws alone, or with one more
+    # stage of its kind, so the three restores end in a partial group
+    monkeypatch.setattr(reliability, "GROUP_WORDS", stages_per_group * 3 * reliability._WORDS)
+    test_monte_carlo_matches_exact_enumeration()
+    for case in INPUT_DEPENDENT_CASES:
+        test_monte_carlo_matches_exact_enumeration_with_input_dependent_errors(*case)
+
+
 # wrong trials per block of (nand a b), blocks 0-2 at seed 9, inputs 00 01 10 11
 PINNED_WRONG_TRIALS = {
-    (3, 3): ((99, 115, 101), (22, 24, 20), (5, 2, 2), (22, 26, 31)),
-    (2, 1): ((286, 286, 253), (313, 342, 324), (321, 280, 284), (514, 500, 493)),
+    (3, 3): ((88, 92, 119), (17, 15, 22), (2, 1, 1), (35, 25, 21)),
+    (2, 1): ((301, 246, 280), (339, 328, 354), (328, 280, 277), (483, 525, 501)),
 }
 
 
@@ -437,11 +448,12 @@ def test_sampled_bits_are_pinned_with_input_dependent_errors(width, k, restore_e
 
 
 def test_flip_words_hit_the_exact_probability():
-    # p = 1/2 is decided by the first bit: a lane flips iff its first random bit is 0
+    # p = 1/2 is decided by the first bit: a lane flips iff its first
+    # random bit is set, which stands for u_1 = 0
     n = 2048
     first = np.random.SFC64(np.random.SeedSequence([1, 2, 3])).random_raw(n)
     half = reliability._flip_words(np.random.SFC64(np.random.SeedSequence([1, 2, 3])), 0.5, n)
-    assert np.array_equal(half, ~first)
+    assert np.array_equal(half, first)
     lanes = 64 * n
     for key, p in enumerate((1 / 3, 0.14644660940672627, 0.75, 1 - 2**-9, 2**-12)):
         words = reliability._flip_words(np.random.SFC64(np.random.SeedSequence([key])), p, n)
@@ -452,8 +464,9 @@ def test_flip_words_hit_the_exact_probability():
 def reference_flip_words(bitgen, p, n):
     """Scalar replay of ``_flip_words``: each pass draws its rounds for the
     words still in play, round after round, and every lane is decided by
-    comparing its random bits with p's binary expansion. Returns the words
-    and the number of words that entered each pass."""
+    comparing its random bits, a set bit standing for u_i = 0, with p's
+    binary expansion. Returns the words and the number of words that entered
+    each pass."""
     q = Fraction(p)
     length = q.denominator.bit_length() - 1
     expansion = [q.numerator >> (length - 1 - i) & 1 for i in range(length)]
@@ -469,7 +482,7 @@ def reference_flip_words(bitgen, p, n):
         for j, word in enumerate(live):
             for lane in sorted(undecided[word]):
                 for i, p_bit in enumerate(rounds):
-                    u_bit = draws[i * len(live) + j] >> lane & 1
+                    u_bit = 1 - (draws[i * len(live) + j] >> lane & 1)
                     if u_bit != p_bit:  # decided: U < p iff u = 0 < p here
                         undecided[word].discard(lane)
                         flips[word] |= p_bit << lane
@@ -496,8 +509,8 @@ def test_flip_words_equal_the_scalar_reference(p):
 
 
 def test_flip_words_peak_memory():
-    # one mask as large as a TREE3 block's at W=729 r=2 (37 stages x 729
-    # wires x 16 words); the result itself is 8n bytes of the peak
+    # one mask of 37 stages x 729 wires x 16 words, all of TREE3's at W=729
+    # r=2 in one call; the result itself is 8n bytes of the peak
     n = 37 * 729 * 16
     reliability._flip_words(np.random.SFC64(0), SIN2_PI8, 64)  # warm numpy's lazy set-up
     tracemalloc.start()
@@ -532,9 +545,9 @@ def test_seed_determinism_bit_for_bit():
 
 
 def test_trial_streams_are_keyed_per_trial():
-    # each block of BLOCK trials draws from its own (seed, input, block)
-    # stream, so repeated runs are identical and longer runs stay
-    # statistically consistent
+    # each block of BLOCK trials draws from its own (seed, block) stream, so
+    # repeated runs are identical and longer runs stay statistically
+    # consistent
     kmaj, xnand = chsh_gates()
     circ = build(parse_formula("(nand a b)"), 9, 3, 1, xnand=xnand, kmaj=kmaj, seed=6)
     short = simulate_monte_carlo(circ, (1, 1), trials=500, seed=11)
@@ -556,14 +569,40 @@ def test_shorter_runs_are_prefixes_of_longer_ones():
         assert round(mc.empirical_error * n) == int(wrong[:n].sum())
 
 
+@pytest.mark.parametrize("group_words", [reliability.GROUP_WORDS, 1])
+def test_inputs_meet_the_same_masks_in_a_block(monkeypatch, group_words):
+    # block b's stream is seeded with (seed, b) alone, so every input of a
+    # circuit draws the same flip masks: common random numbers
+    monkeypatch.setattr(reliability, "GROUP_WORDS", group_words)
+    flip_words = reliability._flip_words
+    drawn = []
+
+    def recording(bitgen, p, n):
+        words = flip_words(bitgen, p, n)
+        drawn[-1].append(words)
+        return words
+
+    monkeypatch.setattr(reliability, "_flip_words", recording)
+    kmaj, xnand = chsh_gates()
+    circ = build(parse_formula(TREE2), 27, 3, 1, xnand=xnand, kmaj=kmaj, seed=6)
+    for x in ((1, 0, 1, 1), (0, 1, 0, 0)):
+        drawn.append([])
+        simulate_monte_carlo(circ, x, trials=2 * reliability.BLOCK, seed=42)
+    first, second = drawn
+    per_block = 2 if group_words > 1 else len(circ.stages)  # one draw per group
+    assert len(first) == len(second) == 2 * per_block
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+    assert not np.array_equal(first[0], first[per_block])  # blocks draw apart
+
+
 def test_sampled_value_is_pinned_on_the_three_level_tree():
-    # frozen under MC_STREAM = "bitsliced-sfc64-v2": a change to the stage
+    # frozen under MC_STREAM = "bitsliced-sfc64-v3": a change to the stage
     # walk or the draws would move it
-    assert reliability.MC_STREAM == "bitsliced-sfc64-v2"
+    assert reliability.MC_STREAM == "bitsliced-sfc64-v3"
     kmaj, xnand = chsh_gates()
     circ = build(parse_formula(TREE3), 81, 3, 2, xnand=xnand, kmaj=kmaj, seed=7)
     mc = simulate_monte_carlo(circ, (1, 1, 1, 1, 1, 0, 1, 0), trials=1024, seed=5)
-    assert mc.empirical_error == 483 / 1024
+    assert mc.empirical_error == 497 / 1024
 
 
 def test_monte_carlo_memory_does_not_grow_with_trials():
@@ -580,6 +619,27 @@ def test_monte_carlo_memory_does_not_grow_with_trials():
         finally:
             tracemalloc.stop()
     assert peaks[32768] <= 1.1 * peaks[1024]
+
+
+def test_monte_carlo_memory_does_not_grow_with_stages():
+    # masks are drawn a group of stages at a time when the walk reaches the
+    # group, so a block holds one group and a few live bundles however many
+    # stages the circuit has
+    kmaj, xnand = chsh_gates()
+    x = (1, 1, 1, 1, 1, 0, 1, 0)
+    peaks = {}
+    for rounds in (2, 8):
+        circ = build(parse_formula(TREE3), 729, 3, rounds, xnand=xnand, kmaj=kmaj, seed=7)
+        # warm the wiring, drawn once per circuit and kept, and numpy's lazy set-up
+        simulate_monte_carlo(circ, x, trials=64, seed=1)
+        tracemalloc.start()
+        try:
+            simulate_monte_carlo(circ, x, trials=64, seed=1)
+            peaks[len(circ.stages)] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert sorted(peaks) == [37, 127]
+    assert peaks[127] <= 1.25 * peaks[37]
 
 
 # ---------------------------------------------------------------------------
