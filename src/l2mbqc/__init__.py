@@ -21,7 +21,7 @@ from .mbqc import (
     noncontextual_and_program,
     run_exact,
 )
-from .reliability import build, build_report, parse_formula, simulate_monte_carlo
+from .reliability import build, build_report, parse_formula
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "parse_formula",
     "run_as_l2program",
     "run_exact",
-    "simulate_monte_carlo",
     "statevector_oracle",
     "verify",
 ]

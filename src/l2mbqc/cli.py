@@ -205,9 +205,8 @@ def cmd_reliable(args: argparse.Namespace) -> int:
     circuit = reliability.build(
         formula, args.width, k, args.rounds, xnand=xnand, kmaj=kmaj, seed=args.seed
     )
-    mc_seed = args.seed if args.trials is not None else None
     report = reliability.build_report(
-        circuit, margin=args.margin, trials=args.trials, seed=mc_seed, mc_inputs=args.mc_inputs
+        circuit, margin=args.margin, trials=args.trials, seed=args.seed, mc_inputs=args.mc_inputs
     )
     payload = report.summary()
     if args.trials is not None:
@@ -217,14 +216,20 @@ def cmd_reliable(args: argparse.Namespace) -> int:
             "input": "".join(str(b) for b in row.x),
             "analytic_error": row.analytic_error,
             "empirical_error": row.empirical_error,
-            "ci_halfwidth": row.ci_halfwidth,
+            "upper": row.upper,
         }
         for row in report.rows
     ]
+    e = report.evidence
+    evidence = f"none ({e['note']})" if e["kind"] == "none" else (
+        f"sampled {e['sampled_inputs']}/{e['inputs']} inputs, {e['trials']} trials, "
+        f"exact CP {100 * (1 - e['family_level']):g} % family-wise"
+    )
     comments = [
         f"delta: {_fmt(report.delta)}",
         f"worst_input: {payload['worst_input']}",
         f"reliable: {str(report.reliable).lower()} (margin {_fmt(report.margin)})",
+        f"evidence: {evidence}",
     ]
     comments.extend(f"warning: {w}" for w in report.warnings)
     _table(args, payload, rows, comments)
@@ -287,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--margin", type=float, default=0.05)
     r.add_argument("--restore-epsilon", type=float, default=None)
     r.add_argument("--xnand", choices=("chsh", "noncontextual-quarter"), default="chsh")
-    r.add_argument("--mc-inputs", choices=("worst", "all"), default="worst")
+    r.add_argument("--mc-inputs", choices=("worst", "all"), default="all")
     add_common(r, cmd_reliable, table=True)
 
     return parser

@@ -239,7 +239,8 @@ def majority_error(n: int, p: float) -> float:
 
 
 def _binomial_upper_tail(n: int, p: float, m: int) -> float:
-    """P(X >= m) for X ~ Bin(n, p), with 0 < p <= 1/2 and m >= n/2.
+    """P(X >= m) for X ~ Bin(n, p), with 0 < p < 1 and m >= (n + 1)p - 1,
+    so that the terms fall from the first.
 
     The first term comes from log space, since C(n, m) overflows a float
     from n ~ 1030; the rest follow by the pmf ratio until they fall below
@@ -258,6 +259,17 @@ def _binomial_upper_tail(n: int, p: float, m: int) -> float:
             break
         terms.append(term)
     return math.fsum(terms)
+
+
+def clopper_pearson_upper(k: int, n: int, level: float) -> float:
+    """Exact one-sided Clopper-Pearson upper bound on p from k of n Bernoulli(p)
+    draws, at a level below 1/2: the p where P(X <= k) = P(n - X >= n - k) =
+    level, rounded up. That tail falls as p grows, from at least 1/2 at p = k/n
+    (the median of Bin(n, k/n) is k), so bisection on [k/n, 1] brackets it."""
+    if k == n:
+        return 1.0
+    below = _bisect(lambda p: _binomial_upper_tail(n, 1.0 - p, n - k) - level, k / n, 1.0)
+    return min(below + 1e-15, 1.0)
 
 
 def error_polynomial(gate: NoisyGate, sources: Sequence[Sequence[int]], x) -> np.ndarray:

@@ -36,22 +36,22 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .boolfn import BRUTE_FORCE_ARITY_CAP, as_bits, index_bits, input_keys, make_named
-from .gates import NoisyGate, beta, error_polynomial, majority_error, polynomial_error
+from .boolfn import BRUTE_FORCE_ARITY_CAP, as_bits, index_bits, make_named
+from .gates import NoisyGate, beta, clopper_pearson_upper, error_polynomial, majority_error, polynomial_error
 
-EQUAL_ERROR_SLACK = 0.05
 #: largest stages x width of a circuit, checked before any stage is laid
 #: out: the wiring holds k length-W permutations per restore stage; the
 #: sampler holds one group of stages' flips and a few live bundles at a time
 CIRCUIT_SIZE_CAP = 1 << 21
-#: most Monte Carlo trials per sampled input
+#: most Monte Carlo trials per sampler call, and per report over all its sampled inputs
 TRIALS_CAP = 1 << 24
+#: family-wise level of a report's sampled upper bounds, Bonferroni over the inputs
+ALPHA = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -486,25 +486,17 @@ class AnalyticResult:
     value: int
     logical_error: float
     trajectory: tuple[tuple[int, str, int, float], ...]  # (stage, kind, bundle, error)
-    warnings: tuple[str, ...]
 
 
 def _independence_walk(circuit: ReliableCircuit, xs: np.ndarray):
     """``_walk`` under the independence model (see ``simulate_analytic``), plus
-    each per-stage warning with the number of inputs that raised it, in stage
-    order, and the trajectory of every stage's errors, one per row."""
+    the trajectory of every stage's errors, one per row."""
     tables: dict[tuple, tuple] = {}  # (kind, read pattern) -> ``_error_table``
     # (kind and pattern, true indices, read errors) -> result, for rows that repeat
     results: dict[tuple, np.ndarray] = {}
-    tripped: dict[str, int] = {}
     trajectory: list[tuple[int, str, int, np.ndarray]] = []
 
     def step(s: int, stage: Stage, gate: NoisyGate, idx: np.ndarray, reads: list, counts: np.ndarray):
-        if stage.kind == "compute":
-            drift = np.abs(reads[0] - reads[1]) > EQUAL_ERROR_SLACK
-            if drift.any():
-                w = f"stage {s}: operand errors differ beyond the equal-error slack {EQUAL_ERROR_SLACK}"
-                tripped[w] = tripped.get(w, 0) + int(counts[drift].sum())
         layout = (stage.kind, tuple(map(stage.sources.index, stage.sources)))
         table = tables.get(layout)
         if table is None:  # looked up once per walk, since hashing a gate takes 2^k steps
@@ -518,7 +510,7 @@ def _independence_walk(circuit: ReliableCircuit, xs: np.ndarray):
         trajectory.append((s, stage.kind, stage.target, p))
         return p
 
-    return _walk(circuit, xs, 0.0, step), tripped, trajectory
+    return _walk(circuit, xs, 0.0, step), trajectory
 
 
 def _input_bits(formula: FormulaDag, x: Sequence[int]) -> tuple[int, ...]:
@@ -533,20 +525,19 @@ def simulate_analytic(circuit: ReliableCircuit, x: Sequence[int]) -> AnalyticRes
 
     A bundle's state is the probability that one of its wires is wrong.
     Within-bundle wires are treated as independent and identically
-    distributed; compute stages flag operand bundles whose errors drifted
-    apart beyond the equal-error slack of the voting analysis. Every stage
+    distributed, which makes this figure optimistic wherever restores
+    correlate the wires of a bundle (see ``simulate_monte_carlo``). Every stage
     is one polynomial in its sources' read errors
     (``gates.error_polynomial``), whether its gate errs uniformly or not.
     """
     x = _input_bits(circuit.formula, x)
     walk = _independence_walk(circuit, np.array([sum(b << j for j, b in enumerate(x))]))
-    (_, [value], [p]), tripped, trajectory = walk
+    (_, [value], [p]), trajectory = walk
     return AnalyticResult(
         x=x,
         value=int(value),
         logical_error=majority_error(circuit.width, float(p)),
         trajectory=tuple((s, kind, b, float(err)) for s, kind, b, [err] in trajectory),
-        warnings=tuple(tripped),
     )
 
 
@@ -573,7 +564,6 @@ class MonteCarloResult:
     trials: int
     seed: int
     empirical_error: float
-    ci_halfwidth: float
 
 
 def _flip_words(bitgen: np.random.BitGenerator, p: float, n: int) -> np.ndarray:
@@ -727,11 +717,11 @@ def _check_seed(seed: int):
         raise ValueError(f"seed {seed} is negative; seeds are nonnegative integers")
 
 
-def _check_trials(trials: int):
+def _check_trials(trials: int, inputs: int = 1):
     if trials < 1:
         raise ValueError("need at least one trial")
-    if trials > TRIALS_CAP:
-        raise ValueError(f"{trials} trials above cap {TRIALS_CAP}")
+    if inputs * trials > TRIALS_CAP:
+        raise ValueError(f"{inputs} input(s) x {trials} trials above cap {TRIALS_CAP}")
 
 
 def simulate_monte_carlo(
@@ -759,11 +749,7 @@ def simulate_monte_carlo(
     n_blocks = -(-trials // BLOCK)
     for block, wrong_mask in enumerate(_wrong_trials(circuit, x, seed, n_blocks)):
         wrong += int(np.count_nonzero(wrong_mask[: trials - block * BLOCK]))
-    p_hat = wrong / trials
-    ci = 1.96 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
-    return MonteCarloResult(
-        x=x, trials=trials, seed=seed, empirical_error=p_hat, ci_halfwidth=ci
-    )
+    return MonteCarloResult(x=x, trials=trials, seed=seed, empirical_error=wrong / trials)
 
 
 # ---------------------------------------------------------------------------
@@ -774,19 +760,25 @@ class InputRow:
     x: tuple[int, ...]
     analytic_error: float
     empirical_error: float | None = None
-    ci_halfwidth: float | None = None
+    upper: float | None = None  # the exact upper bound the verdict reads, once sampled
 
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Worst-input summary over all assignments, with optional Monte Carlo."""
+    """Every input's row, the independence figure's worst input, the verdict."""
 
     rows: tuple[InputRow, ...]
     delta: float
     worst_input: tuple[int, ...]
     margin: float
-    reliable: bool
     warnings: tuple[str, ...]
+    #: kind "none", or "sampled" with the sampled inputs, trials and level
+    evidence: dict
+
+    @property
+    def reliable(self) -> bool:
+        """The one verdict rule: every input sampled, each upper bound below 1/2 - margin."""
+        return all(row.upper is not None and row.upper < 0.5 - self.margin for row in self.rows)
 
     def summary(self) -> dict:
         return {
@@ -795,33 +787,19 @@ class SimulationReport:
             "margin": self.margin,
             "reliable": self.reliable,
             "warnings": list(self.warnings),
+            "evidence": self.evidence,
         }
 
 
 def certify(report: SimulationReport, margin: float) -> bool:
-    """Reliable iff the worst-input error stays below 1/2 by the margin.
-
-    Uses the analytic delta; rows carrying Monte Carlo results must also
-    keep their upper confidence bound below the line.
-    """
+    """The report's verdict at another margin."""
     _check_margin(margin)
-    return _certified(report.delta, report.rows, margin)
+    return replace(report, margin=margin).reliable
 
 
 def _check_margin(margin: float):
     if not 0.0 < margin < 0.5:
         raise ValueError(f"margin {margin} outside (0, 1/2)")
-
-
-def _certified(delta: float, rows: Iterable[InputRow], margin: float) -> bool:
-    line = 0.5 - margin
-    if delta > line:
-        return False
-    for row in rows:
-        if row.empirical_error is not None:
-            if row.empirical_error + (row.ci_halfwidth or 0.0) > line:
-                return False
-    return True
 
 
 def build_report(
@@ -830,49 +808,54 @@ def build_report(
     margin: float = 0.05,
     trials: int | None = None,
     seed: int | None = None,
-    mc_inputs: str = "worst",
+    mc_inputs: str = "all",
 ) -> SimulationReport:
-    """Analytic sweep over all inputs, optionally backed by Monte Carlo.
+    """Independence sweep over all N = 2^n inputs, and the verdict.
 
-    ``mc_inputs`` selects which assignments get sampled when ``trials`` is
-    set: "worst" (the analytic worst case) or "all". Every argument is
-    checked before the sweep starts.
+    ``reliable`` holds iff every input was sampled and each one's exact
+    one-sided Clopper-Pearson upper bound at level ``ALPHA`` / N is below
+    1/2 - margin; no verdict reads the optimistic independence figure.
+    ``mc_inputs`` picks the inputs ``trials`` samples: "all", or "worst",
+    the independence figure's worst, which can refute but never certify.
+    Every argument, and sampled inputs x trials, is checked before the sweep.
     """
     _check_margin(margin)
     if mc_inputs not in ("worst", "all"):
         raise ValueError(f"mc_inputs must be 'worst' or 'all', got {mc_inputs!r}")
     if trials is not None and seed is None:
         raise ValueError("a seed is mandatory for Monte Carlo runs")
-    if trials is not None:
-        _check_trials(trials)
-        _check_seed(seed)
     n = circuit.formula.n_inputs
     if n > BRUTE_FORCE_ARITY_CAP:
         raise ValueError(f"formula has {n} inputs, above cap {BRUTE_FORCE_ARITY_CAP}")
-    (classes, _, states), tripped, _ = _independence_walk(circuit, np.arange(1 << n))
+    evidence = {"kind": "none", "note": "independence figure only, optimistic"}
+    if trials is not None:
+        evidence = {"kind": "sampled", "sampled_inputs": 1 if mc_inputs == "worst" else 1 << n,
+                    "inputs": 1 << n, "trials": trials, "bound": "exact one-sided Clopper-Pearson",
+                    "family_level": ALPHA}
+        _check_trials(trials, evidence["sampled_inputs"])
+        _check_seed(seed)
+    (classes, _, states), _ = _independence_walk(circuit, np.arange(1 << n))
     class_errors = [majority_error(circuit.width, p) for p in states.tolist()]
     if classes is None:  # one class holds every input
         classes = np.zeros(1 << n, dtype=int)
     errors = np.take(class_errors, classes)
     worst = int(np.argmax(errors))  # the first input in table order with the largest error
     worst_x, delta = index_bits(worst, n), errors[worst].item()
-    sampled = [] if trials is None else [worst_x] if mc_inputs == "worst" else input_keys(n)
-    mc = {x: simulate_monte_carlo(circuit, x, trials, seed) for x in sampled}
 
     # rows in itertools.product order, where x[0] is the most significant bit
     # of the row index; in the table order of xs it is the least significant
     row_errors = errors.reshape((2,) * n).T.ravel().tolist()
     rows = list(map(InputRow, itertools.product((0, 1), repeat=n), row_errors))
-    for x, res in mc.items():
-        r = int("".join(map(str, x)), 2)
-        rows[r] = InputRow(x, rows[r].analytic_error, res.empirical_error, res.ci_halfwidth)
-    rows = tuple(rows)
+    for r, row in enumerate(rows):
+        if trials is not None and (mc_inputs == "all" or row.x == worst_x):
+            p_hat = simulate_monte_carlo(circuit, row.x, trials, seed).empirical_error
+            upper = clopper_pearson_upper(round(p_hat * trials), trials, ALPHA / (1 << n))
+            rows[r] = InputRow(row.x, row.analytic_error, p_hat, upper)
     return SimulationReport(
-        rows=rows,
+        rows=tuple(rows),
         delta=delta,
         worst_input=worst_x,
         margin=margin,
-        reliable=_certified(delta, rows, margin),
-        warnings=tuple(sorted(circuit.warnings))
-        + tuple(f"{w} on {count} of {1 << n} inputs" for w, count in tripped.items()),
+        warnings=tuple(sorted(circuit.warnings)),
+        evidence=evidence,
     )

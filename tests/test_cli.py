@@ -1,5 +1,6 @@
 import functools
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -111,17 +112,51 @@ def test_inequality_with_compiled_program(tmp_path, and_tt, capsys):
 
 
 def test_reliable_certified_run(nand_formula, tmp_path):
+    # the independence figure alone certifies nothing; 1024 trials on each
+    # of the 16 inputs certify (largest upper bound 0.433, at 0110)
+    args = [
+        "reliable", "--formula", nand_formula, "--width", "81", "--rounds", "8", "--seed", "7",
+    ]
     out_path = str(tmp_path / "report.csv")
-    code = run(
-        [
-            "reliable", "--formula", nand_formula, "--width", "81",
-            "--rounds", "8", "--seed", "7", "--output", out_path,
-        ]
-    )
-    assert code == 0
+    assert run(args + ["--output", out_path]) == 1
     text = Path(out_path).read_text()
-    assert "# reliable: true" in text
+    assert "# reliable: false (margin 0.05)\n# evidence: none (independence figure only, optimistic)\n" in text
+    assert run(args + ["--trials", "1024", "--output", out_path]) == 0
+    text = Path(out_path).read_text()
+    assert "# reliable: true (margin 0.05)\n" in text
+    assert "# evidence: sampled 16/16 inputs, 1024 trials, exact CP 95 % family-wise\n" in text
+    assert text.splitlines()[4] == "input,analytic_error,empirical_error,upper"
+    uppers = [float(line.split(",")[3]) for line in text.splitlines()[5:]]
+    assert len(uppers) == 16 and max(uppers) == pytest.approx(0.433, abs=5e-4)
     assert text.endswith("\n") and "\r" not in text
+
+
+#: ROADMAP Baseline's refuted rows: TREE3 with seed 7, the independence
+#: figure below the line and the sampled error of the worst input near 1/2
+REFUTED = [
+    ["--width", "81", "--rounds", "8"],
+    ["--width", "81", "--rounds", "12"],
+    ["--width", "81", "--rounds", "24", "--xnand", "noncontextual-quarter"],
+    ["--width", "243", "--rounds", "24", "--xnand", "noncontextual-quarter"],
+    ["--width", "729", "--rounds", "24", "--xnand", "noncontextual-quarter"],
+]
+
+
+@pytest.mark.parametrize("sampling", [[], ["--trials", "1024", "--mc-inputs", "worst"]],
+                         ids=["unsampled", "one-block-worst"])
+@pytest.mark.parametrize("shape", REFUTED, ids=lambda shape: "-".join(shape[1::2]))
+def test_refuted_circuits_are_never_reliable(tmp_path, capsys, shape, sampling):
+    tree3 = tmp_path / "tree3.nand"
+    tree3.write_text("(nand (nand (nand a b) (nand c d)) (nand (nand e f) (nand g h)))\n")
+    code = run(["reliable", "--formula", str(tree3), "--seed", "7", *shape, *sampling,
+                "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1 and payload["reliable"] is False
+    assert payload["delta"] < 0.45
+    sampled = [row for row in payload["rows"] if row["upper"] is not None]
+    assert len(sampled) == (1 if sampling else 0)
+    for row in sampled:
+        assert row["input"] == payload["worst_input"] and row["upper"] > 0.45
 
 
 def test_reliable_degraded_run_exits_1(tmp_path, capsys):
@@ -153,7 +188,11 @@ def test_reliable_json_names_the_mc_stream_with_trials(nand_formula, capsys):
     assert code in (0, 1)
     payload = json.loads(capsys.readouterr().out)
     assert payload["mc_stream"] == "bitsliced-sfc64-v3"
-    assert any(row["empirical_error"] is not None for row in payload["rows"])
+    assert all(row["empirical_error"] is not None for row in payload["rows"])
+    assert payload["evidence"] == {
+        "kind": "sampled", "sampled_inputs": 16, "inputs": 16, "trials": 200,
+        "bound": "exact one-sided Clopper-Pearson", "family_level": 0.05,
+    }
 
 
 def test_reliable_output_is_byte_deterministic(nand_formula, tmp_path):
@@ -305,6 +344,10 @@ MALFORMED_INPUTS = {
         RELIABLE + ["--width", "9", "--trials", str(10**23)],
         "above cap 16777216",
     ),
+    "reliable-inputs-x-trials-above-cap": (
+        RELIABLE + ["--width", "9", "--trials", "1048577"],
+        "16 input(s) x 1048577 trials above cap 16777216",
+    ),
     "reliable-17-inputs": (
         ["reliable", "--formula", "wide.nand", "--width", "3", "--rounds", "0", "--seed", "1"],
         "above cap 16",
@@ -337,3 +380,31 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys
     assert out == ""
     assert "error: " in err and message in err
     assert "Traceback" not in err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[str]:
+    """Every ``l2mbqc ...`` line inside the README's fenced code blocks."""
+    commands, fenced = [], False
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.lstrip().startswith("```"):
+            fenced = not fenced
+        elif fenced and line.strip().startswith("l2mbqc "):
+            commands.append(line.strip())
+    return commands
+
+
+def test_readme_commands_parse(capsys):
+    # parsing only, nothing runs: a renamed flag, a dropped choice or a
+    # changed requirement fails here instead of leaving a stale example
+    commands = readme_commands()
+    assert len(commands) >= 10
+    parser = cli._build_parser()
+    for line in commands:
+        try:
+            args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}\n{capsys.readouterr().err}")
+        assert callable(args.handler)

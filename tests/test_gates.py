@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l2mbqc import gates, ghzc, mbqc
 from l2mbqc.boolfn import kmaj_nonlinearity, make_named
@@ -562,3 +564,55 @@ def test_derivative_rejects_what_the_recursion_rejects(k, eps, p):
         maj_error_recursion(k, eps, p)
     with pytest.raises(ValueError):
         recursion_derivative(k, eps, p)
+
+
+# ---------------------------------------------------------------------------
+# exact one-sided Clopper-Pearson upper bound
+
+#: a report's per-input levels: alpha = 0.05 over 1 and over 256 inputs
+CP_LEVELS = (0.05, 0.05 / 256)
+
+
+def cdf_at_most(n, k, p: Fraction, level: Fraction) -> bool:
+    """P(X <= k) <= level for X ~ Bin(n, p), in exact integer arithmetic."""
+    a, d = p.numerator, p.denominator
+    scaled = sum(math.comb(n, j) * a**j * (d - a) ** (n - j) for j in range(k + 1))
+    return scaled * level.denominator <= level.numerator * d**n
+
+
+@pytest.mark.parametrize("level", CP_LEVELS)
+def test_clopper_pearson_upper_inverts_the_exact_cdf(level):
+    # the exact bound b* solves P_b*(X <= k) = level and the CDF falls in p,
+    # so |b - b*| <= 1e-12 iff the CDF is at most the level at b + 1e-12
+    # (b is not more than 1e-12 below b*) and above it at b - 1e-12
+    tol, exact_level = Fraction(1, 10**12), Fraction(level)
+    for n in range(1, 41):
+        for k in range(n):
+            b = Fraction(gates.clopper_pearson_upper(k, n, level))
+            assert cdf_at_most(n, k, b + tol, exact_level), (n, k)
+            assert not cdf_at_most(n, k, b - tol, exact_level), (n, k)
+        assert gates.clopper_pearson_upper(n, n, level) == 1.0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 30),
+    p=st.integers(1, 99).map(lambda i: Fraction(i, 100)),
+    level=st.sampled_from(CP_LEVELS),
+)
+def test_clopper_pearson_upper_covers_p(n, p, level):
+    # the outcomes whose bound falls below the true p have total probability
+    # at most the level, summed exactly
+    miss = sum(
+        math.comb(n, k) * p**k * (1 - p) ** (n - k)
+        for k in range(n + 1)
+        if gates.clopper_pearson_upper(k, n, level) < p
+    )
+    assert miss <= Fraction(level)
+
+
+def test_clopper_pearson_upper_of_no_errors():
+    # P(X = 0) = (1 - b)^n = alpha gives b = 1 - alpha^(1/n)
+    bound = gates.clopper_pearson_upper(0, 16384, 0.05)
+    assert bound == pytest.approx(-math.expm1(math.log(0.05) / 16384), abs=1e-12)
+    assert bound == pytest.approx(1.828e-4, abs=1e-7)
