@@ -11,17 +11,17 @@ order) the first time the sampler runs on the circuit.
 
 Every error model runs on one stage walk, ``_walk``, which tracks the true
 logical values and hands each stage's gate and true input indices to the
-model's step; the step maps how wrong the read bundles are to how wrong the
-target is. The walk takes a batch of inputs at once and groups them by each
-bundle's (true value, state), and calls each stage's step once, on numpy
-arrays with one row per distinct (true index, read states): the sweep over
-all 2^n table indices is one walk. The independence model's state is one
-wire's error probability, with the wires of a bundle assumed independent:
-every stage, compute or restore, is one polynomial in its sources' read
-errors (``gates.error_polynomial``), built once per gate and wires and
-gathered by true index. The seeded wire-level Monte Carlo's state is the
-set of wrong wires under the circuit's fixed wiring, walked one input at a
-time; it quantifies how much that assumption leaks.
+model's step; the step maps the read bundles' states to the target's. The
+walk takes a batch of inputs at once and groups them by each bundle's (true
+value, state), and calls each stage's step once, on numpy arrays with one
+row per distinct (true index, read states). The independence model's state
+is one wire's error probability, with the wires of a bundle assumed
+independent: every stage, compute or restore, is one polynomial in its
+sources' read errors (``gates.error_polynomial``), built once per gate and
+wires and gathered by true index; the sweep over all 2^n table indices is
+one walk. The seeded wire-level Monte Carlo's state is every wire's actual
+value under the circuit's fixed wiring, and its walks take the sampled
+inputs a chunk at a time; it quantifies how much that assumption leaks.
 
 The Monte Carlo sampler is bit-sliced: 64 trials ride in one uint64 word,
 and trials run in blocks of ``BLOCK`` = 1024. Block b draws all its gate
@@ -354,8 +354,8 @@ def build(
 def _combinations(stage: Stage, live: dict, n: int):
     """The rows of a stage whose gate inputs read more than one bundle of the
     walk's ``live`` ones, for a batch of ``n`` inputs: one row per combination
-    of the sources' classes that occurs, as ``(inverse, counts, idx, reads)``
-    (see ``_walk``). A stage with one split source takes its rows from that
+    of the sources' classes that occurs, as ``(inverse, idx, reads)`` (see
+    ``_walk``). A stage with one split source takes its rows from that
     source's classes as they are."""
     # each distinct source with the gate inputs it feeds, as an index mask
     masks: dict[int, int] = {}
@@ -365,78 +365,76 @@ def _combinations(stage: Stage, live: dict, n: int):
     split = [src for src in masks if live[src][0] is not None] if n > 1 else []
     pick = {}  # source -> the class of each row, where not taken as is
     if len(split) <= 1:
-        inverse, _, _, counts = live[split[0] if split else stage.sources[0]]
+        inverse, values, _ = live[split[0] if split else stage.sources[0]]
+        n_rows = len(values)
     else:  # a mixed-radix code per input, first split source least significant
         code, size = 0, 1
         for src in reversed(split):
             code = code * len(live[src][1]) + live[src][0]
             size *= len(live[src][1])
-        if size <= n:  # count every code; a code's row is the number of smaller codes that occur
-            counts = np.bincount(code, minlength=size)
-            codes = np.flatnonzero(counts)
-            inverse, counts = (np.cumsum(counts > 0) - 1)[code], counts[codes]
+        if size <= n:  # mark every code; a code's row is the number of smaller codes that occur
+            occurs = np.bincount(code, minlength=size) > 0
+            codes, inverse = np.flatnonzero(occurs), (np.cumsum(occurs) - 1)[code]
         else:
-            codes, inverse, counts = np.unique(code, return_inverse=True, return_counts=True)
+            codes, inverse = np.unique(code, return_inverse=True)
+        n_rows = len(codes)
         for src in split:
             codes, pick[src] = np.divmod(codes, len(live[src][1]))
     if split:  # unsplit sources repeat their one class on every row
         for src in masks:
             if src not in split:
-                pick[src] = np.zeros(len(counts), dtype=int)
+                pick[src] = np.zeros(n_rows, dtype=int)
     parts, read = [], {}  # each distinct source's part of idx, and its states, per row
     for src, mask in masks.items():
-        _, values, states, _ = live[src]
+        _, values, states = live[src]
         if src in pick:
             values, states = values[pick[src]], states[pick[src]]
         parts.append(values * mask)
         read[src] = states
-    return inverse, counts, sum(parts[1:], parts[0]), [read[src] for src in stage.sources]
+    return inverse, sum(parts[1:], parts[0]), [read[src] for src in stage.sources]
 
 
-def _walk(circuit: ReliableCircuit, xs: np.ndarray, clean, step):
+def _walk(circuit: ReliableCircuit, xs: np.ndarray, start, step):
     """Run every stage on the batch of input table indices ``xs`` (an int
     array; bit j of an index is formula input j) at once; return the output
     bundle's ``(classes, values, states)``.
 
-    A bundle's state is an error model's account of how wrong it is; input
-    bundles start ``clean``. A live bundle splits the batch into classes:
-    ``values`` holds each class's true value, ``states`` each class's state
-    along a leading class axis, ``counts`` the inputs in each class and
-    ``classes`` each input's class id, or None when one class holds the
-    whole batch. Stage s calls ``step(s, stage, gate, idx, reads, counts)``
-    once, with one row per combination of its sources' classes that occurs:
-    ``idx`` holds the rows' true input indices, ``reads`` the read states in
-    gate-input order and ``counts`` the inputs that share each row; the step
-    returns the target's state per row. A stage whose gate inputs all read
-    one bundle, as a restore's do, takes its rows from that bundle's classes
-    as they are, and so does a stage with one split source. Rows with equal
-    (value, state) merge into one class, so a stage has one row per distinct
-    (true index, read states), and a batch of one never compares states. A
-    bundle is dropped after its last read.
+    A bundle's state is an error model's account of it; an input bundle
+    with true value v starts in state ``start[v]``. A live bundle splits the
+    batch into classes: ``values`` holds each class's true value, ``states``
+    each class's state along a leading class axis and ``classes`` each
+    input's class id, or None when one class holds the whole batch (the
+    output's is always an array). Stage s calls ``step(s, stage, gate, idx,
+    reads)`` once, with one row per combination of its sources' classes that
+    occurs: ``idx`` holds the rows' true input indices and ``reads`` the read
+    states in gate-input order; the step returns the target's state per row.
+    A stage whose gate inputs all read one bundle, as a restore's do, takes
+    its rows from that bundle's classes as they are, and so does a stage with
+    one split source. Rows with equal (value, state) merge into one class, so
+    a stage has one row per distinct (true index, read states), and a batch
+    of one never compares states. A bundle is dropped after its last read.
     """
     n = len(xs)
-    clean = np.asarray(clean)[None]
-    live = {}  # bundle -> (classes, values, states, counts)
+    start = np.asarray(start)
+    live = {}  # bundle -> (classes, values, states)
     bits = xs >> np.arange(len(circuit.input_bundles))[:, None] & 1  # row j: input j
     for b, row, ones in zip(circuit.input_bundles, bits, bits.sum(axis=1).tolist()):
-        if 0 < ones < n:
-            live[b] = (row, np.array([0, 1]), np.concatenate([clean, clean]),
-                       np.array([n - ones, ones]))
-        else:
-            live[b] = (None, row[:1], clean, np.array([n]))
+        values = np.array([0, 1]) if 0 < ones < n else row[:1]
+        live[b] = (row if 0 < ones < n else None, values, start[values])
     gate_of = {"restore": circuit.kmaj, "compute": circuit.xnand}
     table_of = {kind: np.array(gate.target.table) for kind, gate in gate_of.items()}
     for s, stage in enumerate(circuit.stages):
         if len(set(stage.sources)) == 1:  # every gate input reads one bundle, whose classes are the rows
-            inverse, values, states, counts = live[stage.sources[0]]
+            inverse, values, states = live[stage.sources[0]]
             idx = values * ((1 << len(stage.sources)) - 1)
             reads = [states] * len(stage.sources)
         else:
-            inverse, counts, idx, reads = _combinations(stage, live, n)
-        states = step(s, stage, gate_of[stage.kind], idx, reads, counts)
+            inverse, idx, reads = _combinations(stage, live, n)
+        states = step(s, stage, gate_of[stage.kind], idx, reads)
         values = table_of[stage.kind][idx]
         if len(values) > 1:
-            rows = states.tolist() if states.ndim == 1 else map(tuple, states.reshape(len(values), -1).tolist())
+            # a float state is its own key; a word state keys by its bytes
+            rows = states.tolist() if states.ndim == 1 else [row.tobytes() for row in states]
             keys = list(zip(values.tolist(), rows))
             if len(set(keys)) < len(keys):  # equal rows merge, in order of first appearance
                 ids: dict = {}  # key -> its class
@@ -447,13 +445,12 @@ def _walk(circuit: ReliableCircuit, xs: np.ndarray, clean, step):
                         first.append(r)
                 remap = np.array([ids[key] for key in keys])
                 values, states = values[first], states[first]
-                counts = np.bincount(remap, weights=counts).astype(int)
                 inverse = remap[inverse] if len(first) > 1 else None
-        live[stage.target] = (inverse, values, states, counts)
+        live[stage.target] = (inverse, values, states)
         for src in circuit.dead_after[s]:
             del live[src]
-    classes, values, states, _ = live[circuit.output_bundle]
-    return classes, values, states
+    classes, values, states = live[circuit.output_bundle]
+    return np.zeros(n, dtype=int) if classes is None else classes, values, states
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +493,7 @@ def _independence_walk(circuit: ReliableCircuit, xs: np.ndarray):
     results: dict[tuple, np.ndarray] = {}
     trajectory: list[tuple[int, str, int, np.ndarray]] = []
 
-    def step(s: int, stage: Stage, gate: NoisyGate, idx: np.ndarray, reads: list, counts: np.ndarray):
+    def step(s: int, stage: Stage, gate: NoisyGate, idx: np.ndarray, reads: list):
         layout = (stage.kind, tuple(map(stage.sources.index, stage.sources)))
         table = tables.get(layout)
         if table is None:  # looked up once per walk, since hashing a gate takes 2^k steps
@@ -510,7 +507,7 @@ def _independence_walk(circuit: ReliableCircuit, xs: np.ndarray):
         trajectory.append((s, stage.kind, stage.target, p))
         return p
 
-    return _walk(circuit, xs, 0.0, step), trajectory
+    return _walk(circuit, xs, (0.0, 0.0), step), trajectory
 
 
 def _input_bits(formula: FormulaDag, x: Sequence[int]) -> tuple[int, ...]:
@@ -645,71 +642,72 @@ def _gate_keys(gate: NoisyGate) -> tuple[tuple[int, ...], tuple[int, ...], tuple
 
 
 def _wrong_trials(
-    circuit: ReliableCircuit, x: tuple[int, ...], seed: int, n_blocks: int
+    circuit: ReliableCircuit, xs: np.ndarray, seed: int, n_blocks: int
 ) -> Iterator[np.ndarray]:
-    """For blocks 0 .. n_blocks-1, a (BLOCK,) bool array of the trials whose
-    majority readout is wrong (ties count as wrong).
+    """For blocks 0 .. n_blocks-1, a (len(xs), BLOCK) bool array: row r marks
+    the trials of input table index ``xs[r]`` whose majority readout is
+    wrong (ties count as wrong).
 
-    A bundle's state has a set bit per wrong wire. Value and flip tables are
-    re-indexed by the true input index, entry e being the gate at ``idx ^ e``,
-    so each lane meets the entry and the drawn mask of its actual inputs.
+    A bundle's state holds each wire's actual value, one bit per trial, so
+    every row runs the gate's own value and flip tables; the readout XORs
+    the output with its true value's word. The inputs walk in chunks of at
+    most ``GROUP_WORDS`` words per bundle state, and at least one input.
 
-    Block b draws every flip from one SFC64 stream seeded with (seed, b), so
-    every input meets the same masks. Per gate, the stages of its kind are
-    drawn in groups of consecutive ones, as many as fit in ``GROUP_WORDS``
-    words per mask and at least one: when the walk reaches a group's first
-    stage, it draws one Bernoulli mask for the whole group per distinct
-    error value strictly between 0 and 1, values ascending.
+    Block b draws every flip from one SFC64 stream seeded with (seed, b),
+    anew for each chunk, so every input meets the same masks. Per gate, the
+    stages of its kind are drawn in groups of consecutive ones, as many as
+    fit in ``GROUP_WORDS`` words per mask and at least one: when the walk
+    reaches a group's first stage, it draws one Bernoulli mask for the whole
+    group per distinct error value strictly between 0 and 1, ascending.
     """
-    x_key = sum(b << i for i, b in enumerate(x))
     w = circuit.width
-    clean = np.zeros((w, _WORDS), dtype=np.uint64)
+    # the words of a bundle whose wires all carry 0, and all carry 1
+    start = np.broadcast_to(np.array([0, _ONES], dtype=np.uint64)[:, None, None], (2, w, _WORDS))
     gate_keys = {"restore": _gate_keys(circuit.kmaj), "compute": _gate_keys(circuit.xnand)}
     kind_count = {kind: sum(stage.kind == kind for stage in circuit.stages) for kind in gate_keys}
-    group = max(1, GROUP_WORDS // (w * _WORDS))  # stages per group
+    group = max(1, GROUP_WORDS // (w * _WORDS))  # stages per mask group, and inputs per chunk
     wiring = circuit.wiring
-    # (kind, true index) -> the re-indexed wrongness and flip keys, filled on first use
-    reindexed: dict[tuple[str, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
-    def run_block(block: int) -> np.ndarray:
+    def run_chunk(block: int, chunk: np.ndarray) -> np.ndarray:
         bitgen = np.random.SFC64(np.random.SeedSequence([seed, block]))
         masks = {}  # kind -> its current group's masks, one per error value
         seen = dict.fromkeys(gate_keys, 0)  # stages of each kind walked so far
 
-        def step(s: int, stage: Stage, gate: NoisyGate, idx: np.ndarray, reads: list[np.ndarray], counts):
-            (idx,) = idx.tolist()  # one input, so one row
+        def step(s: int, stage: Stage, gate: NoisyGate, idx: np.ndarray, reads: list[np.ndarray]):
             i = seen[stage.kind] % group  # the stage's place in its group
             if not i:
                 n = min(group, kind_count[stage.kind] - seen[stage.kind])
                 masks[stage.kind] = [_flip_words(bitgen, p, n * w * _WORDS).reshape(n, w, _WORDS)
                                      for p in gate_keys[stage.kind][2]]
             seen[stage.kind] += 1
-            if (stage.kind, idx) not in reindexed:
-                table, flips, _ = gate_keys[stage.kind]
-                reindexed[stage.kind, idx] = (
-                    tuple(table[idx ^ e] ^ table[idx] for e in range(len(table))),
-                    tuple(flips[idx ^ e] for e in range(len(flips))),
-                )
-            wrong_keys, flip_keys = reindexed[stage.kind, idx]
+            table, flips, _ = gate_keys[stage.kind]
             kind_masks = masks[stage.kind]
-            es = [r[0] if perm is None else r[0, perm] for r, perm in zip(reads, wiring[s])]
-            wrong = _mux(wrong_keys, es, None, {})
-            flip = _mux(flip_keys, es, lambda key: kind_masks[key - 2][i], {})
-            if isinstance(wrong, int):
-                wrong = ~clean if wrong else clean
-            if isinstance(flip, int):
-                return (~wrong if flip else wrong)[None]
-            return (wrong ^ flip)[None]
+            vs = [r if perm is None else r.take(perm, axis=1) for r, perm in zip(reads, wiring[s])]
+            value = _mux(table, vs, None, {})  # a word array: majority and XNAND read their inputs
+            flip = _mux(flips, vs, lambda key: kind_masks[key - 2][i], {})
+            return value ^ (start[flip] if isinstance(flip, int) else flip)
 
-        _, _, [wrong_wires] = _walk(circuit, np.array([x_key]), clean, step)
-        lanes = np.unpackbits(
-            wrong_wires.astype("<u8", copy=False).view(np.uint8), axis=1, bitorder="little"
-        )
-        return 2 * lanes.sum(axis=0) >= w
+        classes, values, states = _walk(circuit, chunk, start, step)
+        # per class, whether each trial's readout is wrong; one class's bits are unpacked at a time
+        wrong = [
+            2 * np.unpackbits((state ^ start[v]).astype("<u8", copy=False).view(np.uint8), axis=1,
+                              bitorder="little").sum(axis=0) >= w
+            for state, v in zip(states, values.tolist())
+        ]
+        return np.array(wrong)[classes]
 
+    chunks = [xs[i : i + group] for i in range(0, len(xs), group)]
     # each block's arrays die with its call, so nothing outlives a block
     for block in range(n_blocks):
-        yield run_block(block)
+        yield np.concatenate([run_chunk(block, chunk) for chunk in chunks])
+
+
+def _wrong_counts(circuit: ReliableCircuit, xs: np.ndarray, trials: int, seed: int) -> np.ndarray:
+    """Wrong trials among the first ``trials`` of each input table index in ``xs``."""
+    wrong = np.zeros(len(xs), dtype=int)
+    for block, wrong_mask in enumerate(_wrong_trials(circuit, xs, seed, -(-trials // BLOCK))):
+        wrong += np.count_nonzero(wrong_mask[:, : trials - block * BLOCK], axis=1)
+    return wrong
 
 
 def _check_seed(seed: int):
@@ -720,8 +718,10 @@ def _check_seed(seed: int):
 def _check_trials(trials: int, inputs: int = 1):
     if trials < 1:
         raise ValueError("need at least one trial")
-    if inputs * trials > TRIALS_CAP:
-        raise ValueError(f"{inputs} input(s) x {trials} trials above cap {TRIALS_CAP}")
+    lanes = inputs * -(-trials // BLOCK) * BLOCK  # the trials drawn, in whole blocks per input
+    if lanes > TRIALS_CAP:
+        raise ValueError(f"{inputs} input(s) x {trials} trials above cap {TRIALS_CAP}: "
+                         f"the sampler draws whole blocks of {BLOCK} trials, {lanes} in all")
 
 
 def simulate_monte_carlo(
@@ -745,10 +745,8 @@ def simulate_monte_carlo(
     _check_trials(trials)
     _check_seed(seed)
     x = _input_bits(circuit.formula, x)
-    wrong = 0
-    n_blocks = -(-trials // BLOCK)
-    for block, wrong_mask in enumerate(_wrong_trials(circuit, x, seed, n_blocks)):
-        wrong += int(np.count_nonzero(wrong_mask[: trials - block * BLOCK]))
+    index = sum(b << j for j, b in enumerate(x))
+    [wrong] = _wrong_counts(circuit, np.array([index]), trials, seed).tolist()
     return MonteCarloResult(x=x, trials=trials, seed=seed, empirical_error=wrong / trials)
 
 
@@ -836,21 +834,20 @@ def build_report(
         _check_seed(seed)
     (classes, _, states), _ = _independence_walk(circuit, np.arange(1 << n))
     class_errors = [majority_error(circuit.width, p) for p in states.tolist()]
-    if classes is None:  # one class holds every input
-        classes = np.zeros(1 << n, dtype=int)
     errors = np.take(class_errors, classes)
     worst = int(np.argmax(errors))  # the first input in table order with the largest error
     worst_x, delta = index_bits(worst, n), errors[worst].item()
 
     # rows in itertools.product order, where x[0] is the most significant bit
-    # of the row index; in the table order of xs it is the least significant
-    row_errors = errors.reshape((2,) * n).T.ravel().tolist()
-    rows = list(map(InputRow, itertools.product((0, 1), repeat=n), row_errors))
-    for r, row in enumerate(rows):
-        if trials is not None and (mc_inputs == "all" or row.x == worst_x):
-            p_hat = simulate_monte_carlo(circuit, row.x, trials, seed).empirical_error
-            upper = clopper_pearson_upper(round(p_hat * trials), trials, ALPHA / (1 << n))
-            rows[r] = InputRow(row.x, row.analytic_error, p_hat, upper)
+    # of the row index; in the table order of xs it is the least significant,
+    # so row_of[i], which reverses i's n bits, is table index i's row and back
+    row_of = np.arange(1 << n).reshape((2,) * n).T.ravel()
+    rows = list(map(InputRow, itertools.product((0, 1), repeat=n), errors[row_of].tolist()))
+    if trials is not None:
+        xs = np.arange(1 << n) if mc_inputs == "all" else np.array([worst])
+        for i, wrong in zip(xs.tolist(), _wrong_counts(circuit, xs, trials, seed).tolist()):
+            upper = clopper_pearson_upper(wrong, trials, ALPHA / (1 << n))
+            rows[row_of[i]] = replace(rows[row_of[i]], empirical_error=wrong / trials, upper=upper)
     return SimulationReport(
         rows=tuple(rows),
         delta=delta,

@@ -295,6 +295,8 @@ def test_majority_arity_above_cap_exits_2(nand_formula, capsys, subcommand):
 RELIABLE = ["reliable", "--formula", "tree.nand", "--rounds", "1", "--seed", "1"]
 #: a NAND chain over 17 inputs, one more than the analytic sweep allows
 WIDE_FORMULA = functools.reduce(lambda acc, name: f"(nand {acc} {name})", "bcdefghijklmnopq", "a")
+#: a NAND chain over 16 inputs: one trial each still draws 2^16 whole blocks
+CHAIN16 = functools.reduce(lambda acc, name: f"(nand {acc} {name})", "bcdefghijklmnop", "a")
 
 MALFORMED_INPUTS = {
     "gate-unknown-combination": (["gate", "xor", "--resource", "chsh"], "cannot be built"),
@@ -348,6 +350,11 @@ MALFORMED_INPUTS = {
         RELIABLE + ["--width", "9", "--trials", "1048577"],
         "16 input(s) x 1048577 trials above cap 16777216",
     ),
+    "reliable-whole-blocks-above-cap": (
+        ["reliable", "--formula", "chain16.nand", "--width", "3", "--rounds", "0", "--seed", "1",
+         "--trials", "1"],
+        "65536 input(s) x 1 trials above cap 16777216: the sampler draws whole blocks of 1024 trials",
+    ),
     "reliable-17-inputs": (
         ["reliable", "--formula", "wide.nand", "--width", "3", "--rounds", "0", "--seed", "1"],
         "above cap 16",
@@ -370,6 +377,7 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys
     (tmp_path / "tree.nand").write_text("(nand (nand a b) (nand c d))\n")
     (tmp_path / "bad.nand").write_text("(nand a\n(xor b c))\n")
     (tmp_path / "wide.nand").write_text(WIDE_FORMULA)
+    (tmp_path / "chain16.nand").write_text(CHAIN16)
     monkeypatch.chdir(tmp_path)
     try:
         code = run(args)

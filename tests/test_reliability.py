@@ -1,5 +1,6 @@
 import collections
 import functools
+import hashlib
 import itertools
 import math
 import sys
@@ -45,6 +46,11 @@ def chsh_gates():
 
 def perfect_gates(k=3):
     return perfect_gate(make_named("maj", k)), perfect_gate(make_named("xnand"))
+
+
+def table_index(x):
+    """The table index of input x: bit j is x[j]."""
+    return sum(b << j for j, b in enumerate(x))
 
 
 def halfwidth(p, trials):
@@ -439,7 +445,7 @@ def test_sampled_bits_are_pinned_with_input_dependent_errors(width, k, restore_e
     )
     circ = build(parse_formula("(nand a b)"), width, k, 1, xnand=xnand, kmaj=kmaj, seed=3)
     got = tuple(
-        tuple(int(np.count_nonzero(m)) for m in reliability._wrong_trials(circ, x, 9, 3))
+        tuple(int(np.count_nonzero(m)) for m in reliability._wrong_trials(circ, np.array([table_index(x)]), 9, 3))
         for x in itertools.product((0, 1), repeat=2)
     )
     assert got == PINNED_WRONG_TRIALS[width, k]
@@ -559,9 +565,9 @@ def test_shorter_runs_are_prefixes_of_longer_ones():
     kmaj, xnand = chsh_gates()
     circ = build(parse_formula("(nand a b)"), 9, 3, 1, xnand=xnand, kmaj=kmaj, seed=6)
     x = (1, 1)
-    blocks = list(reliability._wrong_trials(circ, x, 11, 3))
-    assert all(b.shape == (reliability.BLOCK,) for b in blocks)
-    wrong = np.concatenate(blocks)
+    blocks = list(reliability._wrong_trials(circ, np.array([table_index(x)]), 11, 3))
+    assert all(b.shape == (1, reliability.BLOCK) for b in blocks)
+    wrong = np.concatenate(blocks, axis=1)[0]
     for n in (1, 700, reliability.BLOCK, 1500, 3 * reliability.BLOCK):
         mc = simulate_monte_carlo(circ, x, trials=n, seed=11)
         assert round(mc.empirical_error * n) == int(wrong[:n].sum())
@@ -601,6 +607,70 @@ def test_sampled_value_is_pinned_on_the_three_level_tree():
     circ = build(parse_formula(TREE3), 81, 3, 2, xnand=xnand, kmaj=kmaj, seed=7)
     mc = simulate_monte_carlo(circ, (1, 1, 1, 1, 1, 0, 1, 0), trials=1024, seed=5)
     assert mc.empirical_error == 497 / 1024
+
+
+#: sha256 of the repr of the 256 per-input wrong counts, in table order, of
+#: TREE3 at W=81, r=2 (wiring seed 7), 1024 trials at seed 5, from one
+#: ``simulate_monte_carlo`` per input before inputs shared a sampler walk
+PINNED_ALL_INPUT_COUNTS = "fb804c0a57b9e17785fa62b50e463fc3f82050cc0e5b82505d3450d0344d308e"
+
+
+def test_all_input_report_reproduces_the_per_input_runs():
+    kmaj, xnand = chsh_gates()
+    circ = build(parse_formula(TREE3), 81, 3, 2, xnand=xnand, kmaj=kmaj, seed=7)
+    report = build_report(circ, trials=1024, seed=5)
+    wrong = {table_index(row.x): row.empirical_error * 1024 for row in report.rows}
+    counts = tuple(round(wrong[i]) for i in range(256))
+    assert counts[table_index((1, 1, 1, 1, 1, 0, 1, 0))] == 497  # the one-input pin above
+    assert hashlib.sha256(repr(counts).encode()).hexdigest() == PINNED_ALL_INPUT_COUNTS
+    assert all(
+        row.upper == gates.clopper_pearson_upper(round(row.empirical_error * 1024), 1024, 0.05 / 256)
+        for row in report.rows
+    )
+
+
+def test_all_input_report_draws_each_mask_once_per_chunk(monkeypatch):
+    # the inputs share one sampler walk per chunk of inputs, so a block draws
+    # each group's masks once per chunk, not once per input
+    kmaj, xnand = chsh_gates()
+    circ = build(parse_formula(TREE3), 81, 3, 8, xnand=xnand, kmaj=kmaj, seed=7)
+    flip_words = reliability._flip_words
+    calls = []
+
+    def counting(bitgen, p, n):
+        calls.append(p)
+        return flip_words(bitgen, p, n)
+
+    monkeypatch.setattr(reliability, "_flip_words", counting)
+    build_report(circ, trials=1024, seed=7)
+    group = reliability.GROUP_WORDS // (81 * reliability._WORDS)  # stages per group, inputs per chunk
+    kinds = collections.Counter(stage.kind for stage in circ.stages)
+    groups = sum(-(-count // group) for count in kinds.values())  # one error value per gate
+    assert sorted(kinds.values()) == [7, 120] and group == 50
+    assert len(calls) == -(-256 // group) * groups == 24
+
+
+def test_all_input_report_memory_is_bounded_by_the_chunk(monkeypatch):
+    # a chunk's bundle states hold at most GROUP_WORDS words, as one group of
+    # masks does, and the readout unpacks one class at a time. The bounds are
+    # scalar bisections that hold no arrays but run slowly under tracemalloc,
+    # so a stand-in gives them here
+    monkeypatch.setattr(reliability, "clopper_pearson_upper", lambda k, n, level: k / n)
+    kmaj, xnand = chsh_gates()
+    circ = build(parse_formula(TREE3), 81, 3, 8, xnand=xnand, kmaj=kmaj, seed=7)
+    x = (1, 1, 1, 1, 1, 0, 1, 0)
+    simulate_monte_carlo(circ, x, trials=64, seed=1)  # warm the wiring and numpy's lazy set-up
+    build_report(circ)
+    peaks = []
+    for run in (lambda: simulate_monte_carlo(circ, x, 1024, 7), lambda: build_report(circ, trials=1024, seed=7)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    one, every = peaks
+    assert every <= 3 * one
 
 
 def test_monte_carlo_memory_does_not_grow_with_trials():
@@ -771,6 +841,8 @@ def test_build_report_requires_seed_for_trials():
 
 #: a NAND chain over 17 inputs, one more than the analytic sweep allows
 WIDE_FORMULA = functools.reduce(lambda acc, name: f"(nand {acc} {name})", "bcdefghijklmnopq", "a")
+#: a NAND chain over 16 inputs: one trial each still draws 2^16 whole blocks
+CHAIN16 = functools.reduce(lambda acc, name: f"(nand {acc} {name})", "bcdefghijklmnop", "a")
 
 
 @pytest.mark.parametrize("text", [TREE3, "(nand a (nand a b))", "(nand (nand v v) v)"])
@@ -852,10 +924,13 @@ def test_sampler_rejects_trials_above_cap():
         ("(nand a b)", {"trials": (1 << 24) + 1, "seed": 1}, "trials above cap 16777216"),
         ("(nand a b)", {"trials": (1 << 22) + 1, "seed": 1}, r"4 input\(s\) x 4194305 trials above cap 16777216"),
         ("(nand a b)", {"trials": 10, "seed": -5}, "seed -5 is negative"),
+        (CHAIN16, {"trials": 1, "seed": 1},
+         r"65536 input\(s\) x 1 trials above cap 16777216: the sampler draws whole blocks of 1024 trials, "
+         "67108864 in all"),
     ],
     ids=[
         "margin", "mc-inputs", "zero-trials", "no-seed", "inputs-above-cap", "trials-above-cap",
-        "inputs-x-trials-above-cap", "negative-seed",
+        "inputs-x-trials-above-cap", "negative-seed", "whole-blocks-above-cap",
     ],
 )
 def test_build_report_checks_arguments_before_the_sweep(monkeypatch, text, kwargs, message):
@@ -941,9 +1016,36 @@ def test_monte_carlo_runs_are_prefixes_property(text, width, x_index, trials, se
         kmaj = uniform_noisy_gate(make_named("maj", 1), 0.1)
     circ = build(parse_formula(text), width, k, 1, xnand=xnand, kmaj=kmaj, seed=0)
     x = tuple(x_index >> i & 1 for i in range(circ.formula.n_inputs))
-    wrong = np.concatenate(list(reliability._wrong_trials(circ, x, seed, 3)))
+    wrong = np.concatenate(list(reliability._wrong_trials(circ, np.array([table_index(x)]), seed, 3)), axis=1)[0]
     mc = simulate_monte_carlo(circ, x, trials, seed)
     assert round(mc.empirical_error * trials) == int(np.count_nonzero(wrong[:trials]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    text=fanout_formulas(max_inputs=4),
+    width=st.sampled_from([1, 3, 9]),
+    restore_errors=st.tuples(*[st.sampled_from([0.0, 0.05, 0.3, 1.0])] * 8),
+    compute_errors=st.tuples(*[st.sampled_from([0.0, 0.1, 0.2, 1.0])] * 8),
+    chunk=st.sampled_from([1, 2, "all"]),
+    seed=st.integers(0, 2**64),
+)
+def test_all_input_walk_rows_equal_one_input_walks_property(
+    text, width, restore_errors, compute_errors, chunk, seed
+):
+    # inputs that share a sampler walk, a chunk of them at a time, see the
+    # masks and wires that each one sees alone, bit for bit
+    k = 1 if width == 1 else 3
+    kmaj = gates.NoisyGate(make_named("maj", k), restore_errors[: 1 << k])
+    xnand = gates.NoisyGate(make_named("xnand"), compute_errors)
+    circ = build(parse_formula(text), width, k, 1, xnand=xnand, kmaj=kmaj, seed=0)
+    n = 1 << circ.formula.n_inputs
+    per_chunk = n if chunk == "all" else chunk
+    with mock.patch.object(reliability, "GROUP_WORDS", per_chunk * width * reliability._WORDS):
+        every = list(reliability._wrong_trials(circ, np.arange(n), seed, 3))
+        for i in range(n):
+            alone = list(reliability._wrong_trials(circ, np.array([i]), seed, 3))
+            assert all(np.array_equal(a[i], b[0]) for a, b in zip(every, alone))
 
 
 @functools.lru_cache(maxsize=None)
@@ -989,50 +1091,50 @@ def test_readme_report_equals_per_input_walks():
 def test_sweep_runs_each_step_once_per_distinct_state(monkeypatch):
     # TREE3 at W=81, r=2 has 256 inputs and 37 stages; the sweep makes one
     # row per distinct (stage, true index, read states) that the 256
-    # per-input walks meet, and each stage's step is one call whose rows
-    # share out all 256 inputs between them
+    # per-input walks meet, and every stage's step is one call
     kmaj, xnand = chsh_gates()
     circ = build(parse_formula(TREE3), 81, 3, 2, xnand=xnand, kmaj=kmaj, seed=7)
     rows = []
     walk = reliability._walk
 
-    def counting_walk(circuit, xs, clean, step):
-        def counted(s, stage, gate, idx, reads, counts):
-            assert len(idx) == len(counts) and all(len(r) == len(counts) for r in reads)
-            rows.extend((s, count) for count in counts.tolist())
-            return step(s, stage, gate, idx, reads, counts)
+    def recording_walk(circuit, xs, start, step):
+        def recorded(s, stage, gate, idx, reads):
+            assert all(len(r) == len(idx) for r in reads)
+            rows.extend(step_row(s, idx, reads, i) for i in range(len(idx)))
+            return step(s, stage, gate, idx, reads)
 
-        return walk(circuit, xs, clean, counted)
+        return walk(circuit, xs, start, recorded)
 
-    monkeypatch.setattr(reliability, "_walk", counting_walk)
+    monkeypatch.setattr(reliability, "_walk", recording_walk)
     build_report(circ, margin=0.05)
     monkeypatch.undo()
-    per_input = set().union(*(step_counts(circ, np.array([i])) for i in range(256)))
-    assert len(rows) == len(per_input)
-    assert len({s for s, _ in rows}) == len(circ.stages)
-    inputs_per_stage = [0] * len(circ.stages)
-    for s, count in rows:
-        inputs_per_stage[s] += count
-    assert inputs_per_stage == [256] * len(circ.stages)
+    per_input = set().union(*(step_rows(circ, np.array([i])) for i in range(256)))
+    assert len(rows) == len(set(rows))
+    assert set(rows) == per_input
+    assert len({s for s, _, _ in rows}) == len(circ.stages)
 
 
-def step_counts(circ, xs):
-    """(stage, true index, read states) -> the count of its step row, summed
-    over the independence walk of the batch ``xs`` of input table indices."""
-    seen = collections.Counter()
+def step_row(s, idx, reads, i):
+    """Row i of stage s's step call, as (stage, true index, read states)."""
+    return s, int(idx[i]), tuple(float(r[i]) for r in reads)
+
+
+def step_rows(circ, xs):
+    """Every (stage, true index, read states) row of the independence walk of
+    the batch ``xs`` of input table indices, in call order."""
+    rows = []
     walk = reliability._walk
 
-    def counting_walk(circuit, xs, clean, step):
-        def counted(s, stage, gate, idx, reads, counts):
-            for i, count in enumerate(counts.tolist()):
-                seen[s, int(idx[i]), tuple(float(r[i]) for r in reads)] += count
-            return step(s, stage, gate, idx, reads, counts)
+    def recording_walk(circuit, xs, start, step):
+        def recorded(s, stage, gate, idx, reads):
+            rows.extend(step_row(s, idx, reads, i) for i in range(len(idx)))
+            return step(s, stage, gate, idx, reads)
 
-        return walk(circuit, xs, clean, counted)
+        return walk(circuit, xs, start, recorded)
 
-    with mock.patch.object(reliability, "_walk", counting_walk):
+    with mock.patch.object(reliability, "_walk", recording_walk):
         reliability._independence_walk(circ, xs)
-    return seen
+    return rows
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -1044,13 +1146,13 @@ def step_counts(circ, xs):
     compute_errors=st.tuples(*[st.sampled_from([0.0, 0.1])] * 8),
     data=st.data(),
 )
-def test_every_step_counts_the_inputs_that_reach_it(
+def test_batch_step_rows_are_the_union_of_per_input_rows(
     text, width, rounds, restore_errors, compute_errors, data
 ):
     # whether a stage takes its combinations from np.unique or from its one
     # split source, and however equal states merge (zero errors make them
-    # likely), each step's count is the number of the batch's inputs whose
-    # own walk makes that step, so every stage's counts add up to the batch
+    # likely), the batch's step rows are the rows the batch's inputs make in
+    # their own walks, each once
     k = 1 if width == 1 else 3
     kmaj = gates.NoisyGate(make_named("maj", k), restore_errors[: 1 << k])
     xnand = gates.NoisyGate(make_named("xnand"), compute_errors)
@@ -1059,12 +1161,9 @@ def test_every_step_counts_the_inputs_that_reach_it(
     xs = np.array(data.draw(st.one_of(
         st.just(list(range(n))), st.lists(st.integers(0, n - 1), min_size=1, unique=True)
     )))
-    batch = step_counts(circ, xs)
-    assert batch == sum((step_counts(circ, xs[i:i + 1]) for i in range(len(xs))), collections.Counter())
-    inputs_per_stage = [0] * len(circ.stages)
-    for (s, _, _), count in batch.items():
-        inputs_per_stage[s] += count
-    assert inputs_per_stage == [len(xs)] * len(circ.stages)
+    batch = step_rows(circ, xs)
+    assert len(batch) == len(set(batch))
+    assert set(batch) == set().union(*(step_rows(circ, xs[i:i + 1]) for i in range(len(xs))))
 
 
 # ---------------------------------------------------------------------------
