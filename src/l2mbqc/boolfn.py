@@ -12,7 +12,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
@@ -94,6 +94,14 @@ class BooleanFunction:
         if len(x) == 1 and not isinstance(x[0], _BIT_TYPES):
             x = tuple(x[0])
         return self.table[self.index_of(x)]
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """The signed Walsh spectrum S(a) = sum_x (-1)^(f(x) xor a.x): one
+        read-only int64 transform per function, computed on first use."""
+        spectrum = walsh(1 - 2 * np.asarray(self.table, dtype=np.int64))
+        spectrum.flags.writeable = False
+        return spectrum
 
 
 @dataclass(frozen=True)
@@ -232,9 +240,7 @@ def nonlinearity(f: BooleanFunction) -> int:
         raise ValueError(
             f"arity {f.arity} above brute-force cap {BRUTE_FORCE_ARITY_CAP}"
         )
-    # signed spectrum W(a) = sum_x (-1)^(f(x) xor a.x)
-    spectrum = walsh(1 - 2 * np.asarray(f.table, dtype=np.int64))
-    return ((1 << f.arity) - int(np.max(np.abs(spectrum)))) // 2
+    return ((1 << f.arity) - int(np.max(np.abs(f.spectrum)))) // 2
 
 
 def kmaj_nonlinearity(k: int) -> int:

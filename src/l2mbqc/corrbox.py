@@ -84,10 +84,10 @@ class OutcomeDistribution:
 
 def _check_finite(pairs: Iterable[tuple[float, float]]):
     # the exact phase sum scales every angle to an integer
-    for pair in pairs:
-        for angle in pair:
-            if not math.isfinite(angle):
-                raise ValueError(f"angle {angle} is not finite")
+    angles = np.fromiter(itertools.chain.from_iterable(pairs), float)
+    finite = np.isfinite(angles)
+    if not finite.all():
+        raise ValueError(f"angle {angles[finite.argmin()]} is not finite")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +25,7 @@ from .mbqc import AffineBitMap, L2Program, constant_program
 SUCCESS_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class QubitSpec:
+class QubitSpec(NamedTuple):
     """One qubit: the input subset driving it and its angle increment.
 
     ``delta`` is the increment in units of pi, kept as an exact rational.
@@ -32,10 +33,6 @@ class QubitSpec:
 
     mask: int
     delta: Fraction
-
-    def __post_init__(self):
-        if self.mask <= 0:
-            raise ValueError("qubit subset mask must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -47,15 +44,23 @@ class GhzProgram:
     constant: int
 
     def __post_init__(self):
+        masks = [mask for mask, _ in self.qubits]
+        if min(masks, default=1) <= 0:
+            raise ValueError("qubit subset mask must be nonempty")
         if self.constant not in (0, 1):
             raise ValueError("constant must be a bit")
-        for q in self.qubits:
-            if q.mask >> self.n:
-                raise ValueError("qubit subset references bits beyond the arity")
+        if max(masks, default=0) >> self.n:
+            raise ValueError("qubit subset references bits beyond the arity")
+        object.__setattr__(self, "_masks", masks)  # checked once, read by verify and the box program
 
     @property
     def n_qubits(self) -> int:
         return len(self.qubits)
+
+    @cached_property
+    def _ratios(self) -> list[tuple[int, int]]:
+        """Each increment as (numerator, denominator), computed once per program."""
+        return [delta.as_integer_ratio() for _, delta in self.qubits]
 
     def phase_sum(self, x_idx: int) -> Fraction:
         """Sum of active increments for input x, in units of pi."""
@@ -69,20 +74,20 @@ class GhzProgram:
 def compile_function(f: BooleanFunction) -> GhzProgram:
     """Derive increments from the parity expansion: delta_T = -2 c_T.
 
-    The exact coefficients are c_T = w_T / 2^n with w the integer Walsh
-    transform of the 0/1 table, so delta_T = -w_T / 2^(n-1). Subsets with
-    zero coefficient are dropped (the qubit bound is "at most").
+    The exact coefficients are c_T = w_T / 2^n with w the Walsh transform of
+    the 0/1 table, and w_T = -S(T)/2 for T != 0 with S the function's signed
+    spectrum, so delta_T = S(T) / 2^n. Subsets with zero coefficient are
+    dropped (the qubit bound is "at most").
     """
     if f.arity > COMPILE_ARITY_CAP:
         raise ValueError(f"arity {f.arity} above compile cap {COMPILE_ARITY_CAP}")
-    w = walsh(np.asarray(f.table, dtype=np.int64)).tolist()
+    masks = np.flatnonzero(f.spectrum[1:]) + 1
+    coefficients = f.spectrum[masks].tolist()
     # few distinct coefficients (about 50 over 1000 qubits at n = 10): one Fraction each
-    deltas = {c: Fraction(-c, 1 << (f.arity - 1)) for c in set(w[1:])}
-    qubits = tuple(
-        QubitSpec(mask=mask, delta=deltas[w[mask]])
-        for mask in range(1, 1 << f.arity)
-        if w[mask]
-    )
+    deltas = {c: Fraction(c, 1 << f.arity) for c in set(coefficients)}
+    pairs = zip(masks.tolist(), map(deltas.__getitem__, coefficients))
+    # tuple.__new__ fills each record without a Python-level QubitSpec.__new__ call
+    qubits = tuple(map(tuple.__new__, repeat(QubitSpec), pairs))
     return GhzProgram(n=f.arity, qubits=qubits, constant=f.table[0])
 
 
@@ -127,15 +132,13 @@ def verify(
     if use_statevector is None:
         use_statevector = 0 < program.n_qubits <= STATEVECTOR_QUBIT_CAP
 
-    # one method call per qubit: each Fraction property read is a Python call
-    ratios = [q.delta.as_integer_ratio() for q in program.qubits]
-    denom = math.lcm(*(b for _, b in ratios))
-    scaled = [a * (denom // b) for a, b in ratios]
+    denom = math.lcm(*(b for _, b in program._ratios))
+    scaled = [a * (denom // b) for a, b in program._ratios]
     # every partial sum below is at most 2 (sum |delta D| + D) in magnitude, so
     # int64 is exact under this bound; past it, Python ints: a program file may
     # carry any denominator
     exact = np.int64 if (sum(map(abs, scaled)) + 2 * denom) * 4 < 1 << 62 else object
-    masks = np.array([q.mask for q in program.qubits], dtype=np.int64)
+    masks = np.array(program._masks, dtype=np.int64)
     numerators = np.zeros(1 << program.n, dtype=exact)
     np.add.at(numerators, masks, np.array(scaled, dtype=exact))
     twice_phase = numerators.sum() - walsh(numerators)  # 2 D S(x)
@@ -186,9 +189,8 @@ def run_as_l2program(program: GhzProgram, epsilon: float = 0.0) -> L2Program:
     if program.n_qubits == 0:
         return constant_program(program.n, program.constant)
     # a / b is float(delta), without its two property reads
-    ratios = [q.delta.as_integer_ratio() for q in program.qubits]
-    box = GhzBox(angles=tuple([(0.0, a / b * math.pi) for a, b in ratios]), epsilon=epsilon)
-    maps = tuple([_subset_map(q.mask) for q in program.qubits])
+    box = GhzBox(angles=tuple([(0.0, a / b * math.pi) for a, b in program._ratios]), epsilon=epsilon)
+    maps = tuple(map(_subset_map, program._masks))
     all_outputs = (1 << program.n_qubits) - 1
     return L2Program(
         n=program.n,

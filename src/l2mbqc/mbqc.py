@@ -65,20 +65,15 @@ class L2Program:
     def __post_init__(self):
         if len(self.input_maps) != len(self.boxes):
             raise ValueError("one input-map group per box required")
-        seen = 0
-        for box, maps in zip(self.boxes, self.input_maps):
-            if len(maps) != box.n_parties:
+        seen = 0  # the outputs of earlier boxes, which a group's maps may read
+        for i, maps in enumerate((*self.input_maps, (self.output_map,))):
+            if i < len(self.boxes) and len(maps) != self.boxes[i].n_parties:
                 raise ValueError("one input map per box party required")
-            for m in maps:
-                self._check_map(m, seen)
-            seen += box.n_parties
-        self._check_map(self.output_map, seen)
-
-    def _check_map(self, m: AffineBitMap, available_outputs: int):
-        if m.x_mask >> self.n:
-            raise ValueError("input map references bits beyond the arity")
-        if m.out_mask >> available_outputs:
-            raise ValueError("map references outputs of later boxes")
+            if max([m.x_mask for m in maps], default=0) >> self.n:
+                raise ValueError("input map references bits beyond the arity")
+            if max([m.out_mask for m in maps], default=0) >> seen:
+                raise ValueError("map references outputs of later boxes")
+            seen += len(maps)
 
 
 # ---------------------------------------------------------------------------
@@ -134,16 +129,12 @@ def run_exact(program: L2Program, target: BooleanFunction) -> StrategyReport:
                 f"exact evaluation needs more than {PATH_CAP} paths x inputs"
             )
 
-    def flip(m: AffineBitMap, outs: int) -> int:
-        """The map's constant on the path with packed outputs outs."""
-        return ((m.out_mask & outs).bit_count() + m.const) & 1
-
     paths = [(0, np.ones(n_inputs))]
     steps = zip(program.boxes, program.input_maps, starts, collapsed)
     for box, maps, start, parity_only in steps:
         new_paths = []
         for outs, prob in paths:
-            forms = [m.x_mask << 1 | flip(m, outs) for m in maps]
+            forms = [m.x_mask << 1 | ((m.out_mask & outs).bit_count() + m.const) & 1 for m in maps]
             if parity_only:
                 p1 = corrbox.parity_probability(box, forms, program.n)
                 new_paths += [(outs, prob * (1.0 - p1)), (outs | 1 << start, prob * p1)]
@@ -153,15 +144,15 @@ def run_exact(program: L2Program, target: BooleanFunction) -> StrategyReport:
                     new_paths.append((outs | o << start, prob * table[:, o]))
         paths = new_paths
 
-    # z = parity(x_mask & x) xor flip is right where flip = f(x) xor parity(x_mask & x)
+    # z is right where the path constant (out_mask . outs) xor const = f(x) xor parity(x_mask & x)
     out_map = program.output_map
     x_part = index_parity(program.n)[out_map.x_mask & np.arange(n_inputs)]
     right = np.asarray(target.table, dtype=np.uint8) ^ x_part
     good = np.zeros(n_inputs)
     for outs, prob in paths:
-        good += prob * (right == flip(out_map, outs))
+        good += prob * (right == ((out_map.out_mask & outs).bit_count() + out_map.const) & 1)
     success = dict(zip(input_keys(program.n), good.tolist()))
-    errors = [1.0 - p for p in success.values()]
+    errors = (1.0 - good).tolist()
     return StrategyReport(
         n=program.n,
         success=success,

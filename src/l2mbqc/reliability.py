@@ -643,10 +643,10 @@ def _gate_keys(gate: NoisyGate) -> tuple[tuple[int, ...], tuple[int, ...], tuple
 
 def _wrong_trials(
     circuit: ReliableCircuit, xs: np.ndarray, seed: int, n_blocks: int
-) -> Iterator[np.ndarray]:
-    """For blocks 0 .. n_blocks-1, a (len(xs), BLOCK) bool array: row r marks
-    the trials of input table index ``xs[r]`` whose majority readout is
-    wrong (ties count as wrong).
+) -> Iterator[tuple[int, slice, np.ndarray]]:
+    """Per block 0 .. n_blocks-1 and per chunk of ``xs``, in turn, (block, rows,
+    wrong): row r of the (chunk, BLOCK) bool array marks the trials of input
+    ``xs[rows][r]`` whose majority readout is wrong (ties count as wrong).
 
     A bundle's state holds each wire's actual value, one bit per trial, so
     every row runs the gate's own value and flip tables; the readout XORs
@@ -696,17 +696,17 @@ def _wrong_trials(
         ]
         return np.array(wrong)[classes]
 
-    chunks = [xs[i : i + group] for i in range(0, len(xs), group)]
-    # each block's arrays die with its call, so nothing outlives a block
+    # each chunk's arrays die with its call, so nothing outlives a chunk
     for block in range(n_blocks):
-        yield np.concatenate([run_chunk(block, chunk) for chunk in chunks])
+        for lo in range(0, len(xs), group):
+            yield block, slice(lo, lo + group), run_chunk(block, xs[lo : lo + group])
 
 
 def _wrong_counts(circuit: ReliableCircuit, xs: np.ndarray, trials: int, seed: int) -> np.ndarray:
-    """Wrong trials among the first ``trials`` of each input table index in ``xs``."""
+    """Wrong trials among the first ``trials`` of each input in ``xs``, counted per chunk."""
     wrong = np.zeros(len(xs), dtype=int)
-    for block, wrong_mask in enumerate(_wrong_trials(circuit, xs, seed, -(-trials // BLOCK))):
-        wrong += np.count_nonzero(wrong_mask[:, : trials - block * BLOCK], axis=1)
+    for block, rows, wrong_mask in _wrong_trials(circuit, xs, seed, -(-trials // BLOCK)):
+        wrong[rows] += np.count_nonzero(wrong_mask[:, : trials - block * BLOCK], axis=1)
     return wrong
 
 
@@ -845,9 +845,10 @@ def build_report(
     rows = list(map(InputRow, itertools.product((0, 1), repeat=n), errors[row_of].tolist()))
     if trials is not None:
         xs = np.arange(1 << n) if mc_inputs == "all" else np.array([worst])
-        for i, wrong in zip(xs.tolist(), _wrong_counts(circuit, xs, trials, seed).tolist()):
-            upper = clopper_pearson_upper(wrong, trials, ALPHA / (1 << n))
-            rows[row_of[i]] = replace(rows[row_of[i]], empirical_error=wrong / trials, upper=upper)
+        counts = _wrong_counts(circuit, xs, trials, seed).tolist()
+        upper = {wrong: clopper_pearson_upper(wrong, trials, ALPHA / (1 << n)) for wrong in set(counts)}
+        for i, wrong in zip(xs.tolist(), counts):
+            rows[row_of[i]] = replace(rows[row_of[i]], empirical_error=wrong / trials, upper=upper[wrong])
     return SimulationReport(
         rows=tuple(rows),
         delta=delta,

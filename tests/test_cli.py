@@ -242,23 +242,34 @@ def test_thresholds_byte_determinism(capsys):
     assert capsys.readouterr().out == first
 
 
-MALFORMED_PROGRAMS = [
-    [],
-    {"n": 2, "constant": 0, "qubits": 5},
-    {"n": 2, "constant": 0, "qubits": [{"mask": None, "num": 1, "den": 2}]},
-    {"n": 2, "constant": 0, "qubits": [{"mask": 1, "num": 1, "den": 0}]},
-    {"n": 2, "constant": 0, "qubits": [{"mask": 1, "num": 1, "den": 2}] * 1024},
-]
+def _with_mask(mask):
+    """A 2-input program whose second qubit is on subset ``mask``."""
+    return {"n": 2, "constant": 0, "qubits": [{"mask": 1, "num": 1, "den": 2}, {"mask": mask, "num": 1, "den": 2}]}
+
+
+#: id -> (program body, its exact error message or None)
+MALFORMED_PROGRAMS = {
+    "list": ([], None),
+    "qubits-int": ({"n": 2, "constant": 0, "qubits": 5}, None),
+    "mask-null": ({"n": 2, "constant": 0, "qubits": [{"mask": None, "num": 1, "den": 2}]}, None),
+    "den-zero": ({"n": 2, "constant": 0, "qubits": [{"mask": 1, "num": 1, "den": 0}]}, None),
+    "1024-qubits": ({"n": 2, "constant": 0, "qubits": [{"mask": 1, "num": 1, "den": 2}] * 1024}, None),
+    # GhzProgram checks every mask, 0 < mask < 2^n
+    "mask-zero": (_with_mask(0), "qubit subset mask must be nonempty"),
+    "mask-negative": (_with_mask(-3), "qubit subset mask must be nonempty"),
+    "mask-wide": (_with_mask(4), "qubit subset references bits beyond the arity"),
+}
 
 
 @pytest.mark.parametrize("subcommand", ["verify", "inequality"])
-@pytest.mark.parametrize("body", MALFORMED_PROGRAMS, ids=["list", "qubits-int", "mask-null", "den-zero", "1024-qubits"])
-def test_malformed_program_file_exits_2(tmp_path, and_tt, capsys, subcommand, body):
+@pytest.mark.parametrize("body, message", MALFORMED_PROGRAMS.values(), ids=MALFORMED_PROGRAMS)
+def test_malformed_program_file_exits_2(tmp_path, and_tt, capsys, subcommand, body, message):
     path = tmp_path / "bad.ghz"
     path.write_text(json.dumps(body))
     assert run([subcommand, "--program", str(path), "--fn", and_tt]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert message is None or err == f"error: {message}\n"
     assert "Traceback" not in err
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l2mbqc import ghzc, mbqc
+from l2mbqc import boolfn, corrbox, ghzc, mbqc
 from l2mbqc.boolfn import BooleanFunction, make_named
 from l2mbqc.corrbox import statevector_oracle
 from l2mbqc.ghzc import (
@@ -439,3 +440,71 @@ def test_cross_check_above_the_cap_raises_before_allocating():
             verify(program, f, use_statevector=True)
 
     assert _traced_peak(cross_check) < one_row
+
+
+# ---------------------------------------------------------------------------
+# the whole compiled path, pinned
+
+def _ghz_path_record(f):
+    """repr of everything the compiled path computes for f."""
+    program = compile_function(f)
+    result = verify(program, f)
+    record = [program_to_config(program), result.success, result.congruence_ok,
+              result.statevector_success]
+    for epsilon in (0.0, 0.05):
+        report = mbqc.run_exact(run_as_l2program(program, epsilon), f)
+        cert = mbqc.contextuality_certificate(report, f)
+        record += [report.success, report.average_error, report.worst_error, cert.delta]
+    return repr(record)
+
+
+#: sha256 over two seeded random tables per n = 1 .. 10 of the program
+#: config, verify's success, congruence and state-vector success, run_exact
+#: at epsilon 0 and 0.05 (success, average and worst error) and the
+#: certificate's delta, from the code before qubits became plain records
+PINNED_GHZ_PATH = "7dc48fc22be5cf7ed1d55bc6911d557ce2fc7e15133c42bcab7e3d804e5ef4cf"
+
+
+def test_compiled_path_is_pinned():
+    rng = random.Random(2025)
+    digest = hashlib.sha256()
+    for n in range(1, 11):
+        for _ in range(2):
+            digest.update(_ghz_path_record(random_function(rng, n)).encode())
+    assert digest.hexdigest() == PINNED_GHZ_PATH
+
+
+def test_one_transform_serves_nonlinearity_compile_and_certificate(monkeypatch):
+    calls = []
+
+    def counting(values):
+        calls.append(len(values))
+        return transform(values)
+
+    transform = boolfn.walsh
+    for module in (boolfn, corrbox, ghzc):  # every module that holds the kernel
+        monkeypatch.setattr(module, "walsh", counting)
+    f = random_function(random.Random(25), 6)
+    nu = boolfn.nonlinearity(f)
+    assert compile_function(f).n_qubits > 0
+    report = mbqc.StrategyReport(n=6, success={}, average_error=0.0, worst_error=0.0)
+    assert mbqc.contextuality_certificate(report, f).nu == nu
+    assert calls == [64]  # the function's spectrum, computed once
+
+
+def test_spectrum_is_read_only():
+    f = make_named("maj", 3)
+    assert f.spectrum.tolist() == [0, 4, 4, 0, 4, 0, 0, -4]
+    with pytest.raises(ValueError):
+        f.spectrum[0] = 1
+    with pytest.raises(AttributeError):
+        f.spectrum = np.zeros(8, dtype=np.int64)
+    assert f.spectrum[0] == 0
+
+
+def test_qubit_spec_is_a_plain_record():
+    q = QubitSpec(3, Fraction(1, 2))
+    assert q == QubitSpec(mask=3, delta=Fraction(1, 2)) == (3, Fraction(1, 2))
+    [compiled] = compile_function(make_named("xor")).qubits
+    assert type(compiled) is QubitSpec and compiled == (3, Fraction(1))
+    assert (compiled.mask, compiled.delta) == (3, Fraction(1))

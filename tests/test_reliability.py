@@ -53,6 +53,15 @@ def table_index(x):
     return sum(b << j for j, b in enumerate(x))
 
 
+def wrong_blocks(circ, xs, seed, n_blocks):
+    """Per block, the (len(xs), BLOCK) wrong-trial rows, joined from the
+    sampler's chunks."""
+    blocks = [[] for _ in range(n_blocks)]
+    for block, _, wrong in reliability._wrong_trials(circ, xs, seed, n_blocks):
+        blocks[block].append(wrong)
+    return [np.concatenate(chunks) for chunks in blocks]
+
+
 def halfwidth(p, trials):
     """The normal-approximation 95 % half-width 1.96 sqrt(p(1 - p)/n) of a
     sampled error p, a tolerance for comparing it with another figure."""
@@ -445,7 +454,7 @@ def test_sampled_bits_are_pinned_with_input_dependent_errors(width, k, restore_e
     )
     circ = build(parse_formula("(nand a b)"), width, k, 1, xnand=xnand, kmaj=kmaj, seed=3)
     got = tuple(
-        tuple(int(np.count_nonzero(m)) for m in reliability._wrong_trials(circ, np.array([table_index(x)]), 9, 3))
+        tuple(int(np.count_nonzero(m)) for m in wrong_blocks(circ, np.array([table_index(x)]), 9, 3))
         for x in itertools.product((0, 1), repeat=2)
     )
     assert got == PINNED_WRONG_TRIALS[width, k]
@@ -565,7 +574,7 @@ def test_shorter_runs_are_prefixes_of_longer_ones():
     kmaj, xnand = chsh_gates()
     circ = build(parse_formula("(nand a b)"), 9, 3, 1, xnand=xnand, kmaj=kmaj, seed=6)
     x = (1, 1)
-    blocks = list(reliability._wrong_trials(circ, np.array([table_index(x)]), 11, 3))
+    blocks = wrong_blocks(circ, np.array([table_index(x)]), 11, 3)
     assert all(b.shape == (1, reliability.BLOCK) for b in blocks)
     wrong = np.concatenate(blocks, axis=1)[0]
     for n in (1, 700, reliability.BLOCK, 1500, 3 * reliability.BLOCK):
@@ -671,6 +680,46 @@ def test_all_input_report_memory_is_bounded_by_the_chunk(monkeypatch):
             tracemalloc.stop()
     one, every = peaks
     assert every <= 3 * one
+
+
+#: a NAND chain over 14 inputs: at W=3 r=0 its 16 384 inputs take 13 chunks
+CHAIN14 = functools.reduce(lambda acc, name: f"(nand {acc} {name})", "bcdefghijklmn", "a")
+
+
+def test_all_input_counts_hold_one_chunk_of_rows_at_a_time():
+    # each chunk's wrong-trial rows are counted as the chunk finishes, so no
+    # block's rows are ever joined: 2.1 chunks here, 24 when they were
+    kmaj, xnand = chsh_gates()
+    circ = build(parse_formula(CHAIN14), 3, 3, 0, xnand=xnand, kmaj=kmaj, seed=1)
+    xs = np.arange(1 << 14)
+    group = reliability.GROUP_WORDS // (3 * reliability._WORDS)
+    assert -(-len(xs) // group) == 13
+    reliability._wrong_counts(circ, xs[:8], 64, 1)  # warm numpy's lazy set-up
+    tracemalloc.start()
+    try:
+        reliability._wrong_counts(circ, xs, 1024, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * group * reliability.BLOCK  # three chunks' bool rows
+
+
+def test_report_bounds_each_distinct_count_once(monkeypatch):
+    bound = gates.clopper_pearson_upper
+    calls = []
+
+    def counting(k, n, level):
+        calls.append(k)
+        return bound(k, n, level)
+
+    monkeypatch.setattr(reliability, "clopper_pearson_upper", counting)
+    kmaj, xnand = chsh_gates()
+    circ = build(parse_formula(CHAIN14), 3, 3, 0, xnand=xnand, kmaj=kmaj, seed=1)
+    report = build_report(circ, trials=1024, seed=1)
+    counts = [round(row.empirical_error * 1024) for row in report.rows]
+    assert sorted(calls) == sorted(set(counts)) and len(calls) == 13
+    uppers = {k: bound(k, 1024, 0.05 / (1 << 14)) for k in calls}
+    assert all(row.upper == uppers[k] for row, k in zip(report.rows, counts))
 
 
 def test_monte_carlo_memory_does_not_grow_with_trials():
@@ -1016,7 +1065,7 @@ def test_monte_carlo_runs_are_prefixes_property(text, width, x_index, trials, se
         kmaj = uniform_noisy_gate(make_named("maj", 1), 0.1)
     circ = build(parse_formula(text), width, k, 1, xnand=xnand, kmaj=kmaj, seed=0)
     x = tuple(x_index >> i & 1 for i in range(circ.formula.n_inputs))
-    wrong = np.concatenate(list(reliability._wrong_trials(circ, np.array([table_index(x)]), seed, 3)), axis=1)[0]
+    wrong = np.concatenate(wrong_blocks(circ, np.array([table_index(x)]), seed, 3), axis=1)[0]
     mc = simulate_monte_carlo(circ, x, trials, seed)
     assert round(mc.empirical_error * trials) == int(np.count_nonzero(wrong[:trials]))
 
@@ -1042,9 +1091,9 @@ def test_all_input_walk_rows_equal_one_input_walks_property(
     n = 1 << circ.formula.n_inputs
     per_chunk = n if chunk == "all" else chunk
     with mock.patch.object(reliability, "GROUP_WORDS", per_chunk * width * reliability._WORDS):
-        every = list(reliability._wrong_trials(circ, np.arange(n), seed, 3))
+        every = wrong_blocks(circ, np.arange(n), seed, 3)
         for i in range(n):
-            alone = list(reliability._wrong_trials(circ, np.array([i]), seed, 3))
+            alone = wrong_blocks(circ, np.array([i]), seed, 3)
             assert all(np.array_equal(a[i], b[0]) for a, b in zip(every, alone))
 
 
