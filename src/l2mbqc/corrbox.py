@@ -6,8 +6,9 @@ noise), and non-contextual mixtures of deterministic local responses.
 Every box function takes the same input: party j reads an affine GF(2)
 form of an n-bit input x, packed as 2 T_j + c_j, and the answer covers all
 2^n inputs; at n = 0 the forms are plain input bits. Closed-form
-distributions are cross-checkable against a dense state-vector oracle that
-never uses the closed forms.
+distributions are cross-checkable against a state-vector oracle, the Born
+rule on the GHZ state's two nonzero amplitudes, that never uses the closed
+forms.
 """
 
 from __future__ import annotations
@@ -355,37 +356,29 @@ def _xy_basis(phi) -> np.ndarray:
     return np.stack([s, e, s, -e], axis=-1).reshape(np.shape(phi) + (2, 2))
 
 
-def _measure(amps: np.ndarray, bases: Sequence[np.ndarray], rows: np.ndarray) -> np.ndarray:
-    """Outcome probabilities of B states measured party by party, as (B, 2^N).
+def _measure(bases: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Outcome probabilities of B measured GHZ states, as (B, 2^N).
 
-    Row b of ``amps`` holds 2^N amplitudes, bit j of the index being party
-    j's qubit; party j of row b is measured in ``bases[j][rows[b, j]]`` (a
-    stack of 2x2 matrices whose rows are <v_o|). Each step applies the top
-    qubit's basis with elementwise ufuncs and writes the result with that
-    qubit moved to bit 0, so after N steps bit j is party j's outcome again.
-    Two (B, 2^N) buffers and one half-size temporary are held; ``amps`` is
-    overwritten.
+    Party j of row b is measured in ``bases[j, rows[b, j]]``, a 2x2 matrix
+    whose row o is <v_o|, and bit j of the outcome index is party j's
+    outcome. The state (|0...0> + |1...1>)/sqrt(2) has two nonzero
+    amplitudes, so by the Born rule outcome o has amplitude
+    (prod_j <v_{o_j}|0> + prod_j <v_{o_j}|1>)/sqrt(2). Each product is built
+    one party at a time as an outer product that puts party j on bit j:
+    about 2 2^N complex multiplications per row, with the two (B, 2^N)
+    products the largest arrays held.
     """
     b = len(rows)
-    out = np.empty_like(amps)
-    for j in reversed(range(len(bases))):
-        m = bases[j][rows[:, j]][..., None]  # (B, 2, 2, 1)
-        top = amps.reshape(b, 2, -1)  # party j is the top qubit
-        low = out.reshape(b, -1, 2)  # party j is written as bit 0
-        for o in (0, 1):
-            np.multiply(m[:, o, 0], top[:, 0], out=low[:, :, o])
-            low[:, :, o] += m[:, o, 1] * top[:, 1]
-        amps, out = out, amps
-    probs = np.abs(amps)
-    probs *= probs
+    m = bases[np.arange(len(bases)), rows]  # m[b, j, o, i] = <v_o|i> of party j
+    zeros, ones = m[:, 0, :, 0] / math.sqrt(2.0), m[:, 0, :, 1] / math.sqrt(2.0)
+    for j in range(1, len(bases)):
+        # party j's outcome goes on bit j, above the parties already measured
+        zeros = (m[:, j, :, 0, None] * zeros[:, None]).reshape(b, -1)
+        ones = (m[:, j, :, 1, None] * ones[:, None]).reshape(b, -1)
+    zeros += ones
+    probs = zeros.real ** 2
+    probs += zeros.imag ** 2
     return probs
-
-
-def _ghz_state(batch: int, n: int) -> np.ndarray:
-    """(|0...0> + |1...1>)/sqrt(2) on n qubits, once per row."""
-    amps = np.zeros((batch, 1 << n), dtype=complex)
-    amps[:, 0] = amps[:, -1] = 1.0 / math.sqrt(2.0)
-    return amps
 
 
 def _basis_pairs(box: CorrelationBox) -> np.ndarray:
@@ -407,10 +400,11 @@ def _basis_pairs(box: CorrelationBox) -> np.ndarray:
 def statevector_parity(box: BipartiteBox | GhzBox, forms: Iterable[int], n: int) -> np.ndarray:
     """P(xor of all outputs = 1) at every n-bit input x, party j reading form 2 T_j + c_j.
 
-    Independent of the closed forms: every input's measured state is
-    simulated in one batched dense pass (see ``statevector_oracle``), in
-    chunks of 2^(STATEVECTOR_QUBIT_CAP - N) inputs, so no chunk holds more
-    than 2^16 amplitudes. The forms are checked as in ``parity_probability``.
+    Independent of the closed forms: every input's measured state gets all
+    2^N outcome probabilities from the Born rule (see ``_measure``), and the
+    odd outcomes are summed. Inputs go in chunks of
+    2^(STATEVECTOR_QUBIT_CAP - N), so no chunk holds more than 2^16
+    amplitudes. The forms are checked as in ``parity_probability``.
     """
     pairs = _basis_pairs(box)
     k = len(pairs)
@@ -420,18 +414,18 @@ def statevector_parity(box: BipartiteBox | GhzBox, forms: Iterable[int], n: int)
     out = np.empty(len(rows))
     for start in range(0, len(rows), step):
         chunk = rows[start:start + step]
-        out[start:start + step] = _measure(_ghz_state(len(chunk), k), pairs, chunk) @ odd
+        out[start:start + step] = _measure(pairs, chunk) @ odd
     return out
 
 
 def statevector_oracle(box: CorrelationBox, inputs: Sequence[int]) -> OutcomeDistribution:
-    """Independent verification path: dense simulation of the measured state.
+    """Independent verification path: the Born rule on the measured state.
 
     Supports the Bell-state box and noiseless GHZ boxes; no closed forms
-    are used anywhere on this path. It runs the dense pass of
+    are used anywhere on this path. It runs the kernel of
     ``statevector_parity`` on a batch of one, so it holds at most 2^16
     amplitudes; inputs that are not one bit per party raise ValueError.
     """
     pairs = _basis_pairs(box)
     row = _check_forms(inputs, len(pairs), 0)
-    return OutcomeDistribution(_measure(_ghz_state(1, len(pairs)), pairs, row[None])[0])
+    return OutcomeDistribution(_measure(pairs, row[None])[0])

@@ -23,8 +23,11 @@ EPSILON_CLASSIFICATION_TOL = 1e-12
 
 RationalLike = Union[Fraction, int, str, float]
 
-# largest odd k that min_k_for_violation scans and threshold_sweep tabulates
+# largest odd k that min_k_for_violation scans
 K_CAP = 10001
+# largest odd k that threshold_sweep tabulates: the widest integer of the row
+# at k = 7149 has 4301 digits, past Python's default int-to-string limit
+SWEEP_K_CAP = 7147
 
 
 @dataclass(frozen=True)
@@ -195,8 +198,8 @@ def threshold_sweep(kmax: int) -> list[dict]:
     """Rows (k, beta_k, nu/2^k, gap) in exact and float form for odd k <= kmax."""
     if kmax < 3:
         raise ValueError("kmax must be at least 3")
-    if kmax > K_CAP:
-        raise ValueError(f"kmax {kmax} above cap {K_CAP}")
+    if kmax > SWEEP_K_CAP:
+        raise ValueError(f"kmax {kmax} above cap {SWEEP_K_CAP}")
     rows = []
     for k in range(3, kmax + 1, 2):
         b = beta(k).beta

@@ -123,9 +123,9 @@ def verify(
     constant (mod 2) and the closed-form success (1 + cos(pi (S(x) - want)))/2
     both follow from S(x) mod 2. When the program is small enough, the
     state-vector oracle computes the success again as an independent path:
-    ``corrbox.statevector_parity`` simulates every input's measured GHZ state
-    in one batched dense pass, chunked so that no chunk holds more than 2^16
-    amplitudes.
+    ``corrbox.statevector_parity`` applies the Born rule to every input's
+    measured GHZ state, from the basis matrices alone, in chunks that hold
+    at most 2^16 amplitudes.
     """
     if program.n != f.arity:
         raise ValueError("program arity does not match the function")

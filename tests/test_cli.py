@@ -314,7 +314,8 @@ MALFORMED_INPUTS = {
     "gate-k17": (["gate", "maj", "--resource", "ghz", "--k", "17"], "above cap 16"),
     "thresholds-even-kmax": (["thresholds", "--kmax", "8"], "kmax must be odd"),
     "thresholds-small-kmax": (["thresholds", "--kmax", "1"], "at least 3"),
-    "thresholds-kmax-above-cap": (["thresholds", "--kmax", "10003"], "above cap 10001"),
+    "thresholds-kmax-above-cap": (["thresholds", "--kmax", "10003"], "above cap 7147"),
+    "thresholds-kmax-at-cap": (["thresholds", "--kmax", "10001"], "above cap 7147"),
     "compile-missing-file": (["compile", "--fn", "missing.tt"], "missing.tt"),
     "compile-bad-hex": (["compile", "--fn", "badhex.tt"], "line 2"),
     "compile-signed-hex": (["compile", "--fn", "signedhex.tt"], "line 2: invalid hex table '-1'"),

@@ -297,15 +297,55 @@ def test_oracle_trivial_cases():
 
 
 def test_oracle_packs_party_zero_in_the_low_bit():
-    # |01>: party 0 in |0>, party 1 in |1> (bit j of the index is party j's
-    # qubit), both read in the Z basis
-    amps = np.zeros((1, 4), dtype=complex)
-    amps[0, 0b10] = 1.0
-    z_basis = corrbox._xz_basis(np.zeros(1))
-    probs = corrbox._measure(amps, [z_basis] * 2, np.zeros((1, 2), dtype=np.intp))
+    # a 3-party GHZ state read in Z, Z and X: parties 0 and 1 agree and party
+    # 2 is uniform, so with party j on bit j the support is 000, 011, 100, 111
+    bases = corrbox._xz_basis(np.array([(0.0, 0.0), (0.0, 0.0), (math.pi / 2,) * 2]))
+    probs = corrbox._measure(bases, np.zeros((1, 3), dtype=np.intp))
     dist = OutcomeDistribution(probs[0])
-    assert dist.probs[0b10] == 1.0
-    assert dist[(0, 1)] == 1.0
+    assert np.flatnonzero(dist.probs).tolist() == [0b000, 0b011, 0b100, 0b111]
+    assert dist.probs[[0b000, 0b011, 0b100, 0b111]] == pytest.approx([0.25] * 4, abs=1e-15)
+    assert dist[(1, 1, 0)] == dist.probs[0b011] > 0.0
+    assert dist[(0, 1, 1)] == 0.0
+
+
+def _dense_measure(bases, rows):
+    """The GHZ state's outcome probabilities by a dense 2x2 pass per party (oracle copy).
+
+    Starts from all 2^N amplitudes of (|0...0> + |1...1>)/sqrt(2) per row,
+    bit j of the index being party j's qubit, and applies the top qubit's
+    basis while moving it to bit 0, so after N steps bit j is party j's
+    outcome again.
+    """
+    b = len(rows)
+    amps = np.zeros((b, 1 << len(bases)), dtype=complex)
+    amps[:, 0] = amps[:, -1] = 1.0 / math.sqrt(2.0)
+    out = np.empty_like(amps)
+    for j in reversed(range(len(bases))):
+        m = bases[j][rows[:, j]][..., None]  # (B, 2, 2, 1)
+        top = amps.reshape(b, 2, -1)  # party j is the top qubit
+        low = out.reshape(b, -1, 2)  # party j is written as bit 0
+        for o in (0, 1):
+            np.multiply(m[:, o, 0], top[:, 0], out=low[:, :, o])
+            low[:, :, o] += m[:, o, 1] * top[:, 1]
+        amps, out = out, amps
+    return np.abs(amps) ** 2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_born_rule_kernel_matches_the_dense_pass(data):
+    # Bell boxes read in the XZ plane, GHZ boxes on the equator; each row
+    # picks every party's basis on its own
+    parties = data.draw(st.integers(1, 12))
+    angles = np.array(data.draw(st.lists(_angle_pairs, min_size=parties, max_size=parties)))
+    plane = data.draw(st.sampled_from([corrbox._xz_basis, corrbox._xy_basis]))
+    bases = plane(angles)
+    batch = data.draw(st.integers(1, 4))
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=batch * parties, max_size=batch * parties))
+    rows = np.array(bits, dtype=np.int64).reshape(batch, parties)
+    got = corrbox._measure(bases, rows)
+    assert got.shape == (batch, 1 << parties)
+    assert np.abs(got - _dense_measure(bases, rows)).max() <= 1e-15
 
 
 def test_oracle_rejects_noise_and_oversize():

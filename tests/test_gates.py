@@ -222,8 +222,18 @@ def test_threshold_sweep_rejects_kmax_above_cap_before_any_work(monkeypatch):
         raise AssertionError("beta computed before the cap check")
 
     monkeypatch.setattr(gates, "beta", no_work)
-    with pytest.raises(ValueError, match=f"kmax {gates.K_CAP + 2} above cap 10001"):
-        threshold_sweep(gates.K_CAP + 2)
+    with pytest.raises(ValueError, match=f"kmax {gates.SWEEP_K_CAP + 2} above cap 7147"):
+        threshold_sweep(gates.SWEEP_K_CAP + 2)
+
+
+def test_sweep_cap_is_the_largest_k_whose_row_prints():
+    # Python's default int-to-string limit is 4300 digits
+    def widest(k):
+        nu = Fraction(kmaj_nonlinearity(k), 1 << k)
+        values = (gates.beta(k).beta, nu, gates.gap(k))
+        return max(max(abs(v.numerator), v.denominator) for v in values)
+
+    assert widest(gates.SWEEP_K_CAP) < 10**4300 <= widest(gates.SWEEP_K_CAP + 2)
 
 
 def test_min_k_stops_at_the_cap(monkeypatch):
