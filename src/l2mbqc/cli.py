@@ -78,7 +78,11 @@ def _read_function(path: str) -> boolfn.BooleanFunction:
 
 def _read_program(path: str) -> ghzc.GhzProgram:
     with open(path, "r", encoding="utf-8") as fh:
-        return ghzc.program_from_config(json.load(fh))
+        try:
+            config = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+    return ghzc.program_from_config(config)
 
 
 # ---------------------------------------------------------------------------

@@ -59,10 +59,6 @@ def uniform_noisy_gate(target: BooleanFunction, epsilon: float) -> NoisyGate:
     return NoisyGate(target, (float(epsilon),) * (1 << target.arity))
 
 
-def perfect_gate(target: BooleanFunction) -> NoisyGate:
-    return uniform_noisy_gate(target, 0.0)
-
-
 def gate_from_report(target: BooleanFunction, report: mbqc.StrategyReport) -> NoisyGate:
     """The gate whose error at each input is the report's failure there, in
     table order."""

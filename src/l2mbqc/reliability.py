@@ -3,25 +3,25 @@
 Every logical bit is carried by a bundle of W wires. Compute stages apply a
 noisy three-input XNAND wire-wise to one copy of the first operand and two
 copies of the second; restore stages vote with noisy k-input majority gates
-to push the bundle error back toward its fixed point. Both kinds are one
-``Stage`` shape: a target bundle and one source bundle per gate input.
-``build`` lays out the stages and draws nothing; the wire permutation that
+to push the bundle error back toward its fixed point. ``build`` lays out
+two stage shapes: a restore reads one bundle k times, a compute reads
+``(a, b, b)`` with a != b. It draws nothing; the wire permutation that
 feeds each gate input is the circuit's ``wiring``, drawn from (seed, stage
 order) the first time the sampler runs on the circuit.
 
 Every error model runs on one stage walk, ``_walk``, which tracks the true
-logical values and hands each stage's gate and true input indices to the
-model's step; the step maps the read bundles' states to the target's. The
-walk takes a batch of inputs at once and groups them by each bundle's (true
-value, state), and calls each stage's step once, on numpy arrays with one
+logical values and hands each stage's true input indices to the model's
+step; the step maps the read bundles' states to the target's. The
+walk takes a batch of inputs at once, groups them by each bundle's (true
+value, state) and calls each stage's step once, on numpy arrays with one
 row per distinct (true index, read states). The independence model's state
 is one wire's error probability, with the wires of a bundle assumed
-independent: every stage, compute or restore, is one polynomial in its
-sources' read errors (``gates.error_polynomial``), built once per gate and
-wires and gathered by true index; the sweep over all 2^n table indices is
-one walk. The seeded wire-level Monte Carlo's state is every wire's actual
-value under the circuit's fixed wiring, and its walks take the sampled
-inputs a chunk at a time; it quantifies how much that assumption leaks.
+independent: each stage shape is one polynomial in its sources' read errors
+(``gates.error_polynomial``), kept for recent gates and gathered by true
+index; the sweep over all 2^n table indices is one walk. The seeded
+wire-level Monte Carlo's state is every wire's actual value under the
+circuit's fixed wiring, and its walks take the sampled inputs a chunk at a
+time; it quantifies how much that assumption leaks.
 
 The Monte Carlo sampler is bit-sliced: 64 trials ride in one uint64 word,
 and trials run in blocks of ``BLOCK`` = 1024. Block b draws all its gate
@@ -192,8 +192,9 @@ class Stage:
     stage's row of the circuit's ``wiring``, or wire j itself when that entry
     is None.
 
-    A restore stage reads its one source k times; a compute stage reads
-    ``(a, b, b)``.
+    ``build`` is the only producer, and lays out two shapes, on which the
+    stage walk relies: a restore stage reads its one source k times, a
+    compute stage reads ``(a, b, b)`` with a != b.
     """
 
     kind: str
@@ -351,47 +352,28 @@ def build(
 # ---------------------------------------------------------------------------
 # the stage walk
 
-def _combinations(stage: Stage, live: dict, n: int):
-    """The rows of a stage whose gate inputs read more than one bundle of the
-    walk's ``live`` ones, for a batch of ``n`` inputs: one row per combination
-    of the sources' classes that occurs, as ``(inverse, idx, reads)`` (see
-    ``_walk``). A stage with one split source takes its rows from that
-    source's classes as they are."""
-    # each distinct source with the gate inputs it feeds, as an index mask
-    masks: dict[int, int] = {}
-    for i, src in enumerate(stage.sources):
-        masks[src] = masks.get(src, 0) | 1 << i
-    # the sources whose inputs fall into more than one class (none for one input)
-    split = [src for src in masks if live[src][0] is not None] if n > 1 else []
-    pick = {}  # source -> the class of each row, where not taken as is
-    if len(split) <= 1:
-        inverse, values, _ = live[split[0] if split else stage.sources[0]]
-        n_rows = len(values)
-    else:  # a mixed-radix code per input, first split source least significant
-        code, size = 0, 1
-        for src in reversed(split):
-            code = code * len(live[src][1]) + live[src][0]
-            size *= len(live[src][1])
+def _pairs(live: dict, a: int, b: int, n: int):
+    """The rows of a compute stage that reads bundle ``a`` once and ``b``
+    twice, for a batch of ``n`` inputs: one row per pair of their classes
+    that occurs, as ``(inverse, idx, reads)`` (see ``_walk``). When one
+    bundle holds the batch in one class, the other's classes are the rows."""
+    (ca, va, sa), (cb, vb, sb) = live[a], live[b]
+    if ca is None and cb is None:
+        inverse = None
+    elif cb is None:  # b's one class repeats on every row
+        inverse, vb, sb = ca, vb.repeat(len(va)), sb.repeat(len(va), axis=0)
+    elif ca is None:
+        inverse, va, sa = cb, va.repeat(len(vb)), sa.repeat(len(vb), axis=0)
+    else:  # one code per input, a's class least significant
+        code, size = cb * len(va) + ca, len(va) * len(vb)
         if size <= n:  # mark every code; a code's row is the number of smaller codes that occur
             occurs = np.bincount(code, minlength=size) > 0
             codes, inverse = np.flatnonzero(occurs), (np.cumsum(occurs) - 1)[code]
         else:
             codes, inverse = np.unique(code, return_inverse=True)
-        n_rows = len(codes)
-        for src in split:
-            codes, pick[src] = np.divmod(codes, len(live[src][1]))
-    if split:  # unsplit sources repeat their one class on every row
-        for src in masks:
-            if src not in split:
-                pick[src] = np.zeros(n_rows, dtype=int)
-    parts, read = [], {}  # each distinct source's part of idx, and its states, per row
-    for src, mask in masks.items():
-        _, values, states = live[src]
-        if src in pick:
-            values, states = values[pick[src]], states[pick[src]]
-        parts.append(values * mask)
-        read[src] = states
-    return inverse, sum(parts[1:], parts[0]), [read[src] for src in stage.sources]
+        pb, pa = np.divmod(codes, len(va))
+        va, sa, vb, sb = va[pa], sa[pa], vb[pb], sb[pb]
+    return inverse, va + 6 * vb, [sa, sb, sb]
 
 
 def _walk(circuit: ReliableCircuit, xs: np.ndarray, start, step):
@@ -404,15 +386,14 @@ def _walk(circuit: ReliableCircuit, xs: np.ndarray, start, step):
     batch into classes: ``values`` holds each class's true value, ``states``
     each class's state along a leading class axis and ``classes`` each
     input's class id, or None when one class holds the whole batch (the
-    output's is always an array). Stage s calls ``step(s, stage, gate, idx,
-    reads)`` once, with one row per combination of its sources' classes that
-    occurs: ``idx`` holds the rows' true input indices and ``reads`` the read
-    states in gate-input order; the step returns the target's state per row.
-    A stage whose gate inputs all read one bundle, as a restore's do, takes
-    its rows from that bundle's classes as they are, and so does a stage with
-    one split source. Rows with equal (value, state) merge into one class, so
-    a stage has one row per distinct (true index, read states), and a batch
-    of one never compares states. A bundle is dropped after its last read.
+    output's is always an array). Stage s calls ``step(s, stage, idx,
+    reads)`` once: a restore's rows are its source's classes as they are, a
+    compute's the pairs of its sources' classes that occur (``_pairs``);
+    ``idx`` holds the rows' true input indices and ``reads`` the read states
+    in gate-input order, and the step returns the target's state per row.
+    Rows with equal (value, state) merge into one class, so a stage has one
+    row per distinct (true index, read states), and a batch of one never
+    compares states. A bundle is dropped after its last read.
     """
     n = len(xs)
     start = np.asarray(start)
@@ -421,17 +402,16 @@ def _walk(circuit: ReliableCircuit, xs: np.ndarray, start, step):
     for b, row, ones in zip(circuit.input_bundles, bits, bits.sum(axis=1).tolist()):
         values = np.array([0, 1]) if 0 < ones < n else row[:1]
         live[b] = (row if 0 < ones < n else None, values, start[values])
-    gate_of = {"restore": circuit.kmaj, "compute": circuit.xnand}
-    table_of = {kind: np.array(gate.target.table) for kind, gate in gate_of.items()}
+    xnand_table = np.array(circuit.xnand.target.table)
     for s, stage in enumerate(circuit.stages):
-        if len(set(stage.sources)) == 1:  # every gate input reads one bundle, whose classes are the rows
+        if stage.kind == "restore":  # k reads of one bundle: its classes are the rows, its values the majority's
             inverse, values, states = live[stage.sources[0]]
             idx = values * ((1 << len(stage.sources)) - 1)
             reads = [states] * len(stage.sources)
         else:
-            inverse, idx, reads = _combinations(stage, live, n)
-        states = step(s, stage, gate_of[stage.kind], idx, reads)
-        values = table_of[stage.kind][idx]
+            inverse, idx, reads = _pairs(live, *stage.sources[:2], n)
+            values = xnand_table[idx]
+        states = step(s, stage, idx, reads)
         if len(values) > 1:
             # a float state is its own key; a word state keys by its bytes
             rows = states.tolist() if states.ndim == 1 else [row.tobytes() for row in states]
@@ -457,57 +437,44 @@ def _walk(circuit: ReliableCircuit, xs: np.ndarray, start, step):
 # analytic error propagation
 
 @functools.lru_cache(maxsize=16)
-def _error_table(gate: NoisyGate, pattern: tuple[int, ...], one_wire: bool):
-    """The wires of a stage whose gate input i reads the bundle that input
-    ``pattern[i]`` reads first: one per read, or one per bundle if
-    ``one_wire`` (width 1). Returns each bundle's first read, the sorted true
-    indices the wires can carry (all reads of a bundle carry its value) and
-    their ``gates.error_polynomial`` coefficients; kept for recent tables.
+def _error_table(kind: str, gate: NoisyGate, one_wire: bool):
+    """The sorted true input indices a stage of ``kind`` can see and their
+    ``gates.error_polynomial`` coefficients; kept for recent tables. A
+    restore reads k wires of its one bundle, a compute one wire of ``a`` and
+    two of ``b``; all reads of a bundle carry its value. With ``one_wire``
+    (width 1) each bundle is one wire.
     """
-    masks: dict[int, tuple[int, ...]] = {}  # first read -> the gate inputs of its bundle's wires
-    for i, first in enumerate(pattern):
-        masks[first] = masks.get(first, ()) + (1 << i,)
-    keys = [0]
-    for m in masks.values():
-        keys += [x | sum(m) for x in keys]
-    sources = tuple((sum(m),) if one_wire else m for m in masks.values())
-    keys = np.array(sorted(keys))
-    return tuple(masks), keys, error_polynomial(gate, sources, keys)
-
-
-@dataclass(frozen=True)
-class AnalyticResult:
-    """One input's exact error propagation under the independence assumption."""
-
-    x: tuple[int, ...]
-    value: int
-    logical_error: float
-    trajectory: tuple[tuple[int, str, int, float], ...]  # (stage, kind, bundle, error)
+    if kind == "restore":  # per bundle, the gate inputs each wire feeds
+        wires, keys = [tuple(1 << i for i in range(gate.k))], [0, (1 << gate.k) - 1]
+    else:
+        wires, keys = [(1,), (2, 4)], [0, 1, 6, 7]
+    sources = [(sum(masks),) if one_wire else masks for masks in wires]
+    return np.array(keys), error_polynomial(gate, sources, keys)
 
 
 def _independence_walk(circuit: ReliableCircuit, xs: np.ndarray):
-    """``_walk`` under the independence model (see ``simulate_analytic``), plus
-    the trajectory of every stage's errors, one per row."""
-    tables: dict[tuple, tuple] = {}  # (kind, read pattern) -> ``_error_table``
-    # (kind and pattern, true indices, read errors) -> result, for rows that repeat
+    """``_walk`` under the independence model: a bundle's state is the
+    probability that one of its wires is wrong, with a bundle's wires taken
+    as independent, which is optimistic wherever restores correlate them
+    (see ``simulate_monte_carlo``). Each stage is one polynomial in its
+    sources' read errors, whether its gate errs uniformly or not."""
+    one_wire = circuit.width == 1
+    # looked up once per walk, since hashing a gate takes 2^k steps
+    tables = {"restore": _error_table("restore", circuit.kmaj, one_wire),
+              "compute": _error_table("compute", circuit.xnand, one_wire)}
+    # (kind, true indices, read errors) -> result, for rows that repeat
     results: dict[tuple, np.ndarray] = {}
-    trajectory: list[tuple[int, str, int, np.ndarray]] = []
 
-    def step(s: int, stage: Stage, gate: NoisyGate, idx: np.ndarray, reads: list):
-        layout = (stage.kind, tuple(map(stage.sources.index, stage.sources)))
-        table = tables.get(layout)
-        if table is None:  # looked up once per walk, since hashing a gate takes 2^k steps
-            table = tables[layout] = _error_table(gate, layout[1], circuit.width == 1)
-        firsts, keys, coefficients = table
-        key = (layout, idx.tobytes(), *[reads[i].tobytes() for i in firsts])
+    def step(s: int, stage: Stage, idx: np.ndarray, reads: list):
+        keys, coefficients = tables[stage.kind]
+        reads = reads[:1] if stage.kind == "restore" else reads[:2]  # one read per bundle
+        key = (stage.kind, idx.tobytes(), *[r.tobytes() for r in reads])
         p = results.get(key)
         if p is None:
-            ps = np.array([reads[i] for i in firsts]).T  # one read error per source
-            p = results[key] = polynomial_error(coefficients.take(keys.searchsorted(idx), axis=0), ps)
-        trajectory.append((s, stage.kind, stage.target, p))
+            p = results[key] = polynomial_error(coefficients.take(keys.searchsorted(idx), axis=0), np.array(reads).T)
         return p
 
-    return _walk(circuit, xs, (0.0, 0.0), step), trajectory
+    return _walk(circuit, xs, (0.0, 0.0), step)
 
 
 def _input_bits(formula: FormulaDag, x: Sequence[int]) -> tuple[int, ...]:
@@ -515,27 +482,6 @@ def _input_bits(formula: FormulaDag, x: Sequence[int]) -> tuple[int, ...]:
     if len(x) != formula.n_inputs:
         raise ValueError("one bit per formula input required")
     return x
-
-
-def simulate_analytic(circuit: ReliableCircuit, x: Sequence[int]) -> AnalyticResult:
-    """Propagate per-bundle error probabilities stage by stage for one input.
-
-    A bundle's state is the probability that one of its wires is wrong.
-    Within-bundle wires are treated as independent and identically
-    distributed, which makes this figure optimistic wherever restores
-    correlate the wires of a bundle (see ``simulate_monte_carlo``). Every stage
-    is one polynomial in its sources' read errors
-    (``gates.error_polynomial``), whether its gate errs uniformly or not.
-    """
-    x = _input_bits(circuit.formula, x)
-    walk = _independence_walk(circuit, np.array([sum(b << j for j, b in enumerate(x))]))
-    (_, [value], [p]), trajectory = walk
-    return AnalyticResult(
-        x=x,
-        value=int(value),
-        logical_error=majority_error(circuit.width, float(p)),
-        trajectory=tuple((s, kind, b, float(err)) for s, kind, b, [err] in trajectory),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +619,7 @@ def _wrong_trials(
         masks = {}  # kind -> its current group's masks, one per error value
         seen = dict.fromkeys(gate_keys, 0)  # stages of each kind walked so far
 
-        def step(s: int, stage: Stage, gate: NoisyGate, idx: np.ndarray, reads: list[np.ndarray]):
+        def step(s: int, stage: Stage, idx: np.ndarray, reads: list[np.ndarray]):
             i = seen[stage.kind] % group  # the stage's place in its group
             if not i:
                 n = min(group, kind_count[stage.kind] - seen[stage.kind])
@@ -832,7 +778,7 @@ def build_report(
                     "family_level": ALPHA}
         _check_trials(trials, evidence["sampled_inputs"])
         _check_seed(seed)
-    (classes, _, states), _ = _independence_walk(circuit, np.arange(1 << n))
+    classes, _, states = _independence_walk(circuit, np.arange(1 << n))
     class_errors = [majority_error(circuit.width, p) for p in states.tolist()]
     errors = np.take(class_errors, classes)
     worst = int(np.argmax(errors))  # the first input in table order with the largest error

@@ -342,6 +342,14 @@ MALFORMED_INPUTS = {
         ["inequality", "--fn", "and.tt", "--program", "huge.ghz"],
         "qubit 0 (mask 1): increment overflows a float",
     ),
+    "verify-nested-program": (
+        ["verify", "--program", "deep.json", "--fn", "and.tt"],
+        "deep.json: JSON nested too deeply to parse",
+    ),
+    "inequality-nested-program": (
+        ["inequality", "--fn", "and.tt", "--program", "deep.json"],
+        "deep.json: JSON nested too deeply to parse",
+    ),
     "reliable-bad-formula": (
         ["reliable", "--formula", "bad.nand", "--width", "9", "--rounds", "0", "--seed", "1"],
         "line 2",
@@ -386,6 +394,7 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys
     (tmp_path / "float.ghz").write_text(json.dumps(floats))
     huge = {"mask": 1, "num": 10**400, "den": 1}
     (tmp_path / "huge.ghz").write_text(json.dumps({"n": 2, "constant": 0, "qubits": [huge]}))
+    (tmp_path / "deep.json").write_text('{"qubits": ' + "[" * 5000 + "]" * 5000 + "}")
     (tmp_path / "tree.nand").write_text("(nand (nand a b) (nand c d))\n")
     (tmp_path / "bad.nand").write_text("(nand a\n(xor b c))\n")
     (tmp_path / "wide.nand").write_text(WIDE_FORMULA)

@@ -20,7 +20,6 @@ from l2mbqc.gates import (
     maj_error_recursion,
     min_k_for_violation,
     noncontextual_and_gate,
-    perfect_gate,
     recursion_derivative,
     threshold_sweep,
     uniform_noisy_gate,
@@ -69,13 +68,13 @@ def test_noncontextual_and_gate():
 
 
 def test_maj3_from_perfect_and_is_exact():
-    derived = maj3_from_and(perfect_gate(make_named("and")))
+    derived = maj3_from_and(uniform_noisy_gate(make_named("and"), 0.0))
     assert derived.target == make_named("maj", 3)
     assert derived.errors == (0.0,) * 8
 
 
 def test_xnand_from_perfect_and_matches_table():
-    derived = xnand_from_and(perfect_gate(make_named("and")))
+    derived = xnand_from_and(uniform_noisy_gate(make_named("and"), 0.0))
     assert derived.target == make_named("xnand")
     assert derived.errors == (0.0,) * 8
 
@@ -102,9 +101,9 @@ def test_chsh_derived_xnand_mu():
 
 def test_constructions_reject_wrong_target():
     with pytest.raises(ValueError):
-        maj3_from_and(perfect_gate(make_named("nand")))
+        maj3_from_and(uniform_noisy_gate(make_named("nand"), 0.0))
     with pytest.raises(ValueError):
-        xnand_from_and(perfect_gate(make_named("xor")))
+        xnand_from_and(uniform_noisy_gate(make_named("xor"), 0.0))
 
 
 @pytest.mark.parametrize("k", [3, 5])

@@ -19,7 +19,6 @@ from l2mbqc.gates import (
     chsh_and_gate,
     maj3_from_and,
     noncontextual_and_gate,
-    perfect_gate,
     uniform_noisy_gate,
     xnand_from_and,
 )
@@ -29,7 +28,6 @@ from l2mbqc.reliability import (
     certify,
     formula_to_text,
     parse_formula,
-    simulate_analytic,
     simulate_monte_carlo,
 )
 
@@ -45,12 +43,19 @@ def chsh_gates():
 
 
 def perfect_gates(k=3):
-    return perfect_gate(make_named("maj", k)), perfect_gate(make_named("xnand"))
+    return uniform_noisy_gate(make_named("maj", k), 0.0), uniform_noisy_gate(make_named("xnand"), 0.0)
 
 
 def table_index(x):
     """The table index of input x: bit j is x[j]."""
     return sum(b << j for j, b in enumerate(x))
+
+
+def analytic_error(circ, x):
+    """Input x's independence figure: its walk's output wire error, read out
+    by a majority over the bundle."""
+    _, _, [p] = reliability._independence_walk(circ, np.array([table_index(x)]))
+    return gates.majority_error(circ.width, float(p))
 
 
 def wrong_blocks(circ, xs, seed, n_blocks):
@@ -215,20 +220,26 @@ def test_perfect_gates_compute_exactly():
     kmaj, xnand = perfect_gates(k=1)
     circ = build(f, 1, 1, 0, xnand=xnand, kmaj=kmaj, seed=1)
     for x in itertools.product((0, 1), repeat=2):
-        res = simulate_analytic(circ, x)
-        assert res.logical_error == 0.0
-        assert res.value == 1 - (x[0] & x[1])
+        assert analytic_error(circ, x) == 0.0
+        _, [value], _ = reliability._independence_walk(circ, np.array([table_index(x)]))
+        assert value == 1 - (x[0] & x[1])
         mc = simulate_monte_carlo(circ, x, trials=64, seed=3)
         assert mc.empirical_error == 0.0
 
 
-def test_perfect_gates_deep_tree_all_zero_errors():
+def test_perfect_gates_deep_tree_all_zero_errors(monkeypatch):
     f = parse_formula(TREE2)
     kmaj, xnand = perfect_gates()
     circ = build(f, 9, 3, 2, xnand=xnand, kmaj=kmaj, seed=1)
-    res = simulate_analytic(circ, (1, 0, 1, 1))
-    assert res.logical_error == 0.0
-    assert all(err == 0.0 for _, _, _, err in res.trajectory)
+    stage_errors = []  # every stage error the walk evaluates; repeated rows reuse one
+
+    def recorded(coefficients, ps):
+        stage_errors.append(gates.polynomial_error(coefficients, ps))
+        return stage_errors[-1]
+
+    monkeypatch.setattr(reliability, "polynomial_error", recorded)
+    assert analytic_error(circ, (1, 0, 1, 1)) == 0.0
+    assert stage_errors and not np.concatenate(stage_errors).any()
 
 
 def stage_error(gate, x, sources, ps):
@@ -381,7 +392,7 @@ def test_single_wire_analytic_is_exact_on_trees(text, rounds, restore_errors, co
     f = parse_formula(text)
     circ = build(f, 1, 1, rounds, xnand=xnand, kmaj=kmaj, seed=1)
     for x in itertools.product((0, 1), repeat=f.n_inputs):
-        got = simulate_analytic(circ, x).logical_error
+        got = analytic_error(circ, x)
         assert got == pytest.approx(exact_logical_error(circ, x), abs=1e-12)
 
 
@@ -538,10 +549,9 @@ def test_flip_words_peak_memory():
 def test_degenerate_single_wire_gate():
     # width-1 circuit: the logical error is exactly the compute gate's error
     _, xnand = chsh_gates()
-    kmaj = perfect_gate(make_named("maj", 1))
+    kmaj = uniform_noisy_gate(make_named("maj", 1), 0.0)
     circ = build(parse_formula("(nand a b)"), 1, 1, 0, xnand=xnand, kmaj=kmaj, seed=4)
-    res = simulate_analytic(circ, (1, 1))
-    assert res.logical_error == pytest.approx(SIN2_PI8, abs=1e-12)
+    assert analytic_error(circ, (1, 1)) == pytest.approx(SIN2_PI8, abs=1e-12)
     mc = simulate_monte_carlo(circ, (1, 1), trials=100000, seed=21)
     sigma = math.sqrt(SIN2_PI8 * (1 - SIN2_PI8) / 100000)
     assert abs(mc.empirical_error - SIN2_PI8) < 3 * sigma
@@ -911,19 +921,14 @@ def test_entry_points_reject_a_wrong_length_input(x):
     kmaj, xnand = chsh_gates()
     circ = build(parse_formula("(nand a b)"), 9, 3, 1, xnand=xnand, kmaj=kmaj, seed=1)
     with pytest.raises(ValueError, match="one bit per formula input required"):
-        simulate_analytic(circ, x)
-    with pytest.raises(ValueError, match="one bit per formula input required"):
         simulate_monte_carlo(circ, x, 10, seed=1)
 
 
 @pytest.mark.parametrize("x", [(2, 3), (3, 3), (1, -1), (1.0, 0), (np.int64(2), 0)])
 def test_simulations_reject_entries_that_are_not_bits(x):
-    # each entry used to be reduced mod 2: (2, 3) was analysed as (0, 1) and
-    # (3, 3) sampled as (1, 1)
+    # each entry used to be reduced mod 2: (3, 3) was sampled as (1, 1)
     kmaj, xnand = chsh_gates()
     circ = build(parse_formula("(nand a b)"), 9, 3, 1, xnand=xnand, kmaj=kmaj, seed=1)
-    with pytest.raises(ValueError, match="is not a bit"):
-        simulate_analytic(circ, x)
     with pytest.raises(ValueError, match="is not a bit"):
         simulate_monte_carlo(circ, x, 64, seed=1)
 
@@ -940,7 +945,6 @@ def test_bools_and_numpy_bits_are_inputs():
     circ = build(parse_formula("(nand a b)"), 9, 3, 1, xnand=xnand, kmaj=kmaj, seed=1)
     x = (True, np.int64(0))
     assert circ.formula.evaluate(x) == 1
-    assert simulate_analytic(circ, x) == simulate_analytic(circ, (1, 0))
     assert simulate_monte_carlo(circ, x, 64, seed=1) == simulate_monte_carlo(circ, (1, 0), 64, seed=1)
 
 
@@ -1007,13 +1011,13 @@ def test_report_summary_fields():
 # the batch sweep against per-input walks
 
 def per_input_report(circ):
-    """What ``build_report`` must give, from one ``simulate_analytic`` per
-    input: rows, delta and worst input."""
+    """What ``build_report`` must give, from one walk per input: rows, delta
+    and worst input."""
     n = circ.formula.n_inputs
     errors = {}
     for i in range(1 << n):
         x = tuple((i >> j) & 1 for j in range(n))
-        errors[x] = simulate_analytic(circ, x).logical_error
+        errors[x] = analytic_error(circ, x)
     worst = max(errors, key=errors.get)
     return sorted(errors.items()), errors[worst], worst
 
@@ -1047,6 +1051,33 @@ def test_formula_text_roundtrip_property(text):
     f = parse_formula(text)
     assert formula_to_text(f) == text
     assert parse_formula(formula_to_text(f)) == f
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    text=fanout_formulas(),
+    rounds=st.integers(0, 2),
+    k=st.sampled_from([1, 3, 5]),
+    width=st.sampled_from([5, 8]),
+)
+def test_build_lays_out_two_stage_shapes_property(text, rounds, k, width):
+    # the stage walk's rows (``_pairs``) and error tables (``_error_table``)
+    # exist for these two shapes only: a restore reads one bundle k times, a
+    # compute (a, b, b) with a != b, even for the (nand v v) every formula has
+    kmaj, xnand = perfect_gates(k)
+    circ = build(parse_formula(text), width, k, rounds, xnand=xnand, kmaj=kmaj, seed=1)
+    identity = list(range(width))
+    for stage, row in zip(circ.stages, circ.wiring, strict=True):
+        if stage.kind == "restore":
+            assert stage.sources == (stage.sources[0],) * k
+            assert len(row) == k and all(sorted(perm) == identity for perm in row)
+        else:
+            assert stage.kind == "compute"
+            a, b, b_again = stage.sources
+            assert a != b == b_again
+            none, sigma, rolled = row
+            assert none is None and sorted(sigma) == identity
+            assert np.array_equal(rolled, np.roll(sigma, -(width // 2)))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -1147,10 +1178,10 @@ def test_sweep_runs_each_step_once_per_distinct_state(monkeypatch):
     walk = reliability._walk
 
     def recording_walk(circuit, xs, start, step):
-        def recorded(s, stage, gate, idx, reads):
+        def recorded(s, stage, idx, reads):
             assert all(len(r) == len(idx) for r in reads)
             rows.extend(step_row(s, idx, reads, i) for i in range(len(idx)))
-            return step(s, stage, gate, idx, reads)
+            return step(s, stage, idx, reads)
 
         return walk(circuit, xs, start, recorded)
 
@@ -1175,9 +1206,9 @@ def step_rows(circ, xs):
     walk = reliability._walk
 
     def recording_walk(circuit, xs, start, step):
-        def recorded(s, stage, gate, idx, reads):
+        def recorded(s, stage, idx, reads):
             rows.extend(step_row(s, idx, reads, i) for i in range(len(idx)))
-            return step(s, stage, gate, idx, reads)
+            return step(s, stage, idx, reads)
 
         return walk(circuit, xs, start, recorded)
 
@@ -1198,10 +1229,10 @@ def step_rows(circ, xs):
 def test_batch_step_rows_are_the_union_of_per_input_rows(
     text, width, rounds, restore_errors, compute_errors, data
 ):
-    # whether a stage takes its combinations from np.unique or from its one
-    # split source, and however equal states merge (zero errors make them
-    # likely), the batch's step rows are the rows the batch's inputs make in
-    # their own walks, each once
+    # whether a compute takes its pairs from marked codes, from np.unique or
+    # from its one split source, and however equal states merge (zero errors
+    # make them likely), the batch's step rows are the rows the batch's
+    # inputs make in their own walks, each once
     k = 1 if width == 1 else 3
     kmaj = gates.NoisyGate(make_named("maj", k), restore_errors[: 1 << k])
     xnand = gates.NoisyGate(make_named("xnand"), compute_errors)
