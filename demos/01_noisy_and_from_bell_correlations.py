@@ -1,11 +1,11 @@
 """A noisy AND gate from two-qubit Bell correlations.
 
-Two parties share (|00> + |11>)/sqrt(2). Each receives one input bit and
-measures along one of two directions in the XZ plane; the parity of their
-outcomes approximates AND of the inputs. The control computer never does
-anything beyond parities, yet the gate succeeds on every input with
-probability cos^2(pi/8), which no strategy built from deterministic local
-responses can match.
+Two parties share (|00> + |11>)/sqrt(2), the two-party GHZ state. Each
+receives one input bit and measures along one of two directions on the
+equator of the Bloch sphere; the parity of their outcomes approximates AND
+of the inputs. The control computer never does anything beyond parities,
+yet the gate succeeds on every input with probability cos^2(pi/8), which
+no strategy built from deterministic local responses can match.
 """
 
 import itertools
@@ -19,9 +19,9 @@ from l2mbqc import (
 )
 
 box = chsh_and_box()
-print("measurement directions (radians from Z):")
-print(f"  party 1: input 0 -> {box.alice[0]:+.6f}   input 1 -> {box.alice[1]:+.6f}")
-print(f"  party 2: input 0 -> {box.bob[0]:+.6f}   input 1 -> {box.bob[1]:+.6f}")
+print("measurement directions (equatorial angles, radians from X):")
+for party, (a0, a1) in enumerate(box.angles, 1):
+    print(f"  party {party}: input 0 -> {a0:+.6f}   input 1 -> {a1:+.6f}")
 print()
 
 print("per-input outcome distributions and AND success:")

@@ -138,19 +138,6 @@ def all_affine_forms(arity: int) -> Iterable[AffineForm]:
 # ---------------------------------------------------------------------------
 # named functions
 
-_XNAND_TABLE = {
-    # (b0, b1, b2) -> output
-    (0, 0, 0): 1,
-    (0, 0, 1): 1,
-    (0, 1, 0): 0,
-    (0, 1, 1): 1,
-    (1, 0, 0): 1,
-    (1, 0, 1): 0,
-    (1, 1, 0): 0,
-    (1, 1, 1): 0,
-}
-
-
 def make_named(name: str, k: int | None = None) -> BooleanFunction:
     """Construct a named function: and, nand, xor, const0, const1, maj, xnand.
 
@@ -183,8 +170,8 @@ def make_named(name: str, k: int | None = None) -> BooleanFunction:
         )
         return BooleanFunction(k, table)
     if key == "xnand":
-        f = BooleanFunction.from_callable(3, lambda b0, b1, b2: _XNAND_TABLE[(b0, b1, b2)])
-        return f
+        # the single-AND decomposition that gates.xnand_from_and realizes
+        return BooleanFunction.from_callable(3, lambda a, b, c: ((a ^ b) & (a ^ b ^ c)) ^ a ^ 1)
     raise ValueError(f"unknown function name {name!r}")
 
 

@@ -110,7 +110,12 @@ def _build_gate(name: str, resource: str, k: int, epsilon: float) -> gates.Noisy
 
 
 def cmd_gate(args: argparse.Namespace) -> int:
-    gate = _build_gate(args.name, args.resource, args.k, args.epsilon)
+    if args.epsilon is not None and args.resource != "ghz":
+        raise ValueError("--epsilon applies only to --resource ghz")
+    if args.k is not None and args.name != "maj":
+        raise ValueError("--k applies only to gate maj")
+    k = 3 if args.k is None else args.k
+    gate = _build_gate(args.name, args.resource, k, 0.0 if args.epsilon is None else args.epsilon)
     eps = gate.epsilon
     classification = (
         f"epsilon-noisy (epsilon={_fmt(eps)})" if eps is not None else "not epsilon-noisy"
@@ -174,12 +179,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_inequality(args: argparse.Namespace) -> int:
     f = _read_function(args.fn)
     name = args.program
-    if name == "chsh-and":
-        program = mbqc.chsh_and_program()
-    elif name == "noncontextual-and":
-        program = mbqc.noncontextual_and_program()
+    builtin = {
+        "chsh-and": mbqc.chsh_and_program,
+        "noncontextual-and": mbqc.noncontextual_and_program,
+    }
+    if name not in builtin:
+        epsilon = 0.0 if args.epsilon is None else args.epsilon
+        program = ghzc.run_as_l2program(_read_program(name), epsilon)
+    elif args.epsilon is not None:
+        raise ValueError(f"--epsilon applies only to a program file, not {name}")
     else:
-        program = ghzc.run_as_l2program(_read_program(name), args.epsilon)
+        program = builtin[name]()
     report = mbqc.run_exact(program, f)
     cert = mbqc.contextuality_certificate(report, f)
     payload = {
@@ -259,8 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gate", help="per-input success table of a noisy gate")
     g.add_argument("name", choices=_NAMED_TARGETS)
     g.add_argument("--resource", required=True, choices=("chsh", "noncontextual-quarter", "ghz"))
-    g.add_argument("--k", type=int, default=3, help="majority arity (odd)")
-    g.add_argument("--epsilon", type=float, default=0.0, help="GHZ noise weight")
+    g.add_argument("--k", type=int, default=None, help="majority arity (odd)")
+    g.add_argument("--epsilon", type=float, default=None, help="GHZ noise weight")
     add_common(g, cmd_gate, table=True)
 
     t = sub.add_parser("thresholds", help="beta_k / nu / gap sweep")
@@ -283,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="chsh-and, noncontextual-and, or a compiled program file",
     )
-    i.add_argument("--epsilon", type=float, default=0.0, help="GHZ noise weight")
+    i.add_argument("--epsilon", type=float, default=None, help="GHZ noise weight")
     add_common(i, cmd_inequality)
 
     r = sub.add_parser("reliable", help="multiplexed-circuit reliability experiment")

@@ -1,8 +1,8 @@
 """Correlation resources with one-bit inputs and outputs per party.
 
-Three box families: two-qubit Bell-state boxes measured in the XZ plane,
-N-party GHZ boxes measured on the equator (optionally mixed with white
-noise), and non-contextual mixtures of deterministic local responses.
+Two box families: N-party GHZ boxes measured on the equator (optionally
+mixed with white noise), of which the Bell pair (|00> + |11>)/sqrt(2) is the
+two-party case, and non-contextual mixtures of deterministic local responses.
 Every box function takes the same input: party j reads an affine GF(2)
 form of an n-bit input x, packed as 2 T_j + c_j, and the answer covers all
 2^n inputs; at n = 0 the forms are plain input bits. Closed-form
@@ -92,25 +92,6 @@ def _check_finite(pairs: Iterable[tuple[float, float]]):
 
 
 @dataclass(frozen=True)
-class BipartiteBox:
-    """Two parties sharing (|00> + |11>)/sqrt(2), measured in the XZ plane.
-
-    Each party holds a pair of angles (for input 0 / input 1), measured
-    from the Z axis. Outcome +1 of the chosen direction codes for bit 0.
-    """
-
-    alice: tuple[float, float]
-    bob: tuple[float, float]
-
-    def __post_init__(self):
-        _check_finite((self.alice, self.bob))
-
-    @property
-    def n_parties(self) -> int:
-        return 2
-
-
-@dataclass(frozen=True)
 class GhzBox:
     """N parties sharing a GHZ state mixed with white noise of weight 2*epsilon.
 
@@ -170,18 +151,18 @@ class NoncontextualBox:
         return len(self.mixture[0][1])
 
 
-CorrelationBox = Union[BipartiteBox, GhzBox, NoncontextualBox]
+CorrelationBox = Union[GhzBox, NoncontextualBox]
 
 
-def chsh_and_box() -> BipartiteBox:
-    """Bell box whose output parity matches AND of the inputs on 85.36% of runs.
+def chsh_and_box() -> GhzBox:
+    """Bell pair whose output parity matches AND of the inputs on 85.36% of runs.
 
-    Input-0/input-1 directions: Z and X for the first party; for the second,
-    +pi/4 and -pi/4 from Z. The sign choice on the second party's input-1
-    direction labels the (X-Z)/sqrt(2) eigenvectors so that every one of the
-    four inputs succeeds with the same probability cos^2(pi/8).
+    The two-party GHZ box with equatorial input-0/input-1 angles 0 and pi/2
+    for the first party and -pi/4 and +pi/4 for the second, so the summed
+    angle is pi/4 away from a AND b times pi on every input and all four
+    inputs succeed with the same probability cos^2(pi/8).
     """
-    return BipartiteBox(alice=(0.0, math.pi / 2), bob=(math.pi / 4, -math.pi / 4))
+    return GhzBox(angles=((0.0, math.pi / 2), (-math.pi / 4, math.pi / 4)))
 
 
 def noncontextual_and_box() -> NoncontextualBox:
@@ -230,14 +211,12 @@ def _form_bits(forms: np.ndarray, n: int) -> np.ndarray:
     return index_parity(n)[x & (forms >> 1)] ^ (forms & 1)
 
 
-def parity_probability(box: BipartiteBox | GhzBox, forms: Iterable[int], n: int) -> np.ndarray:
+def parity_probability(box: GhzBox, forms: Iterable[int], n: int) -> np.ndarray:
     """P(xor of all outputs = 1) = (1 - 2 eps)(1 - cos phi)/2 + eps at every n-bit input x.
 
     Party j reads the form 2 T_j + c_j (see ``_check_forms``), and the
-    result has one probability per x. phi(x) sums the chosen angles; a Bell
-    box is a two-party GHZ box with the second party's angles negated and
-    eps = 0. A non-contextual box has no closed form here: use
-    ``outcome_table``.
+    result has one probability per x. phi(x) sums the chosen angles. A
+    non-contextual box has no closed form here: use ``outcome_table``.
 
     The sum is exact: every angle a is an integer A = a D over one
     power-of-two denominator D, so 2 D phi(x) = sum_j (A0_j + A1_j) - W(g)(x),
@@ -253,12 +232,9 @@ def parity_probability(box: BipartiteBox | GhzBox, forms: Iterable[int], n: int)
     Python ints and one integer division per x rounds it. Angles must be
     finite, which the boxes check when they are built.
     """
-    if isinstance(box, BipartiteBox):
-        angles, epsilon = (box.alice, (-box.bob[0], -box.bob[1])), 0.0
-    elif isinstance(box, GhzBox):
-        angles, epsilon = box.angles, box.epsilon
-    else:
-        raise TypeError(f"not a Bell or GHZ box: {box!r}")
+    if not isinstance(box, GhzBox):
+        raise TypeError(f"not a GHZ box: {box!r}")
+    angles = box.angles
     forms = _check_forms(forms, len(angles), n)
     # fromiter over the flat pairs: about half the time of asarray on the tuples
     flat = np.fromiter(itertools.chain.from_iterable(angles), np.float64, 2 * len(angles))
@@ -284,8 +260,8 @@ def parity_probability(box: BipartiteBox | GhzBox, forms: Iterable[int], n: int)
     if phi is None:
         scaled = whole.astype(object) << shift.astype(object)
         phi = (_twice_phase(scaled, forms, n) / (1 << (54 - low))).astype(np.float64)
-    visibility = 1.0 - 2.0 * epsilon
-    return visibility * (1.0 - np.cos(phi)) / 2.0 + epsilon
+    visibility = 1.0 - 2.0 * box.epsilon
+    return visibility * (1.0 - np.cos(phi)) / 2.0 + box.epsilon
 
 
 def _twice_phase(scaled: np.ndarray, forms: np.ndarray, n: int) -> np.ndarray:
@@ -305,14 +281,14 @@ def ghz_parity_probability(box: GhzBox, inputs: Sequence[int]) -> float:
 def outcome_table(box: CorrelationBox, forms: Iterable[int], n: int) -> np.ndarray:
     """P(outcome o | x) for every n-bit input x (rows) and packed outcome o (columns).
 
-    Party j reads the form 2 T_j + c_j (see ``_check_forms``). Bell and GHZ
-    outcomes are uniform within each parity class, so
+    Party j reads the form 2 T_j + c_j (see ``_check_forms``). GHZ outcomes
+    are uniform within each parity class, so
     P(o | x) = 2^-N (1 + (1-2e)(-1)^(xor o) cos phi(x)); a non-contextual box
     puts each mixture weight on the outcome of its deterministic responses,
     added in mixture order. Every family has at most GHZ_ENUMERATION_CAP
     parties, checked before the 2^N columns are allocated.
     """
-    if not isinstance(box, (BipartiteBox, GhzBox, NoncontextualBox)):
+    if not isinstance(box, (GhzBox, NoncontextualBox)):
         raise TypeError(f"not a correlation box: {box!r}")
     k = box.n_parties
     if k > GHZ_ENUMERATION_CAP:
@@ -343,14 +319,9 @@ def distribution(box: CorrelationBox, inputs: Sequence[int]) -> OutcomeDistribut
 # ---------------------------------------------------------------------------
 # state-vector oracle
 
-def _xz_basis(theta) -> np.ndarray:
-    # rows are <v_o| for outcomes 0 (+1 eigenvalue) and 1 (-1 eigenvalue);
-    # one 2x2 matrix per angle, so an array of angles gives a stack
-    c, s = np.cos(np.divide(theta, 2.0)), np.sin(np.divide(theta, 2.0))
-    return np.stack([c, s, -s, c], axis=-1).reshape(np.shape(theta) + (2, 2)).astype(complex)
-
-
 def _xy_basis(phi) -> np.ndarray:
+    # rows are <v_o| for outcomes 0 (+1 eigenvalue) and 1 (-1 eigenvalue) of
+    # cos(phi) X + sin(phi) Y; an array of angles gives a stack of 2x2 matrices
     s = np.full(np.shape(phi), 1.0 / math.sqrt(2.0))
     e = s * np.exp(-1j * np.asarray(phi, dtype=np.float64))
     return np.stack([s, e, s, -e], axis=-1).reshape(np.shape(phi) + (2, 2))
@@ -382,14 +353,9 @@ def _measure(bases: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _basis_pairs(box: CorrelationBox) -> np.ndarray:
-    """Each party's bases for input 0 and 1, as (N, 2, 2, 2).
-
-    The Bell box shares the two-qubit GHZ state, measured in the XZ plane.
-    """
-    if isinstance(box, BipartiteBox):
-        return _xz_basis(np.array((box.alice, box.bob)))
+    """Each party's equatorial bases for input 0 and 1, as (N, 2, 2, 2)."""
     if not isinstance(box, GhzBox):
-        raise TypeError("oracle supports BipartiteBox and noiseless GhzBox only")
+        raise TypeError("oracle supports noiseless GhzBox only")
     if box.epsilon != 0.0:
         raise ValueError("state-vector oracle covers only epsilon = 0")
     if box.n_parties > STATEVECTOR_QUBIT_CAP:
@@ -397,7 +363,7 @@ def _basis_pairs(box: CorrelationBox) -> np.ndarray:
     return _xy_basis(np.array(box.angles))
 
 
-def statevector_parity(box: BipartiteBox | GhzBox, forms: Iterable[int], n: int) -> np.ndarray:
+def statevector_parity(box: GhzBox, forms: Iterable[int], n: int) -> np.ndarray:
     """P(xor of all outputs = 1) at every n-bit input x, party j reading form 2 T_j + c_j.
 
     Independent of the closed forms: every input's measured state gets all
@@ -421,7 +387,7 @@ def statevector_parity(box: BipartiteBox | GhzBox, forms: Iterable[int], n: int)
 def statevector_oracle(box: CorrelationBox, inputs: Sequence[int]) -> OutcomeDistribution:
     """Independent verification path: the Born rule on the measured state.
 
-    Supports the Bell-state box and noiseless GHZ boxes; no closed forms
+    Supports noiseless GHZ boxes, the Bell pair among them; no closed forms
     are used anywhere on this path. It runs the kernel of
     ``statevector_parity`` on a batch of one, so it holds at most 2^16
     amplitudes; inputs that are not one bit per party raise ValueError.

@@ -21,13 +21,7 @@ import numpy as np
 
 from . import corrbox
 from .boolfn import BooleanFunction, index_parity, input_keys, nonlinearity
-from .corrbox import (
-    BipartiteBox,
-    CorrelationBox,
-    GhzBox,
-    chsh_and_box,
-    noncontextual_and_box,
-)
+from .corrbox import CorrelationBox, GhzBox, chsh_and_box, noncontextual_and_box
 
 PATH_CAP = 1 << 22
 
@@ -92,7 +86,7 @@ class StrategyReport:
 def _collapsible(program: L2Program, i: int, start: int) -> bool:
     """True when later maps use box i, outputs from ``start``, only as a parity."""
     box = program.boxes[i]
-    if not isinstance(box, (BipartiteBox, GhzBox)):
+    if not isinstance(box, GhzBox):
         return False
     segment = ((1 << box.n_parties) - 1) << start
     later = [m for maps in program.input_maps[i + 1:] for m in maps]

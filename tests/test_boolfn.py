@@ -143,6 +143,7 @@ def test_one_numpy_scalar_is_one_bit():
 def test_decomposition_identities():
     # 3-MAJ and XNAND from a single AND plus parities
     maj, xnand = make_named("maj", 3), make_named("xnand")
+    assert xnand.table == (1, 1, 0, 0, 1, 0, 1, 0)  # XNAND(a, b, c), a the low bit
     for a, b, c in itertools.product((0, 1), repeat=3):
         assert ((a ^ b) & (a ^ c)) ^ a == maj(a, b, c)
         assert ((a ^ b) & (a ^ b ^ c)) ^ a ^ 1 == xnand(a, b, c)

@@ -312,6 +312,18 @@ CHAIN16 = functools.reduce(lambda acc, name: f"(nand {acc} {name})", "bcdefghijk
 MALFORMED_INPUTS = {
     "gate-unknown-combination": (["gate", "xor", "--resource", "chsh"], "cannot be built"),
     "gate-k17": (["gate", "maj", "--resource", "ghz", "--k", "17"], "above cap 16"),
+    "gate-epsilon-without-ghz": (
+        ["gate", "and", "--resource", "chsh", "--epsilon", "0.3"],
+        "--epsilon applies only to --resource ghz",
+    ),
+    "gate-k-without-maj": (
+        ["gate", "xnand", "--resource", "ghz", "--k", "5"],
+        "--k applies only to gate maj",
+    ),
+    "inequality-epsilon-without-program-file": (
+        ["inequality", "--fn", "and.tt", "--program", "chsh-and", "--epsilon", "0.3"],
+        "--epsilon applies only to a program file, not chsh-and",
+    ),
     "thresholds-even-kmax": (["thresholds", "--kmax", "8"], "kmax must be odd"),
     "thresholds-small-kmax": (["thresholds", "--kmax", "1"], "at least 3"),
     "thresholds-kmax-above-cap": (["thresholds", "--kmax", "10003"], "above cap 7147"),

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from l2mbqc import corrbox
 from l2mbqc.corrbox import (
-    BipartiteBox,
     GhzBox,
     NoncontextualBox,
     OutcomeDistribution,
@@ -24,13 +23,6 @@ from l2mbqc.corrbox import (
 COS2_PI8 = math.cos(math.pi / 8) ** 2
 
 
-def random_bipartite(rng):
-    return BipartiteBox(
-        alice=tuple(rng.uniform(0, 2 * math.pi, 2)),
-        bob=tuple(rng.uniform(0, 2 * math.pi, 2)),
-    )
-
-
 def random_ghz(rng, n, epsilon=0.0):
     return GhzBox(
         angles=tuple(tuple(rng.uniform(0, 2 * math.pi, 2)) for _ in range(n)),
@@ -38,11 +30,18 @@ def random_ghz(rng, n, epsilon=0.0):
     )
 
 
+def xz_basis(theta) -> np.ndarray:
+    """<v_o| of cos(theta) Z + sin(theta) X for outcomes 0 (+1) and 1 (-1), per angle."""
+    c, s = np.cos(np.divide(theta, 2.0)), np.sin(np.divide(theta, 2.0))
+    return np.stack([c, s, -s, c], axis=-1).reshape(np.shape(theta) + (2, 2)).astype(complex)
+
+
 # ---------------------------------------------------------------------------
-# bipartite box
+# the Bell pair: the two-party GHZ box
 
 def test_equal_angles_perfectly_correlated():
-    box = BipartiteBox(alice=(0.7, 0.0), bob=(0.7, 0.0))
+    # equal XZ-plane angles on the Bell pair are opposite equatorial ones
+    box = GhzBox(angles=((0.7, 0.0), (-0.7, 0.0)))
     dist = distribution(box, (0, 0))
     assert dist.parity_probability(0) == pytest.approx(1.0, abs=1e-12)
 
@@ -55,7 +54,7 @@ def test_chsh_and_success_on_every_input():
 
 
 def test_orthogonal_angles_uniform():
-    box = BipartiteBox(alice=(math.pi / 2, 0.0), bob=(0.0, 0.0))
+    box = GhzBox(angles=((math.pi / 2, 0.0), (0.0, 0.0)))
     dist = distribution(box, (0, 0))
     for outcome in itertools.product((0, 1), repeat=2):
         assert dist[outcome] == pytest.approx(0.25, abs=1e-12)
@@ -64,7 +63,7 @@ def test_orthogonal_angles_uniform():
 def test_bipartite_marginals_uniform():
     rng = np.random.default_rng(7)
     for _ in range(20):
-        box = random_bipartite(rng)
+        box = random_ghz(rng, 2)
         for inputs in itertools.product((0, 1), repeat=2):
             dist = distribution(box, inputs)
             for party in (0, 1):
@@ -131,7 +130,7 @@ def form_bits(forms, x):
 
 def test_parity_probability_of_forms_matches_scalar_calls():
     rng = np.random.default_rng(23)
-    boxes = [random_bipartite(rng), chsh_and_box()]
+    boxes = [random_ghz(rng, 2), chsh_and_box()]
     boxes += [random_ghz(rng, n, eps) for n in (1, 3, 6) for eps in (0.0, 0.1)]
     for box in boxes:
         for n in (0, 1, 5):
@@ -155,10 +154,7 @@ def test_parity_probability_of_forms_matches_scalar_calls():
 
 def fsum_parity(box, forms, n):
     """The closed form at every x, from math.fsum over that x's chosen angles."""
-    if isinstance(box, BipartiteBox):
-        pairs, eps = (box.alice, (-box.bob[0], -box.bob[1])), 0.0
-    else:
-        pairs, eps = box.angles, box.epsilon
+    pairs, eps = box.angles, box.epsilon
     out = []
     for x in range(1 << n):
         phi = math.fsum(pair[b] for pair, b in zip(pairs, form_bits(forms, x)))
@@ -195,9 +191,9 @@ def test_ghz_phase_of_forms_is_the_correctly_rounded_angle_sum(monkeypatch):
                 eps = float(rng.choice((0.0, rng.uniform(0, 0.5))))
                 box = GhzBox(tuple((float(a0), float(a1)) for a0, a1 in angles), eps)
                 check(box, [int(f) for f in rng.integers(0, 2 << n, parties)], n)
-    # Bell boxes, and plain input bits (n = 0)
-    for box in (chsh_and_box(), random_bipartite(rng), BipartiteBox((1e-300, 1.0), (2.0, 3.0))):
-        path = "O" if box.alice[0] == 1e-300 else "ii"
+    # two-party boxes, and plain input bits (n = 0)
+    for box in (chsh_and_box(), random_ghz(rng, 2), GhzBox(((1e-300, 1.0), (-2.0, -3.0)))):
+        path = "O" if box.angles[0][0] == 1e-300 else "ii"
         for n in (0, 3):
             check(box, [int(f) for f in rng.integers(0, 2 << n, 2)], n, path)
     # exponent gaps: 1.5 has exponent 1, so 1.5 2^-g is g below it; a gap of
@@ -238,9 +234,7 @@ def test_boxes_reject_non_finite_angles():
         with pytest.raises(ValueError):
             GhzBox(angles=((0.0, 0.0), (bad, 0.0)))
         with pytest.raises(ValueError):
-            BipartiteBox(alice=(0.0, bad), bob=(0.0, 0.0))
-        with pytest.raises(ValueError):
-            BipartiteBox(alice=(0.0, 0.0), bob=(bad, 0.0))
+            GhzBox(angles=((0.0, bad), (0.0, 0.0)))
 
 
 def test_ghz_phase_is_the_correctly_rounded_angle_sum():
@@ -270,14 +264,10 @@ def test_oracle_matches_closed_forms_randomly():
     rng = np.random.default_rng(2024)
     checked = 0
     while checked < 200:
-        if rng.random() < 0.4:
-            box = random_bipartite(rng)
-            inputs = tuple(int(b) for b in rng.integers(0, 2, 2))
-            closed = distribution(box, inputs)
-        else:
-            box = random_ghz(rng, int(rng.integers(1, 5)))
-            inputs = tuple(int(b) for b in rng.integers(0, 2, box.n_parties))
-            closed = distribution(box, inputs)
+        parties = 2 if rng.random() < 0.4 else int(rng.integers(1, 5))
+        box = random_ghz(rng, parties)
+        inputs = tuple(int(b) for b in rng.integers(0, 2, parties))
+        closed = distribution(box, inputs)
         oracle = statevector_oracle(box, inputs)
         for outcome in itertools.product((0, 1), repeat=box.n_parties):
             assert abs(closed[outcome] - oracle[outcome]) < 1e-10
@@ -299,7 +289,7 @@ def test_oracle_trivial_cases():
 def test_oracle_packs_party_zero_in_the_low_bit():
     # a 3-party GHZ state read in Z, Z and X: parties 0 and 1 agree and party
     # 2 is uniform, so with party j on bit j the support is 000, 011, 100, 111
-    bases = corrbox._xz_basis(np.array([(0.0, 0.0), (0.0, 0.0), (math.pi / 2,) * 2]))
+    bases = xz_basis(np.array([(0.0, 0.0), (0.0, 0.0), (math.pi / 2,) * 2]))
     probs = corrbox._measure(bases, np.zeros((1, 3), dtype=np.intp))
     dist = OutcomeDistribution(probs[0])
     assert np.flatnonzero(dist.probs).tolist() == [0b000, 0b011, 0b100, 0b111]
@@ -334,11 +324,11 @@ def _dense_measure(bases, rows):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_born_rule_kernel_matches_the_dense_pass(data):
-    # Bell boxes read in the XZ plane, GHZ boxes on the equator; each row
-    # picks every party's basis on its own
+    # bases in the XZ plane or on the equator; each row picks every party's
+    # basis on its own
     parties = data.draw(st.integers(1, 12))
     angles = np.array(data.draw(st.lists(_angle_pairs, min_size=parties, max_size=parties)))
-    plane = data.draw(st.sampled_from([corrbox._xz_basis, corrbox._xy_basis]))
+    plane = data.draw(st.sampled_from([xz_basis, corrbox._xy_basis]))
     bases = plane(angles)
     batch = data.draw(st.integers(1, 4))
     bits = data.draw(st.lists(st.integers(0, 1), min_size=batch * parties, max_size=batch * parties))
@@ -369,7 +359,7 @@ def test_oracle_rejects_noise_and_oversize():
     (noncontextual_and_box(), (0, 1, 1)),
 ])
 def test_oracle_rejects_inputs_that_are_not_one_bit_per_party(box, inputs):
-    # every family: the closed forms check the bits; the oracle covers Bell and GHZ
+    # every family: the closed forms check the bits; the oracle covers GHZ
     with pytest.raises(ValueError):
         distribution(box, inputs)
     with pytest.raises(ValueError):
@@ -402,7 +392,7 @@ def _noncontextual_boxes(draw):
     return NoncontextualBox(tuple((Fraction(w, total), r) for w, r in entries))
 
 
-_bell_boxes = st.builds(BipartiteBox, _angle_pairs, _angle_pairs)
+_bell_boxes = st.builds(GhzBox, st.tuples(_angle_pairs, _angle_pairs))
 
 
 @st.composite
@@ -459,6 +449,19 @@ def test_statevector_parity_matches_the_oracle_row_by_row(data):
         assert abs(p - oracle.parity_probability(1)) <= 1e-12
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(alice=_angle_pairs, bob=_angle_pairs)
+def test_bell_pair_in_the_xz_plane_is_the_two_party_ghz_box(alice, bob):
+    # the Bell pair measured at XZ-plane angles alice and bob, from Z, gives
+    # the two-party GHZ box with equatorial angles alice and -bob
+    box = GhzBox((alice, (-bob[0], -bob[1])))
+    bases = xz_basis(np.array((alice, bob)))
+    for inputs in itertools.product((0, 1), repeat=2):
+        bell = corrbox._measure(bases, np.array([inputs]))[0]
+        assert np.abs(distribution(box, inputs).probs - bell).max() <= 1e-12
+        assert np.abs(statevector_oracle(box, inputs).probs - bell).max() <= 1e-12
+
+
 def test_statevector_parity_chunks_rows():
     # 15 qubits: chunks of two inputs; at n = 0 the one chunk is short
     rng = np.random.default_rng(11)
@@ -482,7 +485,7 @@ def test_statevector_parity_chunks_rows():
 
 def test_no_signalling():
     rng = np.random.default_rng(5)
-    boxes = [random_bipartite(rng) for _ in range(5)]
+    boxes = [random_ghz(rng, 2) for _ in range(5)]
     boxes += [random_ghz(rng, n, float(rng.uniform(0, 0.5))) for n in (2, 3, 4)]
     boxes.append(noncontextual_and_box())
     for box in boxes:

@@ -8,7 +8,7 @@ import pytest
 
 from l2mbqc import corrbox, ghzc, mbqc
 from l2mbqc.boolfn import BooleanFunction, make_named, nonlinearity
-from l2mbqc.corrbox import BipartiteBox, GhzBox, NoncontextualBox
+from l2mbqc.corrbox import GhzBox, NoncontextualBox
 from l2mbqc.mbqc import (
     AffineBitMap,
     L2Program,
@@ -54,7 +54,7 @@ def test_arity_mismatch_rejected():
 
 
 def test_path_cap_bounds_paths_times_inputs(monkeypatch):
-    # the collapsed Bell box leaves 2 paths, each holding 4 inputs
+    # the collapsed Bell pair leaves 2 paths, each holding 4 inputs
     monkeypatch.setattr(mbqc, "PATH_CAP", 7)
     with pytest.raises(ValueError, match="more than 7 paths x inputs"):
         run_exact(chsh_and_program(), make_named("and"))
@@ -178,11 +178,8 @@ def test_parity_collapse_matches_full_enumeration():
 
 def _random_box(rng):
     kind = rng.integers(3)
-    if kind == 0:
-        return BipartiteBox(
-            alice=tuple(rng.uniform(0, 2 * math.pi, 2)),
-            bob=tuple(rng.uniform(0, 2 * math.pi, 2)),
-        )
+    if kind == 0:  # a noiseless Bell pair
+        return GhzBox(angles=tuple(tuple(rng.uniform(0, 2 * math.pi, 2)) for _ in range(2)))
     if kind == 1:
         k = int(rng.integers(1, 5))
         return GhzBox(
@@ -222,7 +219,7 @@ def _random_map(rng, n, boxes, whole_boxes):
 def test_adaptive_programs_match_full_enumeration(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 4))
-    whole_boxes = seed % 2 == 0  # even seeds keep every Bell/GHZ box collapsible
+    whole_boxes = seed % 2 == 0  # even seeds keep every GHZ box collapsible
     boxes = [_random_box(rng) for _ in range(int(rng.integers(1, 4)))]
     input_maps = tuple(
         tuple(_random_map(rng, n, boxes[:i], whole_boxes) for _ in range(box.n_parties))
