@@ -144,23 +144,22 @@ def make_named(name: str, k: int | None = None) -> BooleanFunction:
     ``k`` is the arity for maj (odd) and the const functions; the other
     names have fixed arity.
     """
-    key = name.strip().lower().replace("-", "").replace("_", "")
-    if key in ("const0", "const1", "maj", "kmaj") and k is not None and k > BRUTE_FORCE_ARITY_CAP:
+    if name in ("const0", "const1", "maj") and k is not None and k > BRUTE_FORCE_ARITY_CAP:
         # checked before the 2^k-entry table is built
         raise ValueError(f"{name} arity {k} above cap {BRUTE_FORCE_ARITY_CAP}")
-    if key == "and":
+    if name == "and":
         return BooleanFunction.from_callable(2, lambda a, b: a & b)
-    if key == "nand":
+    if name == "nand":
         return BooleanFunction.from_callable(2, lambda a, b: 1 - (a & b))
-    if key == "xor":
+    if name == "xor":
         return BooleanFunction.from_callable(2, lambda a, b: a ^ b)
-    if key in ("const0", "const1"):
+    if name in ("const0", "const1"):
         n = 2 if k is None else k
         if n < 0:
             raise ValueError("const arity must be nonnegative")
-        bit = 1 if key == "const1" else 0
+        bit = 1 if name == "const1" else 0
         return BooleanFunction(n, (bit,) * (1 << n))
-    if key in ("maj", "kmaj"):
+    if name == "maj":
         if k is None:
             raise ValueError("maj requires the number of inputs k")
         if k < 1 or k % 2 == 0:
@@ -169,7 +168,7 @@ def make_named(name: str, k: int | None = None) -> BooleanFunction:
             1 if i.bit_count() * 2 > k else 0 for i in range(1 << k)
         )
         return BooleanFunction(k, table)
-    if key == "xnand":
+    if name == "xnand":
         # the single-AND decomposition that gates.xnand_from_and realizes
         return BooleanFunction.from_callable(3, lambda a, b, c: ((a ^ b) & (a ^ b ^ c)) ^ a ^ 1)
     raise ValueError(f"unknown function name {name!r}")

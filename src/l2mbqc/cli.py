@@ -92,14 +92,10 @@ _NAMED_TARGETS = ("and", "nand", "xor", "maj", "xnand")
 
 
 def _build_gate(name: str, resource: str, k: int, epsilon: float) -> gates.NoisyGate:
-    if resource == "chsh":
-        base = gates.chsh_and_gate()
-    elif resource == "noncontextual-quarter":
-        base = gates.noncontextual_and_gate()
-    elif resource == "ghz":
+    if resource == "ghz":
         return gates.gate_from_noisy_ghz(boolfn.make_named(name, k), epsilon)
-    else:
-        raise ValueError(f"unknown resource {resource!r}")
+    # argparse admits only the three resources
+    base = gates.chsh_and_gate() if resource == "chsh" else gates.noncontextual_and_gate()
     if name == "and":
         return base
     if name == "maj" and k == 3:

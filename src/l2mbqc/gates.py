@@ -1,10 +1,11 @@
 """Noisy-gate algebra: constructions, reliability thresholds, and fixed points.
 
 A noisy gate is a target function plus a per-input probability of emitting
-the negated output. Gates are built here from correlation resources (the
-Bell-state AND, majority and XNAND from their single-AND decompositions,
-majority gates from noisy GHZ programs) and analyzed against the restoring
-threshold beta_k and the error recursion of wire-wise majority voting.
+the negated output. Resource gates are exact runs of box programs (the
+Bell-state and non-contextual ANDs, any target from a noisy GHZ program);
+majority and XNAND are one noisy AND with mod-2 pre- and post-processing.
+All are analyzed against the restoring threshold beta_k and the error
+recursion of wire-wise majority voting.
 """
 
 from __future__ import annotations
@@ -74,53 +75,41 @@ def gate_from_report(target: BooleanFunction, report: mbqc.StrategyReport) -> No
 def chsh_and_gate() -> NoisyGate:
     """AND from the Bell-state protocol, evaluated exactly (never hardcoded)."""
     target = make_named("and")
-    report = mbqc.run_exact(mbqc.chsh_and_program(), target)
-    return gate_from_report(target, report)
+    return gate_from_report(target, mbqc.run_exact(mbqc.chsh_and_program(), target))
 
 
 def noncontextual_and_gate() -> NoisyGate:
     """The 1/4-noisy AND available without any contextuality."""
     target = make_named("and")
-    report = mbqc.run_exact(mbqc.noncontextual_and_program(), target)
-    return gate_from_report(target, report)
+    return gate_from_report(target, mbqc.run_exact(mbqc.noncontextual_and_program(), target))
 
 
-def _require_and(gate: NoisyGate):
-    if gate.target != make_named("and"):
+def _from_and(and_gate: NoisyGate, target: BooleanFunction, and_input) -> NoisyGate:
+    """A 3-bit gate that is one AND with perfect mod-2 pre- and post-processing.
+
+    The only noisy element is the AND, so the error at x is the AND gate's
+    error at its actual input ``and_input(*x)``, a pair of bits.
+    """
+    if and_gate.target != make_named("and"):
         raise ValueError("construction needs a gate targeting 2-bit AND")
+    pairs = (and_input(*x) for x in input_keys(3))
+    return NoisyGate(target, tuple(and_gate.errors[u | v << 1] for u, v in pairs))
 
 
 def maj3_from_and(and_gate: NoisyGate) -> NoisyGate:
-    """3-MAJ(a,b,c) = ((a xor b) AND (a xor c)) xor a, with perfect xors.
-
-    The only noisy element is the AND, so the error at (a,b,c) is the AND
-    gate's error at its actual input (a xor b, a xor c).
-    """
-    _require_and(and_gate)
-    target = make_named("maj", 3)
-    errors = []
-    for i in range(8):
-        a, b, c = i & 1, (i >> 1) & 1, (i >> 2) & 1
-        errors.append(and_gate.errors[(a ^ b) | ((a ^ c) << 1)])
-    return NoisyGate(target, tuple(errors))
+    """3-MAJ(a,b,c) = ((a xor b) AND (a xor c)) xor a, with perfect xors."""
+    return _from_and(and_gate, make_named("maj", 3), lambda a, b, c: (a ^ b, a ^ c))
 
 
 def xnand_from_and(and_gate: NoisyGate) -> NoisyGate:
     """XNAND(a,b1,b2) = ((a xor b1) AND (a xor b1 xor b2)) xor a xor 1."""
-    _require_and(and_gate)
-    target = make_named("xnand")
-    errors = []
-    for i in range(8):
-        a, b1, b2 = i & 1, (i >> 1) & 1, (i >> 2) & 1
-        errors.append(and_gate.errors[(a ^ b1) | ((a ^ b1 ^ b2) << 1)])
-    return NoisyGate(target, tuple(errors))
+    return _from_and(and_gate, make_named("xnand"), lambda a, b1, b2: (a ^ b1, a ^ b1 ^ b2))
 
 
 def gate_from_noisy_ghz(target: BooleanFunction, epsilon: float) -> NoisyGate:
     """Gate for any target from its compiled GHZ program on a noise-mixed state."""
-    program = ghzc.compile_function(target)
-    report = mbqc.run_exact(ghzc.run_as_l2program(program, epsilon), target)
-    return gate_from_report(target, report)
+    program = ghzc.run_as_l2program(ghzc.compile_function(target), epsilon)
+    return gate_from_report(target, mbqc.run_exact(program, target))
 
 
 def kmaj_from_noisy_ghz(k: int, epsilon: float) -> NoisyGate:

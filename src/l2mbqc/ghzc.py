@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boolfn import COMPILE_ARITY_CAP, BooleanFunction, input_keys, walsh
-from .corrbox import STATEVECTOR_QUBIT_CAP, GhzBox, statevector_parity
+from .boolfn import COMPILE_ARITY_CAP, BooleanFunction, input_keys
+from .corrbox import STATEVECTOR_QUBIT_CAP, GhzBox, _twice_phase, statevector_parity
 from .mbqc import AffineBitMap, L2Program, constant_program
 
 SUCCESS_TOL = 1e-10
@@ -117,15 +117,16 @@ def verify(
     """Check the phase congruence exactly and the simulated success per input.
 
     With D the common denominator of the increments and a_T the sum of the
-    numerators delta * D over the qubits on subset T, one exact integer Walsh
-    transform W gives the phase sum S(x) of every input at once (units of
-    pi): 2 D S(x) = sum_T a_T - W(x). The congruence S(x) = f(x) xor
-    constant (mod 2) and the closed-form success (1 + cos(pi (S(x) - want)))/2
-    both follow from S(x) mod 2. When the program is small enough, the
-    state-vector oracle computes the success again as an independent path:
-    ``corrbox.statevector_parity`` applies the Born rule to every input's
-    measured GHZ state, from the basis matrices alone, in chunks that hold
-    at most 2^16 amplitudes.
+    numerators delta * D over the qubits on subset T, the phase sum S(x) of
+    every input (units of pi) is 2 D S(x) = sum_T a_T - W(x), W the exact
+    integer Walsh transform of a: ``corrbox._twice_phase``, with qubit q a
+    party of angles 0 and delta_q D reading parity(mask_q & x). The
+    congruence S(x) = f(x) xor constant (mod 2) and the closed-form success
+    (1 + cos(pi (S(x) - want)))/2 both follow from S(x) mod 2. When the
+    program is small enough, the state-vector oracle computes the success
+    again as an independent path: ``corrbox.statevector_parity`` applies the
+    Born rule to every input's measured GHZ state, from the basis matrices
+    alone, in chunks that hold at most 2^16 amplitudes.
     """
     if program.n != f.arity:
         raise ValueError("program arity does not match the function")
@@ -138,10 +139,9 @@ def verify(
     # int64 is exact under this bound; past it, Python ints: a program file may
     # carry any denominator
     exact = np.int64 if (sum(map(abs, scaled)) + 2 * denom) * 4 < 1 << 62 else object
-    masks = np.array(program._masks, dtype=np.int64)
-    numerators = np.zeros(1 << program.n, dtype=exact)
-    np.add.at(numerators, masks, np.array(scaled, dtype=exact))
-    twice_phase = numerators.sum() - walsh(numerators)  # 2 D S(x)
+    rows = np.zeros((program.n_qubits, 2), dtype=exact)  # qubit q: angles 0, delta_q D
+    rows[:, 1] = scaled
+    twice_phase = _twice_phase(rows, np.array(program._masks, dtype=np.int64) << 1, program.n)
     want = np.array(f.table, dtype=exact) ^ program.constant
     # 2 D ((S(x) - want) mod 2)
     residue = (twice_phase - 2 * denom * want) % (4 * denom)

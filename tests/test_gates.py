@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from l2mbqc import gates, ghzc, mbqc
 from l2mbqc.boolfn import kmaj_nonlinearity, make_named
+from l2mbqc.corrbox import GhzBox, NoncontextualBox, noncontextual_and_box
 from l2mbqc.gates import (
     NoisyGate,
     analyze_recursion,
@@ -97,6 +98,48 @@ def test_chsh_derived_xnand_mu():
     assert derived.epsilon == pytest.approx(SIN2_PI8, abs=1e-12)
     nc = xnand_from_and(noncontextual_and_gate())
     assert nc.epsilon == 0.25
+
+
+def _one_box_gate(box, target, masks, output_map):
+    """The gate of the l2 program whose one box's two parties read the input
+    subsets ``masks``, scored against target."""
+    maps = tuple(mbqc.AffineBitMap(x_mask=m) for m in masks)
+    program = mbqc.L2Program(n=target.arity, boxes=(box,), input_maps=(maps,), output_map=output_map)
+    return gates.gate_from_report(target, mbqc.run_exact(program, target))
+
+
+_SKEWED_AND_BOXES = {
+    "ghz": (
+        GhzBox(((0.0, math.pi / 2 + 0.3), (-math.pi / 4, math.pi / 4 - 0.1))),
+        (0.146, 0.267, 0.113, 0.083),
+    ),
+    "noncontextual": (
+        # the four responses of the uniform quarter-noisy AND box, reweighted
+        NoncontextualBox(
+            tuple(zip(
+                (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)),
+                (responses for _, responses in noncontextual_and_box().mixture),
+            ))
+        ),
+        (0.125, 0.25, 0.125, 0.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SKEWED_AND_BOXES))
+def test_gadgets_match_their_one_box_programs_under_an_input_dependent_and(name):
+    # a uniform AND hides which AND input each gadget input reads; here
+    # every AND input has its own error, so a wrong input map shows
+    box, and_errors = _SKEWED_AND_BOXES[name]
+    and_gate = _one_box_gate(box, make_named("and"), (0b01, 0b10), mbqc.AffineBitMap(out_mask=0b11))
+    assert and_gate.errors == pytest.approx(and_errors, abs=1e-3)
+    # 3-MAJ reads a xor b and a xor c; XNAND reads a xor b1 and a xor b1 xor b2
+    maj3 = make_named("maj", 3)
+    out = mbqc.AffineBitMap(x_mask=0b001, out_mask=0b11)
+    assert maj3_from_and(and_gate) == _one_box_gate(box, maj3, (0b011, 0b101), out)
+    xnand = make_named("xnand")
+    out = mbqc.AffineBitMap(x_mask=0b001, out_mask=0b11, const=1)
+    assert xnand_from_and(and_gate) == _one_box_gate(box, xnand, (0b011, 0b111), out)
 
 
 def test_constructions_reject_wrong_target():

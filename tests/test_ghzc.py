@@ -376,13 +376,13 @@ def test_transform_verify_matches_fraction_oracle(name):
 
 def test_verify_takes_int64_up_to_its_bound(monkeypatch):
     dtypes = []
-    transform = ghzc.walsh
+    twice_phase = ghzc._twice_phase
 
-    def recording(values):
-        dtypes.append(values.dtype)
-        return transform(values)
+    def recording(scaled, forms, n):
+        dtypes.append(scaled.dtype)
+        return twice_phase(scaled, forms, n)
 
-    monkeypatch.setattr(ghzc, "walsh", recording)
+    monkeypatch.setattr(ghzc, "_twice_phase", recording)
     rng = random.Random("edge")
     for program, dtype in ((ORACLE_CASES["int64-edge"], np.int64), (OBJECT_EDGE, object)):
         for _ in range(4):
@@ -482,7 +482,7 @@ def test_one_transform_serves_nonlinearity_compile_and_certificate(monkeypatch):
         return transform(values)
 
     transform = boolfn.walsh
-    for module in (boolfn, corrbox, ghzc):  # every module that holds the kernel
+    for module in (boolfn, corrbox):  # every module that holds the kernel
         monkeypatch.setattr(module, "walsh", counting)
     f = random_function(random.Random(25), 6)
     nu = boolfn.nonlinearity(f)

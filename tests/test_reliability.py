@@ -6,6 +6,7 @@ import math
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l2mbqc import gates, reliability
-from l2mbqc.boolfn import make_named
+from l2mbqc.boolfn import BooleanFunction, make_named, nonlinearity
 from l2mbqc.gates import (
     chsh_and_gate,
     maj3_from_and,
@@ -848,6 +849,29 @@ def test_tree4_certifies_with_every_input_sampled():
     assert top.upper == pytest.approx(0.426400325, abs=1e-9)
     wrong = round(top.empirical_error * 2000)
     assert top.upper == gates.clopper_pearson_upper(wrong, 2000, 0.05 / 16)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 14: the noiseless W-wire majority readout is not affine, so it "
+    "lies outside the mod-2 model and certifies a circuit of non-contextual gates",
+)
+def test_noncontextual_circuit_stays_above_the_nonlinearity_floor():
+    # with only non-contextual boxes every branch of the computation is affine
+    # in x, so the average error is at least nu(f)/2^n (the paper's first
+    # result), and with it the mean of the per-input upper bounds
+    formula = parse_formula((Path(__file__).parent / "golden" / "tree4.nand").read_text())
+    f = BooleanFunction.from_callable(formula.n_inputs, lambda *x: formula.evaluate(x))
+    floor = Fraction(nonlinearity(f), 1 << f.arity)
+    assert floor == Fraction(5, 16)
+    kmaj, _ = chsh_gates()  # no restore stage runs at r = 0
+    xnand = xnand_from_and(noncontextual_and_gate())
+    circ = build(formula, 729, 3, 0, xnand=xnand, kmaj=kmaj, seed=3)
+    report = build_report(circ, trials=1024, seed=3)
+    uppers = [row.upper for row in report.rows]
+    assert len(uppers) == 16
+    assert math.fsum(uppers) / 16 >= floor
 
 
 @pytest.mark.parametrize("margin", [0.05, 0.3])
