@@ -135,10 +135,8 @@ def beta(k: int) -> Threshold:
 
 
 def gap(k: int) -> Fraction:
-    """nu(k-MAJ)/2^k - beta_k: the margin between the non-contextual error
-    floor for majority and the error ceiling for restoration."""
-    if k < 3 or k % 2 == 0:
-        raise ValueError(f"gap needs odd k >= 3, got {k}")
+    """nu(k-MAJ)/2^k - beta_k, odd k >= 3: the margin between the non-contextual
+    error floor for majority and the error ceiling for restoration."""
     return Fraction(kmaj_nonlinearity(k), 1 << k) - beta(k).beta
 
 
@@ -165,11 +163,10 @@ def min_k_for_violation(delta: RationalLike) -> ViolationWitness:
     if d <= 0:
         raise ValueError("violation delta must be positive")
     k = 3
-    while gap(k) >= d:
+    while (g := gap(k)) >= d:
         k += 2
         if k > K_CAP:
             raise ValueError(f"no k below cap {K_CAP} with gap under {d}")
-    g = gap(k)
     eps = Fraction(kmaj_nonlinearity(k), 1 << k) - d
     trivial = eps <= 0
     if trivial:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .boolfn import COMPILE_ARITY_CAP, BooleanFunction, input_keys
 from .corrbox import STATEVECTOR_QUBIT_CAP, GhzBox, _twice_phase, statevector_parity
-from .mbqc import AffineBitMap, L2Program, constant_program
+from .mbqc import L2Program, _parity_program, constant_program
 
 SUCCESS_TOL = 1e-10
 
@@ -141,7 +141,8 @@ def verify(
     exact = np.int64 if (sum(map(abs, scaled)) + 2 * denom) * 4 < 1 << 62 else object
     rows = np.zeros((program.n_qubits, 2), dtype=exact)  # qubit q: angles 0, delta_q D
     rows[:, 1] = scaled
-    twice_phase = _twice_phase(rows, np.array(program._masks, dtype=np.int64) << 1, program.n)
+    forms = np.array(program._masks, dtype=np.int64) << 1
+    twice_phase = _twice_phase(rows, forms, program.n)
     want = np.array(f.table, dtype=exact) ^ program.constant
     # 2 D ((S(x) - want) mod 2)
     residue = (twice_phase - 2 * denom * want) % (4 * denom)
@@ -161,8 +162,6 @@ def verify(
         sv_success = dict(success)
     elif use_statevector:
         box = run_as_l2program(program).boxes[0]
-        # qubit q of input x reads parity(mask_q & x): the form 2 mask_q + 0
-        forms = [q.mask << 1 for q in program.qubits]
         p1 = statevector_parity(box, forms, program.n)
         sv_success = dict(zip(keys, np.where(want != 0, p1, 1.0 - p1).tolist()))
 
@@ -175,13 +174,6 @@ def verify(
     )
 
 
-@lru_cache(maxsize=1 << COMPILE_ARITY_CAP)
-def _subset_map(mask: int) -> AffineBitMap:
-    """The input map of a qubit on subset mask, shared: a map is immutable,
-    and building one per qubit cost more than the rest of the wrapping."""
-    return AffineBitMap(x_mask=mask)
-
-
 def run_as_l2program(program: GhzProgram, epsilon: float = 0.0) -> L2Program:
     """Wrap the measurement program as a box program over one noisy GHZ box."""
     if not 0.0 <= epsilon <= 0.5:
@@ -190,14 +182,7 @@ def run_as_l2program(program: GhzProgram, epsilon: float = 0.0) -> L2Program:
         return constant_program(program.n, program.constant)
     # a / b is float(delta), without its two property reads
     box = GhzBox(angles=tuple([(0.0, a / b * math.pi) for a, b in program._ratios]), epsilon=epsilon)
-    maps = tuple(map(_subset_map, program._masks))
-    all_outputs = (1 << program.n_qubits) - 1
-    return L2Program(
-        n=program.n,
-        boxes=(box,),
-        input_maps=(maps,),
-        output_map=AffineBitMap(out_mask=all_outputs, const=program.constant),
-    )
+    return _parity_program(program.n, box, program._masks, program.constant)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import corrbox
-from .boolfn import BooleanFunction, index_parity, input_keys, nonlinearity
+from .boolfn import COMPILE_ARITY_CAP, BooleanFunction, index_parity, input_keys, nonlinearity
 from .corrbox import CorrelationBox, GhzBox, chsh_and_box, noncontextual_and_box
 
 PATH_CAP = 1 << 22
@@ -233,24 +233,31 @@ def best_noncontextual_error(target: BooleanFunction) -> Fraction:
 # ---------------------------------------------------------------------------
 # reference programs
 
+@lru_cache(maxsize=1 << COMPILE_ARITY_CAP)
+def _subset_map(mask: int) -> AffineBitMap:
+    """The input map of a party on subset mask, shared: a map is immutable,
+    and building one per party cost more than the rest of the wrapping."""
+    return AffineBitMap(x_mask=mask)
+
+
+def _parity_program(n: int, box: CorrelationBox, masks: list[int], const: int = 0) -> L2Program:
+    """One box, party j reading parity(masks[j] & x); z is its outcomes' parity xor const."""
+    return L2Program(
+        n=n,
+        boxes=(box,),
+        input_maps=(tuple(map(_subset_map, masks)),),
+        output_map=AffineBitMap(out_mask=(1 << len(masks)) - 1, const=const),
+    )
+
+
 def chsh_and_program() -> L2Program:
     """The Bell-state protocol whose output parity approximates AND."""
-    return L2Program(
-        n=2,
-        boxes=(chsh_and_box(),),
-        input_maps=((AffineBitMap(x_mask=0b01), AffineBitMap(x_mask=0b10)),),
-        output_map=AffineBitMap(out_mask=0b11),
-    )
+    return _parity_program(2, chsh_and_box(), [0b01, 0b10])
 
 
 def noncontextual_and_program() -> L2Program:
     """The 1/4-noisy AND from a mixture of deterministic local responses."""
-    return L2Program(
-        n=2,
-        boxes=(noncontextual_and_box(),),
-        input_maps=((AffineBitMap(x_mask=0b01), AffineBitMap(x_mask=0b10)),),
-        output_map=AffineBitMap(out_mask=0b11),
-    )
+    return _parity_program(2, noncontextual_and_box(), [0b01, 0b10])
 
 
 def constant_program(n: int, value: int) -> L2Program:

@@ -44,9 +44,10 @@ import numpy as np
 from .boolfn import BRUTE_FORCE_ARITY_CAP, as_bits, index_bits, make_named
 from .gates import NoisyGate, beta, clopper_pearson_upper, error_polynomial, majority_error, polynomial_error
 
-#: largest stages x width of a circuit, checked before any stage is laid
-#: out: the wiring holds k length-W permutations per restore stage; the
-#: sampler holds one group of stages' flips and a few live bundles at a time
+#: largest stages x width of a circuit, checked before any stage is laid out:
+#: the wiring holds k length-W permutations per restore stage; the sampler holds
+#: one group of stages' flips and a few live bundles, each W x 128 B (a bit per
+#: trial of 1024); at the cap, one NAND at W = 2^21 peaks near 2.9 GiB RSS
 CIRCUIT_SIZE_CAP = 1 << 21
 #: most Monte Carlo trials per sampler call, and per report over all its sampled inputs
 TRIALS_CAP = 1 << 24

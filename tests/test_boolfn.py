@@ -310,3 +310,18 @@ def test_walsh_leaves_its_input_alone():
 def test_walsh_rejects_non_power_of_two():
     with pytest.raises(ValueError):
         walsh(np.zeros(6, dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: boolfn.BooleanFunction(-1, ()), "arity must be nonnegative"),
+        (lambda: boolfn.AffineForm(2, 4), "mask selects bits outside the arity"),
+        (lambda: boolfn.AffineForm(2, 1, 2), "constant must be a bit"),
+        (lambda: boolfn.make_named("const0", -1), "const arity must be nonnegative"),
+    ],
+    ids=["negative-arity", "mask-beyond-arity", "constant-not-a-bit", "const-negative-arity"],
+)
+def test_malformed_functions_and_forms_raise(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

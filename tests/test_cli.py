@@ -331,6 +331,10 @@ MALFORMED_INPUTS = {
     "compile-missing-file": (["compile", "--fn", "missing.tt"], "missing.tt"),
     "compile-bad-hex": (["compile", "--fn", "badhex.tt"], "line 2"),
     "compile-signed-hex": (["compile", "--fn", "signedhex.tt"], "line 2: invalid hex table '-1'"),
+    "compile-header-only": (
+        ["compile", "--fn", "header.tt"],
+        "line 1: expected a header line and a hex table line",
+    ),
     "compile-format": (["compile", "--fn", "and.tt", "--format", "json"], "unrecognized"),
     "compile-pad": (["compile", "--fn", "and.tt", "--pad"], "unrecognized"),
     "verify-format-csv": (
@@ -365,6 +369,30 @@ MALFORMED_INPUTS = {
     "reliable-bad-formula": (
         ["reliable", "--formula", "bad.nand", "--width", "9", "--rounds", "0", "--seed", "1"],
         "line 2",
+    ),
+    "reliable-empty-formula": (
+        ["reliable", "--formula", "empty.nand", "--width", "9", "--rounds", "0", "--seed", "1"],
+        "line 1: empty formula",
+    ),
+    "reliable-stray-close": (
+        ["reliable", "--formula", "close.nand", "--width", "9", "--rounds", "0", "--seed", "1"],
+        "line 1: unexpected ')'",
+    ),
+    "reliable-bad-input-name": (
+        ["reliable", "--formula", "badname.nand", "--width", "9", "--rounds", "0", "--seed", "1"],
+        "line 1: bad input name '1a'",
+    ),
+    "reliable-unclosed-formula": (
+        ["reliable", "--formula", "open.nand", "--width", "9", "--rounds", "0", "--seed", "1"],
+        "line 1: unexpected end of formula",
+    ),
+    "reliable-negative-rounds": (
+        ["reliable", "--formula", "tree.nand", "--width", "9", "--rounds", "-1", "--seed", "1"],
+        "restore_rounds must be nonnegative",
+    ),
+    "reliable-k5-without-restore-epsilon": (
+        RELIABLE + ["--width", "25", "--k", "5"],
+        "k != 3 requires --restore-epsilon",
     ),
     "reliable-margin": (RELIABLE + ["--width", "9", "--margin", "0.7"], "margin 0.7 outside"),
     "reliable-width-2": (RELIABLE + ["--width", "2"], "bundle width 2 smaller than k = 3"),
@@ -409,6 +437,11 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys
     (tmp_path / "deep.json").write_text('{"qubits": ' + "[" * 5000 + "]" * 5000 + "}")
     (tmp_path / "tree.nand").write_text("(nand (nand a b) (nand c d))\n")
     (tmp_path / "bad.nand").write_text("(nand a\n(xor b c))\n")
+    (tmp_path / "empty.nand").write_text("")
+    (tmp_path / "close.nand").write_text(")")
+    (tmp_path / "badname.nand").write_text("(nand 1a b)")
+    (tmp_path / "open.nand").write_text("(nand a")
+    (tmp_path / "header.tt").write_text("n=2\n")
     (tmp_path / "wide.nand").write_text(WIDE_FORMULA)
     (tmp_path / "chain16.nand").write_text(CHAIN16)
     monkeypatch.chdir(tmp_path)

@@ -610,3 +610,47 @@ def test_outcome_entries_must_be_bits(outcome):
     dist = distribution(chsh_and_box(), (0, 0))
     with pytest.raises(ValueError):
         dist[outcome]
+
+
+@pytest.mark.parametrize(
+    "error, build, message",
+    [
+        (ValueError, lambda: corrbox.OutcomeDistribution(np.ones(3) / 3), "3 probabilities are not 2"),
+        (ValueError, lambda: corrbox.GhzBox(()), "at least one party"),
+        (
+            ValueError,
+            lambda: corrbox.NoncontextualBox(
+                ((Fraction(1, 2), ((0, 0),)), (Fraction(1, 2), ((0, 0), (0, 0))))
+            ),
+            "inconsistent party counts",
+        ),
+        (
+            ValueError,
+            lambda: corrbox.NoncontextualBox(((-1, ((0, 0),)), (2, ((0, 0),)))),
+            "negative mixture weight",
+        ),
+        (
+            TypeError,
+            lambda: corrbox.parity_probability(corrbox.noncontextual_and_box(), (0b10, 0b100), 2),
+            "not a GHZ box",
+        ),
+        (
+            TypeError,
+            lambda: corrbox.statevector_oracle(corrbox.noncontextual_and_box(), (0, 1)),
+            "noiseless GhzBox only",
+        ),
+        (TypeError, lambda: corrbox.outcome_table("box", (0,), 0), "not a correlation box"),
+    ],
+    ids=[
+        "three-outcomes",
+        "ghz-no-parties",
+        "mixture-party-counts",
+        "mixture-negative-weight",
+        "parity-of-noncontextual",
+        "oracle-of-noncontextual",
+        "table-of-non-box",
+    ],
+)
+def test_malformed_boxes_and_unsupported_calls_raise(error, build, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -668,3 +668,15 @@ def test_clopper_pearson_upper_of_no_errors():
     bound = gates.clopper_pearson_upper(0, 16384, 0.05)
     assert bound == pytest.approx(-math.expm1(math.log(0.05) / 16384), abs=1e-12)
     assert bound == pytest.approx(1.828e-4, abs=1e-7)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_gap_rejects_k_without_a_threshold(k):
+    with pytest.raises(ValueError):
+        gap(k)
+
+
+def test_eta_iteration_that_does_not_converge_raises():
+    # at the threshold epsilon = beta_3 = 1/6 the step shrinks too slowly for 1e-14
+    with pytest.raises(RuntimeError, match="did not converge"):
+        gates.eta_by_iteration(3, 1 / 6)

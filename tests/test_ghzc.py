@@ -508,3 +508,8 @@ def test_qubit_spec_is_a_plain_record():
     [compiled] = compile_function(make_named("xor")).qubits
     assert type(compiled) is QubitSpec and compiled == (3, Fraction(1))
     assert (compiled.mask, compiled.delta) == (3, Fraction(1))
+
+
+def test_program_constant_must_be_a_bit():
+    with pytest.raises(ValueError, match="constant must be a bit"):
+        GhzProgram(n=1, qubits=(), constant=2)

@@ -315,3 +315,40 @@ def test_mixture_error_is_convex_combination():
         mixed = float(np.dot(w, errors))
         assert mixed >= min(errors) - 1e-12
         assert mixed <= max(errors) + 1e-12
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: AffineBitMap(const=2), "const must be a bit"),
+        (lambda: AffineBitMap(x_mask=-1), "masks must be nonnegative"),
+        (
+            lambda: L2Program(
+                n=2, boxes=(corrbox.chsh_and_box(),), input_maps=(), output_map=AffineBitMap()
+            ),
+            "one input-map group per box",
+        ),
+        (
+            lambda: L2Program(
+                n=2,
+                boxes=(corrbox.chsh_and_box(),),
+                input_maps=((AffineBitMap(x_mask=1),),),
+                output_map=AffineBitMap(),
+            ),
+            "one input map per box party",
+        ),
+        (
+            lambda: L2Program(
+                n=1,
+                boxes=(corrbox.chsh_and_box(),),
+                input_maps=((AffineBitMap(x_mask=1), AffineBitMap(x_mask=2)),),
+                output_map=AffineBitMap(),
+            ),
+            "bits beyond the arity",
+        ),
+    ],
+    ids=["const-not-a-bit", "negative-mask", "missing-map-group", "wrong-party-count", "x-mask-beyond-n"],
+)
+def test_malformed_maps_and_programs_raise(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -1303,3 +1303,13 @@ def test_readout_tail_is_stable_at_large_width(width):
     values = [gates.majority_error(width, p) for p in READOUT_PROBABILITIES]
     assert all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in values)
     assert values == sorted(values)
+
+
+@pytest.mark.parametrize(
+    "nodes, message",
+    [((), "at least one NAND node"), (((0, 1),), "node 0 references an unavailable operand")],
+    ids=["no-nodes", "operand-ahead"],
+)
+def test_malformed_formula_dag_raises(nodes, message):
+    with pytest.raises(ValueError, match=message):
+        reliability.FormulaDag(("a",), nodes)
