@@ -292,29 +292,30 @@ def error_polynomial(gate: NoisyGate, sources: Sequence[Sequence[int]], x) -> np
     return np.reshape(sums, x.shape + dims)
 
 
-#: |p - _ZERO_ONE| is (p, 1 - p)
-_ZERO_ONE = np.array([0.0, 1.0])
-
-
 def polynomial_error(coefficients: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """Each row r's error polynomial (``error_polynomial``) with coefficients
     ``coefficients[r]`` at the read errors ``ps[r]``, one per source.
 
     Only IEEE multiplications and subtractions and exact sums are used, so
     the value is the same on every platform. The powers are running
-    products, one row per source, and every term is nonnegative, so the
-    terms' relative accuracy carries over to p' on all of [0, 1]. Each row's
-    terms are added exactly and rounded once (``math.fsum``).
+    products, of p_i and of 1 - p_i side by side, and every term is
+    nonnegative, so the terms' relative accuracy carries over to p' on all
+    of [0, 1]. Each row's terms are added exactly and rounded once
+    (``math.fsum``).
     """
     rows, m = ps.shape
     terms = coefficients
     for i, c in enumerate(coefficients.shape[1:]):
-        powers = np.empty((rows, 2, c))  # each row's powers of p_i, then of 1 - p_i
+        powers = np.empty((2, rows, c))  # each row's powers of p_i, then of 1 - p_i
         powers[:, :, 0] = 1.0
-        powers[:, :, 1:] = np.abs(ps[:, i, None] - _ZERO_ONE)[:, :, None]
+        powers[0, :, 1:] = ps[:, i, None]
+        np.subtract(1.0, powers[0, :, 1:], out=powers[1, :, 1:])
         np.multiply.accumulate(powers, axis=-1, out=powers)
-        shape = (rows,) + (1,) * i + (c,) + (1,) * (m - 1 - i)
-        terms = terms * powers[:, 0].reshape(shape) * powers[:, 1, ::-1].reshape(shape)
+        p_powers, q_powers = powers[0], powers[1, :, ::-1]
+        if m > 1:
+            shape = (rows,) + (1,) * i + (c,) + (1,) * (m - 1 - i)
+            p_powers, q_powers = p_powers.reshape(shape), q_powers.reshape(shape)
+        terms = terms * p_powers * q_powers
     return np.fromiter(map(math.fsum, terms.reshape(rows, -1).tolist()), float, rows)
 
 

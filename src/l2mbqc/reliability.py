@@ -10,15 +10,17 @@ feeds each gate input is the circuit's ``wiring``, drawn from (seed, stage
 order) the first time the sampler runs on the circuit.
 
 Every error model runs on one stage walk, ``_walk``, which tracks the true
-logical values and hands each stage's true input indices to the model's
-step; the step maps the read bundles' states to the target's. The
-walk takes a batch of inputs at once, groups them by each bundle's (true
-value, state) and calls each stage's step once, on numpy arrays with one
-row per distinct (true index, read states). The independence model's state
-is one wire's error probability, with the wires of a bundle assumed
-independent: each stage shape is one polynomial in its sources' read errors
-(``gates.error_polynomial``), kept for recent gates and gathered by true
-index; the sweep over all 2^n table indices is one walk. The seeded
+logical values and hands the model's step the true input indices of one
+stage, or of one chain of restores that ``build`` lays out back to back;
+the step maps the read bundles' states to the last target's. The walk takes
+a batch of inputs at once, groups them by each bundle's (true value, state)
+and calls the step once per compute stage and once per restore chain, on
+numpy arrays with one row per distinct (true index, read states). The
+independence model's state is one wire's error probability, with the wires
+of a bundle assumed independent: each stage shape is one polynomial in its
+sources' read errors (``gates.error_polynomial``), kept for recent gates and
+gathered by true index, and a chain applies its restore polynomial once per
+round; the sweep over all 2^n table indices is one walk. The seeded
 wire-level Monte Carlo's state is every wire's actual value under the
 circuit's fixed wiring, and its walks take the sampled inputs a chunk at a
 time; it quantifies how much that assumption leaks.
@@ -37,7 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,7 +49,7 @@ from .gates import NoisyGate, beta, clopper_pearson_upper, error_polynomial, maj
 #: largest stages x width of a circuit, checked before any stage is laid out:
 #: the wiring holds k length-W permutations per restore stage; the sampler holds
 #: one group of stages' flips and a few live bundles, each W x 128 B (a bit per
-#: trial of 1024); at the cap, one NAND at W = 2^21 peaks near 2.9 GiB RSS
+#: trial of 1024); at the cap, one NAND at W = 2^21 peaks near 2.1 GiB RSS
 CIRCUIT_SIZE_CAP = 1 << 21
 #: most Monte Carlo trials per sampler call, and per report over all its sampled inputs
 TRIALS_CAP = 1 << 24
@@ -377,6 +379,23 @@ def _pairs(live: dict, a: int, b: int, n: int):
     return inverse, va + 6 * vb, [sa, sb, sb]
 
 
+def _chains(circuit: ReliableCircuit) -> list[range]:
+    """The stage walk's steps in order: each compute stage alone, and each
+    maximal chain of restores in which every stage after the first is the
+    last reader of the previous one's target (``add_restores`` lays out
+    such chains). A restore reads one bundle only, so that stage reads
+    nothing else and the previous target has no other reader."""
+    chains: list[range] = []
+    stages = circuit.stages
+    for s, stage in enumerate(stages):
+        if (s and stage.kind == stages[s - 1].kind == "restore"
+                and circuit.dead_after[s] == (stages[s - 1].target,)):
+            chains[-1] = range(chains[-1].start, s + 1)
+        else:
+            chains.append(range(s, s + 1))
+    return chains
+
+
 def _walk(circuit: ReliableCircuit, xs: np.ndarray, start, step):
     """Run every stage on the batch of input table indices ``xs`` (an int
     array; bit j of an index is formula input j) at once; return the output
@@ -387,14 +406,17 @@ def _walk(circuit: ReliableCircuit, xs: np.ndarray, start, step):
     batch into classes: ``values`` holds each class's true value, ``states``
     each class's state along a leading class axis and ``classes`` each
     input's class id, or None when one class holds the whole batch (the
-    output's is always an array). Stage s calls ``step(s, stage, idx,
-    reads)`` once: a restore's rows are its source's classes as they are, a
-    compute's the pairs of its sources' classes that occur (``_pairs``);
-    ``idx`` holds the rows' true input indices and ``reads`` the read states
-    in gate-input order, and the step returns the target's state per row.
-    Rows with equal (value, state) merge into one class, so a stage has one
-    row per distinct (true index, read states), and a batch of one never
-    compares states. A bundle is dropped after its last read.
+    output's is always an array). Each compute stage and each restore chain
+    (``_chains``) is one call ``step(stages, idx, reads)``, with ``stages``
+    the range of its stage indices: a restore chain's rows are its source's
+    classes as they are, a compute's the pairs of its sources' classes that
+    occur (``_pairs``); ``idx`` holds the rows' true input indices and
+    ``reads`` the first stage's read states in gate-input order, and the
+    step returns the last target's state per row. A chain's restores keep
+    the true value, and its intermediate targets never go live. Rows with
+    equal (value, state) merge into one class, so a call has one row per
+    distinct (true index, read states), and a batch of one never compares
+    states. A bundle is dropped after its last read.
     """
     n = len(xs)
     start = np.asarray(start)
@@ -404,15 +426,16 @@ def _walk(circuit: ReliableCircuit, xs: np.ndarray, start, step):
         values = np.array([0, 1]) if 0 < ones < n else row[:1]
         live[b] = (row if 0 < ones < n else None, values, start[values])
     xnand_table = np.array(circuit.xnand.target.table)
-    for s, stage in enumerate(circuit.stages):
-        if stage.kind == "restore":  # k reads of one bundle: its classes are the rows, its values the majority's
-            inverse, values, states = live[stage.sources[0]]
-            idx = values * ((1 << len(stage.sources)) - 1)
-            reads = [states] * len(stage.sources)
+    for chain in _chains(circuit):
+        head = circuit.stages[chain[0]]
+        if head.kind == "restore":  # k reads of one bundle: its classes are the rows, its values the majority's
+            inverse, values, states = live[head.sources[0]]
+            idx = values * ((1 << len(head.sources)) - 1)
+            reads = [states] * len(head.sources)
         else:
-            inverse, idx, reads = _pairs(live, *stage.sources[:2], n)
+            inverse, idx, reads = _pairs(live, *head.sources[:2], n)
             values = xnand_table[idx]
-        states = step(s, stage, idx, reads)
+        states = step(chain, idx, reads)
         if len(values) > 1:
             # a float state is its own key; a word state keys by its bytes
             rows = states.tolist() if states.ndim == 1 else [row.tobytes() for row in states]
@@ -427,8 +450,8 @@ def _walk(circuit: ReliableCircuit, xs: np.ndarray, start, step):
                 remap = np.array([ids[key] for key in keys])
                 values, states = values[first], states[first]
                 inverse = remap[inverse] if len(first) > 1 else None
-        live[stage.target] = (inverse, values, states)
-        for src in circuit.dead_after[s]:
+        live[circuit.stages[chain[-1]].target] = (inverse, values, states)
+        for src in circuit.dead_after[chain[0]]:  # later stages' lists name the chain's own targets
             del live[src]
     classes, values, states = live[circuit.output_bundle]
     return np.zeros(n, dtype=int) if classes is None else classes, values, states
@@ -463,16 +486,21 @@ def _independence_walk(circuit: ReliableCircuit, xs: np.ndarray):
     # looked up once per walk, since hashing a gate takes 2^k steps
     tables = {"restore": _error_table("restore", circuit.kmaj, one_wire),
               "compute": _error_table("compute", circuit.xnand, one_wire)}
-    # (kind, true indices, read errors) -> result, for rows that repeat
+    # (kind, chain length, true indices, read errors) -> result, for rows that repeat
     results: dict[tuple, np.ndarray] = {}
 
-    def step(s: int, stage: Stage, idx: np.ndarray, reads: list):
-        keys, coefficients = tables[stage.kind]
-        reads = reads[:1] if stage.kind == "restore" else reads[:2]  # one read per bundle
-        key = (stage.kind, idx.tobytes(), *[r.tobytes() for r in reads])
+    def step(stages: range, idx: np.ndarray, reads: list):
+        kind = circuit.stages[stages[0]].kind
+        keys, coefficients = tables[kind]
+        reads = reads[:1] if kind == "restore" else reads[:2]  # one read per bundle
+        key = (kind, len(stages), idx.tobytes(), *[r.tobytes() for r in reads])
         p = results.get(key)
         if p is None:
-            p = results[key] = polynomial_error(coefficients.take(keys.searchsorted(idx), axis=0), np.array(reads).T)
+            rows, ps = coefficients.take(keys.searchsorted(idx), axis=0), np.array(reads).T
+            for _ in stages:  # a chain's rounds keep the true index: each feeds the next its error
+                p = polynomial_error(rows, ps)
+                ps = p[:, None]
+            results[key] = p
         return p
 
     return _walk(circuit, xs, (0.0, 0.0), step)
@@ -498,6 +526,9 @@ ROUNDS_PER_PASS = 10
 #: most words per flip mask drawn at once: a block draws the masks of a gate
 #: kind's stages a group at a time, as many stages as fit and at least one
 GROUP_WORDS = 1 << 16
+#: most wires whose trial bits the readout unpacks at once, a byte per bit:
+#: 4 MiB, where a whole bundle at W = 2^16 would be 64 MiB
+READOUT_WIRES = 1 << 12
 _WORDS = BLOCK // 64
 _ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
@@ -613,6 +644,7 @@ def _wrong_trials(
     gate_keys = {"restore": _gate_keys(circuit.kmaj), "compute": _gate_keys(circuit.xnand)}
     kind_count = {kind: sum(stage.kind == kind for stage in circuit.stages) for kind in gate_keys}
     group = max(1, GROUP_WORDS // (w * _WORDS))  # stages per mask group, and inputs per chunk
+    slices = [(lo, lo + READOUT_WIRES) for lo in range(0, w, READOUT_WIRES)]
     wiring = circuit.wiring
 
     def run_chunk(block: int, chunk: np.ndarray) -> np.ndarray:
@@ -620,25 +652,31 @@ def _wrong_trials(
         masks = {}  # kind -> its current group's masks, one per error value
         seen = dict.fromkeys(gate_keys, 0)  # stages of each kind walked so far
 
-        def step(s: int, stage: Stage, idx: np.ndarray, reads: list[np.ndarray]):
-            i = seen[stage.kind] % group  # the stage's place in its group
-            if not i:
-                n = min(group, kind_count[stage.kind] - seen[stage.kind])
-                masks[stage.kind] = [_flip_words(bitgen, p, n * w * _WORDS).reshape(n, w, _WORDS)
-                                     for p in gate_keys[stage.kind][2]]
-            seen[stage.kind] += 1
-            table, flips, _ = gate_keys[stage.kind]
-            kind_masks = masks[stage.kind]
-            vs = [r if perm is None else r.take(perm, axis=1) for r, perm in zip(reads, wiring[s])]
-            value = _mux(table, vs, None, {})  # a word array: majority and XNAND read their inputs
-            flip = _mux(flips, vs, lambda key: kind_masks[key - 2][i], {})
-            return value ^ (start[flip] if isinstance(flip, int) else flip)
+        def step(stages: range, idx: np.ndarray, reads: list[np.ndarray]):
+            for s in stages:  # a chain's stages in order, each output read k times by the next
+                stage = circuit.stages[s]
+                i = seen[stage.kind] % group  # the stage's place in its group
+                if not i:
+                    n = min(group, kind_count[stage.kind] - seen[stage.kind])
+                    masks[stage.kind] = [_flip_words(bitgen, p, n * w * _WORDS).reshape(n, w, _WORDS)
+                                         for p in gate_keys[stage.kind][2]]
+                seen[stage.kind] += 1
+                table, flips, _ = gate_keys[stage.kind]
+                kind_masks = masks[stage.kind]
+                vs = [r if perm is None else r.take(perm, axis=1) for r, perm in zip(reads, wiring[s])]
+                value = _mux(table, vs, None, {})  # a word array: majority and XNAND read their inputs
+                flip = _mux(flips, vs, lambda key: kind_masks[key - 2][i], {})
+                out = value ^ (start[flip] if isinstance(flip, int) else flip)
+                reads = [out] * len(stage.sources)
+            return out
 
         classes, values, states = _walk(circuit, chunk, start, step)
-        # per class, whether each trial's readout is wrong; one class's bits are unpacked at a time
+        # per class, whether each trial's readout is wrong; the bits of at
+        # most READOUT_WIRES wires of one class are unpacked at a time
         wrong = [
-            2 * np.unpackbits((state ^ start[v]).astype("<u8", copy=False).view(np.uint8), axis=1,
-                              bitorder="little").sum(axis=0) >= w
+            2 * sum(np.unpackbits((state[lo:hi] ^ start[v, lo:hi]).astype("<u8", copy=False).view(np.uint8),
+                                  axis=1, bitorder="little").sum(axis=0)
+                    for lo, hi in slices) >= w
             for state, v in zip(states, values.tolist())
         ]
         return np.array(wrong)[classes]
@@ -700,8 +738,10 @@ def simulate_monte_carlo(
 # ---------------------------------------------------------------------------
 # reports and certification
 
-@dataclass(frozen=True)
-class InputRow:
+class InputRow(NamedTuple):
+    """One input's report row; a tuple, so rows compare as tuples and a
+    sampled row is filled in with ``_replace``."""
+
     x: tuple[int, ...]
     analytic_error: float
     empirical_error: float | None = None
@@ -789,13 +829,15 @@ def build_report(
     # of the row index; in the table order of xs it is the least significant,
     # so row_of[i], which reverses i's n bits, is table index i's row and back
     row_of = np.arange(1 << n).reshape((2,) * n).T.ravel()
-    rows = list(map(InputRow, itertools.product((0, 1), repeat=n), errors[row_of].tolist()))
+    # tuple.__new__ fills each row without the named tuple's per-row __new__ call
+    rows = list(map(tuple.__new__, itertools.repeat(InputRow), zip(
+        itertools.product((0, 1), repeat=n), errors[row_of].tolist(), itertools.repeat(None), itertools.repeat(None))))
     if trials is not None:
         xs = np.arange(1 << n) if mc_inputs == "all" else np.array([worst])
         counts = _wrong_counts(circuit, xs, trials, seed).tolist()
         upper = {wrong: clopper_pearson_upper(wrong, trials, ALPHA / (1 << n)) for wrong in set(counts)}
         for i, wrong in zip(xs.tolist(), counts):
-            rows[row_of[i]] = replace(rows[row_of[i]], empirical_error=wrong / trials, upper=upper[wrong])
+            rows[row_of[i]] = rows[row_of[i]]._replace(empirical_error=wrong / trials, upper=upper[wrong])
     return SimulationReport(
         rows=tuple(rows),
         delta=delta,

@@ -576,6 +576,43 @@ def test_error_polynomial_matches_wire_pattern_enumeration(sources):
             assert abs(Fraction(got) - want) <= (len(wires) + 2) * Fraction(1, 2**52) * want, (x, ps)
 
 
+#: |p - _ZERO_ONE| is (p, 1 - p)
+_ZERO_ONE = np.array([0.0, 1.0])
+
+
+def reference_polynomial_error(coefficients, ps):
+    """``gates.polynomial_error`` with one powers buffer per row and ``|p -
+    (0, 1)|`` for (p, 1 - p), as it stood before its powers were written in
+    place: the reference the kernel must equal bit for bit."""
+    rows, m = ps.shape
+    terms = coefficients
+    for i, c in enumerate(coefficients.shape[1:]):
+        powers = np.empty((rows, 2, c))  # each row's powers of p_i, then of 1 - p_i
+        powers[:, :, 0] = 1.0
+        powers[:, :, 1:] = np.abs(ps[:, i, None] - _ZERO_ONE)[:, :, None]
+        np.multiply.accumulate(powers, axis=-1, out=powers)
+        shape = (rows,) + (1,) * i + (c,) + (1,) * (m - 1 - i)
+        terms = terms * powers[:, 0].reshape(shape) * powers[:, 1, ::-1].reshape(shape)
+    return np.fromiter(map(math.fsum, terms.reshape(rows, -1).tolist()), float, rows)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("dims", [(2,), (4,), (6,), (8,), (2, 3)], ids=["k1", "k3", "k5", "k7", "compute"])
+def test_polynomial_error_equals_reference(dims, seed):
+    # the one-source shape of a k-input restore and the two-source shape of a
+    # compute stage, on random rows with read errors 0, 1/2 and 1 among them
+    rng = np.random.default_rng([seed, *dims])
+    rows = 64
+    coefficients = rng.random((rows, *dims))
+    ps = rng.random((rows, len(dims)))
+    ps[rng.random(ps.shape) < 0.3] = 0.0
+    ps[rng.random(ps.shape) < 0.2] = 0.5
+    ps[rng.random(ps.shape) < 0.2] = 1.0
+    assert {0.0, 0.5, 1.0} <= set(ps.ravel().tolist())
+    got = gates.polynomial_error(coefficients, ps)
+    assert got.tolist() == reference_polynomial_error(coefficients, ps).tolist()
+
+
 @pytest.mark.parametrize("k", [1031, 2073, 10001])
 def test_derivative_matches_exact_formula_at_large_k(k):
     half = (k - 1) // 2

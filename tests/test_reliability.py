@@ -693,6 +693,33 @@ def test_all_input_report_memory_is_bounded_by_the_chunk(monkeypatch):
     assert every <= 3 * one
 
 
+def test_readout_unpacks_a_slice_of_wires_at_a_time():
+    # a bundle at W = 2^14 is 2 MiB of trial words; its readout unpacks one
+    # byte per bit, 16 MiB at once but 4 MiB per READOUT_WIRES wires, so the
+    # call peaks at 16 MiB, where unpacking the whole bundle peaked at 22
+    _, xnand = chsh_gates()
+    kmaj = uniform_noisy_gate(make_named("maj", 3), 0.01)
+    circ = build(parse_formula("(nand a b)"), 1 << 14, 3, 0, xnand=xnand, kmaj=kmaj, seed=1)
+    simulate_monte_carlo(circ, (1, 1), 1, 3)  # warm the wiring and numpy's lazy set-up
+    tracemalloc.start()
+    try:
+        simulate_monte_carlo(circ, (1, 1), 1, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18 * 2**20
+
+
+@pytest.mark.parametrize("wires", [1, 4, 10])
+def test_readout_counts_do_not_depend_on_its_slices(monkeypatch, wires):
+    kmaj, xnand = chsh_gates()
+    circ = build(parse_formula(TREE2), 27, 3, 1, xnand=xnand, kmaj=kmaj, seed=6)
+    whole = wrong_blocks(circ, np.arange(16), 5, 2)
+    monkeypatch.setattr(reliability, "READOUT_WIRES", wires)
+    sliced = wrong_blocks(circ, np.arange(16), 5, 2)
+    assert all(np.array_equal(a, b) for a, b in zip(whole, sliced, strict=True))
+
+
 #: a NAND chain over 14 inputs: at W=3 r=0 its 16 384 inputs take 13 chunks
 CHAIN14 = functools.reduce(lambda acc, name: f"(nand {acc} {name})", "bcdefghijklmn", "a")
 
@@ -1192,53 +1219,109 @@ def test_readme_report_equals_per_input_walks():
     assert_report_matches_per_input(circ)
 
 
+def per_stage_rows(circ):
+    """``build_report``'s rows, from one walk per input that steps through
+    ``circ.stages`` one stage at a time: each stage's error polynomial at its
+    true input index (``_error_table``), evaluated at its sources' errors,
+    and a majority readout over the output bundle."""
+    gate = {"restore": circ.kmaj, "compute": circ.xnand}
+    rows = []
+    for x in itertools.product((0, 1), repeat=circ.formula.n_inputs):
+        values = dict(zip(circ.input_bundles, x))
+        errors = dict.fromkeys(circ.input_bundles, 0.0)
+        for stage in circ.stages:
+            keys, coefficients = reliability._error_table(stage.kind, gate[stage.kind], circ.width == 1)
+            index = sum(values[src] << i for i, src in enumerate(stage.sources))
+            reads = [errors[src] for src in dict.fromkeys(stage.sources)]  # one read per bundle
+            row = coefficients[keys.tolist().index(index)]
+            [errors[stage.target]] = gates.polynomial_error(row[None], np.array([reads])).tolist()
+            values[stage.target] = gate[stage.kind].target.table[index]
+        rows.append(reliability.InputRow(x, gates.majority_error(circ.width, errors[circ.output_bundle])))
+    return rows
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    text=fanout_formulas(),
+    width=st.sampled_from([1, 3, 9]),
+    rounds=st.integers(0, 3),
+    restore_errors=st.tuples(*[st.sampled_from([0.0, 0.05, 0.3, 1.0])] * 8),
+    compute_errors=st.tuples(*[st.sampled_from([0.0, 0.1, 0.2, 1.0])] * 8),
+)
+def test_report_rows_equal_per_stage_walks_property(text, width, rounds, restore_errors, compute_errors):
+    # the sweep steps once per restore chain and merges equal states; a walk
+    # of one input through one stage at a time must give the same rows
+    k = 1 if width == 1 else 3
+    kmaj = gates.NoisyGate(make_named("maj", k), restore_errors[: 1 << k])
+    xnand = gates.NoisyGate(make_named("xnand"), compute_errors)
+    circ = build(parse_formula(text), width, k, rounds, xnand=xnand, kmaj=kmaj, seed=0)
+    assert list(build_report(circ, margin=0.05).rows) == per_stage_rows(circ)
+
+
 def test_sweep_runs_each_step_once_per_distinct_state(monkeypatch):
     # TREE3 at W=81, r=2 has 256 inputs and 37 stages; the sweep makes one
-    # row per distinct (stage, true index, read states) that the 256
-    # per-input walks meet, and every stage's step is one call
+    # row per distinct (first stage, chain length, true index, read states)
+    # that the 256 per-input walks meet, and its step calls' ranges tile
+    # the stages once
     kmaj, xnand = chsh_gates()
     circ = build(parse_formula(TREE3), 81, 3, 2, xnand=xnand, kmaj=kmaj, seed=7)
-    rows = []
+    calls, rows = [], []
     walk = reliability._walk
 
     def recording_walk(circuit, xs, start, step):
-        def recorded(s, stage, idx, reads):
+        def recorded(stages, idx, reads):
             assert all(len(r) == len(idx) for r in reads)
-            rows.extend(step_row(s, idx, reads, i) for i in range(len(idx)))
-            return step(s, stage, idx, reads)
+            calls.append(stages)
+            rows.extend(step_row(stages, idx, reads, i) for i in range(len(idx)))
+            return step(stages, idx, reads)
 
         return walk(circuit, xs, start, recorded)
 
     monkeypatch.setattr(reliability, "_walk", recording_walk)
     build_report(circ, margin=0.05)
     monkeypatch.undo()
-    per_input = set().union(*(step_rows(circ, np.array([i])) for i in range(256)))
+    per_input = set().union(*(step_rows(circ, np.array([i]))[1] for i in range(256)))
     assert len(rows) == len(set(rows))
     assert set(rows) == per_input
-    assert len({s for s, _, _ in rows}) == len(circ.stages)
+    assert [s for stages in calls for s in stages] == list(range(len(circ.stages)))
 
 
-def step_row(s, idx, reads, i):
-    """Row i of stage s's step call, as (stage, true index, read states)."""
-    return s, int(idx[i]), tuple(float(r[i]) for r in reads)
+@pytest.mark.parametrize("rounds, n_stages, n_calls", [(8, 127, 22), (0, 7, 7)])
+def test_walk_steps_once_per_compute_and_restore_chain(rounds, n_stages, n_calls):
+    # TREE3 has 8 inputs and 7 NANDs: at r=8, 7 computes and 15 chains of 8
+    # restores (one per input and one per compute output); at r=0 the computes
+    kmaj, xnand = chsh_gates()
+    circ = build(parse_formula(TREE3), 81, 3, rounds, xnand=xnand, kmaj=kmaj, seed=7)
+    calls, _ = step_rows(circ, np.arange(256))
+    assert len(circ.stages) == n_stages
+    assert len(calls) == n_calls
+    assert sorted(map(len, calls)) == [1] * 7 + [rounds] * (n_calls - 7)
+
+
+def step_row(stages, idx, reads, i):
+    """Row i of a step call over the range ``stages``, as (first stage,
+    chain length, true index, read states)."""
+    return stages[0], len(stages), int(idx[i]), tuple(float(r[i]) for r in reads)
 
 
 def step_rows(circ, xs):
-    """Every (stage, true index, read states) row of the independence walk of
-    the batch ``xs`` of input table indices, in call order."""
-    rows = []
+    """The stage ranges of the independence walk's step calls on the batch
+    ``xs`` of input table indices, and every (first stage, chain length, true
+    index, read states) row, in call order."""
+    calls, rows = [], []
     walk = reliability._walk
 
     def recording_walk(circuit, xs, start, step):
-        def recorded(s, stage, idx, reads):
-            rows.extend(step_row(s, idx, reads, i) for i in range(len(idx)))
-            return step(s, stage, idx, reads)
+        def recorded(stages, idx, reads):
+            calls.append(stages)
+            rows.extend(step_row(stages, idx, reads, i) for i in range(len(idx)))
+            return step(stages, idx, reads)
 
         return walk(circuit, xs, start, recorded)
 
     with mock.patch.object(reliability, "_walk", recording_walk):
         reliability._independence_walk(circ, xs)
-    return rows
+    return calls, rows
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -1265,9 +1348,9 @@ def test_batch_step_rows_are_the_union_of_per_input_rows(
     xs = np.array(data.draw(st.one_of(
         st.just(list(range(n))), st.lists(st.integers(0, n - 1), min_size=1, unique=True)
     )))
-    batch = step_rows(circ, xs)
+    _, batch = step_rows(circ, xs)
     assert len(batch) == len(set(batch))
-    assert set(batch) == set().union(*(step_rows(circ, xs[i:i + 1]) for i in range(len(xs))))
+    assert set(batch) == set().union(*(step_rows(circ, xs[i:i + 1])[1] for i in range(len(xs))))
 
 
 # ---------------------------------------------------------------------------
