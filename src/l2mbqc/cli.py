@@ -102,7 +102,8 @@ def _build_gate(name: str, resource: str, k: int, epsilon: float) -> gates.Noisy
         return gates.maj3_from_and(base)
     if name == "xnand":
         return gates.xnand_from_and(base)
-    raise ValueError(f"gate {name!r} cannot be built from resource {resource!r}")
+    arity = f" at k = {k} (only k = 3)" if name == "maj" else ""
+    raise ValueError(f"gate {name!r} cannot be built from resource {resource!r}{arity}")
 
 
 def cmd_gate(args: argparse.Namespace) -> int:
@@ -200,6 +201,8 @@ def cmd_inequality(args: argparse.Namespace) -> int:
 
 
 def cmd_reliable(args: argparse.Namespace) -> int:
+    if args.mc_inputs is not None and args.trials is None:
+        raise ValueError("--mc-inputs applies only with --trials")
     with open(args.formula, "r", encoding="utf-8") as fh:
         formula = reliability.parse_formula(fh.read())
 
@@ -216,7 +219,8 @@ def cmd_reliable(args: argparse.Namespace) -> int:
         formula, args.width, k, args.rounds, xnand=xnand, kmaj=kmaj, seed=args.seed
     )
     report = reliability.build_report(
-        circuit, margin=args.margin, trials=args.trials, seed=args.seed, mc_inputs=args.mc_inputs
+        circuit, margin=args.margin, trials=args.trials, seed=args.seed,
+        mc_inputs=args.mc_inputs or "all",
     )
     payload = report.summary()
     if args.trials is not None:
@@ -302,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--margin", type=float, default=0.05)
     r.add_argument("--restore-epsilon", type=float, default=None)
     r.add_argument("--xnand", choices=("chsh", "noncontextual-quarter"), default="chsh")
-    r.add_argument("--mc-inputs", choices=("worst", "all"), default="all")
+    r.add_argument("--mc-inputs", choices=("worst", "all"), help="needs --trials (default all)")
     add_common(r, cmd_reliable, table=True)
 
     return parser

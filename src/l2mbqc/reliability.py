@@ -10,17 +10,17 @@ feeds each gate input is the circuit's ``wiring``, drawn from (seed, stage
 order) the first time the sampler runs on the circuit.
 
 Every error model runs on one stage walk, ``_walk``, which tracks the true
-logical values and hands the model's step the true input indices of one
-stage, or of one chain of restores that ``build`` lays out back to back;
-the step maps the read bundles' states to the last target's. The walk takes
-a batch of inputs at once, groups them by each bundle's (true value, state)
-and calls the step once per compute stage and once per restore chain, on
-numpy arrays with one row per distinct (true index, read states). The
-independence model's state is one wire's error probability, with the wires
-of a bundle assumed independent: each stage shape is one polynomial in its
-sources' read errors (``gates.error_polynomial``), kept for recent gates and
-gathered by true index, and a chain applies its restore polynomial once per
-round; the sweep over all 2^n table indices is one walk. The seeded
+logical values and follows the steps that ``build`` records: each compute
+stage alone, and each chain of restores it lays out back to back. It hands
+the model's step the true input indices of one step; the step maps the read
+bundles' states to the last target's. The walk takes a batch of inputs at
+once, groups them by each bundle's (true value, state) and calls the step
+once per recorded step, on numpy arrays with one row per distinct (true
+index, read states). The independence model's state is one wire's error
+probability, with the wires of a bundle assumed independent: each stage
+shape is one polynomial in its sources' read errors
+(``gates.error_polynomial``), kept for recent gates and gathered by true
+index, and a chain applies its restore polynomial once per round; the sweep over all 2^n table indices is one walk. The seeded
 wire-level Monte Carlo's state is every wire's actual value under the
 circuit's fixed wiring, and its walks take the sampled inputs a chunk at a
 time; it quantifies how much that assumption leaks.
@@ -217,8 +217,10 @@ class ReliableCircuit:
     stages: tuple[Stage, ...]
     input_bundles: tuple[int, ...]
     output_bundle: int
-    #: dead_after[s]: the bundles that stage s reads for the last time
-    dead_after: tuple[tuple[int, ...], ...]
+    #: the stage walk's steps in order, as (stage range, dead bundles): each
+    #: compute stage alone and each chain of restores, the bundles its first
+    #: stage reads for the last time
+    steps: tuple[tuple[range, tuple[int, ...]], ...]
     warnings: tuple[str, ...]
     seed: int
 
@@ -263,11 +265,13 @@ def build(
     never share wires. Threshold violations warn but do not fail: exploring
     the unreliable regime is part of the point.
 
-    ``build`` draws nothing: the circuit's ``wiring`` is drawn from ``seed``
-    the first time the sampler runs on it, so a negative seed is rejected
-    here, before any work. Stages x width may be at most
-    ``CIRCUIT_SIZE_CAP``; the stage count follows from the formula before
-    any stage is laid out.
+    ``build`` records the stage walk's ``steps`` as it lays the stages out:
+    each compute stage, and each chain of restores laid out back to back,
+    each restore reading the one before. ``build`` draws nothing: the
+    circuit's ``wiring`` is drawn from ``seed`` the first time the sampler
+    runs on it, so a negative seed is rejected here, before any work. Stages
+    x width may be at most ``CIRCUIT_SIZE_CAP``; the stage count follows
+    from the formula before any stage is laid out.
     """
     _check_seed(seed)
     if width < k:
@@ -306,9 +310,12 @@ def build(
         warnings.append(f"compute gate error {mu:.6f} is not below 1/2")
 
     stages: list[Stage] = []
+    runs: list[range] = []  # each step's stages
     new_bundle = itertools.count().__next__
 
     def add_restores(src: int, rounds: int) -> int:
+        if rounds:
+            runs.append(range(len(stages), len(stages) + rounds))
         for _ in range(rounds):
             target = new_bundle()
             stages.append(Stage("restore", target, (src,) * k))
@@ -330,13 +337,15 @@ def build(
         a_bundle = operand_bundle(a_ref)
         b_bundle = operand_bundle(b_ref)
         tgt = new_bundle()
+        runs.append(range(len(stages), len(stages) + 1))
         stages.append(Stage("compute", tgt, (a_bundle, b_bundle, b_bundle)))
         prepared[formula.n_inputs + j] = add_restores(tgt, restore_rounds)
 
-    last_read = {src: s for s, stage in enumerate(stages) for src in stage.sources}
-    dead_after: list[list[int]] = [[] for _ in stages]
-    for src, s in last_read.items():
-        dead_after[s].append(src)
+    # a chain's later stages read only its own targets, so a step's reads are its first stage's
+    last_read = {src: i for i, run in enumerate(runs) for src in stages[run.start].sources}
+    dead: list[list[int]] = [[] for _ in runs]
+    for src, i in last_read.items():
+        dead[i].append(src)
 
     return ReliableCircuit(
         formula=formula,
@@ -346,7 +355,7 @@ def build(
         stages=tuple(stages),
         input_bundles=raw_inputs,
         output_bundle=prepared[formula.output_ref],
-        dead_after=tuple(map(tuple, dead_after)),
+        steps=tuple(zip(runs, map(tuple, dead))),
         warnings=tuple(warnings),
         seed=seed,
     )
@@ -379,23 +388,6 @@ def _pairs(live: dict, a: int, b: int, n: int):
     return inverse, va + 6 * vb, [sa, sb, sb]
 
 
-def _chains(circuit: ReliableCircuit) -> list[range]:
-    """The stage walk's steps in order: each compute stage alone, and each
-    maximal chain of restores in which every stage after the first is the
-    last reader of the previous one's target (``add_restores`` lays out
-    such chains). A restore reads one bundle only, so that stage reads
-    nothing else and the previous target has no other reader."""
-    chains: list[range] = []
-    stages = circuit.stages
-    for s, stage in enumerate(stages):
-        if (s and stage.kind == stages[s - 1].kind == "restore"
-                and circuit.dead_after[s] == (stages[s - 1].target,)):
-            chains[-1] = range(chains[-1].start, s + 1)
-        else:
-            chains.append(range(s, s + 1))
-    return chains
-
-
 def _walk(circuit: ReliableCircuit, xs: np.ndarray, start, step):
     """Run every stage on the batch of input table indices ``xs`` (an int
     array; bit j of an index is formula input j) at once; return the output
@@ -406,17 +398,17 @@ def _walk(circuit: ReliableCircuit, xs: np.ndarray, start, step):
     batch into classes: ``values`` holds each class's true value, ``states``
     each class's state along a leading class axis and ``classes`` each
     input's class id, or None when one class holds the whole batch (the
-    output's is always an array). Each compute stage and each restore chain
-    (``_chains``) is one call ``step(stages, idx, reads)``, with ``stages``
-    the range of its stage indices: a restore chain's rows are its source's
-    classes as they are, a compute's the pairs of its sources' classes that
-    occur (``_pairs``); ``idx`` holds the rows' true input indices and
-    ``reads`` the first stage's read states in gate-input order, and the
-    step returns the last target's state per row. A chain's restores keep
-    the true value, and its intermediate targets never go live. Rows with
-    equal (value, state) merge into one class, so a call has one row per
-    distinct (true index, read states), and a batch of one never compares
-    states. A bundle is dropped after its last read.
+    output's is always an array). Each of the circuit's ``steps``, a compute
+    stage or a restore chain, is one call ``step(stages, idx, reads)``, with
+    ``stages`` the range of its stage indices: a restore chain's rows are its
+    source's classes as they are, a compute's the pairs of its sources'
+    classes that occur (``_pairs``); ``idx`` holds the rows' true input
+    indices and ``reads`` the first stage's read states in gate-input order,
+    and the step returns the last target's state per row. A chain's
+    restores keep the true value, and its intermediate targets never go
+    live. Rows with equal (value, state) merge into one class, so a call has
+    one row per distinct (true index, read states), and a batch of one never
+    compares states. A bundle is dropped after the step that reads it last.
     """
     n = len(xs)
     start = np.asarray(start)
@@ -426,7 +418,7 @@ def _walk(circuit: ReliableCircuit, xs: np.ndarray, start, step):
         values = np.array([0, 1]) if 0 < ones < n else row[:1]
         live[b] = (row if 0 < ones < n else None, values, start[values])
     xnand_table = np.array(circuit.xnand.target.table)
-    for chain in _chains(circuit):
+    for chain, dead in circuit.steps:
         head = circuit.stages[chain[0]]
         if head.kind == "restore":  # k reads of one bundle: its classes are the rows, its values the majority's
             inverse, values, states = live[head.sources[0]]
@@ -451,7 +443,7 @@ def _walk(circuit: ReliableCircuit, xs: np.ndarray, start, step):
                 values, states = values[first], states[first]
                 inverse = remap[inverse] if len(first) > 1 else None
         live[circuit.stages[chain[-1]].target] = (inverse, values, states)
-        for src in circuit.dead_after[chain[0]]:  # later stages' lists name the chain's own targets
+        for src in dead:
             del live[src]
     classes, values, states = live[circuit.output_bundle]
     return np.zeros(n, dtype=int) if classes is None else classes, values, states

@@ -1,6 +1,7 @@
 import functools
 import json
 import shlex
+import shutil
 from pathlib import Path
 
 import pytest
@@ -312,6 +313,13 @@ CHAIN16 = functools.reduce(lambda acc, name: f"(nand {acc} {name})", "bcdefghijk
 MALFORMED_INPUTS = {
     "gate-unknown-combination": (["gate", "xor", "--resource", "chsh"], "cannot be built"),
     "gate-k17": (["gate", "maj", "--resource", "ghz", "--k", "17"], "above cap 16"),
+    "gate-maj-k11-ghz": (
+        ["gate", "maj", "--k", "11", "--resource", "ghz"], "arity 11 above compile cap 10",
+    ),
+    "gate-maj-k5-chsh": (
+        ["gate", "maj", "--k", "5", "--resource", "chsh"],
+        "gate 'maj' cannot be built from resource 'chsh' at k = 5",
+    ),
     "gate-epsilon-without-ghz": (
         ["gate", "and", "--resource", "chsh", "--epsilon", "0.3"],
         "--epsilon applies only to --resource ghz",
@@ -397,6 +405,10 @@ MALFORMED_INPUTS = {
     "reliable-margin": (RELIABLE + ["--width", "9", "--margin", "0.7"], "margin 0.7 outside"),
     "reliable-width-2": (RELIABLE + ["--width", "2"], "bundle width 2 smaller than k = 3"),
     "reliable-zero-trials": (RELIABLE + ["--width", "9", "--trials", "0"], "at least one trial"),
+    "reliable-mc-inputs-without-trials": (
+        RELIABLE + ["--width", "9", "--mc-inputs", "worst"],
+        "--mc-inputs applies only with --trials",
+    ),
     "reliable-negative-seed": (
         ["reliable", "--formula", "tree.nand", "--width", "81", "--rounds", "1", "--seed", "-5"],
         "seed -5 is negative",
@@ -457,17 +469,23 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def readme_sh_lines() -> list[str]:
+    """Every line inside the README's ``sh`` code blocks."""
+    lines, fenced = [], False
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.lstrip().startswith("```"):
+            fenced = line.strip() == "```sh"
+        elif fenced:
+            lines.append(line.strip())
+    return lines
 
 
 def readme_commands() -> list[str]:
-    """Every ``l2mbqc ...`` line inside the README's fenced code blocks."""
-    commands, fenced = [], False
-    for line in README.read_text(encoding="utf-8").splitlines():
-        if line.lstrip().startswith("```"):
-            fenced = not fenced
-        elif fenced and line.strip().startswith("l2mbqc "):
-            commands.append(line.strip())
-    return commands
+    """Every ``l2mbqc ...`` line inside the README's ``sh`` blocks."""
+    return [line for line in readme_sh_lines() if line.startswith("l2mbqc ")]
 
 
 def test_readme_commands_parse(capsys):
@@ -482,3 +500,22 @@ def test_readme_commands_parse(capsys):
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}\n{capsys.readouterr().err}")
         assert callable(args.handler)
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # every example runs in order, in-process, on the golden inputs and the
+    # README's own tree3.nand: an example that a refused option or a
+    # changed requirement turns into a usage error fails here
+    for name in ("and.tt", "tree.nand", "tree4.nand"):
+        shutil.copy(GOLDEN / name, tmp_path)
+    [echo] = [line for line in readme_sh_lines() if line.startswith("echo ")]
+    _, text, redirect, path = shlex.split(echo)
+    assert redirect == ">"
+    (tmp_path / path).write_text(text + "\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    for line in readme_commands():
+        code = run(shlex.split(line, comments=True)[1:])
+        err = capsys.readouterr().err
+        assert code in (0, 1) and "error:" not in err, f"{line}: exit {code}\n{err}"
+    assert (tmp_path / "sweep.csv").is_file() and (tmp_path / "and.ghz").is_file()

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from l2mbqc import gates, reliability
@@ -1296,6 +1296,70 @@ def test_walk_steps_once_per_compute_and_restore_chain(rounds, n_stages, n_calls
     assert len(circ.stages) == n_stages
     assert len(calls) == n_calls
     assert sorted(map(len, calls)) == [1] * 7 + [rounds] * (n_calls - 7)
+
+
+def reference_chains(circuit):
+    """The walk's steps inferred from the stages alone, as ``_walk`` once did:
+    every bundle's last reader, then maximal chains of restores in which
+    each stage after the first is the last reader of the previous target,
+    each paired with the bundles its first stage reads for the last time."""
+    last_read = {src: s for s, stage in enumerate(circuit.stages) for src in stage.sources}
+    dead_after: list[list[int]] = [[] for _ in circuit.stages]
+    for src, s in last_read.items():
+        dead_after[s].append(src)
+    dead_after = tuple(map(tuple, dead_after))
+    chains: list[range] = []
+    stages = circuit.stages
+    for s, stage in enumerate(stages):
+        if (s and stage.kind == stages[s - 1].kind == "restore"
+                and dead_after[s] == (stages[s - 1].target,)):
+            chains[-1] = range(chains[-1].start, s + 1)
+        else:
+            chains.append(range(s, s + 1))
+    return [(chain, dead_after[chain[0]]) for chain in chains]
+
+
+def assert_steps_are_the_walk_plan(circ):
+    stages, steps = circ.stages, circ.steps
+    # the ranges tile the stages once, in order
+    assert all(run for run, _ in steps)
+    assert [s for run, _ in steps for s in run] == list(range(len(stages)))
+    # a step of several stages is a run of restores, each reading only the one before
+    for run, _ in steps:
+        assert len(run) == 1 or all(stages[s].kind == "restore" for s in run)
+        assert all(set(stages[s].sources) == {stages[s - 1].target} for s in run[1:])
+    assert list(steps) == reference_chains(circ)
+    # every bundle a step reads is dropped once, by the last step that reads it
+    last_step = {src: i for i, (run, _) in enumerate(steps) for src in stages[run.start].sources}
+    dropped = [(src, i) for i, (_, dead) in enumerate(steps) for src in dead]
+    assert sorted(dropped) == sorted(last_step.items())
+    inner = {stages[s].target for run, _ in steps for s in run[:-1]}
+    assert circ.output_bundle not in last_step and inner.isdisjoint(last_step)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    text=fanout_formulas(),
+    rounds=st.integers(0, 3),
+    k=st.sampled_from([1, 3, 5]),
+    width=st.sampled_from([1, 5, 8]),
+)
+def test_build_records_the_walk_steps_property(text, rounds, k, width):
+    assume(width >= k)
+    kmaj, xnand = perfect_gates(k)
+    circ = build(parse_formula(text), width, k, rounds, xnand=xnand, kmaj=kmaj, seed=1)
+    assert_steps_are_the_walk_plan(circ)
+
+
+def test_build_records_the_walk_steps_of_a_shared_node():
+    # node 0 feeds both later gates, so its copies are restored once per
+    # consumer, as an input read twice is
+    formula = reliability.FormulaDag(("a", "b", "c"), ((0, 1), (3, 2), (3, 4)))
+    for rounds, k, width in itertools.product(range(4), (1, 3, 5), (1, 5, 8)):
+        if width >= k:
+            kmaj, xnand = perfect_gates(k)
+            circ = build(formula, width, k, rounds, xnand=xnand, kmaj=kmaj, seed=1)
+            assert_steps_are_the_walk_plan(circ)
 
 
 def step_row(stages, idx, reads, i):
