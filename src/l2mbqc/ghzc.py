@@ -22,8 +22,6 @@ from .boolfn import COMPILE_ARITY_CAP, BooleanFunction, input_keys
 from .corrbox import STATEVECTOR_QUBIT_CAP, GhzBox, _twice_phase, statevector_parity
 from .mbqc import L2Program, _parity_program, constant_program
 
-SUCCESS_TOL = 1e-10
-
 
 class QubitSpec(NamedTuple):
     """One qubit: the input subset driving it and its angle increment.
@@ -121,12 +119,13 @@ def verify(
     every input (units of pi) is 2 D S(x) = sum_T a_T - W(x), W the exact
     integer Walsh transform of a: ``corrbox._twice_phase``, with qubit q a
     party of angles 0 and delta_q D reading parity(mask_q & x). The
-    congruence S(x) = f(x) xor constant (mod 2) and the closed-form success
-    (1 + cos(pi (S(x) - want)))/2 both follow from S(x) mod 2. When the
-    program is small enough, the state-vector oracle computes the success
-    again as an independent path: ``corrbox.statevector_parity`` applies the
-    Born rule to every input's measured GHZ state, from the basis matrices
-    alone, in chunks that hold at most 2^16 amplitudes.
+    congruence S(x) = f(x) xor constant (mod 2), which alone decides
+    ``deterministic``, and the closed-form success (1 + cos(pi (S(x) - want)))/2
+    both follow from S(x) mod 2. When the program is small enough, the
+    state-vector oracle computes the success again as an independent path:
+    ``corrbox.statevector_parity`` applies the Born rule to every input's
+    measured GHZ state, from the basis matrices alone, in chunks that hold
+    at most 2^16 amplitudes.
     """
     if program.n != f.arity:
         raise ValueError("program arity does not match the function")
@@ -165,9 +164,8 @@ def verify(
         p1 = statevector_parity(box, forms, program.n)
         sv_success = dict(zip(keys, np.where(want != 0, p1, 1.0 - p1).tolist()))
 
-    deterministic = not residue.any() and bool((succeeds >= 1.0 - SUCCESS_TOL).all())
     return GhzVerification(
-        deterministic=deterministic,
+        deterministic=not residue.any(),
         congruence_ok=congruence,
         success=success,
         statevector_success=sv_success,

@@ -295,12 +295,9 @@ def build(
 
     warnings: list[str] = []
     if k >= 3:
-        threshold = float(beta(k).beta)
+        threshold, worst = float(beta(k).beta), max(kmaj.errors)
         if kmaj.epsilon is None:
             warnings.append("restore gate error is input-dependent; threshold analysis assumes the worst entry")
-            worst = max(kmaj.errors)
-        else:
-            worst = kmaj.epsilon
         if worst >= threshold:
             warnings.append(
                 f"restore gate error {worst:.6f} is not below beta_{k} = {threshold:.6f}; restoration will not converge"
@@ -367,15 +364,10 @@ def build(
 def _pairs(live: dict, a: int, b: int, n: int):
     """The rows of a compute stage that reads bundle ``a`` once and ``b``
     twice, for a batch of ``n`` inputs: one row per pair of their classes
-    that occurs, as ``(inverse, idx, reads)`` (see ``_walk``). When one
-    bundle holds the batch in one class, the other's classes are the rows."""
+    that occurs, as ``(inverse, idx, reads)`` (see ``_walk``)."""
     (ca, va, sa), (cb, vb, sb) = live[a], live[b]
-    if ca is None and cb is None:
+    if ca is None:  # a batch of one: one class each
         inverse = None
-    elif cb is None:  # b's one class repeats on every row
-        inverse, vb, sb = ca, vb.repeat(len(va)), sb.repeat(len(va), axis=0)
-    elif ca is None:
-        inverse, va, sa = cb, va.repeat(len(vb)), sa.repeat(len(vb), axis=0)
     else:  # one code per input, a's class least significant
         code, size = cb * len(va) + ca, len(va) * len(vb)
         if size <= n:  # mark every code; a code's row is the number of smaller codes that occur
@@ -397,7 +389,7 @@ def _walk(circuit: ReliableCircuit, xs: np.ndarray, start, step):
     with true value v starts in state ``start[v]``. A live bundle splits the
     batch into classes: ``values`` holds each class's true value, ``states``
     each class's state along a leading class axis and ``classes`` each
-    input's class id, or None when one class holds the whole batch (the
+    input's class id, or None for a batch of one input (the
     output's is always an array). Each of the circuit's ``steps``, a compute
     stage or a restore chain, is one call ``step(stages, idx, reads)``, with
     ``stages`` the range of its stage indices: a restore chain's rows are its
@@ -416,7 +408,7 @@ def _walk(circuit: ReliableCircuit, xs: np.ndarray, start, step):
     bits = xs >> np.arange(len(circuit.input_bundles))[:, None] & 1  # row j: input j
     for b, row, ones in zip(circuit.input_bundles, bits, bits.sum(axis=1).tolist()):
         values = np.array([0, 1]) if 0 < ones < n else row[:1]
-        live[b] = (row if 0 < ones < n else None, values, start[values])
+        live[b] = (None if n == 1 else row - values[0], values, start[values])  # a constant bit: one class, 0
     xnand_table = np.array(circuit.xnand.target.table)
     for chain, dead in circuit.steps:
         head = circuit.stages[chain[0]]
@@ -439,9 +431,8 @@ def _walk(circuit: ReliableCircuit, xs: np.ndarray, start, step):
                     if key not in ids:
                         ids[key] = len(first)
                         first.append(r)
-                remap = np.array([ids[key] for key in keys])
                 values, states = values[first], states[first]
-                inverse = remap[inverse] if len(first) > 1 else None
+                inverse = np.array([ids[key] for key in keys])[inverse]  # each input's merged class
         live[circuit.stages[chain[-1]].target] = (inverse, values, states)
         for src in dead:
             del live[src]

@@ -114,6 +114,20 @@ def test_angle_granularity():
             assert ((1 << (n - 1)) * q.delta).denominator == 1
 
 
+def test_determinism_reads_the_exact_residue_alone():
+    # an increment off by 2^-60 leaves every closed-form success at exactly
+    # 1.0 in floats, yet the congruence fails wherever the qubit is active
+    f = make_named("and")
+    program = compile_function(f)
+    qubits = list(program.qubits)
+    assert qubits[0].mask == 0b01
+    qubits[0] = QubitSpec(qubits[0].mask, qubits[0].delta + Fraction(1, 1 << 60))
+    result = verify(GhzProgram(program.n, tuple(qubits), program.constant), f)
+    assert set(result.success.values()) == {1.0}
+    assert not result.deterministic
+    assert result.failing_inputs == [(1, 0), (1, 1)]
+
+
 def test_tampered_increment_fails_exactly_where_active():
     f = make_named("and")
     program = compile_function(f)

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import math
+import random
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from l2mbqc import gates, reliability
-from l2mbqc.boolfn import BooleanFunction, make_named, nonlinearity
+from l2mbqc import gates, mbqc, reliability
+from l2mbqc.boolfn import BooleanFunction, input_keys, make_named, nonlinearity
+from l2mbqc.corrbox import GhzBox, chsh_and_box, noncontextual_and_box
 from l2mbqc.gates import (
     chsh_and_gate,
     maj3_from_and,
@@ -151,6 +153,23 @@ def test_threshold_warning_present_only_when_violated():
     degraded = uniform_noisy_gate(make_named("maj", 3), 0.2)
     circ = build(f, 81, 3, 2, xnand=xnand, kmaj=degraded, seed=1)
     assert any("beta_3" in w for w in circ.warnings)
+
+
+def test_threshold_check_reads_the_worst_entry():
+    # entries within EPSILON_CLASSIFICATION_TOL of each other count as one
+    # uniform error, yet the check reads the largest: a later entry at beta_3
+    # warns even when the first lies just below it
+    f = parse_formula("(nand a b)")
+    _, xnand = chsh_gates()
+    threshold = float(gates.beta(3).beta)
+    errors = (threshold - 1e-13,) * 7 + (threshold,)
+    kmaj = gates.NoisyGate(make_named("maj", 3), errors)
+    assert kmaj.epsilon == errors[0]
+    circ = build(f, 81, 3, 2, xnand=xnand, kmaj=kmaj, seed=1)
+    assert [w for w in circ.warnings if "beta_3" in w] == [
+        f"restore gate error {threshold:.6f} is not below beta_3 = {threshold:.6f}; restoration will not converge"
+    ]
+    assert not any("input-dependent" in w for w in circ.warnings)
 
 
 def test_restore_wiring_rows_are_permutations():
@@ -1082,18 +1101,29 @@ def assert_report_matches_per_input(circ):
     assert report.warnings == tuple(sorted(circ.warnings))
 
 
-@st.composite
-def fanout_formulas(draw, max_inputs=6):
+def fanout_formula(integers, choice, max_inputs=6):
     """A random NAND formula over at most ``max_inputs`` inputs in which
-    inputs may fan out, with at least one ``(nand v v)``."""
-    names = "abcdef"[: draw(st.integers(1, max_inputs))]
-    leaves = [draw(st.sampled_from(names)) for _ in range(draw(st.integers(1, 6)))]
-    twin = draw(st.integers(0, len(leaves) - 1))
+    inputs may fan out, with at least one ``(nand v v)``; ``integers(lo,
+    hi)`` draws an int in [lo, hi] and ``choice(seq)`` an item of seq."""
+    names = "abcdef"[: integers(1, max_inputs)]
+    leaves = [choice(names) for _ in range(integers(1, 6))]
+    twin = integers(0, len(leaves) - 1)
     leaves[twin] = f"(nand {leaves[twin]} {leaves[twin]})"
     while len(leaves) > 1:
-        i = draw(st.integers(0, len(leaves) - 2))
+        i = integers(0, len(leaves) - 2)
         leaves[i:i + 2] = [f"(nand {leaves[i]} {leaves[i + 1]})"]
     return leaves[0]
+
+
+@st.composite
+def fanout_formulas(draw, max_inputs=6):
+    return fanout_formula(lambda lo, hi: draw(st.integers(lo, hi)),
+                          lambda seq: draw(st.sampled_from(seq)), max_inputs)
+
+
+def seeded_fanout_formula(seed):
+    rng = random.Random(seed)
+    return fanout_formula(rng.randint, rng.choice)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -1217,6 +1247,36 @@ def test_readme_report_equals_per_input_walks():
     kmaj, xnand = chsh_gates()
     circ = build(parse_formula(TREE3), 81, 3, 8, xnand=xnand, kmaj=kmaj, seed=7)
     assert_report_matches_per_input(circ)
+
+
+#: (formula seed, width, k, rounds, gates) of each report the sweep pin
+#: hashes, on ``seeded_fanout_formula(formula seed)``: "chsh" restores with
+#: ``maj3_from_and`` of the CHSH AND and "uniform" with error 0.02 on every
+#: entry, both beside the CHSH XNAND; "perfect" gates never err, so bundles
+#: that a constant subformula feeds merge into one class
+SWEEP_CASES = (
+    (0, 1, 1, 0, "uniform"), (1, 1, 1, 2, "uniform"), (2, 1, 1, 8, "uniform"),
+    (3, 9, 3, 0, "chsh"), (4, 9, 3, 2, "chsh"), (5, 9, 3, 8, "uniform"), (6, 9, 5, 2, "uniform"),
+    (7, 81, 1, 2, "uniform"), (8, 81, 3, 0, "uniform"), (9, 81, 3, 2, "chsh"), (10, 81, 3, 8, "chsh"),
+    (11, 81, 5, 8, "uniform"), (14, 9, 3, 2, "perfect"), (28, 81, 5, 0, "perfect"),
+)
+#: sha256 of every SWEEP_CASES report's stage count, delta, worst input,
+#: warnings and row errors, floats as hex, before the walk kept a class array
+#: for a batch of many inputs in one class
+PINNED_SWEEP = "04350d15ef76b81747a92577f4a65d8ea427f7497a25cb9bffb0222e5fd8149c"
+
+
+def test_independence_sweep_is_pinned():
+    digest = hashlib.sha256()
+    for seed, width, k, rounds, kind in SWEEP_CASES:
+        kmaj, xnand = perfect_gates(k) if kind == "perfect" else chsh_gates()
+        if kind == "uniform":
+            kmaj = uniform_noisy_gate(make_named("maj", k), 0.02)
+        circ = build(parse_formula(seeded_fanout_formula(seed)), width, k, rounds, xnand=xnand, kmaj=kmaj, seed=seed)
+        report = build_report(circ)
+        digest.update(repr((len(circ.stages), report.delta.hex(), report.worst_input, report.warnings,
+                            [row.analytic_error.hex() for row in report.rows])).encode())
+    assert digest.hexdigest() == PINNED_SWEEP
 
 
 def per_stage_rows(circ):
@@ -1400,10 +1460,10 @@ def step_rows(circ, xs):
 def test_batch_step_rows_are_the_union_of_per_input_rows(
     text, width, rounds, restore_errors, compute_errors, data
 ):
-    # whether a compute takes its pairs from marked codes, from np.unique or
-    # from its one split source, and however equal states merge (zero errors
-    # make them likely), the batch's step rows are the rows the batch's
-    # inputs make in their own walks, each once
+    # whether a compute takes its pairs from marked codes or from np.unique,
+    # and however equal states merge (zero errors make them likely), the
+    # batch's step rows are the rows the batch's inputs make in their own
+    # walks, each once
     k = 1 if width == 1 else 3
     kmaj = gates.NoisyGate(make_named("maj", k), restore_errors[: 1 << k])
     xnand = gates.NoisyGate(make_named("xnand"), compute_errors)
@@ -1415,6 +1475,138 @@ def test_batch_step_rows_are_the_union_of_per_input_rows(
     _, batch = step_rows(circ, xs)
     assert len(batch) == len(set(batch))
     assert set(batch) == set().union(*(step_rows(circ, xs[i:i + 1])[1] for i in range(len(xs))))
+
+
+def test_only_a_batch_of_one_has_no_class_array(monkeypatch):
+    # a batch of many inputs in one class, from a constant input bit or a
+    # merge, keeps an array of class ids; None means the batch holds one input
+    seen = []
+    pairs = reliability._pairs
+
+    def recording(live, a, b, n):
+        seen.append((n, live[a][0], live[b][0]))
+        return pairs(live, a, b, n)
+
+    monkeypatch.setattr(reliability, "_pairs", recording)
+    kmaj, xnand = perfect_gates()  # equal states: a constant subformula merges into one class
+    circ = build(parse_formula("(nand (nand a (nand a a)) b)"), 3, 3, 1, xnand=xnand, kmaj=kmaj, seed=0)
+    for xs in ([0, 1, 2, 3], [1, 3], [2]):  # bit 0 constant over [1, 3]
+        reliability._independence_walk(circ, np.array(xs))
+    assert all((n == 1) == (ca is None) == (cb is None) for n, ca, cb in seen)
+    assert {1, 2, 4} == {n for n, _, _ in seen}
+    assert any(n > 1 and not ca.any() for n, ca, _ in seen)  # the batch of many in one class
+    assert any(n > 1 and not cb.any() for n, _, cb in seen)
+
+
+# ---------------------------------------------------------------------------
+# the circuit as an l2 program: boxes under mod-2 control
+
+def cone_program(circ, box):
+    """Wire 0 of the output bundle as one ``mbqc.L2Program``: each gate
+    instance in its backward cone is a fresh copy of the two-party AND box
+    ``box``, and its gadget's XORs are affine maps over x and earlier box
+    outputs (``maj3_from_and``: parties read a^b and a^c, the output is XORed
+    with a; ``xnand_from_and``: a^b1 and a^b1^b2, then a^1). A wire's form is
+    (x mask, box-output mask, constant); a wire read twice is one box."""
+    producer = {stage.target: s for s, stage in enumerate(circ.stages)}
+    boxes, maps, forms = [], [], {}
+
+    def xor(*fs):
+        return tuple(functools.reduce(lambda u, v: u ^ v, parts) for parts in zip(*fs))
+
+    def form(bundle, wire):
+        if bundle in circ.input_bundles:
+            return 1 << circ.input_bundles.index(bundle), 0, 0
+        if (bundle, wire) not in forms:
+            s = producer[bundle]
+            a, b, c = (form(src, wire if perm is None else int(perm[wire]))
+                       for src, perm in zip(circ.stages[s].sources, circ.wiring[s]))
+            restore = circ.stages[s].kind == "restore"
+            parties = (xor(a, b), xor(a, c) if restore else xor(a, b, c))
+            maps.append(tuple(mbqc.AffineBitMap(*f) for f in parties))
+            boxes.append(box)
+            forms[bundle, wire] = xor(a, (0, 3 << 2 * (len(boxes) - 1), 0 if restore else 1))
+        return forms[bundle, wire]
+
+    out = mbqc.AffineBitMap(*form(circ.output_bundle, 0))
+    return mbqc.L2Program(circ.formula.n_inputs, tuple(boxes), tuple(maps), out)
+
+
+def cone_is_tree(circ):
+    """Whether no noisy wire (a stage's output) in wire 0's backward cone is
+    read twice."""
+    producer = {stage.target: s for s, stage in enumerate(circ.stages)}
+    reads = collections.Counter()
+    pending = [(circ.output_bundle, 0)]
+    while pending:
+        bundle, wire = pending.pop()
+        if bundle in producer:
+            reads[bundle, wire] += 1
+            if reads[bundle, wire] == 1:
+                s = producer[bundle]
+                pending.extend((src, wire if perm is None else int(perm[wire]))
+                               for src, perm in zip(circ.stages[s].sources, circ.wiring[s]))
+    return max(reads.values()) == 1
+
+
+def box_circuit(text, box, width, seed):
+    """The r = 0 circuit of ``text`` whose gates are the gadgets on the AND
+    that ``box`` makes, and the formula's function."""
+    and_gate = gates.gate_from_report(make_named("and"), mbqc.run_exact(
+        mbqc._parity_program(2, box, [0b01, 0b10]), make_named("and")))
+    formula = parse_formula(text)
+    circ = build(formula, width, 3, 0, xnand=xnand_from_and(and_gate), kmaj=maj3_from_and(and_gate), seed=seed)
+    return circ, BooleanFunction.from_callable(formula.n_inputs, lambda *x: formula.evaluate(x))
+
+
+def exact_minus_independence(circ, f, box):
+    """Per input, the box program's exact wire-0 error minus the independence
+    walk's per-wire p."""
+    n = f.arity
+    report = mbqc.run_exact(cone_program(circ, box), f)
+    classes, _, states = reliability._independence_walk(circ, np.arange(1 << n))
+    exact = np.array([1.0 - report.success[x] for x in input_keys(n)])
+    return exact - states[classes]
+
+
+SKEWED_BOX = GhzBox(((0.0, math.pi / 2 + 0.3), (-math.pi / 4, math.pi / 4 - 0.1)))
+
+
+@pytest.mark.parametrize("box", [chsh_and_box(), SKEWED_BOX], ids=["chsh", "skewed"])
+@pytest.mark.parametrize("text", [
+    TREE2, "(nand a (nand b c))", "(nand (nand a b) (nand a c))", "(nand (nand (nand a b) c) d)",
+])
+def test_tree_cone_box_program_equals_the_independence_figure(text, box):
+    # where no noisy wire in the cone is read twice, the wires a gate reads
+    # are independent, so the independence per-wire p is exact in the model
+    for width, seed in ((3, 3), (9, 7)):
+        circ, f = box_circuit(text, box, width, seed)
+        assert cone_is_tree(circ)
+        assert np.abs(exact_minus_independence(circ, f, box)).max() < 1e-12
+
+
+def test_a_shared_wire_breaks_the_independence_figure():
+    text = "(nand (nand a b) (nand (nand c d) a))"
+    circ, f = box_circuit(text, chsh_and_box(), 9, 3)
+    assert cone_is_tree(circ) and len(cone_program(circ, chsh_and_box()).boxes) == 11
+    assert np.abs(exact_minus_independence(circ, f, chsh_and_box())).max() < 1e-12
+    circ, f = box_circuit(text, chsh_and_box(), 3, 3)
+    assert not cone_is_tree(circ)
+    assert np.abs(exact_minus_independence(circ, f, chsh_and_box())).max() == pytest.approx(0.0267, abs=1e-4)
+
+
+def test_box_program_certifies_the_contextual_tree():
+    # the whole circuit's wire 0, exactly, against the paper's first result:
+    # every non-contextual program errs on average at least nu(f)/2^n = 5/16
+    circ, f = box_circuit(TREE2, chsh_and_box(), 81, 3)
+    report = mbqc.run_exact(cone_program(circ, chsh_and_box()), f)
+    cert = mbqc.contextuality_certificate(report, f)
+    assert cert.bound == Fraction(5, 16)
+    assert (report.average_error, report.worst_error) == (0.2774587392637613, 0.32322330470336336)
+    assert cert.delta == 0.0350412607362387 and cert.contextual
+    circ, f = box_circuit(TREE2, noncontextual_and_box(), 81, 3)
+    cert = mbqc.contextuality_certificate(mbqc.run_exact(cone_program(circ, noncontextual_and_box()), f), f)
+    assert cert.average_error == 51 / 128 and cert.delta == -0.0859375 and not cert.contextual
 
 
 # ---------------------------------------------------------------------------
