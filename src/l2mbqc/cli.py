@@ -318,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     args.output = _resolve_output(args.output)
     try:
         return args.handler(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

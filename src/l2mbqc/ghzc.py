@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple
 
@@ -42,6 +41,8 @@ class GhzProgram:
     constant: int
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"arity {self.n} is negative")
         masks = [mask for mask, _ in self.qubits]
         if min(masks, default=1) <= 0:
             raise ValueError("qubit subset mask must be nonempty")
@@ -49,16 +50,13 @@ class GhzProgram:
             raise ValueError("constant must be a bit")
         if max(masks, default=0) >> self.n:
             raise ValueError("qubit subset references bits beyond the arity")
-        object.__setattr__(self, "_masks", masks)  # checked once, read by verify and the box program
+        # derived once, read by verify and the box program; _ratios: (num, den) per qubit
+        object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "_ratios", [delta.as_integer_ratio() for _, delta in self.qubits])
 
     @property
     def n_qubits(self) -> int:
         return len(self.qubits)
-
-    @cached_property
-    def _ratios(self) -> list[tuple[int, int]]:
-        """Each increment as (numerator, denominator), computed once per program."""
-        return [delta.as_integer_ratio() for _, delta in self.qubits]
 
     def phase_sum(self, x_idx: int) -> Fraction:
         """Sum of active increments for input x, in units of pi."""
@@ -94,16 +92,16 @@ def compile_function(f: BooleanFunction) -> GhzProgram:
 
 @dataclass(frozen=True)
 class GhzVerification:
-    """Exact congruence flags plus simulated success, per input."""
+    """The inputs that fail the exact congruence, sorted, plus simulated
+    success per input."""
 
-    deterministic: bool
-    congruence_ok: dict[tuple[int, ...], bool]
+    failing_inputs: list[tuple[int, ...]]
     success: dict[tuple[int, ...], float]
     statevector_success: dict[tuple[int, ...], float] | None
 
     @property
-    def failing_inputs(self) -> list[tuple[int, ...]]:
-        return sorted(x for x, ok in self.congruence_ok.items() if not ok)
+    def deterministic(self) -> bool:
+        return not self.failing_inputs
 
 
 def verify(
@@ -121,16 +119,17 @@ def verify(
     party of angles 0 and delta_q D reading parity(mask_q & x). The
     congruence S(x) = f(x) xor constant (mod 2), which alone decides
     ``deterministic``, and the closed-form success (1 + cos(pi (S(x) - want)))/2
-    both follow from S(x) mod 2. When the program is small enough, the
+    both follow from S(x) mod 2. When the program has 1 to 16 qubits, the
     state-vector oracle computes the success again as an independent path:
     ``corrbox.statevector_parity`` applies the Born rule to every input's
     measured GHZ state, from the basis matrices alone, in chunks that hold
-    at most 2^16 amplitudes.
+    at most 2^16 amplitudes. A program with no qubit has no state to
+    measure, so its ``statevector_success`` is None.
     """
     if program.n != f.arity:
         raise ValueError("program arity does not match the function")
     if use_statevector is None:
-        use_statevector = 0 < program.n_qubits <= STATEVECTOR_QUBIT_CAP
+        use_statevector = program.n_qubits <= STATEVECTOR_QUBIT_CAP
 
     denom = math.lcm(*(b for _, b in program._ratios))
     scaled = [a * (denom // b) for a, b in program._ratios]
@@ -150,24 +149,15 @@ def verify(
     cosines = [math.cos(math.pi * (r / (2 * denom))) for r in values.tolist()]
     succeeds = ((1.0 + np.array(cosines)) / 2.0)[which]
     keys = input_keys(program.n)
-    success = dict(zip(keys, succeeds.tolist()))
-    # fromkeys reuses the hashes success stored; only failing inputs rehash
-    congruence = dict.fromkeys(success, True)
-    for x_idx in np.flatnonzero(residue).tolist():
-        congruence[keys[x_idx]] = False
-
     sv_success: dict[tuple[int, ...], float] | None = None
-    if use_statevector and program.n_qubits == 0:
-        sv_success = dict(success)
-    elif use_statevector:
+    if use_statevector and program.n_qubits:  # no qubit, no state to measure
         box = run_as_l2program(program).boxes[0]
         p1 = statevector_parity(box, forms, program.n)
         sv_success = dict(zip(keys, np.where(want != 0, p1, 1.0 - p1).tolist()))
 
     return GhzVerification(
-        deterministic=not residue.any(),
-        congruence_ok=congruence,
-        success=success,
+        failing_inputs=sorted(keys[x_idx] for x_idx in np.flatnonzero(residue).tolist()),
+        success=dict(zip(keys, succeeds.tolist())),
         statevector_success=sv_success,
     )
 

@@ -57,6 +57,8 @@ class L2Program:
     output_map: AffineBitMap
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"arity {self.n} is negative")
         if len(self.input_maps) != len(self.boxes):
             raise ValueError("one input-map group per box required")
         seen = 0  # the outputs of earlier boxes, which a group's maps may read

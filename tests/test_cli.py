@@ -7,6 +7,9 @@ from pathlib import Path
 import pytest
 
 from l2mbqc import boolfn, cli
+from l2mbqc.boolfn import BRUTE_FORCE_ARITY_CAP, COMPILE_ARITY_CAP
+from l2mbqc.gates import SWEEP_K_CAP
+from l2mbqc.reliability import CIRCUIT_SIZE_CAP, TRIALS_CAP
 
 
 @pytest.fixture
@@ -366,6 +369,12 @@ MALFORMED_INPUTS = {
         ["inequality", "--fn", "and.tt", "--program", "huge.ghz"],
         "qubit 0 (mask 1): increment overflows a float",
     ),
+    "verify-negative-arity": (
+        ["verify", "--program", "negative.ghz", "--fn", "and.tt"], "arity -1 is negative",
+    ),
+    "inequality-negative-arity": (
+        ["inequality", "--fn", "and.tt", "--program", "negative.ghz"], "arity -1 is negative",
+    ),
     "verify-nested-program": (
         ["verify", "--program", "deep.json", "--fn", "and.tt"],
         "deep.json: JSON nested too deeply to parse",
@@ -446,6 +455,7 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys
     (tmp_path / "float.ghz").write_text(json.dumps(floats))
     huge = {"mask": 1, "num": 10**400, "den": 1}
     (tmp_path / "huge.ghz").write_text(json.dumps({"n": 2, "constant": 0, "qubits": [huge]}))
+    (tmp_path / "negative.ghz").write_text(json.dumps({"n": -1, "constant": 0, "qubits": []}))
     (tmp_path / "deep.json").write_text('{"qubits": ' + "[" * 5000 + "]" * 5000 + "}")
     (tmp_path / "tree.nand").write_text("(nand (nand a b) (nand c d))\n")
     (tmp_path / "bad.nand").write_text("(nand a\n(xor b c))\n")
@@ -466,6 +476,91 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys
     assert out == ""
     assert "error: " in err and message in err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract: every subcommand over boundary values and bad files
+
+BOUNDARY_VALUES = ("0", "-1", "1", "nan", "inf", "1e308", "1" * 25)
+SMALL_RELIABLE = ["reliable", "--formula", "tree.nand", "--width", "9", "--rounds", "0", "--seed", "1"]
+
+#: (argv, option, caps): the option is appended, so it overrides an earlier
+#: value; each cap and cap + 1 is tried where the cap is refused before any
+#: work starts (the sweep at kmax = SWEEP_K_CAP and a circuit of
+#: CIRCUIT_SIZE_CAP cells do the full work, so only the values past them run)
+CONTRACT_OPTIONS = (
+    (["gate", "maj", "--resource", "ghz"], "--k",
+     (COMPILE_ARITY_CAP, COMPILE_ARITY_CAP + 1, BRUTE_FORCE_ARITY_CAP, BRUTE_FORCE_ARITY_CAP + 1)),
+    (["gate", "maj", "--resource", "chsh"], "--k", ()),
+    (["gate", "and", "--resource", "ghz"], "--epsilon", ()),
+    (["thresholds"], "--kmax", (SWEEP_K_CAP + 1, SWEEP_K_CAP + 2)),
+    (["inequality", "--fn", "and.tt", "--program", "and.ghz"], "--epsilon", ()),
+    (SMALL_RELIABLE, "--width", (CIRCUIT_SIZE_CAP // 3 + 1,)),  # tree.nand: 3 stages at r = 0
+    (SMALL_RELIABLE, "--rounds", ()),
+    (SMALL_RELIABLE, "--seed", ()),
+    (SMALL_RELIABLE, "--trials", (TRIALS_CAP, TRIALS_CAP + 1)),  # 16 inputs x trials
+    (SMALL_RELIABLE, "--margin", ()),
+    (SMALL_RELIABLE + ["--restore-epsilon", "0.01"], "--k", (BRUTE_FORCE_ARITY_CAP, BRUTE_FORCE_ARITY_CAP + 1)),
+    (SMALL_RELIABLE, "--restore-epsilon", ()),
+)
+
+#: argv with a placeholder F for a path: a directory, a path in a missing
+#: directory and every contract file go in each, but an output path is only
+#: ever the first two
+CONTRACT_FILE_SLOTS = (
+    ["compile", "--fn", "F"],
+    ["verify", "--program", "F", "--fn", "and.tt"],
+    ["verify", "--program", "and.ghz", "--fn", "F"],
+    ["inequality", "--fn", "F", "--program", "chsh-and"],
+    ["inequality", "--fn", "and.tt", "--program", "F"],
+    ["reliable", "--formula", "F", "--width", "9", "--rounds", "0", "--seed", "1"],
+    ["gate", "and", "--resource", "chsh", "--output", "F"],
+)
+#: the well-formed inputs of each slot stand for the wrong format in the others
+CONTRACT_FILES = {
+    "and.tt": boolfn.to_text(boolfn.make_named("and")),
+    "and.ghz": json.dumps({"n": 2, "constant": 0, "qubits": [{"mask": 1, "num": 1, "den": 2}]}),
+    "tree.nand": "(nand (nand a b) (nand c d))\n",
+    "empty": "",
+    "truncated.json": '{"n": 2, "constant": 0, "qubits": [{"mask": 1, "nu',
+    "deep.json": '{"qubits": ' + "[" * 5000 + "]" * 5000 + "}",
+    "negative.ghz": json.dumps({"n": -1, "constant": 0, "qubits": []}),
+}
+
+
+def contract_argvs():
+    for argv, option, caps in CONTRACT_OPTIONS:
+        for value in (*BOUNDARY_VALUES, *map(str, caps)):
+            yield [*argv, option, value]
+    for slot in CONTRACT_FILE_SLOTS:
+        for name in ("directory", "missing/file", *CONTRACT_FILES):
+            if "--output" not in slot or name in ("directory", "missing/file"):
+                yield [name if arg == "F" else arg for arg in slot]
+
+
+def test_every_subcommand_keeps_the_exit_code_contract(tmp_path, monkeypatch, capsys):
+    # exit 0, 1 or 2 and never a traceback; a 2 says "error:" first, or is
+    # argparse's usage message
+    for name, text in CONTRACT_FILES.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "directory").mkdir()
+    monkeypatch.chdir(tmp_path)
+    argvs = list(contract_argvs())
+    assert len(argvs) >= 150
+    breaches = []
+    for argv in argvs:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        except Exception as exc:  # what a user would see as a traceback
+            code = repr(exc)
+        err = capsys.readouterr().err
+        if code not in (0, 1, 2) or "Traceback" in err or (
+            code == 2 and not err.startswith(("error:", "usage:"))
+        ):
+            breaches.append((argv, code, err))
+    assert not breaches
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -65,7 +65,7 @@ def test_all_n3_functions_compile_deterministically():
         assert program.n_qubits <= 7
         result = verify(program, f, use_statevector=False)
         assert result.deterministic
-        assert all(result.congruence_ok.values())
+        assert result.failing_inputs == []
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -141,10 +141,8 @@ def test_tampered_increment_fails_exactly_where_active():
         if bin(qubits[0].mask & x).count("1") & 1
     }
     assert set(result.failing_inputs) == active
-    for x, ok in result.congruence_ok.items():
-        assert ok == (x not in active)
-        expected = 0.0 if x in active else 1.0
-        assert result.success[x] == pytest.approx(expected, abs=1e-10)
+    for x, p in result.success.items():
+        assert p == pytest.approx(0.0 if x in active else 1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.25, 0.4, 0.5])
@@ -364,7 +362,7 @@ def _check_against_oracle(program, f):
     for x_idx in range(1 << program.n):
         x = tuple((x_idx >> j) & 1 for j in range(program.n))
         residue = (program.phase_sum(x_idx) - (f.table[x_idx] ^ program.constant)) % 2
-        assert result.congruence_ok[x] == (residue == 0)
+        assert (x in result.failing_inputs) == (residue != 0)
         # the exact residue rounded once, so equal to the last bit
         assert result.success[x] == (1 + math.cos(math.pi * float(residue))) / 2
     if 0 < program.n_qubits <= STATEVECTOR_QUBIT_CAP:
@@ -421,8 +419,20 @@ def test_flipped_constant_fails_congruence_everywhere(n):
     assert verify(program, f).deterministic
     result = _check_against_oracle(flipped, f)
     assert not result.deterministic
-    assert not any(result.congruence_ok.values())
+    assert result.failing_inputs == sorted(result.success)
     assert all(p == pytest.approx(0.0, abs=1e-12) for p in result.success.values())
+
+
+@pytest.mark.parametrize("constant", [0, 1])
+def test_a_program_without_qubits_has_no_state_vector_check(constant):
+    # nothing is measured, so the oracle has no state to check
+    f = BooleanFunction(2, (constant,) * 4)
+    program = compile_function(f)
+    assert program.n_qubits == 0
+    for flipped in (program, GhzProgram(2, (), 1 - constant)):
+        result = verify(flipped, f, use_statevector=True)
+        assert result.statevector_success is None
+        assert result.deterministic == (flipped is program)
 
 
 def _traced_peak(fn):
@@ -463,8 +473,8 @@ def _ghz_path_record(f):
     """repr of everything the compiled path computes for f."""
     program = compile_function(f)
     result = verify(program, f)
-    record = [program_to_config(program), result.success, result.congruence_ok,
-              result.statevector_success]
+    congruence = {x: x not in result.failing_inputs for x in result.success}
+    record = [program_to_config(program), result.success, congruence, result.statevector_success]
     for epsilon in (0.0, 0.05):
         report = mbqc.run_exact(run_as_l2program(program, epsilon), f)
         cert = mbqc.contextuality_certificate(report, f)

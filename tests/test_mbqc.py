@@ -346,8 +346,15 @@ def test_mixture_error_is_convex_combination():
             ),
             "bits beyond the arity",
         ),
+        (
+            lambda: L2Program(n=-1, boxes=(), input_maps=(), output_map=AffineBitMap()),
+            "arity -1 is negative",
+        ),
     ],
-    ids=["const-not-a-bit", "negative-mask", "missing-map-group", "wrong-party-count", "x-mask-beyond-n"],
+    ids=[
+        "const-not-a-bit", "negative-mask", "missing-map-group", "wrong-party-count",
+        "x-mask-beyond-n", "negative-arity",
+    ],
 )
 def test_malformed_maps_and_programs_raise(build, message):
     with pytest.raises(ValueError, match=message):

@@ -1585,6 +1585,22 @@ def test_tree_cone_box_program_equals_the_independence_figure(text, box):
         assert np.abs(exact_minus_independence(circ, f, box)).max() < 1e-12
 
 
+def test_generated_tree_cones_equal_the_independence_figure():
+    # the fixed formulas above, over fan-out formulas; a cone of more than 8
+    # boxes is left out, since run_exact's paths grow as 2^boxes
+    compared = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        text = fanout_formula(rng.randint, rng.choice, max_inputs=4)
+        for width in (3, 9):
+            for box in (chsh_and_box(), SKEWED_BOX):
+                circ, f = box_circuit(text, box, width, seed)
+                if cone_is_tree(circ) and len(cone_program(circ, box).boxes) <= 8:
+                    assert np.abs(exact_minus_independence(circ, f, box)).max() < 1e-12
+                    compared += 1
+    assert compared >= 60
+
+
 def test_a_shared_wire_breaks_the_independence_figure():
     text = "(nand (nand a b) (nand (nand c d) a))"
     circ, f = box_circuit(text, chsh_and_box(), 9, 3)
