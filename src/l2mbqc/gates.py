@@ -63,8 +63,8 @@ def uniform_noisy_gate(target: BooleanFunction, epsilon: float) -> NoisyGate:
 def gate_from_report(target: BooleanFunction, report: mbqc.StrategyReport) -> NoisyGate:
     """The gate whose error at each input is the report's failure there, in
     table order."""
-    if report.n != target.arity:
-        raise ValueError(f"report on {report.n} bits for a {target.arity}-bit target")
+    if report.target != target:
+        raise ValueError("report was scored against another target function")
     success = report.success
     return NoisyGate(target, tuple(1.0 - success[x] for x in input_keys(target.arity)))
 

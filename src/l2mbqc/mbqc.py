@@ -79,21 +79,10 @@ class L2Program:
 class StrategyReport:
     """Per-input success of a program against its target function."""
 
-    n: int
+    target: BooleanFunction
     success: dict[tuple[int, ...], float]
     average_error: float
     worst_error: float
-
-
-def _collapsible(program: L2Program, i: int, start: int) -> bool:
-    """True when later maps use box i, outputs from ``start``, only as a parity."""
-    box = program.boxes[i]
-    if not isinstance(box, GhzBox):
-        return False
-    segment = ((1 << box.n_parties) - 1) << start
-    later = [m for maps in program.input_maps[i + 1:] for m in maps]
-    later.append(program.output_map)
-    return all((m.out_mask & segment) in (0, segment) for m in later)
 
 
 def run_exact(program: L2Program, target: BooleanFunction) -> StrategyReport:
@@ -103,41 +92,40 @@ def run_exact(program: L2Program, target: BooleanFunction) -> StrategyReport:
     boxes run so far (bit j is global output j) with its probability for
     every input x. On each path every box party reads an affine form of x
     (its map's out_mask part is a constant there), and the box answers for
-    all inputs at once: ``corrbox.outcome_table`` gives P(o | x). Boxes whose
-    outputs are consumed only through their full parity are replaced by a
-    single parity bit, stored at the box's first output position, from
-    ``corrbox.parity_probability``: one exact Walsh transform gives the box's
-    phase at every input, which keeps compiled many-qubit programs tractable.
-    ``PATH_CAP`` bounds paths x inputs, the number of probabilities held at
-    once.
+    all inputs at once with one column P(o | x) per outcome o, from
+    ``corrbox.outcome_table``. A GHZ box whose outputs every later map reads
+    wholly or not at all is parity-only: its two columns are its parity's,
+    from ``corrbox.parity_probability``, stored at its first output position.
+    One exact Walsh transform gives that box's phase at every input, which
+    keeps compiled many-qubit programs tractable. ``PATH_CAP`` bounds paths x
+    inputs, the number of probabilities held at once, before any path exists.
     """
     if program.n != target.arity:
         raise ValueError("program arity does not match the target function")
     n_inputs = 1 << program.n
-    sizes = [box.n_parties for box in program.boxes]
-    starts = list(itertools.accumulate(sizes, initial=0))
-    collapsed = [_collapsible(program, i, starts[i]) for i in range(len(sizes))]
-    cells = n_inputs
-    for size, parity_only in zip(sizes, collapsed):
-        cells *= 2 if parity_only else 1 << size
+    starts = list(itertools.accumulate((box.n_parties for box in program.boxes), initial=0))
+    # a map reads only earlier outputs, none in box 0's group, so a box's
+    # earlier maps pass the check below and only its later maps decide it
+    reads = {m.out_mask for maps in (*program.input_maps[1:], (program.output_map,)) for m in maps}
+    parity_only, cells = [], n_inputs
+    for box, start in zip(program.boxes, starts):
+        segment = ((1 << box.n_parties) - 1) << start
+        parity_only.append(isinstance(box, GhzBox) and all((m & segment) in (0, segment) for m in reads))
+        cells <<= 1 if parity_only[-1] else box.n_parties
         if cells > PATH_CAP:
-            raise ValueError(
-                f"exact evaluation needs more than {PATH_CAP} paths x inputs"
-            )
+            raise ValueError(f"exact evaluation needs more than {PATH_CAP} paths x inputs")
 
     paths = [(0, np.ones(n_inputs))]
-    steps = zip(program.boxes, program.input_maps, starts, collapsed)
-    for box, maps, start, parity_only in steps:
+    for box, maps, start, parity in zip(program.boxes, program.input_maps, starts, parity_only):
         new_paths = []
         for outs, prob in paths:
             forms = [m.x_mask << 1 | ((m.out_mask & outs).bit_count() + m.const) & 1 for m in maps]
-            if parity_only:
+            if parity:
                 p1 = corrbox.parity_probability(box, forms, program.n)
-                new_paths += [(outs, prob * (1.0 - p1)), (outs | 1 << start, prob * p1)]
+                columns = (1.0 - p1, p1)
             else:
-                table = corrbox.outcome_table(box, forms, program.n)
-                for o in range(table.shape[1]):
-                    new_paths.append((outs | o << start, prob * table[:, o]))
+                columns = corrbox.outcome_table(box, forms, program.n).T
+            new_paths += [(outs | o << start, prob * column) for o, column in enumerate(columns)]
         paths = new_paths
 
     # z is right where the path constant (out_mask . outs) xor const = f(x) xor parity(x_mask & x)
@@ -150,7 +138,7 @@ def run_exact(program: L2Program, target: BooleanFunction) -> StrategyReport:
     success = dict(zip(input_keys(program.n), good.tolist()))
     errors = (1.0 - good).tolist()
     return StrategyReport(
-        n=program.n,
+        target=target,
         success=success,
         average_error=math.fsum(errors) / len(errors),
         worst_error=max(errors),
@@ -175,6 +163,8 @@ def contextuality_certificate(
     report: StrategyReport, target: BooleanFunction
 ) -> Certificate:
     """delta = nu(f)/2^n - average error; delta > 0 certifies contextuality."""
+    if report.target != target:
+        raise ValueError("report was scored against another target function")
     nu = nonlinearity(target)
     bound = Fraction(nu, 1 << target.arity)
     delta = float(bound) - report.average_error

@@ -171,14 +171,21 @@ def test_gate_from_report_reads_each_input_success():
     assert len(set(gate.errors)) == 2
     # the report's key order plays no part
     backwards = mbqc.StrategyReport(
-        n=2,
+        target=target,
         success=dict(reversed(report.success.items())),
         average_error=report.average_error,
         worst_error=report.worst_error,
     )
     assert gates.gate_from_report(target, backwards) == gate
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="scored against another target"):
         gates.gate_from_report(make_named("maj", 3), report)
+
+
+def test_gate_from_report_refuses_a_report_scored_on_another_target():
+    # chsh_and_program's AND report is no NAND gate, though the arity fits
+    report = mbqc.run_exact(mbqc.chsh_and_program(), make_named("and"))
+    with pytest.raises(ValueError, match="scored against another target"):
+        gates.gate_from_report(make_named("nand"), report)
 
 
 def test_noisy_gate_validation():

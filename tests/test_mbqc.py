@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -53,14 +54,34 @@ def test_arity_mismatch_rejected():
         run_exact(chsh_and_program(), make_named("xnand"))
 
 
-def test_path_cap_bounds_paths_times_inputs(monkeypatch):
-    # the collapsed Bell pair leaves 2 paths, each holding 4 inputs
-    monkeypatch.setattr(mbqc, "PATH_CAP", 7)
-    with pytest.raises(ValueError, match="more than 7 paths x inputs"):
-        run_exact(chsh_and_program(), make_named("and"))
-    monkeypatch.setattr(mbqc, "PATH_CAP", 8)
-    report = run_exact(chsh_and_program(), make_named("and"))
-    assert report.average_error == pytest.approx(SIN2_PI8, abs=1e-12)
+def _one_output_of_a_pair():
+    """A two-party GHZ box whose output map reads one of its outputs."""
+    box = GhzBox(angles=((0.0, 0.3), (0.0, 0.7)), epsilon=0.0)
+    return L2Program(
+        n=1,
+        boxes=(box,),
+        input_maps=((AffineBitMap(x_mask=1), AffineBitMap(x_mask=1)),),
+        output_map=AffineBitMap(out_mask=0b01),
+    )
+
+
+@pytest.mark.parametrize(
+    "program, target, cells, error",
+    [
+        (chsh_and_program(), make_named("and"), 2 * 4, SIN2_PI8),
+        (_one_output_of_a_pair(), make_named("const0", 1), 4 * 2, 0.5),
+        (noncontextual_and_program(), make_named("and"), 4 * 4, 0.25),
+    ],
+    ids=["parity-only-ghz", "partly-read-ghz", "noncontextual"],
+)
+def test_path_cap_bounds_paths_times_inputs(monkeypatch, program, target, cells, error):
+    # columns x inputs: a parity-only GHZ box answers with 2 columns, any
+    # other box with one per outcome
+    monkeypatch.setattr(mbqc, "PATH_CAP", cells - 1)
+    with pytest.raises(ValueError, match=f"more than {cells - 1} paths x inputs"):
+        run_exact(program, target)
+    monkeypatch.setattr(mbqc, "PATH_CAP", cells)
+    assert run_exact(program, target).average_error == pytest.approx(error, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +207,11 @@ def _random_box(rng):
             angles=tuple(tuple(rng.uniform(0, 2 * math.pi, 2)) for _ in range(k)),
             epsilon=float(rng.uniform(0, 0.5)),
         )
-    k = int(rng.integers(0, 4))  # zero parties: a box with one empty outcome
+    return _random_mixture(rng, int(rng.integers(0, 4)))  # zero parties: one empty outcome
+
+
+def _random_mixture(rng, k):
+    """A non-contextual box of k parties: 1-3 random responses, Fraction weights."""
     weights = [Fraction(int(w)) for w in rng.integers(1, 5, int(rng.integers(1, 4)))]
     mixture = []
     for w in weights:
@@ -215,24 +240,27 @@ def _random_map(rng, n, boxes, whole_boxes):
     )
 
 
+def _random_program(rng, n, boxes, whole_boxes):
+    """The boxes wired adaptively: every party and the output read random maps."""
+    input_maps = tuple(
+        tuple(_random_map(rng, n, boxes[:i], whole_boxes) for _ in range(box.n_parties))
+        for i, box in enumerate(boxes)
+    )
+    return L2Program(n, tuple(boxes), input_maps, _random_map(rng, n, boxes, whole_boxes))
+
+
+def _random_function(rng, n):
+    return BooleanFunction(n, tuple(int(b) for b in rng.integers(0, 2, 1 << n)))
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_adaptive_programs_match_full_enumeration(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 4))
     whole_boxes = seed % 2 == 0  # even seeds keep every GHZ box collapsible
     boxes = [_random_box(rng) for _ in range(int(rng.integers(1, 4)))]
-    input_maps = tuple(
-        tuple(_random_map(rng, n, boxes[:i], whole_boxes) for _ in range(box.n_parties))
-        for i, box in enumerate(boxes)
-    )
-    program = L2Program(
-        n=n,
-        boxes=tuple(boxes),
-        input_maps=input_maps,
-        output_map=_random_map(rng, n, boxes, whole_boxes),
-    )
-    target = BooleanFunction(n, tuple(int(b) for b in rng.integers(0, 2, 1 << n)))
-    assert_matches_reference(program, target)
+    program = _random_program(rng, n, boxes, whole_boxes)
+    assert_matches_reference(program, _random_function(rng, n))
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +286,15 @@ def test_certificate_deterministic_nand():
     report = run_exact(ghzc.run_as_l2program(ghzc.compile_function(nand)), nand)
     cert = contextuality_certificate(report, nand)
     assert cert.delta == pytest.approx(0.25, abs=1e-10)
+
+
+@pytest.mark.parametrize("other", [make_named("nand"), make_named("maj", 3)], ids=["nand", "maj3"])
+def test_certificate_refuses_a_report_scored_on_another_target(other):
+    # the AND report would give delta > 0 against either, though the
+    # program's NAND error is 0.854
+    report = run_exact(chsh_and_program(), make_named("and"))
+    with pytest.raises(ValueError, match="scored against another target"):
+        contextuality_certificate(report, other)
 
 
 def test_deterministic_nonaffine_certificate_positive():
@@ -290,6 +327,56 @@ def test_search_matches_nonlinearity_bound_exhaustively():
     for bits in range(256):
         f = BooleanFunction(3, tuple((bits >> i) & 1 for i in range(8)))
         assert best_noncontextual_error(f) == Fraction(nonlinearity(f), 8)
+
+
+def _local_program(rng, n, epsilon):
+    """1-4 boxes wired adaptively, each with a local model when epsilon = sin^2(pi/8).
+
+    A box is the non-contextual AND box, a random non-contextual mixture of
+    1-3 parties, or a two-party GHZ box with random equatorial angles at
+    noise epsilon: at visibility 1 - 2 epsilon = 1/sqrt(2), measurements in
+    one plane have a local model (Acin, Gisin and Toner, PRA 73, 062105, 2006).
+    """
+    boxes = []
+    for _ in range(int(rng.integers(1, 5))):
+        kind = rng.integers(3)
+        if kind == 0:
+            boxes.append(corrbox.noncontextual_and_box())
+        elif kind == 1:
+            boxes.append(_random_mixture(rng, int(rng.integers(1, 4))))
+        else:
+            angles = tuple(tuple(rng.uniform(0, 2 * math.pi, 2)) for _ in range(2))
+            boxes.append(GhzBox(angles=angles, epsilon=epsilon))
+    return _random_program(rng, n, boxes, whole_boxes=False)
+
+
+def test_no_adaptive_program_of_local_boxes_beats_the_floor():
+    # the paper's first result: without contextuality the average error is
+    # at least nu(f)/2^n, however the boxes are wired
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 4))
+        program = _local_program(rng, n, SIN2_PI8)
+        f = _random_function(rng, n)
+        floor = nonlinearity(f) / 2**n
+        assert run_exact(program, f).average_error >= floor - 1e-12, seed
+
+
+def test_the_floor_property_has_teeth():
+    # just below the local threshold the CHSH angles certify AND; at it the
+    # error is exactly the floor
+    and2 = make_named("and")
+
+    def chsh_report(epsilon):
+        box = replace(corrbox.chsh_and_box(), epsilon=epsilon)
+        return run_exact(replace(chsh_and_program(), boxes=(box,)), and2)
+
+    assert contextuality_certificate(chsh_report(SIN2_PI8 - 1e-3), and2).delta > 0
+    assert chsh_report(SIN2_PI8).average_error == pytest.approx(0.25, abs=1e-12)
+    # with noiseless GHZ boxes the same generator draws a program that beats
+    # it (seed 318 is the first of seeds 0-2999 to, by 0.081)
+    program = _local_program(np.random.default_rng(318), 2, 0.0)
+    assert run_exact(program, and2).average_error < 0.25 - 0.08
 
 
 def test_search_arity_cap():
