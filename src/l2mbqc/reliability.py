@@ -47,9 +47,8 @@ from .boolfn import BRUTE_FORCE_ARITY_CAP, as_bits, index_bits, make_named
 from .gates import NoisyGate, beta, clopper_pearson_upper, error_polynomial, majority_error, polynomial_error
 
 #: largest stages x width of a circuit, checked before any stage is laid out:
-#: the wiring holds k length-W permutations per restore stage; the sampler holds
-#: one group of stages' flips and a few live bundles, each W x 128 B (a bit per
-#: trial of 1024); at the cap, one NAND at W = 2^21 peaks near 2.1 GiB RSS
+#: it bounds the layout and the wiring, k length-W permutations per restore
+#: stage. The sampler's arrays are bounded apart from it (see ``GROUP_WORDS``)
 CIRCUIT_SIZE_CAP = 1 << 21
 #: most Monte Carlo trials per sampler call, and per report over all its sampled inputs
 TRIALS_CAP = 1 << 24
@@ -506,12 +505,11 @@ BLOCK = 1024
 MC_STREAM = "bitsliced-sfc64-v3"
 #: rounds of a flip mask's expansion drawn densely before settled words drop out
 ROUNDS_PER_PASS = 10
-#: most words per flip mask drawn at once: a block draws the masks of a gate
-#: kind's stages a group at a time, as many stages as fit and at least one
+#: most words per flip mask and per chunk's bundle state: a block draws the
+#: masks of a gate kind's stages a group at a time, as many stages as fit. A
+#: sampled stage must fit one group, so the sampled width is at most
+#: GROUP_WORDS // _WORDS = 4096, and the readout unpacks at most 4 MiB
 GROUP_WORDS = 1 << 16
-#: most wires whose trial bits the readout unpacks at once, a byte per bit:
-#: 4 MiB, where a whole bundle at W = 2^16 would be 64 MiB
-READOUT_WIRES = 1 << 12
 _WORDS = BLOCK // 64
 _ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
@@ -612,22 +610,21 @@ def _wrong_trials(
     A bundle's state holds each wire's actual value, one bit per trial, so
     every row runs the gate's own value and flip tables; the readout XORs
     the output with its true value's word. The inputs walk in chunks of at
-    most ``GROUP_WORDS`` words per bundle state, and at least one input.
+    most ``GROUP_WORDS`` words per bundle state.
 
     Block b draws every flip from one SFC64 stream seeded with (seed, b),
     anew for each chunk, so every input meets the same masks. Per gate, the
     stages of its kind are drawn in groups of consecutive ones, as many as
-    fit in ``GROUP_WORDS`` words per mask and at least one: when the walk
-    reaches a group's first stage, it draws one Bernoulli mask for the whole
-    group per distinct error value strictly between 0 and 1, ascending.
+    fit in ``GROUP_WORDS`` words per mask: when the walk reaches a group's
+    first stage, it draws one Bernoulli mask for the whole group per
+    distinct error value strictly between 0 and 1, ascending.
     """
     w = circuit.width
     # the words of a bundle whose wires all carry 0, and all carry 1
     start = np.broadcast_to(np.array([0, _ONES], dtype=np.uint64)[:, None, None], (2, w, _WORDS))
     gate_keys = {"restore": _gate_keys(circuit.kmaj), "compute": _gate_keys(circuit.xnand)}
     kind_count = {kind: sum(stage.kind == kind for stage in circuit.stages) for kind in gate_keys}
-    group = max(1, GROUP_WORDS // (w * _WORDS))  # stages per mask group, and inputs per chunk
-    slices = [(lo, lo + READOUT_WIRES) for lo in range(0, w, READOUT_WIRES)]
+    group = GROUP_WORDS // (w * _WORDS)  # stages per mask group, and inputs per chunk
     wiring = circuit.wiring
 
     def run_chunk(block: int, chunk: np.ndarray) -> np.ndarray:
@@ -654,12 +651,10 @@ def _wrong_trials(
             return out
 
         classes, values, states = _walk(circuit, chunk, start, step)
-        # per class, whether each trial's readout is wrong; the bits of at
-        # most READOUT_WIRES wires of one class are unpacked at a time
+        # per class, whether each trial's readout is wrong
         wrong = [
-            2 * sum(np.unpackbits((state[lo:hi] ^ start[v, lo:hi]).astype("<u8", copy=False).view(np.uint8),
-                                  axis=1, bitorder="little").sum(axis=0)
-                    for lo, hi in slices) >= w
+            2 * np.unpackbits((state ^ start[v]).astype("<u8", copy=False).view(np.uint8),
+                              axis=1, bitorder="little").sum(axis=0) >= w
             for state, v in zip(states, values.tolist())
         ]
         return np.array(wrong)[classes]
@@ -683,9 +678,11 @@ def _check_seed(seed: int):
         raise ValueError(f"seed {seed} is negative; seeds are nonnegative integers")
 
 
-def _check_trials(trials: int, inputs: int = 1):
+def _check_trials(trials: int, width: int, inputs: int = 1):
     if trials < 1:
         raise ValueError("need at least one trial")
+    if width > GROUP_WORDS // _WORDS:  # one stage per mask group, one input per chunk
+        raise ValueError(f"sampled width {width} above cap {GROUP_WORDS // _WORDS}")
     lanes = inputs * -(-trials // BLOCK) * BLOCK  # the trials drawn, in whole blocks per input
     if lanes > TRIALS_CAP:
         raise ValueError(f"{inputs} input(s) x {trials} trials above cap {TRIALS_CAP}: "
@@ -704,13 +701,13 @@ def simulate_monte_carlo(
     last block still draws the whole block, so a trial's outcome depends
     only on (seed, input, block) and the first n trials of a longer run are
     the run with ``trials=n``. The flips are drawn a group of stages at a
-    time, at most ``GROUP_WORDS`` words per mask unless one stage needs
-    more, when the walk reaches the group. So memory is set by the block
-    size, the width and the few live bundles, not by the trial or stage
-    count; trials may be at most ``TRIALS_CAP``. The stream is versioned as
-    ``MC_STREAM``.
+    time, at most ``GROUP_WORDS`` words per mask, when the walk reaches the
+    group. So memory is set by the block size, the width and the few live
+    bundles, not by the trial or stage count; trials may be at most
+    ``TRIALS_CAP`` and the width at most ``GROUP_WORDS // _WORDS``, both
+    checked before any work. The stream is versioned as ``MC_STREAM``.
     """
-    _check_trials(trials)
+    _check_trials(trials, circuit.width)
     _check_seed(seed)
     x = _input_bits(circuit.formula, x)
     index = sum(b << j for j, b in enumerate(x))
@@ -785,7 +782,8 @@ def build_report(
     1/2 - margin; no verdict reads the optimistic independence figure.
     ``mc_inputs`` picks the inputs ``trials`` samples: "all", or "worst",
     the independence figure's worst, which can refute but never certify.
-    Every argument, and sampled inputs x trials, is checked before the sweep.
+    Every argument, sampled inputs x trials and the sampled width are checked
+    before the sweep.
     """
     _check_margin(margin)
     if mc_inputs not in ("worst", "all"):
@@ -800,7 +798,7 @@ def build_report(
         evidence = {"kind": "sampled", "sampled_inputs": 1 if mc_inputs == "worst" else 1 << n,
                     "inputs": 1 << n, "trials": trials, "bound": "exact one-sided Clopper-Pearson",
                     "family_level": ALPHA}
-        _check_trials(trials, evidence["sampled_inputs"])
+        _check_trials(trials, circuit.width, evidence["sampled_inputs"])
         _check_seed(seed)
     classes, _, states = _independence_walk(circuit, np.arange(1 << n))
     class_errors = [majority_error(circuit.width, p) for p in states.tolist()]

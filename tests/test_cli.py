@@ -430,6 +430,9 @@ MALFORMED_INPUTS = {
         RELIABLE + ["--width", "9", "--trials", str(10**23)],
         "above cap 16777216",
     ),
+    "reliable-sampled-width-above-cap": (
+        RELIABLE + ["--width", "4097", "--trials", "1"], "sampled width 4097 above cap 4096",
+    ),
     "reliable-inputs-x-trials-above-cap": (
         RELIABLE + ["--width", "9", "--trials", "1048577"],
         "16 input(s) x 1048577 trials above cap 16777216",
@@ -502,6 +505,7 @@ CONTRACT_OPTIONS = (
     (SMALL_RELIABLE, "--rounds", ()),
     (SMALL_RELIABLE, "--seed", ()),
     (SMALL_RELIABLE, "--trials", (TRIALS_CAP, TRIALS_CAP + 1)),  # 16 inputs x trials
+    (SMALL_RELIABLE + ["--trials", "1"], "--width", (4096, 4097)),  # the sampled width cap
     (SMALL_RELIABLE, "--margin", ()),
     (SMALL_RELIABLE + ["--restore-epsilon", "0.01"], "--k", (BRUTE_FORCE_ARITY_CAP, BRUTE_FORCE_ARITY_CAP + 1)),
     (SMALL_RELIABLE, "--restore-epsilon", ()),
@@ -615,13 +619,15 @@ def test_the_exit_code_contract_holds_under_a_memory_ceiling(contract_dir):
     assert not [result for result in results if breaks_contract(*result[1:])]
 
 
-@pytest.mark.xfail(strict=True, reason="the sampler allocates at the width cap before any bound")
 def test_the_width_cap_sampler_run_fits_under_a_memory_ceiling(tmp_path):
+    # the circuit's size cap is far above the sampled width cap, so the
+    # sampler refuses the run before it allocates
     argv = ["reliable", "--formula", "nand.nand", "--width", str(CIRCUIT_SIZE_CAP),
             "--rounds", "0", "--seed", "1", "--trials", "1"]
     (tmp_path / "nand.nand").write_text("(nand a b)\n")
     [(_, code, err)] = run_under_ceiling(tmp_path, [argv])
-    assert not breaks_contract(code, err), code  # today: MemoryError((33554432,), ...)
+    assert not breaks_contract(code, err), code
+    assert code == 2 and err.startswith("error:") and "sampled width 2097152 above cap 4096" in err
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

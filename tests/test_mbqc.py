@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from l2mbqc import corrbox, ghzc, mbqc
+from l2mbqc import corrbox, gates, ghzc, mbqc
 from l2mbqc.boolfn import BooleanFunction, make_named, nonlinearity
 from l2mbqc.corrbox import GhzBox, NoncontextualBox
 from l2mbqc.mbqc import (
@@ -362,21 +362,67 @@ def test_no_adaptive_program_of_local_boxes_beats_the_floor():
         assert run_exact(program, f).average_error >= floor - 1e-12, seed
 
 
+def chsh_report(epsilon):
+    """The CHSH AND program's report, its box at white noise epsilon."""
+    box = replace(corrbox.chsh_and_box(), epsilon=epsilon)
+    return run_exact(replace(chsh_and_program(), boxes=(box,)), make_named("and"))
+
+
 def test_the_floor_property_has_teeth():
     # just below the local threshold the CHSH angles certify AND; at it the
     # error is exactly the floor
     and2 = make_named("and")
-
-    def chsh_report(epsilon):
-        box = replace(corrbox.chsh_and_box(), epsilon=epsilon)
-        return run_exact(replace(chsh_and_program(), boxes=(box,)), and2)
-
     assert contextuality_certificate(chsh_report(SIN2_PI8 - 1e-3), and2).delta > 0
     assert chsh_report(SIN2_PI8).average_error == pytest.approx(0.25, abs=1e-12)
     # with noiseless GHZ boxes the same generator draws a program that beats
     # it (seed 318 is the first of seeds 0-2999 to, by 0.081)
     program = _local_program(np.random.default_rng(318), 2, 0.0)
     assert run_exact(program, and2).average_error < 0.25 - 0.08
+
+
+def _two_party_ghz_program(seed, epsilon):
+    """1-2 two-party GHZ boxes with uniform random angles at noise epsilon,
+    wired at random over n = 2 inputs; the draws do not depend on epsilon."""
+    rng = np.random.default_rng(seed)
+    boxes = [
+        GhzBox(angles=tuple(tuple(rng.uniform(0, 2 * math.pi, 2)) for _ in range(2)), epsilon=epsilon)
+        for _ in range(int(rng.integers(1, 3)))
+    ]
+    return _random_program(rng, 2, boxes, whole_boxes=False)
+
+
+def test_ghz_programs_beat_the_floor_only_when_their_boxes_are_contextual():
+    # the same 300 draws at two noise levels: at sin^2(pi/8) the boxes have
+    # a local model and none beats nu(AND)/4 = 1/4; noiseless, 4 do, the
+    # first at seed 24 by 0.008 and the most at seed 72 by 0.102
+    and2 = make_named("and")
+    local = [run_exact(_two_party_ghz_program(seed, SIN2_PI8), and2).average_error for seed in range(300)]
+    assert min(local) >= 0.25 - 1e-12
+    noiseless = [run_exact(_two_party_ghz_program(seed, 0.0), and2).average_error for seed in range(300)]
+    beats = [seed for seed, error in enumerate(noiseless) if error < 0.25 - 1e-12]
+    assert beats[0] == 24 and len(beats) == 4 and int(np.argmin(noiseless)) == 72
+    assert noiseless[72] == pytest.approx(0.25 - 0.10211, abs=1e-5)
+
+
+def test_the_chsh_construction_tolerates_white_noise_below_the_maj3_threshold():
+    # ROADMAP Baseline 9: at box noise eps the CHSH AND, and the maj3 and
+    # XNAND gadgets built from it, err 1/2 - (1 - 2 eps) sqrt(2)/4 on every
+    # input, so the maj3 restore works only below eps* = (1 - 2 sqrt(2)/3)/2,
+    # where its error reaches beta_3 = 1/6
+    and2 = make_named("and")
+    edge = (1 - 2 * math.sqrt(2) / 3) / 2
+    for epsilon in (0.0, 0.01, edge, 0.1, SIN2_PI8):
+        noisy_and = gates.gate_from_report(and2, chsh_report(epsilon))
+        error = 0.5 - (1 - 2 * epsilon) * math.sqrt(2) / 4
+        for gadget in (gates.maj3_from_and, gates.xnand_from_and):
+            assert all(abs(e - error) < 1e-12 for e in gadget(noisy_and).errors), (gadget, epsilon)
+
+    def maj3_error(epsilon):
+        return gates.maj3_from_and(gates.gate_from_report(and2, chsh_report(epsilon))).epsilon
+
+    assert abs(maj3_error(edge) - 1 / 6) < 1e-12 and gates.beta(3).beta == Fraction(1, 6)
+    assert gates.analyze_recursion(3, maj3_error(edge - 1e-6)).eta == pytest.approx(0.49874, abs=1e-5)
+    assert gates.analyze_recursion(3, maj3_error(edge + 1e-6)).eta is None
 
 
 def test_search_arity_cap():

@@ -612,10 +612,11 @@ def test_shorter_runs_are_prefixes_of_longer_ones():
         assert round(mc.empirical_error * n) == int(wrong[:n].sum())
 
 
-@pytest.mark.parametrize("group_words", [reliability.GROUP_WORDS, 1])
+@pytest.mark.parametrize("group_words", [reliability.GROUP_WORDS, 27 * reliability._WORDS])
 def test_inputs_meet_the_same_masks_in_a_block(monkeypatch, group_words):
     # block b's stream is seeded with (seed, b) alone, so every input of a
-    # circuit draws the same flip masks: common random numbers
+    # circuit draws the same flip masks: common random numbers; the smaller
+    # group holds one W=27 stage
     monkeypatch.setattr(reliability, "GROUP_WORDS", group_words)
     flip_words = reliability._flip_words
     drawn = []
@@ -632,7 +633,7 @@ def test_inputs_meet_the_same_masks_in_a_block(monkeypatch, group_words):
         drawn.append([])
         simulate_monte_carlo(circ, x, trials=2 * reliability.BLOCK, seed=42)
     first, second = drawn
-    per_block = 2 if group_words > 1 else len(circ.stages)  # one draw per group
+    per_block = 2 if group_words > 27 * reliability._WORDS else len(circ.stages)  # one draw per group
     assert len(first) == len(second) == 2 * per_block
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
     assert not np.array_equal(first[0], first[per_block])  # blocks draw apart
@@ -712,13 +713,27 @@ def test_all_input_report_memory_is_bounded_by_the_chunk(monkeypatch):
     assert every <= 3 * one
 
 
-def test_readout_unpacks_a_slice_of_wires_at_a_time():
-    # a bundle at W = 2^14 is 2 MiB of trial words; its readout unpacks one
-    # byte per bit, 16 MiB at once but 4 MiB per READOUT_WIRES wires, so the
-    # call peaks at 16 MiB, where unpacking the whole bundle peaked at 22
+#: tracemalloc peak of one sampled call at the width cap: one NAND at r = 1
+#: peaked at 6.0 MiB (numpy 2.4, x86-64), 4 MiB of it the readout's bytes
+PEAK_AT_THE_WIDTH_CAP = 7 * 2**20
+
+
+def test_sampling_at_the_width_cap_draws_within_one_group(monkeypatch):
+    # at W = GROUP_WORDS // _WORDS one stage fills a mask group, and the
+    # readout unpacks a byte per trial bit of one class, 4 MiB
+    flip_words = reliability._flip_words
+    sizes = []
+
+    def recording(bitgen, p, n):
+        sizes.append(n)
+        return flip_words(bitgen, p, n)
+
+    monkeypatch.setattr(reliability, "_flip_words", recording)
     _, xnand = chsh_gates()
     kmaj = uniform_noisy_gate(make_named("maj", 3), 0.01)
-    circ = build(parse_formula("(nand a b)"), 1 << 14, 3, 0, xnand=xnand, kmaj=kmaj, seed=1)
+    width = reliability.GROUP_WORDS // reliability._WORDS
+    assert width == 4096
+    circ = build(parse_formula("(nand a b)"), width, 3, 1, xnand=xnand, kmaj=kmaj, seed=1)
     simulate_monte_carlo(circ, (1, 1), 1, 3)  # warm the wiring and numpy's lazy set-up
     tracemalloc.start()
     try:
@@ -726,17 +741,25 @@ def test_readout_unpacks_a_slice_of_wires_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 18 * 2**20
+    assert sizes and max(sizes) <= reliability.GROUP_WORDS
+    assert peak <= PEAK_AT_THE_WIDTH_CAP
 
 
-@pytest.mark.parametrize("wires", [1, 4, 10])
-def test_readout_counts_do_not_depend_on_its_slices(monkeypatch, wires):
+def test_a_sampled_width_above_the_cap_is_refused_before_any_work(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew a flip mask")
+
+    monkeypatch.setattr(reliability, "_flip_words", no_draws)
     kmaj, xnand = chsh_gates()
-    circ = build(parse_formula(TREE2), 27, 3, 1, xnand=xnand, kmaj=kmaj, seed=6)
-    whole = wrong_blocks(circ, np.arange(16), 5, 2)
-    monkeypatch.setattr(reliability, "READOUT_WIRES", wires)
-    sliced = wrong_blocks(circ, np.arange(16), 5, 2)
-    assert all(np.array_equal(a, b) for a, b in zip(whole, sliced, strict=True))
+    width = reliability.GROUP_WORDS // reliability._WORDS + 1
+    circ = build(parse_formula("(nand a b)"), width, 3, 0, xnand=xnand, kmaj=kmaj, seed=1)
+    message = f"sampled width {width} above cap {width - 1}"
+    with pytest.raises(ValueError, match=message):
+        simulate_monte_carlo(circ, (1, 1), 1, 3)
+    with pytest.raises(ValueError, match=message):
+        build_report(circ, trials=1, seed=3)
+    assert not build_report(circ).reliable  # unsampled, the sweep still runs
+    assert "wiring" not in circ.__dict__  # never drawn
 
 
 #: a NAND chain over 14 inputs: at W=3 r=0 its 16 384 inputs take 13 chunks
