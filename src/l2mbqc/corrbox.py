@@ -83,7 +83,10 @@ class OutcomeDistribution:
 # ---------------------------------------------------------------------------
 # box families
 
-def _check_finite(pairs: Iterable[tuple[float, float]]):
+def _check_finite(pairs: Sequence[tuple[float, float]]):
+    if set(map(len, pairs)) != {2}:
+        j = next(j for j, pair in enumerate(pairs) if len(pair) != 2)
+        raise ValueError(f"party {j} has {len(pairs[j])} angles, not a pair")
     # the exact phase sum scales every angle to an integer
     angles = np.fromiter(itertools.chain.from_iterable(pairs), float)
     finite = np.isfinite(angles)

@@ -60,12 +60,10 @@ def uniform_noisy_gate(target: BooleanFunction, epsilon: float) -> NoisyGate:
     return NoisyGate(target, (float(epsilon),) * (1 << target.arity))
 
 
-def gate_from_report(target: BooleanFunction, report: mbqc.StrategyReport) -> NoisyGate:
-    """The gate whose error at each input is the report's failure there, in
-    table order."""
-    if report.target != target:
-        raise ValueError("report was scored against another target function")
-    success = report.success
+def gate_from_report(report: mbqc.StrategyReport) -> NoisyGate:
+    """The gate for the report's target whose error at each input is the
+    report's failure there, in table order."""
+    target, success = report.target, report.success
     return NoisyGate(target, tuple(1.0 - success[x] for x in input_keys(target.arity)))
 
 
@@ -74,14 +72,12 @@ def gate_from_report(target: BooleanFunction, report: mbqc.StrategyReport) -> No
 
 def chsh_and_gate() -> NoisyGate:
     """AND from the Bell-state protocol, evaluated exactly (never hardcoded)."""
-    target = make_named("and")
-    return gate_from_report(target, mbqc.run_exact(mbqc.chsh_and_program(), target))
+    return gate_from_report(mbqc.run_exact(mbqc.chsh_and_program(), make_named("and")))
 
 
 def noncontextual_and_gate() -> NoisyGate:
     """The 1/4-noisy AND available without any contextuality."""
-    target = make_named("and")
-    return gate_from_report(target, mbqc.run_exact(mbqc.noncontextual_and_program(), target))
+    return gate_from_report(mbqc.run_exact(mbqc.noncontextual_and_program(), make_named("and")))
 
 
 def _from_and(and_gate: NoisyGate, target: BooleanFunction, and_input) -> NoisyGate:
@@ -109,7 +105,7 @@ def xnand_from_and(and_gate: NoisyGate) -> NoisyGate:
 def gate_from_noisy_ghz(target: BooleanFunction, epsilon: float) -> NoisyGate:
     """Gate for any target from its compiled GHZ program on a noise-mixed state."""
     program = ghzc.run_as_l2program(ghzc.compile_function(target), epsilon)
-    return gate_from_report(target, mbqc.run_exact(program, target))
+    return gate_from_report(mbqc.run_exact(program, target))
 
 
 def kmaj_from_noisy_ghz(k: int, epsilon: float) -> NoisyGate:
@@ -145,10 +141,16 @@ class ViolationWitness:
     """Smallest k whose gap is below a requested inequality violation."""
 
     k: int
-    gap: Fraction
     epsilon: Fraction
-    below_threshold: bool
-    trivial: bool
+
+    @property
+    def below_threshold(self) -> bool:
+        return self.epsilon < beta(self.k).beta
+
+    @property
+    def trivial(self) -> bool:
+        """delta reaches nu(k-MAJ)/2^k, so the witness gate is noiseless."""
+        return self.epsilon == 0
 
 
 def min_k_for_violation(delta: RationalLike) -> ViolationWitness:
@@ -163,17 +165,11 @@ def min_k_for_violation(delta: RationalLike) -> ViolationWitness:
     if d <= 0:
         raise ValueError("violation delta must be positive")
     k = 3
-    while (g := gap(k)) >= d:
+    while gap(k) >= d:
         k += 2
         if k > K_CAP:
             raise ValueError(f"no k below cap {K_CAP} with gap under {d}")
-    eps = Fraction(kmaj_nonlinearity(k), 1 << k) - d
-    trivial = eps <= 0
-    if trivial:
-        eps = Fraction(0)
-    return ViolationWitness(
-        k=k, gap=g, epsilon=eps, below_threshold=eps < beta(k).beta, trivial=trivial
-    )
+    return ViolationWitness(k, max(Fraction(kmaj_nonlinearity(k), 1 << k) - d, Fraction(0)))
 
 
 def threshold_sweep(kmax: int) -> list[dict]:
@@ -350,10 +346,11 @@ def recursion_derivative(k: int, epsilon: float, p: float) -> float:
 class RecursionAnalysis:
     """Fixed points of the restoring recursion on [0, 1/2]."""
 
-    k: int
-    epsilon: float
-    fixed_points: tuple[float, ...]
     eta: float | None
+
+    @property
+    def fixed_points(self) -> tuple[float, ...]:
+        return (0.5,) if self.eta is None else (self.eta, 0.5)
 
 
 def _bisect(fn, lo: float, hi: float) -> float:
@@ -382,12 +379,7 @@ def analyze_recursion(k: int, epsilon: float) -> RecursionAnalysis:
     if recursion_derivative(k, epsilon, 0.5) > 1.0:
         knee = _bisect(lambda p: 1.0 - recursion_derivative(k, epsilon, p), 0.0, 0.5)
         eta = _bisect(lambda p: maj_error_recursion(k, epsilon, p) - p, 0.0, knee)
-    return RecursionAnalysis(
-        k=k,
-        epsilon=epsilon,
-        fixed_points=(0.5,) if eta is None else (eta, 0.5),
-        eta=eta,
-    )
+    return RecursionAnalysis(eta)
 
 
 def eta_by_iteration(k: int, epsilon: float) -> float:

@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 import numpy as np
 
 from . import corrbox
@@ -81,8 +81,14 @@ class StrategyReport:
 
     target: BooleanFunction
     success: dict[tuple[int, ...], float]
-    average_error: float
-    worst_error: float
+
+    @cached_property
+    def average_error(self) -> float:
+        return math.fsum([1.0 - s for s in self.success.values()]) / len(self.success)
+
+    @cached_property
+    def worst_error(self) -> float:
+        return 1.0 - min(self.success.values())
 
 
 def run_exact(program: L2Program, target: BooleanFunction) -> StrategyReport:
@@ -135,14 +141,7 @@ def run_exact(program: L2Program, target: BooleanFunction) -> StrategyReport:
     good = np.zeros(n_inputs)
     for outs, prob in paths:
         good += prob * (right == ((out_map.out_mask & outs).bit_count() + out_map.const) & 1)
-    success = dict(zip(input_keys(program.n), good.tolist()))
-    errors = (1.0 - good).tolist()
-    return StrategyReport(
-        target=target,
-        success=success,
-        average_error=math.fsum(errors) / len(errors),
-        worst_error=max(errors),
-    )
+    return StrategyReport(target, dict(zip(input_keys(program.n), good.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +154,14 @@ class Certificate:
     nu: int
     bound: Fraction
     average_error: float
-    delta: float
-    contextual: bool
+
+    @property
+    def delta(self) -> float:
+        return float(self.bound) - self.average_error
+
+    @property
+    def contextual(self) -> bool:
+        return self.delta > 0
 
 
 def contextuality_certificate(
@@ -166,15 +171,7 @@ def contextuality_certificate(
     if report.target != target:
         raise ValueError("report was scored against another target function")
     nu = nonlinearity(target)
-    bound = Fraction(nu, 1 << target.arity)
-    delta = float(bound) - report.average_error
-    return Certificate(
-        nu=nu,
-        bound=bound,
-        average_error=report.average_error,
-        delta=delta,
-        contextual=delta > 0,
-    )
+    return Certificate(nu, Fraction(nu, 1 << target.arity), report.average_error)
 
 
 @lru_cache(maxsize=None)

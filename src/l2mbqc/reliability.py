@@ -516,9 +516,7 @@ _ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
 @dataclass(frozen=True)
 class MonteCarloResult:
-    x: tuple[int, ...]
     trials: int
-    seed: int
     empirical_error: float
 
 
@@ -709,10 +707,9 @@ def simulate_monte_carlo(
     """
     _check_trials(trials, circuit.width)
     _check_seed(seed)
-    x = _input_bits(circuit.formula, x)
-    index = sum(b << j for j, b in enumerate(x))
+    index = sum(b << j for j, b in enumerate(_input_bits(circuit.formula, x)))
     [wrong] = _wrong_counts(circuit, np.array([index]), trials, seed).tolist()
-    return MonteCarloResult(x=x, trials=trials, seed=seed, empirical_error=wrong / trials)
+    return MonteCarloResult(trials, wrong / trials)
 
 
 # ---------------------------------------------------------------------------
@@ -781,15 +778,17 @@ def build_report(
     one-sided Clopper-Pearson upper bound at level ``ALPHA`` / N is below
     1/2 - margin; no verdict reads the optimistic independence figure.
     ``mc_inputs`` picks the inputs ``trials`` samples: "all", or "worst",
-    the independence figure's worst, which can refute but never certify.
-    Every argument, sampled inputs x trials and the sampled width are checked
-    before the sweep.
+    the independence figure's worst, which needs ``trials`` and can refute
+    but never certify. Every argument, sampled inputs x trials and the
+    sampled width are checked before the sweep.
     """
     _check_margin(margin)
     if mc_inputs not in ("worst", "all"):
         raise ValueError(f"mc_inputs must be 'worst' or 'all', got {mc_inputs!r}")
     if trials is not None and seed is None:
         raise ValueError("a seed is mandatory for Monte Carlo runs")
+    if trials is None and mc_inputs == "worst":
+        raise ValueError("mc_inputs 'worst' applies only with trials")
     n = circuit.formula.n_inputs
     if n > BRUTE_FORCE_ARITY_CAP:
         raise ValueError(f"formula has {n} inputs, above cap {BRUTE_FORCE_ARITY_CAP}")

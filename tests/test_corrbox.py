@@ -617,6 +617,8 @@ def test_outcome_entries_must_be_bits(outcome):
     [
         (ValueError, lambda: corrbox.OutcomeDistribution(np.ones(3) / 3), "3 probabilities are not 2"),
         (ValueError, lambda: corrbox.GhzBox(()), "at least one party"),
+        (ValueError, lambda: corrbox.GhzBox(((0.0, 1.0, 2.0), (3.0, 4.0))), "party 0 has 3 angles, not a pair"),
+        (ValueError, lambda: corrbox.GhzBox(((0.0, 1.0), (0.5,))), "party 1 has 1 angles, not a pair"),
         (
             ValueError,
             lambda: corrbox.NoncontextualBox(
@@ -644,6 +646,8 @@ def test_outcome_entries_must_be_bits(outcome):
     ids=[
         "three-outcomes",
         "ghz-no-parties",
+        "ghz-angle-triple",
+        "ghz-angle-single",
         "mixture-party-counts",
         "mixture-negative-weight",
         "parity-of-noncontextual",

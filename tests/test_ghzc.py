@@ -511,7 +511,7 @@ def test_one_transform_serves_nonlinearity_compile_and_certificate(monkeypatch):
     f = random_function(random.Random(25), 6)
     nu = boolfn.nonlinearity(f)
     assert compile_function(f).n_qubits > 0
-    report = mbqc.StrategyReport(target=f, success={}, average_error=0.0, worst_error=0.0)
+    report = mbqc.run_exact(mbqc.constant_program(6, 0), f)
     assert mbqc.contextuality_certificate(report, f).nu == nu
     assert calls == [64]  # the function's spectrum, computed once
 

@@ -409,16 +409,15 @@ def test_the_chsh_construction_tolerates_white_noise_below_the_maj3_threshold():
     # XNAND gadgets built from it, err 1/2 - (1 - 2 eps) sqrt(2)/4 on every
     # input, so the maj3 restore works only below eps* = (1 - 2 sqrt(2)/3)/2,
     # where its error reaches beta_3 = 1/6
-    and2 = make_named("and")
     edge = (1 - 2 * math.sqrt(2) / 3) / 2
     for epsilon in (0.0, 0.01, edge, 0.1, SIN2_PI8):
-        noisy_and = gates.gate_from_report(and2, chsh_report(epsilon))
+        noisy_and = gates.gate_from_report(chsh_report(epsilon))
         error = 0.5 - (1 - 2 * epsilon) * math.sqrt(2) / 4
         for gadget in (gates.maj3_from_and, gates.xnand_from_and):
             assert all(abs(e - error) < 1e-12 for e in gadget(noisy_and).errors), (gadget, epsilon)
 
     def maj3_error(epsilon):
-        return gates.maj3_from_and(gates.gate_from_report(and2, chsh_report(epsilon))).epsilon
+        return gates.maj3_from_and(gates.gate_from_report(chsh_report(epsilon))).epsilon
 
     assert abs(maj3_error(edge) - 1 / 6) < 1e-12 and gates.beta(3).beta == Fraction(1, 6)
     assert gates.analyze_recursion(3, maj3_error(edge - 1e-6)).eta == pytest.approx(0.49874, abs=1e-5)

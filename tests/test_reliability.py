@@ -1066,6 +1066,7 @@ def test_sampler_rejects_trials_above_cap():
         ("(nand a b)", {"mc_inputs": ["00"]}, "mc_inputs must be 'worst' or 'all'"),
         ("(nand a b)", {"trials": 0, "seed": 1}, "need at least one trial"),
         ("(nand a b)", {"trials": 10}, "a seed is mandatory"),
+        ("(nand a b)", {"mc_inputs": "worst"}, "mc_inputs 'worst' applies only with trials"),
         (WIDE_FORMULA, {}, "formula has 17 inputs, above cap 16"),
         ("(nand a b)", {"trials": (1 << 24) + 1, "seed": 1}, "trials above cap 16777216"),
         ("(nand a b)", {"trials": (1 << 22) + 1, "seed": 1}, r"4 input\(s\) x 4194305 trials above cap 16777216"),
@@ -1075,8 +1076,8 @@ def test_sampler_rejects_trials_above_cap():
          "67108864 in all"),
     ],
     ids=[
-        "margin", "mc-inputs", "zero-trials", "no-seed", "inputs-above-cap", "trials-above-cap",
-        "inputs-x-trials-above-cap", "negative-seed", "whole-blocks-above-cap",
+        "margin", "mc-inputs", "zero-trials", "no-seed", "worst-without-trials", "inputs-above-cap",
+        "trials-above-cap", "inputs-x-trials-above-cap", "negative-seed", "whole-blocks-above-cap",
     ],
 )
 def test_build_report_checks_arguments_before_the_sweep(monkeypatch, text, kwargs, message):
@@ -1575,7 +1576,7 @@ def cone_is_tree(circ):
 def box_circuit(text, box, width, seed):
     """The r = 0 circuit of ``text`` whose gates are the gadgets on the AND
     that ``box`` makes, and the formula's function."""
-    and_gate = gates.gate_from_report(make_named("and"), mbqc.run_exact(
+    and_gate = gates.gate_from_report(mbqc.run_exact(
         mbqc._parity_program(2, box, [0b01, 0b10]), make_named("and")))
     formula = parse_formula(text)
     circ = build(formula, width, 3, 0, xnand=xnand_from_and(and_gate), kmaj=maj3_from_and(and_gate), seed=seed)
