@@ -44,7 +44,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .boolfn import BRUTE_FORCE_ARITY_CAP, as_bits, index_bits, make_named
-from .gates import NoisyGate, beta, clopper_pearson_upper, error_polynomial, majority_error, polynomial_error
+from .gates import NoisyGate, beta, clopper_pearson_upper, error_polynomial, majority_errors, polynomial_error
 
 #: largest stages x width of a circuit, checked before any stage is laid out:
 #: it bounds the layout and the wiring, k length-W permutations per restore
@@ -800,8 +800,7 @@ def build_report(
         _check_trials(trials, circuit.width, evidence["sampled_inputs"])
         _check_seed(seed)
     classes, _, states = _independence_walk(circuit, np.arange(1 << n))
-    class_errors = [majority_error(circuit.width, p) for p in states.tolist()]
-    errors = np.take(class_errors, classes)
+    errors = majority_errors(circuit.width, states)[classes]
     worst = int(np.argmax(errors))  # the first input in table order with the largest error
     worst_x, delta = index_bits(worst, n), errors[worst].item()
 

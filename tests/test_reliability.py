@@ -1653,35 +1653,91 @@ def test_box_program_certifies_the_contextual_tree():
 # majority readout tail
 
 def exact_readout_error(width, p):
-    """P(X >= ceil(W/2)) for X ~ Bin(W, p), in exact rational arithmetic.
+    """P(X >= ceil(W/2)) for X ~ Bin(W, p), summed in exact integer
+    arithmetic and rounded once.
 
-    At even W the tie X = W/2 is included, so W=2 and W=4 check the tie rule.
+    With p = a / 2^k and b = 2^k - a the tail is the sum over j >= ceil(W/2)
+    of C(W, j) a^j b^(W-j), over 2^(kW). Horner's rule in b makes each step
+    a shift, small multiplications and an exact small division, so W = 4097
+    stays cheap even at p = 5e-324 (k = 1074). At even W the tie X = W/2 is
+    included, so W=2 and W=4 check the tie rule.
     """
     q = Fraction(p)
-    return sum(
-        math.comb(width, j) * q**j * (1 - q) ** (width - j)
-        for j in range((width + 1) // 2, width + 1)
-    )
+    a, k = q.numerator, q.denominator.bit_length() - 1
+    m = (width + 1) // 2
+    term, total = math.comb(width, m) * a**m, 0  # term is C(W, j) a^j
+    for j in range(m, width + 1):
+        total = (total << k) - total * a + term  # total * b + term
+        term = term * a * (width - j) // (j + 1)
+    return total / (1 << k * width)
 
 
 READOUT_PROBABILITIES = (0.0, 1e-9, 0.3, 0.5 - 1e-6, 0.6, 1.0)
+#: the extremes of the float range and the mirror point; within the first
+#: term's relative error of each other, so not ordered by their tails
+READOUT_EDGES = (5e-324, math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0), 1 - 2**-53)
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 4, 80, 81, 243])
+def assert_batched_readout_is_the_scalar(width, ps):
+    """``majority_errors`` gives ``majority_error`` at every p, bit for bit;
+    returns the scalar values."""
+    want = [gates.majority_error(width, p) for p in ps]
+    assert [v.hex() for v in gates.majority_errors(width, ps).tolist()] == [v.hex() for v in want]
+    return want
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 80, 81, 243, 4097])
 def test_readout_tail_matches_exact_tail(width):
-    for p in READOUT_PROBABILITIES:
-        want = float(exact_readout_error(width, p))
-        got = gates.majority_error(width, p)
+    # the lgamma first term's relative error grows with W: 1.8e-12 at W=4097
+    rel = 2e-12 if width > 243 else 1e-12
+    ps = READOUT_PROBABILITIES + READOUT_EDGES
+    for p, value in zip(ps, assert_batched_readout_is_the_scalar(width, ps)):
         # below the normal float range only an absolute comparison is meaningful
-        assert got == pytest.approx(want, rel=1e-12, abs=sys.float_info.min)
+        assert value == pytest.approx(exact_readout_error(width, p), rel=rel, abs=sys.float_info.min)
 
 
 @pytest.mark.parametrize("width", [2187, 10001])
 def test_readout_tail_is_stable_at_large_width(width):
     # C(2187, 1093) alone overflows a float
-    values = [gates.majority_error(width, p) for p in READOUT_PROBABILITIES]
+    values = assert_batched_readout_is_the_scalar(width, READOUT_PROBABILITIES)
     assert all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in values)
     assert values == sorted(values)
+    # more classes than one row chunk holds, on both sides of 1/2, some with
+    # tails that take several passes
+    classes = [i / 64 for i in range(65)] + [0.5 + d / width**0.5 for d in np.linspace(-3, 3, 61)]
+    assert len(classes) > gates.TAIL_TERMS // (gates.TAIL_COLUMNS + 1)
+    assert_batched_readout_is_the_scalar(width, classes)
+
+
+#: tracemalloc peak of one report's readout at the largest analytic widths of
+#: TREE3: at most 0.36 MiB (numpy 2.4, x86-64); all W/2 terms of every class
+#: at once took 5.5-19 MiB
+READOUT_PEAK = 1 << 20
+
+
+@pytest.mark.parametrize("rounds", [0, 2, 8])
+def test_readout_at_the_largest_width_is_the_scalar_and_bounded(monkeypatch, rounds):
+    kmaj, xnand = chsh_gates()
+    stages = len(build(parse_formula(TREE3), 3, 3, rounds, xnand=xnand, kmaj=kmaj, seed=7).stages)
+    width = reliability.CIRCUIT_SIZE_CAP // stages
+    circ = build(parse_formula(TREE3), width, 3, rounds, xnand=xnand, kmaj=kmaj, seed=7)
+    classes, _, states = reliability._independence_walk(circ, np.arange(256))
+    want = [gates.majority_error(width, p) for p in states.tolist()]
+    peaks = []
+
+    def traced(n, ps):
+        tracemalloc.start()
+        try:
+            errors = gates.majority_errors(n, ps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return errors
+
+    monkeypatch.setattr(reliability, "majority_errors", traced)
+    report = build_report(circ)
+    assert [row.analytic_error for row in report.rows] == [want[classes[table_index(row.x)]] for row in report.rows]
+    assert len(peaks) == 1 and peaks[0] <= READOUT_PEAK
 
 
 @pytest.mark.parametrize(
