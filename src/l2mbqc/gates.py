@@ -37,6 +37,9 @@ SWEEP_K_CAP = 7147
 TAIL_TERMS = 1 << 15
 # most tail terms per row in one pass; passes widen from 64 terms to this
 TAIL_COLUMNS = 1024
+# fewest p that majority_errors reads out in one batched pass: below it the
+# scalar loop is faster (break-even at 16-32 p for n = 81 to 299593)
+BATCH_ROWS = 24
 
 
 @dataclass(frozen=True)
@@ -233,10 +236,13 @@ def majority_errors(n: int, ps) -> np.ndarray:
     The bundle readout calls this once per report, on every output class's
     wire error. The one-p callers, the restoring recursion and
     ``clopper_pearson_upper``, keep the scalar: one p takes it 2-41 us, and a
-    one-element batch 40-159 us (n = 3 to 16384, 2-vCPU Xeon). The scalar
-    is also the reference this kernel is tested against.
+    one-element batch 40-159 us (n = 3 to 16384, 2-vCPU Xeon). For the same
+    reason fewer than ``BATCH_ROWS`` p go through the scalar here. The
+    scalar is also the reference this kernel is tested against.
     """
     ps = np.asarray(ps, dtype=float)
+    if len(ps) < BATCH_ROWS:
+        return np.array([majority_error(n, p) for p in ps.tolist()])
     upper, tails = ps > 0.5, ps + 0.0  # a copy, with -0.0 made 0.0 as the scalar returns it
     np.subtract(1.0, ps, out=tails, where=upper)  # mirrored, as in the scalar
     # q = 0 exactly at p = 0 and p = 1, which sum no tail; at odd n both
@@ -277,7 +283,8 @@ def _binomial_upper_tail(n: int, p: float, m: int) -> float:
 
 
 def _binomial_upper_tails(n: int, qs: np.ndarray, m: int) -> np.ndarray:
-    """``_binomial_upper_tail(n, q, m)`` for each q of ``qs``, bit for bit.
+    """``_binomial_upper_tail(n, q, m)`` for each q of ``qs``, bit for bit, with
+    0 < q <= 1/2 and m >= n/2 as ``majority_errors`` calls it.
 
     A first term that underflows to 0 is the whole tail, as in the scalar.
     The other rows go in chunks. Each pass over a chunk's remaining rows is
@@ -307,22 +314,22 @@ def _binomial_upper_tails(n: int, qs: np.ndarray, m: int) -> np.ndarray:
             ratios = np.arange(n - j, n - j - c, -1) / np.arange(j + 1, j + c + 1)
             np.multiply(ratios, odds[rows, None], out=block[:, 1:])
             np.multiply.accumulate(block, axis=1, out=block)
-            past = np.empty(block.shape, dtype=bool)  # the True last column stops rows that stay above
-            np.less_equal(block[:, 1:], cutoffs[rows, None], out=past[:, :-1])
-            past[:, -1] = True
-            stops = past.argmax(axis=1)  # each row's last kept column
-            # column 0 is new only on the first pass, where it holds the first term
-            column = np.arange(c + 1)
-            new = block[(column >= (j > m)) & (column <= stops[:, None])].tolist()
-            ends = np.cumsum(stops + (j == m)).tolist()
+            # both factors of a ratio are at most 1 (m >= n/2, q <= 1/2), so no
+            # term exceeds the one before: the terms above the cutoff are a
+            # prefix of each row, the ones the scalar's loop keeps
+            keep = block > cutoffs[rows, None]
+            keep[:, 0] = j == m  # column 0 is new only on the first pass, where it holds the first term
+            new = block[keep].tolist()
+            ends = np.cumsum(keep.sum(axis=1)).tolist()
             terms = list(map(new.__getitem__, map(slice, [0, *ends], ends)))
             if kept:
                 terms = list(map(list.__add__, kept, terms))
             j += c
-            done = (stops < c) | (j == n)
+            stay = keep[:, -1] & (j < n)  # rows whose last term is above the cutoff go on
+            done = ~stay
             tails[rows[done]] = list(map(math.fsum, itertools.compress(terms, done.tolist())))
-            kept = list(itertools.compress(terms, (~done).tolist()))
-            rows, last, c = rows[~done], block[~done, -1], min(2 * c, TAIL_COLUMNS)
+            kept = list(itertools.compress(terms, stay.tolist()))
+            rows, last, c = rows[stay], block[stay, -1], min(2 * c, TAIL_COLUMNS)
     return tails
 
 

@@ -1679,10 +1679,14 @@ READOUT_EDGES = (5e-324, math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0)
 
 
 def assert_batched_readout_is_the_scalar(width, ps):
-    """``majority_errors`` gives ``majority_error`` at every p, bit for bit;
-    returns the scalar values."""
+    """``majority_errors`` gives ``majority_error`` at every p, bit for bit,
+    on ``ps`` and on ``ps`` repeated past ``BATCH_ROWS``, so that the batched
+    pass runs; returns the scalar values."""
     want = [gates.majority_error(width, p) for p in ps]
-    assert [v.hex() for v in gates.majority_errors(width, ps).tolist()] == [v.hex() for v in want]
+    reps = -(-gates.BATCH_ROWS // len(ps))
+    for k in (1, reps):
+        got = gates.majority_errors(width, list(ps) * k).tolist()
+        assert [v.hex() for v in got] == [v.hex() for v in want * k]
     return want
 
 
