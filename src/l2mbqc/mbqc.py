@@ -92,54 +92,68 @@ class StrategyReport:
 
 
 def run_exact(program: L2Program, target: BooleanFunction) -> StrategyReport:
-    """Enumerate all outcome paths exactly and score z against the target.
+    """Evaluate all outcomes exactly, merged on what later maps read, and
+    score z against the target.
 
-    Every input is evaluated at once: each path is the packed outputs of the
-    boxes run so far (bit j is global output j) with its probability for
-    every input x. On each path every box party reads an affine form of x
-    (its map's out_mask part is a constant there), and the box answers for
-    all inputs at once with one column P(o | x) per outcome o, from
-    ``corrbox.outcome_table``. A GHZ box whose outputs every later map reads
-    wholly or not at all is parity-only: its two columns are its parity's,
-    from ``corrbox.parity_probability``, stored at its first output position.
-    One exact Walsh transform gives that box's phase at every input, which
-    keeps compiled many-qubit programs tractable. ``PATH_CAP`` bounds paths x
-    inputs, the number of probabilities held at once, before any path exists.
+    Every input is evaluated at once: a state is a representative string of
+    the outputs so far (bit j is global output j) with its probability for
+    every input x. On a state every box party reads an affine form of x, and
+    the box answers for all inputs at once with one column P(o | x) per
+    outcome o, from ``corrbox.outcome_table``. The maps after a box read the
+    outputs up to it through a GF(2) basis of their cut out_masks, whose
+    length is the cut rank; extensions with equal parities on it are summed
+    into one state, so a box extends at most 2^(cut rank before it) states.
+    A GHZ box that this basis reads wholly or not at all is parity-only: its
+    two columns are its parity's, from ``corrbox.parity_probability``, one
+    exact Walsh transform, stored at its first output position. ``PATH_CAP``
+    bounds 2^(cut rank before a box) x columns x inputs before any box runs.
+    The cut rank grows with shared wires: 5 for tree4's CHSH cone at W=3
+    r=1, but 25 for TREE3 at W=729 r=1 and 251 for tree4 at W=81 r=2.
     """
     if program.n != target.arity:
         raise ValueError("program arity does not match the target function")
     n_inputs = 1 << program.n
     starts = list(itertools.accumulate((box.n_parties for box in program.boxes), initial=0))
-    # a map reads only earlier outputs, none in box 0's group, so a box's
-    # earlier maps pass the check below and only its later maps decide it
-    reads = {m.out_mask for maps in (*program.input_maps[1:], (program.output_map,)) for m in maps}
-    parity_only, cells = [], n_inputs
-    for box, start in zip(program.boxes, starts):
+    # backward: the key basis after a box, cut to the outputs before it and
+    # joined with its maps, spans what the maps after the previous box read
+    bases, parity_only, basis = [], [], [program.output_map.out_mask]
+    for box, maps, start in reversed(list(zip(program.boxes, program.input_maps, starts))):
         segment = ((1 << box.n_parties) - 1) << start
-        parity_only.append(isinstance(box, GhzBox) and all((m & segment) in (0, segment) for m in reads))
-        cells <<= 1 if parity_only[-1] else box.n_parties
-        if cells > PATH_CAP:
+        parity_only.insert(0, isinstance(box, GhzBox) and all((v & segment) in (0, segment) for v in basis))
+        bases.insert(0, basis)
+        later, basis = basis + [m.out_mask for m in maps if m.out_mask], []
+        for v in later:
+            v &= (1 << start) - 1
+            for b in basis:
+                v = min(v, v ^ b)
+            if v:
+                basis.append(v)
+        if (n_inputs << len(basis)) << (1 if parity_only[0] else box.n_parties) > PATH_CAP:
             raise ValueError(f"exact evaluation needs more than {PATH_CAP} paths x inputs")
 
-    paths = [(0, np.ones(n_inputs))]
-    for box, maps, start, parity in zip(program.boxes, program.input_maps, starts, parity_only):
-        new_paths = []
-        for outs, prob in paths:
+    states = {(): (0, np.ones(n_inputs))}
+    for box, maps, start, parity, basis in zip(program.boxes, program.input_maps, starts, parity_only, bases):
+        merged = {}
+        for outs, prob in states.values():
             forms = [m.x_mask << 1 | ((m.out_mask & outs).bit_count() + m.const) & 1 for m in maps]
             if parity:
                 p1 = corrbox.parity_probability(box, forms, program.n)
                 columns = (1.0 - p1, p1)
             else:
                 columns = corrbox.outcome_table(box, forms, program.n).T
-            new_paths += [(outs | o << start, prob * column) for o, column in enumerate(columns)]
-        paths = new_paths
+            for o, column in enumerate(columns):
+                outs_o = outs | o << start
+                key = tuple((v & outs_o).bit_count() & 1 for v in basis)
+                # the first string with a key represents every string summed into it
+                merged.setdefault(key, [outs_o, 0.0])[1] += prob * column
+        states = merged
 
-    # z is right where the path constant (out_mask . outs) xor const = f(x) xor parity(x_mask & x)
+    # z is right where the state constant (out_mask . outs) xor const = f(x) xor parity(x_mask & x)
     out_map = program.output_map
     x_part = index_parity(program.n)[out_map.x_mask & np.arange(n_inputs)]
     right = np.asarray(target.table, dtype=np.uint8) ^ x_part
     good = np.zeros(n_inputs)
-    for outs, prob in paths:
+    for outs, prob in states.values():
         good += prob * (right == ((out_map.out_mask & outs).bit_count() + out_map.const) & 1)
     return StrategyReport(target, dict(zip(input_keys(program.n), good.tolist())))
 

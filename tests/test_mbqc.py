@@ -65,18 +65,33 @@ def _one_output_of_a_pair():
     )
 
 
+def _two_ands_read_as_one_parity():
+    """Two non-contextual AND boxes; z is the parity of all four outputs, so
+    the maps after the first box read one parity of its outputs."""
+    maps = (AffineBitMap(x_mask=0b01), AffineBitMap(x_mask=0b10))
+    return L2Program(
+        n=2,
+        boxes=(corrbox.noncontextual_and_box(),) * 2,
+        input_maps=(maps, maps),
+        output_map=AffineBitMap(out_mask=0b1111),
+    )
+
+
 @pytest.mark.parametrize(
     "program, target, cells, error",
     [
         (chsh_and_program(), make_named("and"), 2 * 4, SIN2_PI8),
         (_one_output_of_a_pair(), make_named("const0", 1), 4 * 2, 0.5),
         (noncontextual_and_program(), make_named("and"), 4 * 4, 0.25),
+        # each AND errs w.p. 1/4 independently: z = 1 w.p. 2 * 1/4 * 3/4
+        (_two_ands_read_as_one_parity(), make_named("const0", 2), 2 * 4 * 4, 0.375),
     ],
-    ids=["parity-only-ghz", "partly-read-ghz", "noncontextual"],
+    ids=["parity-only-ghz", "partly-read-ghz", "noncontextual", "merged-pair"],
 )
 def test_path_cap_bounds_paths_times_inputs(monkeypatch, program, target, cells, error):
-    # columns x inputs: a parity-only GHZ box answers with 2 columns, any
-    # other box with one per outcome
+    # 2^(cut rank before a box) x columns x inputs at the box that holds the
+    # most: a parity-only GHZ box answers with 2 columns, any other box with
+    # one per outcome; the merged pair's second box extends 2 states, not 4
     monkeypatch.setattr(mbqc, "PATH_CAP", cells - 1)
     with pytest.raises(ValueError, match=f"more than {cells - 1} paths x inputs"):
         run_exact(program, target)

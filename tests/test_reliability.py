@@ -1573,13 +1573,13 @@ def cone_is_tree(circ):
     return max(reads.values()) == 1
 
 
-def box_circuit(text, box, width, seed):
-    """The r = 0 circuit of ``text`` whose gates are the gadgets on the AND
-    that ``box`` makes, and the formula's function."""
+def box_circuit(text, box, width, seed, rounds=0):
+    """The circuit of ``text`` with ``rounds`` restores per stage, whose gates
+    are the gadgets on the AND that ``box`` makes, and the formula's function."""
     and_gate = gates.gate_from_report(mbqc.run_exact(
         mbqc._parity_program(2, box, [0b01, 0b10]), make_named("and")))
     formula = parse_formula(text)
-    circ = build(formula, width, 3, 0, xnand=xnand_from_and(and_gate), kmaj=maj3_from_and(and_gate), seed=seed)
+    circ = build(formula, width, 3, rounds, xnand=xnand_from_and(and_gate), kmaj=maj3_from_and(and_gate), seed=seed)
     return circ, BooleanFunction.from_callable(formula.n_inputs, lambda *x: formula.evaluate(x))
 
 
@@ -1610,8 +1610,8 @@ def test_tree_cone_box_program_equals_the_independence_figure(text, box):
 
 
 def test_generated_tree_cones_equal_the_independence_figure():
-    # the fixed formulas above, over fan-out formulas; a cone of more than 8
-    # boxes is left out, since run_exact's paths grow as 2^boxes
+    # the fixed formulas above, over fan-out formulas: every tree cone, each
+    # with both boxes
     compared = 0
     for seed in range(60):
         rng = random.Random(seed)
@@ -1619,10 +1619,10 @@ def test_generated_tree_cones_equal_the_independence_figure():
         for width in (3, 9):
             for box in (chsh_and_box(), SKEWED_BOX):
                 circ, f = box_circuit(text, box, width, seed)
-                if cone_is_tree(circ) and len(cone_program(circ, box).boxes) <= 8:
+                if cone_is_tree(circ):
                     assert np.abs(exact_minus_independence(circ, f, box)).max() < 1e-12
                     compared += 1
-    assert compared >= 60
+    assert compared == 112
 
 
 def test_a_shared_wire_breaks_the_independence_figure():
@@ -1647,6 +1647,19 @@ def test_box_program_certifies_the_contextual_tree():
     circ, f = box_circuit(TREE2, noncontextual_and_box(), 81, 3)
     cert = mbqc.contextuality_certificate(mbqc.run_exact(cone_program(circ, noncontextual_and_box()), f), f)
     assert cert.average_error == 51 / 128 and cert.delta == -0.0859375 and not cert.contextual
+
+
+def test_restored_cone_is_exact_past_the_outcome_strings():
+    # one restore round per stage: 19 boxes, 2^19 outcome strings, but the
+    # maps after any box read at most 5 parities of the outputs so far; the
+    # restores cost the certificate, as the average is above 5/16
+    circ, f = box_circuit(TREE2, chsh_and_box(), 3, 3, rounds=1)
+    program = cone_program(circ, chsh_and_box())
+    assert len(program.boxes) == 19
+    report = mbqc.run_exact(program, f)
+    assert report.average_error == pytest.approx(0.442775410404, abs=1e-12)
+    assert report.worst_error == pytest.approx(0.469812804448, abs=1e-12)
+    assert not mbqc.contextuality_certificate(report, f).contextual
 
 
 # ---------------------------------------------------------------------------
