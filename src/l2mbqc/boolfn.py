@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 #: largest arity of a truth table read from a file or built by name for
-#: maj/const, and of the exhaustive nonlinearity search
+#: maj, and of the exhaustive nonlinearity search
 BRUTE_FORCE_ARITY_CAP = 16
 #: largest arity ``ghzc.compile_function`` accepts; ``input_keys`` caches the
 #: tables up to it (about 0.25 MB in all)
@@ -31,17 +31,13 @@ def index_bits(value: int, width: int) -> tuple[int, ...]:
     return tuple((value >> j) & 1 for j in range(width))
 
 
-#: the scalar types that may stand for one input bit
-_BIT_TYPES = (int, np.integer, np.bool_)
-
-
 def as_bits(x: Iterable[int]) -> tuple[int, ...]:
     """The entries of x as ints; any entry other than 0 or 1 raises
     ValueError, where bools, numpy integers and numpy bools equal to 0 or 1
     pass."""
     bits = tuple(x)
     for b in bits:
-        if not isinstance(b, _BIT_TYPES) or b not in (0, 1):
+        if not isinstance(b, (int, np.integer, np.bool_)) or b not in (0, 1):
             raise ValueError(f"input entry {b!r} is not a bit")
     return tuple(map(int, bits))
 
@@ -68,6 +64,7 @@ class BooleanFunction:
     table: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "table", tuple(self.table))  # a list too, as a hashable value
         if self.arity < 0:
             raise ValueError("arity must be nonnegative")
         if len(self.table) != 1 << self.arity:
@@ -90,9 +87,7 @@ class BooleanFunction:
         return sum(b << j for j, b in enumerate(bits))
 
     def __call__(self, *x: int) -> int:
-        """f(x1, ..., xn), or f(bits) with one sequence of bits."""
-        if len(x) == 1 and not isinstance(x[0], _BIT_TYPES):
-            x = tuple(x[0])
+        """f(x1, ..., xn), each bit its own argument."""
         return self.table[self.index_of(x)]
 
     @cached_property
@@ -139,26 +134,19 @@ def all_affine_forms(arity: int) -> Iterable[AffineForm]:
 # named functions
 
 def make_named(name: str, k: int | None = None) -> BooleanFunction:
-    """Construct a named function: and, nand, xor, const0, const1, maj, xnand.
+    """Construct a named function: and, nand, xor, maj, xnand.
 
-    ``k`` is the arity for maj (odd) and the const functions; the other
-    names have fixed arity.
+    ``k`` is the arity for maj (odd); the other names have fixed arity.
     """
-    if name in ("const0", "const1", "maj") and k is not None and k > BRUTE_FORCE_ARITY_CAP:
+    if name == "maj" and k is not None and k > BRUTE_FORCE_ARITY_CAP:
         # checked before the 2^k-entry table is built
-        raise ValueError(f"{name} arity {k} above cap {BRUTE_FORCE_ARITY_CAP}")
+        raise ValueError(f"maj arity {k} above cap {BRUTE_FORCE_ARITY_CAP}")
     if name == "and":
         return BooleanFunction.from_callable(2, lambda a, b: a & b)
     if name == "nand":
         return BooleanFunction.from_callable(2, lambda a, b: 1 - (a & b))
     if name == "xor":
         return BooleanFunction.from_callable(2, lambda a, b: a ^ b)
-    if name in ("const0", "const1"):
-        n = 2 if k is None else k
-        if n < 0:
-            raise ValueError("const arity must be nonnegative")
-        bit = 1 if name == "const1" else 0
-        return BooleanFunction(n, (bit,) * (1 << n))
     if name == "maj":
         if k is None:
             raise ValueError("maj requires the number of inputs k")

@@ -50,6 +50,7 @@ class NoisyGate:
     errors: tuple[float, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "errors", tuple(self.errors))  # a list too, as a hashable value
         if len(self.errors) != 1 << self.target.arity:
             raise ValueError("one error entry per input required")
         if any(not 0.0 <= e <= 1.0 for e in self.errors):

@@ -108,7 +108,7 @@ def verify(
     program: GhzProgram,
     f: BooleanFunction,
     *,
-    use_statevector: bool | None = None,
+    use_statevector: bool = True,
 ) -> GhzVerification:
     """Check the phase congruence exactly and the simulated success per input.
 
@@ -119,17 +119,15 @@ def verify(
     party of angles 0 and delta_q D reading parity(mask_q & x). The
     congruence S(x) = f(x) xor constant (mod 2), which alone decides
     ``deterministic``, and the closed-form success (1 + cos(pi (S(x) - want)))/2
-    both follow from S(x) mod 2. When the program has 1 to 16 qubits, the
-    state-vector oracle computes the success again as an independent path:
-    ``corrbox.statevector_parity`` applies the Born rule to every input's
-    measured GHZ state, from the basis matrices alone, in chunks that hold
-    at most 2^16 amplitudes. A program with no qubit has no state to
-    measure, so its ``statevector_success`` is None.
+    both follow from S(x) mod 2. With ``use_statevector`` and 1 to 16 qubits,
+    the state-vector oracle computes the success again as an independent
+    path: ``corrbox.statevector_parity`` applies the Born rule to every
+    input's measured GHZ state, from the basis matrices alone, in chunks
+    that hold at most 2^16 amplitudes. Otherwise (a program with no qubit
+    has no state to measure) ``statevector_success`` is None.
     """
     if program.n != f.arity:
         raise ValueError("program arity does not match the function")
-    if use_statevector is None:
-        use_statevector = program.n_qubits <= STATEVECTOR_QUBIT_CAP
 
     denom = math.lcm(*(b for _, b in program._ratios))
     scaled = [a * (denom // b) for a, b in program._ratios]
@@ -150,7 +148,7 @@ def verify(
     succeeds = ((1.0 + np.array(cosines)) / 2.0)[which]
     keys = input_keys(program.n)
     sv_success: dict[tuple[int, ...], float] | None = None
-    if use_statevector and program.n_qubits:  # no qubit, no state to measure
+    if use_statevector and 0 < program.n_qubits <= STATEVECTOR_QUBIT_CAP:
         box = run_as_l2program(program).boxes[0]
         p1 = statevector_parity(box, forms, program.n)
         sv_success = dict(zip(keys, np.where(want != 0, p1, 1.0 - p1).tolist()))

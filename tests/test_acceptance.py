@@ -81,7 +81,7 @@ def test_criterion_5_compiler_determinism():
         f = BooleanFunction(3, tuple((bits >> i) & 1 for i in range(8)))
         program = ghzc.compile_function(f)
         ok &= program.n_qubits <= 7
-        result = ghzc.verify(program, f, use_statevector=True)
+        result = ghzc.verify(program, f)
         ok &= result.deterministic
         if result.statevector_success is not None:
             ok &= all(
@@ -98,7 +98,7 @@ def test_criterion_5_compiler_determinism():
     # state-vector cross-checks at n = 4 stay under the 16-qubit oracle cap
     for _ in range(6):
         f = BooleanFunction(4, tuple(rng.randrange(2) for _ in range(16)))
-        result = ghzc.verify(ghzc.compile_function(f), f, use_statevector=True)
+        result = ghzc.verify(ghzc.compile_function(f), f)
         ok &= result.deterministic
         ok &= all(
             abs(result.success[x] - result.statevector_success[x]) < 1e-10

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l2mbqc import boolfn
+from l2mbqc import boolfn, cli
 from l2mbqc.boolfn import (
     AffineForm,
     BooleanFunction,
@@ -70,8 +70,6 @@ def test_maj1_is_identity():
 
 
 def test_const_and_errors():
-    assert make_named("const1", 3).table == (1,) * 8
-    assert make_named("const0", 0).table == (0,)
     with pytest.raises(ValueError):
         make_named("maj", 4)
     with pytest.raises(ValueError):
@@ -80,10 +78,17 @@ def test_const_and_errors():
         make_named("frobnicate")
 
 
+def test_make_named_builds_exactly_the_cli_targets():
+    for name in cli._NAMED_TARGETS:
+        assert make_named(name, 3).arity in (2, 3)  # k is read by maj alone
+    for name in ("const0", "const1"):  # a constant is BooleanFunction(n, (b,) * 2^n)
+        with pytest.raises(ValueError, match="unknown function name"):
+            make_named(name, 2)
+
+
 def test_make_named_rejects_arity_above_cap_before_building():
-    for name, k in (("maj", 17), ("const1", 17)):
-        with pytest.raises(ValueError, match="above cap 16"):
-            make_named(name, k)
+    with pytest.raises(ValueError, match="above cap 16"):
+        make_named("maj", 17)
     assert len(make_named("maj", 15).table) == 1 << 15
 
 
@@ -108,7 +113,7 @@ def test_input_keys_above_the_cache_bound_are_not_kept():
 
 def test_evaluate_arity_mismatch():
     with pytest.raises(ValueError):
-        make_named("and")((1, 0, 1))
+        make_named("and")(1, 0, 1)
 
 
 @pytest.mark.parametrize("x", [(2, 3), (1, -1), (0, 3), (1.0, 0), (0, "1"), (np.int64(2), 0)])
@@ -124,8 +129,16 @@ def test_index_of_rejects_entries_that_are_not_bits(x):
 def test_index_of_takes_bools_and_numpy_bits():
     f = make_named("and")
     assert f.index_of((True, np.int64(1))) == 3
-    assert f(np.array([1, 0], dtype=np.uint8)) == 0
+    assert f(*np.array([1, 0], dtype=np.uint8)) == 0
     assert f(True, True) == 1
+
+
+def test_bits_are_arguments_not_one_sequence():
+    f = make_named("and")
+    assert f(1, 0) == 0
+    for bits in ((1, 0), [1, 1], np.array([1, 0])):
+        with pytest.raises(ValueError, match="is not a bit"):
+            f(bits)
 
 
 def test_one_numpy_scalar_is_one_bit():
@@ -176,7 +189,7 @@ def test_nonlinearity_examples():
     for l in all_affine_forms(3):
         assert nonlinearity(l.truth_table()) == 0
     assert nonlinearity(make_named("maj", 3)) == 2 == kmaj_nonlinearity(3)
-    assert nonlinearity(make_named("const1", 2)) == 0  # the constant offset is free
+    assert nonlinearity(BooleanFunction(2, (1,) * 4)) == 0  # the constant offset is free
 
 
 def test_nonlinearity_matches_enumeration():
@@ -228,7 +241,7 @@ def test_text_roundtrip():
         make_named("and"),
         make_named("xnand"),
         make_named("maj", 5),
-        make_named("const1", 0),
+        BooleanFunction(0, (1,)),
     ):
         assert boolfn.from_text(boolfn.to_text(f)) == f
 
@@ -318,9 +331,8 @@ def test_walsh_rejects_non_power_of_two():
         (lambda: boolfn.BooleanFunction(-1, ()), "arity must be nonnegative"),
         (lambda: boolfn.AffineForm(2, 4), "mask selects bits outside the arity"),
         (lambda: boolfn.AffineForm(2, 1, 2), "constant must be a bit"),
-        (lambda: boolfn.make_named("const0", -1), "const arity must be nonnegative"),
     ],
-    ids=["negative-arity", "mask-beyond-arity", "constant-not-a-bit", "const-negative-arity"],
+    ids=["negative-arity", "mask-beyond-arity", "constant-not-a-bit"],
 )
 def test_malformed_functions_and_forms_raise(build, message):
     with pytest.raises(ValueError, match=message):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l2mbqc import gates, ghzc, mbqc
-from l2mbqc.boolfn import kmaj_nonlinearity, make_named
+from l2mbqc.boolfn import BooleanFunction, kmaj_nonlinearity, make_named
 from l2mbqc.corrbox import GhzBox, NoncontextualBox, noncontextual_and_box
 from l2mbqc.gates import (
     NoisyGate,
@@ -147,6 +147,14 @@ def test_constructions_reject_wrong_target():
         maj3_from_and(uniform_noisy_gate(make_named("nand"), 0.0))
     with pytest.raises(ValueError):
         xnand_from_and(uniform_noisy_gate(make_named("xor"), 0.0))
+
+
+def test_a_gate_built_from_lists_is_the_same_value():
+    # a list table used to stay a list: never equal to make_named's tuple, nor hashable
+    listed = NoisyGate(BooleanFunction(2, [0, 0, 0, 1]), [0.1] * 4)
+    tupled = uniform_noisy_gate(make_named("and"), 0.1)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert maj3_from_and(listed) == maj3_from_and(tupled)
 
 
 @pytest.mark.parametrize("k", [3, 5])

@@ -47,9 +47,10 @@ def test_compile_xor_single_qubit():
 
 
 def test_compile_constant_needs_no_qubits():
-    program = compile_function(make_named("const1", 3))
+    const1 = BooleanFunction(3, (1,) * 8)
+    program = compile_function(const1)
     assert program.n_qubits == 0 and program.constant == 1
-    result = verify(program, make_named("const1", 3))
+    result = verify(program, const1)
     assert result.deterministic
 
 
@@ -88,7 +89,7 @@ def test_statevector_agrees_with_closed_form():
         program = compile_function(f)
         if not 0 < program.n_qubits <= 16:
             continue
-        result = verify(program, f, use_statevector=True)
+        result = verify(program, f)
         assert result.deterministic
         for x, p in result.success.items():
             assert abs(p - result.statevector_success[x]) < 1e-10
@@ -234,7 +235,7 @@ def test_compile_increments_and():
 
 
 def test_compile_increments_const0_and_xor():
-    assert compile_function(make_named("const0", 2)).qubits == ()
+    assert compile_function(BooleanFunction(2, (0,) * 4)).qubits == ()
     xor = compile_function(make_named("xor"))
     assert {q.mask: q.delta for q in xor.qubits} == {0b11: Fraction(1)}
     coefficients = summation_coefficients(make_named("xor"))
@@ -430,7 +431,7 @@ def test_a_program_without_qubits_has_no_state_vector_check(constant):
     program = compile_function(f)
     assert program.n_qubits == 0
     for flipped in (program, GhzProgram(2, (), 1 - constant)):
-        result = verify(flipped, f, use_statevector=True)
+        result = verify(flipped, f)
         assert result.statevector_success is None
         assert result.deterministic == (flipped is program)
 
@@ -451,17 +452,27 @@ def test_cross_check_holds_one_chunk_at_a_time():
     _check_against_oracle(program, f)
     box = run_as_l2program(program).boxes[0]
     one_call = _traced_peak(lambda: statevector_oracle(box, (1,) * 16))
-    assert _traced_peak(lambda: verify(program, f, use_statevector=True)) <= 2 * one_call
+    assert _traced_peak(lambda: verify(program, f)) <= 2 * one_call
+
+
+def test_cross_check_is_skipped_above_the_cap():
+    program = _program(5, [(m, "1/2") for m in range(1, 18)])
+    f = _target_from_phases(program, random.Random(17))
+    result = verify(program, f, use_statevector=True)
+    assert result.statevector_success is None
+    assert result == _check_against_oracle(program, f)  # the closed forms still run
 
 
 def test_cross_check_above_the_cap_raises_before_allocating():
+    # the oracle itself refuses 17 qubits before it holds one state
     program = _program(5, [(m, "1/2") for m in range(1, 18)])
-    f = _target_from_phases(program, random.Random(17))
+    box = run_as_l2program(program).boxes[0]
+    forms = [q.mask << 1 for q in program.qubits]
     one_row = 16 << 17  # complex amplitudes of one 17-qubit state
 
     def cross_check():
         with pytest.raises(ValueError, match="cap"):
-            verify(program, f, use_statevector=True)
+            corrbox.statevector_parity(box, forms, program.n)
 
     assert _traced_peak(cross_check) < one_row
 

@@ -81,10 +81,10 @@ def _two_ands_read_as_one_parity():
     "program, target, cells, error",
     [
         (chsh_and_program(), make_named("and"), 2 * 4, SIN2_PI8),
-        (_one_output_of_a_pair(), make_named("const0", 1), 4 * 2, 0.5),
+        (_one_output_of_a_pair(), BooleanFunction(1, (0, 0)), 4 * 2, 0.5),
         (noncontextual_and_program(), make_named("and"), 4 * 4, 0.25),
         # each AND errs w.p. 1/4 independently: z = 1 w.p. 2 * 1/4 * 3/4
-        (_two_ands_read_as_one_parity(), make_named("const0", 2), 2 * 4 * 4, 0.375),
+        (_two_ands_read_as_one_parity(), BooleanFunction(2, (0,) * 4), 2 * 4 * 4, 0.375),
     ],
     ids=["parity-only-ghz", "partly-read-ghz", "noncontextual", "merged-pair"],
 )
@@ -146,7 +146,7 @@ def test_proper_subset_of_box_outputs_is_uniform():
         input_maps=((AffineBitMap(x_mask=1), AffineBitMap(x_mask=1)),),
         output_map=AffineBitMap(out_mask=0b01),
     )
-    report = run_exact(program, make_named("const0", 1))
+    report = run_exact(program, BooleanFunction(1, (0, 0)))
     assert all(p == pytest.approx(0.5, abs=1e-12) for p in report.success.values())
 
 
@@ -437,6 +437,64 @@ def test_the_chsh_construction_tolerates_white_noise_below_the_maj3_threshold():
     assert abs(maj3_error(edge) - 1 / 6) < 1e-12 and gates.beta(3).beta == Fraction(1, 6)
     assert gates.analyze_recursion(3, maj3_error(edge - 1e-6)).eta == pytest.approx(0.49874, abs=1e-5)
     assert gates.analyze_recursion(3, maj3_error(edge + 1e-6)).eta is None
+
+
+def test_ghz_kmaj_reliable_and_contextual_windows():
+    # ROADMAP Baseline 9: compiled k-MAJ on a GHZ state at white noise eps errs
+    # eps on every input, so it restores below beta_k and is contextual below
+    # nu(maj_k)/2^k; the share of the contextual region it uses grows with k
+    ratios = []
+    for k in (3, 5, 7, 9):
+        f = make_named("maj", k)
+        program = ghzc.compile_function(f)
+        floor = Fraction(nonlinearity(f), 1 << k)
+        for epsilon, contextual in ((float(floor) - 1e-9, True), (float(floor) + 1e-9, False)):
+            report = run_exact(ghzc.run_as_l2program(program, epsilon), f)
+            assert all(abs(1 - p - epsilon) < 1e-12 for p in report.success.values())
+            assert contextuality_certificate(report, f).contextual == contextual
+        beta = gates.beta(k).beta
+        assert gates.analyze_recursion(k, float(beta) - 1e-9).eta is not None
+        assert gates.analyze_recursion(k, float(beta) + 1e-9).eta is None
+        ratios.append(float(beta / floor))
+    assert ratios == pytest.approx([0.667, 0.747, 0.790, 0.817], abs=5e-4)
+
+
+IP2 = BooleanFunction.from_callable(4, lambda a, b, c, d: (a & b) ^ (c & d))
+AND4 = BooleanFunction.from_callable(4, lambda a, b, c, d: a & b & c & d)
+
+
+def _and_box_program(box, target):
+    """IP_2 from two AND boxes on (x1, x2) and (x3, x4), read as one parity;
+    AND4 adds a third box whose parties read those two ANDs (adaptive)."""
+    pairs = ((AffineBitMap(x_mask=0b0001), AffineBitMap(x_mask=0b0010)),
+             (AffineBitMap(x_mask=0b0100), AffineBitMap(x_mask=0b1000)))
+    if target == IP2:
+        return L2Program(4, (box,) * 2, pairs, AffineBitMap(out_mask=0b1111))
+    third = (AffineBitMap(out_mask=0b11), AffineBitMap(out_mask=0b1100))
+    return L2Program(4, (box,) * 3, (*pairs, third), AffineBitMap(out_mask=0b110000))
+
+
+def test_a_bent_function_and_and4_from_and_boxes_at_no_restore():
+    # ROADMAP Baseline 10's IP_2 and AND4 rows: no bundle, no restore
+    chsh, noncontextual = corrbox.chsh_and_box(), corrbox.noncontextual_and_box()
+    for box, target in itertools.product((chsh, noncontextual), (IP2, AND4)):
+        assert_matches_reference(_and_box_program(box, target), target)
+
+    ip2 = run_exact(_and_box_program(chsh, IP2), IP2)
+    assert ip2.average_error == ip2.worst_error == 0.25
+    cert = contextuality_certificate(ip2, IP2)
+    assert cert.bound == Fraction(3, 8) and cert.delta == 0.125 and cert.contextual
+    and4 = run_exact(_and_box_program(chsh, AND4), AND4)
+    assert and4.average_error == pytest.approx(0.20011893507148265, abs=1e-12)
+    assert and4.worst_error == pytest.approx(0.3383883476483185, abs=1e-12)
+    # under 0.45 on every input, yet above the floor nu/16 = 1/16: not contextual
+    assert not contextuality_certificate(and4, AND4).contextual
+
+    ip2 = run_exact(_and_box_program(noncontextual, IP2), IP2)
+    assert ip2.average_error == ip2.worst_error == 0.375 == best_noncontextual_error(IP2)
+    assert contextuality_certificate(ip2, IP2).delta == 0.0
+    and4 = run_exact(_and_box_program(noncontextual, AND4), AND4)
+    assert and4.average_error == 0.31640625 >= best_noncontextual_error(AND4)
 
 
 def test_search_arity_cap():

@@ -19,6 +19,7 @@ from l2mbqc import gates, mbqc, reliability
 from l2mbqc.boolfn import BooleanFunction, input_keys, make_named, nonlinearity
 from l2mbqc.corrbox import GhzBox, chsh_and_box, noncontextual_and_box
 from l2mbqc.gates import (
+    NoisyGate,
     chsh_and_gate,
     maj3_from_and,
     noncontextual_and_gate,
@@ -218,6 +219,16 @@ def test_wiring_replays_the_seeded_draws_in_stage_order():
             assert sigma1.tolist() == want
             assert sigma2.tolist() == [want[(i + 4) % 9] for i in range(9)]
     assert circ.wiring is circ.wiring  # drawn once per circuit
+
+
+def test_a_kmaj_with_list_errors_reports_as_its_tuple():
+    # the analytic sweep caches per gate, which a list of errors could not key
+    xnand = chsh_gates()[1]
+    reports = [
+        build_report(build(parse_formula(TREE2), 9, 3, 1, xnand=xnand, kmaj=kmaj, seed=7))
+        for kmaj in (NoisyGate(make_named("maj", 3), [0.1] * 8), uniform_noisy_gate(make_named("maj", 3), 0.1))
+    ]
+    assert reports[0] == reports[1]
 
 
 def test_analytic_report_draws_no_wiring(monkeypatch):
