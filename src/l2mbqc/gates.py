@@ -380,7 +380,7 @@ def error_polynomial(gate: NoisyGate, sources: Sequence[Sequence[int]], x) -> np
     return np.reshape(sums, x.shape + dims)
 
 
-def polynomial_error(coefficients: np.ndarray, ps: np.ndarray) -> np.ndarray:
+def polynomial_error(coefficients: np.ndarray, ps: np.ndarray, rounds: int = 1) -> np.ndarray:
     """Each row r's error polynomial (``error_polynomial``) with coefficients
     ``coefficients[r]`` at the read errors ``ps[r]``, one per source.
 
@@ -390,21 +390,31 @@ def polynomial_error(coefficients: np.ndarray, ps: np.ndarray) -> np.ndarray:
     nonnegative, so the terms' relative accuracy carries over to p' on all
     of [0, 1]. Each row's terms are added exactly and rounded once
     (``math.fsum``).
+
+    A one-source polynomial may run ``rounds`` >= 1 times in one pass, each
+    round reading the error the one before returned, as a restore chain
+    does; the result equals that many chained calls bit for bit.
     """
     rows, m = ps.shape
-    terms = coefficients
+    if rounds < 1 or (m > 1 and rounds > 1):
+        raise ValueError(f"{rounds} rounds of a {m}-source polynomial")
+    terms = np.empty(coefficients.shape)
+    views = []  # per source: its buffer, where p_i and 1 - p_i go, and its powers on the source's axis
     for i, c in enumerate(coefficients.shape[1:]):
-        powers = np.empty((2, rows, c))  # each row's powers of p_i, then of 1 - p_i
-        powers[:, :, 0] = 1.0
-        powers[0, :, 1:] = ps[:, i, None]
-        np.subtract(1.0, powers[0, :, 1:], out=powers[1, :, 1:])
-        np.multiply.accumulate(powers, axis=-1, out=powers)
-        p_powers, q_powers = powers[0], powers[1, :, ::-1]
-        if m > 1:
-            shape = (rows,) + (1,) * i + (c,) + (1,) * (m - 1 - i)
-            p_powers, q_powers = p_powers.reshape(shape), q_powers.reshape(shape)
-        terms = terms * p_powers * q_powers
-    return np.fromiter(map(math.fsum, terms.reshape(rows, -1).tolist()), float, rows)
+        power = np.ones((2, rows, c))  # each row's powers of p_i, then of 1 - p_i
+        shape = (rows,) + (1,) * i + (c,) + (1,) * (m - 1 - i)  # a reshape that only adds unit axes is a view
+        views.append((power, power[0, :, 1:], power[1, :, 1:],
+                      power[0].reshape(shape), power[1, :, ::-1].reshape(shape)))
+    for _ in range(rounds):
+        for i, (power, p_read, q_read, p_powers, q_powers) in enumerate(views):
+            p_read[...] = ps[:, i, None]
+            np.subtract(1.0, p_read, out=q_read)
+            np.multiply.accumulate(power, axis=-1, out=power)
+            np.multiply(terms if i else coefficients, p_powers, out=terms)
+            np.multiply(terms, q_powers, out=terms)
+        p = np.fromiter(map(math.fsum, terms.reshape(rows, -1).tolist()), float, rows)
+        ps = p[:, None]
+    return p
 
 
 def maj_error_recursion(k: int, epsilon: float, p: float) -> float:

@@ -99,10 +99,11 @@ def run_exact(program: L2Program, target: BooleanFunction) -> StrategyReport:
     the outputs so far (bit j is global output j) with its probability for
     every input x. On a state every box party reads an affine form of x, and
     the box answers for all inputs at once with one column P(o | x) per
-    outcome o, from ``corrbox.outcome_table``. The maps after a box read the
-    outputs up to it through a GF(2) basis of their cut out_masks, whose
-    length is the cut rank; extensions with equal parities on it are summed
-    into one state, so a box extends at most 2^(cut rank before it) states.
+    outcome o, from ``corrbox.outcome_table``, once per distinct tuple of
+    forms among the states. The maps after a box read the outputs up to it
+    through a GF(2) basis of their cut out_masks, whose length is the cut
+    rank; extensions with equal parities on it are summed into one state, so
+    a box extends at most 2^(cut rank before it) states.
     A GHZ box that this basis reads wholly or not at all is parity-only: its
     two columns are its parity's, from ``corrbox.parity_probability``, one
     exact Walsh transform, stored at its first output position. ``PATH_CAP``
@@ -133,14 +134,15 @@ def run_exact(program: L2Program, target: BooleanFunction) -> StrategyReport:
 
     states = {(): (0, np.ones(n_inputs))}
     for box, maps, start, parity, basis in zip(program.boxes, program.input_maps, starts, parity_only, bases):
-        merged = {}
+        merged, box_columns = {}, {}  # the box's columns per tuple of party forms
         for outs, prob in states.values():
-            forms = [m.x_mask << 1 | ((m.out_mask & outs).bit_count() + m.const) & 1 for m in maps]
-            if parity:
+            forms = tuple(m.x_mask << 1 | ((m.out_mask & outs).bit_count() + m.const) & 1 for m in maps)
+            columns = box_columns.get(forms)
+            if columns is None and parity:
                 p1 = corrbox.parity_probability(box, forms, program.n)
-                columns = (1.0 - p1, p1)
-            else:
-                columns = corrbox.outcome_table(box, forms, program.n).T
+                columns = box_columns[forms] = (1.0 - p1, p1)
+            elif columns is None:
+                columns = box_columns[forms] = corrbox.outcome_table(box, forms, program.n).T
             for o, column in enumerate(columns):
                 outs_o = outs | o << start
                 key = tuple((v & outs_o).bit_count() & 1 for v in basis)

@@ -10,8 +10,9 @@ feeds each gate input is the circuit's ``wiring``, drawn from (seed, stage
 order) the first time the sampler runs on the circuit.
 
 Every error model runs on one stage walk, ``_walk``, which tracks the true
-logical values and follows the steps that ``build`` records: each compute
-stage alone, and each chain of restores it lays out back to back. It hands
+logical values and follows the steps that ``build`` records, one per
+formula node: a compute stage with the chain of restores laid out after it,
+and each other chain of restores laid out back to back. It hands
 the model's step the true input indices of one step; the step maps the read
 bundles' states to the last target's. The walk takes a batch of inputs at
 once, groups them by each bundle's (true value, state) and calls the step
@@ -20,7 +21,9 @@ index, read states). The independence model's state is one wire's error
 probability, with the wires of a bundle assumed independent: each stage
 shape is one polynomial in its sources' read errors
 (``gates.error_polynomial``), kept for recent gates and gathered by true
-index, and a chain applies its restore polynomial once per round; the sweep over all 2^n table indices is one walk. The seeded
+index; a step evaluates its compute polynomial, then all its restore
+rounds in one pass (``polynomial_error``'s ``rounds``), and the sweep over
+all 2^n table indices is one walk. The seeded
 wire-level Monte Carlo's state is every wire's actual value under the
 circuit's fixed wiring, and its walks take the sampled inputs a chunk at a
 time; it quantifies how much that assumption leaks.
@@ -186,8 +189,7 @@ def formula_to_text(formula: FormulaDag) -> str:
 # ---------------------------------------------------------------------------
 # circuit construction
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     """One gate applied wire-wise: output wire j of bundle ``target`` is the
     gate of ``kind`` ("restore" or "compute") on, for each gate input i, wire
     ``perm[j]`` of bundle ``sources[i]``, where ``perm`` is entry i of the
@@ -217,8 +219,8 @@ class ReliableCircuit:
     input_bundles: tuple[int, ...]
     output_bundle: int
     #: the stage walk's steps in order, as (stage range, dead bundles): each
-    #: compute stage alone and each chain of restores, the bundles its first
-    #: stage reads for the last time
+    #: compute stage with the restores after it and each other chain of
+    #: restores, the bundles its first stage reads for the last time
     steps: tuple[tuple[range, tuple[int, ...]], ...]
     warnings: tuple[str, ...]
     seed: int
@@ -265,8 +267,9 @@ def build(
     the unreliable regime is part of the point.
 
     ``build`` records the stage walk's ``steps`` as it lays the stages out:
-    each compute stage, and each chain of restores laid out back to back,
-    each restore reading the one before. ``build`` draws nothing: the
+    each compute stage with the chain of restores after it, and each other
+    chain of restores laid out back to back, each stage after a step's first
+    reading the one before. ``build`` draws nothing: the
     circuit's ``wiring`` is drawn from ``seed`` the first time the sampler
     runs on it, so a negative seed is rejected here, before any work. Stages
     x width may be at most ``CIRCUIT_SIZE_CAP``; the stage count follows
@@ -309,9 +312,9 @@ def build(
     runs: list[range] = []  # each step's stages
     new_bundle = itertools.count().__next__
 
-    def add_restores(src: int, rounds: int) -> int:
-        if rounds:
-            runs.append(range(len(stages), len(stages) + rounds))
+    def add_restores(src: int, rounds: int, head: int = 0) -> int:
+        if head + rounds:  # one step: the ``head`` stages just laid out, which made src, then the restores
+            runs.append(range(len(stages) - head, len(stages) + rounds))
         for _ in range(rounds):
             target = new_bundle()
             stages.append(Stage("restore", target, (src,) * k))
@@ -333,11 +336,10 @@ def build(
         a_bundle = operand_bundle(a_ref)
         b_bundle = operand_bundle(b_ref)
         tgt = new_bundle()
-        runs.append(range(len(stages), len(stages) + 1))
         stages.append(Stage("compute", tgt, (a_bundle, b_bundle, b_bundle)))
-        prepared[formula.n_inputs + j] = add_restores(tgt, restore_rounds)
+        prepared[formula.n_inputs + j] = add_restores(tgt, restore_rounds, head=1)
 
-    # a chain's later stages read only its own targets, so a step's reads are its first stage's
+    # a step's later stages read only its own targets, so its reads are its first stage's
     last_read = {src: i for i, run in enumerate(runs) for src in stages[run.start].sources}
     dead: list[list[int]] = [[] for _ in runs]
     for src, i in last_read.items():
@@ -390,13 +392,13 @@ def _walk(circuit: ReliableCircuit, xs: np.ndarray, start, step):
     each class's state along a leading class axis and ``classes`` each
     input's class id, or None for a batch of one input (the
     output's is always an array). Each of the circuit's ``steps``, a compute
-    stage or a restore chain, is one call ``step(stages, idx, reads)``, with
-    ``stages`` the range of its stage indices: a restore chain's rows are its
-    source's classes as they are, a compute's the pairs of its sources'
-    classes that occur (``_pairs``); ``idx`` holds the rows' true input
-    indices and ``reads`` the first stage's read states in gate-input order,
-    and the step returns the last target's state per row. A chain's
-    restores keep the true value, and its intermediate targets never go
+    stage with its restores or a restore chain, is one call ``step(stages,
+    idx, reads)``, with ``stages`` the range of its stage indices: a restore
+    chain's rows are its source's classes as they are, a compute's the pairs
+    of its sources' classes that occur (``_pairs``); ``idx`` holds the rows'
+    true input indices and ``reads`` the first stage's read states in
+    gate-input order, and the step returns the last target's state per row.
+    Restores keep the true value, and a step's intermediate targets never go
     live. Rows with equal (value, state) merge into one class, so a call has
     one row per distinct (true index, read states), and a batch of one never
     compares states. A bundle is dropped after the step that reads it last.
@@ -468,20 +470,27 @@ def _independence_walk(circuit: ReliableCircuit, xs: np.ndarray):
     # looked up once per walk, since hashing a gate takes 2^k steps
     tables = {"restore": _error_table("restore", circuit.kmaj, one_wire),
               "compute": _error_table("compute", circuit.xnand, one_wire)}
-    # (kind, chain length, true indices, read errors) -> result, for rows that repeat
+    # a compute's output values, and the restore index of value 1: k reads of a one
+    xnand_table, ones = np.array(circuit.xnand.target.table), (1 << circuit.kmaj.k) - 1
+    # (kind, step length, true indices, read errors) -> result, for rows that repeat
     results: dict[tuple, np.ndarray] = {}
+
+    def coefficient_rows(kind: str, idx: np.ndarray) -> np.ndarray:
+        keys, coefficients = tables[kind]
+        return coefficients.take(keys.searchsorted(idx), axis=0)
 
     def step(stages: range, idx: np.ndarray, reads: list):
         kind = circuit.stages[stages[0]].kind
-        keys, coefficients = tables[kind]
         reads = reads[:1] if kind == "restore" else reads[:2]  # one read per bundle
         key = (kind, len(stages), idx.tobytes(), *[r.tobytes() for r in reads])
         p = results.get(key)
         if p is None:
-            rows, ps = coefficients.take(keys.searchsorted(idx), axis=0), np.array(reads).T
-            for _ in stages:  # a chain's rounds keep the true index: each feeds the next its error
-                p = polynomial_error(rows, ps)
-                ps = p[:, None]
+            ps, restores = np.array(reads).T, len(stages)
+            if kind == "compute":  # the restores after it read its error, k times its value
+                p = polynomial_error(coefficient_rows(kind, idx), ps)
+                ps, idx, restores = p[:, None], xnand_table[idx] * ones, restores - 1
+            if restores:  # they keep the true index: each round reads the error of the one before
+                p = polynomial_error(coefficient_rows("restore", idx), ps, restores)
             results[key] = p
         return p
 
@@ -631,8 +640,10 @@ def _wrong_trials(
         seen = dict.fromkeys(gate_keys, 0)  # stages of each kind walked so far
 
         def step(stages: range, idx: np.ndarray, reads: list[np.ndarray]):
-            for s in stages:  # a chain's stages in order, each output read k times by the next
+            for s in stages:  # a step's stages in order, each after the first reading the one before
                 stage = circuit.stages[s]
+                if s > stages[0]:
+                    reads = [out] * len(stage.sources)
                 i = seen[stage.kind] % group  # the stage's place in its group
                 if not i:
                     n = min(group, kind_count[stage.kind] - seen[stage.kind])
@@ -645,7 +656,6 @@ def _wrong_trials(
                 value = _mux(table, vs, None, {})  # a word array: majority and XNAND read their inputs
                 flip = _mux(flips, vs, lambda key: kind_masks[key - 2][i], {})
                 out = value ^ (start[flip] if isinstance(flip, int) else flip)
-                reads = [out] * len(stage.sources)
             return out
 
         classes, values, states = _walk(circuit, chunk, start, step)

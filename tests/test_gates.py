@@ -616,6 +616,33 @@ def test_polynomial_error_equals_reference(dims, seed):
     assert got.tolist() == reference_polynomial_error(coefficients, ps).tolist()
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    k=st.sampled_from([1, 3, 5, 7]),
+    rows=st.integers(1, 64),
+    rounds=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_polynomial_error_rounds_equal_chained_calls_property(k, rows, rounds, seed):
+    # a restore chain's rounds in one pass, on random k-input restore rows
+    # with read errors 0, 1/2 and 1 among them, bit for bit as one call per
+    # round, each reading the one before's error
+    rng = np.random.default_rng(seed)
+    coefficients = rng.random((rows, k + 1))
+    ps = rng.choice([0.0, 0.5, 1.0, *rng.random(3)], size=(rows, 1))
+    want = ps[:, 0]
+    for _ in range(rounds):
+        want = gates.polynomial_error(coefficients, want[:, None])
+    assert gates.polynomial_error(coefficients, ps, rounds=rounds).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dims, rounds", [((4,), 0), ((2, 3), 2)])
+def test_polynomial_error_refuses_rounds_it_cannot_chain(dims, rounds):
+    # a round needs one source to feed the next its error, and a call at least one round
+    with pytest.raises(ValueError, match="rounds"):
+        gates.polynomial_error(np.ones((1, *dims)), np.full((1, len(dims)), 0.5), rounds)
+
+
 @pytest.mark.parametrize("k", [1031, 2073, 10001])
 def test_derivative_matches_exact_formula_at_large_k(k):
     half = (k - 1) // 2

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from l2mbqc import gates, mbqc, reliability
+from l2mbqc import corrbox, gates, mbqc, reliability
 from l2mbqc.boolfn import BooleanFunction, input_keys, make_named, nonlinearity
 from l2mbqc.corrbox import GhzBox, chsh_and_box, noncontextual_and_box
 from l2mbqc.gates import (
@@ -264,8 +264,8 @@ def test_perfect_gates_deep_tree_all_zero_errors(monkeypatch):
     circ = build(f, 9, 3, 2, xnand=xnand, kmaj=kmaj, seed=1)
     stage_errors = []  # every stage error the walk evaluates; repeated rows reuse one
 
-    def recorded(coefficients, ps):
-        stage_errors.append(gates.polynomial_error(coefficients, ps))
+    def recorded(coefficients, ps, rounds=1):
+        stage_errors.append(gates.polynomial_error(coefficients, ps, rounds))
         return stage_errors[-1]
 
     monkeypatch.setattr(reliability, "polynomial_error", recorded)
@@ -664,6 +664,27 @@ def test_sampled_value_is_pinned_on_the_three_level_tree():
 #: TREE3 at W=81, r=2 (wiring seed 7), 1024 trials at seed 5, from one
 #: ``simulate_monte_carlo`` per input before inputs shared a sampler walk
 PINNED_ALL_INPUT_COUNTS = "fb804c0a57b9e17785fa62b50e463fc3f82050cc0e5b82505d3450d0344d308e"
+
+
+#: sha256 of the repr of the list of 256 per-input wrong counts, in table
+#: order, of TREE3 at W=9, r=2 (wiring seed 7) with the CHSH XNAND and
+#: ``kmaj_from_noisy_ghz(k, 0.05)`` restores, 1024 trials at seed 5, taken
+#: when each compute stage and its restore chain were still two steps
+PINNED_WIDE_RESTORE_COUNTS = {
+    5: (45420, "f6e11a87f7947107a302736258ebfba73c2d3454c81e012b5f8c465cc4d0242a"),
+    7: (31760, "d7c37da2882b915e6ef3e72f4f11a7e4d78d1b9e6152c8b4a0ecfdd84f70b66f"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(PINNED_WIDE_RESTORE_COUNTS))
+def test_sampled_counts_with_wide_restores_after_a_compute_are_pinned(k):
+    # a restore after a 3-read compute reads its source k times: the sampler
+    # sizes each stage's reads by that stage's own sources
+    circ = build(parse_formula(TREE3), 9, k, 2, xnand=chsh_gates()[1], kmaj=ghz_majority(k, 0.05), seed=7)
+    counts = reliability._wrong_counts(circ, np.arange(256), 1024, 5).tolist()
+    total, digest = PINNED_WIDE_RESTORE_COUNTS[k]
+    assert sum(counts) == total
+    assert hashlib.sha256(repr(counts).encode()).hexdigest() == digest
 
 
 def test_all_input_report_reproduces_the_per_input_runs():
@@ -1381,23 +1402,25 @@ def test_sweep_runs_each_step_once_per_distinct_state(monkeypatch):
     assert [s for stages in calls for s in stages] == list(range(len(circ.stages)))
 
 
-@pytest.mark.parametrize("rounds, n_stages, n_calls", [(8, 127, 22), (0, 7, 7)])
+@pytest.mark.parametrize("rounds, n_stages, n_calls", [(8, 127, 15), (0, 7, 7)])
 def test_walk_steps_once_per_compute_and_restore_chain(rounds, n_stages, n_calls):
-    # TREE3 has 8 inputs and 7 NANDs: at r=8, 7 computes and 15 chains of 8
-    # restores (one per input and one per compute output); at r=0 the computes
+    # TREE3 has 8 inputs and 7 NANDs: one step per formula node. At r=8, 8
+    # chains of 8 restores (one per input) and 7 computes, each with its 8
+    # restores; at r=0 the computes alone
     kmaj, xnand = chsh_gates()
     circ = build(parse_formula(TREE3), 81, 3, rounds, xnand=xnand, kmaj=kmaj, seed=7)
     calls, _ = step_rows(circ, np.arange(256))
     assert len(circ.stages) == n_stages
     assert len(calls) == n_calls
-    assert sorted(map(len, calls)) == [1] * 7 + [rounds] * (n_calls - 7)
+    assert sorted(map(len, calls)) == [rounds] * (n_calls - 7) + [rounds + 1] * 7
 
 
 def reference_chains(circuit):
-    """The walk's steps inferred from the stages alone, as ``_walk`` once did:
-    every bundle's last reader, then maximal chains of restores in which
-    each stage after the first is the last reader of the previous target,
-    each paired with the bundles its first stage reads for the last time."""
+    """The walk's steps inferred from the stages alone: every bundle's last
+    reader, then maximal runs of stages in which each stage after the first
+    is a restore and the last reader of the previous target (a compute with
+    the restores after it, or a chain of restores), each paired with the
+    bundles its first stage reads for the last time."""
     last_read = {src: s for s, stage in enumerate(circuit.stages) for src in stage.sources}
     dead_after: list[list[int]] = [[] for _ in circuit.stages]
     for src, s in last_read.items():
@@ -1406,8 +1429,7 @@ def reference_chains(circuit):
     chains: list[range] = []
     stages = circuit.stages
     for s, stage in enumerate(stages):
-        if (s and stage.kind == stages[s - 1].kind == "restore"
-                and dead_after[s] == (stages[s - 1].target,)):
+        if s and stage.kind == "restore" and dead_after[s] == (stages[s - 1].target,):
             chains[-1] = range(chains[-1].start, s + 1)
         else:
             chains.append(range(s, s + 1))
@@ -1419,9 +1441,9 @@ def assert_steps_are_the_walk_plan(circ):
     # the ranges tile the stages once, in order
     assert all(run for run, _ in steps)
     assert [s for run, _ in steps for s in run] == list(range(len(stages)))
-    # a step of several stages is a run of restores, each reading only the one before
+    # a step's head, a compute or a restore, is followed by restores, each reading only the one before
     for run, _ in steps:
-        assert len(run) == 1 or all(stages[s].kind == "restore" for s in run)
+        assert all(stages[s].kind == "restore" for s in run[1:])
         assert all(set(stages[s].sources) == {stages[s - 1].target} for s in run[1:])
     assert list(steps) == reference_chains(circ)
     # every bundle a step reads is dropped once, by the last step that reads it
@@ -1673,8 +1695,25 @@ def test_restored_cone_is_exact_past_the_outcome_strings():
     assert not mbqc.contextuality_certificate(report, f).contextual
 
 
-# ---------------------------------------------------------------------------
-# majority readout tail
+def test_wide_restored_cone_is_pinned_with_one_box_call_per_distinct_forms(monkeypatch):
+    # tree4's CHSH wire-0 cone at W=81 r=1, wiring seed 3: 107 boxes. A
+    # two-party box sees at most 4 tuples of party forms, and run_exact
+    # evaluates it once per tuple, not once per state
+    circ, f = box_circuit(TREE2, chsh_and_box(), 81, 3, rounds=1)
+    program = cone_program(circ, chsh_and_box())
+    assert len(program.boxes) == 107
+    calls = []
+    parity_probability = corrbox.parity_probability
+
+    def counted(box, forms, n):
+        calls.append(forms)
+        return parity_probability(box, forms, n)
+
+    monkeypatch.setattr(corrbox, "parity_probability", counted)
+    report = mbqc.run_exact(program, f)
+    assert report.average_error == pytest.approx(0.374987804886, abs=1e-12)
+    assert report.worst_error == pytest.approx(0.420606406607, abs=1e-12)
+    assert 0 < len(calls) <= 4 * len(program.boxes)
 
 def exact_readout_error(width, p):
     """P(X >= ceil(W/2)) for X ~ Bin(W, p), summed in exact integer
