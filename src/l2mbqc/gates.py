@@ -11,7 +11,6 @@ recursion of wire-wise majority voting.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,15 +30,13 @@ K_CAP = 10001
 # largest odd k that threshold_sweep tabulates: the widest integer of the row
 # at k = 7149 has 4301 digits, past Python's default int-to-string limit
 SWEEP_K_CAP = 7147
-# most float64 tail terms one pass of majority_errors computes, so its
-# scratch is bounded before it is allocated, whatever the width and the
+# most float64 tail terms one chunk of majority_errors' pass computes, so
+# its scratch is bounded before it is allocated, whatever the width and the
 # number of classes
 TAIL_TERMS = 1 << 15
-# most tail terms per row in one pass; passes widen from 64 terms to this
-TAIL_COLUMNS = 1024
-# fewest p that majority_errors reads out in one batched pass: below it the
-# scalar loop is faster (break-even at 16-32 p for n = 81 to 299593)
-BATCH_ROWS = 24
+# tail terms per row in majority_errors' pass; a row whose terms outlast it
+# takes the scalar
+PASS_TERMS = 64
 
 
 @dataclass(frozen=True)
@@ -236,14 +233,11 @@ def majority_errors(n: int, ps) -> np.ndarray:
 
     The bundle readout calls this once per report, on every output class's
     wire error. The one-p callers, the restoring recursion and
-    ``clopper_pearson_upper``, keep the scalar: one p takes it 2-41 us, and a
-    one-element batch 40-159 us (n = 3 to 16384, 2-vCPU Xeon). For the same
-    reason fewer than ``BATCH_ROWS`` p go through the scalar here. The
-    scalar is also the reference this kernel is tested against.
+    ``clopper_pearson_upper``, keep the scalar. The scalar is also the
+    reference this kernel is tested against, and it sums the rare tails
+    that outlast ``_binomial_upper_tails``' pass.
     """
     ps = np.asarray(ps, dtype=float)
-    if len(ps) < BATCH_ROWS:
-        return np.array([majority_error(n, p) for p in ps.tolist()])
     upper, tails = ps > 0.5, ps + 0.0  # a copy, with -0.0 made 0.0 as the scalar returns it
     np.subtract(1.0, ps, out=tails, where=upper)  # mirrored, as in the scalar
     # q = 0 exactly at p = 0 and p = 1, which sum no tail; at odd n both
@@ -287,13 +281,13 @@ def _binomial_upper_tails(n: int, qs: np.ndarray, m: int) -> np.ndarray:
     """``_binomial_upper_tail(n, q, m)`` for each q of ``qs``, bit for bit, with
     0 < q <= 1/2 and m >= n/2 as ``majority_errors`` calls it.
 
-    A first term that underflows to 0 is the whole tail, as in the scalar.
-    The other rows go in chunks. Each pass over a chunk's remaining rows is
-    one (rows, c + 1) block: column 0 holds each row's last term, and the
+    One pass over chunks of rows: each chunk is one (rows, c + 1) block, c =
+    min(``PASS_TERMS``, n - m). Column 0 holds each row's first term, and the
     running product of the pmf ratios after it (``np.multiply.accumulate``,
-    sequential like the scalar's ``*=``) gives the next c terms. A row leaves
-    at its first term at or below its cutoff, and its kept terms get one
-    ``math.fsum``; a chunk ends once every row has left.
+    sequential like the scalar's ``*=``) gives the next c terms. Each row's
+    terms above its cutoff, and its first term always (which may underflow
+    to 0), get one ``math.fsum``. A row still above its cutoff at the end of
+    the block while terms remain goes to the scalar.
     """
     # the scalar's first term, each step the same IEEE operation on each row
     logs = np.fromiter(map(math.log, qs.tolist()), float, len(qs))
@@ -301,37 +295,24 @@ def _binomial_upper_tails(n: int, qs: np.ndarray, m: int) -> np.ndarray:
     exponents = _log_choose(n, m) + m * logs + (n - m) * log1ps
     firsts = np.fromiter(map(math.exp, exponents.tolist()), float, len(qs))
     odds, cutoffs = qs / (1.0 - qs), 1e-17 * firsts
-    tails = np.zeros(len(qs))
-    nonzero = np.flatnonzero(firsts)
-    chunk = TAIL_TERMS // (min(n - m, TAIL_COLUMNS) + 1)
-    for start in range(0, len(nonzero), chunk):
-        rows = nonzero[start:start + chunk]  # rows still above their cutoff
-        kept: list[list[float]] = []  # each row's terms from earlier passes
-        last, j, c = firsts[rows], m, 64
-        while len(rows):
-            c = min(c, n - j)
-            block = np.empty((len(rows), c + 1))
-            block[:, 0] = last
-            ratios = np.arange(n - j, n - j - c, -1) / np.arange(j + 1, j + c + 1)
-            np.multiply(ratios, odds[rows, None], out=block[:, 1:])
-            np.multiply.accumulate(block, axis=1, out=block)
-            # both factors of a ratio are at most 1 (m >= n/2, q <= 1/2), so no
-            # term exceeds the one before: the terms above the cutoff are a
-            # prefix of each row, the ones the scalar's loop keeps
-            keep = block > cutoffs[rows, None]
-            keep[:, 0] = j == m  # column 0 is new only on the first pass, where it holds the first term
-            new = block[keep].tolist()
-            ends = np.cumsum(keep.sum(axis=1)).tolist()
-            terms = list(map(new.__getitem__, map(slice, [0, *ends], ends)))
-            if kept:
-                terms = list(map(list.__add__, kept, terms))
-            j += c
-            stay = keep[:, -1] & (j < n)  # rows whose last term is above the cutoff go on
-            done = ~stay
-            tails[rows[done]] = list(map(math.fsum, itertools.compress(terms, done.tolist())))
-            kept = list(itertools.compress(terms, stay.tolist()))
-            rows, last, c = rows[stay], block[stay, -1], min(2 * c, TAIL_COLUMNS)
-    return tails
+    c = min(PASS_TERMS, n - m)
+    ratios = np.arange(n - m, n - m - c, -1) / np.arange(m + 1, m + c + 1)
+    tails, chunk = [], TAIL_TERMS // (c + 1)
+    for start in range(0, len(qs), chunk):
+        rows = slice(start, start + chunk)
+        block = np.hstack([firsts[rows, None], ratios * odds[rows, None]])
+        np.multiply.accumulate(block, axis=1, out=block)
+        # both factors of a ratio are at most 1 (m >= n/2, q <= 1/2), so no
+        # term exceeds the one before: the terms above the cutoff are a
+        # prefix of each row, the ones the scalar's loop keeps
+        keep = block > cutoffs[rows, None]
+        keep[:, 0] = True  # as the scalar keeps its first term, even one that underflows to 0
+        terms = block[keep].tolist()
+        ends = np.cumsum(keep.sum(axis=1)).tolist()
+        tails += map(math.fsum, map(terms.__getitem__, map(slice, [0, *ends], ends)))
+        for r in np.flatnonzero(keep[:, -1]).tolist() if c < n - m else ():
+            tails[start + r] = _binomial_upper_tail(n, float(qs[start + r]), m)
+    return np.array(tails)
 
 
 def clopper_pearson_upper(k: int, n: int, level: float) -> float:

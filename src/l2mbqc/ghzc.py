@@ -10,10 +10,11 @@ needed and the phase bookkeeping stays in rational arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -97,19 +98,20 @@ class GhzVerification:
 
     failing_inputs: list[tuple[int, ...]]
     success: dict[tuple[int, ...], float]
-    statevector_success: dict[tuple[int, ...], float] | None
+    _oracle: Callable[[], dict] | None = field(default=None, repr=False, compare=False)
 
     @property
     def deterministic(self) -> bool:
         return not self.failing_inputs
 
+    @cached_property
+    def statevector_success(self) -> dict[tuple[int, ...], float] | None:
+        """The success per input from the state-vector oracle, computed when
+        first read; None where the oracle does not run."""
+        return None if self._oracle is None else self._oracle()
 
-def verify(
-    program: GhzProgram,
-    f: BooleanFunction,
-    *,
-    use_statevector: bool = True,
-) -> GhzVerification:
+
+def verify(program: GhzProgram, f: BooleanFunction) -> GhzVerification:
     """Check the phase congruence exactly and the simulated success per input.
 
     With D the common denominator of the increments and a_T the sum of the
@@ -119,12 +121,12 @@ def verify(
     party of angles 0 and delta_q D reading parity(mask_q & x). The
     congruence S(x) = f(x) xor constant (mod 2), which alone decides
     ``deterministic``, and the closed-form success (1 + cos(pi (S(x) - want)))/2
-    both follow from S(x) mod 2. With ``use_statevector`` and 1 to 16 qubits,
-    the state-vector oracle computes the success again as an independent
-    path: ``corrbox.statevector_parity`` applies the Born rule to every
-    input's measured GHZ state, from the basis matrices alone, in chunks
-    that hold at most 2^16 amplitudes. Otherwise (a program with no qubit
-    has no state to measure) ``statevector_success`` is None.
+    both follow from S(x) mod 2. For 1 to 16 qubits, ``statevector_success``
+    computes the success again, when first read, as an independent path:
+    ``corrbox.statevector_parity`` applies the Born rule to every input's
+    measured GHZ state, from the basis matrices alone, in chunks that hold
+    at most 2^16 amplitudes. Otherwise (a program with no qubit has no
+    state to measure) it is None.
     """
     if program.n != f.arity:
         raise ValueError("program arity does not match the function")
@@ -147,16 +149,15 @@ def verify(
     cosines = [math.cos(math.pi * (r / (2 * denom))) for r in values.tolist()]
     succeeds = ((1.0 + np.array(cosines)) / 2.0)[which]
     keys = input_keys(program.n)
-    sv_success: dict[tuple[int, ...], float] | None = None
-    if use_statevector and 0 < program.n_qubits <= STATEVECTOR_QUBIT_CAP:
-        box = run_as_l2program(program).boxes[0]
-        p1 = statevector_parity(box, forms, program.n)
-        sv_success = dict(zip(keys, np.where(want != 0, p1, 1.0 - p1).tolist()))
+
+    def oracle() -> dict[tuple[int, ...], float]:
+        p1 = statevector_parity(run_as_l2program(program).boxes[0], forms, program.n)
+        return dict(zip(keys, np.where(want != 0, p1, 1.0 - p1).tolist()))
 
     return GhzVerification(
         failing_inputs=sorted(keys[x_idx] for x_idx in np.flatnonzero(residue).tolist()),
         success=dict(zip(keys, succeeds.tolist())),
-        statevector_success=sv_success,
+        _oracle=oracle if 0 < program.n_qubits <= STATEVECTOR_QUBIT_CAP else None,
     )
 
 

@@ -94,7 +94,7 @@ def test_criterion_5_compiler_determinism():
             f = BooleanFunction(n, tuple(rng.randrange(2) for _ in range(1 << n)))
             program = ghzc.compile_function(f)
             ok &= program.n_qubits <= (1 << n) - 1
-            ok &= ghzc.verify(program, f, use_statevector=False).deterministic
+            ok &= ghzc.verify(program, f).deterministic
     # state-vector cross-checks at n = 4 stay under the 16-qubit oracle cap
     for _ in range(6):
         f = BooleanFunction(4, tuple(rng.randrange(2) for _ in range(16)))

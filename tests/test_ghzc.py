@@ -64,7 +64,7 @@ def test_all_n3_functions_compile_deterministically():
         f = BooleanFunction(3, tuple((bits >> i) & 1 for i in range(8)))
         program = compile_function(f)
         assert program.n_qubits <= 7
-        result = verify(program, f, use_statevector=False)
+        result = verify(program, f)
         assert result.deterministic
         assert result.failing_inputs == []
 
@@ -76,7 +76,7 @@ def test_random_functions_compile_deterministically(n):
         f = random_function(rng, n)
         program = compile_function(f)
         assert program.n_qubits <= (1 << n) - 1
-        result = verify(program, f, use_statevector=False)
+        result = verify(program, f)
         assert result.deterministic
 
 
@@ -452,13 +452,13 @@ def test_cross_check_holds_one_chunk_at_a_time():
     _check_against_oracle(program, f)
     box = run_as_l2program(program).boxes[0]
     one_call = _traced_peak(lambda: statevector_oracle(box, (1,) * 16))
-    assert _traced_peak(lambda: verify(program, f)) <= 2 * one_call
+    assert _traced_peak(lambda: verify(program, f).statevector_success) <= 2 * one_call
 
 
 def test_cross_check_is_skipped_above_the_cap():
     program = _program(5, [(m, "1/2") for m in range(1, 18)])
     f = _target_from_phases(program, random.Random(17))
-    result = verify(program, f, use_statevector=True)
+    result = verify(program, f)
     assert result.statevector_success is None
     assert result == _check_against_oracle(program, f)  # the closed forms still run
 

@@ -1743,11 +1743,9 @@ READOUT_EDGES = (5e-324, math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0)
 
 def assert_batched_readout_is_the_scalar(width, ps):
     """``majority_errors`` gives ``majority_error`` at every p, bit for bit,
-    on ``ps`` and on ``ps`` repeated past ``BATCH_ROWS``, so that the batched
-    pass runs; returns the scalar values."""
+    on ``ps`` and on ``ps`` repeated; returns the scalar values."""
     want = [gates.majority_error(width, p) for p in ps]
-    reps = -(-gates.BATCH_ROWS // len(ps))
-    for k in (1, reps):
+    for k in (1, 3):
         got = gates.majority_errors(width, list(ps) * k).tolist()
         assert [v.hex() for v in got] == [v.hex() for v in want * k]
     return want
@@ -1770,10 +1768,28 @@ def test_readout_tail_is_stable_at_large_width(width):
     assert all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in values)
     assert values == sorted(values)
     # more classes than one row chunk holds, on both sides of 1/2, some with
-    # tails that take several passes
-    classes = [i / 64 for i in range(65)] + [0.5 + d / width**0.5 for d in np.linspace(-3, 3, 61)]
-    assert len(classes) > gates.TAIL_TERMS // (gates.TAIL_COLUMNS + 1)
+    # tails that outlast the pass
+    classes = [i / 1024 for i in range(513)] + [0.5 + d / width**0.5 for d in np.linspace(-3, 3, 61)]
+    assert len(classes) > gates.TAIL_TERMS // (gates.PASS_TERMS + 1)
     assert_batched_readout_is_the_scalar(width, classes)
+
+
+def test_readout_rows_that_outlast_the_pass_take_the_scalar(monkeypatch):
+    # p over [0.05, 0.55], several within 0.02 of 1/2, where the tail is long
+    ps = np.linspace(0.05, 0.55, 26).tolist() + [0.5 + d for d in (-0.02, -0.009, -0.001, 0.003, 0.014)]
+    want = {width: [gates.majority_error(width, p).hex() for p in ps] for width in (81, 129, 729)}
+    scalar, calls = gates._binomial_upper_tail, []
+
+    def counted(n, p, m):
+        calls.append(p)
+        return scalar(n, p, m)
+
+    monkeypatch.setattr(gates, "_binomial_upper_tail", counted)
+    for width, values in want.items():
+        calls.clear()
+        assert [v.hex() for v in gates.majority_errors(width, ps).tolist()] == values
+        # at W=81 and W=129 one pass holds every term of every tail
+        assert 0 < len(calls) < len(ps) if width == 729 else not calls
 
 
 #: tracemalloc peak of one report's readout at the largest analytic widths of
