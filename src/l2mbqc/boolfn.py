@@ -264,4 +264,6 @@ def from_text(text: str) -> BooleanFunction:
     size = 1 << arity
     if value >= (1 << size):
         raise ValueError(f"line {tab_no}: table has more than 2^{arity} bits")
+    if len(lines) > 2:
+        raise ValueError(f"line {lines[2][0]}: unexpected line after the table")
     return BooleanFunction(arity, index_bits(value, size))

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple, Sequence
 
@@ -100,12 +101,8 @@ class FormulaDag:
     def evaluate(self, x: Sequence[int]) -> int:
         return self.evaluate_all(x)[-1]
 
-    def consumer_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for a, b in self.nodes:
-            counts[a] = counts.get(a, 0) + 1
-            counts[b] = counts.get(b, 0) + 1
-        return counts
+    def consumer_counts(self) -> Counter[int]:
+        return Counter(itertools.chain.from_iterable(self.nodes))
 
 
 def parse_formula(text: str) -> FormulaDag:
@@ -121,47 +118,41 @@ def parse_formula(text: str) -> FormulaDag:
             tokens.append((tok, line_no))
     if not tokens:
         raise ValueError("line 1: empty formula")
+    tokens.append(("", tokens[-1][1]))  # the end of the text, on its last token's line
 
     inputs: dict[str, int] = {}
     nodes: list[tuple[int, int]] = []
-    # open groups, innermost last: (line of the '(', operands parsed so far);
-    # an explicit stack, so nesting depth is bounded by memory, not recursion
-    open_groups: list[tuple[int, list[int]]] = []
-    pos = 0
-    while True:
-        if pos >= len(tokens):
-            raise ValueError(f"line {tokens[-1][1]}: unexpected end of formula")
-        tok, line_no = tokens[pos]
-        pos += 1
-        if tok == "(":
-            if pos >= len(tokens) or tokens[pos][0].lower() != "nand":
-                raise ValueError(f"line {line_no}: expected 'nand' after '('")
-            pos += 1
-            open_groups.append((line_no, []))
-            continue
-        if tok == ")":
-            raise ValueError(f"line {line_no}: unexpected ')'")
-        if not tok.replace("_", "").isalnum() or tok[0].isdigit():
-            raise ValueError(f"line {line_no}: bad input name {tok!r}")
-        ref = inputs.setdefault(tok, len(inputs))
-        # close every group this operand completes
-        while open_groups:
-            open_line, operands = open_groups[-1]
-            operands.append(ref)
-            if len(operands) < 2:
-                break
-            if pos >= len(tokens) or tokens[pos][0] != ")":
+    # one group that takes the whole formula, then the open '(nand' groups,
+    # innermost last: (line of the '(', operands read so far, None until its
+    # 'nand' is read); an explicit stack, so nesting depth is bounded by
+    # memory, not recursion
+    groups: list[tuple[int, list[int] | None]] = [(1, [])]
+    for tok, line_no in tokens:
+        open_line, operands = groups[-1]
+        if len(groups) == 1 and operands:
+            if tok:
+                raise ValueError(f"line {line_no}: trailing tokens after formula")
+        elif operands is None:
+            if tok.lower() != "nand":
+                raise ValueError(f"line {open_line}: expected 'nand' after '('")
+            groups[-1] = (open_line, [])
+        elif len(operands) == 2:
+            if tok != ")":
                 raise ValueError(f"line {open_line}: expected ')'")
-            pos += 1
-            open_groups.pop()
+            groups.pop()
             nodes.append((operands[0], operands[1]))
-            ref = -len(nodes)  # provisional node handle
-        if not open_groups:
-            break
-
-    if pos != len(tokens):
-        raise ValueError(f"line {tokens[pos][1]}: trailing tokens after formula")
-    if ref >= 0:
+            groups[-1][1].append(-len(nodes))  # provisional node handle
+        elif tok == "(":
+            groups.append((line_no, None))
+        elif tok == ")":
+            raise ValueError(f"line {line_no}: unexpected ')'")
+        elif not tok:
+            raise ValueError(f"line {line_no}: unexpected end of formula")
+        elif not tok.replace("_", "").isalnum() or tok[0].isdigit():
+            raise ValueError(f"line {line_no}: bad input name {tok!r}")
+        else:
+            operands.append(inputs.setdefault(tok, len(inputs)))
+    if groups[0][1][0] >= 0:
         raise ValueError("line 1: formula must contain at least one nand")
     n = len(inputs)
     fixed = tuple(

@@ -273,6 +273,28 @@ def test_text_errors_carry_line_numbers():
             boolfn.from_text(f"n={arity}\n8\n")
     with pytest.raises(ValueError, match="line 4: invalid hex table"):
         boolfn.from_text("# header\nn=2\n\n-1\n")
+    # only blank and comment lines may follow the table
+    with pytest.raises(ValueError, match="line 3: unexpected line after the table"):
+        boolfn.from_text("n=2\n8\nn=3\nff\n")
+    assert boolfn.from_text("n=2\n8\n\n# done\n") == make_named("and")
+
+
+#: pieces of the truth-table format, joined at random with arbitrary text and whole tables
+TEXT_PIECES = ["n=", "n=2", "2", "8", "ff", "-1", "0x", "_", "#", " ", "\t", "\n", "\u0662"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.sampled_from(TEXT_PIECES) | st.text(max_size=3) | functions().map(boolfn.to_text), max_size=6
+    )
+)
+def test_text_soup_parses_or_raises_value_error(pieces):
+    try:
+        f = boolfn.from_text("".join(pieces))
+    except ValueError:
+        return
+    assert boolfn.from_text(boolfn.to_text(f)) == f
 
 
 @pytest.mark.parametrize("arity", [17, 64])

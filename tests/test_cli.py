@@ -349,6 +349,9 @@ MALFORMED_INPUTS = {
         ["compile", "--fn", "header.tt"],
         "line 1: expected a header line and a hex table line",
     ),
+    "compile-line-after-table": (
+        ["compile", "--fn", "twotables.tt"], "line 3: unexpected line after the table",
+    ),
     "compile-format": (["compile", "--fn", "and.tt", "--format", "json"], "unrecognized"),
     "compile-pad": (["compile", "--fn", "and.tt", "--pad"], "unrecognized"),
     "verify-format-csv": (
@@ -470,6 +473,7 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys
     (tmp_path / "badname.nand").write_text("(nand 1a b)")
     (tmp_path / "open.nand").write_text("(nand a")
     (tmp_path / "header.tt").write_text("n=2\n")
+    (tmp_path / "twotables.tt").write_text("n=2\n8\nn=3\nff\n")
     (tmp_path / "wide.nand").write_text(WIDE_FORMULA)
     (tmp_path / "chain16.nand").write_text(CHAIN16)
     monkeypatch.chdir(tmp_path)

@@ -120,6 +120,44 @@ def test_parse_errors_carry_line_numbers():
         parse_formula("(nand a\n b\n) extra")
 
 
+#: one text per error ``parse_formula`` raises, with its exact message
+MALFORMED_FORMULAS = {
+    "empty": ("# only a comment\n\n", "line 1: empty formula"),
+    "unexpected-end": ("(nand a\n(nand b", "line 2: unexpected end of formula"),
+    "no-nand": ("(nand a\n(", "line 2: expected 'nand' after '('"),
+    "stray-close": ("(nand a\n)", "line 2: unexpected ')'"),
+    "bad-name": ("(nand a\n1a)", "line 2: bad input name '1a'"),
+    "three-operands": ("(nand a\nb c)", "line 1: expected ')'"),
+    "trailing": ("(nand a b)\n\n(nand c d)", "line 3: trailing tokens after formula"),
+    "no-gate": ("  abc  # no gate", "line 1: formula must contain at least one nand"),
+}
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_FORMULAS.values(), ids=MALFORMED_FORMULAS)
+def test_malformed_formula_messages(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_formula(text)
+    assert str(err.value) == message
+
+
+#: pieces of the formula syntax, joined at random with arbitrary text and whole formulas
+FORMULA_PIECES = ["(", ")", "nand", "NAND", "a", "b_1", "\u00e9", "1a", "a-b", "#", " ", "\t", "\n"]
+FORMULAS = st.recursive(
+    st.sampled_from(["a", "b_1", "\u00e9"]),
+    lambda sub: st.tuples(sub, sub).map("(nand {0[0]} {0[1]})".format),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(FORMULA_PIECES) | st.text(max_size=3) | FORMULAS, max_size=8))
+def test_formula_soup_parses_or_raises_value_error(pieces):
+    try:
+        f = parse_formula("".join(pieces))
+    except ValueError:
+        return
+    assert parse_formula(formula_to_text(f)) == f
+
+
 def test_consumer_counts():
     f = parse_formula("(nand a (nand a b))")
     counts = f.consumer_counts()
@@ -1756,9 +1794,12 @@ def test_readout_tail_matches_exact_tail(width):
     # the lgamma first term's relative error grows with W: 1.8e-12 at W=4097
     rel = 2e-12 if width > 243 else 1e-12
     ps = READOUT_PROBABILITIES + READOUT_EDGES
-    for p, value in zip(ps, assert_batched_readout_is_the_scalar(width, ps)):
+    values = assert_batched_readout_is_the_scalar(width, ps)
+    for p, value in zip(ps, values):
         # below the normal float range only an absolute comparison is meaningful
         assert value == pytest.approx(exact_readout_error(width, p), rel=rel, abs=sys.float_info.min)
+    # at odd W a vote over fair coins errs exactly half the time
+    assert width % 2 == 0 or values[ps.index(0.5)] == 0.5
 
 
 @pytest.mark.parametrize("width", [2187, 10001])
