@@ -12,18 +12,19 @@ order) the first time the sampler runs on the circuit.
 Every error model runs on one stage walk, ``_walk``, which tracks the true
 logical values and follows the steps that ``build`` records, one per
 formula node: a compute stage with the chain of restores laid out after it,
-and each other chain of restores laid out back to back. It hands
-the model's step the true input indices of one step; the step maps the read
-bundles' states to the last target's. The walk takes a batch of inputs at
-once, groups them by each bundle's (true value, state) and calls the step
-once per recorded step, on numpy arrays with one row per distinct (true
-index, read states). The independence model's state is one wire's error
-probability, with the wires of a bundle assumed independent: each stage
-shape is one polynomial in its sources' read errors
-(``gates.error_polynomial``), kept for recent gates and gathered by true
-index; a step evaluates its compute polynomial, then all its restore
-rounds in one pass (``polynomial_error``'s ``rounds``), and the sweep over
-all 2^n table indices is one walk. The seeded
+and each other chain of restores laid out back to back. It hands the
+model's step each row's code, the true values its first stage reads (v for
+a restore chain, a + 2b for a compute, whose value is NAND(a, b)); the step
+maps the read bundles' states to the last target's. The walk takes a batch
+of inputs at once, groups them by each bundle's (true value, state) and
+calls the step once per recorded step, on numpy arrays with one row per
+distinct (code, read states). The independence model's state is one wire's
+error probability, with the wires of a bundle assumed independent: each
+stage shape is one polynomial in its sources' read errors
+(``gates.error_polynomial``), kept for recent gates as one row per code; a
+step evaluates its compute polynomial, then all its restore rounds in one
+pass (``polynomial_error``'s ``rounds``), and the sweep over all 2^n table
+indices is one walk. The seeded
 wire-level Monte Carlo's state is every wire's actual value under the
 circuit's fixed wiring, and its walks take the sampled inputs a chunk at a
 time; it quantifies how much that assumption leaks.
@@ -108,7 +109,8 @@ class FormulaDag:
 def parse_formula(text: str) -> FormulaDag:
     """Parse nested s-expressions of NAND over named inputs.
 
-    Example: ``(nand a (nand a b))``. Errors carry the 1-based line number.
+    Example: ``(nand a (nand a b))``. Input names are letters, digits and
+    ``_``, no leading digit, not ``nand``. Errors carry the line number.
     """
     tokens: list[tuple[str, int]] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -148,7 +150,7 @@ def parse_formula(text: str) -> FormulaDag:
             raise ValueError(f"line {line_no}: unexpected ')'")
         elif not tok:
             raise ValueError(f"line {line_no}: unexpected end of formula")
-        elif not tok.replace("_", "").isalnum() or tok[0].isdigit():
+        elif not tok.replace("_", "").isalnum() or tok[0].isdigit() or tok.lower() == "nand":
             raise ValueError(f"line {line_no}: bad input name {tok!r}")
         else:
             operands.append(inputs.setdefault(tok, len(inputs)))
@@ -356,7 +358,7 @@ def build(
 def _pairs(live: dict, a: int, b: int, n: int):
     """The rows of a compute stage that reads bundle ``a`` once and ``b``
     twice, for a batch of ``n`` inputs: one row per pair of their classes
-    that occurs, as ``(inverse, idx, reads)`` (see ``_walk``)."""
+    that occurs, as ``(inverse, idx, reads)`` (see ``_walk``); code a + 2b."""
     (ca, va, sa), (cb, vb, sb) = live[a], live[b]
     if ca is None:  # a batch of one: one class each
         inverse = None
@@ -369,7 +371,7 @@ def _pairs(live: dict, a: int, b: int, n: int):
             codes, inverse = np.unique(code, return_inverse=True)
         pb, pa = np.divmod(codes, len(va))
         va, sa, vb, sb = va[pa], sa[pa], vb[pb], sb[pb]
-    return inverse, va + 6 * vb, [sa, sb, sb]
+    return inverse, va + 2 * vb, [sa, sb, sb]
 
 
 def _walk(circuit: ReliableCircuit, xs: np.ndarray, start, step):
@@ -387,12 +389,14 @@ def _walk(circuit: ReliableCircuit, xs: np.ndarray, start, step):
     idx, reads)``, with ``stages`` the range of its stage indices: a restore
     chain's rows are its source's classes as they are, a compute's the pairs
     of its sources' classes that occur (``_pairs``); ``idx`` holds the rows'
-    true input indices and ``reads`` the first stage's read states in
-    gate-input order, and the step returns the last target's state per row.
-    Restores keep the true value, and a step's intermediate targets never go
-    live. Rows with equal (value, state) merge into one class, so a call has
-    one row per distinct (true index, read states), and a batch of one never
-    compares states. A bundle is dropped after the step that reads it last.
+    codes, the true values its first stage reads (v for a restore chain,
+    a + 2b for a compute), and ``reads`` the first stage's read states in
+    gate-input order; the step returns the last target's state per row. A
+    compute's value is NAND(a, b), restores keep it, and a step's
+    intermediate targets never go live. Rows with equal (value, state) merge
+    into one class, so a call has one row per distinct (code, read states),
+    and a batch of one never compares states. A bundle is dropped after the
+    step that reads it last.
     """
     n = len(xs)
     start = np.asarray(start)
@@ -401,16 +405,14 @@ def _walk(circuit: ReliableCircuit, xs: np.ndarray, start, step):
     for b, row, ones in zip(circuit.input_bundles, bits, bits.sum(axis=1).tolist()):
         values = np.array([0, 1]) if 0 < ones < n else row[:1]
         live[b] = (None if n == 1 else row - values[0], values, start[values])  # a constant bit: one class, 0
-    xnand_table = np.array(circuit.xnand.target.table)
     for chain, dead in circuit.steps:
         head = circuit.stages[chain[0]]
-        if head.kind == "restore":  # k reads of one bundle: its classes are the rows, its values the majority's
+        if head.kind == "restore":  # k reads of one bundle: its classes are the rows, its values the codes
             inverse, values, states = live[head.sources[0]]
-            idx = values * ((1 << len(head.sources)) - 1)
-            reads = [states] * len(head.sources)
-        else:
+            idx, reads = values, [states] * len(head.sources)
+        else:  # XNAND(a, b, b) = NAND(a, b), false only at a = b = 1
             inverse, idx, reads = _pairs(live, *head.sources[:2], n)
-            values = xnand_table[idx]
+            values = (idx != 3).astype(int)
         states = step(chain, idx, reads)
         if len(values) > 1:
             # a float state is its own key; a word state keys by its bytes
@@ -437,18 +439,19 @@ def _walk(circuit: ReliableCircuit, xs: np.ndarray, start, step):
 
 @functools.lru_cache(maxsize=16)
 def _error_table(kind: str, gate: NoisyGate, one_wire: bool):
-    """The sorted true input indices a stage of ``kind`` can see and their
-    ``gates.error_polynomial`` coefficients; kept for recent tables. A
-    restore reads k wires of its one bundle, a compute one wire of ``a`` and
-    two of ``b``; all reads of a bundle carry its value. With ``one_wire``
-    (width 1) each bundle is one wire.
+    """The ``gates.error_polynomial`` coefficients of a stage of ``kind``,
+    one row per row code (see ``_walk``), in code order; kept for recent
+    tables. A restore reads k wires of its one bundle, at gate input index
+    0 or 2^k - 1, a compute one wire of ``a`` and two of ``b``, at index
+    a + 6b; all reads of a bundle carry its value. With ``one_wire`` (width
+    1) each bundle is one wire.
     """
-    if kind == "restore":  # per bundle, the gate inputs each wire feeds
-        wires, keys = [tuple(1 << i for i in range(gate.k))], [0, (1 << gate.k) - 1]
-    else:
-        wires, keys = [(1,), (2, 4)], [0, 1, 6, 7]
+    if kind == "restore":  # per bundle, the gate inputs each wire feeds; code v reads v on all k
+        wires, indices = [tuple(1 << i for i in range(gate.k))], [0, (1 << gate.k) - 1]
+    else:  # code a + 2b reads (a, b, b)
+        wires, indices = [(1,), (2, 4)], [0, 1, 6, 7]
     sources = [(sum(masks),) if one_wire else masks for masks in wires]
-    return np.array(keys), error_polynomial(gate, sources, keys)
+    return error_polynomial(gate, sources, indices)
 
 
 def _independence_walk(circuit: ReliableCircuit, xs: np.ndarray):
@@ -461,14 +464,8 @@ def _independence_walk(circuit: ReliableCircuit, xs: np.ndarray):
     # looked up once per walk, since hashing a gate takes 2^k steps
     tables = {"restore": _error_table("restore", circuit.kmaj, one_wire),
               "compute": _error_table("compute", circuit.xnand, one_wire)}
-    # a compute's output values, and the restore index of value 1: k reads of a one
-    xnand_table, ones = np.array(circuit.xnand.target.table), (1 << circuit.kmaj.k) - 1
-    # (kind, step length, true indices, read errors) -> result, for rows that repeat
+    # (kind, step length, row codes, read errors) -> result, for rows that repeat
     results: dict[tuple, np.ndarray] = {}
-
-    def coefficient_rows(kind: str, idx: np.ndarray) -> np.ndarray:
-        keys, coefficients = tables[kind]
-        return coefficients.take(keys.searchsorted(idx), axis=0)
 
     def step(stages: range, idx: np.ndarray, reads: list):
         kind = circuit.stages[stages[0]].kind
@@ -477,11 +474,11 @@ def _independence_walk(circuit: ReliableCircuit, xs: np.ndarray):
         p = results.get(key)
         if p is None:
             ps, restores = np.array(reads).T, len(stages)
-            if kind == "compute":  # the restores after it read its error, k times its value
-                p = polynomial_error(coefficient_rows(kind, idx), ps)
-                ps, idx, restores = p[:, None], xnand_table[idx] * ones, restores - 1
-            if restores:  # they keep the true index: each round reads the error of the one before
-                p = polynomial_error(coefficient_rows("restore", idx), ps, restores)
+            if kind == "compute":  # the restores after it read its error and its value, NAND(a, b)
+                p = polynomial_error(tables[kind][idx], ps)
+                ps, idx, restores = p[:, None], (idx != 3).astype(int), restores - 1
+            if restores:  # they keep the value: each round reads the error of the one before
+                p = polynomial_error(tables["restore"][idx], ps, restores)
             results[key] = p
         return p
 

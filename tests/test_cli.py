@@ -405,6 +405,10 @@ MALFORMED_INPUTS = {
         ["reliable", "--formula", "badname.nand", "--width", "9", "--rounds", "0", "--seed", "1"],
         "line 1: bad input name '1a'",
     ),
+    "reliable-keyword-input-name": (
+        ["reliable", "--formula", "keyword.nand", "--width", "9", "--rounds", "0", "--seed", "1"],
+        "line 1: bad input name 'nand'",
+    ),
     "reliable-unclosed-formula": (
         ["reliable", "--formula", "open.nand", "--width", "9", "--rounds", "0", "--seed", "1"],
         "line 1: unexpected end of formula",
@@ -471,6 +475,7 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys
     (tmp_path / "empty.nand").write_text("")
     (tmp_path / "close.nand").write_text(")")
     (tmp_path / "badname.nand").write_text("(nand 1a b)")
+    (tmp_path / "keyword.nand").write_text("(nand a nand)")
     (tmp_path / "open.nand").write_text("(nand a")
     (tmp_path / "header.tt").write_text("n=2\n")
     (tmp_path / "twotables.tt").write_text("n=2\n8\nn=3\nff\n")

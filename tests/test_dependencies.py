@@ -31,3 +31,21 @@ def test_public_api_is_what_the_demos_import_and_the_version_is_the_package_vers
     # a regex, not tomllib, which Python 3.10 lacks
     version = re.search(r'^version = "([^"]+)"$', (root / "pyproject.toml").read_text(), re.M)
     assert l2mbqc.__version__ == version.group(1)
+
+
+def test_src_imports_only_the_standard_library_and_declared_dependencies():
+    # every absolute import's top-level module is in the standard library or
+    # is a distribution that pyproject.toml's ``dependencies`` names
+    root = Path(__file__).resolve().parents[1]
+    listed = re.search(r"^dependencies = \[(.*?)\]", (root / "pyproject.toml").read_text(), re.M | re.S)
+    declared = {re.match(r"[\w.-]+", dep).group().lower().replace("-", "_")
+                for dep in re.findall(r'"([^"]+)"', listed.group(1))}
+    imported = set()
+    for path in sorted((root / "src" / "l2mbqc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert "numpy" in imported
+    assert imported - sys.stdlib_module_names <= declared

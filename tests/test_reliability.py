@@ -130,6 +130,7 @@ MALFORMED_FORMULAS = {
     "three-operands": ("(nand a\nb c)", "line 1: expected ')'"),
     "trailing": ("(nand a b)\n\n(nand c d)", "line 3: trailing tokens after formula"),
     "no-gate": ("  abc  # no gate", "line 1: formula must contain at least one nand"),
+    "keyword-name": ("(nand a\nNand)", "line 2: bad input name 'Nand'"),
 }
 
 
@@ -1376,19 +1377,28 @@ def test_independence_sweep_is_pinned():
 def per_stage_rows(circ):
     """``build_report``'s rows, from one walk per input that steps through
     ``circ.stages`` one stage at a time: each stage's error polynomial at its
-    true input index (``_error_table``), evaluated at its sources' errors,
-    and a majority readout over the output bundle."""
+    own gate input index (``gates.error_polynomial``), evaluated at its
+    sources' errors, and a majority readout over the output bundle."""
     gate = {"restore": circ.kmaj, "compute": circ.xnand}
+    # per read bundle, the gate inputs each of its wires feeds: k wires of
+    # one bundle for a restore, one wire of a and two of b for a compute
+    sources = {"restore": [tuple(1 << i for i in range(circ.kmaj.k))], "compute": [(1,), (2, 4)]}
+    if circ.width == 1:  # one wire per bundle
+        sources = {kind: [(sum(masks),) for masks in wires] for kind, wires in sources.items()}
+
+    @functools.cache
+    def coefficients(kind, index):
+        return gates.error_polynomial(gate[kind], sources[kind], [index])
+
     rows = []
     for x in itertools.product((0, 1), repeat=circ.formula.n_inputs):
         values = dict(zip(circ.input_bundles, x))
         errors = dict.fromkeys(circ.input_bundles, 0.0)
         for stage in circ.stages:
-            keys, coefficients = reliability._error_table(stage.kind, gate[stage.kind], circ.width == 1)
             index = sum(values[src] << i for i, src in enumerate(stage.sources))
             reads = [errors[src] for src in dict.fromkeys(stage.sources)]  # one read per bundle
-            row = coefficients[keys.tolist().index(index)]
-            [errors[stage.target]] = gates.polynomial_error(row[None], np.array([reads])).tolist()
+            row = coefficients(stage.kind, index)
+            [errors[stage.target]] = gates.polynomial_error(row, np.array([reads])).tolist()
             values[stage.target] = gate[stage.kind].target.table[index]
         rows.append(reliability.InputRow(x, gates.majority_error(circ.width, errors[circ.output_bundle])))
     return rows
@@ -1519,14 +1529,14 @@ def test_build_records_the_walk_steps_of_a_shared_node():
 
 def step_row(stages, idx, reads, i):
     """Row i of a step call over the range ``stages``, as (first stage,
-    chain length, true index, read states)."""
+    chain length, row code, read states)."""
     return stages[0], len(stages), int(idx[i]), tuple(float(r[i]) for r in reads)
 
 
 def step_rows(circ, xs):
     """The stage ranges of the independence walk's step calls on the batch
-    ``xs`` of input table indices, and every (first stage, chain length, true
-    index, read states) row, in call order."""
+    ``xs`` of input table indices, and every (first stage, chain length, row
+    code, read states) row, in call order."""
     calls, rows = [], []
     walk = reliability._walk
 
@@ -1570,6 +1580,45 @@ def test_batch_step_rows_are_the_union_of_per_input_rows(
     _, batch = step_rows(circ, xs)
     assert len(batch) == len(set(batch))
     assert set(batch) == set().union(*(step_rows(circ, xs[i:i + 1])[1] for i in range(len(xs))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    text=fanout_formulas(),
+    width=st.sampled_from([1, 3, 9]),
+    rounds=st.integers(0, 2),
+    x_index=st.integers(0, 63),
+)
+def test_row_codes_are_the_true_values_read_property(text, width, rounds, x_index):
+    # a step's row code is its restore chain's source's true value, or a + 2b
+    # for a compute that reads (a, b, b); the values are tracked here stage by
+    # stage from the input bits, and both models' walks are checked
+    k = 1 if width == 1 else 3
+    kmaj = uniform_noisy_gate(make_named("maj", k), 0.1)
+    xnand = uniform_noisy_gate(make_named("xnand"), 0.1)
+    circ = build(parse_formula(text), width, k, rounds, xnand=xnand, kmaj=kmaj, seed=0)
+    x = [x_index >> j & 1 for j in range(circ.formula.n_inputs)]
+    values = dict(zip(circ.input_bundles, x))
+    for stage in circ.stages:
+        a, b = stage.sources[0], stage.sources[-1]
+        values[stage.target] = values[a] if stage.kind == "restore" else 1 - (values[a] & values[b])
+    heads = []
+    walk = reliability._walk
+
+    def recording_walk(circuit, xs, start, step):
+        def recorded(stages, idx, reads):
+            head = circ.stages[stages[0]]
+            a, b = head.sources[0], head.sources[-1]
+            assert idx.tolist() == [values[a] if head.kind == "restore" else values[a] + 2 * values[b]]
+            heads.append(stages[0])
+            return step(stages, idx, reads)
+
+        return walk(circuit, xs, start, recorded)
+
+    with mock.patch.object(reliability, "_walk", recording_walk):
+        reliability._independence_walk(circ, np.array([table_index(x)]))
+        list(reliability._wrong_trials(circ, np.array([table_index(x)]), 0, 1))
+    assert heads == [run.start for run, _ in circ.steps] * 2
 
 
 def test_only_a_batch_of_one_has_no_class_array(monkeypatch):
