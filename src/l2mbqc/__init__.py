@@ -7,42 +7,41 @@ assemble reliable circuits from noisy majority and XNAND gates.
 
 The package root re-exports what the demos use; the full API lives in the
 modules ``boolfn``, ``corrbox``, ``mbqc``, ``ghzc``, ``gates`` and
-``reliability``.
+``reliability``. Each re-exported name resolves on first read (PEP 562),
+so ``import l2mbqc`` alone loads no submodule and no numpy.
 """
 
-from .boolfn import make_named
-from .corrbox import chsh_and_box, distribution, statevector_oracle
-from .gates import analyze_recursion, chsh_and_gate, eta_by_iteration, min_k_for_violation
-from .ghzc import compile_function, run_as_l2program, verify
-from .mbqc import (
-    best_noncontextual_error,
-    chsh_and_program,
-    contextuality_certificate,
-    noncontextual_and_program,
-    run_exact,
-)
-from .reliability import build, build_report, parse_formula
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "analyze_recursion",
-    "best_noncontextual_error",
-    "build",
-    "build_report",
-    "chsh_and_box",
-    "chsh_and_gate",
-    "chsh_and_program",
-    "compile_function",
-    "contextuality_certificate",
-    "distribution",
-    "eta_by_iteration",
-    "make_named",
-    "min_k_for_violation",
-    "noncontextual_and_program",
-    "parse_formula",
-    "run_as_l2program",
-    "run_exact",
-    "statevector_oracle",
-    "verify",
-]
+#: the re-exported names, by the module that defines them
+_EXPORTS = {
+    "boolfn": ("make_named",),
+    "corrbox": ("chsh_and_box", "distribution", "statevector_oracle"),
+    "gates": ("analyze_recursion", "chsh_and_gate", "eta_by_iteration", "min_k_for_violation"),
+    "ghzc": ("compile_function", "run_as_l2program", "verify"),
+    "mbqc": (
+        "best_noncontextual_error",
+        "chsh_and_program",
+        "contextuality_certificate",
+        "noncontextual_and_program",
+        "run_exact",
+    ),
+    "reliability": ("build", "build_report", "parse_formula"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -11,7 +11,8 @@ or file-format error. Identical invocations produce byte-identical output;
 every stochastic run requires an explicit seed.
 
 Relative ``--output`` paths are resolved against ``L2MBQC_OUTPUT_DIR``
-when that variable is set.
+when that variable is set. Each handler imports the modules it runs, so a
+child loads only what its subcommand needs.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-
-from . import boolfn, gates, ghzc, mbqc, reliability
 
 OUTPUT_DIR_ENV = "L2MBQC_OUTPUT_DIR"
 
@@ -72,11 +71,13 @@ def _table(args: argparse.Namespace, payload: dict, rows: list[dict], comments: 
 
 
 def _read_function(path: str) -> boolfn.BooleanFunction:
+    from . import boolfn
     with open(path, "r", encoding="utf-8") as fh:
         return boolfn.from_text(fh.read())
 
 
 def _read_program(path: str) -> ghzc.GhzProgram:
+    from . import ghzc
     with open(path, "r", encoding="utf-8") as fh:
         try:
             config = json.load(fh)
@@ -92,6 +93,7 @@ _NAMED_TARGETS = ("and", "nand", "xor", "maj", "xnand")
 
 
 def _build_gate(name: str, resource: str, k: int, epsilon: float) -> gates.NoisyGate:
+    from . import boolfn, gates
     if resource == "ghz":
         return gates.gate_from_noisy_ghz(boolfn.make_named(name, k), epsilon)
     # argparse admits only the three resources
@@ -132,6 +134,7 @@ def cmd_gate(args: argparse.Namespace) -> int:
 
 
 def cmd_thresholds(args: argparse.Namespace) -> int:
+    from . import gates
     if args.kmax % 2 == 0:
         raise ValueError(f"kmax must be odd, got {args.kmax}")
     sweep = gates.threshold_sweep(args.kmax)
@@ -153,6 +156,7 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
+    from . import ghzc
     f = _read_function(args.fn)
     program = ghzc.compile_function(f)
     _json(args, ghzc.program_to_config(program))
@@ -160,6 +164,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import ghzc
     f = _read_function(args.fn)
     program = _read_program(args.program)
     result = ghzc.verify(program, f)
@@ -174,6 +179,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_inequality(args: argparse.Namespace) -> int:
+    from . import ghzc, mbqc
     f = _read_function(args.fn)
     name = args.program
     builtin = {
@@ -201,6 +207,7 @@ def cmd_inequality(args: argparse.Namespace) -> int:
 
 
 def cmd_reliable(args: argparse.Namespace) -> int:
+    from . import boolfn, gates, reliability
     if args.mc_inputs is not None and args.trials is None:
         raise ValueError("--mc-inputs applies only with --trials")
     with open(args.formula, "r", encoding="utf-8") as fh:

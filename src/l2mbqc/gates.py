@@ -2,8 +2,9 @@
 
 A noisy gate is a target function plus a per-input probability of emitting
 the negated output. Resource gates are exact runs of box programs (the
-Bell-state and non-contextual ANDs, any target from a noisy GHZ program);
-majority and XNAND are one noisy AND with mod-2 pre- and post-processing.
+Bell-state and non-contextual ANDs, any target from a noisy GHZ program),
+whose constructions import ``mbqc`` and ``ghzc`` only when called; majority
+and XNAND are one noisy AND with mod-2 pre- and post-processing.
 All are analyzed against the restoring threshold beta_k and the error
 recursion of wire-wise majority voting.
 """
@@ -18,7 +19,6 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from . import ghzc, mbqc
 from .boolfn import BooleanFunction, input_keys, kmaj_nonlinearity, make_named
 
 EPSILON_CLASSIFICATION_TOL = 1e-12
@@ -80,12 +80,14 @@ def gate_from_report(report: mbqc.StrategyReport) -> NoisyGate:
 # constructions from correlation resources
 
 def chsh_and_gate() -> NoisyGate:
-    """AND from the Bell-state protocol, evaluated exactly (never hardcoded)."""
+    """AND from the Bell-state protocol, evaluated exactly by ``mbqc`` (never hardcoded)."""
+    from . import mbqc
     return gate_from_report(mbqc.run_exact(mbqc.chsh_and_program(), make_named("and")))
 
 
 def noncontextual_and_gate() -> NoisyGate:
-    """The 1/4-noisy AND available without any contextuality."""
+    """The 1/4-noisy AND available without any contextuality, run by ``mbqc``."""
+    from . import mbqc
     return gate_from_report(mbqc.run_exact(mbqc.noncontextual_and_program(), make_named("and")))
 
 
@@ -112,7 +114,8 @@ def xnand_from_and(and_gate: NoisyGate) -> NoisyGate:
 
 
 def gate_from_noisy_ghz(target: BooleanFunction, epsilon: float) -> NoisyGate:
-    """Gate for any target from its compiled GHZ program on a noise-mixed state."""
+    """Gate for any target from its compiled GHZ program (``ghzc``) on a noise-mixed state."""
+    from . import ghzc, mbqc
     program = ghzc.run_as_l2program(ghzc.compile_function(target), epsilon)
     return gate_from_report(mbqc.run_exact(program, target))
 

@@ -690,3 +690,49 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
         err = capsys.readouterr().err
         assert code in (0, 1) and "error:" not in err, f"{line}: exit {code}\n{err}"
     assert (tmp_path / "sweep.csv").is_file() and (tmp_path / "and.ghz").is_file()
+
+
+#: the modules past the package root and ``cli`` that each README example
+#: of the benchmark's ``cli_readme`` workload loads: a handler imports only
+#: what it runs
+README_MODULES = {
+    "gate-chsh": (["gate", "and", "--resource", "chsh"], "boolfn corrbox mbqc gates"),
+    "gate-quarter": (["gate", "and", "--resource", "noncontextual-quarter"],
+                     "boolfn corrbox mbqc gates"),
+    "gate-ghz": (["gate", "maj", "--k", "3", "--resource", "ghz", "--epsilon", "0"],
+                 "boolfn corrbox mbqc gates ghzc"),
+    "thresholds": (["thresholds", "--kmax", "41"], "boolfn gates"),
+    "compile": (["compile", "--fn", "and.tt", "--output", "and.ghz"], "boolfn corrbox mbqc ghzc"),
+    "verify": (["verify", "--program", "and.ghz", "--fn", "and.tt"], "boolfn corrbox mbqc ghzc"),
+    "inequality": (["inequality", "--fn", "and.tt", "--program", "chsh-and"],
+                   "boolfn corrbox mbqc ghzc"),
+    "reliable": (["reliable", "--formula", "tree.nand", "--width", "81", "--rounds", "8",
+                  "--seed", "7"], "boolfn corrbox mbqc gates reliability"),
+}
+
+#: runs the argv read as JSON from stdin as ``python -m l2mbqc.cli`` does, and
+#: prints its exit code and the sorted ``l2mbqc.*`` modules loaded
+MODULES_CHILD = """
+import contextlib, io, json, runpy, sys
+sys.argv = ["l2mbqc", *json.load(sys.stdin)]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("l2mbqc.cli", run_name="__main__")
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("l2mbqc."))]))
+"""
+
+
+@pytest.mark.parametrize("argv, modules", README_MODULES.values(), ids=README_MODULES)
+def test_each_readme_subcommand_loads_only_its_modules(tmp_path, argv, modules):
+    for name in ("and.tt", "and.ghz", "tree.nand"):
+        shutil.copy(GOLDEN / name, tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-c", MODULES_CHILD], input=json.dumps(argv), cwd=tmp_path,
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    code, loaded = json.loads(child.stdout)
+    assert code in (0, 1), child.stderr
+    assert set(loaded) - {"l2mbqc.cli"} == {f"l2mbqc.{m}" for m in modules.split()}

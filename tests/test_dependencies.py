@@ -4,16 +4,31 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import l2mbqc
 
 
 def test_import_does_not_load_scipy():
+    # nor numpy, nor any submodule: the root resolves its names on first read
     src = str(Path(l2mbqc.__file__).resolve().parents[1])
-    code = f"import sys; sys.path.insert(0, {src!r}); import l2mbqc; print('scipy' in sys.modules)"
+    code = (f"import sys; sys.path.insert(0, {src!r}); import l2mbqc; print(sorted(m for m in "
+            "sys.modules if m in ('scipy', 'numpy') or m.startswith('l2mbqc.')))")
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
+
+
+def test_the_lazy_root_resolves_each_name_to_its_modules_object():
+    for name in l2mbqc.__all__:
+        value = getattr(l2mbqc, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+    assert set(l2mbqc.__all__) <= set(dir(l2mbqc))
+    with pytest.raises(AttributeError, match="nope"):
+        l2mbqc.nope
+    with pytest.raises(ImportError, match="nope"):
+        exec("from l2mbqc import nope", {})
 
 
 def test_public_api_is_what_the_demos_import_and_the_version_is_the_package_version():
@@ -49,3 +64,20 @@ def test_src_imports_only_the_standard_library_and_declared_dependencies():
                 imported.add(node.module.split(".")[0])
     assert "numpy" in imported
     assert imported - sys.stdlib_module_names <= declared
+
+
+def test_function_level_imports_live_only_where_a_program_layer_is_entered():
+    # modules import at the top what every path uses; only the CLI's handlers
+    # and helpers, and the gates constructions that run a program, import
+    # when called, so a deferred import cannot reach a per-op path unseen
+    root = Path(__file__).resolve().parents[1] / "src" / "l2mbqc"
+    places = set()
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(isinstance(inner, (ast.Import, ast.ImportFrom)) for inner in ast.walk(node)):
+                    places.add((path.stem, node.name))
+    assert {place for place in places if place[0] != "cli"} == {
+        ("gates", "chsh_and_gate"), ("gates", "noncontextual_and_gate"),
+        ("gates", "gate_from_noisy_ghz"),
+    }
