@@ -31,15 +31,17 @@ def index_bits(value: int, width: int) -> tuple[int, ...]:
     return tuple((value >> j) & 1 for j in range(width))
 
 
-def as_bits(x: Iterable[int]) -> tuple[int, ...]:
-    """The entries of x as ints; any entry other than 0 or 1 raises
-    ValueError, where bools, numpy integers and numpy bools equal to 0 or 1
-    pass."""
+def index_of(x: Iterable[int], n: int) -> int:
+    """The table index of the n-bit input x, the one check of every bit
+    vector: an entry other than 0 or 1 (bools, numpy integers and numpy bools
+    equal to 0 or 1 pass) or a length other than n raises ValueError."""
     bits = tuple(x)
     for b in bits:
         if not isinstance(b, (int, np.integer, np.bool_)) or b not in (0, 1):
-            raise ValueError(f"input entry {b!r} is not a bit")
-    return tuple(map(int, bits))
+            raise ValueError(f"entry {b!r} is not a bit")
+    if len(bits) != n:
+        raise ValueError(f"expected {n} bits, got {len(bits)}")
+    return sum(int(b) << j for j, b in enumerate(bits))
 
 
 def input_keys(n: int) -> tuple[tuple[int, ...], ...]:
@@ -80,15 +82,9 @@ class BooleanFunction:
         table = tuple(int(fn(*x)) & 1 for x in input_keys(arity))
         return cls(arity, table)
 
-    def index_of(self, x: Iterable[int]) -> int:
-        bits = as_bits(x)
-        if len(bits) != self.arity:
-            raise ValueError(f"expected {self.arity} input bits, got {len(bits)}")
-        return sum(b << j for j, b in enumerate(bits))
-
     def __call__(self, *x: int) -> int:
         """f(x1, ..., xn), each bit its own argument."""
-        return self.table[self.index_of(x)]
+        return self.table[index_of(x, self.arity)]
 
     @cached_property
     def spectrum(self) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .boolfn import index_parity, walsh
+from .boolfn import index_of, index_parity, walsh
 
 PROBABILITY_TOL = 1e-12
 GHZ_ENUMERATION_CAP = 20
@@ -62,9 +62,7 @@ class OutcomeDistribution:
         return self.probs.size.bit_length() - 1
 
     def __getitem__(self, outcome: tuple[int, ...]) -> float:
-        if len(outcome) != self.n_parties or any(b not in (0, 1) for b in outcome):
-            raise ValueError(f"outcome {outcome} is not one bit per party")
-        return float(self.probs[sum(b << j for j, b in enumerate(outcome))])
+        return float(self.probs[index_of(outcome, self.n_parties)])
 
     def parity_probability(self, value: int = 1) -> float:
         """Probability that the xor of all output bits equals ``value``."""

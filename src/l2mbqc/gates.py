@@ -130,7 +130,6 @@ def kmaj_from_noisy_ghz(k: int, epsilon: float) -> NoisyGate:
 
 @dataclass(frozen=True)
 class Threshold:
-    k: int
     beta: Fraction
 
 
@@ -139,7 +138,7 @@ def beta(k: int) -> Threshold:
     if k < 3 or k % 2 == 0:
         raise ValueError(f"threshold needs odd k >= 3, got {k}")
     value = Fraction(1, 2) - Fraction(1 << (k - 2), k * math.comb(k - 1, (k - 1) // 2))
-    return Threshold(k=k, beta=value)
+    return Threshold(beta=value)
 
 
 def gap(k: int) -> Fraction:
@@ -158,11 +157,6 @@ class ViolationWitness:
     @property
     def below_threshold(self) -> bool:
         return self.epsilon < beta(self.k).beta
-
-    @property
-    def trivial(self) -> bool:
-        """delta reaches nu(k-MAJ)/2^k, so the witness gate is noiseless."""
-        return self.epsilon == 0
 
 
 def min_k_for_violation(delta: RationalLike) -> ViolationWitness:
@@ -214,8 +208,9 @@ def majority_error(n: int, p: float) -> float:
 
     This is P(X >= ceil(n/2)) for X ~ Bin(n, p). Above p = 1/2 it is one
     minus the mirrored tail of Bin(n, 1 - p), so the summed tail always has
-    odds at most one and its terms fall from the first. At p = 1/2 and odd n
-    it is 1/2 by symmetry, which the summed tail misses (by 5.9e-13 at n = 2187).
+    odds at most one and its terms fall from the first. At odd n it is 1/2 at
+    p = 1/2 by symmetry, at most 1/2 below and at least 1/2 above; the summed
+    tail can miss each (by 5.9e-13 at n = 2187), so it is clamped to its side.
 
     The first term comes through lgamma, whose absolute error grows with n,
     so the relative error grows with n too: against the exact tail at
@@ -228,8 +223,10 @@ def majority_error(n: int, p: float) -> float:
         return float(p)
     half = (n + 1) // 2
     if p > 0.5:
-        return 1.0 - _binomial_upper_tail(n, 1.0 - p, n - half + 1)
-    return _binomial_upper_tail(n, p, half)
+        error = 1.0 - _binomial_upper_tail(n, 1.0 - p, n - half + 1)
+        return max(error, 0.5) if n % 2 else error
+    error = _binomial_upper_tail(n, p, half)
+    return min(error, 0.5) if n % 2 else error
 
 
 def majority_errors(n: int, ps) -> np.ndarray:
@@ -252,8 +249,10 @@ def majority_errors(n: int, ps) -> np.ndarray:
         if len(rows):
             tails[rows] = _binomial_upper_tails(n, tails[rows], m)
     np.subtract(1.0, tails, out=tails, where=upper)
-    if n % 2:
-        tails[ps == 0.5] = 0.5  # as the scalar returns it
+    if n % 2:  # as the scalar returns it: 1/2 at p = 1/2, else clamped to p's side
+        tails[ps == 0.5] = 0.5
+        np.minimum(tails, 0.5, out=tails, where=ps < 0.5)
+        np.maximum(tails, 0.5, out=tails, where=upper)
     return tails
 
 

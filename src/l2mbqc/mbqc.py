@@ -20,7 +20,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import corrbox
-from .boolfn import COMPILE_ARITY_CAP, BooleanFunction, index_parity, input_keys, nonlinearity
+from .boolfn import (
+    COMPILE_ARITY_CAP, BooleanFunction, affine_distance, all_affine_forms, index_parity, input_keys, nonlinearity,
+)
 from .corrbox import CorrelationBox, GhzBox, chsh_and_box, noncontextual_and_box
 
 PATH_CAP = 1 << 22
@@ -190,36 +192,12 @@ def contextuality_certificate(
     return Certificate(nu, Fraction(nu, 1 << target.arity), report.average_error)
 
 
-@lru_cache(maxsize=None)
-def _deterministic_strategy_tables(n: int) -> tuple[int, ...]:
-    """Truth tables (bit-packed) of every deterministic local strategy.
-
-    One box party with an affine input wire, an affine single-bit response,
-    and an affine output map; this composition reaches exactly the
-    strategies available without contextual correlations.
-    """
-    tables = set()
-    size = 1 << n
-    for in_mask in range(size):
-        for in_const in (0, 1):
-            for slope in (0, 1):
-                for intercept in (0, 1):
-                    for use_out in (0, 1):
-                        for post_mask in range(size):
-                            for post_const in (0, 1):
-                                t = 0
-                                for x in range(size):
-                                    wire = ((in_mask & x).bit_count() & 1) ^ in_const
-                                    o = (slope & wire) ^ intercept
-                                    z = (use_out & o) ^ ((post_mask & x).bit_count() & 1) ^ post_const
-                                    t |= z << x
-                                tables.add(t)
-    return tuple(sorted(tables))
-
-
 def best_noncontextual_error(target: BooleanFunction) -> Fraction:
     """Exhaustive minimum average error over deterministic local strategies.
 
+    A deterministic party answers an affine function of its affine input,
+    and the control adds affine forms of x, so these strategies compute
+    exactly the affine functions: the optimum is the least distance to one.
     Mixtures cannot beat the best pure strategy, so this is the exact
     non-contextual optimum; it coincides with nu(f)/2^n.
     """
@@ -228,11 +206,7 @@ def best_noncontextual_error(target: BooleanFunction) -> Fraction:
         raise ValueError(
             f"arity {n} above exhaustive-search cap {NONCONTEXTUAL_SEARCH_ARITY_CAP}"
         )
-    f_int = sum(b << i for i, b in enumerate(target.table))
-    best = min(
-        (f_int ^ t).bit_count() for t in _deterministic_strategy_tables(n)
-    )
-    return Fraction(best, 1 << n)
+    return Fraction(min(affine_distance(target, l) for l in all_affine_forms(n)), 1 << n)
 
 
 # ---------------------------------------------------------------------------

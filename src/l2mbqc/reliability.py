@@ -48,7 +48,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .boolfn import BRUTE_FORCE_ARITY_CAP, as_bits, index_bits, make_named
+from .boolfn import BRUTE_FORCE_ARITY_CAP, index_bits, index_of, make_named
 from .gates import NoisyGate, beta, clopper_pearson_upper, error_polynomial, majority_errors, polynomial_error
 
 #: largest stages x width of a circuit, checked before any stage is laid out:
@@ -94,13 +94,10 @@ class FormulaDag:
 
     def evaluate_all(self, x: Sequence[int]) -> list[int]:
         """Values of every reference (inputs then nodes) for one assignment."""
-        vals = list(_input_bits(self, x))
+        vals = list(index_bits(index_of(x, self.n_inputs), self.n_inputs))
         for a, b in self.nodes:
             vals.append(1 - (vals[a] & vals[b]))
         return vals
-
-    def evaluate(self, x: Sequence[int]) -> int:
-        return self.evaluate_all(x)[-1]
 
     def consumer_counts(self) -> Counter[int]:
         return Counter(itertools.chain.from_iterable(self.nodes))
@@ -485,13 +482,6 @@ def _independence_walk(circuit: ReliableCircuit, xs: np.ndarray):
     return _walk(circuit, xs, (0.0, 0.0), step)
 
 
-def _input_bits(formula: FormulaDag, x: Sequence[int]) -> tuple[int, ...]:
-    x = as_bits(x)
-    if len(x) != formula.n_inputs:
-        raise ValueError("one bit per formula input required")
-    return x
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo
 
@@ -705,7 +695,7 @@ def simulate_monte_carlo(
     """
     _check_trials(trials, circuit.width)
     _check_seed(seed)
-    index = sum(b << j for j, b in enumerate(_input_bits(circuit.formula, x)))
+    index = index_of(x, circuit.formula.n_inputs)
     [wrong] = _wrong_counts(circuit, np.array([index]), trials, seed).tolist()
     return MonteCarloResult(trials, wrong / trials)
 

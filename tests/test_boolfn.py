@@ -15,6 +15,7 @@ from l2mbqc.boolfn import (
     all_affine_forms,
     kmaj_nonlinearity,
     index_bits,
+    index_of,
     input_keys,
     make_named,
     nonlinearity,
@@ -121,14 +122,14 @@ def test_index_of_rejects_entries_that_are_not_bits(x):
     # each entry used to be reduced mod 2, so (2, 3) read as (0, 1)
     f = make_named("and")
     with pytest.raises(ValueError, match="is not a bit"):
-        f.index_of(x)
+        index_of(x, 2)
     with pytest.raises(ValueError, match="is not a bit"):
         f(*x)
 
 
 def test_index_of_takes_bools_and_numpy_bits():
     f = make_named("and")
-    assert f.index_of((True, np.int64(1))) == 3
+    assert index_of((True, np.int64(1)), 2) == 3
     assert f(*np.array([1, 0], dtype=np.uint8)) == 0
     assert f(True, True) == 1
 

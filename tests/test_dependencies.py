@@ -66,6 +66,34 @@ def test_src_imports_only_the_standard_library_and_declared_dependencies():
     assert imported - sys.stdlib_module_names <= declared
 
 
+def test_every_public_name_in_src_has_a_user():
+    # the public API stays no wider than its users: each public module-level
+    # function or class of src, and each public method or property of such a
+    # class, is named (read, called, imported or spelled as a string) away
+    # from its definition, in src, tests, demos or perfbench
+    root = Path(__file__).resolve().parents[1]
+    defined = {}
+    for path in sorted((root / "src" / "l2mbqc").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined[f"{path.stem}.{node.name}"] = node.name
+                for item in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        defined[f"{path.stem}.{node.name}.{item.name}"] = item.name
+    named = set()
+    for path in sorted(path for top in ("src", "tests", "demos", "perfbench") for path in (root / top).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)  # getattr and the package root's export table
+    assert sorted(where for where, name in defined.items() if name not in named) == []
+
+
 def test_function_level_imports_live_only_where_a_program_layer_is_entered():
     # modules import at the top what every path uses; only the CLI's handlers
     # and helpers, and the gates constructions that run a program, import

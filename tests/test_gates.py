@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l2mbqc import gates, ghzc, mbqc
-from l2mbqc.boolfn import BooleanFunction, kmaj_nonlinearity, make_named
+from l2mbqc.boolfn import BooleanFunction, index_of, kmaj_nonlinearity, make_named
 from l2mbqc.corrbox import GhzBox, NoncontextualBox, noncontextual_and_box
 from l2mbqc.gates import (
     NoisyGate,
@@ -175,7 +175,7 @@ def test_gate_from_report_reads_each_input_success():
     gate = gates.gate_from_report(report)
     assert gate.target == target
     for x, p in report.success.items():
-        assert gate.errors[target.index_of(x)] == 1.0 - p
+        assert gate.errors[index_of(x, target.arity)] == 1.0 - p
     assert len(set(gate.errors)) == 2
     # the report's key order plays no part
     backwards = mbqc.StrategyReport(target=target, success=dict(reversed(report.success.items())))
@@ -233,7 +233,7 @@ def test_min_k_for_violation(delta, k, epsilon):
     assert witness.epsilon == epsilon
     assert witness.below_threshold
     assert witness.epsilon < beta(k).beta
-    assert not witness.trivial
+    assert witness.epsilon != 0
 
 
 def test_min_k_breaks_ties_toward_smaller_k():
@@ -247,7 +247,7 @@ def test_min_k_trivial_witness_for_huge_delta():
     for delta in (Fraction(3, 5), Fraction(1, 4)):
         witness = min_k_for_violation(delta)
         assert witness.k == 3
-        assert witness.trivial and witness.epsilon == 0 and witness.below_threshold
+        assert witness.epsilon == 0 and witness.below_threshold
 
 
 def test_min_k_rejects_nonpositive_delta():
@@ -310,6 +310,18 @@ def test_majority_error_is_binomial_tail():
     assert gates.majority_error(3, 0.2) == pytest.approx(
         3 * 0.04 * 0.8 + 0.008, abs=1e-15
     )
+
+
+@pytest.mark.parametrize("n", [1, 3, 9, 81, 729, 2187, 4097])
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(p=st.floats(0.5 - 1e-12, 0.5 + 1e-12) | st.sampled_from([np.nextafter(0.5, 0), 0.5, np.nextafter(0.5, 1)]))
+def test_an_odd_majority_errs_on_the_side_of_one_half_that_p_does(n, p):
+    # the summed tail used to land above 1/2 just below p = 1/2 (by 1.9e-13
+    # at n = 729) and below it just above
+    error = gates.majority_error(n, p)
+    assert error <= 0.5 or p > 0.5
+    assert error >= 0.5 or p < 0.5
+    assert gates.majority_errors(n, [p]).tolist() == [error]
 
 
 def test_derivative_tangent_at_threshold():

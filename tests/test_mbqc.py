@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from l2mbqc import corrbox, gates, ghzc, mbqc
-from l2mbqc.boolfn import BooleanFunction, make_named, nonlinearity
+from l2mbqc.boolfn import BooleanFunction, all_affine_forms, make_named, nonlinearity
 from l2mbqc.corrbox import GhzBox, NoncontextualBox
 from l2mbqc.mbqc import (
     AffineBitMap,
@@ -342,6 +342,25 @@ def test_search_matches_nonlinearity_bound_exhaustively():
     for bits in range(256):
         f = BooleanFunction(3, tuple((bits >> i) & 1 for i in range(8)))
         assert best_noncontextual_error(f) == Fraction(nonlinearity(f), 8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_deterministic_local_strategies_reach_exactly_the_affine_functions(n):
+    # the model behind the search over affine forms: one party with an affine
+    # input wire, an affine one-bit response and an affine output map, every
+    # 7-tuple of choices tabulated, reaches the 2^(n+1) affine tables and no other
+    size = 1 << n
+    parity = [i.bit_count() & 1 for i in range(size)]
+    tables = set()
+    for in_mask, in_const, slope, intercept, use_out, post_mask, post_const in itertools.product(
+        range(size), (0, 1), (0, 1), (0, 1), (0, 1), range(size), (0, 1)
+    ):
+        tables.add(sum(
+            (use_out & (slope & (parity[in_mask & x] ^ in_const) ^ intercept) ^ parity[post_mask & x] ^ post_const) << x
+            for x in range(size)
+        ))
+    affine = {sum(b << x for x, b in enumerate(l.truth_table().table)) for l in all_affine_forms(n)}
+    assert tables == affine and len(affine) == 2 * size
 
 
 def _local_program(rng, n, epsilon):

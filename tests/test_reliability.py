@@ -103,7 +103,7 @@ def test_deep_formula_roundtrips_without_recursion():
 def test_parse_evaluates_nand_semantics():
     f = parse_formula("(nand a (nand a b))")
     for a, b in itertools.product((0, 1), repeat=2):
-        assert f.evaluate((a, b)) == 1 - (a & (1 - (a & b)))
+        assert f.evaluate_all((a, b))[-1] == 1 - (a & (1 - (a & b)))
 
 
 def test_parse_errors_carry_line_numbers():
@@ -1002,7 +1002,7 @@ def test_noncontextual_circuit_stays_above_the_nonlinearity_floor():
     # in x, so the average error is at least nu(f)/2^n (the paper's first
     # result), and with it the mean of the per-input upper bounds
     formula = parse_formula((Path(__file__).parent / "golden" / "tree4.nand").read_text())
-    f = BooleanFunction.from_callable(formula.n_inputs, lambda *x: formula.evaluate(x))
+    f = BooleanFunction.from_callable(formula.n_inputs, lambda *x: formula.evaluate_all(x)[-1])
     floor = Fraction(nonlinearity(f), 1 << f.arity)
     assert floor == Fraction(5, 16)
     kmaj, _ = chsh_gates()  # no restore stage runs at r = 0
@@ -1084,7 +1084,7 @@ def test_size_cap_counts_every_stage(monkeypatch, text):
 def test_entry_points_reject_a_wrong_length_input(x):
     kmaj, xnand = chsh_gates()
     circ = build(parse_formula("(nand a b)"), 9, 3, 1, xnand=xnand, kmaj=kmaj, seed=1)
-    with pytest.raises(ValueError, match="one bit per formula input required"):
+    with pytest.raises(ValueError, match=f"expected 2 bits, got {len(x)}"):
         simulate_monte_carlo(circ, x, 10, seed=1)
 
 
@@ -1108,8 +1108,30 @@ def test_bools_and_numpy_bits_are_inputs():
     kmaj, xnand = chsh_gates()
     circ = build(parse_formula("(nand a b)"), 9, 3, 1, xnand=xnand, kmaj=kmaj, seed=1)
     x = (True, np.int64(0))
-    assert circ.formula.evaluate(x) == 1
+    assert circ.formula.evaluate_all(x)[-1] == 1
     assert simulate_monte_carlo(circ, x, 64, seed=1) == simulate_monte_carlo(circ, (1, 0), 64, seed=1)
+
+
+def _bit_vector_entry_points():
+    kmaj, xnand = chsh_gates()
+    circ = build(parse_formula("(nand a b)"), 9, 3, 1, xnand=xnand, kmaj=kmaj, seed=1)
+    return {
+        "call": lambda x: make_named("and")(*x),
+        "outcome": corrbox.distribution(chsh_and_box(), (0, 0)).__getitem__,
+        "evaluate_all": circ.formula.evaluate_all,
+        "monte_carlo": lambda x: simulate_monte_carlo(circ, x, 64, seed=1),
+    }
+
+
+@pytest.mark.parametrize("entry", ["call", "outcome", "evaluate_all", "monte_carlo"])
+@pytest.mark.parametrize("x", [(1.0, 0), (np.float64(1), 0), ("1", 0), (2, 0), (0,), (0, 0, 0)])
+def test_every_bit_vector_entry_point_keeps_one_contract(entry, x):
+    # one rule, boolfn.index_of, checks them all; a float outcome used to
+    # pass the distribution's own check and fail later with TypeError
+    call = _bit_vector_entry_points()[entry]
+    with pytest.raises(ValueError, match="is not a bit|expected 2 bits"):
+        call(x)
+    assert call((True, 0)) == call((1, 0))
 
 
 def test_entry_points_reject_a_negative_seed():
@@ -1700,7 +1722,7 @@ def box_circuit(text, box, width, seed, rounds=0):
         mbqc._parity_program(2, box, [0b01, 0b10]), make_named("and")))
     formula = parse_formula(text)
     circ = build(formula, width, 3, rounds, xnand=xnand_from_and(and_gate), kmaj=maj3_from_and(and_gate), seed=seed)
-    return circ, BooleanFunction.from_callable(formula.n_inputs, lambda *x: formula.evaluate(x))
+    return circ, BooleanFunction.from_callable(formula.n_inputs, lambda *x: formula.evaluate_all(x)[-1])
 
 
 def exact_minus_independence(circ, f, box):
