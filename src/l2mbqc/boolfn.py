@@ -129,10 +129,12 @@ def all_affine_forms(arity: int) -> Iterable[AffineForm]:
 # ---------------------------------------------------------------------------
 # named functions
 
+@lru_cache(maxsize=16, typed=True)
 def make_named(name: str, k: int | None = None) -> BooleanFunction:
     """Construct a named function: and, nand, xor, maj, xnand.
 
-    ``k`` is the arity for maj (odd); the other names have fixed arity.
+    ``k`` is the arity for maj (odd); the other names have fixed arity. The 16
+    most recent results are kept and shared; each is immutable, of at most 2^16 entries.
     """
     if name == "maj" and k is not None and k > BRUTE_FORCE_ARITY_CAP:
         # checked before the 2^k-entry table is built

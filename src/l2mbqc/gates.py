@@ -3,8 +3,10 @@
 A noisy gate is a target function plus a per-input probability of emitting
 the negated output. Resource gates are exact runs of box programs (the
 Bell-state and non-contextual ANDs, any target from a noisy GHZ program),
-whose constructions import ``mbqc`` and ``ghzc`` only when called; majority
-and XNAND are one noisy AND with mod-2 pre- and post-processing.
+whose constructions import ``mbqc`` and ``ghzc`` only when called. The two AND
+gates and each recent target's compiled GHZ program are built once per process
+and shared as immutable values; only the noisy run repeats per epsilon.
+Majority and XNAND are one noisy AND with mod-2 pre- and post-processing.
 All are analyzed against the restoring threshold beta_k and the error
 recursion of wire-wise majority voting.
 """
@@ -79,14 +81,16 @@ def gate_from_report(report: mbqc.StrategyReport) -> NoisyGate:
 # ---------------------------------------------------------------------------
 # constructions from correlation resources
 
+@functools.lru_cache(maxsize=1)
 def chsh_and_gate() -> NoisyGate:
-    """AND from the Bell-state protocol, evaluated exactly by ``mbqc`` (never hardcoded)."""
+    """AND from the Bell-state protocol, run exactly by ``mbqc`` (never hardcoded) once per process."""
     from . import mbqc
     return gate_from_report(mbqc.run_exact(mbqc.chsh_and_program(), make_named("and")))
 
 
+@functools.lru_cache(maxsize=1)
 def noncontextual_and_gate() -> NoisyGate:
-    """The 1/4-noisy AND available without any contextuality, run by ``mbqc``."""
+    """The 1/4-noisy AND available without any contextuality, run by ``mbqc`` once per process."""
     from . import mbqc
     return gate_from_report(mbqc.run_exact(mbqc.noncontextual_and_program(), make_named("and")))
 
@@ -113,10 +117,17 @@ def xnand_from_and(and_gate: NoisyGate) -> NoisyGate:
     return _from_and(and_gate, make_named("xnand"), lambda a, b1, b2: (a ^ b1, a ^ b1 ^ b2))
 
 
+@functools.lru_cache(maxsize=16)
+def _compiled(target: BooleanFunction) -> ghzc.GhzProgram:
+    """The target's compiled GHZ program, shared by every epsilon; 16 recent targets are kept."""
+    from . import ghzc
+    return ghzc.compile_function(target)
+
+
 def gate_from_noisy_ghz(target: BooleanFunction, epsilon: float) -> NoisyGate:
     """Gate for any target from its compiled GHZ program (``ghzc``) on a noise-mixed state."""
     from . import ghzc, mbqc
-    program = ghzc.run_as_l2program(ghzc.compile_function(target), epsilon)
+    program = ghzc.run_as_l2program(_compiled(target), epsilon)
     return gate_from_report(mbqc.run_exact(program, target))
 
 

@@ -44,16 +44,17 @@ class GhzProgram:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"arity {self.n} is negative")
-        masks = [mask for mask, _ in self.qubits]
+        masks = tuple([mask for mask, _ in self.qubits])
         if min(masks, default=1) <= 0:
             raise ValueError("qubit subset mask must be nonempty")
         if self.constant not in (0, 1):
             raise ValueError("constant must be a bit")
         if max(masks, default=0) >> self.n:
             raise ValueError("qubit subset references bits beyond the arity")
-        # derived once, read by verify and the box program; _ratios: (num, den) per qubit
+        # derived once, read by verify and the box program; _ratios: (num, den) per qubit;
+        # tuples, since gates shares one compiled program across calls
         object.__setattr__(self, "_masks", masks)
-        object.__setattr__(self, "_ratios", [delta.as_integer_ratio() for _, delta in self.qubits])
+        object.__setattr__(self, "_ratios", tuple([delta.as_integer_ratio() for _, delta in self.qubits]))
 
     @property
     def n_qubits(self) -> int:

@@ -219,7 +219,7 @@ def _subset_map(mask: int) -> AffineBitMap:
     return AffineBitMap(x_mask=mask)
 
 
-def _parity_program(n: int, box: CorrelationBox, masks: list[int], const: int = 0) -> L2Program:
+def _parity_program(n: int, box: CorrelationBox, masks: tuple[int, ...], const: int = 0) -> L2Program:
     """One box, party j reading parity(masks[j] & x); z is its outcomes' parity xor const."""
     return L2Program(
         n=n,
@@ -231,12 +231,12 @@ def _parity_program(n: int, box: CorrelationBox, masks: list[int], const: int = 
 
 def chsh_and_program() -> L2Program:
     """The Bell-state protocol whose output parity approximates AND."""
-    return _parity_program(2, chsh_and_box(), [0b01, 0b10])
+    return _parity_program(2, chsh_and_box(), (0b01, 0b10))
 
 
 def noncontextual_and_program() -> L2Program:
     """The 1/4-noisy AND from a mixture of deterministic local responses."""
-    return _parity_program(2, noncontextual_and_box(), [0b01, 0b10])
+    return _parity_program(2, noncontextual_and_box(), (0b01, 0b10))
 
 
 def constant_program(n: int, value: int) -> L2Program:

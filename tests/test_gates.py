@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -165,6 +166,57 @@ def test_kmaj_from_noisy_ghz_exact_error(k, eps):
     for e in gate.errors:
         assert e == pytest.approx(eps, abs=1e-12)
     assert max(gate.errors) - min(gate.errors) <= 1e-12
+
+
+def test_cached_and_gates_equal_a_fresh_run_bit_for_bit():
+    for cached, program in ((chsh_and_gate, mbqc.chsh_and_program), (noncontextual_and_gate, mbqc.noncontextual_and_program)):
+        fresh = gates.gate_from_report(mbqc.run_exact(program(), BooleanFunction(2, (0, 0, 0, 1))))
+        assert cached() == fresh and cached().errors == fresh.errors
+        assert cached() is cached()  # one shared, immutable value
+
+
+def test_cached_noisy_ghz_majority_equals_a_fresh_compile_bit_for_bit():
+    # shuffled and interleaved, so a noise level left in a shared program would show
+    calls = [(k, eps) for k in (3, 5, 7) for eps in (0.0, 1e-3, 0.9 * float(beta(k).beta), 0.5)] * 2
+    random.Random(51).shuffle(calls)
+    for k, eps in calls:
+        target = BooleanFunction.from_callable(k, lambda *x: int(2 * sum(x) > k))
+        program = ghzc.run_as_l2program(ghzc.compile_function(target), eps)
+        fresh = gates.gate_from_report(mbqc.run_exact(program, target))
+        gate = kmaj_from_noisy_ghz(k, eps)
+        assert gate.target == target and gate.errors == fresh.errors
+
+
+def test_noise_independent_parts_are_built_once(monkeypatch):
+    runs, compiles = [], []
+    run_exact, compile_function = mbqc.run_exact, ghzc.compile_function
+    monkeypatch.setattr(mbqc, "run_exact", lambda *args: runs.append(args) or run_exact(*args))
+    monkeypatch.setattr(ghzc, "compile_function", lambda f: compiles.append(f) or compile_function(f))
+    for cached in (chsh_and_gate, gates._compiled, make_named):
+        cached.cache_clear()
+    for _ in range(20):
+        maj3_from_and(chsh_and_gate())
+    assert len(runs) == 1
+    runs.clear()
+    for i in range(20):
+        kmaj_from_noisy_ghz(5, 0.02 * i)
+    assert (len(compiles), len(runs)) == (1, 20)
+
+
+@pytest.mark.parametrize("cached", [chsh_and_gate, noncontextual_and_gate, gates._compiled, make_named])
+def test_every_construction_cache_is_bounded(cached):
+    assert cached.cache_info().maxsize is not None
+
+
+def test_named_function_cache_holds_at_most_16_tables_of_2_to_16_entries():
+    assert make_named.cache_info().maxsize == 16
+    # only maj has a free arity, and it is refused above 16 before its table is built
+    with pytest.raises(ValueError, match="above cap 16"):
+        make_named("maj", 17)
+    # a kept maj3 does not stand in for a float arity, which builds no table
+    make_named("maj", 3)
+    with pytest.raises(TypeError):
+        make_named("maj", 3.0)
 
 
 def test_gate_from_report_reads_each_input_success():

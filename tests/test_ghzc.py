@@ -545,6 +545,13 @@ def test_qubit_spec_is_a_plain_record():
     assert (compiled.mask, compiled.delta) == (3, Fraction(1))
 
 
+def test_program_derived_fields_are_tuples():
+    # gates shares one compiled program across calls, so nothing may edit it in place
+    program = compile_function(make_named("maj", 3))
+    assert type(program._masks) is tuple and type(program._ratios) is tuple
+    assert program._masks == (1, 2, 4, 7)
+
+
 def test_program_constant_must_be_a_bit():
     with pytest.raises(ValueError, match="constant must be a bit"):
         GhzProgram(n=1, qubits=(), constant=2)
