@@ -11,12 +11,8 @@ no strategy built from deterministic local responses can match.
 import itertools
 import math
 
-from l2mbqc import (
-    chsh_and_box,
-    chsh_and_gate,
-    distribution,
-    statevector_oracle,
-)
+from l2mbqc.corrbox import chsh_and_box, distribution, statevector_oracle
+from l2mbqc.gates import chsh_and_gate
 
 box = chsh_and_box()
 print("measurement directions (equatorial angles, radians from X):")

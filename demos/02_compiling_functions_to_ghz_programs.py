@@ -10,9 +10,9 @@ expansion, so the whole compilation is exact rational arithmetic.
 
 import random
 
-from l2mbqc import compile_function, make_named, run_as_l2program, run_exact, verify
-from l2mbqc.boolfn import BooleanFunction
-from l2mbqc.ghzc import GhzProgram, QubitSpec
+from l2mbqc.boolfn import BooleanFunction, make_named
+from l2mbqc.ghzc import GhzProgram, QubitSpec, compile_function, run_as_l2program, verify
+from l2mbqc.mbqc import run_exact
 
 
 def show(name, f):

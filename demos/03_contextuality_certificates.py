@@ -8,14 +8,13 @@ contextuality. The margin delta = nu(f)/2^n - (average error) is the
 certificate: positive means contextual, zero or negative is inconclusive.
 """
 
-from l2mbqc import (
+from l2mbqc.boolfn import make_named
+from l2mbqc.ghzc import compile_function, run_as_l2program
+from l2mbqc.mbqc import (
     best_noncontextual_error,
     chsh_and_program,
-    compile_function,
     contextuality_certificate,
-    make_named,
     noncontextual_and_program,
-    run_as_l2program,
     run_exact,
 )
 

@@ -11,8 +11,14 @@ small enough gap, then choose the gate error just below the bound.
 
 import math
 
-from l2mbqc import analyze_recursion, eta_by_iteration, min_k_for_violation
-from l2mbqc.gates import maj_error_recursion, recursion_derivative, threshold_sweep
+from l2mbqc.gates import (
+    analyze_recursion,
+    eta_by_iteration,
+    maj_error_recursion,
+    min_k_for_violation,
+    recursion_derivative,
+    threshold_sweep,
+)
 
 print("k     beta_k        nu/2^k        gap")
 for row in threshold_sweep(15):

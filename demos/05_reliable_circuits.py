@@ -15,7 +15,7 @@ independence figure puts below the line, is refuted by sampling its worst
 input.
 """
 
-from l2mbqc import build, build_report, make_named, parse_formula
+from l2mbqc.boolfn import make_named
 from l2mbqc.gates import (
     chsh_and_gate,
     clopper_pearson_upper,
@@ -23,7 +23,7 @@ from l2mbqc.gates import (
     uniform_noisy_gate,
     xnand_from_and,
 )
-from l2mbqc.reliability import ALPHA
+from l2mbqc.reliability import ALPHA, build, build_report, parse_formula
 
 tree3 = parse_formula(
     "(nand (nand (nand a b) (nand c d)) (nand (nand e f) (nand g h)))"

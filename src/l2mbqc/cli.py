@@ -229,7 +229,14 @@ def cmd_reliable(args: argparse.Namespace) -> int:
         circuit, margin=args.margin, trials=args.trials, seed=args.seed,
         mc_inputs=args.mc_inputs or "all",
     )
-    payload = report.summary()
+    payload = {
+        "delta": report.delta,
+        "worst_input": "".join(str(b) for b in report.worst_input),
+        "margin": report.margin,
+        "reliable": report.reliable,
+        "warnings": list(report.warnings),
+        "evidence": report.evidence,
+    }
     if args.trials is not None:
         payload["mc_stream"] = reliability.MC_STREAM
     rows = [

@@ -244,10 +244,10 @@ def majority_errors(n: int, ps) -> np.ndarray:
     """``majority_error(n, p)`` for every p in ``ps``, bit for bit, in one call.
 
     The bundle readout calls this once per report, on every output class's
-    wire error. The one-p callers, the restoring recursion and
-    ``clopper_pearson_upper``, keep the scalar. The scalar is also the
-    reference this kernel is tested against, and it sums the rare tails
-    that outlast ``_binomial_upper_tails``' pass.
+    wire error. The restoring recursion, the one-p caller, keeps the scalar
+    (``clopper_pearson_upper`` inverts ``_binomial_upper_tail`` directly).
+    The scalar is also the reference this kernel is tested against, and it
+    sums the rare tails that outlast ``_binomial_upper_tails``' pass.
     """
     ps = np.asarray(ps, dtype=float)
     upper, tails = ps > 0.5, ps + 0.0  # a copy, with -0.0 made 0.0 as the scalar returns it

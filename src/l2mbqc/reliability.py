@@ -730,16 +730,6 @@ class SimulationReport:
         """The one verdict rule: every input sampled, each upper bound below 1/2 - margin."""
         return all(row.upper is not None and row.upper < 0.5 - self.margin for row in self.rows)
 
-    def summary(self) -> dict:
-        return {
-            "delta": self.delta,
-            "worst_input": "".join(str(b) for b in self.worst_input),
-            "margin": self.margin,
-            "reliable": self.reliable,
-            "warnings": list(self.warnings),
-            "evidence": self.evidence,
-        }
-
 
 def certify(report: SimulationReport, margin: float) -> bool:
     """The report's verdict at another margin."""

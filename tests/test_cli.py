@@ -182,7 +182,9 @@ def test_reliable_degraded_run_exits_1(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["reliable"] is False
     assert any("beta_3" in w for w in payload["warnings"])
-    assert "mc_stream" not in payload
+    # no mc_stream without --trials
+    assert set(payload) == {"delta", "worst_input", "margin", "reliable", "warnings", "evidence", "rows"}
+    assert payload["worst_input"] in {row["input"] for row in payload["rows"]}
 
 
 def test_reliable_json_names_the_mc_stream_with_trials(nand_formula, capsys):

@@ -1185,15 +1185,6 @@ def test_build_report_checks_arguments_before_the_sweep(monkeypatch, text, kwarg
         build_report(circ, **kwargs)
 
 
-def test_report_summary_fields():
-    kmaj, xnand = chsh_gates()
-    circ = build(parse_formula("(nand a b)"), 9, 3, 1, xnand=xnand, kmaj=kmaj, seed=1)
-    report = build_report(circ, margin=0.05)
-    summary = report.summary()
-    assert set(summary) == {"delta", "worst_input", "margin", "reliable", "warnings", "evidence"}
-    assert summary["worst_input"] in {"00", "01", "10", "11"}
-
-
 # ---------------------------------------------------------------------------
 # the batch sweep against per-input walks
 
