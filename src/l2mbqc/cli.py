@@ -18,10 +18,12 @@ child loads only what its subcommand needs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 OUTPUT_DIR_ENV = "L2MBQC_OUTPUT_DIR"
 
@@ -33,6 +35,28 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.9g}"
     return str(value)
+
+
+def _cells(column: tuple) -> list[str]:
+    """A column's CSV cells, each as ``_fmt`` writes it; a column of floats,
+    of strings or of Nones is written in one pass, without a call per cell."""
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        return list(map(format, column, itertools.repeat(".9g")))
+    if kinds == {str}:
+        return list(column)
+    if kinds == {type(None)}:
+        return [""] * len(column)
+    return list(map(_fmt, column))
+
+
+#: bytes 0 and 1 to the digits "0" and "1"
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _bits(xs: Iterable[tuple[int, ...]]) -> Iterator[str]:
+    """Each input's bits as a string of 0s and 1s, first bit first."""
+    return map(bytes.decode, map(bytes.translate, map(bytes, xs), itertools.repeat(_DIGITS)))
 
 
 def _frac(x: Fraction) -> str:
@@ -66,7 +90,8 @@ def _table(args: argparse.Namespace, payload: dict, rows: list[dict], comments: 
         return
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(rows[0]))
-    lines.extend(",".join(_fmt(v) for v in row.values()) for row in rows)
+    columns = zip(*(row.values() for row in rows))
+    lines.extend(map(",".join, zip(*map(_cells, columns))))
     _write(args.output, "\n".join(lines) + "\n")
 
 
@@ -241,12 +266,12 @@ def cmd_reliable(args: argparse.Namespace) -> int:
         payload["mc_stream"] = reliability.MC_STREAM
     rows = [
         {
-            "input": "".join(str(b) for b in row.x),
+            "input": x,
             "analytic_error": row.analytic_error,
             "empirical_error": row.empirical_error,
             "upper": row.upper,
         }
-        for row in report.rows
+        for x, row in zip(_bits(row.x for row in report.rows), report.rows)
     ]
     e = report.evidence
     evidence = f"none ({e['note']})" if e["kind"] == "none" else (

@@ -30,9 +30,12 @@ circuit's fixed wiring, and its walks take the sampled inputs a chunk at a
 time; it quantifies how much that assumption leaks.
 
 The Monte Carlo sampler is bit-sliced: 64 trials ride in one uint64 word,
-and trials run in blocks of ``BLOCK`` = 1024. Block b draws all its gate
-flips from one SFC64 stream seeded with (seed, b), a group of stages at a
-time as the walk reaches them, so every input meets the same flips, a
+and trials run in blocks of ``BLOCK`` = 1024. A stage runs its gate's value
+and flip tables as one straight-line plan of word operations (``_plan``),
+built once per distinct pair of tables; a circuit's plans, gathers and mask
+counts are laid out once, on its first sampled run. Block b draws all its
+gate flips from one SFC64 stream seeded with (seed, b), a group of stages
+at a time as the walk reaches them, so every input meets the same flips, a
 trial's outcome depends only on (seed, input, block) and a shorter run is a
 prefix of a longer one. ``MC_STREAM`` names this stream contract,
 "bitsliced-sfc64-v3".
@@ -216,9 +219,39 @@ class ReliableCircuit:
     seed: int
 
     @functools.cached_property
-    def wiring(self) -> tuple[tuple[np.ndarray | None, ...], ...]:
+    def _sampler(self):
+        """The sampler's work per gate kind and per stage, laid out on its
+        first run on the circuit.
+
+        Per kind, (the error values strictly between 0 and 1, ascending, one
+        drawn mask each; its stage count). Per stage, (kind, plan, gathers):
+        the ``_plan`` of its gate's value table XOR its flip table, whose key
+        2 + j selects the mask of error value j; and per run of gate inputs
+        that read one bundle, (the run's first input, the (run length, W)
+        wire indices that gather the whole run in one take, or None for an
+        input that reads the bundle as is).
+        """
+        kinds, plans = {}, {}
+        for kind, gate in (("restore", self.kmaj), ("compute", self.xnand)):
+            values = tuple(sorted({e for e in gate.errors if 0.0 < e < 1.0}))
+            flips = tuple(0 if e == 0.0 else 1 if e == 1.0 else 2 + values.index(e) for e in gate.errors)
+            plans[kind] = _plan(tuple(int(b) for b in gate.target.table), flips)
+            kinds[kind] = (values, sum(stage.kind == kind for stage in self.stages))
+        stages = []
+        for stage, perms in zip(self.stages, self.wiring):
+            if stage.kind == "restore":  # k reads of one bundle: one take of its (k, W) row
+                gathers = ((0, perms),)
+            else:  # (a, b, b): a as is, b through sigma1 and sigma2 in one take
+                gathers = ((0, None), (1, np.stack(perms[1:])))
+            stages.append((stage.kind, plans[stage.kind], gathers))
+        return kinds, tuple(stages)
+
+    @functools.cached_property
+    def wiring(self) -> tuple[np.ndarray | tuple[np.ndarray | None, ...], ...]:
         """Per stage, the index array that feeds each gate input, so the
-        sampler gathers wires with it directly; None feeds wire j itself.
+        sampler gathers wires with it directly; None feeds wire j itself. A
+        restore's row is one (k, W) array, so the sampler gathers its k
+        reads in one take.
 
         Drawn once per circuit from ``default_rng([seed, 0])``, stage by
         stage: a restore draws k independent permutations of range(W)
@@ -231,7 +264,7 @@ class ReliableCircuit:
         rows = []
         for stage in self.stages:
             if stage.kind == "restore":
-                rows.append(tuple(rng.permutation(w) for _ in stage.sources))
+                rows.append(np.stack([rng.permutation(w) for _ in stage.sources]))
             else:
                 sigma1 = rng.permutation(w)
                 rows.append((None, sigma1, np.roll(sigma1, -(w // 2))))
@@ -498,6 +531,7 @@ ROUNDS_PER_PASS = 10
 #: GROUP_WORDS // _WORDS = 4096, and the readout unpacks at most 4 MiB
 GROUP_WORDS = 1 << 16
 _WORDS = BLOCK // 64
+_ZERO = np.uint64(0)
 _ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
 
@@ -516,73 +550,127 @@ def _flip_words(bitgen: np.random.BitGenerator, p: float, n: int) -> np.ndarray:
     significant bit first, in passes of ``ROUNDS_PER_PASS``: each round of a
     pass draws one random word per word that had an undecided lane when the
     pass began, and the words whose lanes are all decided drop out between
-    passes. Lanes left undecided when the expansion ends have U >= p.
+    passes. Lanes left undecided when the expansion ends have U >= p. The
+    first round's draw is the undecided words (or, at p_1 = 1, the flips),
+    and a pass's first 1-round draw is its flips, so no buffer is filled
+    before the first draw.
     """
     num, den = float(p).as_integer_ratio()
     bits = [(num >> shift) & 1 for shift in reversed(range(den.bit_length() - 1))]
-    out = np.zeros(n, dtype=np.uint64)
+    out = None  # every word's flips, once a round has flipped a lane
     live = None  # indices of the words still in play, once some dropped out
-    undecided = np.full(n, _ONES)
+    undecided = None  # the undecided lanes of the words in play, after the first round
     for start in range(0, len(bits), ROUNDS_PER_PASS):
         if start:
-            keep = np.flatnonzero(undecided)
+            keep = np.flatnonzero(undecided != 0)  # on bools, several times faster than on words
             if not keep.size:
                 break
             live = keep if live is None else live[keep]
             undecided = undecided[keep]
-        flips = out if live is None else np.zeros(live.size, dtype=np.uint64)
+        flips = None  # this pass's flips of the words in play, once a 1-round drew
         for bit in bits[start : start + ROUNDS_PER_PASS]:
-            r = bitgen.random_raw(undecided.size)  # the lanes with u_i = 0
-            if bit:  # undecided u_i = 0 lanes fall below p, the others stay undecided
+            r = bitgen.random_raw(n if undecided is None else undecided.size)  # the lanes with u_i = 0
+            if undecided is None:  # the first round: every lane is undecided
+                flips, undecided = (r, ~r) if bit else (None, r)
+            elif bit:  # undecided u_i = 0 lanes fall below p, the others stay undecided
                 r &= undecided
-                flips |= r
                 undecided ^= r
+                if flips is None:
+                    flips = r
+                else:
+                    flips |= r
             else:  # undecided u_i = 1 lanes rise above p, the others stay undecided
                 undecided &= r
-        if live is not None:
+        if live is None:
+            out = flips
+        elif flips is not None:
+            if out is None:
+                out = np.zeros(n, dtype=np.uint64)
             out[live] |= flips
-    return out
+    return np.zeros(n, dtype=np.uint64) if out is None else out
 
 
-def _mux(keys: tuple[int, ...], xs: Sequence[np.ndarray], leaf, memo: dict):
-    """Shannon mux tree of the table ``keys`` over bit-sliced operands ``xs``.
+@functools.lru_cache(maxsize=64)
+def _plan(*tables: tuple[int, ...]) -> tuple[tuple, int, int]:
+    """A straight-line program of word operations for the XOR of the key
+    tables ``tables``, all of one arity; built once per distinct tuple of
+    tables.
 
-    Entry i of ``keys`` is the value at input index i, whose bit j is operand
-    j. Keys 0 and 1 are the constant words and fold away; any other key is
-    looked up with ``leaf``. Returns a word array, or the int 0 or 1 when
-    the result is constant. Equal sub-tables are evaluated once.
+    Entry i of a table is its value at input index i, whose bit j is operand
+    j; key 0 or 1 is the constant word of 0s or of 1s, key 2 + j leaf word
+    j, with a leaf for every key up to the largest one in ``tables``. The
+    program runs on the registers [0s, 1s, leaf 0, ..., operand 0,
+    ..., then ``slots`` temporaries] (see ``_run``): op (ufunc, a, b, d) sets
+    register d to ufunc(register a, register b), and the result is register
+    ``out``, a constant's when the result is constant. Each table is a
+    Shannon mux tree over its operands, the most significant first.
+    Constants fold, equal sub-tables and equal ops (a complemented operand
+    among them) share one register, and a temporary's register is reused
+    once its last reader has run, all while the program is built.
     """
-    if len(keys) == 1:
-        return keys[0] if keys[0] in (0, 1) else leaf(keys[0])
-    if keys in memo:
-        return memo[keys]
-    half = len(keys) // 2
-    lo, hi = keys[:half], keys[half:]
-    f0 = _mux(lo, xs, leaf, memo)
-    if lo == hi:
-        return f0
-    f1 = _mux(hi, xs, leaf, memo)
-    x = xs[half.bit_length() - 1]
-    if isinstance(f0, int) and isinstance(f1, int):
-        out = x if f1 else ~x
-    elif isinstance(f0, int):
-        out = (x & f1) if f0 == 0 else (f1 | ~x)
-    elif isinstance(f1, int):
-        out = (f0 & ~x) if f1 == 0 else (f0 | x)
-    else:
-        out = f0 ^ (x & (f0 ^ f1))  # = (x & f1) | (~x & f0)
-    memo[keys] = out
-    return out
+    leaves = max(1, *map(max, tables)) - 1
+    base = 2 + leaves  # operand j's register
+    temp = base + len(tables[0]).bit_length() - 1  # the first op's register
+    ops: dict[tuple, int] = {}  # (ufunc, a, b) -> its register, in program order
+    nodes: dict[tuple[int, ...], int] = {}  # sub-table -> its register
+
+    def emit(ufunc, a: int, b: int) -> int:
+        return ops.setdefault((ufunc, min(a, b), max(a, b)), temp + len(ops))
+
+    def xor(a: int, b: int) -> int:
+        if a == b:
+            return 0
+        if a > b:
+            a, b = b, a
+        return b if a == 0 else emit(np.bitwise_xor, a, b)  # a == 1 complements b
+
+    def node(keys: tuple[int, ...]) -> int:
+        if len(keys) == 1:
+            return keys[0]
+        if keys not in nodes:
+            half = len(keys) // 2
+            f0, f1 = node(keys[:half]), node(keys[half:])
+            x = base + half.bit_length() - 1
+            if f0 == f1:
+                out = f0
+            elif f0 < 2 and f1 < 2:
+                out = xor(x, f0)  # x, or its complement
+            elif f0 < 2:
+                out = emit(np.bitwise_and, x, f1) if f0 == 0 else emit(np.bitwise_or, f1, xor(x, 1))
+            elif f1 < 2:
+                out = emit(np.bitwise_and, f0, xor(x, 1)) if f1 == 0 else emit(np.bitwise_or, f0, x)
+            else:
+                out = xor(f0, emit(np.bitwise_and, x, xor(f0, f1)))  # = (x & f1) | (~x & f0)
+            nodes[keys] = out
+        return nodes[keys]
+
+    out = 0
+    for table in tables:
+        out = xor(out, node(table))
+    program = list(ops)  # op j's result is register temp + j until registers are reused
+    last = {r: j for j, (_, a, b) in enumerate(program) for r in (a, b)}  # each register's last reader
+    last[out] = len(program)
+    slot: dict[int, int] = {}  # a temporary -> the register it is kept in
+    free: list[int] = []
+    slots, steps = 0, []
+    for j, (ufunc, a, b) in enumerate(program):
+        free.extend(slot[r] for r in {a, b} if r >= temp and last[r] == j)
+        if not free:
+            free.append(temp + slots)
+            slots += 1
+        slot[temp + j] = free.pop()
+        steps.append((ufunc, slot.get(a, a), slot.get(b, b), slot[temp + j]))
+    return tuple(steps), slot.get(out, out), slots
 
 
-def _gate_keys(gate: NoisyGate) -> tuple[tuple[int, ...], tuple[int, ...], tuple[float, ...]]:
-    """Mux keys of a gate's value table and flip table, and the error values
-    that need a drawn mask: key 2 + j selects the mask of ``values[j]``."""
-    values = tuple(sorted({e for e in gate.errors if 0.0 < e < 1.0}))
-    flips = tuple(
-        0 if e == 0.0 else 1 if e == 1.0 else 2 + values.index(e) for e in gate.errors
-    )
-    return tuple(int(b) for b in gate.target.table), flips, values
+def _run(plan: tuple[tuple, int, int], leaves: Sequence[np.ndarray], operands: Sequence[np.ndarray]):
+    """Run a ``_plan`` on its leaf and operand words; a constant result is
+    the scalar word of 0s or of 1s."""
+    steps, out, slots = plan
+    registers = [_ZERO, _ONES, *leaves, *operands] + [None] * slots
+    for ufunc, a, b, d in steps:
+        registers[d] = ufunc(registers[a], registers[b])
+    return registers[out]
 
 
 def _wrong_trials(
@@ -607,40 +695,41 @@ def _wrong_trials(
     w = circuit.width
     # the words of a bundle whose wires all carry 0, and all carry 1
     start = np.broadcast_to(np.array([0, _ONES], dtype=np.uint64)[:, None, None], (2, w, _WORDS))
-    gate_keys = {"restore": _gate_keys(circuit.kmaj), "compute": _gate_keys(circuit.xnand)}
-    kind_count = {kind: sum(stage.kind == kind for stage in circuit.stages) for kind in gate_keys}
+    kinds, layout = circuit._sampler
     group = GROUP_WORDS // (w * _WORDS)  # stages per mask group, and inputs per chunk
-    wiring = circuit.wiring
 
     def run_chunk(block: int, chunk: np.ndarray) -> np.ndarray:
         bitgen = np.random.SFC64(np.random.SeedSequence([seed, block]))
         masks = {}  # kind -> its current group's masks, one per error value
-        seen = dict.fromkeys(gate_keys, 0)  # stages of each kind walked so far
+        seen = dict.fromkeys(kinds, 0)  # stages of each kind walked so far
 
         def step(stages: range, idx: np.ndarray, reads: list[np.ndarray]):
             for s in stages:  # a step's stages in order, each after the first reading the one before
-                stage = circuit.stages[s]
-                if s > stages[0]:
-                    reads = [out] * len(stage.sources)
-                i = seen[stage.kind] % group  # the stage's place in its group
+                kind, plan, gathers = layout[s]
+                i = seen[kind] % group  # the stage's place in its group
                 if not i:
-                    n = min(group, kind_count[stage.kind] - seen[stage.kind])
-                    masks[stage.kind] = [_flip_words(bitgen, p, n * w * _WORDS).reshape(n, w, _WORDS)
-                                         for p in gate_keys[stage.kind][2]]
-                seen[stage.kind] += 1
-                table, flips, _ = gate_keys[stage.kind]
-                kind_masks = masks[stage.kind]
-                vs = [r if perm is None else r.take(perm, axis=1) for r, perm in zip(reads, wiring[s])]
-                value = _mux(table, vs, None, {})  # a word array: majority and XNAND read their inputs
-                flip = _mux(flips, vs, lambda key: kind_masks[key - 2][i], {})
-                out = value ^ (start[flip] if isinstance(flip, int) else flip)
+                    values, count = kinds[kind]
+                    n = min(group, count - seen[kind])
+                    # a stage's (1, W, words) mask has a one-class state's shape, so XORs need no broadcast
+                    masks[kind] = [_flip_words(bitgen, p, n * w * _WORDS).reshape(n, 1, w, _WORDS) for p in values]
+                seen[kind] += 1
+                operands = []
+                for first, perms in gathers:
+                    r = out if s > stages[0] else reads[first]
+                    if perms is None:
+                        operands.append(r)
+                    else:  # (classes, run, W, words): one operand per input of the run
+                        operands.extend(r.take(perms, axis=1).swapaxes(0, 1))
+                # a word array: majority and XNAND read their inputs
+                out = _run(plan, [mask[i] for mask in masks[kind]], operands)
             return out
 
         classes, values, states = _walk(circuit, chunk, start, step)
-        # per class, whether each trial's readout is wrong
+        # per class, whether each trial's readout is wrong; a lane's votes, at
+        # most the sampled width, fit a uint16 sum
         wrong = [
             2 * np.unpackbits((state ^ start[v]).astype("<u8", copy=False).view(np.uint8),
-                              axis=1, bitorder="little").sum(axis=0) >= w
+                              axis=1, bitorder="little").sum(axis=0, dtype=np.uint16) >= w
             for state, v in zip(states, values.tolist())
         ]
         return np.array(wrong)[classes]
@@ -680,8 +769,9 @@ def simulate_monte_carlo(
 ) -> MonteCarloResult:
     """Sample every wire with the circuit's fixed wiring; exact given the seed.
 
-    The sampler is bit-sliced: 64 trials share a uint64 word and each gate's
-    truth table is evaluated as a mux tree of word operations. Trials run in
+    The sampler is bit-sliced: 64 trials share a uint64 word and each stage
+    runs one straight-line plan of word operations, its gate's value table
+    XOR its flip table, built once per table pair (``_plan``). Trials run in
     blocks of ``BLOCK`` = 1024, and block b draws from its own SFC64 stream
     seeded with (seed, b), so every input meets the same flips. A partial
     last block still draws the whole block, so a trial's outcome depends

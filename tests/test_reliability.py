@@ -616,6 +616,156 @@ def test_flip_words_peak_memory():
     assert peak <= 5.5 * 8 * n
 
 
+def loop_flip_words(bitgen, p, n):
+    """The loop form of ``_flip_words`` the sampler ran before each mask's
+    dense pass started from its first draws: every word starts undecided and
+    unflipped in full buffers, and every round updates them."""
+    num, den = float(p).as_integer_ratio()
+    bits = [(num >> shift) & 1 for shift in reversed(range(den.bit_length() - 1))]
+    out = np.zeros(n, dtype=np.uint64)
+    live = None
+    undecided = np.full(n, reliability._ONES)
+    for start in range(0, len(bits), reliability.ROUNDS_PER_PASS):
+        if start:
+            keep = np.flatnonzero(undecided)
+            if not keep.size:
+                break
+            live = keep if live is None else live[keep]
+            undecided = undecided[keep]
+        flips = out if live is None else np.zeros(live.size, dtype=np.uint64)
+        for bit in bits[start : start + reliability.ROUNDS_PER_PASS]:
+            r = bitgen.random_raw(undecided.size)
+            if bit:
+                r &= undecided
+                flips |= r
+                undecided ^= r
+            else:
+                undecided &= r
+        if live is not None:
+            out[live] |= flips
+    return out
+
+
+#: the two error values of ``kmaj_from_noisy_ghz(5, 0.05)``, 0.05 give or take rounding
+GHZ5_ERROR_VALUES = sorted(set(gates.kmaj_from_noisy_ghz(5, 0.05).errors))
+
+
+@pytest.mark.parametrize("p", [SIN2_PI8, 1 / 4, 1 / 2, 1 / 3, *GHZ5_ERROR_VALUES, 2.0**-1074])
+def test_flip_words_equal_the_loop_reference_and_draw_as_many_words(p):
+    # 9 072, 38 880 and 58 320 words are TREE3's compute and restore masks at
+    # W=81 and its restore groups at W=729
+    assert len(GHZ5_ERROR_VALUES) == 2
+    for n in (1, 5, 9072, 38880, 58320):
+        key = np.random.SeedSequence([n, 17])
+        want_bitgen, got_bitgen = np.random.SFC64(key), np.random.SFC64(key)
+        want = loop_flip_words(want_bitgen, p, n)
+        got = reliability._flip_words(got_bitgen, p, n)
+        assert got.dtype == np.uint64 and np.array_equal(got, want)
+        # SFC64's state ends in a counter of the raw words drawn
+        assert got_bitgen.state["state"]["state"].tolist() == want_bitgen.state["state"]["state"].tolist()
+
+
+def lane_bits(words):
+    """Every lane's bit of a word array, lane 64 i + b being bit b of word i."""
+    return [int(word) >> b & 1 for word in np.ravel(words) for b in range(64)]
+
+
+def lookup(tables, operands, leaves):
+    """Per lane, the XOR over ``tables`` of the key that the lane's operand
+    bits index: key 0 or 1 itself, key 2 + j the lane's bit of leaf j."""
+    operand_bits = [lane_bits(x) for x in operands]
+    leaf_bits = [lane_bits(leaf) for leaf in leaves]
+    out = []
+    for lane in range(len(operand_bits[0])):
+        index = sum(bits[lane] << j for j, bits in enumerate(operand_bits))
+        keys = [table[index] for table in tables]
+        out.append(functools.reduce(int.__xor__, (key if key < 2 else leaf_bits[key - 2][lane] for key in keys)))
+    return out
+
+
+def run_plan(tables, operands, leaves):
+    """A ``_plan`` run on the words, a constant result broadcast to their shape."""
+    got = reliability._run(reliability._plan(*tables), leaves, operands)
+    if np.ndim(got) == 0:
+        assert got in (reliability._ZERO, reliability._ONES)
+    return np.broadcast_to(got, operands[0].shape)
+
+
+@st.composite
+def key_tables(draw):
+    """One or two key tables of one arity <= 5, over 0, 1 and up to 3 leaves."""
+    arity, top = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    table = st.lists(st.integers(0, top), min_size=1 << arity, max_size=1 << arity).map(tuple)
+    return tuple(draw(st.lists(table, min_size=1, max_size=2)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(tables=key_tables(), seed=st.integers(0, 2**32 - 1))
+def test_plan_equals_a_lane_lookup_property(tables, seed):
+    # the leaves are keys 2 .. the largest key, as the sampler passes them
+    arity = len(tables[0]).bit_length() - 1
+    words = np.random.SFC64(seed).random_raw((arity + max(1, *map(max, tables)) - 1, 2))
+    operands, leaves = words[:arity], words[arity:]
+    assert lane_bits(run_plan(tables, operands, leaves)) == lookup(tables, operands, leaves)
+
+
+@pytest.mark.parametrize("tables", [
+    ((0,) * 8,), ((1,) * 4,), ((2,) * 8,), ((0, 1, 1, 0), (0, 1, 1, 0)), ((0, 1, 1, 0), (1, 0, 0, 1)),
+    ((0, 0, 0, 1, 0, 1, 1, 1), (1,) * 8),
+])
+def test_plan_folds_constants(tables):
+    # constant results, a leaf alone and a complement, on every lane
+    words = np.random.SFC64(3).random_raw((4, 2))
+    arity = len(tables[0]).bit_length() - 1
+    operands, leaves = words[:arity], words[arity:][: max(1, *map(max, tables)) - 1]
+    assert lane_bits(run_plan(tables, operands, leaves)) == lookup(tables, operands, leaves)
+
+
+def package_gates():
+    """Every gate the package builds for a circuit, by role: the majority
+    and XNAND from the CHSH and non-contextual ANDs, the noisy-GHZ 5- and
+    7-input majorities and uniform noisy gates."""
+    yield from (("restore", gates.maj3_from_and(base)) for base in (chsh_and_gate(), noncontextual_and_gate()))
+    yield from (("compute", gates.xnand_from_and(base)) for base in (chsh_and_gate(), noncontextual_and_gate()))
+    yield from (("restore", gates.kmaj_from_noisy_ghz(k, 0.05)) for k in (5, 7))
+    yield from (("restore", uniform_noisy_gate(make_named("maj", k), e)) for k, e in ((3, 0.0), (5, 0.1)))
+    yield "compute", uniform_noisy_gate(make_named("xnand"), 0.2)
+
+
+@pytest.mark.parametrize("kind, gate", list(package_gates()))
+def test_each_stage_plan_equals_its_gate_tables_lane_by_lane(kind, gate):
+    # a stage's output is its value table XOR its flip table, whose key 2 + j
+    # selects the mask of the j-th smallest error value strictly inside (0, 1)
+    kmaj, xnand = perfect_gates(gate.k if kind == "restore" else 3)
+    kmaj, xnand = (gate, xnand) if kind == "restore" else (kmaj, gate)
+    circ = build(parse_formula("(nand a b)"), 9, kmaj.k, 1, xnand=xnand, kmaj=kmaj, seed=1)
+    kinds, layout = circ._sampler
+    values = kinds[kind][0]
+    assert values == tuple(sorted({e for e in gate.errors if 0.0 < e < 1.0}))
+    words = np.random.SFC64(gate.k).random_raw((gate.k + len(values), 2))
+    operands, masks = words[: gate.k], words[gate.k :]
+    [plan] = {plan for stage_kind, plan, _ in layout if stage_kind == kind}
+    got = lane_bits(reliability._run(plan, masks, operands))
+    mask_bits = [lane_bits(mask) for mask in masks]
+    operand_bits = [lane_bits(x) for x in operands]
+    for lane, bit in enumerate(got):
+        index = sum(bits[lane] << j for j, bits in enumerate(operand_bits))
+        e = gate.errors[index]
+        flip = int(e) if e in (0.0, 1.0) else mask_bits[values.index(e)][lane]
+        assert bit == gate.target.table[index] ^ flip
+
+
+def test_plans_are_built_once_per_table_in_a_finite_cache():
+    assert reliability._plan.cache_info().maxsize is not None  # None is an unbounded cache
+    kmaj, xnand = chsh_gates()
+    circ = build(parse_formula(TREE3), 9, 3, 1, xnand=xnand, kmaj=kmaj, seed=7)
+    reliability._plan.cache_clear()
+    for seed in range(20):
+        simulate_monte_carlo(circ, (1, 0, 1, 1, 0, 0, 1, 0), trials=64, seed=seed)
+    info = reliability._plan.cache_info()
+    assert info.misses == info.currsize == 2 and info.hits == 0  # one per gate, on the first call
+
+
 def test_degenerate_single_wire_gate():
     # width-1 circuit: the logical error is exactly the compute gate's error
     _, xnand = chsh_gates()
