@@ -28,26 +28,15 @@ from typing import Iterable, Iterator
 OUTPUT_DIR_ENV = "L2MBQC_OUTPUT_DIR"
 
 
+def _cells(values: Iterable) -> list[str]:
+    """CSV cells, such as a column's: empty for None, 9 significant digits
+    for a float."""
+    return ["" if v is None else f"{v:.9g}" if isinstance(v, float) else str(v) for v in values]
+
+
 def _fmt(value) -> str:
-    """One CSV cell: empty for None, 9 significant digits for a float."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
-
-
-def _cells(column: tuple) -> list[str]:
-    """A column's CSV cells, each as ``_fmt`` writes it; a column of floats,
-    of strings or of Nones is written in one pass, without a call per cell."""
-    kinds = set(map(type, column))
-    if kinds == {float}:
-        return list(map(format, column, itertools.repeat(".9g")))
-    if kinds == {str}:
-        return list(column)
-    if kinds == {type(None)}:
-        return [""] * len(column)
-    return list(map(_fmt, column))
+    """One CSV cell, as ``_cells`` writes it."""
+    return _cells((value,))[0]
 
 
 #: bytes 0 and 1 to the digits "0" and "1"

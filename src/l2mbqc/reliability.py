@@ -31,14 +31,13 @@ time; it quantifies how much that assumption leaks.
 
 The Monte Carlo sampler is bit-sliced: 64 trials ride in one uint64 word,
 and trials run in blocks of ``BLOCK`` = 1024. A stage runs its gate's value
-and flip tables as one straight-line plan of word operations (``_plan``),
-built once per distinct pair of tables; a circuit's plans, gathers and mask
-counts are laid out once, on its first sampled run. Block b draws all its
-gate flips from one SFC64 stream seeded with (seed, b), a group of stages
-at a time as the walk reaches them, so every input meets the same flips, a
-trial's outcome depends only on (seed, input, block) and a shorter run is a
-prefix of a longer one. ``MC_STREAM`` names this stream contract,
-"bitsliced-sfc64-v3".
+and flip tables as one straight-line plan of word operations (``_plan``);
+a circuit's plans, gathers and mask counts are laid out once, on its first
+sampled run. Block b draws all its gate flips from one SFC64 stream seeded
+with (seed, b), a group of stages at a time as the walk reaches them, so
+every input meets the same flips, a trial's outcome depends only on (seed,
+input, block) and a shorter run is a prefix of a longer one. ``MC_STREAM``
+names this stream contract, "bitsliced-sfc64-v3".
 """
 
 from __future__ import annotations
@@ -56,7 +55,8 @@ from .gates import NoisyGate, beta, clopper_pearson_upper, error_polynomial, maj
 
 #: largest stages x width of a circuit, checked before any stage is laid out:
 #: it bounds the layout and the wiring, k length-W permutations per restore
-#: stage. The sampler's arrays are bounded apart from it (see ``GROUP_WORDS``)
+#: stage and two per compute stage. The sampler's arrays are bounded apart
+#: from it (see ``GROUP_WORDS``)
 CIRCUIT_SIZE_CAP = 1 << 21
 #: most Monte Carlo trials per sampler call, and per report over all its sampled inputs
 TRIALS_CAP = 1 << 24
@@ -229,7 +229,7 @@ class ReliableCircuit:
         2 + j selects the mask of error value j; and per run of gate inputs
         that read one bundle, (the run's first input, the (run length, W)
         wire indices that gather the whole run in one take, or None for an
-        input that reads the bundle as is).
+        input that reads the bundle as is), all of them ``wiring``'s arrays.
         """
         kinds, plans = {}, {}
         for kind, gate in (("restore", self.kmaj), ("compute", self.xnand)):
@@ -241,8 +241,8 @@ class ReliableCircuit:
         for stage, perms in zip(self.stages, self.wiring):
             if stage.kind == "restore":  # k reads of one bundle: one take of its (k, W) row
                 gathers = ((0, perms),)
-            else:  # (a, b, b): a as is, b through sigma1 and sigma2 in one take
-                gathers = ((0, None), (1, np.stack(perms[1:])))
+            else:  # (a, b, b): a as is, b in one take of the (2, W) array whose rows are sigma1 and sigma2
+                gathers = ((0, None), (1, perms[1].base))
             stages.append((stage.kind, plans[stage.kind], gathers))
         return kinds, tuple(stages)
 
@@ -250,7 +250,8 @@ class ReliableCircuit:
     def wiring(self) -> tuple[np.ndarray | tuple[np.ndarray | None, ...], ...]:
         """Per stage, the index array that feeds each gate input, so the
         sampler gathers wires with it directly; None feeds wire j itself. A
-        restore's row is one (k, W) array, so the sampler gathers its k
+        restore's row is one (k, W) array and a compute's sigma1 and sigma2
+        are the rows of one (2, W) array, so the sampler gathers a bundle's
         reads in one take.
 
         Drawn once per circuit from ``default_rng([seed, 0])``, stage by
@@ -267,7 +268,7 @@ class ReliableCircuit:
                 rows.append(np.stack([rng.permutation(w) for _ in stage.sources]))
             else:
                 sigma1 = rng.permutation(w)
-                rows.append((None, sigma1, np.roll(sigma1, -(w // 2))))
+                rows.append((None, *np.stack([sigma1, np.roll(sigma1, -(w // 2))])))
         return tuple(rows)
 
 
@@ -590,11 +591,10 @@ def _flip_words(bitgen: np.random.BitGenerator, p: float, n: int) -> np.ndarray:
     return np.zeros(n, dtype=np.uint64) if out is None else out
 
 
-@functools.lru_cache(maxsize=64)
 def _plan(*tables: tuple[int, ...]) -> tuple[tuple, int, int]:
     """A straight-line program of word operations for the XOR of the key
-    tables ``tables``, all of one arity; built once per distinct tuple of
-    tables.
+    tables ``tables``, all of one arity; a circuit builds one per gate kind
+    (``ReliableCircuit._sampler``).
 
     Entry i of a table is its value at input index i, whose bit j is operand
     j; key 0 or 1 is the constant word of 0s or of 1s, key 2 + j leaf word
@@ -664,13 +664,15 @@ def _plan(*tables: tuple[int, ...]) -> tuple[tuple, int, int]:
 
 
 def _run(plan: tuple[tuple, int, int], leaves: Sequence[np.ndarray], operands: Sequence[np.ndarray]):
-    """Run a ``_plan`` on its leaf and operand words; a constant result is
-    the scalar word of 0s or of 1s."""
+    """Run a ``_plan`` on its leaf and operand words, which broadcast to
+    the operands' shape; the result has that shape, a constant one or one
+    that reads only leaves as a read-only broadcast view."""
     steps, out, slots = plan
     registers = [_ZERO, _ONES, *leaves, *operands] + [None] * slots
     for ufunc, a, b, d in steps:
         registers[d] = ufunc(registers[a], registers[b])
-    return registers[out]
+    result, shape = registers[out], operands[0].shape
+    return result if result.shape == shape else np.broadcast_to(result, shape)
 
 
 def _wrong_trials(
@@ -771,7 +773,7 @@ def simulate_monte_carlo(
 
     The sampler is bit-sliced: 64 trials share a uint64 word and each stage
     runs one straight-line plan of word operations, its gate's value table
-    XOR its flip table, built once per table pair (``_plan``). Trials run in
+    XOR its flip table, laid out once per circuit (``_plan``). Trials run in
     blocks of ``BLOCK`` = 1024, and block b draws from its own SFC64 stream
     seeded with (seed, b), so every input meets the same flips. A partial
     last block still draws the whole block, so a trial's outcome depends

@@ -684,11 +684,11 @@ def lookup(tables, operands, leaves):
 
 
 def run_plan(tables, operands, leaves):
-    """A ``_plan`` run on the words, a constant result broadcast to their shape."""
+    """A ``_plan`` run on the words, whose result has the operands' shape,
+    a constant one included."""
     got = reliability._run(reliability._plan(*tables), leaves, operands)
-    if np.ndim(got) == 0:
-        assert got in (reliability._ZERO, reliability._ONES)
-    return np.broadcast_to(got, operands[0].shape)
+    assert got.shape == operands[0].shape
+    return got
 
 
 @st.composite
@@ -755,15 +755,48 @@ def test_each_stage_plan_equals_its_gate_tables_lane_by_lane(kind, gate):
         assert bit == gate.target.table[index] ^ flip
 
 
-def test_plans_are_built_once_per_table_in_a_finite_cache():
-    assert reliability._plan.cache_info().maxsize is not None  # None is an unbounded cache
+def test_plans_are_built_once_per_circuit(monkeypatch):
+    built = []
+    plan = reliability._plan
+    monkeypatch.setattr(reliability, "_plan", lambda *tables: built.append(tables) or plan(*tables))
     kmaj, xnand = chsh_gates()
     circ = build(parse_formula(TREE3), 9, 3, 1, xnand=xnand, kmaj=kmaj, seed=7)
-    reliability._plan.cache_clear()
     for seed in range(20):
         simulate_monte_carlo(circ, (1, 0, 1, 1, 0, 0, 1, 0), trials=64, seed=seed)
-    info = reliability._plan.cache_info()
-    assert info.misses == info.currsize == 2 and info.hits == 0  # one per gate, on the first call
+    assert len(built) == 2  # one per gate kind, on the first call
+    assert built[0][0] == tuple(kmaj.target.table) and built[1][0] == tuple(xnand.target.table)
+
+
+def stuck_at_zero(target):
+    """A gate of ``target`` whose every output is 0: it errs exactly where
+    its table is 1, so its value and flip tables are equal."""
+    return gates.NoisyGate(target, tuple(float(b) for b in target.table))
+
+
+@pytest.mark.parametrize("text, width, k, stuck", [
+    ("(nand a b)", 1, 1, "restore"),
+    ("(nand a (nand a b))", 1, 1, "restore"),
+    ("(nand (nand a b) (nand a c))", 9, 3, "restore"),
+    ("(nand (nand a b) (nand a c))", 9, 3, "compute"),
+])
+def test_a_stuck_at_zero_gate_reads_out_zero_on_every_trial(text, width, k, stuck):
+    # a stage whose value and flip tables are equal outputs the constant 0
+    # words; the stages after it and the readout take them like any state,
+    # so every trial reads out 0 and is wrong exactly where the formula is 1
+    kmaj = uniform_noisy_gate(make_named("maj", k), 0.05)
+    xnand = uniform_noisy_gate(make_named("xnand"), 0.1)
+    if stuck == "restore":
+        kmaj = stuck_at_zero(kmaj.target)
+    else:
+        xnand = stuck_at_zero(xnand.target)
+    circ = build(parse_formula(text), width, k, 1, xnand=xnand, kmaj=kmaj, seed=2)
+    n_in = circ.formula.n_inputs
+    xs = [tuple(i >> j & 1 for j in range(n_in)) for i in range(1 << n_in)]
+    values = [circ.formula.evaluate_all(x)[-1] for x in xs]
+    for block in wrong_blocks(circ, np.arange(len(xs)), 4, 2):  # all inputs in one walk
+        assert block.tolist() == [[bool(v)] * reliability.BLOCK for v in values]
+    for x, v in zip(xs, values):  # and each input alone
+        assert simulate_monte_carlo(circ, x, trials=100, seed=4).empirical_error == v
 
 
 def test_degenerate_single_wire_gate():
