@@ -123,6 +123,7 @@ def _build_gate(name: str, resource: str, k: int, epsilon: float) -> gates.Noisy
 
 
 def cmd_gate(args: argparse.Namespace) -> int:
+    from . import boolfn
     if args.epsilon is not None and args.resource != "ghz":
         raise ValueError("--epsilon applies only to --resource ghz")
     if args.k is not None and args.name != "maj":
@@ -140,8 +141,8 @@ def cmd_gate(args: argparse.Namespace) -> int:
         "epsilon": eps,
     }
     rows = [
-        {"input": format(i, f"0{gate.k}b")[::-1], "success": 1.0 - e, "error": e}
-        for i, e in enumerate(gate.errors)
+        {"input": x, "success": 1.0 - e, "error": e}
+        for x, e in zip(_bits(boolfn.input_keys(gate.k)), gate.errors)
     ]
     _table(args, payload, rows, [f"classification: {classification}"])
     return 0
@@ -185,7 +186,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     payload = {
         "deterministic": result.deterministic,
         "qubits": program.n_qubits,
-        "failing_inputs": ["".join(str(b) for b in x) for x in result.failing_inputs],
+        "failing_inputs": list(_bits(result.failing_inputs)),
         "min_success": min(result.success.values()),
     }
     _json(args, payload)
@@ -245,7 +246,7 @@ def cmd_reliable(args: argparse.Namespace) -> int:
     )
     payload = {
         "delta": report.delta,
-        "worst_input": "".join(str(b) for b in report.worst_input),
+        "worst_input": next(_bits([report.worst_input])),
         "margin": report.margin,
         "reliable": report.reliable,
         "warnings": list(report.warnings),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import repeat
 from typing import Callable, NamedTuple
 
@@ -150,16 +150,19 @@ def verify(program: GhzProgram, f: BooleanFunction) -> GhzVerification:
     cosines = [math.cos(math.pi * (r / (2 * denom))) for r in values.tolist()]
     succeeds = ((1.0 + np.array(cosines)) / 2.0)[which]
     keys = input_keys(program.n)
-
-    def oracle() -> dict[tuple[int, ...], float]:
-        p1 = statevector_parity(run_as_l2program(program).boxes[0], forms, program.n)
-        return dict(zip(keys, np.where(want != 0, p1, 1.0 - p1).tolist()))
-
     return GhzVerification(
         failing_inputs=sorted(keys[x_idx] for x_idx in np.flatnonzero(residue).tolist()),
         success=dict(zip(keys, succeeds.tolist())),
-        _oracle=oracle if 0 < program.n_qubits <= STATEVECTOR_QUBIT_CAP else None,
+        _oracle=partial(_statevector_success, program, forms, want)
+        if 0 < program.n_qubits <= STATEVECTOR_QUBIT_CAP else None,
     )
+
+
+def _statevector_success(program: GhzProgram, forms: np.ndarray, want: np.ndarray) -> dict[tuple[int, ...], float]:
+    """``verify``'s state-vector oracle: the success per input from the
+    measured GHZ state's parity, against the wanted bits ``want``."""
+    p1 = statevector_parity(run_as_l2program(program).boxes[0], forms, program.n)
+    return dict(zip(input_keys(program.n), np.where(want != 0, p1, 1.0 - p1).tolist()))
 
 
 def run_as_l2program(program: GhzProgram, epsilon: float = 0.0) -> L2Program:

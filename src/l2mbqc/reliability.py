@@ -5,9 +5,10 @@ noisy three-input XNAND wire-wise to one copy of the first operand and two
 copies of the second; restore stages vote with noisy k-input majority gates
 to push the bundle error back toward its fixed point. ``build`` lays out
 two stage shapes: a restore reads one bundle k times, a compute reads
-``(a, b, b)`` with a != b. It draws nothing; the wire permutation that
-feeds each gate input is the circuit's ``wiring``, drawn from (seed, stage
-order) the first time the sampler runs on the circuit.
+``(a, b)`` with a != b, b twice. It draws nothing; the wire indices
+through which a stage reads its last source are the circuit's ``wiring``,
+drawn from (seed, stage order) the first time the sampler runs on the
+circuit.
 
 Every error model runs on one stage walk, ``_walk``, which tracks the true
 logical values and follows the steps that ``build`` records, one per
@@ -15,10 +16,10 @@ formula node: a compute stage with the chain of restores laid out after it,
 and each other chain of restores laid out back to back. It hands the
 model's step each row's code, the true values its first stage reads (v for
 a restore chain, a + 2b for a compute, whose value is NAND(a, b)); the step
-maps the read bundles' states to the last target's. The walk takes a batch
-of inputs at once, groups them by each bundle's (true value, state) and
-calls the step once per recorded step, on numpy arrays with one row per
-distinct (code, read states). The independence model's state is one wire's
+maps its sources' states, one per read bundle, to the last target's. The
+walk takes a batch of inputs at once, groups them by each bundle's (true
+value, state) and calls the step once per recorded step, on numpy arrays
+with one row per distinct (code, read states). The independence model's state is one wire's
 error probability, with the wires of a bundle assumed independent: each
 stage shape is one polynomial in its sources' read errors
 (``gates.error_polynomial``), kept for recent gates as one row per code; a
@@ -32,10 +33,10 @@ time; it quantifies how much that assumption leaks.
 The Monte Carlo sampler is bit-sliced: 64 trials ride in one uint64 word,
 and trials run in blocks of ``BLOCK`` = 1024. A stage runs its gate's value
 and flip tables as one straight-line plan of word operations (``_plan``);
-a circuit's plans, gathers and mask counts are laid out once, on its first
-sampled run. Block b draws all its gate flips from one SFC64 stream seeded
-with (seed, b), a group of stages at a time as the walk reaches them, so
-every input meets the same flips, a trial's outcome depends only on (seed,
+a circuit's plans and mask counts are laid out once, on its first sampled
+run. Block b draws all its gate flips from one SFC64 stream seeded with
+(seed, b), a group of stages at a time as the walk reaches them, so every
+input meets the same flips, a trial's outcome depends only on (seed,
 input, block) and a shorter run is a prefix of a longer one. ``MC_STREAM``
 names this stream contract, "bitsliced-sfc64-v3".
 """
@@ -54,9 +55,9 @@ from .boolfn import BRUTE_FORCE_ARITY_CAP, index_bits, index_of, make_named
 from .gates import NoisyGate, beta, clopper_pearson_upper, error_polynomial, majority_errors, polynomial_error
 
 #: largest stages x width of a circuit, checked before any stage is laid out:
-#: it bounds the layout and the wiring, k length-W permutations per restore
-#: stage and two per compute stage. The sampler's arrays are bounded apart
-#: from it (see ``GROUP_WORDS``)
+#: it bounds the layout and the wiring, one (k, W) array of permutations per
+#: restore stage and one (2, W) per compute stage. The sampler's arrays are
+#: bounded apart from it (see ``GROUP_WORDS``)
 CIRCUIT_SIZE_CAP = 1 << 21
 #: most Monte Carlo trials per sampler call, and per report over all its sampled inputs
 TRIALS_CAP = 1 << 24
@@ -184,14 +185,14 @@ def formula_to_text(formula: FormulaDag) -> str:
 
 class Stage(NamedTuple):
     """One gate applied wire-wise: output wire j of bundle ``target`` is the
-    gate of ``kind`` ("restore" or "compute") on, for each gate input i, wire
-    ``perm[j]`` of bundle ``sources[i]``, where ``perm`` is entry i of the
-    stage's row of the circuit's ``wiring``, or wire j itself when that entry
-    is None.
+    gate of ``kind`` ("restore" or "compute") on wire j of each source but
+    the last, in order, then wire ``perm[j]`` of the last source for each
+    row ``perm`` of the stage's array in the circuit's ``wiring``.
 
-    ``build`` is the only producer, and lays out two shapes, on which the
-    stage walk relies: a restore stage reads its one source k times, a
-    compute stage reads ``(a, b, b)`` with a != b.
+    ``sources`` names each bundle the stage reads once. ``build`` is the only
+    producer, and lays out two shapes, on which the stage walk relies: a
+    restore stage's sources are ``(src,)``, read through k rows, a compute
+    stage's ``(a, b)`` with a != b, gate inputs ``(a, b, b)``.
     """
 
     kind: str
@@ -224,12 +225,10 @@ class ReliableCircuit:
         first run on the circuit.
 
         Per kind, (the error values strictly between 0 and 1, ascending, one
-        drawn mask each; its stage count). Per stage, (kind, plan, gathers):
+        drawn mask each; its stage count). Per stage, (kind, plan, wiring):
         the ``_plan`` of its gate's value table XOR its flip table, whose key
-        2 + j selects the mask of error value j; and per run of gate inputs
-        that read one bundle, (the run's first input, the (run length, W)
-        wire indices that gather the whole run in one take, or None for an
-        input that reads the bundle as is), all of them ``wiring``'s arrays.
+        2 + j selects the mask of error value j, and the stage's ``wiring``
+        array itself, which gathers its last source's reads in one take.
         """
         kinds, plans = {}, {}
         for kind, gate in (("restore", self.kmaj), ("compute", self.xnand)):
@@ -237,38 +236,31 @@ class ReliableCircuit:
             flips = tuple(0 if e == 0.0 else 1 if e == 1.0 else 2 + values.index(e) for e in gate.errors)
             plans[kind] = _plan(tuple(int(b) for b in gate.target.table), flips)
             kinds[kind] = (values, sum(stage.kind == kind for stage in self.stages))
-        stages = []
-        for stage, perms in zip(self.stages, self.wiring):
-            if stage.kind == "restore":  # k reads of one bundle: one take of its (k, W) row
-                gathers = ((0, perms),)
-            else:  # (a, b, b): a as is, b in one take of the (2, W) array whose rows are sigma1 and sigma2
-                gathers = ((0, None), (1, perms[1].base))
-            stages.append((stage.kind, plans[stage.kind], gathers))
-        return kinds, tuple(stages)
+        stages = tuple((stage.kind, plans[stage.kind], perms) for stage, perms in zip(self.stages, self.wiring))
+        return kinds, stages
 
     @functools.cached_property
-    def wiring(self) -> tuple[np.ndarray | tuple[np.ndarray | None, ...], ...]:
-        """Per stage, the index array that feeds each gate input, so the
-        sampler gathers wires with it directly; None feeds wire j itself. A
-        restore's row is one (k, W) array and a compute's sigma1 and sigma2
-        are the rows of one (2, W) array, so the sampler gathers a bundle's
-        reads in one take.
+    def wiring(self) -> tuple[np.ndarray, ...]:
+        """Per stage, one index array whose rows feed the gate inputs that
+        read the stage's last source, so the sampler gathers them in one
+        take: a restore's (k, W) array, a compute's (2, W) array of b's two
+        reads, sigma1 and sigma2; a compute reads ``a`` as is.
 
         Drawn once per circuit from ``default_rng([seed, 0])``, stage by
         stage: a restore draws k independent permutations of range(W)
         (classic multiplexing, which admits occasional duplicate votes on an
-        output wire); a compute reads ``a`` as is and ``b`` through sigma1
-        and its rotation sigma2[i] = sigma1[(i + W//2) % W].
+        output wire); a compute draws sigma1, and sigma2 is its rotation
+        sigma2[i] = sigma1[(i + W//2) % W].
         """
         rng = np.random.default_rng([self.seed, 0])
         w = self.width
         rows = []
         for stage in self.stages:
             if stage.kind == "restore":
-                rows.append(np.stack([rng.permutation(w) for _ in stage.sources]))
+                rows.append(np.stack([rng.permutation(w) for _ in range(self.kmaj.k)]))
             else:
                 sigma1 = rng.permutation(w)
-                rows.append((None, *np.stack([sigma1, np.roll(sigma1, -(w // 2))])))
+                rows.append(np.stack([sigma1, np.roll(sigma1, -(w // 2))]))
         return tuple(rows)
 
 
@@ -341,7 +333,7 @@ def build(
             runs.append(range(len(stages) - head, len(stages) + rounds))
         for _ in range(rounds):
             target = new_bundle()
-            stages.append(Stage("restore", target, (src,) * k))
+            stages.append(Stage("restore", target, (src,)))
             src = target
         return src
 
@@ -360,7 +352,7 @@ def build(
         a_bundle = operand_bundle(a_ref)
         b_bundle = operand_bundle(b_ref)
         tgt = new_bundle()
-        stages.append(Stage("compute", tgt, (a_bundle, b_bundle, b_bundle)))
+        stages.append(Stage("compute", tgt, (a_bundle, b_bundle)))
         prepared[formula.n_inputs + j] = add_restores(tgt, restore_rounds, head=1)
 
     # a step's later stages read only its own targets, so its reads are its first stage's
@@ -387,9 +379,10 @@ def build(
 # the stage walk
 
 def _pairs(live: dict, a: int, b: int, n: int):
-    """The rows of a compute stage that reads bundle ``a`` once and ``b``
-    twice, for a batch of ``n`` inputs: one row per pair of their classes
-    that occurs, as ``(inverse, idx, reads)`` (see ``_walk``); code a + 2b."""
+    """The rows of a compute stage with sources ``(a, b)``, for a batch of
+    ``n`` inputs: one row per pair of their classes that occurs, as
+    ``(inverse, idx, reads)`` (see ``_walk``); code a + 2b, reads ``[a's
+    states, b's states]``."""
     (ca, va, sa), (cb, vb, sb) = live[a], live[b]
     if ca is None:  # a batch of one: one class each
         inverse = None
@@ -402,7 +395,7 @@ def _pairs(live: dict, a: int, b: int, n: int):
             codes, inverse = np.unique(code, return_inverse=True)
         pb, pa = np.divmod(codes, len(va))
         va, sa, vb, sb = va[pa], sa[pa], vb[pb], sb[pb]
-    return inverse, va + 2 * vb, [sa, sb, sb]
+    return inverse, va + 2 * vb, [sa, sb]
 
 
 def _walk(circuit: ReliableCircuit, xs: np.ndarray, start, step):
@@ -421,13 +414,13 @@ def _walk(circuit: ReliableCircuit, xs: np.ndarray, start, step):
     chain's rows are its source's classes as they are, a compute's the pairs
     of its sources' classes that occur (``_pairs``); ``idx`` holds the rows'
     codes, the true values its first stage reads (v for a restore chain,
-    a + 2b for a compute), and ``reads`` the first stage's read states in
-    gate-input order; the step returns the last target's state per row. A
-    compute's value is NAND(a, b), restores keep it, and a step's
-    intermediate targets never go live. Rows with equal (value, state) merge
-    into one class, so a call has one row per distinct (code, read states),
-    and a batch of one never compares states. A bundle is dropped after the
-    step that reads it last.
+    a + 2b for a compute), and ``reads`` the first stage's read states, one
+    per source bundle in ``sources`` order; the step returns the last
+    target's state per row. A compute's value is NAND(a, b), restores keep
+    it, and a step's intermediate targets never go live. Rows with equal
+    (value, state) merge into one class, so a call has one row per distinct
+    (code, read states), and a batch of one never compares states. A bundle
+    is dropped after the step that reads it last.
     """
     n = len(xs)
     start = np.asarray(start)
@@ -438,11 +431,11 @@ def _walk(circuit: ReliableCircuit, xs: np.ndarray, start, step):
         live[b] = (None if n == 1 else row - values[0], values, start[values])  # a constant bit: one class, 0
     for chain, dead in circuit.steps:
         head = circuit.stages[chain[0]]
-        if head.kind == "restore":  # k reads of one bundle: its classes are the rows, its values the codes
+        if head.kind == "restore":  # one bundle: its classes are the rows, its values the codes
             inverse, values, states = live[head.sources[0]]
-            idx, reads = values, [states] * len(head.sources)
+            idx, reads = values, [states]
         else:  # XNAND(a, b, b) = NAND(a, b), false only at a = b = 1
-            inverse, idx, reads = _pairs(live, *head.sources[:2], n)
+            inverse, idx, reads = _pairs(live, *head.sources, n)
             values = (idx != 3).astype(int)
         states = step(chain, idx, reads)
         if len(values) > 1:
@@ -500,7 +493,6 @@ def _independence_walk(circuit: ReliableCircuit, xs: np.ndarray):
 
     def step(stages: range, idx: np.ndarray, reads: list):
         kind = circuit.stages[stages[0]].kind
-        reads = reads[:1] if kind == "restore" else reads[:2]  # one read per bundle
         key = (kind, len(stages), idx.tobytes(), *[r.tobytes() for r in reads])
         p = results.get(key)
         if p is None:
@@ -707,7 +699,7 @@ def _wrong_trials(
 
         def step(stages: range, idx: np.ndarray, reads: list[np.ndarray]):
             for s in stages:  # a step's stages in order, each after the first reading the one before
-                kind, plan, gathers = layout[s]
+                kind, plan, perms = layout[s]
                 i = seen[kind] % group  # the stage's place in its group
                 if not i:
                     values, count = kinds[kind]
@@ -715,15 +707,12 @@ def _wrong_trials(
                     # a stage's (1, W, words) mask has a one-class state's shape, so XORs need no broadcast
                     masks[kind] = [_flip_words(bitgen, p, n * w * _WORDS).reshape(n, 1, w, _WORDS) for p in values]
                 seen[kind] += 1
-                operands = []
-                for first, perms in gathers:
-                    r = out if s > stages[0] else reads[first]
-                    if perms is None:
-                        operands.append(r)
-                    else:  # (classes, run, W, words): one operand per input of the run
-                        operands.extend(r.take(perms, axis=1).swapaxes(0, 1))
+                operands = reads[:-1]  # the sources before the last, as they are
+                # (rows, classes, W, words): one operand per row of the last source's wiring
+                operands.extend(reads[-1].take(perms, axis=1).swapaxes(0, 1))
                 # a word array: majority and XNAND read their inputs
                 out = _run(plan, [mask[i] for mask in masks[kind]], operands)
+                reads = [out]  # each later stage of the step reads the one before
             return out
 
         classes, values, states = _walk(circuit, chunk, start, step)

@@ -1,8 +1,10 @@
 import collections
+import copy
 import functools
 import hashlib
 import itertools
 import math
+import pickle
 import random
 import sys
 import tracemalloc
@@ -53,6 +55,15 @@ def perfect_gates(k=3):
 def table_index(x):
     """The table index of input x: bit j is x[j]."""
     return sum(b << j for j, b in enumerate(x))
+
+
+def gate_inputs(circ, s):
+    """Stage s's gate inputs in order, as (bundle, index array or None):
+    each source but the last read as is, then the last through each row of
+    the stage's ``wiring`` array; k reads of src for a restore, (a, b, b)
+    for a compute."""
+    *direct, last = circ.stages[s].sources
+    return [(src, None) for src in direct] + [(last, perm) for perm in circ.wiring[s]]
 
 
 def analytic_error(circ, x):
@@ -216,7 +227,8 @@ def test_restore_wiring_rows_are_permutations():
     f = parse_formula("(nand a b)")
     kmaj, xnand = chsh_gates()
     circ = build(f, 27, 3, 2, xnand=xnand, kmaj=kmaj, seed=5)
-    for stage, perms in zip(circ.stages, circ.wiring, strict=True):
+    for s, stage in enumerate(circ.stages):
+        perms = [perm for _, perm in gate_inputs(circ, s)]
         if stage.kind == "restore":
             for row in perms:
                 assert sorted(row) == list(range(27))
@@ -246,7 +258,8 @@ def test_wiring_replays_the_seeded_draws_in_stage_order():
     kmaj, xnand = chsh_gates()
     circ = build(f, 9, 3, 1, xnand=xnand, kmaj=kmaj, seed=11)
     rng = np.random.default_rng([11, 0])
-    for stage, perms in zip(circ.stages, circ.wiring, strict=True):
+    for s, stage in enumerate(circ.stages):
+        perms = [perm for _, perm in gate_inputs(circ, s)]
         if stage.kind == "restore":
             assert len(perms) == 3
             for row in perms:
@@ -258,6 +271,29 @@ def test_wiring_replays_the_seeded_draws_in_stage_order():
             assert sigma1.tolist() == want
             assert sigma2.tolist() == [want[(i + 4) % 9] for i in range(9)]
     assert circ.wiring is circ.wiring  # drawn once per circuit
+
+
+@pytest.mark.parametrize("roundtrip", [copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
+                         ids=["deepcopy", "pickle"])
+def test_a_circuit_with_drawn_wiring_samples_alike_after_a_copy(roundtrip):
+    # the wiring is drawn but not yet sampled: the copy lays its sampler out
+    # from its own copied arrays
+    kmaj, xnand = chsh_gates()
+    circ = build(parse_formula(TREE2), 9, 3, 1, xnand=xnand, kmaj=kmaj, seed=7)
+    circ.wiring
+    twin = roundtrip(circ)
+    assert "_sampler" not in vars(twin)
+    for x in itertools.product((0, 1), repeat=4):
+        assert simulate_monte_carlo(twin, x, 1024, 5) == simulate_monte_carlo(circ, x, 1024, 5)
+
+
+def test_the_sampler_gathers_through_the_wiring_arrays_themselves():
+    # no second copy of any permutation: each stage's index array is its wiring's
+    kmaj, xnand = chsh_gates()
+    circ = build(parse_formula("(nand a (nand a b))"), 9, 3, 1, xnand=xnand, kmaj=kmaj, seed=3)
+    _, layout = circ._sampler
+    assert len(layout) == len(circ.wiring)
+    assert all(perms is circ.wiring[s] for s, (_, _, perms) in enumerate(layout))
 
 
 def test_a_kmaj_with_list_errors_reports_as_its_tuple():
@@ -395,7 +431,7 @@ def exact_logical_error(circ, x):
     gate_of = {"restore": circ.kmaj, "compute": circ.xnand}
     init = {b: (vals[i],) * w for i, b in enumerate(circ.input_bundles)}
     states = {tuple(sorted(init.items())): 1.0}
-    for stage, perms in zip(circ.stages, circ.wiring, strict=True):
+    for s, stage in enumerate(circ.stages):
         new = {}
         for key, prob in states.items():
             bundles = dict(key)
@@ -403,7 +439,7 @@ def exact_logical_error(circ, x):
             gate = gate_of[stage.kind]
             for j in range(w):
                 idx = 0
-                for i, (src, perm) in enumerate(zip(stage.sources, perms)):
+                for i, (src, perm) in enumerate(gate_inputs(circ, s)):
                     idx |= bundles[src][j if perm is None else perm[j]] << i
                 outs.append(gate.target.table[idx])
                 errs.append(gate.errors[idx])
@@ -901,7 +937,7 @@ PINNED_WIDE_RESTORE_COUNTS = {
 @pytest.mark.parametrize("k", sorted(PINNED_WIDE_RESTORE_COUNTS))
 def test_sampled_counts_with_wide_restores_after_a_compute_are_pinned(k):
     # a restore after a 3-read compute reads its source k times: the sampler
-    # sizes each stage's reads by that stage's own sources
+    # sizes each stage's reads by that stage's own wiring
     circ = build(parse_formula(TREE3), 9, k, 2, xnand=chsh_gates()[1], kmaj=ghz_majority(k, 0.05), seed=7)
     counts = reliability._wrong_counts(circ, np.arange(256), 1024, 5).tolist()
     total, digest = PINNED_WIDE_RESTORE_COUNTS[k]
@@ -1434,21 +1470,22 @@ def test_formula_text_roundtrip_property(text):
 )
 def test_build_lays_out_two_stage_shapes_property(text, rounds, k, width):
     # the stage walk's rows (``_pairs``) and error tables (``_error_table``)
-    # exist for these two shapes only: a restore reads one bundle k times, a
-    # compute (a, b, b) with a != b, even for the (nand v v) every formula has
+    # exist for these two shapes only: a restore reads one bundle through a
+    # (k, W) array, a compute (a, b) with a != b, b through a (2, W) array,
+    # even for the (nand v v) every formula has
     kmaj, xnand = perfect_gates(k)
     circ = build(parse_formula(text), width, k, rounds, xnand=xnand, kmaj=kmaj, seed=1)
     identity = list(range(width))
     for stage, row in zip(circ.stages, circ.wiring, strict=True):
         if stage.kind == "restore":
-            assert stage.sources == (stage.sources[0],) * k
-            assert len(row) == k and all(sorted(perm) == identity for perm in row)
+            assert len(stage.sources) == 1
+            assert row.shape == (k, width) and all(sorted(perm) == identity for perm in row)
         else:
             assert stage.kind == "compute"
-            a, b, b_again = stage.sources
-            assert a != b == b_again
-            none, sigma, rolled = row
-            assert none is None and sorted(sigma) == identity
+            a, b = stage.sources
+            assert a != b
+            sigma, rolled = row
+            assert row.shape == (2, width) and sorted(sigma) == identity
             assert np.array_equal(rolled, np.roll(sigma, -(width // 2)))
 
 
@@ -1590,9 +1627,9 @@ def per_stage_rows(circ):
     for x in itertools.product((0, 1), repeat=circ.formula.n_inputs):
         values = dict(zip(circ.input_bundles, x))
         errors = dict.fromkeys(circ.input_bundles, 0.0)
-        for stage in circ.stages:
-            index = sum(values[src] << i for i, src in enumerate(stage.sources))
-            reads = [errors[src] for src in dict.fromkeys(stage.sources)]  # one read per bundle
+        for s, stage in enumerate(circ.stages):
+            index = sum(values[src] << i for i, (src, _) in enumerate(gate_inputs(circ, s)))
+            reads = [errors[src] for src in stage.sources]
             row = coefficients(stage.kind, index)
             [errors[stage.target]] = gates.polynomial_error(row, np.array([reads])).tolist()
             values[stage.target] = gate[stage.kind].target.table[index]
@@ -1859,8 +1896,7 @@ def cone_program(circ, box):
             return 1 << circ.input_bundles.index(bundle), 0, 0
         if (bundle, wire) not in forms:
             s = producer[bundle]
-            a, b, c = (form(src, wire if perm is None else int(perm[wire]))
-                       for src, perm in zip(circ.stages[s].sources, circ.wiring[s]))
+            a, b, c = (form(src, wire if perm is None else int(perm[wire])) for src, perm in gate_inputs(circ, s))
             restore = circ.stages[s].kind == "restore"
             parties = (xor(a, b), xor(a, c) if restore else xor(a, b, c))
             maps.append(tuple(mbqc.AffineBitMap(*f) for f in parties))
@@ -1884,8 +1920,7 @@ def cone_is_tree(circ):
             reads[bundle, wire] += 1
             if reads[bundle, wire] == 1:
                 s = producer[bundle]
-                pending.extend((src, wire if perm is None else int(perm[wire]))
-                               for src, perm in zip(circ.stages[s].sources, circ.wiring[s]))
+                pending.extend((src, wire if perm is None else int(perm[wire])) for src, perm in gate_inputs(circ, s))
     return max(reads.values()) == 1
 
 
