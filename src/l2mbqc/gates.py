@@ -178,7 +178,10 @@ def min_k_for_violation(delta: RationalLike) -> ViolationWitness:
     below the restoring threshold. Accepts exact rationals or decimal
     strings; floats are converted exactly.
     """
-    d = Fraction(delta)
+    try:
+        d = Fraction(delta)
+    except (OverflowError, ValueError):  # Fraction raises OverflowError on an infinite float
+        raise ValueError(f"violation delta {delta!r} is not a finite rational") from None
     if d <= 0:
         raise ValueError("violation delta must be positive")
     k = 3

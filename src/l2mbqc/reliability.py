@@ -5,10 +5,11 @@ noisy three-input XNAND wire-wise to one copy of the first operand and two
 copies of the second; restore stages vote with noisy k-input majority gates
 to push the bundle error back toward its fixed point. ``build`` lays out
 two stage shapes: a restore reads one bundle k times, a compute reads
-``(a, b)`` with a != b, b twice. It draws nothing; the wire indices
-through which a stage reads its last source are the circuit's ``wiring``,
-drawn from (seed, stage order) the first time the sampler runs on the
-circuit.
+``(a, b)`` with a != b, b twice. Of a formula over n inputs, input i is
+bundle i and stage s writes bundle n + s. ``build`` draws nothing; the
+wire indices through which a stage reads its last source are the
+circuit's ``wiring``, drawn from (seed, stage order) the first time the
+sampler runs on the circuit.
 
 Every error model runs on one stage walk, ``_walk``, which tracks the true
 logical values and follows the steps that ``build`` records, one per
@@ -110,8 +111,8 @@ class FormulaDag:
 def parse_formula(text: str) -> FormulaDag:
     """Parse nested s-expressions of NAND over named inputs.
 
-    Example: ``(nand a (nand a b))``. Input names are letters, digits and
-    ``_``, no leading digit, not ``nand``. Errors carry the line number.
+    Example: ``(nand a (nand a b))``. Input names are identifiers, not
+    ``nand`` in any case. Errors carry the line number.
     """
     tokens: list[tuple[str, int]] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -151,7 +152,7 @@ def parse_formula(text: str) -> FormulaDag:
             raise ValueError(f"line {line_no}: unexpected ')'")
         elif not tok:
             raise ValueError(f"line {line_no}: unexpected end of formula")
-        elif not tok.replace("_", "").isalnum() or tok[0].isdigit() or tok.lower() == "nand":
+        elif not tok.isidentifier() or tok.lower() == "nand":
             raise ValueError(f"line {line_no}: bad input name {tok!r}")
         else:
             operands.append(inputs.setdefault(tok, len(inputs)))
@@ -184,10 +185,10 @@ def formula_to_text(formula: FormulaDag) -> str:
 # circuit construction
 
 class Stage(NamedTuple):
-    """One gate applied wire-wise: output wire j of bundle ``target`` is the
-    gate of ``kind`` ("restore" or "compute") on wire j of each source but
-    the last, in order, then wire ``perm[j]`` of the last source for each
-    row ``perm`` of the stage's array in the circuit's ``wiring``.
+    """One gate applied wire-wise: stage s writes bundle n_inputs + s,
+    whose wire j is the gate of ``kind`` ("restore" or "compute") on wire j
+    of each source but the last, in order, then wire ``perm[j]`` of the last
+    source for each row ``perm`` of the stage's array in ``wiring``.
 
     ``sources`` names each bundle the stage reads once. ``build`` is the only
     producer, and lays out two shapes, on which the stage walk relies: a
@@ -196,13 +197,13 @@ class Stage(NamedTuple):
     """
 
     kind: str
-    target: int
     sources: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class ReliableCircuit:
-    """A laid-out circuit. The stages name only bundles; the wire
+    """A laid-out circuit: input i is bundle i, stage s writes bundle n + s
+    (n the formula's inputs) and the last stage the output. The wire
     permutations are ``wiring``, drawn from ``seed`` on first use."""
 
     formula: FormulaDag
@@ -210,8 +211,6 @@ class ReliableCircuit:
     kmaj: NoisyGate
     xnand: NoisyGate
     stages: tuple[Stage, ...]
-    input_bundles: tuple[int, ...]
-    output_bundle: int
     #: the stage walk's steps in order, as (stage range, dead bundles): each
     #: compute stage with the restores after it and each other chain of
     #: restores, the bundles its first stage reads for the last time
@@ -285,11 +284,12 @@ def build(
     ``build`` records the stage walk's ``steps`` as it lays the stages out:
     each compute stage with the chain of restores after it, and each other
     chain of restores laid out back to back, each stage after a step's first
-    reading the one before. ``build`` draws nothing: the
-    circuit's ``wiring`` is drawn from ``seed`` the first time the sampler
-    runs on it, so a negative seed is rejected here, before any work. Stages
-    x width may be at most ``CIRCUIT_SIZE_CAP``; the stage count follows
-    from the formula before any stage is laid out.
+    reading the one before. Stage s writes bundle n + s, and the output
+    node is laid out last, so its bundle is the last stage's. ``build``
+    draws nothing: the circuit's ``wiring`` is drawn from ``seed`` the
+    first time the sampler runs on it, so a negative seed is rejected here,
+    before any work. Stages x width may be at most ``CIRCUIT_SIZE_CAP``;
+    the stage count follows from the formula before any stage is laid out.
     """
     _check_seed(seed)
     if width < k:
@@ -324,21 +324,19 @@ def build(
     if mu >= 0.5:
         warnings.append(f"compute gate error {mu:.6f} is not below 1/2")
 
+    n = formula.n_inputs
     stages: list[Stage] = []
     runs: list[range] = []  # each step's stages
-    new_bundle = itertools.count().__next__
 
     def add_restores(src: int, rounds: int, head: int = 0) -> int:
         if head + rounds:  # one step: the ``head`` stages just laid out, which made src, then the restores
             runs.append(range(len(stages) - head, len(stages) + rounds))
         for _ in range(rounds):
-            target = new_bundle()
-            stages.append(Stage("restore", target, (src,)))
-            src = target
-        return src
+            stages.append(Stage("restore", (src,)))
+            src = n + len(stages) - 1
+        return src  # the last appended stage's bundle, or src if none was appended
 
-    raw_inputs = tuple(new_bundle() for _ in formula.inputs)
-    prepared = {i: add_restores(b, restore_rounds) for i, b in enumerate(raw_inputs)}
+    prepared = [add_restores(i, restore_rounds) for i in range(n)]  # per reference: inputs, then nodes
     if any(c >= 2 for c in consumers.values()):
         warnings.append(
             "references consumed more than once are duplicated through an extra restore each; "
@@ -348,14 +346,13 @@ def build(
     def operand_bundle(ref: int) -> int:
         return add_restores(prepared[ref], 1 if consumers[ref] >= 2 else 0)
 
-    for j, (a_ref, b_ref) in enumerate(formula.nodes):
+    for a_ref, b_ref in formula.nodes:
         a_bundle = operand_bundle(a_ref)
         b_bundle = operand_bundle(b_ref)
-        tgt = new_bundle()
-        stages.append(Stage("compute", tgt, (a_bundle, b_bundle)))
-        prepared[formula.n_inputs + j] = add_restores(tgt, restore_rounds, head=1)
+        stages.append(Stage("compute", (a_bundle, b_bundle)))
+        prepared.append(add_restores(n + len(stages) - 1, restore_rounds, head=1))
 
-    # a step's later stages read only its own targets, so its reads are its first stage's
+    # a step's later stages read only its own stages' bundles, so its reads are its first stage's
     last_read = {src: i for i, run in enumerate(runs) for src in stages[run.start].sources}
     dead: list[list[int]] = [[] for _ in runs]
     for src, i in last_read.items():
@@ -367,8 +364,6 @@ def build(
         kmaj=kmaj,
         xnand=xnand,
         stages=tuple(stages),
-        input_bundles=raw_inputs,
-        output_bundle=prepared[formula.output_ref],
         steps=tuple(zip(runs, map(tuple, dead))),
         warnings=tuple(warnings),
         seed=seed,
@@ -403,7 +398,7 @@ def _walk(circuit: ReliableCircuit, xs: np.ndarray, start, step):
     array; bit j of an index is formula input j) at once; return the output
     bundle's ``(classes, values, states)``.
 
-    A bundle's state is an error model's account of it; an input bundle
+    A bundle's state is an error model's account of it; input bundle j
     with true value v starts in state ``start[v]``. A live bundle splits the
     batch into classes: ``values`` holds each class's true value, ``states``
     each class's state along a leading class axis and ``classes`` each
@@ -415,18 +410,18 @@ def _walk(circuit: ReliableCircuit, xs: np.ndarray, start, step):
     of its sources' classes that occur (``_pairs``); ``idx`` holds the rows'
     codes, the true values its first stage reads (v for a restore chain,
     a + 2b for a compute), and ``reads`` the first stage's read states, one
-    per source bundle in ``sources`` order; the step returns the last
-    target's state per row. A compute's value is NAND(a, b), restores keep
-    it, and a step's intermediate targets never go live. Rows with equal
-    (value, state) merge into one class, so a call has one row per distinct
-    (code, read states), and a batch of one never compares states. A bundle
-    is dropped after the step that reads it last.
+    per source bundle in ``sources`` order; the step returns the state per
+    row of the bundle its last stage s writes, n_inputs + s. A compute's
+    value is NAND(a, b), restores keep it, and a step's inner bundles never
+    go live. Rows with equal (value, state) merge into one class, so a call
+    has one row per distinct (code, read states), and a batch of one never
+    compares states. A bundle is dropped after the step that reads it last.
     """
-    n = len(xs)
+    n, inputs = len(xs), circuit.formula.n_inputs
     start = np.asarray(start)
     live = {}  # bundle -> (classes, values, states)
-    bits = xs >> np.arange(len(circuit.input_bundles))[:, None] & 1  # row j: input j
-    for b, row, ones in zip(circuit.input_bundles, bits, bits.sum(axis=1).tolist()):
+    bits = xs >> np.arange(inputs)[:, None] & 1  # row j: input j
+    for b, (row, ones) in enumerate(zip(bits, bits.sum(axis=1).tolist())):
         values = np.array([0, 1]) if 0 < ones < n else row[:1]
         live[b] = (None if n == 1 else row - values[0], values, start[values])  # a constant bit: one class, 0
     for chain, dead in circuit.steps:
@@ -451,10 +446,10 @@ def _walk(circuit: ReliableCircuit, xs: np.ndarray, start, step):
                         first.append(r)
                 values, states = values[first], states[first]
                 inverse = np.array([ids[key] for key in keys])[inverse]  # each input's merged class
-        live[circuit.stages[chain[-1]].target] = (inverse, values, states)
+        live[inputs + chain[-1]] = (inverse, values, states)
         for src in dead:
             del live[src]
-    classes, values, states = live[circuit.output_bundle]
+    classes, values, states = live[inputs + len(circuit.stages) - 1]
     return np.zeros(n, dtype=int) if classes is None else classes, values, states
 
 

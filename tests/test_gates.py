@@ -307,6 +307,12 @@ def test_min_k_rejects_nonpositive_delta():
         min_k_for_violation(0)
 
 
+@pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan, "inf", "nan"])
+def test_min_k_rejects_a_non_finite_delta_with_value_error(delta):
+    with pytest.raises(ValueError, match=f"violation delta {delta!r} is not a finite rational"):
+        min_k_for_violation(delta)
+
+
 def test_threshold_sweep_rows():
     rows = threshold_sweep(7)
     assert [r["k"] for r in rows] == [3, 5, 7]

@@ -57,6 +57,13 @@ def table_index(x):
     return sum(b << j for j, b in enumerate(x))
 
 
+def stage_bundle(circ, s):
+    """The bundle stage s writes: input i is bundle i, so stage s of a
+    formula over n inputs writes bundle n + s, and the last stage's bundle
+    is the output."""
+    return circ.formula.n_inputs + s
+
+
 def gate_inputs(circ, s):
     """Stage s's gate inputs in order, as (bundle, index array or None):
     each source but the last read as is, then the last through each row of
@@ -142,6 +149,7 @@ MALFORMED_FORMULAS = {
     "trailing": ("(nand a b)\n\n(nand c d)", "line 3: trailing tokens after formula"),
     "no-gate": ("  abc  # no gate", "line 1: formula must contain at least one nand"),
     "keyword-name": ("(nand a\nNand)", "line 2: bad input name 'Nand'"),
+    "superscript-name": ("(nand a\na\u00b2)", "line 2: bad input name 'a\u00b2'"),
 }
 
 
@@ -150,6 +158,14 @@ def test_malformed_formula_messages(text, message):
     with pytest.raises(ValueError) as err:
         parse_formula(text)
     assert str(err.value) == message
+
+
+def test_input_names_are_identifiers_other_than_nand():
+    # a name is what ``str.isidentifier`` accepts, underscores and non-ASCII
+    # letters included
+    f = parse_formula("(nand _ __)")
+    assert f.inputs == ("_", "__") and f.nodes == ((0, 1),)
+    assert parse_formula("(nand _1 \u00e9)").inputs == ("_1", "\u00e9")
 
 
 #: pieces of the formula syntax, joined at random with arbitrary text and whole formulas
@@ -429,7 +445,7 @@ def exact_logical_error(circ, x):
     w = circ.width
     vals = circ.formula.evaluate_all(x)
     gate_of = {"restore": circ.kmaj, "compute": circ.xnand}
-    init = {b: (vals[i],) * w for i, b in enumerate(circ.input_bundles)}
+    init = {b: (vals[b],) * w for b in range(circ.formula.n_inputs)}
     states = {tuple(sorted(init.items())): 1.0}
     for s, stage in enumerate(circ.stages):
         new = {}
@@ -443,7 +459,7 @@ def exact_logical_error(circ, x):
                     idx |= bundles[src][j if perm is None else perm[j]] << i
                 outs.append(gate.target.table[idx])
                 errs.append(gate.errors[idx])
-            target = stage.target
+            target = stage_bundle(circ, s)
             for flips in itertools.product((0, 1), repeat=w):
                 p = prob
                 for fl, e in zip(flips, errs):
@@ -458,7 +474,7 @@ def exact_logical_error(circ, x):
     want = vals[circ.formula.output_ref]
     total = 0.0
     for key, prob in states.items():
-        out = dict(key)[circ.output_bundle]
+        out = dict(key)[stage_bundle(circ, len(circ.stages) - 1)]
         wrong = sum(1 for bit in out if bit != want)
         if 2 * wrong >= w:
             total += prob
@@ -1287,18 +1303,6 @@ WIDE_FORMULA = functools.reduce(lambda acc, name: f"(nand {acc} {name})", "bcdef
 CHAIN16 = functools.reduce(lambda acc, name: f"(nand {acc} {name})", "bcdefghijklmnop", "a")
 
 
-@pytest.mark.parametrize("text", [TREE3, "(nand a (nand a b))", "(nand (nand v v) v)"])
-def test_size_cap_counts_every_stage(monkeypatch, text):
-    kmaj, xnand = perfect_gates()
-    formula = parse_formula(text)
-    size = 9 * len(build(formula, 9, 3, 2, xnand=xnand, kmaj=kmaj, seed=1).stages)
-    monkeypatch.setattr(reliability, "CIRCUIT_SIZE_CAP", size)
-    build(formula, 9, 3, 2, xnand=xnand, kmaj=kmaj, seed=1)
-    monkeypatch.setattr(reliability, "CIRCUIT_SIZE_CAP", size - 1)
-    with pytest.raises(ValueError, match=f"stages x width 9, above cap {size - 1}"):
-        build(formula, 9, 3, 2, xnand=xnand, kmaj=kmaj, seed=1)
-
-
 @pytest.mark.parametrize("x", [(1,), (0, 1, 1)])
 def test_entry_points_reject_a_wrong_length_input(x):
     kmaj, xnand = chsh_gates()
@@ -1451,6 +1455,23 @@ def fanout_formulas(draw, max_inputs=6):
 def seeded_fanout_formula(seed):
     rng = random.Random(seed)
     return fanout_formula(rng.randint, rng.choice)
+
+
+@pytest.mark.parametrize("text", [TREE3, "(nand a (nand a b))", "(nand (nand v v) v)"])
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(drawn=fanout_formulas(), rounds=st.integers(0, 3))
+def test_size_cap_counts_every_stage(text, drawn, rounds):
+    # the cap's stage count, from the formula alone, is the stage count laid
+    # out, which also names the output bundle: each text at r = 2, and a
+    # drawn formula at a drawn r
+    kmaj, xnand = perfect_gates()
+    for formula, r in ((parse_formula(text), 2), (parse_formula(drawn), rounds)):
+        size = 9 * len(build(formula, 9, 3, r, xnand=xnand, kmaj=kmaj, seed=1).stages)
+        with mock.patch.object(reliability, "CIRCUIT_SIZE_CAP", size):
+            build(formula, 9, 3, r, xnand=xnand, kmaj=kmaj, seed=1)
+        with mock.patch.object(reliability, "CIRCUIT_SIZE_CAP", size - 1):
+            with pytest.raises(ValueError, match=f"stages x width 9, above cap {size - 1}"):
+                build(formula, 9, 3, r, xnand=xnand, kmaj=kmaj, seed=1)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -1625,15 +1646,16 @@ def per_stage_rows(circ):
 
     rows = []
     for x in itertools.product((0, 1), repeat=circ.formula.n_inputs):
-        values = dict(zip(circ.input_bundles, x))
-        errors = dict.fromkeys(circ.input_bundles, 0.0)
+        values = dict(enumerate(x))
+        errors = dict.fromkeys(values, 0.0)
         for s, stage in enumerate(circ.stages):
             index = sum(values[src] << i for i, (src, _) in enumerate(gate_inputs(circ, s)))
             reads = [errors[src] for src in stage.sources]
             row = coefficients(stage.kind, index)
-            [errors[stage.target]] = gates.polynomial_error(row, np.array([reads])).tolist()
-            values[stage.target] = gate[stage.kind].target.table[index]
-        rows.append(reliability.InputRow(x, gates.majority_error(circ.width, errors[circ.output_bundle])))
+            [errors[stage_bundle(circ, s)]] = gates.polynomial_error(row, np.array([reads])).tolist()
+            values[stage_bundle(circ, s)] = gate[stage.kind].target.table[index]
+        output = stage_bundle(circ, len(circ.stages) - 1)
+        rows.append(reliability.InputRow(x, gates.majority_error(circ.width, errors[output])))
     return rows
 
 
@@ -1699,7 +1721,7 @@ def test_walk_steps_once_per_compute_and_restore_chain(rounds, n_stages, n_calls
 def reference_chains(circuit):
     """The walk's steps inferred from the stages alone: every bundle's last
     reader, then maximal runs of stages in which each stage after the first
-    is a restore and the last reader of the previous target (a compute with
+    is a restore and the last reader of the previous stage's bundle (a compute with
     the restores after it, or a chain of restores), each paired with the
     bundles its first stage reads for the last time."""
     last_read = {src: s for s, stage in enumerate(circuit.stages) for src in stage.sources}
@@ -1710,7 +1732,7 @@ def reference_chains(circuit):
     chains: list[range] = []
     stages = circuit.stages
     for s, stage in enumerate(stages):
-        if s and stage.kind == "restore" and dead_after[s] == (stages[s - 1].target,):
+        if s and stage.kind == "restore" and dead_after[s] == (stage_bundle(circuit, s - 1),):
             chains[-1] = range(chains[-1].start, s + 1)
         else:
             chains.append(range(s, s + 1))
@@ -1722,17 +1744,19 @@ def assert_steps_are_the_walk_plan(circ):
     # the ranges tile the stages once, in order
     assert all(run for run, _ in steps)
     assert [s for run, _ in steps for s in run] == list(range(len(stages)))
+    # stage s reads only the inputs and the bundles of the stages before it
+    assert all(0 <= src < stage_bundle(circ, s) for s, stage in enumerate(stages) for src in stage.sources)
     # a step's head, a compute or a restore, is followed by restores, each reading only the one before
     for run, _ in steps:
         assert all(stages[s].kind == "restore" for s in run[1:])
-        assert all(set(stages[s].sources) == {stages[s - 1].target} for s in run[1:])
+        assert all(set(stages[s].sources) == {stage_bundle(circ, s - 1)} for s in run[1:])
     assert list(steps) == reference_chains(circ)
     # every bundle a step reads is dropped once, by the last step that reads it
     last_step = {src: i for i, (run, _) in enumerate(steps) for src in stages[run.start].sources}
     dropped = [(src, i) for i, (_, dead) in enumerate(steps) for src in dead]
     assert sorted(dropped) == sorted(last_step.items())
-    inner = {stages[s].target for run, _ in steps for s in run[:-1]}
-    assert circ.output_bundle not in last_step and inner.isdisjoint(last_step)
+    inner = {stage_bundle(circ, s) for run, _ in steps for s in run[:-1]}
+    assert stage_bundle(circ, len(stages) - 1) not in last_step and inner.isdisjoint(last_step)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -1831,10 +1855,10 @@ def test_row_codes_are_the_true_values_read_property(text, width, rounds, x_inde
     xnand = uniform_noisy_gate(make_named("xnand"), 0.1)
     circ = build(parse_formula(text), width, k, rounds, xnand=xnand, kmaj=kmaj, seed=0)
     x = [x_index >> j & 1 for j in range(circ.formula.n_inputs)]
-    values = dict(zip(circ.input_bundles, x))
-    for stage in circ.stages:
+    values = dict(enumerate(x))
+    for s, stage in enumerate(circ.stages):
         a, b = stage.sources[0], stage.sources[-1]
-        values[stage.target] = values[a] if stage.kind == "restore" else 1 - (values[a] & values[b])
+        values[stage_bundle(circ, s)] = values[a] if stage.kind == "restore" else 1 - (values[a] & values[b])
     heads = []
     walk = reliability._walk
 
@@ -1884,18 +1908,19 @@ def cone_program(circ, box):
     ``box``, and its gadget's XORs are affine maps over x and earlier box
     outputs (``maj3_from_and``: parties read a^b and a^c, the output is XORed
     with a; ``xnand_from_and``: a^b1 and a^b1^b2, then a^1). A wire's form is
-    (x mask, box-output mask, constant); a wire read twice is one box."""
-    producer = {stage.target: s for s, stage in enumerate(circ.stages)}
+    (x mask, box-output mask, constant); a wire read twice is one box.
+    Bundle b < n is input b, and any other is written by stage b - n."""
+    n = circ.formula.n_inputs
     boxes, maps, forms = [], [], {}
 
     def xor(*fs):
         return tuple(functools.reduce(lambda u, v: u ^ v, parts) for parts in zip(*fs))
 
     def form(bundle, wire):
-        if bundle in circ.input_bundles:
-            return 1 << circ.input_bundles.index(bundle), 0, 0
+        if bundle < n:
+            return 1 << bundle, 0, 0
         if (bundle, wire) not in forms:
-            s = producer[bundle]
+            s = bundle - n
             a, b, c = (form(src, wire if perm is None else int(perm[wire])) for src, perm in gate_inputs(circ, s))
             restore = circ.stages[s].kind == "restore"
             parties = (xor(a, b), xor(a, c) if restore else xor(a, b, c))
@@ -1904,22 +1929,22 @@ def cone_program(circ, box):
             forms[bundle, wire] = xor(a, (0, 3 << 2 * (len(boxes) - 1), 0 if restore else 1))
         return forms[bundle, wire]
 
-    out = mbqc.AffineBitMap(*form(circ.output_bundle, 0))
-    return mbqc.L2Program(circ.formula.n_inputs, tuple(boxes), tuple(maps), out)
+    out = mbqc.AffineBitMap(*form(stage_bundle(circ, len(circ.stages) - 1), 0))
+    return mbqc.L2Program(n, tuple(boxes), tuple(maps), out)
 
 
 def cone_is_tree(circ):
     """Whether no noisy wire (a stage's output) in wire 0's backward cone is
     read twice."""
-    producer = {stage.target: s for s, stage in enumerate(circ.stages)}
+    n = circ.formula.n_inputs
     reads = collections.Counter()
-    pending = [(circ.output_bundle, 0)]
+    pending = [(stage_bundle(circ, len(circ.stages) - 1), 0)]
     while pending:
         bundle, wire = pending.pop()
-        if bundle in producer:
+        if bundle >= n:  # bundle b >= n is written by stage b - n
             reads[bundle, wire] += 1
             if reads[bundle, wire] == 1:
-                s = producer[bundle]
+                s = bundle - n
                 pending.extend((src, wire if perm is None else int(perm[wire])) for src, perm in gate_inputs(circ, s))
     return max(reads.values()) == 1
 
