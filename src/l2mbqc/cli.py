@@ -234,7 +234,7 @@ def cmd_reliable(args: argparse.Namespace) -> int:
     elif k == 3:
         kmaj = _build_gate("maj", "chsh", k, 0.0)
     else:
-        raise ValueError("k != 3 requires --restore-epsilon (gate from a noisy GHZ majority)")
+        raise ValueError("k != 3 requires --restore-epsilon (the error of a k-MAJ gate on every input)")
     xnand = _build_gate("xnand", args.xnand, 3, 0.0)
 
     circuit = reliability.build(

@@ -81,6 +81,12 @@ class OutcomeDistribution:
 # ---------------------------------------------------------------------------
 # box families
 
+def _check_epsilon(epsilon: float):
+    """A GHZ box's noise weight must lie in [0, 1/2]; NaN fails too."""
+    if not 0.0 <= epsilon <= 0.5:
+        raise ValueError(f"epsilon {epsilon} outside [0, 1/2]")
+
+
 def _check_finite(pairs: Sequence[tuple[float, float]]):
     if set(map(len, pairs)) != {2}:
         j = next(j for j, pair in enumerate(pairs) if len(pair) != 2)
@@ -106,8 +112,7 @@ class GhzBox:
     def __post_init__(self):
         if len(self.angles) < 1:
             raise ValueError("GhzBox needs at least one party")
-        if not 0.0 <= self.epsilon <= 0.5:
-            raise ValueError(f"epsilon {self.epsilon} outside [0, 1/2]")
+        _check_epsilon(self.epsilon)
         _check_finite(self.angles)
 
     @property
@@ -218,8 +223,19 @@ def parity_probability(box: GhzBox, forms: Iterable[int], n: int) -> np.ndarray:
     Party j reads the form 2 T_j + c_j (see ``_check_forms``), and the
     result has one probability per x. phi(x) sums the chosen angles. A
     non-contextual box has no closed form here: use ``outcome_table``.
+    The noise-free gap 1 - cos phi comes from ``_phase_gap`` and is mixed
+    with the noise by ``_noise_mix``.
+    """
+    if not isinstance(box, GhzBox):
+        raise TypeError(f"not a GHZ box: {box!r}")
+    return _noise_mix(_phase_gap(box, forms, n), box.epsilon)
 
-    The sum is exact: every angle a is an integer A = a D over one
+
+def _phase_gap(box: GhzBox, forms: Iterable[int], n: int) -> np.ndarray:
+    """1 - cos phi(x) at every n-bit input x, party j reading the form
+    2 T_j + c_j; the box's noise weight is not read.
+
+    The sum phi(x) is exact: every angle a is an integer A = a D over one
     power-of-two denominator D, so 2 D phi(x) = sum_j (A0_j + A1_j) - W(g)(x),
     with W the Walsh transform of g[T] = sum over parties j with T_j = T of
     (-1)^c_j (A1_j - A0_j), and phi(x) is that integer rounded once. So phi(x)
@@ -233,8 +249,6 @@ def parity_probability(box: GhzBox, forms: Iterable[int], n: int) -> np.ndarray:
     Python ints and one integer division per x rounds it. Angles must be
     finite, which the boxes check when they are built.
     """
-    if not isinstance(box, GhzBox):
-        raise TypeError(f"not a GHZ box: {box!r}")
     angles = box.angles
     forms = _check_forms(forms, len(angles), n)
     # fromiter over the flat pairs: about half the time of asarray on the tuples
@@ -261,8 +275,13 @@ def parity_probability(box: GhzBox, forms: Iterable[int], n: int) -> np.ndarray:
     if phi is None:
         scaled = whole.astype(object) << shift.astype(object)
         phi = (_twice_phase(scaled, forms, n) / (1 << (54 - low))).astype(np.float64)
-    visibility = 1.0 - 2.0 * box.epsilon
-    return visibility * (1.0 - np.cos(phi)) / 2.0 + box.epsilon
+    return 1.0 - np.cos(phi)
+
+
+def _noise_mix(gap: np.ndarray, epsilon: float) -> np.ndarray:
+    """P(parity 1) = (1 - 2 eps) gap / 2 + eps of a box with noise weight
+    epsilon, from its noise-free gap = 1 - cos phi(x)."""
+    return (1.0 - 2.0 * epsilon) * gap / 2.0 + epsilon
 
 
 def _twice_phase(scaled: np.ndarray, forms: np.ndarray, n: int) -> np.ndarray:

@@ -3,9 +3,11 @@
 A noisy gate is a target function plus a per-input probability of emitting
 the negated output. Resource gates are exact runs of box programs (the
 Bell-state and non-contextual ANDs, any target from a noisy GHZ program),
-whose constructions import ``mbqc`` and ``ghzc`` only when called. The two AND
-gates and each recent target's compiled GHZ program are built once per process
-and shared as immutable values; only the noisy run repeats per epsilon.
+whose constructions import ``corrbox``, ``mbqc`` and ``ghzc`` only when
+called. The two AND gates and the noise-free half of each recent target's
+compiled GHZ program are built once per process and shared as immutable
+values; per epsilon only ``corrbox``'s noise mix runs, with the exact run's
+IEEE operations.
 Majority and XNAND are one noisy AND with mod-2 pre- and post-processing.
 All are analyzed against the restoring threshold beta_k and the error
 recursion of wire-wise majority voting.
@@ -118,17 +120,35 @@ def xnand_from_and(and_gate: NoisyGate) -> NoisyGate:
 
 
 @functools.lru_cache(maxsize=16)
-def _compiled(target: BooleanFunction) -> ghzc.GhzProgram:
-    """The target's compiled GHZ program, shared by every epsilon; 16 recent targets are kept."""
+def _noise_free(target: BooleanFunction) -> tuple[np.ndarray, np.ndarray] | None:
+    """The noise-free half of the target's compiled GHZ program
+    (``ghzc._noise_free_half``: each input's gap 1 - cos phi and whether its
+    parity must be 1), shared by every epsilon; 16 recent targets are kept.
+    None for a constant target, whose program has no qubit.
+    """
     from . import ghzc
-    return ghzc.compile_function(target)
+    half = ghzc._noise_free_half(ghzc.compile_function(target), target)
+    for array in half or ():
+        array.flags.writeable = False  # shared across calls
+    return half
 
 
 def gate_from_noisy_ghz(target: BooleanFunction, epsilon: float) -> NoisyGate:
-    """Gate for any target from its compiled GHZ program (``ghzc``) on a noise-mixed state."""
-    from . import ghzc, mbqc
-    program = ghzc.run_as_l2program(_compiled(target), epsilon)
-    return gate_from_report(mbqc.run_exact(program, target))
+    """Gate for any target from its compiled GHZ program (``ghzc``) on a noise-mixed state.
+
+    Only ``corrbox``'s noise mix runs per epsilon, on the cached noise-free
+    half (``_noise_free``), with the IEEE operations of ``mbqc.run_exact``
+    on the program, so the errors equal that exact run's bit for bit.
+    """
+    from . import corrbox
+    corrbox._check_epsilon(epsilon)
+    half = _noise_free(target)
+    if half is None:  # the constant program is right on every input
+        return uniform_noisy_gate(target, 0.0)
+    gap, want_one = half
+    p1 = corrbox._noise_mix(gap, epsilon)
+    # run_exact's success is p1 where the parity must be 1, else 1 - p1
+    return NoisyGate(target, (1.0 - np.where(want_one, p1, 1.0 - p1)).tolist())
 
 
 def kmaj_from_noisy_ghz(k: int, epsilon: float) -> NoisyGate:

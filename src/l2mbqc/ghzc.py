@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .boolfn import COMPILE_ARITY_CAP, BooleanFunction, input_keys
-from .corrbox import STATEVECTOR_QUBIT_CAP, GhzBox, _twice_phase, statevector_parity
+from .corrbox import STATEVECTOR_QUBIT_CAP, GhzBox, _check_epsilon, _phase_gap, _twice_phase, statevector_parity
 from .mbqc import L2Program, _parity_program, constant_program
 
 
@@ -161,19 +161,37 @@ def verify(program: GhzProgram, f: BooleanFunction) -> GhzVerification:
 def _statevector_success(program: GhzProgram, forms: np.ndarray, want: np.ndarray) -> dict[tuple[int, ...], float]:
     """``verify``'s state-vector oracle: the success per input from the
     measured GHZ state's parity, against the wanted bits ``want``."""
-    p1 = statevector_parity(run_as_l2program(program).boxes[0], forms, program.n)
+    p1 = statevector_parity(_ghz_box(program), forms, program.n)
     return dict(zip(input_keys(program.n), np.where(want != 0, p1, 1.0 - p1).tolist()))
+
+
+def _noise_free_half(program: GhzProgram, f: BooleanFunction) -> tuple[np.ndarray, np.ndarray] | None:
+    """What the program's exact run for f shares at every noise weight.
+
+    Per input x, in table order: the gap 1 - cos phi(x) from
+    ``corrbox._phase_gap``, the kernel of ``corrbox.parity_probability``,
+    and whether the outcomes' parity must be 1 there (f(x) xor constant).
+    ``corrbox._noise_mix`` turns the gap into P(parity 1) at any epsilon.
+    None for a program with no qubit, which has no box to add noise to.
+    """
+    if program.n_qubits == 0:
+        return None
+    gap = _phase_gap(_ghz_box(program), np.array(program._masks, dtype=np.int64) << 1, program.n)
+    return gap, np.array(f.table, dtype=bool) ^ bool(program.constant)
+
+
+def _ghz_box(program: GhzProgram, epsilon: float = 0.0) -> GhzBox:
+    """The GHZ box the program measures: qubit q takes angle 0 or delta_q pi."""
+    # a / b is float(delta), without its two property reads
+    return GhzBox(angles=tuple([(0.0, a / b * math.pi) for a, b in program._ratios]), epsilon=epsilon)
 
 
 def run_as_l2program(program: GhzProgram, epsilon: float = 0.0) -> L2Program:
     """Wrap the measurement program as a box program over one noisy GHZ box."""
-    if not 0.0 <= epsilon <= 0.5:
-        raise ValueError(f"epsilon {epsilon} outside [0, 1/2]")
+    _check_epsilon(epsilon)
     if program.n_qubits == 0:
         return constant_program(program.n, program.constant)
-    # a / b is float(delta), without its two property reads
-    box = GhzBox(angles=tuple([(0.0, a / b * math.pi) for a, b in program._ratios]), epsilon=epsilon)
-    return _parity_program(program.n, box, program._masks, program.constant)
+    return _parity_program(program.n, _ghz_box(program, epsilon), program._masks, program.constant)
 
 
 # ---------------------------------------------------------------------------

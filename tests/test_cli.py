@@ -421,7 +421,7 @@ MALFORMED_INPUTS = {
     ),
     "reliable-k5-without-restore-epsilon": (
         RELIABLE + ["--width", "25", "--k", "5"],
-        "k != 3 requires --restore-epsilon",
+        "k != 3 requires --restore-epsilon (the error of a k-MAJ gate on every input)",
     ),
     "reliable-margin": (RELIABLE + ["--width", "9", "--margin", "0.7"], "margin 0.7 outside"),
     "reliable-width-2": (RELIABLE + ["--width", "2"], "bundle width 2 smaller than k = 3"),

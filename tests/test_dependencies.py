@@ -99,5 +99,5 @@ def test_function_level_imports_live_only_where_a_program_layer_is_entered():
                     places.add((path.stem, node.name))
     assert {place for place in places if place[0] != "cli"} == {
         ("gates", "chsh_and_gate"), ("gates", "noncontextual_and_gate"),
-        ("gates", "_compiled"), ("gates", "gate_from_noisy_ghz"),
+        ("gates", "_noise_free"), ("gates", "gate_from_noisy_ghz"),
     }

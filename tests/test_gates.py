@@ -175,16 +175,65 @@ def test_cached_and_gates_equal_a_fresh_run_bit_for_bit():
         assert cached() is cached()  # one shared, immutable value
 
 
+#: the majorities up to the compile cap's largest odd k
+NOISY_GHZ_ARITIES = (3, 5, 7, 9)
+#: one target per other shape of compiled program: the AND and XNAND
+#: gadgets' targets, a constant (no qubit), an affine function (one qubit at
+#: angle pi) and a seeded random 4-bit table
+OTHER_GHZ_TARGETS = (
+    make_named("and"), make_named("xnand"),
+    BooleanFunction(3, (1,) * 8), BooleanFunction.from_callable(3, lambda a, b, c: a ^ c ^ 1),
+    BooleanFunction(4, [random.Random(58).getrandbits(16) >> i & 1 for i in range(16)]),
+)
+NOISY_GHZ_EPSILONS = (0.0, -0.0, 5e-324, 1e-3, 0.5)
+
+
+def _majority(k: int) -> BooleanFunction:
+    """The k-bit majority, tabulated here rather than by ``make_named``."""
+    return BooleanFunction.from_callable(k, lambda *x: int(2 * sum(x) > k))
+
+
+NOISY_GHZ_TARGETS = (*map(_majority, NOISY_GHZ_ARITIES), *OTHER_GHZ_TARGETS)
+
+
+def _fresh_noisy_ghz_gate(target: BooleanFunction, eps: float) -> NoisyGate:
+    """The gate from a fresh compile, run exactly by ``mbqc``: the oracle."""
+    program = ghzc.run_as_l2program(ghzc.compile_function(target), eps)
+    return gates.gate_from_report(mbqc.run_exact(program, target))
+
+
+def _bits(errors) -> bytes:
+    return np.asarray(errors, dtype=np.float64).tobytes()
+
+
 def test_cached_noisy_ghz_majority_equals_a_fresh_compile_bit_for_bit():
-    # shuffled and interleaved, so a noise level left in a shared program would show
-    calls = [(k, eps) for k in (3, 5, 7) for eps in (0.0, 1e-3, 0.9 * float(beta(k).beta), 0.5)] * 2
+    # shuffled and interleaved, so a noise level left in a shared value would show
+    calls = [(k, eps) for k in NOISY_GHZ_ARITIES for eps in (*NOISY_GHZ_EPSILONS, 0.9 * float(beta(k).beta))]
+    calls += [(target, eps) for target in OTHER_GHZ_TARGETS for eps in NOISY_GHZ_EPSILONS]
+    calls *= 2
     random.Random(51).shuffle(calls)
-    for k, eps in calls:
-        target = BooleanFunction.from_callable(k, lambda *x: int(2 * sum(x) > k))
-        program = ghzc.run_as_l2program(ghzc.compile_function(target), eps)
-        fresh = gates.gate_from_report(mbqc.run_exact(program, target))
-        gate = kmaj_from_noisy_ghz(k, eps)
-        assert gate.target == target and gate.errors == fresh.errors
+    for which, eps in calls:
+        if isinstance(which, int):
+            target, gate = _majority(which), kmaj_from_noisy_ghz(which, eps)
+        else:
+            target, gate = which, gates.gate_from_noisy_ghz(which, eps)
+        assert gate.target == target
+        assert _bits(gate.errors) == _bits(_fresh_noisy_ghz_gate(target, eps).errors)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(target=st.sampled_from(NOISY_GHZ_TARGETS), eps=st.floats(0.0, 0.5))
+def test_cached_noisy_ghz_gate_equals_a_fresh_compile_at_any_epsilon(target, eps):
+    assert _bits(gates.gate_from_noisy_ghz(target, eps).errors) == _bits(_fresh_noisy_ghz_gate(target, eps).errors)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -1e-300, 0.5000000000000001])
+def test_noisy_ghz_gate_refuses_an_epsilon_outside_the_box_range(eps):
+    for target in NOISY_GHZ_TARGETS:
+        with pytest.raises(ValueError, match=r"epsilon .* outside \[0, 1/2\]"):
+            gates.gate_from_noisy_ghz(target, eps)
+        with pytest.raises(ValueError, match=r"epsilon .* outside \[0, 1/2\]"):
+            _fresh_noisy_ghz_gate(target, eps)
 
 
 def test_noise_independent_parts_are_built_once(monkeypatch):
@@ -192,7 +241,7 @@ def test_noise_independent_parts_are_built_once(monkeypatch):
     run_exact, compile_function = mbqc.run_exact, ghzc.compile_function
     monkeypatch.setattr(mbqc, "run_exact", lambda *args: runs.append(args) or run_exact(*args))
     monkeypatch.setattr(ghzc, "compile_function", lambda f: compiles.append(f) or compile_function(f))
-    for cached in (chsh_and_gate, gates._compiled, make_named):
+    for cached in (chsh_and_gate, gates._noise_free, make_named):
         cached.cache_clear()
     for _ in range(20):
         maj3_from_and(chsh_and_gate())
@@ -200,10 +249,12 @@ def test_noise_independent_parts_are_built_once(monkeypatch):
     runs.clear()
     for i in range(20):
         kmaj_from_noisy_ghz(5, 0.02 * i)
-    assert (len(compiles), len(runs)) == (1, 20)
+    # one compile, and no program run: each epsilon only mixes in the noise
+    assert (len(compiles), len(runs)) == (1, 0)
+    assert gates._noise_free.cache_info().maxsize == 16
 
 
-@pytest.mark.parametrize("cached", [chsh_and_gate, noncontextual_and_gate, gates._compiled, make_named])
+@pytest.mark.parametrize("cached", [chsh_and_gate, noncontextual_and_gate, gates._noise_free, make_named])
 def test_every_construction_cache_is_bounded(cached):
     assert cached.cache_info().maxsize is not None
 
